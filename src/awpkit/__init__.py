@@ -32,9 +32,7 @@ from awpkit.engine import (
     AwpRun,
     EngineConfig,
     PruningResult,
-    dump_trace,
     normalized_distance,
-    refine_with_queries,
     run_awp,
     sc_satisfied,
 )
@@ -72,7 +70,6 @@ from awpkit.tree import (
     InvariantError,
     TreeStructureError,
     WeightTable,
-    Weighting,
     average_split_quality,
     induced_weighting,
     is_pruning,
@@ -81,6 +78,7 @@ from awpkit.tree import (
     node_discrepancy,
     optimal_pruning,
     pruning_discrepancy,
+    refine_with_queries,
     split_quality,
     tv_distance,
     validate,

@@ -16,17 +16,14 @@ concentrates around the wrong value when rare heavy leaves are missed.
 from __future__ import annotations
 
 import random
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import fsum
 
-import numpy as np
-
-from awpkit.engine import PruningResult, refine_with_queries
+from awpkit.engine import PruningResult, build_result, split_node
 from awpkit.estimator import NodeStats
 from awpkit.oracle import Oracle
-from awpkit.tree import HierTree, InvariantError, induced_weighting, is_pruning
-
-MASS_TOL = 1e-12
+from awpkit.tree import HierTree
 
 
 @dataclass(frozen=True)
@@ -46,24 +43,25 @@ def match_budget(result: PruningResult) -> Budget:
     return Budget(result.ledger.basic_queries, result.ledger.node_queries)
 
 
+def _as_draws(values) -> list[float]:
+    vals = [float(x) for x in values]
+    if not vals:
+        raise ValueError("empty subsample")
+    return vals
+
+
 def uniform_score(w_star: float, n_leaves: int, values) -> float:
     """Unbiased discrepancy estimate of a node from a uniform subsample."""
-    arr = np.asarray(values, dtype=float)
-    m = arr.size
-    if m == 0:
-        raise ValueError("empty subsample")
+    vals = _as_draws(values)
     avg = w_star / n_leaves
-    return w_star + (n_leaves / m) * (float(np.abs(arr - avg).sum()) - float(arr.sum()))
+    return w_star + (n_leaves / len(vals)) * (fsum(abs(x - avg) for x in vals) - fsum(vals))
 
 
 def empirical_score(w_star: float, n_leaves: int, values) -> float:
     """Plug-in deviation sum (n/m) * sum |node_average - z|."""
-    arr = np.asarray(values, dtype=float)
-    m = arr.size
-    if m == 0:
-        raise ValueError("empty subsample")
+    vals = _as_draws(values)
     avg = w_star / n_leaves
-    return (n_leaves / m) * float(np.abs(avg - arr).sum())
+    return (n_leaves / len(vals)) * fsum(abs(avg - x) for x in vals)
 
 
 def _check_run_args(tree: HierTree, oracle: Oracle, k: int, budget: Budget) -> None:
@@ -75,59 +73,23 @@ def _check_run_args(tree: HierTree, oracle: Oracle, k: int, budget: Budget) -> N
         raise ValueError(f"node budget {budget.node} cannot cover {k - 1} splits")
 
 
-def _split_node(tree, oracle, pruning, weights, trace, v) -> None:
-    l = tree.left(v)
-    r = tree.right(v)
-    w_r = oracle.query_node(r)
-    w_l = weights[v] - w_r
-    if w_l < 0.0:
-        if w_l < -MASS_TOL:
-            raise InvariantError(f"child mass {w_l!r} below zero at node {v}")
-        w_l = 0.0
-    pruning.remove(v)
-    insort(pruning, l)
-    insort(pruning, r)
-    weights[l] = w_l
-    weights[r] = w_r
-    trace.append(("SPLIT", v, w_r))
-    if not is_pruning(tree, pruning):
-        raise InvariantError(f"pruning broken after splitting node {v}")
-
-
 def _draw_all(tree, oracle, rng, count, trace, queried):
     """Uniform-with-replacement leaf draws over the whole leaf set,
     attributed to the root (they serve no single node)."""
     root = tree.root_id
     n = tree.leaf_count_total
-    positions = np.empty(count, dtype=np.int64)
-    values = np.empty(count, dtype=float)
+    positions = []
+    values = []
     order = tree.leaf_order
-    for i in range(count):
+    for _ in range(count):
         pos = rng.randrange(n)
         label = order[pos]
         val = oracle.query_leaf(label, attributed_to=root)
-        positions[i] = pos
-        values[i] = val
+        positions.append(pos)
+        values.append(val)
         queried[label] = val
         trace.append(("SAMPLE", root, label, val))
     return positions, values
-
-
-def _finish(tree, oracle, pruning, weights, trace, queried, stats, early_stop) -> PruningResult:
-    ptuple = tuple(pruning)
-    node_weights = {v: weights[v] for v in ptuple}
-    w_p = induced_weighting(tree, ptuple, node_weights)
-    w_ref = refine_with_queries(tree, ptuple, node_weights, queried)
-    return PruningResult(
-        pruning=ptuple,
-        node_weights=node_weights,
-        w_p=w_p,
-        w_p_refined=w_ref,
-        ledger=oracle.ledger.snapshot(),
-        stats=stats,
-        trace=tuple(trace),
-        early_stop=early_stop,
-    )
 
 
 def run_weight(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int) -> PruningResult:
@@ -150,12 +112,12 @@ def run_weight(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int
         if target < 0:
             early_stop = "all-leaves"
             break
-        _split_node(tree, oracle, pruning, weights, trace, target)
+        weights.update(split_node(tree, oracle, pruning, trace, target, weights[target]))
     rng = random.Random(seed)
     queried: dict[str, float] = {}
     _draw_all(tree, oracle, rng, budget.basic, trace, queried)
     stats = {v: NodeStats(v, weights[v], tree.leaf_count(v)) for v in pruning}
-    return _finish(tree, oracle, pruning, weights, trace, queried, stats, early_stop)
+    return build_result(tree, oracle, pruning, queried, stats, trace, early_stop)
 
 
 def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
@@ -164,15 +126,13 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
     trace: list[tuple] = []
     queried: dict[str, float] = {}
     positions, values = _draw_all(tree, oracle, rng, budget.basic, trace, queried)
-    sort_idx = np.argsort(positions, kind="stable")
-    pos_sorted = positions[sort_idx]
-    val_sorted = values[sort_idx]
+    by_pos = sorted(range(len(positions)), key=positions.__getitem__)
+    pos_sorted = [positions[i] for i in by_pos]
+    val_sorted = [values[i] for i in by_pos]
 
     def subsample(v):
         lo, hi = tree.span(v)
-        i0 = int(np.searchsorted(pos_sorted, lo, side="left"))
-        i1 = int(np.searchsorted(pos_sorted, hi, side="left"))
-        return val_sorted[i0:i1]
+        return val_sorted[bisect_left(pos_sorted, lo) : bisect_left(pos_sorted, hi)]
 
     pruning = [tree.root_id]
     weights = {tree.root_id: 1.0}
@@ -191,7 +151,7 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
                 heaviest = v
             if v not in scores:
                 sub = subsample(v)
-                scores[v] = score_fn(weights[v], tree.leaf_count(v), sub) if sub.size else None
+                scores[v] = score_fn(weights[v], tree.leaf_count(v), sub) if sub else None
             s = scores[v]
             if s is None:
                 continue
@@ -204,12 +164,9 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
                 break
             # No candidate received any draw: fall back to the heaviest node.
             target = heaviest
-        _split_node(tree, oracle, pruning, weights, trace, target)
-    stats = {
-        v: NodeStats(v, weights[v], tree.leaf_count(v), samples=[float(x) for x in subsample(v)])
-        for v in pruning
-    }
-    return _finish(tree, oracle, pruning, weights, trace, queried, stats, early_stop)
+        weights.update(split_node(tree, oracle, pruning, trace, target, weights[target]))
+    stats = {v: NodeStats(v, weights[v], tree.leaf_count(v), samples=subsample(v)) for v in pruning}
+    return build_result(tree, oracle, pruning, queried, stats, trace, early_stop)
 
 
 def run_uniform(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int) -> PruningResult:

@@ -14,8 +14,9 @@ or ``heavy-leaf:n=100``.  A weights SRC is a path to a weight file or
 carry their own weights, so --weights may be omitted for them.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input file,
-3 internal invariant breach.  Repeated invocations with identical flags
-produce byte-identical CSV and trace output.
+3 internal invariant breach or any other internal error.  Repeated
+invocations with identical flags produce byte-identical CSV and trace
+output.
 """
 
 from __future__ import annotations
@@ -52,16 +53,7 @@ from awpkit.tree import (
 
 ALGORITHMS = ("awp", "weight", "uniform", "empirical")
 _BASELINE_RUNNERS = {"weight": run_weight, "uniform": run_uniform, "empirical": run_empirical}
-_TREE_KINDS = (
-    "median-split",
-    "random-balanced",
-    "tightness",
-    "greedy-trap-a",
-    "greedy-trap-b",
-    "lookahead-trap",
-    "heavy-leaf",
-)
-_CONSTRUCTION_KINDS = ("tightness", "greedy-trap-a", "greedy-trap-b", "lookahead-trap", "heavy-leaf")
+_TREE_KINDS = ("median-split", "random-balanced") + Construction._KINDS
 
 DETAIL_HEADER = "algorithm,k,run,normalized_distance,basic_queries,node_queries"
 AGGREGATE_HEADER = "algorithm,k,mean,min,max"
@@ -407,6 +399,9 @@ def main(argv=None) -> int:
     except (FileFormatError, TreeStructureError, OSError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,16 +18,17 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
-from math import fsum, inf
+from math import inf
 
 from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
 from awpkit.oracle import Oracle, QueryLedger
 from awpkit.tree import (
     HierTree,
     InvariantError,
-    Weighting,
+    WeightTable,
     induced_weighting,
     is_pruning,
+    refine_with_queries,
     tv_distance,
 )
 
@@ -80,8 +81,8 @@ class PruningResult:
 
     pruning: tuple[int, ...]
     node_weights: dict[int, float]
-    w_p: Weighting
-    w_p_refined: Weighting
+    w_p: WeightTable
+    w_p_refined: WeightTable
     ledger: QueryLedger
     stats: dict[int, NodeStats]
     trace: tuple[tuple, ...]
@@ -95,6 +96,63 @@ class PruningResult:
             else:
                 out.append(f"SPLIT {ev[1]} {ev[2]!r}")
         return out
+
+
+def split_node(
+    tree: HierTree,
+    oracle: Oracle,
+    pruning: list[int],
+    trace: list,
+    v: int,
+    w_v: float,
+) -> tuple[tuple[int, float], tuple[int, float]]:
+    """Replace pruning node v, of known mass w_v, by its children in place
+    and append a SPLIT event.  Returns ((left, mass), (right, mass)).
+
+    Costs one node query, for the right child; the left child's mass is
+    w_v minus it, clamped at zero within MASS_TOL.
+    """
+    l = tree.left(v)
+    r = tree.right(v)
+    w_r = oracle.query_node(r)
+    w_l = w_v - w_r
+    if w_l < 0.0:
+        if w_l < -MASS_TOL:
+            raise InvariantError(f"child mass {w_l!r} below zero at node {v}")
+        w_l = 0.0
+    pruning.remove(v)
+    insort(pruning, l)
+    insort(pruning, r)
+    trace.append(("SPLIT", v, w_r))
+    if not is_pruning(tree, pruning):
+        raise InvariantError(f"pruning broken after splitting node {v}")
+    return (l, w_l), (r, w_r)
+
+
+def build_result(
+    tree: HierTree,
+    oracle: Oracle,
+    pruning: list[int],
+    queried: dict[str, float],
+    stats: dict[int, NodeStats],
+    trace: list,
+    early_stop: str | None,
+) -> PruningResult:
+    """Freeze a finished search into a PruningResult, spreading the
+    pruning's node masses (read from ``stats``, which must cover every
+    pruning node) into the induced and the refined weighting."""
+    ptuple = tuple(pruning)
+    node_weights = {v: stats[v].w_star for v in ptuple}
+    return PruningResult(
+        pruning=ptuple,
+        node_weights=node_weights,
+        w_p=induced_weighting(tree, ptuple, node_weights),
+        w_p_refined=refine_with_queries(tree, ptuple, node_weights, queried),
+        ledger=oracle.ledger.snapshot(),
+        stats=stats,
+        trace=tuple(trace),
+        early_stop=early_stop,
+    )
 
 
 def sc_satisfied(beta: float, estimate: float, radius: float, rival_ucb: float) -> bool:
@@ -182,25 +240,10 @@ class AwpRun:
     # -- splitting ---------------------------------------------------------
 
     def _split(self, v: int) -> None:
-        l = self.tree.left(v)
-        r = self.tree.right(v)
-        w_r = self.oracle.query_node(r)
-        w_l = self.stats[v].w_star - w_r
-        if w_l < 0.0:
-            if w_l < -MASS_TOL:
-                raise InvariantError(f"child mass {w_l!r} below zero at node {v}")
-            w_l = 0.0
-        self.pruning.remove(v)
-        insort(self.pruning, l)
-        insort(self.pruning, r)
-        self.stats[l] = NodeStats(l, w_l, self.tree.leaf_count(l))
-        self.stats[r] = NodeStats(r, w_r, self.tree.leaf_count(r))
-        self._rescore(l)
-        self._rescore(r)
+        for c, w in split_node(self.tree, self.oracle, self.pruning, self.trace, v, self.stats[v].w_star):
+            self.stats[c] = NodeStats(c, w, self.tree.leaf_count(c))
+            self._rescore(c)
         del self._ucb[v], self._lcb[v]
-        self.trace.append(("SPLIT", v, w_r))
-        if not is_pruning(self.tree, self.pruning):
-            raise InvariantError(f"pruning broken after splitting node {v}")
 
     def split_check(self) -> list[int]:
         """Split, in ascending node-id order, every node whose split
@@ -239,19 +282,8 @@ class AwpRun:
     # -- assembling the outcome -------------------------------------------
 
     def result(self) -> PruningResult:
-        pruning = tuple(self.pruning)
-        node_weights = {v: self.stats[v].w_star for v in pruning}
-        w_p = induced_weighting(self.tree, pruning, node_weights)
-        w_ref = refine_with_queries(self.tree, pruning, node_weights, self.queried)
-        return PruningResult(
-            pruning=pruning,
-            node_weights=node_weights,
-            w_p=w_p,
-            w_p_refined=w_ref,
-            ledger=self.oracle.ledger.snapshot(),
-            stats=dict(self.stats),
-            trace=tuple(self.trace),
-            early_stop=self.early_stop,
+        return build_result(
+            self.tree, self.oracle, self.pruning, self.queried, dict(self.stats), self.trace, self.early_stop
         )
 
 
@@ -271,40 +303,7 @@ def run_awp(tree: HierTree, oracle: Oracle, config: EngineConfig) -> PruningResu
     return state.result()
 
 
-def refine_with_queries(
-    tree: HierTree,
-    pruning,
-    node_weights,
-    queried: dict[str, float],
-) -> Weighting:
-    """Weighting that pins individually queried leaves to their known
-    weights and spreads each node's residual mass uniformly over its
-    unqueried leaves."""
-    out: dict[str, float] = {}
-    for v in pruning:
-        lo, hi = tree.span(v)
-        labels = tree.leaf_order[lo:hi]
-        known = [(lab, queried[lab]) for lab in labels if lab in queried]
-        residual = node_weights[v] - fsum(val for _, val in known)
-        if residual < 0.0:
-            # Queried masses can only overshoot the node total by rounding.
-            residual = 0.0
-        rest = len(labels) - len(known)
-        share = residual / rest if rest else 0.0
-        for lab in labels:
-            out[lab] = share
-        for lab, val in known:
-            out[lab] = val
-    return Weighting({lab: out[lab] for lab in tree.leaf_order})
-
-
 def normalized_distance(result: PruningResult, truth) -> float:
     """Total variation distance between the refined output weighting and
     the true target."""
     return tv_distance(result.w_p_refined, truth)
-
-
-def dump_trace(result: PruningResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in result.trace_lines():
-            fh.write(line + "\n")

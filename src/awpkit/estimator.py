@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from awpkit.tree import InvariantError
+from awpkit.tree import InvariantError, _discrepancy
 
 SAMPLE_TOL = 1e-12
 
@@ -164,5 +164,4 @@ def exact_discrepancy(values) -> float:
     vals = [float(x) for x in values]
     if not vals:
         raise ValueError("empty value sequence")
-    avg = math.fsum(vals) / len(vals)
-    return math.fsum(abs(avg - x) for x in vals)
+    return _discrepancy(vals)

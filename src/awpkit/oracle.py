@@ -72,30 +72,24 @@ class Oracle:
 class TargetSpec:
     """Description of a synthetic target.
 
-    kind "geometric-bins": leaves are grouped into bins whose per-leaf
-    weights fall geometrically by ``ratio`` from bin 0 down; ``bins`` may
-    give the partition explicitly, otherwise leaves are shuffled by seed
-    into ``n_bins`` near-equal bins.  kind "explicit-table": weights come
-    from a file, referenced by ``table_path``.
+    The only kind is "geometric-bins": leaves are grouped into bins whose
+    per-leaf weights fall geometrically by ``ratio`` from bin 0 down;
+    ``bins`` may give the partition explicitly, otherwise leaves are
+    shuffled by seed into ``n_bins`` near-equal bins.
     """
 
     kind: str
     n_bins: int = 0
     ratio: float = 0.0
     bins: tuple[tuple[str, ...], ...] | None = None
-    table_path: str | None = None
 
     def __post_init__(self):
-        if self.kind == "geometric-bins":
-            if self.bins is None and self.n_bins < 1:
-                raise ValueError("geometric-bins needs n_bins >= 1 or an explicit partition")
-            if not self.ratio > 1.0:
-                raise ValueError(f"ratio must exceed 1, got {self.ratio!r}")
-        elif self.kind == "explicit-table":
-            if not self.table_path:
-                raise ValueError("explicit-table needs table_path")
-        else:
+        if self.kind != "geometric-bins":
             raise ValueError(f"unknown target kind {self.kind!r}")
+        if self.bins is None and self.n_bins < 1:
+            raise ValueError("geometric-bins needs n_bins >= 1 or an explicit partition")
+        if not self.ratio > 1.0:
+            raise ValueError(f"ratio must exceed 1, got {self.ratio!r}")
 
 
 def leaf_order_bins(tree: HierTree, n_bins: int) -> tuple[tuple[str, ...], ...]:
@@ -118,8 +112,6 @@ def make_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> Weight
     """Geometric-bins target: every leaf in bin i has weight proportional to
     ratio**(B-1-i), so bin 0 is heaviest and successive bins differ by an
     exact factor of ``ratio``."""
-    if spec.kind != "geometric-bins":
-        raise ValueError(f"expected geometric-bins spec, got {spec.kind!r}")
     labels = tree.leaf_order
     if spec.bins is not None:
         bins = [list(b) for b in spec.bins]

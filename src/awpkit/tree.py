@@ -93,10 +93,6 @@ class WeightTable(Mapping):
         return fsum(self._w.values())
 
 
-# An algorithm's output weighting has the same shape as the ground truth.
-Weighting = WeightTable
-
-
 class HierTree:
     """Immutable full binary tree with uniquely labelled leaves.
 
@@ -416,6 +412,12 @@ def _leaf_values(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     return [w[lab] for lab in tree.leaf_order]
 
 
+def _discrepancy(vals: Sequence[float]) -> float:
+    """Sum of |mean - value| over a non-empty list of weights."""
+    avg = fsum(vals) / len(vals)
+    return fsum(abs(avg - x) for x in vals)
+
+
 def node_discrepancy(tree: HierTree, v: int, w: Mapping[str, float]) -> float:
     """Sum over the node's leaves of |node_average - leaf_weight|.
 
@@ -424,9 +426,7 @@ def node_discrepancy(tree: HierTree, v: int, w: Mapping[str, float]) -> float:
     uniform spread of the node's mass.
     """
     lo, hi = tree.span(v)
-    vals = [w[lab] for lab in tree.leaf_order[lo:hi]]
-    avg = fsum(vals) / (hi - lo)
-    return fsum(abs(avg - x) for x in vals)
+    return _discrepancy([w[lab] for lab in tree.leaf_order[lo:hi]])
 
 
 def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
@@ -435,9 +435,7 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     out = [0.0] * tree.node_count
     for v in range(tree.node_count):
         lo, hi = tree.span(v)
-        chunk = vals[lo:hi]
-        avg = fsum(chunk) / (hi - lo)
-        out[v] = fsum(abs(avg - x) for x in chunk)
+        out[v] = _discrepancy(vals[lo:hi])
     return out
 
 
@@ -458,7 +456,7 @@ def induced_weighting(
     tree: HierTree,
     nodes: Iterable[int],
     node_weights: Mapping[int, float],
-) -> Weighting:
+) -> WeightTable:
     """Spread each pruning node's mass uniformly over its leaves."""
     node_list = list(nodes)
     if not is_pruning(tree, node_list):
@@ -474,14 +472,34 @@ def induced_weighting(
     total = fsum(masses)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"node weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
+    return refine_with_queries(tree, node_list, dict(zip(node_list, masses)), {})
+
+
+def refine_with_queries(
+    tree: HierTree,
+    pruning: Iterable[int],
+    node_weights: Mapping[int, float],
+    queried: Mapping[str, float],
+) -> WeightTable:
+    """Weighting that pins individually queried leaves to their known
+    weights and spreads each node's residual mass uniformly over its
+    unqueried leaves."""
     out: dict[str, float] = {}
-    for v, mass in zip(node_list, masses):
+    for v in pruning:
         lo, hi = tree.span(v)
-        share = mass / (hi - lo)
-        for lab in tree.leaf_order[lo:hi]:
+        labels = tree.leaf_order[lo:hi]
+        known = [(lab, queried[lab]) for lab in labels if lab in queried]
+        residual = node_weights[v] - fsum(val for _, val in known)
+        if residual < 0.0:
+            # Queried masses can only overshoot the node total by rounding.
+            residual = 0.0
+        rest = len(labels) - len(known)
+        share = residual / rest if rest else 0.0
+        for lab in labels:
             out[lab] = share
-    ordered = {lab: out[lab] for lab in tree.leaf_order}
-    return Weighting(ordered)
+        for lab, val in known:
+            out[lab] = val
+    return WeightTable({lab: out[lab] for lab in tree.leaf_order})
 
 
 def tv_distance(w1: Mapping[str, float], w2: Mapping[str, float]) -> float:

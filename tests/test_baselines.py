@@ -1,9 +1,11 @@
 """Non-adaptive baselines: budget parity, split selection, scoring, and
 trace replay audits.
 
-The scored baselines are replayed step by step from their traces using the
-same float operations (stable argsort, span slicing, numpy score sums) so
-every split choice, weight, and retained subsample is checked exactly.
+The scored baselines are replayed step by step from their traces with an
+independent numpy position sort and span lookup, scoring each node with the
+package's score functions, so every split choice, weight, and retained
+subsample is checked exactly.  The stdlib scores and leaf spreading are
+checked against kept numpy and induced-weighting references.
 """
 
 from __future__ import annotations
@@ -28,9 +30,16 @@ from awpkit.baselines import (
 from awpkit.engine import EngineConfig, run_awp
 from awpkit.estimator import NodeStats, estimate_discrepancy
 from awpkit.oracle import Oracle
-from awpkit.tree import HierTree, WeightTable, leaves_under, tv_distance
+from awpkit.tree import (
+    HierTree,
+    WeightTable,
+    induced_weighting,
+    leaves_under,
+    refine_with_queries,
+    tv_distance,
+)
 
-from helpers import random_tree, random_weight_table
+from helpers import random_pruning, random_tree, random_weight_table
 
 # Preorder ids for the quad tree: 0 root, 1=(a,b), 2=a, 3=b, 4=(c,d), 5=c, 6=d.
 QUAD = HierTree.from_nested((("a", "b"), ("c", "d")))
@@ -111,6 +120,70 @@ class TestScores:
             draws = [rng.choice((0.0, w_star, rng.random() * w_star)) for _ in range(rng.randint(1, 20))]
             s = uniform_score(w_star, n, draws)
             assert -1e-12 <= s <= 2.0 * w_star + 1e-12
+
+
+def np_uniform_score(w_star, n_leaves, values):
+    """Reference unbiased score, summed with numpy reductions."""
+    arr = np.asarray(values, dtype=float)
+    avg = w_star / n_leaves
+    return w_star + (n_leaves / arr.size) * (float(np.abs(arr - avg).sum()) - float(arr.sum()))
+
+
+def np_empirical_score(w_star, n_leaves, values):
+    """Reference plug-in score, summed with numpy reductions."""
+    arr = np.asarray(values, dtype=float)
+    avg = w_star / n_leaves
+    return (n_leaves / arr.size) * float(np.abs(avg - arr).sum())
+
+
+def random_subsample(rng, w_star):
+    m = rng.randint(1, 300)
+    kind = rng.choice(("uniform", "zeros", "spiked"))
+    if kind == "zeros":
+        return [0.0] * m
+    if kind == "spiked":
+        return [w_star if rng.random() < 0.05 else rng.random() * w_star * 1e-3 for _ in range(m)]
+    return [rng.random() * w_star for _ in range(m)]
+
+
+def caterpillar(n):
+    """Chain of n leaves in which every internal node has a leaf child."""
+    spec = "c0000"
+    for i in range(1, n):
+        spec = (spec, f"c{i:04d}") if i % 2 else (f"c{i:04d}", spec)
+    return HierTree.from_nested(spec)
+
+
+class TestStdlibPaths:
+    def test_scores_match_numpy_reference(self):
+        rng = random.Random(53)
+        for _ in range(400):
+            w_star = rng.choice((1.0, rng.random() + 1e-6))
+            n = rng.randint(1, 1000)
+            vals = random_subsample(rng, w_star)
+            m = len(vals)
+            assert isclose(empirical_score(w_star, n, vals), np_empirical_score(w_star, n, vals), rel_tol=1e-12)
+            # The unbiased score subtracts two sums of similar size, so the
+            # tolerance is relative to the size of its terms.
+            avg = w_star / n
+            scale = w_star + (n / m) * fsum(abs(x - avg) + x for x in vals)
+            got = uniform_score(w_star, n, vals)
+            assert isclose(got, np_uniform_score(w_star, n, vals), rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+    def test_induced_weighting_is_refinement_without_queries(self):
+        rng = random.Random(59)
+        trees = [caterpillar(n) for n in (2, 3, 17, 120)]
+        trees += [random_tree(rng, rng.randint(2, 60)) for _ in range(12)]
+        for tree in trees:
+            for _ in range(5):
+                pruning = random_pruning(rng, tree)
+                raw = [rng.choice((0.0, rng.random())) for _ in pruning]
+                raw[0] += 1e-3
+                total = fsum(raw)
+                masses = {v: x / total for v, x in zip(pruning, raw)}
+                induced = induced_weighting(tree, pruning, masses)
+                refined = refine_with_queries(tree, pruning, masses, {})
+                assert list(induced.items()) == list(refined.items())
 
 
 class TestRunArgs:
@@ -235,9 +308,10 @@ class TestRunWeight:
 def replay_scored(tree, table, result, k, budget, score_fn):
     """Re-derive every selection a scored baseline made from its trace.
 
-    Mirrors the implementation's float operations exactly: draws are
-    position-sorted with a stable argsort, node subsamples are span slices,
-    and scores reuse the same numpy reductions, so all comparisons are exact.
+    Draws are position-sorted with a stable numpy argsort and node
+    subsamples are span slices, which select the same values in the same
+    order as the implementation; scores come from the package's own score
+    functions, so all comparisons are exact.
     """
     samples = [t for t in result.trace if t[0] == "SAMPLE"]
     splits = [t for t in result.trace if t[0] == "SPLIT"]

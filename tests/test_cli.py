@@ -3,10 +3,13 @@ formats, file round trips, and exit codes."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from math import fsum, isclose
 
 import pytest
 
+import awpkit.cli as cli_mod
 from awpkit.cli import (
     ALGORITHMS,
     AGGREGATE_HEADER,
@@ -373,3 +376,49 @@ class TestMain:
             "--out", str(tmp_path / "o.csv"),
         ])
         assert rc == 2
+
+    def test_exit_code_3_internal_error(self, tmp_path, capsys):
+        # A construction deep enough to exhaust recursion is an internal
+        # error: exit 3 with one line on stderr, never a traceback.
+        rc = main([
+            "run",
+            "--tree", "greedy-trap-b:k=600",
+            "--k", "4",
+            "--runs", "1",
+            "--algorithms", "awp",
+            "--max-queries", "100",
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_exit_code_3_any_unexpected_exception(self, tmp_path, capsys, monkeypatch):
+        def boom(config):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", boom)
+        args, _, _ = self.run_args(tmp_path, "z")
+        assert main(args) == 3
+        assert capsys.readouterr().err == "internal error: ZeroDivisionError: boom\n"
+
+
+def test_runtime_imports_no_numpy(tmp_path):
+    # numpy is a test-only dependency: the package must import and run a
+    # sweep with numpy made unimportable.
+    code = """
+import sys
+sys.modules["numpy"] = None
+import awpkit
+import awpkit.cli
+sys.exit(awpkit.cli.main([
+    "run", "--tree", "random-balanced:n=64", "--weights", "geometric:bins=4,ratio=3",
+    "--k", "3,5", "--runs", "2", "--max-queries", "120", "--out", "out.csv",
+]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    details, _ = parse_results((tmp_path / "out.csv").read_text(encoding="utf-8"))
+    assert len(details) == 2 * 2 * len(ALGORITHMS)

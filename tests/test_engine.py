@@ -12,8 +12,8 @@ from awpkit.engine import (
     normalized_distance,
     run_awp,
     sc_satisfied,
-    dump_trace,
 )
+from awpkit.cli import ExperimentOutput, format_traces
 from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
 from awpkit.oracle import Oracle
 from awpkit.tree import (
@@ -233,8 +233,8 @@ class TestTraceOutput:
             assert int(parts[1]) == ev[1]
             assert float(parts[-1]) == ev[-1]
         path = tmp_path / "trace.txt"
-        dump_trace(res, path)
-        assert path.read_text().splitlines() == lines
+        path.write_text(format_traces(ExperimentOutput(traces=[("awp", 3, 0, lines)])))
+        assert path.read_text().splitlines() == ["# awp k=3 run=0"] + lines
 
 
 class TestConcentrationEvent:

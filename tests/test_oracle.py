@@ -108,7 +108,6 @@ class TestTargetSpec:
             TargetSpec("explicit-table")
         with pytest.raises(ValueError):
             TargetSpec("nope")
-        TargetSpec("explicit-table", table_path="w.txt")
 
 
 class TestGeometricTarget:
@@ -166,10 +165,6 @@ class TestGeometricTarget:
         with pytest.raises(ValueError):
             make_geometric_target(
                 tree, TargetSpec("geometric-bins", n_bins=7, ratio=2.0), seed=0
-            )
-        with pytest.raises(ValueError):
-            make_geometric_target(
-                tree, TargetSpec("explicit-table", table_path="w"), seed=0
             )
 
 
