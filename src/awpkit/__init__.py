@@ -81,7 +81,6 @@ from awpkit.tree import (
     refine_with_queries,
     split_quality,
     tv_distance,
-    validate,
 )
 
 __version__ = "0.1.0"

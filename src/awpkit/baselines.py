@@ -99,7 +99,8 @@ def run_weight(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int
     pruning = [tree.root_id]
     weights = {tree.root_id: 1.0}
     trace: list[tuple] = []
-    early_stop = None
+    # k <= leaf_count_total, and a pruning of leaves only has that many
+    # nodes, so each of the k-1 splits finds an internal node.
     for _ in range(k - 1):
         target = -1
         best = -1.0
@@ -109,15 +110,12 @@ def run_weight(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int
             if weights[v] > best:
                 best = weights[v]
                 target = v
-        if target < 0:
-            early_stop = "all-leaves"
-            break
         weights.update(split_node(tree, oracle, pruning, trace, target, weights[target]))
     rng = random.Random(seed)
     queried: dict[str, float] = {}
     _draw_all(tree, oracle, rng, budget.basic, trace, queried)
     stats = {v: NodeStats(v, weights[v], tree.leaf_count(v)) for v in pruning}
-    return build_result(tree, oracle, pruning, queried, stats, trace, early_stop)
+    return build_result(tree, oracle, pruning, queried, stats, trace, None)
 
 
 def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
@@ -137,7 +135,8 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
     pruning = [tree.root_id]
     weights = {tree.root_id: 1.0}
     scores: dict[int, float | None] = {}
-    early_stop = None
+    # k <= leaf_count_total, and a pruning of leaves only has that many
+    # nodes, so each of the k-1 splits finds an internal node.
     for _ in range(k - 1):
         target = -1
         best = None
@@ -159,14 +158,11 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
                 best = s
                 target = v
         if target < 0:
-            if heaviest < 0:
-                early_stop = "all-leaves"
-                break
             # No candidate received any draw: fall back to the heaviest node.
             target = heaviest
         weights.update(split_node(tree, oracle, pruning, trace, target, weights[target]))
     stats = {v: NodeStats(v, weights[v], tree.leaf_count(v), samples=subsample(v)) for v in pruning}
-    return build_result(tree, oracle, pruning, queried, stats, trace, early_stop)
+    return build_result(tree, oracle, pruning, queried, stats, trace, None)
 
 
 def run_uniform(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int) -> PruningResult:

@@ -47,7 +47,7 @@ from awpkit.tree import (
     TreeStructureError,
     WeightTable,
     average_split_quality,
-    node_discrepancy,
+    node_discrepancies,
     split_quality,
 )
 
@@ -104,12 +104,17 @@ def make_tree_source(src: str, seed: int) -> tuple[HierTree, WeightTable | None]
         n = _int_param(params, "n")
         dim = _int_param(params, "dim", 8)
         labels = [f"x{i:06d}" for i in range(n)]
-        feats = random_features(labels, dim, seed)
-        return build_median_split_tree(feats, seed), None
+        try:
+            return build_median_split_tree(random_features(labels, dim, seed), seed), None
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if kind == "random-balanced":
         n = _int_param(params, "n")
         labels = [f"x{i:06d}" for i in range(n)]
-        return build_random_balanced_tree(labels, seed), None
+        try:
+            return build_random_balanced_tree(labels, seed), None
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if kind == "geometric":
         raise UsageError("geometric is a weights source, not a tree source")
     cparams: dict[str, int] = {}
@@ -138,13 +143,16 @@ def make_target_source(src: str, tree: HierTree, seed: int) -> WeightTable:
     except ValueError:
         raise UsageError(f"parameter 'ratio' must be a number, got {params.get('ratio')!r}") from None
     layout = params.get("layout", "shuffled")
-    if layout == "contiguous":
-        tspec = TargetSpec("geometric-bins", ratio=ratio, bins=leaf_order_bins(tree, n_bins))
-    elif layout == "shuffled":
-        tspec = TargetSpec("geometric-bins", n_bins=n_bins, ratio=ratio)
-    else:
-        raise UsageError(f"layout must be shuffled or contiguous, got {layout!r}")
-    return make_geometric_target(tree, tspec, seed)
+    try:
+        if layout == "contiguous":
+            tspec = TargetSpec("geometric-bins", ratio=ratio, bins=leaf_order_bins(tree, n_bins))
+        elif layout == "shuffled":
+            tspec = TargetSpec("geometric-bins", n_bins=n_bins, ratio=ratio)
+        else:
+            raise UsageError(f"layout must be shuffled or contiguous, got {layout!r}")
+        return make_geometric_target(tree, tspec, seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 @dataclass
@@ -166,8 +174,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.k_values:
             raise ValueError("need at least one k value")
-        if any(k < 2 for k in self.k_values):
-            raise ValueError("all k values must be at least 2")
+        for k in self.k_values:
+            self.engine_config(k, self.seed)
         if self.runs < 1:
             raise ValueError("runs must be positive")
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
@@ -175,6 +183,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms {bad}, expected subset of {ALGORITHMS}")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
+
+    def engine_config(self, k: int, seed: int) -> EngineConfig:
+        """Engine parameters of one (k, run) cell."""
+        return EngineConfig(
+            k=k,
+            delta=self.delta,
+            beta=self.beta,
+            seed=seed,
+            radius_mode=self.radius_mode,
+            max_basic_queries=self.max_basic_queries,
+            strict_paper=self.strict_paper,
+        )
 
 
 @dataclass
@@ -201,16 +221,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     for k in config.k_values:
         for r in range(config.runs):
             run_seed = config.seed + r
-            ecfg = EngineConfig(
-                k=k,
-                delta=config.delta,
-                beta=config.beta,
-                seed=run_seed,
-                radius_mode=config.radius_mode,
-                max_basic_queries=config.max_basic_queries,
-                strict_paper=config.strict_paper,
-            )
-            awp_res = run_awp(tree, Oracle(tree, truth), ecfg)
+            awp_res = run_awp(tree, Oracle(tree, truth), config.engine_config(k, run_seed))
             budget = match_budget(awp_res)
             # A capped adaptive run may stop short of k; baselines then
             # target the size it actually reached so budgets stay equal.
@@ -335,14 +346,15 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     weights = load_weights(args.weights)
     if set(weights.keys()) != set(tree.leaf_order):
         raise FileFormatError("weight file does not cover the tree's leaf set")
-    sq = split_quality(tree, weights)
-    asq = average_split_quality(tree, weights)
+    disc = node_discrepancies(tree, weights)
+    sq = split_quality(tree, disc)
+    asq = average_split_quality(tree, disc)
     print(f"leaves: {tree.leaf_count_total}")
     print(f"depth: {tree.max_depth}")
     print(f"total_weight: {weights.total()!r}")
     print(f"split_quality: {'n/a' if sq is None else repr(sq)}")
     print(f"average_split_quality: {'n/a' if asq is None else repr(asq)}")
-    print(f"root_discrepancy: {node_discrepancy(tree, tree.root_id, weights)!r}")
+    print(f"root_discrepancy: {disc[tree.root_id]!r}")
     return 0
 
 

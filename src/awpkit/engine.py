@@ -6,8 +6,8 @@ pruning node with the largest optimistic discrepancy estimate, then splits
 any node whose pessimistic estimate, scaled by the margin factor beta,
 still dominates every rival's optimistic estimate.  Each split costs one
 node query, for the right child only; the left child's mass is the
-difference.  The loop stops at the requested pruning size, or early when
-only leaves remain or a basic-query cap is reached.
+difference.  The loop stops at the requested pruning size, or early when a
+basic-query cap is reached.
 
 Every oracle interaction is recorded in a trace (SAMPLE and SPLIT events)
 from which a run can be replayed and audited without the oracle.
@@ -26,7 +26,6 @@ from awpkit.tree import (
     HierTree,
     InvariantError,
     WeightTable,
-    induced_weighting,
     is_pruning,
     refine_with_queries,
     tv_distance,
@@ -72,16 +71,14 @@ class EngineConfig:
 class PruningResult:
     """Outcome of a pruning search (adaptive or baseline).
 
-    w_p spreads each pruning node's mass uniformly over its leaves;
-    w_p_refined additionally pins every leaf whose weight was individually
-    queried to its true value and spreads only the residual mass.
-    early_stop is None for a normal finish, else "all-leaves" or
-    "max-queries".
+    w_p_refined spreads each pruning node's mass over its leaves, pinning
+    every leaf whose weight was individually queried to its true value and
+    spreading only the residual mass uniformly over the rest.  early_stop
+    is None for a normal finish, else "max-queries".
     """
 
     pruning: tuple[int, ...]
     node_weights: dict[int, float]
-    w_p: WeightTable
     w_p_refined: WeightTable
     ledger: QueryLedger
     stats: dict[int, NodeStats]
@@ -140,13 +137,12 @@ def build_result(
 ) -> PruningResult:
     """Freeze a finished search into a PruningResult, spreading the
     pruning's node masses (read from ``stats``, which must cover every
-    pruning node) into the induced and the refined weighting."""
+    pruning node) into the refined weighting."""
     ptuple = tuple(pruning)
     node_weights = {v: stats[v].w_star for v in ptuple}
     return PruningResult(
         pruning=ptuple,
         node_weights=node_weights,
-        w_p=induced_weighting(tree, ptuple, node_weights),
         w_p_refined=refine_with_queries(tree, ptuple, node_weights, queried),
         ledger=oracle.ledger.snapshot(),
         stats=stats,
@@ -207,9 +203,6 @@ class AwpRun:
         )
         self._ucb[v] = d + r
         self._lcb[v] = d - r
-
-    def _internal_candidates(self) -> list[int]:
-        return [v for v in self.pruning if not self.tree.is_leaf(v)]
 
     # -- one basic query ---------------------------------------------------
 
@@ -291,10 +284,9 @@ def run_awp(tree: HierTree, oracle: Oracle, config: EngineConfig) -> PruningResu
     """Run the adaptive loop to a size-k pruning (or an early stop)."""
     state = AwpRun(tree, oracle, config)
     cap = config.max_basic_queries
+    # k <= leaf_count_total, and a pruning of leaves only has that many
+    # nodes, so a pruning smaller than k always has an internal node.
     while len(state.pruning) < config.k:
-        if not state._internal_candidates():
-            state.early_stop = "all-leaves"
-            break
         if cap is not None and oracle.ledger.basic_queries >= cap:
             state.early_stop = "max-queries"
             break

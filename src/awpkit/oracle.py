@@ -14,6 +14,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from math import fsum
 
+from awpkit.adversarial import _balanced
 from awpkit.tree import HierTree, WeightTable
 
 
@@ -92,13 +93,10 @@ class TargetSpec:
             raise ValueError(f"ratio must exceed 1, got {self.ratio!r}")
 
 
-def leaf_order_bins(tree: HierTree, n_bins: int) -> tuple[tuple[str, ...], ...]:
-    """Partition the leaf ordering into n_bins near-equal contiguous runs."""
-    labels = tree.leaf_order
-    n = len(labels)
-    if not (1 <= n_bins <= n):
-        raise ValueError(f"n_bins must be in 1..{n}, got {n_bins}")
-    base, extra = divmod(n, n_bins)
+def _near_equal_runs(labels: Sequence[str], n_bins: int) -> tuple[tuple[str, ...], ...]:
+    """Cut labels into n_bins contiguous runs whose sizes differ by at most
+    one, the longer runs first."""
+    base, extra = divmod(len(labels), n_bins)
     bins = []
     start = 0
     for i in range(n_bins):
@@ -108,13 +106,21 @@ def leaf_order_bins(tree: HierTree, n_bins: int) -> tuple[tuple[str, ...], ...]:
     return tuple(bins)
 
 
+def leaf_order_bins(tree: HierTree, n_bins: int) -> tuple[tuple[str, ...], ...]:
+    """Partition the leaf ordering into n_bins near-equal contiguous runs."""
+    n = tree.leaf_count_total
+    if not (1 <= n_bins <= n):
+        raise ValueError(f"n_bins must be in 1..{n}, got {n_bins}")
+    return _near_equal_runs(tree.leaf_order, n_bins)
+
+
 def make_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> WeightTable:
     """Geometric-bins target: every leaf in bin i has weight proportional to
     ratio**(B-1-i), so bin 0 is heaviest and successive bins differ by an
     exact factor of ``ratio``."""
     labels = tree.leaf_order
     if spec.bins is not None:
-        bins = [list(b) for b in spec.bins]
+        bins = spec.bins
         flat = [lab for b in bins for lab in b]
         if sorted(flat) != sorted(labels) or len(flat) != len(set(flat)):
             raise ValueError("explicit bins are not a partition of the leaf set")
@@ -123,13 +129,7 @@ def make_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> Weight
             raise ValueError(f"cannot fill {spec.n_bins} bins from {len(labels)} leaves")
         shuffled = list(labels)
         random.Random(seed).shuffle(shuffled)
-        base, extra = divmod(len(shuffled), spec.n_bins)
-        bins = []
-        start = 0
-        for i in range(spec.n_bins):
-            size = base + (1 if i < extra else 0)
-            bins.append(shuffled[start : start + size])
-            start += size
+        bins = _near_equal_runs(shuffled, spec.n_bins)
     if any(not b for b in bins):
         raise ValueError("empty bin in target partition")
     n_bins = len(bins)
@@ -180,14 +180,7 @@ def build_random_balanced_tree(labels: Sequence[str], seed: int) -> HierTree:
     if len(set(labs)) != len(labs):
         raise ValueError("duplicate labels")
     random.Random(seed).shuffle(labs)
-
-    def build(group: list[str]):
-        if len(group) == 1:
-            return group[0]
-        mid = (len(group) + 1) // 2
-        return (build(group[:mid]), build(group[mid:]))
-
-    return HierTree.from_nested(build(labs))
+    return HierTree.from_nested(_balanced(labs))
 
 
 def random_features(labels: Sequence[str], dim: int, seed: int) -> dict[str, tuple[float, ...]]:

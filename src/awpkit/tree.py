@@ -15,7 +15,7 @@ well below the documented tolerances regardless of summation order.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from math import fsum
+from math import fsum, inf
 from typing import Union
 
 WEIGHT_SUM_TOL = 1e-9
@@ -63,8 +63,8 @@ class WeightTable(Mapping):
         items = {}
         for label, value in weights.items():
             value = float(value)
-            if value < 0.0:
-                raise ValueError(f"negative weight {value!r} for leaf {label!r}")
+            if not 0.0 <= value < inf:
+                raise ValueError(f"weight {value!r} for leaf {label!r} is not a finite non-negative number")
             items[str(label)] = value
         if not items:
             raise ValueError("empty weight table")
@@ -113,52 +113,23 @@ class HierTree:
         "root_id",
         "node_count",
         "leaf_count_total",
-        "_valid",
     )
 
-    def __init__(
-        self,
-        children: Sequence[tuple[int, ...]],
-        labels: Sequence[str | None],
-        *,
-        strict: bool = True,
-    ):
+    def __init__(self, children: Sequence[tuple[int, ...]], labels: Sequence[str | None]):
         if len(children) != len(labels):
             raise ValueError("children and labels must have equal length")
         self._children = tuple(tuple(c) for c in children)
         self._labels = tuple(labels)
-        self._parent: tuple[int, ...] | None = None
-        self._span: list[tuple[int, int]] | None = None
-        self._depth: list[int] | None = None
-        self._order: tuple[str, ...] = ()
-        self._pos: dict[str, int] = {}
-        self.root_id = -1
         self.node_count = len(self._children)
-        self.leaf_count_total = 0
-        self._valid = False
-        try:
-            self._check()
-        except TreeStructureError:
-            if strict:
-                raise
-            return
-        self._build_index()
-        self._valid = True
+        self._build_index(*self._check())
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_records(
-        cls,
-        records: Iterable[tuple],
-        *,
-        strict: bool = True,
-    ) -> "HierTree":
+    def from_records(cls, records: Iterable[tuple]) -> "HierTree":
         """Build from ("I", id, (child ids...)) and ("L", id, label) records.
 
-        Ids must form a dense range 0..n-1.  With ``strict=False`` a
-        structurally invalid tree is still returned so that ``validate``
-        can report the violation.
+        Ids must form a dense range 0..n-1.
         """
         recs = list(records)
         n = len(recs)
@@ -181,7 +152,7 @@ class HierTree:
                 labels[node_id] = str(rec[2])
             else:
                 raise TreeStructureError("bad-record", node_id, f"unknown tag {tag!r}")
-        return cls([c if c is not None else () for c in children], labels, strict=strict)
+        return cls([c if c is not None else () for c in children], labels)
 
     @classmethod
     def from_nested(cls, spec: NestedSpec) -> "HierTree":
@@ -213,7 +184,9 @@ class HierTree:
 
     # -- structural checks -------------------------------------------------
 
-    def _check(self) -> None:
+    def _check(self) -> tuple[list[int], int]:
+        """Raise TreeStructureError on the first structural violation;
+        return the parent array (-1 at the root) and the root id."""
         n = self.node_count
         if n == 0:
             raise TreeStructureError("empty-tree")
@@ -258,14 +231,11 @@ class HierTree:
             if lab in seen_labels:
                 raise TreeStructureError("duplicate-leaf-label", v, lab)
             seen_labels[lab] = v
+        return parent, roots[0]
 
-    def _build_index(self) -> None:
+    def _build_index(self, parent: list[int], root: int) -> None:
         n = self.node_count
-        parent = [-1] * n
-        for v in range(n):
-            for c in self._children[v]:
-                parent[c] = v
-        self.root_id = next(v for v in range(n) if parent[v] == -1)
+        self.root_id = root
         self._parent = tuple(parent)
         span = [(0, 0)] * n
         depth = [0] * n
@@ -291,10 +261,6 @@ class HierTree:
         self._order = tuple(order)
         self._pos = {lab: i for i, lab in enumerate(order)}
         self.leaf_count_total = len(order)
-
-    def _require_valid(self) -> None:
-        if not self._valid:
-            raise TreeStructureError("invalid-tree", None, "run validate() for details")
 
     def _check_id(self, v: int) -> None:
         if not (isinstance(v, int) and 0 <= v < self.node_count):
@@ -323,9 +289,8 @@ class HierTree:
         return self._children[v][1]
 
     def parent(self, v: int) -> int | None:
-        self._require_valid()
         self._check_id(v)
-        p = self._parent[v]  # type: ignore[index]
+        p = self._parent[v]
         return None if p < 0 else p
 
     def label(self, v: int) -> str:
@@ -337,31 +302,26 @@ class HierTree:
 
     def span(self, v: int) -> tuple[int, int]:
         """Half-open range of ``leaf_order`` positions covered by node v."""
-        self._require_valid()
         self._check_id(v)
-        return self._span[v]  # type: ignore[index]
+        return self._span[v]
 
     def leaf_count(self, v: int) -> int:
         lo, hi = self.span(v)
         return hi - lo
 
     def depth(self, v: int) -> int:
-        self._require_valid()
         self._check_id(v)
-        return self._depth[v]  # type: ignore[index]
+        return self._depth[v]
 
     @property
     def max_depth(self) -> int:
-        self._require_valid()
-        return max(self._depth)  # type: ignore[arg-type]
+        return max(self._depth)
 
     @property
     def leaf_order(self) -> tuple[str, ...]:
-        self._require_valid()
         return self._order
 
     def leaf_position(self, label: str) -> int:
-        self._require_valid()
         try:
             return self._pos[label]
         except KeyError:
@@ -375,13 +335,6 @@ class HierTree:
 
     def __repr__(self) -> str:
         return f"HierTree({self.node_count} nodes, {self.leaf_count_total} leaves)"
-
-
-def validate(tree: HierTree) -> None:
-    """Re-run all structural checks, raising TreeStructureError on the first
-    violation (cycles, dangling children, non-binary internals, duplicate
-    leaf labels, missing or multiple roots)."""
-    tree._check()
 
 
 def leaves_under(tree: HierTree, v: int) -> list[str]:
@@ -510,31 +463,30 @@ def tv_distance(w1: Mapping[str, float], w2: Mapping[str, float]) -> float:
     return 0.5 * fsum(abs(w1[lab] - w2[lab]) for lab in w1)
 
 
-def split_quality(tree: HierTree, w: Mapping[str, float]) -> float | None:
-    """Largest child-to-parent discrepancy ratio over internal nodes with
-    positive discrepancy; None when no such node exists."""
-    disc = node_discrepancies(tree, w)
-    best = None
-    for v in tree.internal_ids():
-        if disc[v] <= 0.0:
-            continue
-        for c in tree.children(v):
-            ratio = disc[c] / disc[v]
-            if best is None or ratio > best:
-                best = ratio
-    return best
-
-
-def average_split_quality(tree: HierTree, w: Mapping[str, float]) -> float | None:
-    """Mean over internal nodes with positive discrepancy of the larger
-    child's share of the parent discrepancy; None when undefined."""
-    disc = node_discrepancies(tree, w)
+def _split_shares(tree: HierTree, disc: Sequence[float]) -> list[float]:
+    """Larger child's share of the parent discrepancy, for every internal
+    node with positive discrepancy."""
     shares = []
     for v in tree.internal_ids():
-        if disc[v] <= 0.0:
-            continue
-        l, r = tree.children(v)
-        shares.append(max(disc[l], disc[r]) / disc[v])
+        if disc[v] > 0.0:
+            l, r = tree.children(v)
+            shares.append(max(disc[l], disc[r]) / disc[v])
+    return shares
+
+
+def split_quality(tree: HierTree, disc: Sequence[float]) -> float | None:
+    """Largest child-to-parent discrepancy ratio over internal nodes with
+    positive discrepancy; None when no such node exists.  ``disc`` is the
+    list returned by ``node_discrepancies``."""
+    shares = _split_shares(tree, disc)
+    return max(shares) if shares else None
+
+
+def average_split_quality(tree: HierTree, disc: Sequence[float]) -> float | None:
+    """Mean over internal nodes with positive discrepancy of the larger
+    child's share of the parent discrepancy; None when undefined.  ``disc``
+    is the list returned by ``node_discrepancies``."""
+    shares = _split_shares(tree, disc)
     if not shares:
         return None
     return fsum(shares) / len(shares)

@@ -28,6 +28,14 @@ def random_tree(rng, n: int, prefix: str = "t") -> HierTree:
     return HierTree.from_nested(build(labels))
 
 
+def caterpillar(n):
+    """Chain of n leaves in which every internal node has a leaf child."""
+    spec = "c0000"
+    for i in range(1, n):
+        spec = (spec, f"c{i:04d}") if i % 2 else (f"c{i:04d}", spec)
+    return HierTree.from_nested(spec)
+
+
 def random_weight_table(rng, labels, kind: str | None = None) -> WeightTable:
     """Random normalized weights; kind picks the shape of the vector."""
     if kind is None:
@@ -238,18 +246,14 @@ def replay_trace(tree: HierTree, truth, result: PruningResult, config: EngineCon
         assert node_w[v] == result.node_weights[v]
     if result.early_stop is None:
         assert len(pruning) == config.k
-    elif result.early_stop == "all-leaves":
-        assert len(pruning) < config.k
-        assert all(tree.is_leaf(v) for v in pruning)
     elif result.early_stop == "max-queries":
         assert len(pruning) < config.k
         assert cap is not None and n_basic == cap
     else:
         raise AssertionError(f"unknown early stop {result.early_stop!r}")
-    if result.early_stop is None or result.early_stop == "max-queries":
-        found, _ = _first_qualifying_split(tree, stats, pruning, config)
-        if len(pruning) < config.k:
-            assert found is None
+    found, _ = _first_qualifying_split(tree, stats, pruning, config)
+    if len(pruning) < config.k:
+        assert found is None
 
     assert result.ledger.basic_queries == n_basic
     assert result.ledger.node_queries == sum(1 for ev in result.trace if ev[0] == "SPLIT")

@@ -33,6 +33,7 @@ from awpkit.oracle import Oracle
 from awpkit.tree import (
     induced_weighting,
     leaves_under,
+    node_discrepancies,
     node_discrepancy,
     optimal_pruning,
     pruning_discrepancy,
@@ -161,7 +162,7 @@ def quality_runs():
     runs = []
     for sizes, big_k in QUALITY_CASES:
         tree, table = spiked_quality_tree(sizes)
-        q = split_quality(tree, table)
+        q = split_quality(tree, node_discrepancies(tree, table))
         _, d_q = optimal_pruning(tree, big_k, table)
         for seed in range(20):
             config = EngineConfig(k=big_k, delta=0.05, beta=4.0, seed=seed, max_basic_queries=20000)

@@ -68,7 +68,7 @@ class TestTightness:
         assert isclose(d_root, 0.2, rel_tol=1e-12)
         assert isclose(d_p, 0.32, rel_tol=1e-12)
         assert isclose(d_p / d_root, 1.6, rel_tol=1e-12)
-        assert isclose(split_quality(tree, table), 0.8, rel_tol=1e-12)
+        assert isclose(split_quality(tree, node_discrepancies(tree, table)), 0.8, rel_tol=1e-12)
 
     def test_ratio_approaches_two(self):
         prev = 0.0

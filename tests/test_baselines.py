@@ -39,7 +39,7 @@ from awpkit.tree import (
     tv_distance,
 )
 
-from helpers import random_pruning, random_tree, random_weight_table
+from helpers import caterpillar, random_pruning, random_tree, random_weight_table, replay_trace
 
 # Preorder ids for the quad tree: 0 root, 1=(a,b), 2=a, 3=b, 4=(c,d), 5=c, 6=d.
 QUAD = HierTree.from_nested((("a", "b"), ("c", "d")))
@@ -144,14 +144,6 @@ def random_subsample(rng, w_star):
     if kind == "spiked":
         return [w_star if rng.random() < 0.05 else rng.random() * w_star * 1e-3 for _ in range(m)]
     return [rng.random() * w_star for _ in range(m)]
-
-
-def caterpillar(n):
-    """Chain of n leaves in which every internal node has a leaf child."""
-    spec = "c0000"
-    for i in range(1, n):
-        spec = (spec, f"c{i:04d}") if i % 2 else (f"c{i:04d}", spec)
-    return HierTree.from_nested(spec)
 
 
 class TestStdlibPaths:
@@ -453,5 +445,29 @@ class TestBudgetParity:
             assert result.ledger.node_queries == budget.node
             assert len(result.pruning) == k_reached
             # Comparable outputs: normalized weightings over the leaf set.
-            assert isclose(fsum(result.w_p.values()), 1.0, abs_tol=1e-9)
+            w_p = induced_weighting(tree, result.pruning, result.node_weights)
+            assert isclose(fsum(w_p.values()), 1.0, abs_tol=1e-9)
             assert tv_distance(result.w_p_refined, {lab: table[lab] for lab in tree.leaf_order}) >= 0.0
+
+
+class TestFullSize:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_k_equal_to_leaf_count_reaches_every_leaf(self, seed):
+        # A pruning smaller than the leaf count always has an internal
+        # node, so a run at k = leaf count ends on the leaves or at the cap.
+        rng = random.Random(seed)
+        n = rng.randint(2, 24)
+        tree = caterpillar(n) if seed % 2 else random_tree(rng, n)
+        table = random_weight_table(rng, tree.leaf_order)
+        k = tree.leaf_count_total
+        leaves = tuple(sorted(tree.leaf_ids()))
+        for fn in (run_weight, run_uniform, run_empirical):
+            result = fn(tree, Oracle(tree, table), k, Budget(rng.randint(0, 30), k - 1), seed=seed)
+            assert result.pruning == leaves
+            assert result.early_stop is None
+        config = EngineConfig(k=k, seed=seed, max_basic_queries=400)
+        result = run_awp(tree, Oracle(tree, table), config)
+        assert result.early_stop in (None, "max-queries")
+        if result.early_stop is None:
+            assert result.pruning == leaves
+        replay_trace(tree, table, result, config)

@@ -10,6 +10,7 @@ from math import fsum, isclose
 import pytest
 
 import awpkit.cli as cli_mod
+import awpkit.tree as tree_mod
 from awpkit.cli import (
     ALGORITHMS,
     AGGREGATE_HEADER,
@@ -333,6 +334,20 @@ class TestMain:
         assert "average_split_quality: n/a" in out
         assert "root_discrepancy: 0.0" in out
 
+    def test_inspect_makes_one_discrepancy_pass(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = tree_mod.node_discrepancies
+
+        def counted(tree, w):
+            calls.append(tree)
+            return original(tree, w)
+
+        monkeypatch.setattr(tree_mod, "node_discrepancies", counted)
+        monkeypatch.setattr(cli_mod, "node_discrepancies", counted)
+        tree_path, w_path = write_quad(tmp_path)
+        assert main(["inspect", "--tree", tree_path, "--weights", w_path]) == 0
+        assert len(calls) == 1
+
     def test_exit_code_1_usage(self, tmp_path, capsys):
         args, _, _ = self.run_args(tmp_path, "u")
         args[args.index("--k") + 1] = "a,b"
@@ -363,6 +378,61 @@ class TestMain:
         short_w = tmp_path / "short.txt"
         short_w.write_text("a 0.6\nb 0.4\n", encoding="utf-8")
         assert main(["inspect", "--tree", tree_path, "--weights", str(short_w)]) == 2
+
+    @pytest.mark.parametrize("flag,value", [("--delta", "2"), ("--beta", "1"), ("--max-queries", "-1")])
+    def test_exit_code_1_bad_engine_flag_before_reading_the_tree(self, tmp_path, capsys, flag, value):
+        # The tree path does not exist: exit 1, not 2, shows the flag was
+        # rejected before any input was read.
+        rc = main([
+            "run",
+            "--tree", str(tmp_path / "missing.hwt"),
+            "--weights", "geometric:bins=2,ratio=2",
+            "--k", "2",
+            flag, value,
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tree_src,weights_src",
+        [
+            ("random-balanced:n=64", "geometric:bins=100,ratio=4"),
+            ("random-balanced:n=64", "geometric:bins=100,ratio=4,layout=contiguous"),
+            ("random-balanced:n=64", "geometric:bins=4,ratio=1"),
+            ("random-balanced:n=0", "geometric:bins=2,ratio=2"),
+            ("median-split:n=64,dim=0", "geometric:bins=2,ratio=2"),
+        ],
+    )
+    def test_exit_code_1_bad_generator_parameters(self, tmp_path, capsys, tree_src, weights_src):
+        rc = main([
+            "run",
+            "--tree", tree_src,
+            "--weights", weights_src,
+            "--k", "2",
+            "--runs", "1",
+            "--max-queries", "10",
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_exit_code_2_non_finite_weight(self, tmp_path, bad):
+        tree_path, _ = write_quad(tmp_path)
+        w_path = tmp_path / "bad.txt"
+        w_path.write_text(f"a {bad}\nb 0.1\nc 0.2\nd 0.2\n", encoding="utf-8")
+        assert main(["inspect", "--tree", tree_path, "--weights", str(w_path)]) == 2
+        rc = main([
+            "run",
+            "--tree", tree_path,
+            "--weights", str(w_path),
+            "--k", "2",
+            "--runs", "1",
+            "--max-queries", "10",
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 2
 
     def test_exit_code_2_infeasible_k(self, tmp_path):
         # k exceeding the leaf count surfaces as invalid input, not a crash.

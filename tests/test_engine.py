@@ -19,6 +19,7 @@ from awpkit.oracle import Oracle
 from awpkit.tree import (
     HierTree,
     WeightTable,
+    induced_weighting,
     is_pruning,
     node_discrepancies,
     tv_distance,
@@ -81,7 +82,7 @@ class TestMinimalRun:
         assert [ev[0] for ev in res.trace] == ["SAMPLE", "SPLIT"]
         assert res.trace[0][1] == 0 and res.trace[1][1] == 0
         assert res.node_weights == {1: 0.6, 4: 0.4}
-        assert abs(fsum(res.w_p.values()) - 1.0) <= 1e-12
+        assert abs(fsum(induced_weighting(tree, res.pruning, res.node_weights).values()) - 1.0) <= 1e-12
         assert abs(fsum(res.w_p_refined.values()) - 1.0) <= 1e-12
 
     def test_same_seed_reproduces_and_seeds_differ(self):
@@ -187,7 +188,7 @@ class TestQueryCap:
         assert res.pruning == (0,)
         assert res.ledger.basic_queries == 0
         assert res.ledger.node_queries == 0
-        assert res.w_p["a"] == 0.25
+        assert induced_weighting(tree, res.pruning, res.node_weights)["a"] == 0.25
 
     def test_large_cap_does_not_bind(self):
         tree, truth = quad_instance()

@@ -21,10 +21,9 @@ from awpkit.tree import (
     pruning_discrepancy,
     split_quality,
     tv_distance,
-    validate,
 )
 
-from helpers import enumerate_prunings, random_pruning, random_tree, random_weight_table
+from helpers import caterpillar, enumerate_prunings, random_pruning, random_tree, random_weight_table
 
 
 def quad_tree():
@@ -111,15 +110,6 @@ class TestStructure:
             HierTree([(1, 2), (), ()], ["x", "a", "b"])
         assert err.value.kind == "leaf-with-children"
 
-    def test_non_strict_defers_the_error_to_validate(self):
-        t = HierTree.from_records([("I", 0, (0, 1)), ("L", 1, "a")], strict=False)
-        with pytest.raises(TreeStructureError) as err:
-            t.span(0)
-        assert err.value.kind == "invalid-tree"
-        with pytest.raises(TreeStructureError) as err:
-            validate(t)
-        assert err.value.kind == "cycle"
-
     def test_single_leaf_tree(self):
         t = HierTree.from_nested("only")
         assert t.node_count == 1
@@ -167,6 +157,12 @@ class TestWeightTable:
             WeightTable({"a": 0.0}, normalize=True)
         with pytest.raises(ValueError):
             WeightTable({})
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad, normalize):
+        with pytest.raises(ValueError, match="finite"):
+            WeightTable({"a": bad, "b": 0.5}, normalize=normalize)
 
 
 class TestPruning:
@@ -278,20 +274,68 @@ class TestTvDistance:
         assert d12 <= tv_distance(w1, w3) + tv_distance(w3, w2) + 1e-12
 
 
+def reference_split_quality(tree, w):
+    """Per-child loop over its own discrepancy pass, kept as the reference."""
+    disc = node_discrepancies(tree, w)
+    best = None
+    for v in tree.internal_ids():
+        if disc[v] <= 0.0:
+            continue
+        for c in tree.children(v):
+            ratio = disc[c] / disc[v]
+            if best is None or ratio > best:
+                best = ratio
+    return best
+
+
+def reference_average_split_quality(tree, w):
+    """Larger-child share loop over its own discrepancy pass, kept as the
+    reference."""
+    disc = node_discrepancies(tree, w)
+    shares = []
+    for v in tree.internal_ids():
+        if disc[v] <= 0.0:
+            continue
+        l, r = tree.children(v)
+        shares.append(max(disc[l], disc[r]) / disc[v])
+    if not shares:
+        return None
+    return fsum(shares) / len(shares)
+
+
 class TestSplitQuality:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_reference_loops(self, seed):
+        rng = random.Random(seed)
+        for shape in ("random", "caterpillar", "flat") * 4:
+            if shape == "flat":
+                # Equal weights on 2**j leaves: every discrepancy is exactly 0.
+                n = 2 ** rng.randint(1, 5)
+                tree = random_tree(rng, n)
+                w = {lab: 1.0 / n for lab in tree.leaf_order}
+            else:
+                n = rng.randint(2, 60)
+                tree = caterpillar(n) if shape == "caterpillar" else random_tree(rng, n)
+                w = random_weight_table(rng, tree.leaf_order)
+            disc = node_discrepancies(tree, w)
+            assert split_quality(tree, disc) == reference_split_quality(tree, w)
+            assert average_split_quality(tree, disc) == reference_average_split_quality(tree, w)
+
     def test_none_when_no_positive_discrepancy(self):
         t = quad_tree()
         uniform = {lab: 0.25 for lab in "abcd"}
-        assert split_quality(t, uniform) is None
-        assert average_split_quality(t, uniform) is None
+        disc = node_discrepancies(t, uniform)
+        assert split_quality(t, disc) is None
+        assert average_split_quality(t, disc) is None
 
     def test_hand_computed(self):
         t = quad_tree()
         w = {"a": 0.5, "b": 0.1, "c": 0.2, "d": 0.2}
         # Only the root (0.5) and the ab node (0.4) have positive discrepancy;
         # the ab node's children are leaves, so its larger-child share is 0.
-        assert abs(split_quality(t, w) - 0.8) < 1e-15
-        assert abs(average_split_quality(t, w) - 0.4) < 1e-15
+        disc = node_discrepancies(t, w)
+        assert abs(split_quality(t, disc) - 0.8) < 1e-15
+        assert abs(average_split_quality(t, disc) - 0.4) < 1e-15
 
 
 class TestOptimalPruning:
