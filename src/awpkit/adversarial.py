@@ -211,6 +211,8 @@ def _greedy(tree: HierTree, truth, k: int, score) -> tuple[int, ...]:
         raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
     disc = node_discrepancies(tree, truth)
     pruning = [tree.root_id]
+    # k <= leaf_count_total, and a pruning of leaves only has that many
+    # nodes, so each of the k-1 splits finds an internal node.
     for _ in range(k - 1):
         target = -1
         best = None
@@ -221,8 +223,6 @@ def _greedy(tree: HierTree, truth, k: int, score) -> tuple[int, ...]:
             if best is None or s > best:
                 best = s
                 target = v
-        if target < 0:
-            break
         pruning.remove(target)
         pruning.extend(tree.children(target))
     return tuple(sorted(pruning))

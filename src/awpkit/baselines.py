@@ -73,9 +73,10 @@ def _check_run_args(tree: HierTree, oracle: Oracle, k: int, budget: Budget) -> N
         raise ValueError(f"node budget {budget.node} cannot cover {k - 1} splits")
 
 
-def _draw_all(tree, oracle, rng, count, trace, queried):
+def _draw_all(tree, oracle, rng, count, trace):
     """Uniform-with-replacement leaf draws over the whole leaf set,
-    attributed to the root (they serve no single node)."""
+    attributed to the root (they serve no single node).  Returns the drawn
+    leaf positions and their weights."""
     root = tree.root_id
     n = tree.leaf_count_total
     positions = []
@@ -83,12 +84,10 @@ def _draw_all(tree, oracle, rng, count, trace, queried):
     order = tree.leaf_order
     for _ in range(count):
         pos = rng.randrange(n)
-        label = order[pos]
-        val = oracle.query_leaf(label, attributed_to=root)
+        val = oracle.query_leaf(pos, attributed_to=root)
         positions.append(pos)
         values.append(val)
-        queried[label] = val
-        trace.append(("SAMPLE", root, label, val))
+        trace.append(("SAMPLE", root, order[pos], val))
     return positions, values
 
 
@@ -111,19 +110,16 @@ def run_weight(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int
                 best = weights[v]
                 target = v
         weights.update(split_node(tree, oracle, pruning, trace, target, weights[target]))
-    rng = random.Random(seed)
-    queried: dict[str, float] = {}
-    _draw_all(tree, oracle, rng, budget.basic, trace, queried)
+    positions, values = _draw_all(tree, oracle, random.Random(seed), budget.basic, trace)
     stats = {v: NodeStats(v, weights[v], tree.leaf_count(v)) for v in pruning}
-    return build_result(tree, oracle, pruning, queried, stats, trace, None)
+    return build_result(tree, oracle, pruning, dict(zip(positions, values)), stats, trace, None)
 
 
 def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
     _check_run_args(tree, oracle, k, budget)
     rng = random.Random(seed)
     trace: list[tuple] = []
-    queried: dict[str, float] = {}
-    positions, values = _draw_all(tree, oracle, rng, budget.basic, trace, queried)
+    positions, values = _draw_all(tree, oracle, rng, budget.basic, trace)
     by_pos = sorted(range(len(positions)), key=positions.__getitem__)
     pos_sorted = [positions[i] for i in by_pos]
     val_sorted = [values[i] for i in by_pos]
@@ -162,7 +158,7 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
             target = heaviest
         weights.update(split_node(tree, oracle, pruning, trace, target, weights[target]))
     stats = {v: NodeStats(v, weights[v], tree.leaf_count(v), samples=subsample(v)) for v in pruning}
-    return build_result(tree, oracle, pruning, queried, stats, trace, None)
+    return build_result(tree, oracle, pruning, dict(zip(positions, values)), stats, trace, None)
 
 
 def run_uniform(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int) -> PruningResult:

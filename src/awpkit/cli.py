@@ -46,6 +46,7 @@ from awpkit.tree import (
     InvariantError,
     TreeStructureError,
     WeightTable,
+    _leaf_values,
     average_split_quality,
     node_discrepancies,
     split_quality,
@@ -215,6 +216,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     else:
         raise UsageError("this tree source defines no weights; pass --weights")
 
+    truth_vals = _leaf_values(tree, truth)
     algs = tuple(a for a in ALGORITHMS if a in config.algorithms)
     out = ExperimentOutput()
     per_alg_k: dict[tuple[str, int], list[float]] = {}
@@ -231,7 +233,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
                     res = awp_res
                 else:
                     res = _BASELINE_RUNNERS[alg](tree, Oracle(tree, truth), k_reached, budget, run_seed)
-                nd = normalized_distance(res, truth)
+                nd = normalized_distance(res, truth_vals)
                 out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
                 out.traces.append((alg, k, r, res.trace_lines()))
                 per_alg_k.setdefault((alg, k), []).append(nd)
@@ -344,8 +346,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     tree = load_tree(args.tree)
     weights = load_weights(args.weights)
-    if set(weights.keys()) != set(tree.leaf_order):
-        raise FileFormatError("weight file does not cover the tree's leaf set")
     disc = node_discrepancies(tree, weights)
     sq = split_quality(tree, disc)
     asq = average_split_quality(tree, disc)

@@ -18,14 +18,14 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
-from math import inf
+from math import fsum, inf
 
 from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
 from awpkit.oracle import Oracle, QueryLedger
 from awpkit.tree import (
+    WEIGHT_SUM_TOL,
     HierTree,
     InvariantError,
-    WeightTable,
     is_pruning,
     refine_with_queries,
     tv_distance,
@@ -71,15 +71,16 @@ class EngineConfig:
 class PruningResult:
     """Outcome of a pruning search (adaptive or baseline).
 
-    w_p_refined spreads each pruning node's mass over its leaves, pinning
-    every leaf whose weight was individually queried to its true value and
-    spreading only the residual mass uniformly over the rest.  early_stop
-    is None for a normal finish, else "max-queries".
+    w_p_refined is the output weighting, a list in ``tree.leaf_order``
+    order: each pruning node's mass spread over its leaves, with every leaf
+    whose weight was individually queried pinned to its true value and
+    only the residual mass spread uniformly over the rest.  early_stop is
+    None for a normal finish, else "max-queries".
     """
 
     pruning: tuple[int, ...]
     node_weights: dict[int, float]
-    w_p_refined: WeightTable
+    w_p_refined: list[float]
     ledger: QueryLedger
     stats: dict[int, NodeStats]
     trace: tuple[tuple, ...]
@@ -130,20 +131,25 @@ def build_result(
     tree: HierTree,
     oracle: Oracle,
     pruning: list[int],
-    queried: dict[str, float],
+    queried: dict[int, float],
     stats: dict[int, NodeStats],
     trace: list,
     early_stop: str | None,
 ) -> PruningResult:
     """Freeze a finished search into a PruningResult, spreading the
     pruning's node masses (read from ``stats``, which must cover every
-    pruning node) into the refined weighting."""
+    pruning node) into the refined weighting.  ``queried`` maps leaf
+    positions to their queried weights."""
     ptuple = tuple(pruning)
     node_weights = {v: stats[v].w_star for v in ptuple}
+    refined = refine_with_queries(tree, ptuple, node_weights, queried)
+    total = fsum(refined)
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+        raise InvariantError(f"refined weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
     return PruningResult(
         pruning=ptuple,
         node_weights=node_weights,
-        w_p_refined=refine_with_queries(tree, ptuple, node_weights, queried),
+        w_p_refined=refined,
         ledger=oracle.ledger.snapshot(),
         stats=stats,
         trace=tuple(trace),
@@ -178,7 +184,7 @@ class AwpRun:
         self._ucb: dict[int, float] = {root: inf}
         self._lcb: dict[int, float] = {root: -inf}
         self.trace: list[tuple] = []
-        self.queried: dict[str, float] = {}
+        self.queried: dict[int, float] = {}
         self.early_stop: str | None = None
 
     # -- scoring -----------------------------------------------------------
@@ -222,11 +228,11 @@ class AwpRun:
         if target < 0:
             raise InvariantError("no internal node available to sample")
         lo, hi = self.tree.span(target)
-        label = self.tree.leaf_order[self.rng.randrange(lo, hi)]
-        value = self.oracle.query_leaf(label, attributed_to=target)
-        self.queried[label] = value
+        pos = self.rng.randrange(lo, hi)
+        value = self.oracle.query_leaf(pos, attributed_to=target)
+        self.queried[pos] = value
         self.stats[target].push(value)
-        self.trace.append(("SAMPLE", target, label, value))
+        self.trace.append(("SAMPLE", target, self.tree.leaf_order[pos], value))
         self._rescore(target)
         return target
 
@@ -295,7 +301,7 @@ def run_awp(tree: HierTree, oracle: Oracle, config: EngineConfig) -> PruningResu
     return state.result()
 
 
-def normalized_distance(result: PruningResult, truth) -> float:
+def normalized_distance(result: PruningResult, truth: list[float]) -> float:
     """Total variation distance between the refined output weighting and
-    the true target."""
+    the true target, given as a list in ``tree.leaf_order`` order."""
     return tv_distance(result.w_p_refined, truth)

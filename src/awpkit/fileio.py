@@ -85,7 +85,7 @@ def dump_tree(tree: HierTree, path: str | os.PathLike) -> None:
         fh.write(dumps_tree(tree))
 
 
-def loads_weights(text: str, *, normalize: bool = False) -> WeightTable:
+def loads_weights(text: str) -> WeightTable:
     weights: dict[str, float] = {}
     for lineno, line in _content_lines(text):
         parts = line.split()
@@ -101,7 +101,7 @@ def loads_weights(text: str, *, normalize: bool = False) -> WeightTable:
     if not weights:
         raise FileFormatError("empty weight file")
     try:
-        return WeightTable(weights, normalize=normalize)
+        return WeightTable(weights)
     except ValueError as exc:
         raise FileFormatError(str(exc)) from None
 
@@ -115,9 +115,9 @@ def dumps_weights(table: WeightTable) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_weights(path: str | os.PathLike, *, normalize: bool = False) -> WeightTable:
+def load_weights(path: str | os.PathLike) -> WeightTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_weights(fh.read(), normalize=normalize)
+        return loads_weights(fh.read())
 
 
 def dump_weights(table: WeightTable, path: str | os.PathLike) -> None:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, inf
 
 from awpkit.adversarial import _balanced
-from awpkit.tree import HierTree, WeightTable
+from awpkit.tree import HierTree, WeightTable, _leaf_values
 
 
 @dataclass
@@ -40,24 +40,22 @@ class QueryLedger:
 class Oracle:
     """Query access to a hidden target weighting over a tree's leaves.
 
-    The target must cover exactly the tree's leaf set.  Answers are exact;
-    repeated queries for the same leaf are answered (and charged) again.
+    The label-keyed target must cover exactly the tree's leaf set.  Answers
+    are exact; repeated queries for the same leaf are answered (and
+    charged) again.
     """
 
-    def __init__(self, tree: HierTree, truth: WeightTable):
-        leaf_set = set(tree.leaf_order)
-        truth_set = set(truth.keys())
-        if leaf_set != truth_set:
-            missing = leaf_set - truth_set
-            extra = truth_set - leaf_set
-            raise ValueError(f"truth does not match leaf set (missing {len(missing)}, extra {len(extra)})")
+    def __init__(self, tree: HierTree, truth: Mapping[str, float]):
+        self._vals = _leaf_values(tree, truth)
         self.tree = tree
         self.ledger = QueryLedger()
-        self._vals = [truth[lab] for lab in tree.leaf_order]
 
-    def query_leaf(self, label: str, attributed_to: int) -> float:
-        """Weight of one leaf; counted as a basic query for the given node."""
-        pos = self.tree.leaf_position(label)
+    def query_leaf(self, pos: int, attributed_to: int) -> float:
+        """Weight of the leaf at position ``pos`` of ``tree.leaf_order``;
+        counted as a basic query for the given node.  Raises KeyError for
+        a position that is not an int in 0..leaf_count_total-1."""
+        if not (isinstance(pos, int) and 0 <= pos < self.tree.leaf_count_total):
+            raise KeyError(f"unknown leaf position {pos!r}")
         self.tree._check_id(attributed_to)
         self.ledger.record_basic(attributed_to)
         return self._vals[pos]
@@ -89,8 +87,8 @@ class TargetSpec:
             raise ValueError(f"unknown target kind {self.kind!r}")
         if self.bins is None and self.n_bins < 1:
             raise ValueError("geometric-bins needs n_bins >= 1 or an explicit partition")
-        if not self.ratio > 1.0:
-            raise ValueError(f"ratio must exceed 1, got {self.ratio!r}")
+        if not 1.0 < self.ratio < inf:
+            raise ValueError(f"ratio must exceed 1 and be finite, got {self.ratio!r}")
 
 
 def _near_equal_runs(labels: Sequence[str], n_bins: int) -> tuple[tuple[str, ...], ...]:
@@ -134,11 +132,14 @@ def make_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> Weight
         raise ValueError("empty bin in target partition")
     n_bins = len(bins)
     raw: dict[str, float] = {}
-    for i, b in enumerate(bins):
-        level = float(spec.ratio) ** (n_bins - 1 - i)
-        for lab in b:
-            raw[lab] = level
-    total = fsum(raw[lab] for lab in labels)
+    try:
+        for i, b in enumerate(bins):
+            level = float(spec.ratio) ** (n_bins - 1 - i)
+            for lab in b:
+                raw[lab] = level
+        total = fsum(raw[lab] for lab in labels)
+    except OverflowError:
+        raise ValueError(f"ratio {spec.ratio!r} over {n_bins} bins gives weights beyond float range") from None
     return WeightTable({lab: raw[lab] / total for lab in labels})
 
 

@@ -14,6 +14,7 @@ well below the documented tolerances regardless of summation order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from math import fsum, inf
 from typing import Union
@@ -50,16 +51,16 @@ class InvariantError(RuntimeError):
 
 
 class WeightTable(Mapping):
-    """Non-negative masses over leaf labels, summing to one.
+    """Non-negative masses over leaf labels, summing to one within
+    ``WEIGHT_SUM_TOL``.
 
-    Serves both as ground-truth target and as algorithm output.  The total
-    must be within ``WEIGHT_SUM_TOL`` of 1 unless ``normalize=True``, in
-    which case the given masses are rescaled by their total.
+    The form in which weight files, generated targets and constructions
+    give a target.  Inside a run a weighting is a list in leaf order.
     """
 
     __slots__ = ("_w",)
 
-    def __init__(self, weights: Mapping[str, float], *, normalize: bool = False):
+    def __init__(self, weights: Mapping[str, float]):
         items = {}
         for label, value in weights.items():
             value = float(value)
@@ -69,11 +70,7 @@ class WeightTable(Mapping):
         if not items:
             raise ValueError("empty weight table")
         total = fsum(items.values())
-        if normalize:
-            if total <= 0.0:
-                raise ValueError("cannot normalize: total weight is zero")
-            items = {label: value / total for label, value in items.items()}
-        elif abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
         self._w = items
 
@@ -109,7 +106,6 @@ class HierTree:
         "_span",
         "_depth",
         "_order",
-        "_pos",
         "root_id",
         "node_count",
         "leaf_count_total",
@@ -259,7 +255,6 @@ class HierTree:
         self._span = span
         self._depth = depth
         self._order = tuple(order)
-        self._pos = {lab: i for i, lab in enumerate(order)}
         self.leaf_count_total = len(order)
 
     def _check_id(self, v: int) -> None:
@@ -321,12 +316,6 @@ class HierTree:
     def leaf_order(self) -> tuple[str, ...]:
         return self._order
 
-    def leaf_position(self, label: str) -> int:
-        try:
-            return self._pos[label]
-        except KeyError:
-            raise KeyError(f"unknown leaf label {label!r}") from None
-
     def internal_ids(self) -> list[int]:
         return [v for v in range(self.node_count) if self._labels[v] is None]
 
@@ -362,6 +351,12 @@ def is_pruning(tree: HierTree, nodes: Iterable[int]) -> bool:
 
 
 def _leaf_values(tree: HierTree, w: Mapping[str, float]) -> list[float]:
+    """A label-keyed weighting as a list in ``leaf_order`` order.  Raises
+    ValueError unless its labels are exactly the tree's leaves."""
+    missing = sum(1 for lab in tree.leaf_order if lab not in w)
+    if missing or len(w) != tree.leaf_count_total:
+        extra = len(w) - tree.leaf_count_total + missing
+        raise ValueError(f"weighting does not match the tree's leaf set (missing {missing}, extra {extra})")
     return [w[lab] for lab in tree.leaf_order]
 
 
@@ -379,7 +374,7 @@ def node_discrepancy(tree: HierTree, v: int, w: Mapping[str, float]) -> float:
     uniform spread of the node's mass.
     """
     lo, hi = tree.span(v)
-    return _discrepancy([w[lab] for lab in tree.leaf_order[lo:hi]])
+    return _discrepancy(_leaf_values(tree, w)[lo:hi])
 
 
 def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
@@ -402,15 +397,17 @@ def pruning_discrepancy(tree: HierTree, nodes: Iterable[int], w: Mapping[str, fl
     node_list = list(nodes)
     if not is_pruning(tree, node_list):
         raise ValueError("node set is not a pruning")
-    return fsum(node_discrepancy(tree, v, w) for v in node_list)
+    vals = _leaf_values(tree, w)
+    return fsum(_discrepancy(vals[slice(*tree.span(v))]) for v in node_list)
 
 
 def induced_weighting(
     tree: HierTree,
     nodes: Iterable[int],
     node_weights: Mapping[int, float],
-) -> WeightTable:
-    """Spread each pruning node's mass uniformly over its leaves."""
+) -> list[float]:
+    """Spread each pruning node's mass uniformly over its leaves; the
+    weighting is a list in ``leaf_order`` order."""
     node_list = list(nodes)
     if not is_pruning(tree, node_list):
         raise ValueError("node set is not a pruning")
@@ -432,35 +429,34 @@ def refine_with_queries(
     tree: HierTree,
     pruning: Iterable[int],
     node_weights: Mapping[int, float],
-    queried: Mapping[str, float],
-) -> WeightTable:
-    """Weighting that pins individually queried leaves to their known
-    weights and spreads each node's residual mass uniformly over its
-    unqueried leaves."""
-    out: dict[str, float] = {}
+    queried: Mapping[int, float],
+) -> list[float]:
+    """Weighting, as a list in ``leaf_order`` order, that pins individually
+    queried leaves (keyed by leaf position) to their known weights and
+    spreads each pruning node's residual mass uniformly over its unqueried
+    leaves."""
+    out = [0.0] * tree.leaf_count_total
+    pins = sorted(queried)
     for v in pruning:
         lo, hi = tree.span(v)
-        labels = tree.leaf_order[lo:hi]
-        known = [(lab, queried[lab]) for lab in labels if lab in queried]
-        residual = node_weights[v] - fsum(val for _, val in known)
+        known = pins[bisect_left(pins, lo) : bisect_left(pins, hi)]
+        residual = node_weights[v] - fsum(queried[pos] for pos in known)
         if residual < 0.0:
             # Queried masses can only overshoot the node total by rounding.
             residual = 0.0
-        rest = len(labels) - len(known)
-        share = residual / rest if rest else 0.0
-        for lab in labels:
-            out[lab] = share
-        for lab, val in known:
-            out[lab] = val
-    return WeightTable({lab: out[lab] for lab in tree.leaf_order})
+        rest = hi - lo - len(known)
+        out[lo:hi] = [residual / rest if rest else 0.0] * (hi - lo)
+        for pos in known:
+            out[pos] = queried[pos]
+    return out
 
 
-def tv_distance(w1: Mapping[str, float], w2: Mapping[str, float]) -> float:
-    """Total variation distance: half the l1 distance between weightings
-    over the same leaf set."""
-    if set(w1.keys()) != set(w2.keys()):
-        raise ValueError("weightings are over different leaf sets")
-    return 0.5 * fsum(abs(w1[lab] - w2[lab]) for lab in w1)
+def tv_distance(w1: Sequence[float], w2: Sequence[float]) -> float:
+    """Total variation distance: half the l1 distance between two
+    weightings given as equal-length lists in ``leaf_order`` order."""
+    if len(w1) != len(w2):
+        raise ValueError(f"weightings have different lengths ({len(w1)} and {len(w2)})")
+    return 0.5 * fsum(abs(a - b) for a, b in zip(w1, w2))
 
 
 def _split_shares(tree: HierTree, disc: Sequence[float]) -> list[float]:

@@ -56,7 +56,38 @@ def random_weight_table(rng, labels, kind: str | None = None) -> WeightTable:
         raw[rng.choice(list(labels))] = 1.0
     if fsum(raw.values()) <= 0.0:
         raw[next(iter(labels))] = 1.0
-    return WeightTable(raw, normalize=True)
+    total = fsum(raw.values())
+    return WeightTable({lab: value / total for lab, value in raw.items()})
+
+
+def reference_refine_with_queries(tree, pruning, node_weights, queried):
+    """Label-keyed refinement kept as the slow reference for the leaf-order
+    ``refine_with_queries``: ``queried`` maps leaf labels to weights, and
+    the result is a dict keyed by label.  It runs no sum-to-one check, so
+    that pins overshooting a node's mass can be compared too."""
+    out = {}
+    for v in pruning:
+        lo, hi = tree.span(v)
+        labels = tree.leaf_order[lo:hi]
+        known = [(lab, queried[lab]) for lab in labels if lab in queried]
+        residual = node_weights[v] - fsum(val for _, val in known)
+        if residual < 0.0:
+            residual = 0.0
+        rest = len(labels) - len(known)
+        share = residual / rest if rest else 0.0
+        for lab in labels:
+            out[lab] = share
+        for lab, val in known:
+            out[lab] = val
+    return {lab: out[lab] for lab in tree.leaf_order}
+
+
+def reference_tv_distance(w1, w2):
+    """Label-keyed total variation distance, kept as the slow reference for
+    the leaf-order ``tv_distance``."""
+    if set(w1.keys()) != set(w2.keys()):
+        raise ValueError("weightings are over different leaf sets")
+    return 0.5 * fsum(abs(w1[lab] - w2[lab]) for lab in w1)
 
 
 def random_pruning(rng, tree: HierTree, splits: int | None = None) -> tuple[int, ...]:

@@ -64,7 +64,7 @@ def test_01_pruning_discrepancy_equals_l1_error():
         masses = {v: fsum(table[lab] for lab in leaves_under(tree, v)) for v in pruning}
         w_p = induced_weighting(tree, pruning, masses)
         d_p = pruning_discrepancy(tree, pruning, table)
-        l1 = fsum(abs(w_p[lab] - table[lab]) for lab in tree.leaf_order)
+        l1 = fsum(abs(w_p[pos] - table[lab]) for pos, lab in enumerate(tree.leaf_order))
         ok = ok and abs(d_p - l1) <= 1e-9
     elapsed = monotonic() - t0
     _report(1, "pruning discrepancy equals l1 distance of induced weighting", ok and elapsed < 5.0)

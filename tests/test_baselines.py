@@ -175,7 +175,7 @@ class TestStdlibPaths:
                 masses = {v: x / total for v, x in zip(pruning, raw)}
                 induced = induced_weighting(tree, pruning, masses)
                 refined = refine_with_queries(tree, pruning, masses, {})
-                assert list(induced.items()) == list(refined.items())
+                assert induced == refined
 
 
 class TestRunArgs:
@@ -248,7 +248,7 @@ class TestRunWeight:
         queried = {t[2] for t in result.trace if t[0] == "SAMPLE"}
         assert queried
         for label in queried:
-            assert result.w_p_refined[label] == table[label]
+            assert result.w_p_refined[tree.leaf_order.index(label)] == table[label]
 
     def test_k1_spends_basic_budget_only(self):
         tree, table = quad_instance(0.4, 0.2, 0.3, 0.1)
@@ -316,7 +316,7 @@ def replay_scored(tree, table, result, k, budget, score_fn):
     for i, (_, attributed, label, value) in enumerate(samples):
         assert attributed == tree.root_id
         assert value == table[label]
-        positions[i] = tree.leaf_position(label)
+        positions[i] = tree.leaf_order.index(label)
         values[i] = value
     sort_idx = np.argsort(positions, kind="stable")
     pos_sorted = positions[sort_idx]
@@ -446,8 +446,8 @@ class TestBudgetParity:
             assert len(result.pruning) == k_reached
             # Comparable outputs: normalized weightings over the leaf set.
             w_p = induced_weighting(tree, result.pruning, result.node_weights)
-            assert isclose(fsum(w_p.values()), 1.0, abs_tol=1e-9)
-            assert tv_distance(result.w_p_refined, {lab: table[lab] for lab in tree.leaf_order}) >= 0.0
+            assert isclose(fsum(w_p), 1.0, abs_tol=1e-9)
+            assert tv_distance(result.w_p_refined, [table[lab] for lab in tree.leaf_order]) >= 0.0
 
 
 class TestFullSize:

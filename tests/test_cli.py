@@ -402,6 +402,9 @@ class TestMain:
             ("random-balanced:n=64", "geometric:bins=4,ratio=1"),
             ("random-balanced:n=0", "geometric:bins=2,ratio=2"),
             ("median-split:n=64,dim=0", "geometric:bins=2,ratio=2"),
+            ("random-balanced:n=16", "geometric:bins=2,ratio=inf"),
+            ("random-balanced:n=16", "geometric:bins=2,ratio=1e308"),
+            ("random-balanced:n=16", "geometric:bins=3,ratio=1e308"),
         ],
     )
     def test_exit_code_1_bad_generator_parameters(self, tmp_path, capsys, tree_src, weights_src):
@@ -413,6 +416,14 @@ class TestMain:
             "--runs", "1",
             "--max-queries", "10",
             "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+        rc = main([
+            "synth", tree_src,
+            "--weights", weights_src,
+            "--out-tree", str(tmp_path / "t.hwt"),
+            "--out-weights", str(tmp_path / "w.txt"),
         ])
         assert rc == 1
         assert "usage error" in capsys.readouterr().err

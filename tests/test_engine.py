@@ -82,8 +82,8 @@ class TestMinimalRun:
         assert [ev[0] for ev in res.trace] == ["SAMPLE", "SPLIT"]
         assert res.trace[0][1] == 0 and res.trace[1][1] == 0
         assert res.node_weights == {1: 0.6, 4: 0.4}
-        assert abs(fsum(induced_weighting(tree, res.pruning, res.node_weights).values()) - 1.0) <= 1e-12
-        assert abs(fsum(res.w_p_refined.values()) - 1.0) <= 1e-12
+        assert abs(fsum(induced_weighting(tree, res.pruning, res.node_weights)) - 1.0) <= 1e-12
+        assert abs(fsum(res.w_p_refined) - 1.0) <= 1e-12
 
     def test_same_seed_reproduces_and_seeds_differ(self):
         tree, truth = spiked_quality_tree((16, 4, 2, 1))
@@ -92,7 +92,8 @@ class TestMinimalRun:
         b = run_awp(tree, Oracle(tree, truth), cfg)
         assert a.trace_lines() == b.trace_lines()
         assert a.pruning == b.pruning
-        assert normalized_distance(a, truth) == normalized_distance(b, truth)
+        truth_vals = [truth[lab] for lab in tree.leaf_order]
+        assert normalized_distance(a, truth_vals) == normalized_distance(b, truth_vals)
         c = run_awp(tree, Oracle(tree, truth), EngineConfig(k=4, seed=6))
         assert a.trace_lines() != c.trace_lines()
 
@@ -188,7 +189,7 @@ class TestQueryCap:
         assert res.pruning == (0,)
         assert res.ledger.basic_queries == 0
         assert res.ledger.node_queries == 0
-        assert induced_weighting(tree, res.pruning, res.node_weights)["a"] == 0.25
+        assert induced_weighting(tree, res.pruning, res.node_weights)[tree.leaf_order.index("a")] == 0.25
 
     def test_large_cap_does_not_bind(self):
         tree, truth = quad_instance()
@@ -201,17 +202,19 @@ class TestQueryCap:
 class TestRefinedWeighting:
     def test_pins_queried_and_spreads_residual(self):
         tree, _ = quad_instance()
-        out = refine_with_queries(tree, (1, 4), {1: 0.6, 4: 0.4}, {"a": 0.5})
-        assert out["a"] == 0.5
-        assert abs(out["b"] - 0.1) <= 1e-15
-        assert out["c"] == 0.2 and out["d"] == 0.2
+        a, b, c, d = (tree.leaf_order.index(lab) for lab in "abcd")
+        out = refine_with_queries(tree, (1, 4), {1: 0.6, 4: 0.4}, {a: 0.5})
+        assert out[a] == 0.5
+        assert abs(out[b] - 0.1) <= 1e-15
+        assert out[c] == 0.2 and out[d] == 0.2
 
     def test_fully_queried_node_leaves_no_residual(self):
         tree, _ = quad_instance()
+        a, b = tree.leaf_order.index("a"), tree.leaf_order.index("b")
         out = refine_with_queries(
-            tree, (1, 4), {1: 0.6, 4: 0.4}, {"a": 0.5, "b": 0.1}
+            tree, (1, 4), {1: 0.6, 4: 0.4}, {a: 0.5, b: 0.1}
         )
-        assert out["a"] == 0.5 and out["b"] == 0.1
+        assert out[a] == 0.5 and out[b] == 0.1
 
     def test_runs_pin_every_queried_leaf(self):
         tree, truth = spiked_quality_tree((32, 6, 3, 2, 1))
@@ -219,8 +222,9 @@ class TestRefinedWeighting:
         queried = {ev[2] for ev in res.trace if ev[0] == "SAMPLE"}
         assert queried
         for lab in queried:
-            assert res.w_p_refined[lab] == truth[lab]
-        assert normalized_distance(res, truth) == tv_distance(res.w_p_refined, truth)
+            assert res.w_p_refined[tree.leaf_order.index(lab)] == truth[lab]
+        truth_vals = [truth[lab] for lab in tree.leaf_order]
+        assert normalized_distance(res, truth_vals) == tv_distance(res.w_p_refined, truth_vals)
 
 
 class TestTraceOutput:

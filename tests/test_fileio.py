@@ -125,10 +125,6 @@ class TestWeightFormat:
             loads_weights(text)
         assert fragment in str(err.value)
 
-    def test_normalize_flag(self):
-        w = loads_weights("a 3\nb 1\n", normalize=True)
-        assert w["a"] == 0.75
-
     def test_file_round_trip(self, tmp_path):
         w = WeightTable({"a": 0.25, "b": 0.75})
         path = tmp_path / "w.txt"

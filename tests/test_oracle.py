@@ -53,8 +53,9 @@ class TestOracle:
     def test_queries_are_exact_and_counted(self):
         tree, truth = small_instance()
         oracle = Oracle(tree, truth)
-        assert oracle.query_leaf("a", attributed_to=0) == 0.5
-        assert oracle.query_leaf("a", attributed_to=1) == 0.5
+        a = tree.leaf_order.index("a")
+        assert oracle.query_leaf(a, attributed_to=0) == 0.5
+        assert oracle.query_leaf(a, attributed_to=1) == 0.5
         assert oracle.query_node(1) == fsum([0.5, 0.1])
         assert oracle.query_node(0) == truth.total()
         assert oracle.ledger.basic_queries == 2
@@ -65,7 +66,7 @@ class TestOracle:
         tree, truth = small_instance()
         oracle = Oracle(tree, truth)
         for _ in range(5):
-            oracle.query_leaf("c", attributed_to=0)
+            oracle.query_leaf(tree.leaf_order.index("c"), attributed_to=0)
         assert oracle.ledger.basic_queries == 5
 
     def test_leaf_set_must_match(self):
@@ -81,8 +82,9 @@ class TestOracle:
     def test_unknown_leaf_or_node(self):
         tree, truth = small_instance()
         oracle = Oracle(tree, truth)
-        with pytest.raises(KeyError):
-            oracle.query_leaf("zz", attributed_to=0)
+        for bad in (-1, tree.leaf_count_total, "a"):
+            with pytest.raises(KeyError):
+                oracle.query_leaf(bad, attributed_to=0)
         with pytest.raises(KeyError):
             oracle.query_node(99)
 
@@ -104,6 +106,8 @@ class TestTargetSpec:
             TargetSpec("geometric-bins", n_bins=0, ratio=2.0)
         with pytest.raises(ValueError):
             TargetSpec("geometric-bins", n_bins=3, ratio=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            TargetSpec("geometric-bins", n_bins=3, ratio=float("inf"))
         with pytest.raises(ValueError):
             TargetSpec("explicit-table")
         with pytest.raises(ValueError):
@@ -166,6 +170,14 @@ class TestGeometricTarget:
             make_geometric_target(
                 tree, TargetSpec("geometric-bins", n_bins=7, ratio=2.0), seed=0
             )
+
+    @pytest.mark.parametrize("n_bins", [2, 3])
+    def test_overflowing_ratio_rejected(self, n_bins):
+        # bins=2 overflows the sum of levels, bins=3 the level power itself.
+        tree = random_tree(random.Random(4), 16)
+        spec = TargetSpec("geometric-bins", n_bins=n_bins, ratio=1e308)
+        with pytest.raises(ValueError, match=rf"ratio 1e\+308 over {n_bins} bins"):
+            make_geometric_target(tree, spec, seed=0)
 
 
 class TestSyntheticTrees:

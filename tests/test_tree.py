@@ -18,12 +18,22 @@ from awpkit.tree import (
     node_discrepancies,
     node_discrepancy,
     optimal_pruning,
+    _leaf_values,
     pruning_discrepancy,
+    refine_with_queries,
     split_quality,
     tv_distance,
 )
 
-from helpers import caterpillar, enumerate_prunings, random_pruning, random_tree, random_weight_table
+from helpers import (
+    caterpillar,
+    enumerate_prunings,
+    random_pruning,
+    random_tree,
+    random_weight_table,
+    reference_refine_with_queries,
+    reference_tv_distance,
+)
 
 
 def quad_tree():
@@ -50,7 +60,6 @@ class TestStructure:
         assert t.parent(0) is None
         assert t.parent(3) == 1
         assert t.left(1) == 2 and t.right(1) == 3
-        assert t.leaf_position("c") == 2
         assert t.internal_ids() == [0, 1]
         assert t.leaf_ids() == [2, 3, 4]
 
@@ -122,8 +131,6 @@ class TestStructure:
         t = quad_tree()
         with pytest.raises(KeyError):
             t.span(99)
-        with pytest.raises(KeyError):
-            t.leaf_position("zz")
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_trees_have_contiguous_spans(self, seed):
@@ -148,21 +155,13 @@ class TestWeightTable:
         with pytest.raises(ValueError):
             WeightTable({"a": 0.5, "b": 0.5 + 2e-9})
         WeightTable({"a": 0.5, "b": 0.5 + 5e-10})
-
-    def test_normalize(self):
-        w = WeightTable({"a": 3.0, "b": 1.0}, normalize=True)
-        assert w["a"] == 0.75 and w["b"] == 0.25
-        assert abs(w.total() - 1.0) < 1e-15
-        with pytest.raises(ValueError):
-            WeightTable({"a": 0.0}, normalize=True)
         with pytest.raises(ValueError):
             WeightTable({})
 
-    @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_non_finite(self, bad, normalize):
+    def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            WeightTable({"a": bad, "b": 0.5}, normalize=normalize)
+            WeightTable({"a": bad, "b": 0.5})
 
 
 class TestPruning:
@@ -210,10 +209,10 @@ class TestDiscrepancy:
         p = random_pruning(rng, t)
         masses = {v: fsum(w[lab] for lab in leaves_under(t, v)) for v in p}
         induced = induced_weighting(t, p, masses)
-        l1 = fsum(abs(induced[lab] - w[lab]) for lab in t.leaf_order)
+        l1 = fsum(abs(induced[pos] - w[lab]) for pos, lab in enumerate(t.leaf_order))
         d = pruning_discrepancy(t, p, w)
         assert abs(d - l1) <= 1e-12
-        assert abs(d - 2.0 * tv_distance(induced, w)) <= 1e-12
+        assert abs(d - 2.0 * tv_distance(induced, [w[lab] for lab in t.leaf_order])) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -235,7 +234,7 @@ class TestDiscrepancy:
 class TestInducedWeighting:
     def test_spreads_mass_uniformly(self):
         t = quad_tree()
-        w = induced_weighting(t, [1, 4], {1: 0.6, 4: 0.4})
+        w = dict(zip(t.leaf_order, induced_weighting(t, [1, 4], {1: 0.6, 4: 0.4})))
         assert w["a"] == w["b"] == 0.3
         assert w["c"] == w["d"] == 0.2
 
@@ -253,25 +252,66 @@ class TestInducedWeighting:
 
 class TestTvDistance:
     def test_basic_values(self):
-        a = {"x": 1.0, "y": 0.0}
-        b = {"x": 0.0, "y": 1.0}
+        a = [1.0, 0.0]
+        b = [0.0, 1.0]
         assert tv_distance(a, a) == 0.0
         assert tv_distance(a, b) == 1.0
         with pytest.raises(ValueError):
-            tv_distance(a, {"x": 1.0})
+            tv_distance(a, [1.0])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_metric_properties(self, seed):
         rng = random.Random(seed)
         labels = [f"x{i}" for i in range(rng.randint(2, 20))]
-        w1 = random_weight_table(rng, labels)
-        w2 = random_weight_table(rng, labels)
-        w3 = random_weight_table(rng, labels)
+        w1 = list(random_weight_table(rng, labels).values())
+        w2 = list(random_weight_table(rng, labels).values())
+        w3 = list(random_weight_table(rng, labels).values())
         d12 = tv_distance(w1, w2)
         assert 0.0 <= d12 <= 1.0 + 1e-12
         assert d12 == tv_distance(w2, w1)
         assert d12 <= tv_distance(w1, w3) + tv_distance(w3, w2) + 1e-12
+
+
+class TestLeafOrderWeightings:
+    def test_matches_label_keyed_reference(self):
+        # fsum is exactly rounded, so the leaf-order and label-keyed forms
+        # must agree bit for bit whatever order they sum in.
+        rng = random.Random(83)
+        trees = [caterpillar(n) for n in (2, 3, 17, 120)]
+        trees += [random_tree(rng, rng.randint(2, 80)) for _ in range(20)]
+        for tree in trees:
+            order = tree.leaf_order
+            n = tree.leaf_count_total
+            for _ in range(6):
+                truth = random_weight_table(rng, order)
+                truth_vals = [truth[lab] for lab in order]
+                pruning = random_pruning(rng, tree)
+                masses = {v: fsum(truth_vals[slice(*tree.span(v))]) for v in pruning}
+                pins = set(rng.sample(range(n), rng.randint(0, n)))
+                if rng.random() < 0.5:
+                    pins.update(range(*tree.span(rng.choice(pruning))))
+                # Pins heavier than their node's mass clamp its residual at 0.
+                bump = rng.random() if rng.random() < 0.3 else 0.0
+                queried = {pos: truth_vals[pos] + bump for pos in pins}
+
+                got = refine_with_queries(tree, pruning, masses, queried)
+                ref = reference_refine_with_queries(
+                    tree, pruning, masses, {order[pos]: x for pos, x in queried.items()}
+                )
+                assert got == [ref[lab] for lab in order]
+                assert tv_distance(got, truth_vals) == reference_tv_distance(ref, truth)
+
+    def test_leaf_values_requires_the_exact_leaf_set(self):
+        t = quad_tree()
+        w = {"d": 0.2, "c": 0.2, "b": 0.1, "a": 0.5}
+        assert _leaf_values(t, w) == [0.5, 0.1, 0.2, 0.2]
+        with pytest.raises(ValueError, match="missing 1, extra 0"):
+            _leaf_values(t, {"a": 0.5, "b": 0.3, "c": 0.2})
+        with pytest.raises(ValueError, match="missing 0, extra 1"):
+            _leaf_values(t, {**w, "e": 0.0})
+        with pytest.raises(ValueError, match="missing 1, extra 1"):
+            _leaf_values(t, {"a": 0.5, "b": 0.1, "c": 0.2, "e": 0.2})
 
 
 def reference_split_quality(tree, w):
