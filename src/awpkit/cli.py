@@ -33,6 +33,7 @@ from awpkit.engine import EngineConfig, normalized_distance, run_awp
 from awpkit.fileio import dump_tree, dump_weights, load_tree, load_weights
 from awpkit.oracle import (
     Oracle,
+    QueryLedger,
     TargetSpec,
     build_median_split_tree,
     build_random_balanced_tree,
@@ -217,13 +218,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
         raise UsageError("this tree source defines no weights; pass --weights")
 
     truth_vals = _leaf_values(tree, truth)
+    # One oracle for the sweep; each cell starts on a fresh ledger, and its
+    # result keeps a snapshot of it.
+    oracle = Oracle(tree, truth)
     algs = tuple(a for a in ALGORITHMS if a in config.algorithms)
     out = ExperimentOutput()
     per_alg_k: dict[tuple[str, int], list[float]] = {}
     for k in config.k_values:
         for r in range(config.runs):
             run_seed = config.seed + r
-            awp_res = run_awp(tree, Oracle(tree, truth), config.engine_config(k, run_seed))
+            oracle.ledger = QueryLedger()
+            awp_res = run_awp(tree, oracle, config.engine_config(k, run_seed))
             budget = match_budget(awp_res)
             # A capped adaptive run may stop short of k; baselines then
             # target the size it actually reached so budgets stay equal.
@@ -232,7 +237,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
                 if alg == "awp":
                     res = awp_res
                 else:
-                    res = _BASELINE_RUNNERS[alg](tree, Oracle(tree, truth), k_reached, budget, run_seed)
+                    oracle.ledger = QueryLedger()
+                    res = _BASELINE_RUNNERS[alg](tree, oracle, k_reached, budget, run_seed)
                 nd = normalized_distance(res, truth_vals)
                 out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
                 out.traces.append((alg, k, r, res.trace_lines()))

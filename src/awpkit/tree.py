@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 from math import fsum, inf
+from operator import sub
 from typing import Union
 
 WEIGHT_SUM_TOL = 1e-9
@@ -363,7 +365,7 @@ def _leaf_values(tree: HierTree, w: Mapping[str, float]) -> list[float]:
 def _discrepancy(vals: Sequence[float]) -> float:
     """Sum of |mean - value| over a non-empty list of weights."""
     avg = fsum(vals) / len(vals)
-    return fsum(abs(avg - x) for x in vals)
+    return fsum(map(abs, map(sub, repeat(avg, len(vals)), vals)))
 
 
 def node_discrepancy(tree: HierTree, v: int, w: Mapping[str, float]) -> float:
@@ -456,7 +458,7 @@ def tv_distance(w1: Sequence[float], w2: Sequence[float]) -> float:
     weightings given as equal-length lists in ``leaf_order`` order."""
     if len(w1) != len(w2):
         raise ValueError(f"weightings have different lengths ({len(w1)} and {len(w2)})")
-    return 0.5 * fsum(abs(a - b) for a, b in zip(w1, w2))
+    return 0.5 * fsum(map(abs, map(sub, w1, w2)))
 
 
 def _split_shares(tree: HierTree, disc: Sequence[float]) -> list[float]:
@@ -496,40 +498,61 @@ def optimal_pruning(
     """Minimum-discrepancy pruning of size at most k, by exact dynamic
     programming over the tree.
 
-    For each node and budget, either keep the node whole (cost = its
-    discrepancy) or split the budget between the children.  Ties prefer not
-    splitting and then the smaller left budget, which makes the reported
-    pruning deterministic.
+    For each node and budget b, either keep the node whole (cost = its
+    discrepancy) or split b between the children.  Ties prefer not
+    splitting and then the smaller left budget: a split is taken only when
+    it is strictly cheaper, and among equally cheap splits the one with the
+    smallest left budget wins.  This makes the reported pruning
+    deterministic.
+
+    The dynamic program takes O(n·k) time for n leaves on every tree shape;
+    the ``node_discrepancies`` pass before it costs the sum of all node
+    leaf counts.
     """
     if not (1 <= k <= tree.leaf_count_total):
         raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
     disc = node_discrepancies(tree, w)
 
     # cost[v][b-1]: best discrepancy for the subtree at v using at most b
-    # pruning nodes; choice[v][b-1] is None (keep whole) or the left budget.
-    cost: dict[int, list[float]] = {}
-    choice: dict[int, list[int | None]] = {}
+    # pruning nodes, for b up to min(k, leaf count); choice[v][b-1] is None
+    # (keep whole) or the left budget.  cost[v] is non-increasing in b.
+    cost: list[list[float]] = [[]] * tree.node_count
+    choice: list[list[int | None]] = [[]] * tree.node_count
 
     # Children precede parents in reversed preorder only for preorder id
     # assignment, which from_records does not guarantee; order by depth.
     by_depth = sorted(range(tree.node_count), key=tree.depth, reverse=True)
     for v in by_depth:
-        cap = min(k, tree.leaf_count(v))
         if tree.is_leaf(v):
-            cost[v] = [0.0] * cap
-            choice[v] = [None] * cap
+            cost[v] = [0.0]
+            choice[v] = [None]
             continue
         l, r = tree.children(v)
-        ncl = tree.leaf_count(l)
-        ncr = tree.leaf_count(r)
+        cost_l, cost_r = cost[l], cost[r]
+        n_l, n_r = len(cost_l), len(cost_r)
+        right_full = cost_r[-1]
         cv: list[float] = []
         ch: list[int | None] = []
-        for b in range(1, cap + 1):
+        first = 1
+        for b in range(1, min(k, tree.leaf_count(v)) + 1):
             best = disc[v]
             pick: int | None = None
-            for bl in range(1, b):
-                br = b - bl
-                c = cost[l][min(bl, ncl) - 1] + cost[r][min(br, ncr) - 1]
+            # A left budget bl <= b - n_r leaves the right child all it can
+            # use, so the split costs cost_l[bl-1] + right_full, which does
+            # not increase with bl: the scan would pick the first bl whose
+            # sum equals the one at bl = b - n_r.  That first bl never
+            # decreases with b.
+            low = b - n_r
+            if low >= 1:
+                c = cost_l[low - 1] + right_full
+                if c < best:
+                    while cost_l[first - 1] + right_full > c:
+                        first += 1
+                    best = c
+                    pick = first
+            # Left budgets above n_l cost no less than n_l itself.
+            for bl in range(max(low, 0) + 1, min(n_l, b - 1) + 1):
+                c = cost_l[bl - 1] + cost_r[b - bl - 1]
                 if c < best:
                     best = c
                     pick = bl
@@ -539,18 +562,16 @@ def optimal_pruning(
         choice[v] = ch
 
     result: list[int] = []
-
-    def collect(v: int, b: int) -> None:
-        b = min(b, tree.leaf_count(v))
-        pick = choice[v][b - 1]
+    stack = [(tree.root_id, k)]
+    while stack:
+        v, b = stack.pop()
+        # A split may give a child more budget than it has leaves.
+        pick = choice[v][min(b, len(choice[v])) - 1]
         if pick is None:
             result.append(v)
-            return
-        l, r = tree.children(v)
-        collect(l, pick)
-        collect(r, b - pick)
-
-    root = tree.root_id
-    collect(root, k)
+        else:
+            l, r = tree.children(v)
+            stack.append((l, pick))
+            stack.append((r, b - pick))
     result.sort()
-    return tuple(result), cost[root][min(k, tree.leaf_count_total) - 1]
+    return tuple(result), cost[tree.root_id][-1]

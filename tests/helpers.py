@@ -8,7 +8,7 @@ from math import fsum, inf
 
 from awpkit.engine import EngineConfig, PruningResult, sc_satisfied
 from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
-from awpkit.tree import HierTree, WeightTable, leaves_under
+from awpkit.tree import HierTree, WeightTable, leaves_under, node_discrepancies
 
 
 def random_tree(rng, n: int, prefix: str = "t") -> HierTree:
@@ -60,6 +60,15 @@ def random_weight_table(rng, labels, kind: str | None = None) -> WeightTable:
     return WeightTable({lab: value / total for lab, value in raw.items()})
 
 
+def dyadic_weight_table(rng, labels) -> WeightTable:
+    """Weights that are small integers over a power-of-two total, so every
+    sum is exact and equal costs tie exactly."""
+    parts = [rng.randint(0, 3) for _ in labels]
+    total = 1 << max(sum(parts), 1).bit_length()
+    parts[rng.randrange(len(parts))] += total - sum(parts)
+    return WeightTable({lab: p / total for lab, p in zip(labels, parts)})
+
+
 def reference_refine_with_queries(tree, pruning, node_weights, queried):
     """Label-keyed refinement kept as the slow reference for the leaf-order
     ``refine_with_queries``: ``queried`` maps leaf labels to weights, and
@@ -88,6 +97,61 @@ def reference_tv_distance(w1, w2):
     if set(w1.keys()) != set(w2.keys()):
         raise ValueError("weightings are over different leaf sets")
     return 0.5 * fsum(abs(w1[lab] - w2[lab]) for lab in w1)
+
+
+def reference_optimal_pruning(tree: HierTree, k: int, w) -> tuple[tuple[int, ...], float]:
+    """The O(n·k²) dynamic program, kept as the slow reference for
+    ``optimal_pruning``: every left budget in 1..b-1 is scanned and
+    clamped.  Ties prefer not splitting and then the smaller left budget."""
+    if not (1 <= k <= tree.leaf_count_total):
+        raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
+    disc = node_discrepancies(tree, w)
+
+    cost: dict[int, list[float]] = {}
+    choice: dict[int, list[int | None]] = {}
+
+    by_depth = sorted(range(tree.node_count), key=tree.depth, reverse=True)
+    for v in by_depth:
+        cap = min(k, tree.leaf_count(v))
+        if tree.is_leaf(v):
+            cost[v] = [0.0] * cap
+            choice[v] = [None] * cap
+            continue
+        l, r = tree.children(v)
+        ncl = tree.leaf_count(l)
+        ncr = tree.leaf_count(r)
+        cv: list[float] = []
+        ch: list[int | None] = []
+        for b in range(1, cap + 1):
+            best = disc[v]
+            pick: int | None = None
+            for bl in range(1, b):
+                br = b - bl
+                c = cost[l][min(bl, ncl) - 1] + cost[r][min(br, ncr) - 1]
+                if c < best:
+                    best = c
+                    pick = bl
+            cv.append(best)
+            ch.append(pick)
+        cost[v] = cv
+        choice[v] = ch
+
+    result: list[int] = []
+
+    def collect(v: int, b: int) -> None:
+        b = min(b, tree.leaf_count(v))
+        pick = choice[v][b - 1]
+        if pick is None:
+            result.append(v)
+            return
+        l, r = tree.children(v)
+        collect(l, pick)
+        collect(r, b - pick)
+
+    root = tree.root_id
+    collect(root, k)
+    result.sort()
+    return tuple(result), cost[root][min(k, tree.leaf_count_total) - 1]
 
 
 def random_pruning(rng, tree: HierTree, splits: int | None = None) -> tuple[int, ...]:

@@ -164,6 +164,16 @@ class TestRunExperiment:
         # Every algorithm spent exactly the adaptive run's budget.
         assert all(len(s) == 1 for s in spend.values())
 
+    def test_each_row_counts_only_its_own_queries(self):
+        # The sweep shares one oracle, so every cell must start its count
+        # afresh: a row's counts equal the events of its own trace section.
+        out = run_experiment(self.small_config(k_values=(2, 3)))
+        assert len(out.details) == 4 * 2 * 2
+        for row, (alg, k, r, lines) in zip(out.details, out.traces):
+            assert row[:3] == (alg, k, r)
+            assert row[4] == sum(1 for ln in lines if ln.startswith("SAMPLE "))
+            assert row[5] == sum(1 for ln in lines if ln.startswith("SPLIT "))
+
     def test_aggregates_match_details(self):
         out = run_experiment(self.small_config())
         for alg, k, mean, mn, mx in out.aggregates:

@@ -2,6 +2,7 @@
 
 import random
 from math import fsum
+from time import monotonic
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +28,12 @@ from awpkit.tree import (
 
 from helpers import (
     caterpillar,
+    dyadic_weight_table,
     enumerate_prunings,
     random_pruning,
     random_tree,
     random_weight_table,
+    reference_optimal_pruning,
     reference_refine_with_queries,
     reference_tv_distance,
 )
@@ -426,3 +429,70 @@ class TestOptimalPruning:
         values = [optimal_pruning(t, k, w)[1] for k in range(1, 15)]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
+
+    @pytest.mark.parametrize("kind", ("dense", "exponential", "sparse", "spiked", "uniform", "dyadic"))
+    @pytest.mark.parametrize("shape", ("random", "caterpillar"))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_for_every_budget(self, seed, shape, kind):
+        # Exact equality, nodes and cost: the fast DP must keep the
+        # reference's tie-breaking, and dyadic weights make ties common.
+        rng = random.Random(f"{seed}-{shape}-{kind}")
+        n = rng.randint(1, 24)
+        t = caterpillar(n) if shape == "caterpillar" else random_tree(rng, n)
+        labels = t.leaf_order
+        if kind == "uniform":
+            w = WeightTable({lab: 1.0 / n for lab in labels})
+        elif kind == "dyadic":
+            w = dyadic_weight_table(rng, labels)
+        else:
+            w = random_weight_table(rng, labels, kind)
+        for k in range(1, n + 1):
+            assert optimal_pruning(t, k, w) == reference_optimal_pruning(t, k, w)
+
+    def test_matches_reference_on_dyadic_ties(self):
+        # About one random tree in 150 has a tie that only the first-budget
+        # rule of the DP resolves as the reference does.
+        for seed in range(600):
+            rng = random.Random(seed)
+            t = random_tree(rng, rng.randint(2, 14))
+            w = dyadic_weight_table(rng, t.leaf_order)
+            for k in range(1, t.leaf_count_total + 1):
+                assert optimal_pruning(t, k, w) == reference_optimal_pruning(t, k, w), (seed, k)
+
+    def test_tie_keeps_the_smallest_left_budget(self):
+        # Node 2's right child is the leaf 18, so every split of node 2
+        # gives that leaf more budget than it can use.  At k=6 several left
+        # budgets of node 2 cost the same, and the reference keeps the
+        # first of them.
+        internal = {
+            0: (1, 2), 2: (3, 18), 3: (4, 7), 4: (5, 6), 7: (8, 11),
+            8: (9, 10), 11: (12, 17), 12: (13, 16), 13: (14, 15),
+        }
+        leaf_ids = (1, 5, 6, 9, 10, 14, 15, 16, 17, 18)
+        t = HierTree.from_records(
+            [("I", v, kids) for v, kids in internal.items()]
+            + [("L", v, f"l{i}") for i, v in enumerate(leaf_ids)]
+        )
+        masses = (0.0625, 0.0625, 0.09375, 0.0625, 0.09375, 0.15625, 0.0625, 0.09375, 0.0625, 0.25)
+        w = WeightTable({f"l{i}": m for i, m in enumerate(masses)})
+        assert optimal_pruning(t, 6, w) == ((1, 5, 6, 7, 18), 0.15625)
+        assert reference_optimal_pruning(t, 6, w) == ((1, 5, 6, 7, 18), 0.15625)
+
+    def test_deep_caterpillar_at_full_budget(self):
+        # Depth 1499: the DP must neither recurse nor go quadratic in k.
+        n = 1500
+        records = []
+        for i in range(n - 1):
+            records.append(("I", 2 * i, (2 * i + 1, 2 * i + 2)))
+            records.append(("L", 2 * i + 1, f"x{i:04d}"))
+        records.append(("L", 2 * n - 2, f"x{n - 1:04d}"))
+        t = HierTree.from_records(records)
+        assert t.max_depth == n - 1
+        rng = random.Random(0)
+        w = random_weight_table(rng, t.leaf_order, "dense")
+        t0 = monotonic()
+        nodes, value = optimal_pruning(t, n, w)
+        elapsed = monotonic() - t0
+        assert nodes == tuple(t.leaf_ids())
+        assert value == 0.0
+        assert elapsed < 20.0
