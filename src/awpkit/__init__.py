@@ -34,7 +34,6 @@ from awpkit.engine import (
     PruningResult,
     normalized_distance,
     run_awp,
-    sc_satisfied,
 )
 from awpkit.estimator import (
     NodeStats,
@@ -73,7 +72,6 @@ from awpkit.tree import (
     average_split_quality,
     induced_weighting,
     is_pruning,
-    leaves_under,
     node_discrepancies,
     node_discrepancy,
     optimal_pruning,

@@ -18,10 +18,11 @@ discrepancies decompose additively over these children.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Union
 
-from awpkit.tree import HierTree, WeightTable, node_discrepancies
+from awpkit.tree import HierTree, WeightTable, _preorder, node_discrepancies
 
 # Nested weighted spec: a leaf weight, or a (left, right) pair of specs.
 WSpec = Union[float, tuple]
@@ -32,19 +33,22 @@ def _pair_block(w: float) -> WSpec:
 
 
 def _pair_chain(i: int, w: float) -> WSpec:
-    if i == 1:
-        return _pair_block(w)
-    return (_pair_block(w), _pair_chain(i - 1, w))
+    spec = _pair_block(w)
+    for _ in range(i - 1):
+        spec = (_pair_block(w), spec)
+    return spec
 
 
 def _decoy_chain(j: int, i: int, w: float) -> WSpec:
     # i levels of w/2 leaves over a pair chain of length j.
-    if i == 1:
-        return _pair_chain(j, w)
-    return (w / 2.0, _decoy_chain(j, i - 1, w))
+    spec = _pair_chain(j, w)
+    for _ in range(i - 1):
+        spec = (w / 2.0, spec)
+    return spec
 
 
 def _balanced(leaf_weights: list[float]) -> WSpec:
+    # Recursion depth is ceil(log2(len(leaf_weights))) + 1.
     if len(leaf_weights) == 1:
         return leaf_weights[0]
     mid = (len(leaf_weights) + 1) // 2
@@ -55,15 +59,12 @@ def assemble(spec: WSpec) -> tuple[HierTree, WeightTable]:
     """Materialize a nested weighted spec with generated leaf labels."""
     weights: dict[str, float] = {}
 
-    def walk(s: WSpec):
-        if isinstance(s, tuple):
-            return (walk(s[0]), walk(s[1]))
-        label = f"e{len(weights):07d}"
-        weights[label] = float(s)
-        return label
+    def label(w: float) -> str:
+        lab = f"e{len(weights):07d}"
+        weights[lab] = float(w)
+        return lab
 
-    label_spec = walk(spec)
-    return HierTree.from_nested(label_spec), WeightTable(weights)
+    return HierTree(*_preorder(spec, label)), WeightTable(weights)
 
 
 def build_greedy_trap_a(k: int) -> tuple[HierTree, WeightTable]:
@@ -77,13 +78,10 @@ def build_greedy_trap_a(k: int) -> tuple[HierTree, WeightTable]:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     w = 2.0 / (3 * k + 2)
-
-    def stack(i: int) -> WSpec:
-        if i == 1:
-            return _decoy_chain(2, k + 1, w)
-        return (_pair_block(w), stack(i - 1))
-
-    return assemble(stack(k))
+    spec = _decoy_chain(2, k + 1, w)
+    for _ in range(k - 1):
+        spec = (_pair_block(w), spec)
+    return assemble(spec)
 
 
 def build_greedy_trap_b(k: int) -> tuple[HierTree, WeightTable]:
@@ -214,18 +212,11 @@ def _greedy(tree: HierTree, truth, k: int, score) -> tuple[int, ...]:
     # k <= leaf_count_total, and a pruning of leaves only has that many
     # nodes, so each of the k-1 splits finds an internal node.
     for _ in range(k - 1):
-        target = -1
-        best = None
-        for v in sorted(pruning):
-            if tree.is_leaf(v):
-                continue
-            s = score(v, disc)
-            if best is None or s > best:
-                best = s
-                target = v
+        target = max((v for v in pruning if not tree.is_leaf(v)), key=lambda v: score(v, disc))
         pruning.remove(target)
-        pruning.extend(tree.children(target))
-    return tuple(sorted(pruning))
+        for c in tree.children(target):
+            insort(pruning, c)
+    return tuple(pruning)
 
 
 def greedy_max_discrepancy(tree: HierTree, truth, k: int) -> tuple[int, ...]:

@@ -101,14 +101,7 @@ def run_weight(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int
     # k <= leaf_count_total, and a pruning of leaves only has that many
     # nodes, so each of the k-1 splits finds an internal node.
     for _ in range(k - 1):
-        target = -1
-        best = -1.0
-        for v in pruning:
-            if tree.is_leaf(v):
-                continue
-            if weights[v] > best:
-                best = weights[v]
-                target = v
+        target = max((v for v in pruning if not tree.is_leaf(v)), key=weights.__getitem__)
         weights.update(split_node(tree, oracle, pruning, trace, target, weights[target]))
     positions, values = _draw_all(tree, oracle, random.Random(seed), budget.basic, trace)
     stats = {v: NodeStats(v, weights[v], tree.leaf_count(v)) for v in pruning}
@@ -131,31 +124,20 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
     pruning = [tree.root_id]
     weights = {tree.root_id: 1.0}
     scores: dict[int, float | None] = {}
+
+    def rank(v):
+        # Nodes that received a draw rank by score above those that did
+        # not, which rank by mass.
+        if v not in scores:
+            sub = subsample(v)
+            scores[v] = score_fn(weights[v], tree.leaf_count(v), sub) if sub else None
+        s = scores[v]
+        return (False, weights[v]) if s is None else (True, s)
+
     # k <= leaf_count_total, and a pruning of leaves only has that many
     # nodes, so each of the k-1 splits finds an internal node.
     for _ in range(k - 1):
-        target = -1
-        best = None
-        heaviest = -1
-        heaviest_w = -1.0
-        for v in pruning:
-            if tree.is_leaf(v):
-                continue
-            if weights[v] > heaviest_w:
-                heaviest_w = weights[v]
-                heaviest = v
-            if v not in scores:
-                sub = subsample(v)
-                scores[v] = score_fn(weights[v], tree.leaf_count(v), sub) if sub else None
-            s = scores[v]
-            if s is None:
-                continue
-            if best is None or s > best:
-                best = s
-                target = v
-        if target < 0:
-            # No candidate received any draw: fall back to the heaviest node.
-            target = heaviest
+        target = max((v for v in pruning if not tree.is_leaf(v)), key=rank)
         weights.update(split_node(tree, oracle, pruning, trace, target, weights[target]))
     stats = {v: NodeStats(v, weights[v], tree.leaf_count(v), samples=subsample(v)) for v in pruning}
     return build_result(tree, oracle, pruning, dict(zip(positions, values)), stats, trace, None)

@@ -157,16 +157,16 @@ def build_result(
     )
 
 
-def sc_satisfied(beta: float, estimate: float, radius: float, rival_ucb: float) -> bool:
-    """Split criterion: beta * (estimate - radius) >= max rival optimistic
-    value.  rival_ucb is -inf when the node has no rivals, which makes the
-    criterion vacuously true."""
-    return beta * (estimate - radius) >= rival_ucb
-
-
 class AwpRun:
     """Mutable state of one adaptive run; drive via sample_step and
-    split_check, or use run_awp for the full loop."""
+    split_check, or use run_awp for the full loop.
+
+    ``open`` holds the internal nodes of the pruning in ascending id order,
+    and only they are scanned and scored: a pruning leaf is never drawn
+    from or split, and it is every node's rival at an optimistic value of
+    exactly 0 (a single leaf has no discrepancy).  Every pick takes the
+    largest score, and the smallest id on ties.
+    """
 
     def __init__(self, tree: HierTree, oracle: Oracle, config: EngineConfig):
         if oracle.tree is not tree:
@@ -181,6 +181,8 @@ class AwpRun:
         # Root mass is 1 by definition of a weighting; never queried.
         self.stats: dict[int, NodeStats] = {root: NodeStats(root, 1.0, tree.leaf_count(root))}
         self.pruning: list[int] = [root]
+        # k >= 2 leaves, so the root is internal.
+        self.open: list[int] = [root]
         self._ucb: dict[int, float] = {root: inf}
         self._lcb: dict[int, float] = {root: -inf}
         self.trace: list[tuple] = []
@@ -190,10 +192,6 @@ class AwpRun:
     # -- scoring -----------------------------------------------------------
 
     def _rescore(self, v: int) -> None:
-        if self.tree.is_leaf(v):
-            self._ucb[v] = 0.0
-            self._lcb[v] = 0.0
-            return
         st = self.stats[v]
         if st.m == 0:
             self._ucb[v] = inf
@@ -216,17 +214,9 @@ class AwpRun:
         """Draw one leaf from the most promising internal pruning node
         (largest optimistic estimate, smallest id on ties) and record its
         weight.  Returns the sampled node's id."""
-        target = -1
-        best = -inf
-        for v in self.pruning:
-            if self.tree.is_leaf(v):
-                continue
-            u = self._ucb[v]
-            if u > best:
-                best = u
-                target = v
-        if target < 0:
+        if not self.open:
             raise InvariantError("no internal node available to sample")
+        target = max(self.open, key=self._ucb.__getitem__)
         lo, hi = self.tree.span(target)
         pos = self.rng.randrange(lo, hi)
         value = self.oracle.query_leaf(pos, attributed_to=target)
@@ -239,9 +229,12 @@ class AwpRun:
     # -- splitting ---------------------------------------------------------
 
     def _split(self, v: int) -> None:
+        self.open.remove(v)
         for c, w in split_node(self.tree, self.oracle, self.pruning, self.trace, v, self.stats[v].w_star):
             self.stats[c] = NodeStats(c, w, self.tree.leaf_count(c))
-            self._rescore(c)
+            if not self.tree.is_leaf(c):
+                insort(self.open, c)
+                self._rescore(c)
         del self._ucb[v], self._lcb[v]
 
     def split_check(self) -> list[int]:
@@ -251,11 +244,12 @@ class AwpRun:
         performed = []
         beta = self.config.beta
         while len(self.pruning) < self.config.k:
-            # Top two optimistic values let each node see max over rivals in O(1).
+            # Top two optimistic values let each node see max over rivals in
+            # O(1).  Pruning leaves all sit at 0, so they only set the floor.
+            floor = 0.0 if len(self.open) < len(self.pruning) else -inf
             top1_node = -1
-            top1 = -inf
-            top2 = -inf
-            for v in self.pruning:
+            top1 = top2 = floor
+            for v in self.open:
                 u = self._ucb[v]
                 if u > top1:
                     top2 = top1
@@ -264,11 +258,11 @@ class AwpRun:
                 elif u > top2:
                     top2 = u
             found = -1
-            for v in self.pruning:
-                if self.tree.is_leaf(v) or self.stats[v].m == 0:
+            for v in self.open:
+                if self.stats[v].m == 0:
                     continue
                 rival = top2 if v == top1_node else top1
-                # Same test as sc_satisfied: lcb is estimate minus radius.
+                # beta * (estimate - radius) >= max rival optimistic value.
                 if beta * self._lcb[v] >= rival:
                     found = v
                     break

@@ -15,7 +15,7 @@ well below the documented tolerances regardless of summation order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import repeat
 from math import fsum, inf
 from operator import sub
@@ -92,6 +92,31 @@ class WeightTable(Mapping):
         return fsum(self._w.values())
 
 
+def _preorder(spec, leaf: Callable[..., str]) -> tuple[list[tuple[int, ...]], list[str | None]]:
+    """Children and labels of a nested spec, with ids in preorder; ``leaf``
+    maps a leaf spec to its label.  Iterative, so any depth works."""
+    children: list[tuple[int, ...]] = []
+    labels: list[str | None] = []
+    # A left child's id is its parent's plus one, so only a right child
+    # carries the id of the parent that links to it.
+    stack = [(spec, -1)]
+    while stack:
+        s, parent = stack.pop()
+        v = len(children)
+        if parent >= 0:
+            children[parent] = (parent + 1, v)
+        children.append(())
+        if isinstance(s, tuple):
+            if len(s) != 2:
+                raise ValueError(f"internal spec must be a pair, got {len(s)} entries")
+            labels.append(None)
+            stack.append((s[1], v))
+            stack.append((s[0], -1))
+        else:
+            labels.append(leaf(s))
+    return children, labels
+
+
 class HierTree:
     """Immutable full binary tree with uniquely labelled leaves.
 
@@ -104,7 +129,6 @@ class HierTree:
     __slots__ = (
         "_children",
         "_labels",
-        "_parent",
         "_span",
         "_depth",
         "_order",
@@ -119,7 +143,7 @@ class HierTree:
         self._children = tuple(tuple(c) for c in children)
         self._labels = tuple(labels)
         self.node_count = len(self._children)
-        self._build_index(*self._check())
+        self._build_index(self._check())
 
     # -- construction ------------------------------------------------------
 
@@ -160,31 +184,13 @@ class HierTree:
         assigned in preorder (node before its left subtree, left before
         right), so every subtree occupies a contiguous id range.
         """
-        children: list[tuple[int, ...]] = []
-        labels: list[str | None] = []
-
-        def walk(s: NestedSpec) -> int:
-            my_id = len(children)
-            children.append(())
-            labels.append(None)
-            if isinstance(s, tuple):
-                if len(s) != 2:
-                    raise ValueError(f"internal spec must be a pair, got {len(s)} entries")
-                left = walk(s[0])
-                right = walk(s[1])
-                children[my_id] = (left, right)
-            else:
-                labels[my_id] = str(s)
-            return my_id
-
-        walk(spec)
-        return cls(children, labels)
+        return cls(*_preorder(spec, str))
 
     # -- structural checks -------------------------------------------------
 
-    def _check(self) -> tuple[list[int], int]:
+    def _check(self) -> int:
         """Raise TreeStructureError on the first structural violation;
-        return the parent array (-1 at the root) and the root id."""
+        return the root id."""
         n = self.node_count
         if n == 0:
             raise TreeStructureError("empty-tree")
@@ -229,12 +235,11 @@ class HierTree:
             if lab in seen_labels:
                 raise TreeStructureError("duplicate-leaf-label", v, lab)
             seen_labels[lab] = v
-        return parent, roots[0]
+        return roots[0]
 
-    def _build_index(self, parent: list[int], root: int) -> None:
+    def _build_index(self, root: int) -> None:
         n = self.node_count
         self.root_id = root
-        self._parent = tuple(parent)
         span = [(0, 0)] * n
         depth = [0] * n
         order: list[str] = []
@@ -285,11 +290,6 @@ class HierTree:
             raise ValueError(f"node {v} is a leaf")
         return self._children[v][1]
 
-    def parent(self, v: int) -> int | None:
-        self._check_id(v)
-        p = self._parent[v]
-        return None if p < 0 else p
-
     def label(self, v: int) -> str:
         self._check_id(v)
         lab = self._labels[v]
@@ -321,17 +321,8 @@ class HierTree:
     def internal_ids(self) -> list[int]:
         return [v for v in range(self.node_count) if self._labels[v] is None]
 
-    def leaf_ids(self) -> list[int]:
-        return [v for v in range(self.node_count) if self._labels[v] is not None]
-
     def __repr__(self) -> str:
         return f"HierTree({self.node_count} nodes, {self.leaf_count_total} leaves)"
-
-
-def leaves_under(tree: HierTree, v: int) -> list[str]:
-    """Labels of the leaves below v, in left-to-right order."""
-    lo, hi = tree.span(v)
-    return list(tree.leaf_order[lo:hi])
 
 
 def is_pruning(tree: HierTree, nodes: Iterable[int]) -> bool:

@@ -6,9 +6,20 @@ from __future__ import annotations
 from bisect import insort
 from math import fsum, inf
 
-from awpkit.engine import EngineConfig, PruningResult, sc_satisfied
+from awpkit.engine import EngineConfig, PruningResult
 from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
-from awpkit.tree import HierTree, WeightTable, leaves_under, node_discrepancies
+from awpkit.tree import HierTree, WeightTable, node_discrepancies
+
+
+def leaves_under(tree: HierTree, v: int) -> list[str]:
+    """Labels of the leaves below v, in left-to-right order."""
+    lo, hi = tree.span(v)
+    return list(tree.leaf_order[lo:hi])
+
+
+def leaf_ids(tree: HierTree) -> list[int]:
+    """Ids of the tree's leaves, ascending."""
+    return [v for v in range(tree.node_count) if tree.is_leaf(v)]
 
 
 def random_tree(rng, n: int, prefix: str = "t") -> HierTree:
@@ -231,6 +242,13 @@ def _scores(tree, stats, config, v):
         st, config.k, config.delta, config.radius_mode, strict_paper=config.strict_paper
     )
     return d + r, d - r
+
+
+def sc_satisfied(beta: float, estimate: float, radius: float, rival_ucb: float) -> bool:
+    """Reference statement of the split criterion: beta * (estimate -
+    radius) >= max rival optimistic value.  rival_ucb is -inf when the node
+    has no rivals, which makes the criterion vacuously true."""
+    return beta * (estimate - radius) >= rival_ucb
 
 
 def _first_qualifying_split(tree, stats, pruning, config):

@@ -32,7 +32,6 @@ from awpkit.estimator import NodeStats, estimate_discrepancy, hoeffding_radius
 from awpkit.oracle import Oracle
 from awpkit.tree import (
     induced_weighting,
-    leaves_under,
     node_discrepancies,
     node_discrepancy,
     optimal_pruning,
@@ -40,7 +39,7 @@ from awpkit.tree import (
     split_quality,
 )
 
-from helpers import random_pruning, random_tree, random_weight_table, spiked_quality_tree
+from helpers import leaves_under, random_pruning, random_tree, random_weight_table, spiked_quality_tree
 
 
 def _report(num: int, name: str, ok: bool) -> None:

@@ -34,12 +34,19 @@ from awpkit.tree import (
     HierTree,
     WeightTable,
     induced_weighting,
-    leaves_under,
     refine_with_queries,
     tv_distance,
 )
 
-from helpers import caterpillar, random_pruning, random_tree, random_weight_table, replay_trace
+from helpers import (
+    caterpillar,
+    leaf_ids,
+    leaves_under,
+    random_pruning,
+    random_tree,
+    random_weight_table,
+    replay_trace,
+)
 
 # Preorder ids for the quad tree: 0 root, 1=(a,b), 2=a, 3=b, 4=(c,d), 5=c, 6=d.
 QUAD = HierTree.from_nested((("a", "b"), ("c", "d")))
@@ -460,7 +467,7 @@ class TestFullSize:
         tree = caterpillar(n) if seed % 2 else random_tree(rng, n)
         table = random_weight_table(rng, tree.leaf_order)
         k = tree.leaf_count_total
-        leaves = tuple(sorted(tree.leaf_ids()))
+        leaves = tuple(leaf_ids(tree))
         for fn in (run_weight, run_uniform, run_empirical):
             result = fn(tree, Oracle(tree, table), k, Budget(rng.randint(0, 30), k - 1), seed=seed)
             assert result.pruning == leaves

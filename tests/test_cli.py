@@ -6,9 +6,11 @@ from __future__ import annotations
 import subprocess
 import sys
 from math import fsum, isclose
+from time import monotonic
 
 import pytest
 
+import awpkit.adversarial as adversarial_mod
 import awpkit.cli as cli_mod
 import awpkit.tree as tree_mod
 from awpkit.cli import (
@@ -468,9 +470,13 @@ class TestMain:
         ])
         assert rc == 2
 
-    def test_exit_code_3_internal_error(self, tmp_path, capsys):
-        # A construction deep enough to exhaust recursion is an internal
+    def test_exit_code_3_internal_error(self, tmp_path, capsys, monkeypatch):
+        # A RecursionError while building the instance is an internal
         # error: exit 3 with one line on stderr, never a traceback.
+        def deep(spec):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(adversarial_mod, "assemble", deep)
         rc = main([
             "run",
             "--tree", "greedy-trap-b:k=600",
@@ -485,6 +491,21 @@ class TestMain:
         assert err.startswith("internal error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["greedy-trap-a:k=2000", "greedy-trap-b:k=2000"])
+    def test_deep_construction_runs(self, tmp_path, kind):
+        # Thousands of levels deep: nothing on the build or run path recurses.
+        t0 = monotonic()
+        rc = main([
+            "run",
+            "--tree", kind,
+            "--k", "4",
+            "--runs", "1",
+            "--max-queries", "100",
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 0
+        assert monotonic() - t0 < 30.0
 
     def test_exit_code_3_any_unexpected_exception(self, tmp_path, capsys, monkeypatch):
         def boom(config):

@@ -7,11 +7,11 @@ from math import fsum, inf, isinf
 import pytest
 
 from awpkit.engine import (
+    AwpRun,
     EngineConfig,
     refine_with_queries,
     normalized_distance,
     run_awp,
-    sc_satisfied,
 )
 from awpkit.cli import ExperimentOutput, format_traces
 from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
@@ -26,9 +26,12 @@ from awpkit.tree import (
 )
 
 from helpers import (
+    caterpillar,
+    leaf_ids,
     random_tree,
     random_weight_table,
     replay_trace,
+    sc_satisfied,
     spiked_quality_tree,
 )
 
@@ -132,7 +135,7 @@ class TestReplayAudit:
         cfg = EngineConfig(k=4, seed=3, max_basic_queries=50000)
         res = run_awp(tree, Oracle(tree, truth), cfg)
         assert res.early_stop is None
-        assert res.pruning == tuple(sorted(tree.leaf_ids()))
+        assert res.pruning == tuple(leaf_ids(tree))
         replay_trace(tree, truth, res, cfg)
 
 
@@ -153,6 +156,31 @@ class TestBookkeeping:
         )
         res = run_awp(tree, Oracle(tree, truth), cfg)
         assert res.ledger.node_queries == len(res.pruning) - 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_open_is_the_internal_pruning(self, seed):
+        # Caterpillars put a leaf in the pruning at every split.
+        rng = random.Random(200 + seed)
+        n = rng.randint(4, 30)
+        tree = caterpillar(n) if seed % 2 else random_tree(rng, n)
+        truth = random_weight_table(rng, tree.leaf_order)
+        cfg = EngineConfig(k=rng.randint(2, n), seed=seed, max_basic_queries=3000)
+        run = AwpRun(tree, Oracle(tree, truth), cfg)
+
+        def check():
+            assert run.open == [v for v in run.pruning if not tree.is_leaf(v)]
+
+        check()
+        while len(run.pruning) < cfg.k:
+            if run.oracle.ledger.basic_queries >= cfg.max_basic_queries:
+                run.early_stop = "max-queries"
+                break
+            run.sample_step()
+            check()
+            run.split_check()
+            check()
+        assert len(run.pruning) > 1
+        replay_trace(tree, truth, run.result(), cfg)
 
     def test_per_node_draw_counts_match_stats(self):
         tree, truth = spiked_quality_tree((32, 6, 3, 2, 1))

@@ -16,9 +16,9 @@ from awpkit.oracle import (
     make_geometric_target,
     random_features,
 )
-from awpkit.tree import HierTree, WeightTable, leaves_under
+from awpkit.tree import HierTree, WeightTable
 
-from helpers import random_tree, random_weight_table
+from helpers import leaves_under, random_tree, random_weight_table
 
 
 def small_instance():

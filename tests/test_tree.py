@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awpkit.fileio import dumps_tree
 from awpkit.tree import (
     HierTree,
     TreeStructureError,
@@ -15,7 +16,6 @@ from awpkit.tree import (
     average_split_quality,
     induced_weighting,
     is_pruning,
-    leaves_under,
     node_discrepancies,
     node_discrepancy,
     optimal_pruning,
@@ -30,6 +30,8 @@ from helpers import (
     caterpillar,
     dyadic_weight_table,
     enumerate_prunings,
+    leaf_ids,
+    leaves_under,
     random_pruning,
     random_tree,
     random_weight_table,
@@ -44,6 +46,29 @@ def quad_tree():
 
 
 class TestStructure:
+    @pytest.mark.parametrize("spine", ["left", "right"])
+    def test_deep_from_nested_matches_records(self, spine):
+        # Depth 5000, far past the interpreter's recursion limit.
+        n = 5001
+        labels = [f"x{i:04d}" for i in range(n)]
+        if spine == "right":
+            spec = labels[-1]
+            for lab in reversed(labels[:-1]):
+                spec = (lab, spec)
+            records = [("L", 2 * n - 2, labels[-1])]
+            for i in range(n - 1):
+                records += [("I", 2 * i, (2 * i + 1, 2 * i + 2)), ("L", 2 * i + 1, labels[i])]
+        else:
+            spec = labels[0]
+            for lab in labels[1:]:
+                spec = (spec, lab)
+            records = [("L", n - 1, labels[0])]
+            for d in range(n - 1):
+                records += [("I", d, (d + 1, 2 * n - 2 - d)), ("L", 2 * n - 2 - d, labels[n - 1 - d])]
+        t = HierTree.from_nested(spec)
+        assert t.max_depth == n - 1
+        assert dumps_tree(t) == dumps_tree(HierTree.from_records(records))
+
     def test_from_nested_assigns_preorder_ids(self):
         t = HierTree.from_nested((("a", "b"), "c"))
         assert t.node_count == 5
@@ -60,11 +85,9 @@ class TestStructure:
         assert t.leaf_count(1) == 2
         assert [t.depth(v) for v in range(5)] == [0, 1, 2, 2, 1]
         assert t.max_depth == 2
-        assert t.parent(0) is None
-        assert t.parent(3) == 1
         assert t.left(1) == 2 and t.right(1) == 3
         assert t.internal_ids() == [0, 1]
-        assert t.leaf_ids() == [2, 3, 4]
+        assert leaf_ids(t) == [2, 3, 4]
 
     def test_from_records_matches_nested_in_any_order(self):
         records = [
@@ -147,7 +170,6 @@ class TestStructure:
                 assert t.span(l)[0] == lo
                 assert t.span(l)[1] == t.span(r)[0]
                 assert t.span(r)[1] == hi
-                assert t.parent(l) == v and t.parent(r) == v
         assert sorted(leaves_under(t, t.root_id)) == sorted(t.leaf_order)
 
 
@@ -403,7 +425,7 @@ class TestOptimalPruning:
         w = random_weight_table(rng, t.leaf_order)
         nodes, value = optimal_pruning(t, 9, w)
         assert value == 0.0
-        assert sorted(nodes) == sorted(t.leaf_ids())
+        assert sorted(nodes) == leaf_ids(t)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_exhaustive_enumeration(self, seed):
@@ -493,6 +515,6 @@ class TestOptimalPruning:
         t0 = monotonic()
         nodes, value = optimal_pruning(t, n, w)
         elapsed = monotonic() - t0
-        assert nodes == tuple(t.leaf_ids())
+        assert nodes == tuple(leaf_ids(t))
         assert value == 0.0
         assert elapsed < 20.0
