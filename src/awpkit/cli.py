@@ -47,7 +47,6 @@ from awpkit.tree import (
     InvariantError,
     TreeStructureError,
     WeightTable,
-    _leaf_values,
     average_split_quality,
     node_discrepancies,
     split_quality,
@@ -176,6 +175,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.k_values:
             raise ValueError("need at least one k value")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise ValueError(f"k values must be distinct, got {','.join(map(str, self.k_values))}")
         for k in self.k_values:
             self.engine_config(k, self.seed)
         if self.runs < 1:
@@ -217,10 +218,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     else:
         raise UsageError("this tree source defines no weights; pass --weights")
 
-    truth_vals = _leaf_values(tree, truth)
     # One oracle for the sweep; each cell starts on a fresh ledger, and its
     # result keeps a snapshot of it.
     oracle = Oracle(tree, truth)
+    truth_vals = oracle.leaf_values
     algs = tuple(a for a in ALGORITHMS if a in config.algorithms)
     out = ExperimentOutput()
     per_alg_k: dict[tuple[str, int], list[float]] = {}

@@ -18,9 +18,11 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 from math import fsum, inf
 
-from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
+from awpkit.estimator import RADIUS_MODES, NodeStats, confidence_radius, estimate_discrepancy
 from awpkit.oracle import Oracle, QueryLedger
 from awpkit.tree import (
     WEIGHT_SUM_TOL,
@@ -30,8 +32,6 @@ from awpkit.tree import (
     refine_with_queries,
     tv_distance,
 )
-
-RADIUS_MODES = ("hoeffding", "bernstein", "min")
 
 # Tolerance for a derived left-child mass coming out barely negative.
 MASS_TOL = 1e-12
@@ -162,10 +162,25 @@ class AwpRun:
     split_check, or use run_awp for the full loop.
 
     ``open`` holds the internal nodes of the pruning in ascending id order,
-    and only they are scanned and scored: a pruning leaf is never drawn
-    from or split, and it is every node's rival at an optimistic value of
-    exactly 0 (a single leaf has no discrepancy).  Every pick takes the
-    largest score, and the smallest id on ties.
+    and only they are scored: a pruning leaf is never drawn from or split,
+    and it is every node's rival at an optimistic value of exactly 0 (a
+    single leaf has no discrepancy).  Every pick takes the largest score,
+    and the smallest id on ties.
+
+    No pick scans ``open`` per query; two lazy max-heaps answer them:
+      - ``(-ucb, v, stamp)`` for every open node v;
+      - ``(-(beta * lcb), v, stamp)`` for every open node v with a draw.
+    Each rescore of v takes a fresh stamp, records it as ``_stamp[v]`` (the
+    stamp of v's live entries) and pushes both entries; a split deletes
+    v's stamp.  An entry whose stamp is not live is popped once it reaches
+    the top, so the top live entry has the largest value and, by tuple
+    order, the smallest id on ties.
+
+    A draw takes the top of the ucb heap.  A split check filters, then
+    scans: some node qualifies iff the best lcb key other than the top
+    ucb node's reaches the top ucb, or the top ucb node's own key reaches
+    the second-best ucb.  Only then, on the rare hit, is ``open`` scanned
+    in id order for the first qualifying node.
     """
 
     def __init__(self, tree: HierTree, oracle: Oracle, config: EngineConfig):
@@ -183,19 +198,24 @@ class AwpRun:
         self.pruning: list[int] = [root]
         # k >= 2 leaves, so the root is internal.
         self.open: list[int] = [root]
-        self._ucb: dict[int, float] = {root: inf}
-        self._lcb: dict[int, float] = {root: -inf}
+        # Pessimistic estimates of the open nodes with at least one draw.
+        self._lcb: dict[int, float] = {}
+        self._ucb_heap: list[tuple[float, int, int]] = []
+        self._lcb_heap: list[tuple[float, int, int]] = []
+        self._stamp: dict[int, int] = {}
+        self._clock = count()
         self.trace: list[tuple] = []
         self.queried: dict[int, float] = {}
         self.early_stop: str | None = None
+        self._rescore(root)
 
     # -- scoring -----------------------------------------------------------
 
     def _rescore(self, v: int) -> None:
+        stamp = self._stamp[v] = next(self._clock)
         st = self.stats[v]
         if st.m == 0:
-            self._ucb[v] = inf
-            self._lcb[v] = -inf
+            heappush(self._ucb_heap, (-inf, v, stamp))
             return
         d = estimate_discrepancy(st)
         r = confidence_radius(
@@ -205,8 +225,27 @@ class AwpRun:
             self.config.radius_mode,
             strict_paper=self.config.strict_paper,
         )
-        self._ucb[v] = d + r
-        self._lcb[v] = d - r
+        lcb = self._lcb[v] = d - r
+        heappush(self._ucb_heap, (-(d + r), v, stamp))
+        heappush(self._lcb_heap, (-(self.config.beta * lcb), v, stamp))
+
+    def _top(self, heap: list, skip: int = -1) -> tuple[float, int]:
+        """Largest live (value, id) of a score heap, ignoring node ``skip``;
+        (-inf, -1) when there is none."""
+        live = self._stamp
+        held = None
+        while heap:
+            _, v, stamp = heap[0]
+            if live.get(v) != stamp:
+                heappop(heap)
+            elif v == skip:
+                held = heappop(heap)
+            else:
+                break
+        top = (-heap[0][0], heap[0][1]) if heap else (-inf, -1)
+        if held is not None:
+            heappush(heap, held)
+        return top
 
     # -- one basic query ---------------------------------------------------
 
@@ -216,8 +255,8 @@ class AwpRun:
         weight.  Returns the sampled node's id."""
         if not self.open:
             raise InvariantError("no internal node available to sample")
-        target = max(self.open, key=self._ucb.__getitem__)
-        lo, hi = self.tree.span(target)
+        target = self._top(self._ucb_heap)[1]
+        lo, hi = self.tree._span[target]
         pos = self.rng.randrange(lo, hi)
         value = self.oracle.query_leaf(pos, attributed_to=target)
         self.queried[pos] = value
@@ -230,12 +269,12 @@ class AwpRun:
 
     def _split(self, v: int) -> None:
         self.open.remove(v)
+        del self._stamp[v], self._lcb[v]
         for c, w in split_node(self.tree, self.oracle, self.pruning, self.trace, v, self.stats[v].w_star):
             self.stats[c] = NodeStats(c, w, self.tree.leaf_count(c))
             if not self.tree.is_leaf(c):
                 insort(self.open, c)
                 self._rescore(c)
-        del self._ucb[v], self._lcb[v]
 
     def split_check(self) -> list[int]:
         """Split, in ascending node-id order, every node whose split
@@ -244,32 +283,31 @@ class AwpRun:
         performed = []
         beta = self.config.beta
         while len(self.pruning) < self.config.k:
-            # Top two optimistic values let each node see max over rivals in
-            # O(1).  Pruning leaves all sit at 0, so they only set the floor.
+            # Each node's rival is the best optimistic value among the
+            # others: top2 for top1_node, top1 for the rest.  Pruning leaves
+            # all sit at 0, so they only set the floor.
             floor = 0.0 if len(self.open) < len(self.pruning) else -inf
-            top1_node = -1
-            top1 = top2 = floor
-            for v in self.open:
-                u = self._ucb[v]
-                if u > top1:
-                    top2 = top1
-                    top1 = u
-                    top1_node = v
-                elif u > top2:
-                    top2 = u
-            found = -1
-            for v in self.open:
-                if self.stats[v].m == 0:
-                    continue
-                rival = top2 if v == top1_node else top1
-                # beta * (estimate - radius) >= max rival optimistic value.
-                if beta * self._lcb[v] >= rival:
-                    found = v
-                    break
-            if found < 0:
+            top1, top1_node = self._top(self._ucb_heap)
+            if top1 <= floor:
+                top1 = top2 = floor
+                top1_node = -1
+            else:
+                top2 = max(self._top(self._ucb_heap, top1_node)[0], floor)
+            # beta * (estimate - radius) >= rival holds for some node with a
+            # draw iff it holds for the best key of the lcb heap, or for
+            # top1_node against its own rival.
+            if not (
+                self._top(self._lcb_heap, top1_node)[0] >= top1
+                or (top1_node in self._lcb and beta * self._lcb[top1_node] >= top2)
+            ):
                 break
-            self._split(found)
-            performed.append(found)
+            for v in self.open:
+                if v in self._lcb and beta * self._lcb[v] >= (top2 if v == top1_node else top1):
+                    break
+            else:
+                raise InvariantError("split filter found a node that the scan did not")
+            self._split(v)
+            performed.append(v)
         return performed
 
     # -- assembling the outcome -------------------------------------------

@@ -29,6 +29,8 @@ from awpkit.tree import InvariantError, _discrepancy
 
 SAMPLE_TOL = 1e-12
 
+RADIUS_MODES = ("hoeffding", "bernstein", "min")
+
 
 @dataclass
 class NodeStats:
@@ -89,9 +91,12 @@ def estimate_discrepancy(stats: NodeStats) -> float:
     return stats.w_star + (stats.n_leaves / m) * (stats._sum_dev - stats._sum_z)
 
 
+_PI_SQ = math.pi**2
+
+
 def _log_term(k: int, delta: float, m: int) -> float:
     # ln(2 / delta(m)) with delta(m) = 3 delta / (k pi^2 m^2)
-    return math.log(2.0 * k * math.pi**2 * m * m / (3.0 * delta))
+    return math.log(2.0 * k * _PI_SQ * m * m / (3.0 * delta))
 
 
 def _check_args(k: int, delta: float) -> None:
@@ -99,6 +104,21 @@ def _check_args(k: int, delta: float) -> None:
         raise ValueError(f"k must be positive, got {k}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+
+
+def _hoeffding(stats: NodeStats, m: int, log_term: float) -> float:
+    return stats.w_star * math.sqrt(2.0 * log_term / m)
+
+
+def _bernstein(stats: NodeStats, m: int, log_term: float) -> float:
+    # Pairwise-difference form reduced to O(m):
+    # sum_{i<j} (a_i - a_j)^2 = m * sum a_i^2 - (sum a_i)^2, over m(m-1).
+    var = (m * stats._sum_zp2 - stats._sum_zp**2) / (m * (m - 1))
+    if var < 0.0:
+        var = 0.0
+    return stats.n_leaves * math.sqrt(8.0 * var * log_term / m) + (
+        28.0 * stats.w_star * log_term / (3.0 * (m - 1))
+    )
 
 
 def hoeffding_radius(stats: NodeStats, k: int, delta: float) -> float:
@@ -110,7 +130,7 @@ def hoeffding_radius(stats: NodeStats, k: int, delta: float) -> float:
     m = stats.m
     if m == 0:
         return math.inf
-    return stats.w_star * math.sqrt(2.0 * _log_term(k, delta, m) / m)
+    return _hoeffding(stats, m, _log_term(k, delta, m))
 
 
 def bernstein_radius(stats: NodeStats, k: int, delta: float, *, strict_paper: bool = False) -> float:
@@ -127,15 +147,7 @@ def bernstein_radius(stats: NodeStats, k: int, delta: float, *, strict_paper: bo
     m = stats.m
     if m <= 1:
         return math.inf
-    # Pairwise-difference form reduced to O(m):
-    # sum_{i<j} (a_i - a_j)^2 = m * sum a_i^2 - (sum a_i)^2, over m(m-1).
-    var = (m * stats._sum_zp2 - stats._sum_zp**2) / (m * (m - 1))
-    if var < 0.0:
-        var = 0.0
-    log_term = math.log(2.0 / delta) if strict_paper else _log_term(k, delta, m)
-    return stats.n_leaves * math.sqrt(8.0 * var * log_term / m) + (
-        28.0 * stats.w_star * log_term / (3.0 * (m - 1))
-    )
+    return _bernstein(stats, m, math.log(2.0 / delta) if strict_paper else _log_term(k, delta, m))
 
 
 def confidence_radius(
@@ -146,17 +158,24 @@ def confidence_radius(
     *,
     strict_paper: bool = False,
 ) -> float:
-    """Dispatch on mode: "hoeffding", "bernstein", or their pointwise "min"."""
+    """Dispatch on mode: "hoeffding", "bernstein", or their pointwise "min".
+
+    Equal to the named radius function (or the min of both), with the
+    arguments checked and the log term computed once.
+    """
+    if mode not in RADIUS_MODES:
+        raise ValueError(f"unknown radius mode {mode!r}")
+    _check_args(k, delta)
+    m = stats.m
+    if m == 0:
+        return math.inf
+    log_term = _log_term(k, delta, m)
     if mode == "hoeffding":
-        return hoeffding_radius(stats, k, delta)
+        return _hoeffding(stats, m, log_term)
+    bern = math.inf if m == 1 else _bernstein(stats, m, math.log(2.0 / delta) if strict_paper else log_term)
     if mode == "bernstein":
-        return bernstein_radius(stats, k, delta, strict_paper=strict_paper)
-    if mode == "min":
-        return min(
-            hoeffding_radius(stats, k, delta),
-            bernstein_radius(stats, k, delta, strict_paper=strict_paper),
-        )
-    raise ValueError(f"unknown radius mode {mode!r}")
+        return bern
+    return min(_hoeffding(stats, m, log_term), bern)
 
 
 def exact_discrepancy(values) -> float:

@@ -46,9 +46,16 @@ class Oracle:
     """
 
     def __init__(self, tree: HierTree, truth: Mapping[str, float]):
-        self._vals = _leaf_values(tree, truth)
+        self._vals = tuple(_leaf_values(tree, truth))
         self.tree = tree
         self.ledger = QueryLedger()
+
+    @property
+    def leaf_values(self) -> tuple[float, ...]:
+        """The hidden target in ``tree.leaf_order`` order, read-only; for
+        scoring results, not for the algorithms under test.  Reading it is
+        not a query and is not counted."""
+        return self._vals
 
     def query_leaf(self, pos: int, attributed_to: int) -> float:
         """Weight of the leaf at position ``pos`` of ``tree.leaf_order``;

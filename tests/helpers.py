@@ -3,11 +3,12 @@ trace replay validator for adaptive runs."""
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from math import fsum, inf
 
 from awpkit.engine import EngineConfig, PruningResult
-from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
+from awpkit.estimator import NodeStats, estimate_discrepancy
 from awpkit.tree import HierTree, WeightTable, node_discrepancies
 
 
@@ -231,6 +232,48 @@ def spiked_quality_tree(sizes, spike_mass: float = 0.5):
     return tree, WeightTable(w)
 
 
+def reference_confidence_radius(stats: NodeStats, k: int, delta: float, mode: str, *, strict_paper: bool = False):
+    """The radius written out from its three formulas, kept as the slow
+    reference for ``confidence_radius``: the Hoeffding and Bernstein radii
+    are evaluated independently, each computing its own log term
+    ln(2 / delta(m)) with delta(m) = 3 delta / (k pi^2 m^2)."""
+    m = stats.m
+
+    def hoeffding():
+        if m == 0:
+            return inf
+        log_term = math.log(2.0 * k * math.pi**2 * m * m / (3.0 * delta))
+        return stats.w_star * math.sqrt(2.0 * log_term / m)
+
+    def bernstein():
+        if m <= 1:
+            return inf
+        var = (m * stats._sum_zp2 - stats._sum_zp**2) / (m * (m - 1))
+        if var < 0.0:
+            var = 0.0
+        if strict_paper:
+            log_term = math.log(2.0 / delta)
+        else:
+            log_term = math.log(2.0 * k * math.pi**2 * m * m / (3.0 * delta))
+        return stats.n_leaves * math.sqrt(8.0 * var * log_term / m) + (
+            28.0 * stats.w_star * log_term / (3.0 * (m - 1))
+        )
+
+    if mode == "hoeffding":
+        return hoeffding()
+    if mode == "bernstein":
+        return bernstein()
+    if mode == "min":
+        return min(hoeffding(), bernstein())
+    raise ValueError(f"unknown radius mode {mode!r}")
+
+
+def _radius(stats: NodeStats, config: EngineConfig) -> float:
+    return reference_confidence_radius(
+        stats, config.k, config.delta, config.radius_mode, strict_paper=config.strict_paper
+    )
+
+
 def _scores(tree, stats, config, v):
     if tree.is_leaf(v):
         return 0.0, 0.0
@@ -238,9 +281,7 @@ def _scores(tree, stats, config, v):
     if st.m == 0:
         return inf, -inf
     d = estimate_discrepancy(st)
-    r = confidence_radius(
-        st, config.k, config.delta, config.radius_mode, strict_paper=config.strict_paper
-    )
+    r = _radius(st, config)
     return d + r, d - r
 
 
@@ -251,9 +292,10 @@ def sc_satisfied(beta: float, estimate: float, radius: float, rival_ucb: float) 
     return beta * (estimate - radius) >= rival_ucb
 
 
-def _first_qualifying_split(tree, stats, pruning, config):
-    """Mirror of the engine's split scan: smallest-id node whose pessimistic
-    estimate, scaled by beta, beats the best rival's optimistic estimate."""
+def first_qualifying_split(tree, stats, pruning, config):
+    """Reference for the engine's split pick: the smallest-id node whose
+    pessimistic estimate, scaled by beta, beats the best rival's optimistic
+    estimate, with that rival; (None, None) when no node qualifies."""
     ucb = {v: _scores(tree, stats, config, v)[0] for v in pruning}
     top1_node = -1
     top1 = -inf
@@ -273,6 +315,14 @@ def _first_qualifying_split(tree, stats, pruning, config):
         if config.beta * _scores(tree, stats, config, v)[1] >= rival:
             return v, rival
     return None, None
+
+
+def argmax_ucb(tree, stats, pruning, config):
+    """First internal pruning node, in id order, with the largest
+    optimistic estimate: the node the engine must draw from next."""
+    internal = [u for u in pruning if not tree.is_leaf(u)]
+    best = max(_scores(tree, stats, config, u)[0] for u in internal)
+    return [u for u in internal if _scores(tree, stats, config, u)[0] == best][0]
 
 
 def replay_trace(tree: HierTree, truth, result: PruningResult, config: EngineConfig):
@@ -304,20 +354,11 @@ def replay_trace(tree: HierTree, truth, result: PruningResult, config: EngineCon
             assert len(pruning) < config.k, "drew after reaching the target size"
             if cap is not None:
                 assert n_basic < cap, "drew past the basic-query cap"
-            found, _ = _first_qualifying_split(tree, stats, pruning, config)
+            found, _ = first_qualifying_split(tree, stats, pruning, config)
             assert found is None, f"skipped a qualifying split of node {found}"
             assert v in pruning and not tree.is_leaf(v)
-            best = max(
-                _scores(tree, stats, config, u)[0]
-                for u in pruning
-                if not tree.is_leaf(u)
-            )
-            firsts = [
-                u
-                for u in pruning
-                if not tree.is_leaf(u) and _scores(tree, stats, config, u)[0] == best
-            ]
-            assert v == firsts[0], f"drew from {v}, expected argmax {firsts[0]}"
+            want = argmax_ucb(tree, stats, pruning, config)
+            assert v == want, f"drew from {v}, expected argmax {want}"
             lo, hi = tree.span(v)
             assert label in tree.leaf_order[lo:hi]
             assert value == truth[label]
@@ -327,18 +368,10 @@ def replay_trace(tree: HierTree, truth, result: PruningResult, config: EngineCon
         else:
             _, v, w_r = ev
             assert len(pruning) < config.k, "split past the target size"
-            found, rival = _first_qualifying_split(tree, stats, pruning, config)
+            found, rival = first_qualifying_split(tree, stats, pruning, config)
             assert found == v, f"split {v}, expected first qualifying {found}"
             st = stats[v]
-            d = estimate_discrepancy(st)
-            r = confidence_radius(
-                st,
-                config.k,
-                config.delta,
-                config.radius_mode,
-                strict_paper=config.strict_paper,
-            )
-            assert sc_satisfied(config.beta, d, r, rival)
+            assert sc_satisfied(config.beta, estimate_discrepancy(st), _radius(st, config), rival)
             left, right = tree.left(v), tree.right(v)
             true_wr = fsum(truth[lab] for lab in leaves_under(tree, right))
             assert w_r == true_wr, f"split mass {w_r!r} differs from true {true_wr!r}"
@@ -364,7 +397,7 @@ def replay_trace(tree: HierTree, truth, result: PruningResult, config: EngineCon
         assert cap is not None and n_basic == cap
     else:
         raise AssertionError(f"unknown early stop {result.early_stop!r}")
-    found, _ = _first_qualifying_split(tree, stats, pruning, config)
+    found, _ = first_qualifying_split(tree, stats, pruning, config)
     if len(pruning) < config.k:
         assert found is None
 

@@ -12,6 +12,7 @@ import pytest
 
 import awpkit.adversarial as adversarial_mod
 import awpkit.cli as cli_mod
+import awpkit.oracle as oracle_mod
 import awpkit.tree as tree_mod
 from awpkit.cli import (
     ALGORITHMS,
@@ -128,6 +129,8 @@ class TestExperimentConfig:
             ExperimentConfig(**base, k_values=())
         with pytest.raises(ValueError, match="at least 2"):
             ExperimentConfig(**base, k_values=(1,))
+        with pytest.raises(ValueError, match="distinct"):
+            ExperimentConfig(**base, k_values=(3, 4, 3))
         with pytest.raises(ValueError, match="runs"):
             ExperimentConfig(**base, k_values=(3,), runs=0)
         with pytest.raises(ValueError, match="unknown algorithms"):
@@ -175,6 +178,22 @@ class TestRunExperiment:
             assert row[:3] == (alg, k, r)
             assert row[4] == sum(1 for ln in lines if ln.startswith("SAMPLE "))
             assert row[5] == sum(1 for ln in lines if ln.startswith("SPLIT "))
+
+    def test_converts_the_truth_once(self, monkeypatch):
+        # The sweep scores every row against the oracle's own leaf-order
+        # list instead of converting the label-keyed target again.
+        calls = []
+        original = tree_mod._leaf_values
+
+        def counted(tree, w):
+            calls.append(1)
+            return original(tree, w)
+
+        monkeypatch.setattr(tree_mod, "_leaf_values", counted)
+        monkeypatch.setattr(oracle_mod, "_leaf_values", counted)
+        assert not hasattr(cli_mod, "_leaf_values")
+        run_experiment(self.small_config(k_values=(2, 3)))
+        assert len(calls) == 1
 
     def test_aggregates_match_details(self):
         out = run_experiment(self.small_config())
@@ -390,6 +409,21 @@ class TestMain:
         short_w = tmp_path / "short.txt"
         short_w.write_text("a 0.6\nb 0.4\n", encoding="utf-8")
         assert main(["inspect", "--tree", tree_path, "--weights", str(short_w)]) == 2
+
+    def test_exit_code_1_repeated_k_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        rc = main([
+            "run",
+            "--tree", "median-split:n=64",
+            "--weights", "geometric:bins=4,ratio=2",
+            "--k", "4,4",
+            "--runs", "2",
+            "--max-queries", "300",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "distinct" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--delta", "2"), ("--beta", "1"), ("--max-queries", "-1")])
     def test_exit_code_1_bad_engine_flag_before_reading_the_tree(self, tmp_path, capsys, flag, value):

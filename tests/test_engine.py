@@ -15,7 +15,13 @@ from awpkit.engine import (
 )
 from awpkit.cli import ExperimentOutput, format_traces
 from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
-from awpkit.oracle import Oracle
+from awpkit.oracle import (
+    Oracle,
+    TargetSpec,
+    build_random_balanced_tree,
+    leaf_order_bins,
+    make_geometric_target,
+)
 from awpkit.tree import (
     HierTree,
     WeightTable,
@@ -26,7 +32,9 @@ from awpkit.tree import (
 )
 
 from helpers import (
+    argmax_ucb,
     caterpillar,
+    first_qualifying_split,
     leaf_ids,
     random_tree,
     random_weight_table,
@@ -137,6 +145,73 @@ class TestReplayAudit:
         assert res.early_stop is None
         assert res.pruning == tuple(leaf_ids(tree))
         replay_trace(tree, truth, res, cfg)
+
+
+def tie_heavy_instance(kind: str):
+    """Small instances whose scores tie exactly and often."""
+    if kind == "zero-mass":
+        # The left half of the root is a zero-mass subtree: once drawn from,
+        # its nodes score ucb = lcb = 0, level with the pruning leaves.
+        tree = build_random_balanced_tree([f"z{i:02d}" for i in range(16)], seed=0)
+        raw = [0.0] * 8 + [float(i % 3) for i in range(8)]
+    elif kind == "contiguous":
+        # Uniform bins on whole subtrees: zero discrepancy below them.
+        tree = build_random_balanced_tree([f"b{i:02d}" for i in range(32)], seed=1)
+        spec = TargetSpec("geometric-bins", ratio=4.0, bins=leaf_order_bins(tree, 4))
+        return tree, make_geometric_target(tree, spec, 0)
+    elif kind == "caterpillar":
+        tree = caterpillar(12)
+        raw = [float(1 + i % 4) for i in range(12)]
+    else:
+        # A caterpillar whose mass sits on three leaves.
+        tree = caterpillar(14)
+        raw = [1.0 if i in (2, 9, 13) else 0.0 for i in range(14)]
+    total = fsum(raw)
+    return tree, WeightTable({lab: x / total for lab, x in zip(tree.leaf_order, raw)})
+
+
+class TestHandDrivenSelection:
+    # Drive AwpRun by hand on an irregular schedule and check every pick
+    # against the helpers' reference statements before it is made.
+    @pytest.mark.parametrize("kind", ["zero-mass", "contiguous", "caterpillar", "sparse-caterpillar"])
+    @pytest.mark.parametrize("beta", [1.5, 4.0, 50.0])
+    @pytest.mark.parametrize("mode", ["hoeffding", "bernstein", "min"])
+    def test_every_pick_matches_reference(self, kind, beta, mode):
+        tree, truth = tie_heavy_instance(kind)
+        cap = 400
+        cfg = EngineConfig(k=tree.leaf_count_total // 2 + 1, beta=beta, radius_mode=mode, seed=3)
+        run = AwpRun(tree, Oracle(tree, truth), cfg)
+        split = run._split
+        splits = []
+
+        def checked_split(v):
+            want, _ = first_qualifying_split(tree, run.stats, run.pruning, cfg)
+            assert v == want, f"split {v}, expected first qualifying {want}"
+            split(v)
+            splits.append(v)
+
+        run._split = checked_split
+
+        def busy():
+            return len(run.pruning) < cfg.k and run.oracle.ledger.basic_queries < cap
+
+        rng = random.Random(f"{kind}-{beta}-{mode}")
+        checks = 2
+        while busy():
+            for _ in range(checks):
+                done = len(splits)
+                performed = run.split_check()
+                assert performed == splits[done:]
+                if len(run.pruning) < cfg.k:
+                    assert first_qualifying_split(tree, run.stats, run.pruning, cfg)[0] is None
+            for _ in range(rng.choice((1, 2, 3, 5))):
+                if not busy():
+                    break
+                want = argmax_ucb(tree, run.stats, run.pruning, cfg)
+                assert run.sample_step() == want
+            checks = rng.choice((0, 1, 2))
+        assert run.open == [v for v in run.pruning if not tree.is_leaf(v)]
+        assert splits and len(run.pruning) == len(splits) + 1
 
 
 class TestBookkeeping:

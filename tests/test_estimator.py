@@ -20,7 +20,7 @@ from awpkit.estimator import (
 )
 from awpkit.tree import InvariantError, node_discrepancy
 
-from helpers import random_tree, random_weight_table
+from helpers import random_tree, random_weight_table, reference_confidence_radius
 
 
 def stats_with(samples, w_star=0.5, n_leaves=4, node_id=0):
@@ -185,6 +185,39 @@ class TestConfidenceRadius:
     def test_min_mode_with_one_sample_falls_back_to_hoeffding(self):
         st_ = stats_with([0.2])
         assert confidence_radius(st_, 4, 0.05, "min") == hoeffding_radius(st_, 4, 0.05)
+
+
+class TestRadiusAgainstReference:
+    # One log term per call must not move a single float: every radius
+    # equals the formulas evaluated independently.
+    @pytest.mark.parametrize("mode", ["hoeffding", "bernstein", "min"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_exactly_equal(self, mode, strict):
+        rng = random.Random(f"{mode}-{strict}")
+        for w_star, n_leaves in ((0.0, 4), (0.5, 1), (0.5, 4), (1.0, 64), (0.013, 3)):
+            for m in (0, 1, 2, 3, 7, 50):
+                draws = [rng.choice((0.0, w_star, rng.uniform(0.0, w_star))) for _ in range(m)]
+                st_ = stats_with(draws, w_star=w_star, n_leaves=n_leaves)
+                for k, delta in ((1, 0.5), (2, 0.05), (40, 0.05), (160, 1e-6)):
+                    want = reference_confidence_radius(st_, k, delta, mode, strict_paper=strict)
+                    got = confidence_radius(st_, k, delta, mode, strict_paper=strict)
+                    assert got == want, (w_star, n_leaves, m, k, delta)
+                    if mode == "hoeffding":
+                        assert hoeffding_radius(st_, k, delta) == want
+                    elif mode == "bernstein":
+                        assert bernstein_radius(st_, k, delta, strict_paper=strict) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=30),
+        st.integers(1, 200),
+        st.sampled_from(["hoeffding", "bernstein", "min"]),
+        st.booleans(),
+    )
+    def test_random_draws(self, fractions, n_leaves, mode, strict):
+        st_ = stats_with([0.3 * f for f in fractions], w_star=0.3, n_leaves=n_leaves)
+        want = reference_confidence_radius(st_, 40, 0.05, mode, strict_paper=strict)
+        assert confidence_radius(st_, 40, 0.05, mode, strict_paper=strict) == want
 
 
 class TestExactDiscrepancy:
