@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import fsum, inf
 
 from awpkit.adversarial import _balanced
-from awpkit.tree import HierTree, WeightTable, _leaf_values
+from awpkit.tree import HierTree, WeightTable, _leaf_values, span_sums
 
 
 @dataclass
@@ -42,11 +42,13 @@ class Oracle:
 
     The label-keyed target must cover exactly the tree's leaf set.  Answers
     are exact; repeated queries for the same leaf are answered (and
-    charged) again.
+    charged) again.  Both queries take O(1) time: ``query_node`` reads
+    exact prefix sums built once here (see ``span_sums``).
     """
 
     def __init__(self, tree: HierTree, truth: Mapping[str, float]):
         self._vals = tuple(_leaf_values(tree, truth))
+        self._sums, self._den = span_sums(self._vals)
         self.tree = tree
         self.ledger = QueryLedger()
 
@@ -68,10 +70,11 @@ class Oracle:
         return self._vals[pos]
 
     def query_node(self, v: int) -> float:
-        """Total weight of the leaves under node v; counted as a node query."""
+        """Total weight of the leaves under node v, equal to ``fsum`` over
+        them; counted as a node query."""
         lo, hi = self.tree.span(v)
         self.ledger.record_node()
-        return fsum(self._vals[lo:hi])
+        return (self._sums[hi] - self._sums[lo]) / self._den
 
 
 @dataclass(frozen=True)

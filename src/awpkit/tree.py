@@ -8,17 +8,19 @@ discrepancy of a node measures how far the target weighting is from uniform
 on the node's leaves, and the discrepancy of a pruning is the l1 distance
 between the induced weighting and the target.
 
-All l1 accumulations use ``math.fsum`` so that results are reproducible to
-well below the documented tolerances regardless of summation order.
+All l1 accumulations use ``math.fsum``, or the exact integer prefix sums of
+``span_sums``, which equal it bit for bit, so that results are
+reproducible to well below the documented tolerances regardless of
+summation order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import fsum, inf
-from operator import sub
+from operator import itemgetter, sub
 from typing import Union
 
 WEIGHT_SUM_TOL = 1e-9
@@ -140,7 +142,7 @@ class HierTree:
     def __init__(self, children: Sequence[tuple[int, ...]], labels: Sequence[str | None]):
         if len(children) != len(labels):
             raise ValueError("children and labels must have equal length")
-        self._children = tuple(tuple(c) for c in children)
+        self._children = tuple(map(tuple, children))
         self._labels = tuple(labels)
         self.node_count = len(self._children)
         self._build_index(self._check())
@@ -189,17 +191,17 @@ class HierTree:
     # -- structural checks -------------------------------------------------
 
     def _check(self) -> int:
-        """Raise TreeStructureError on the first structural violation;
-        return the root id."""
+        """Raise TreeStructureError on the first violation of the child
+        links; return the root id.  Reachability and label uniqueness are
+        checked by ``_build_index``."""
         n = self.node_count
         if n == 0:
             raise TreeStructureError("empty-tree")
         parent = [-1] * n
-        for v in range(n):
-            kids = self._children[v]
-            if self._labels[v] is None and len(kids) != 2:
+        for v, kids, lab in zip(range(n), self._children, self._labels):
+            if lab is None and len(kids) != 2:
                 raise TreeStructureError("non-binary-internal", v, f"{len(kids)} children")
-            if self._labels[v] is not None and kids:
+            if lab is not None and kids:
                 raise TreeStructureError("leaf-with-children", v)
             for c in kids:
                 if not (0 <= c < n):
@@ -207,58 +209,53 @@ class HierTree:
                 if parent[c] != -1 or c == v:
                     raise TreeStructureError("multiple-parents" if c != v else "cycle", c)
                 parent[c] = v
-        roots = [v for v in range(n) if parent[v] == -1]
-        if not roots:
+        if -1 not in parent:
             raise TreeStructureError("no-root")
-        if len(roots) > 1:
-            raise TreeStructureError("multiple-roots", roots[1])
-        # Each node has at most one parent, so any node unreachable from the
-        # root sits in a detached component that must contain a cycle.
-        reached = 0
-        stack = [roots[0]]
-        mark = [False] * n
-        mark[roots[0]] = True
-        while stack:
-            v = stack.pop()
-            reached += 1
-            for c in self._children[v]:
-                mark[c] = True
-                stack.append(c)
-        if reached != n:
-            bad = next(v for v in range(n) if not mark[v])
-            raise TreeStructureError("cycle", bad, "unreachable from root")
-        seen_labels: dict[str, int] = {}
-        for v in range(n):
-            lab = self._labels[v]
-            if lab is None:
-                continue
-            if lab in seen_labels:
-                raise TreeStructureError("duplicate-leaf-label", v, lab)
-            seen_labels[lab] = v
-        return roots[0]
+        root = parent.index(-1)
+        if parent.count(-1) > 1:
+            raise TreeStructureError("multiple-roots", parent.index(-1, root + 1))
+        return root
 
     def _build_index(self, root: int) -> None:
+        """One iterative preorder walk from the root: leaf order and depths
+        on the way down, spans in reverse preorder."""
         n = self.node_count
+        children, labels = self._children, self._labels
         self.root_id = root
-        span = [(0, 0)] * n
+        span: list[tuple[int, int]] = [(0, 0)] * n
         depth = [0] * n
         order: list[str] = []
-        stack: list[tuple[int, bool]] = [(self.root_id, False)]
+        pre: list[int] = []
+        stack = [root]
         while stack:
-            v, done = stack.pop()
-            kids = self._children[v]
-            if done:
-                span[v] = (span[kids[0]][0], span[kids[-1]][1])
-                continue
-            if not kids:
-                lo = len(order)
-                order.append(self._labels[v])  # type: ignore[arg-type]
-                span[v] = (lo, lo + 1)
+            v = stack.pop()
+            pre.append(v)
+            kids = children[v]
+            if kids:
+                l, r = kids
+                depth[l] = depth[r] = depth[v] + 1
+                stack.append(r)
+                stack.append(l)
             else:
-                stack.append((v, True))
-                for c in reversed(kids):
-                    depth[c] = depth[v] + 1
-                    stack.append((c, False))
+                span[v] = (len(order), len(order) + 1)
+                order.append(labels[v])  # type: ignore[arg-type]
+        if len(pre) != n:
+            # Each node has at most one parent, so any node unreachable from
+            # the root sits in a detached component that must hold a cycle.
+            reached = set(pre)
+            bad = next(v for v in range(n) if v not in reached)
+            raise TreeStructureError("cycle", bad, "unreachable from root")
+        if len(set(order)) != len(order):
+            seen_labels: set[str] = set()
+            for v, lab in enumerate(labels):
+                if lab in seen_labels:
+                    raise TreeStructureError("duplicate-leaf-label", v, lab)
+                if lab is not None:
+                    seen_labels.add(lab)
+        for v in reversed(pre):
+            kids = children[v]
+            if kids:
+                span[v] = (span[kids[0]][0], span[kids[1]][1])
         self._span = span
         self._depth = depth
         self._order = tuple(order)
@@ -331,7 +328,7 @@ def is_pruning(tree: HierTree, nodes: Iterable[int]) -> bool:
     spans = []
     for v in nodes:
         tree._check_id(v)
-        spans.append(tree.span(v))
+        spans.append(tree._span[v])
     if not spans:
         return False
     spans.sort()
@@ -346,11 +343,29 @@ def is_pruning(tree: HierTree, nodes: Iterable[int]) -> bool:
 def _leaf_values(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     """A label-keyed weighting as a list in ``leaf_order`` order.  Raises
     ValueError unless its labels are exactly the tree's leaves."""
+    try:
+        vals = [w[lab] for lab in tree.leaf_order]
+        if len(w) == tree.leaf_count_total:
+            return vals
+    except KeyError:
+        pass
     missing = sum(1 for lab in tree.leaf_order if lab not in w)
-    if missing or len(w) != tree.leaf_count_total:
-        extra = len(w) - tree.leaf_count_total + missing
-        raise ValueError(f"weighting does not match the tree's leaf set (missing {missing}, extra {extra})")
-    return [w[lab] for lab in tree.leaf_order]
+    extra = len(w) - tree.leaf_count_total + missing
+    raise ValueError(f"weighting does not match the tree's leaf set (missing {missing}, extra {extra})")
+
+
+def span_sums(vals: Iterable[float]) -> tuple[list[int], int]:
+    """Exact prefix sums ``(P, D)`` of a list of finite weights.
+
+    Every float is an integer over a power of two, so over the largest such
+    denominator ``D`` each prefix sum ``P[i]`` of ``vals[:i]`` is an exact
+    integer.  ``(P[hi] - P[lo]) / D`` is then one correctly rounded
+    ``int / int`` division, so it equals ``fsum(vals[lo:hi])`` bit for bit,
+    in O(1).  Values are converted with ``float()`` first, as ``fsum`` does.
+    """
+    ratios = list(map(float.as_integer_ratio, map(float, vals)))
+    den = max(map(itemgetter(1), ratios), default=1)
+    return list(accumulate((num * (den // d) for num, d in ratios), initial=0)), den
 
 
 def _discrepancy(vals: Sequence[float]) -> float:
@@ -371,12 +386,16 @@ def node_discrepancy(tree: HierTree, v: int, w: Mapping[str, float]) -> float:
 
 
 def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
-    """Discrepancy of every node, indexed by node id."""
+    """Discrepancy of every node, indexed by node id.  Each node's mean comes
+    from exact prefix sums, so only the deviation pass walks its leaves;
+    a leaf's discrepancy is always 0.0."""
     vals = _leaf_values(tree, w)
+    sums, den = span_sums(vals)
     out = [0.0] * tree.node_count
-    for v in range(tree.node_count):
-        lo, hi = tree.span(v)
-        out[v] = _discrepancy(vals[lo:hi])
+    for v, (lo, hi) in enumerate(tree._span):
+        if hi - lo > 1:
+            avg = (sums[hi] - sums[lo]) / den / (hi - lo)
+            out[v] = fsum(map(abs, map(sub, repeat(avg, hi - lo), vals[lo:hi])))
     return out
 
 

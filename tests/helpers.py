@@ -111,6 +111,20 @@ def reference_tv_distance(w1, w2):
     return 0.5 * fsum(abs(w1[lab] - w2[lab]) for lab in w1)
 
 
+def reference_node_discrepancies(tree: HierTree, w) -> list[float]:
+    """Each node's discrepancy from its own slice, mean and deviations both
+    summed with ``fsum``: the slow reference for ``node_discrepancies``,
+    whose means come from exact prefix sums."""
+    vals = [w[lab] for lab in tree.leaf_order]
+    out = []
+    for v in range(tree.node_count):
+        lo, hi = tree.span(v)
+        span = vals[lo:hi]
+        avg = fsum(span) / len(span)
+        out.append(fsum(abs(avg - x) for x in span))
+    return out
+
+
 def reference_optimal_pruning(tree: HierTree, k: int, w) -> tuple[tuple[int, ...], float]:
     """The O(n·k²) dynamic program, kept as the slow reference for
     ``optimal_pruning``: every left budget in 1..b-1 is scanned and

@@ -181,19 +181,21 @@ class TestRunExperiment:
 
     def test_converts_the_truth_once(self, monkeypatch):
         # The sweep scores every row against the oracle's own leaf-order
-        # list instead of converting the label-keyed target again.
-        calls = []
-        original = tree_mod._leaf_values
+        # list instead of converting the label-keyed target again, and the
+        # oracle's prefix sums are built once, not once per (k, run) cell.
+        calls = {"_leaf_values": 0, "span_sums": 0}
+        for name in calls:
+            original = getattr(tree_mod, name)
 
-        def counted(tree, w):
-            calls.append(1)
-            return original(tree, w)
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(tree_mod, "_leaf_values", counted)
-        monkeypatch.setattr(oracle_mod, "_leaf_values", counted)
-        assert not hasattr(cli_mod, "_leaf_values")
+            monkeypatch.setattr(tree_mod, name, counted)
+            monkeypatch.setattr(oracle_mod, name, counted)
+            assert not hasattr(cli_mod, name)
         run_experiment(self.small_config(k_values=(2, 3)))
-        assert len(calls) == 1
+        assert calls == {"_leaf_values": 1, "span_sums": 1}
 
     def test_aggregates_match_details(self):
         out = run_experiment(self.small_config())

@@ -15,9 +15,10 @@ from awpkit.fileio import (
     loads_tree,
     loads_weights,
 )
-from awpkit.tree import FileFormatError, HierTree, WeightTable
+from awpkit.oracle import build_random_balanced_tree
+from awpkit.tree import FileFormatError, HierTree, TreeStructureError, WeightTable
 
-from helpers import random_tree, random_weight_table
+from helpers import caterpillar, random_tree, random_weight_table
 
 
 SAMPLE = """\
@@ -30,6 +31,20 @@ L 2 a
 L 3 b
 L 4 c
 """
+
+
+def assert_same_tree(got, want):
+    """Same ids, children, labels, leaf order, spans and depths."""
+    assert got.node_count == want.node_count
+    assert got.root_id == want.root_id
+    assert got.leaf_order == want.leaf_order
+    for v in range(want.node_count):
+        assert got.children(v) == want.children(v)
+        assert got.span(v) == want.span(v)
+        assert got.depth(v) == want.depth(v)
+        assert got.is_leaf(v) == want.is_leaf(v)
+        if want.is_leaf(v):
+            assert got.label(v) == want.label(v)
 
 
 class TestTreeFormat:
@@ -76,6 +91,44 @@ class TestTreeFormat:
         t = HierTree.from_nested(("bad label", "b"))
         with pytest.raises(FileFormatError):
             dumps_tree(t)
+
+    @pytest.mark.parametrize("label", ["", "a\u2028b"])
+    def test_unreadable_label_cannot_be_dumped(self, label):
+        t = HierTree.from_nested((label, "b"))
+        with pytest.raises(FileFormatError):
+            dumps_tree(t)
+
+    def test_hash_label_round_trips(self):
+        # Only a line that starts with '#' is a comment; a leaf record does not.
+        t = HierTree.from_nested(("#a", "b"))
+        assert loads_tree(dumps_tree(t)).leaf_order == ("#a", "b")
+
+    def test_detached_cycle_is_reported(self):
+        text = "HWT 1\nI 0 1 2\nL 1 a\nL 2 b\nI 3 4 5\nI 4 3 6\nL 5 c\nL 6 d\n"
+        with pytest.raises(TreeStructureError) as err:
+            loads_tree(text)
+        assert err.value.kind == "cycle"
+        assert err.value.node_id == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_records_load_the_same_tree(self, seed):
+        rng = random.Random(seed)
+        t = random_tree(rng, rng.randint(2, 40))
+        header, *records = dumps_tree(t).splitlines()
+        rng.shuffle(records)
+        assert_same_tree(loads_tree("\n".join([header, *records])), t)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: caterpillar(20001),
+            lambda: build_random_balanced_tree([f"b{i}" for i in range(2**16)], 0),
+        ],
+        ids=["caterpillar-20000-deep", "balanced-2**16-leaves"],
+    )
+    def test_large_trees_round_trip(self, build):
+        t = build()
+        assert_same_tree(loads_tree(dumps_tree(t)), t)
 
     def test_file_round_trip(self, tmp_path):
         t = loads_tree(SAMPLE)
@@ -124,6 +177,14 @@ class TestWeightFormat:
         with pytest.raises(FileFormatError) as err:
             loads_weights(text)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("label", ["", "#a", "a b"])
+    def test_unreadable_label_cannot_be_dumped(self, label):
+        # An empty label would be read back as a short line, a whitespace one
+        # as too many fields, and one starting with '#' as a comment.
+        w = WeightTable({label: 0.5, "b": 0.5})
+        with pytest.raises(FileFormatError):
+            dumps_weights(w)
 
     def test_file_round_trip(self, tmp_path):
         w = WeightTable({"a": 0.25, "b": 0.75})

@@ -1,6 +1,7 @@
 """Tree structure validation, pruning identities, and the exact DP."""
 
 import random
+from fractions import Fraction
 from math import fsum
 from time import monotonic
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awpkit.fileio import dumps_tree
+from awpkit.fileio import dumps_tree, loads_tree
+from awpkit.oracle import Oracle
 from awpkit.tree import (
+    FileFormatError,
     HierTree,
     TreeStructureError,
     WeightTable,
@@ -22,6 +25,7 @@ from awpkit.tree import (
     _leaf_values,
     pruning_discrepancy,
     refine_with_queries,
+    span_sums,
     split_quality,
     tv_distance,
 )
@@ -35,10 +39,43 @@ from helpers import (
     random_pruning,
     random_tree,
     random_weight_table,
+    reference_node_discrepancies,
     reference_optimal_pruning,
     reference_refine_with_queries,
     reference_tv_distance,
 )
+
+
+# Tree records that each break one structural rule, with the violation kind.
+INVALID_RECORDS = [
+    ([], "empty-tree"),
+    ([("I", 0, (1,)), ("L", 1, "a")], "non-binary-internal"),
+    ([("I", 0, (1, 5)), ("L", 1, "a"), ("L", 2, "b")], "dangling-child"),
+    (
+        [("I", 0, (1, 2)), ("I", 1, (3, 3)), ("L", 2, "a"), ("L", 3, "b")],
+        "multiple-parents",
+    ),
+    ([("I", 0, (0, 1)), ("L", 1, "a")], "cycle"),
+    (
+        [
+            ("L", 0, "a"),
+            ("I", 1, (2, 3)),
+            ("I", 2, (1, 4)),
+            ("L", 3, "b"),
+            ("L", 4, "c"),
+        ],
+        "cycle",
+    ),
+    ([("I", 0, (1, 2)), ("I", 1, (0, 3)), ("L", 2, "a"), ("L", 3, "b")], "no-root"),
+    (
+        [("I", 0, (1, 2)), ("L", 1, "a"), ("L", 2, "b"), ("L", 3, "c")],
+        "multiple-roots",
+    ),
+    ([("I", 0, (1, 2)), ("L", 1, "a"), ("L", 1, "b")], "duplicate-node-id"),
+    ([("I", 0, (1, 2)), ("L", 1, "a"), ("L", 7, "b")], "bad-node-ids"),
+    ([("Z", 0, ()), ("L", 1, "a")], "bad-record"),
+    ([("I", 0, (1, 2)), ("L", 1, "a"), ("L", 2, "a")], "duplicate-leaf-label"),
+]
 
 
 def quad_tree():
@@ -103,41 +140,27 @@ class TestStructure:
             assert t.leaf_order == want.leaf_order
             assert all(t.children(v) == want.children(v) for v in range(5))
 
-    @pytest.mark.parametrize(
-        "records,kind",
-        [
-            ([], "empty-tree"),
-            ([("I", 0, (1,)), ("L", 1, "a")], "non-binary-internal"),
-            ([("I", 0, (1, 5)), ("L", 1, "a"), ("L", 2, "b")], "dangling-child"),
-            (
-                [("I", 0, (1, 2)), ("I", 1, (3, 3)), ("L", 2, "a"), ("L", 3, "b")],
-                "multiple-parents",
-            ),
-            ([("I", 0, (0, 1)), ("L", 1, "a")], "cycle"),
-            (
-                [
-                    ("L", 0, "a"),
-                    ("I", 1, (2, 3)),
-                    ("I", 2, (1, 4)),
-                    ("L", 3, "b"),
-                    ("L", 4, "c"),
-                ],
-                "cycle",
-            ),
-            ([("I", 0, (1, 2)), ("I", 1, (0, 3)), ("L", 2, "a"), ("L", 3, "b")], "no-root"),
-            (
-                [("I", 0, (1, 2)), ("L", 1, "a"), ("L", 2, "b"), ("L", 3, "c")],
-                "multiple-roots",
-            ),
-            ([("I", 0, (1, 2)), ("L", 1, "a"), ("L", 1, "b")], "duplicate-node-id"),
-            ([("I", 0, (1, 2)), ("L", 1, "a"), ("L", 7, "b")], "bad-node-ids"),
-            ([("Z", 0, ()), ("L", 1, "a")], "bad-record"),
-            ([("I", 0, (1, 2)), ("L", 1, "a"), ("L", 2, "a")], "duplicate-leaf-label"),
-        ],
-    )
+    @pytest.mark.parametrize("records,kind", INVALID_RECORDS)
     def test_invalid_records_identify_the_violation(self, records, kind):
         with pytest.raises(TreeStructureError) as err:
             HierTree.from_records(records)
+        assert err.value.kind == kind
+
+    @pytest.mark.parametrize("records,kind", INVALID_RECORDS)
+    def test_invalid_hwt_text_identifies_the_same_violation(self, records, kind):
+        # loads_tree fills the node lists itself, so it must find what
+        # from_records finds.  An internal node without two children, or an
+        # unknown tag, cannot be written as an HWT record at all.
+        rows = ["HWT 1"]
+        for tag, node_id, payload in records:
+            rows.append(f"{tag} {node_id} {payload if tag == 'L' else ' '.join(map(str, payload))}")
+        text = "\n".join(rows) + "\n"
+        if kind in ("non-binary-internal", "bad-record"):
+            with pytest.raises(FileFormatError):
+                loads_tree(text)
+            return
+        with pytest.raises(TreeStructureError) as err:
+            loads_tree(text)
         assert err.value.kind == kind
 
     def test_leaf_with_children_detected(self):
@@ -337,6 +360,61 @@ class TestLeafOrderWeightings:
             _leaf_values(t, {**w, "e": 0.0})
         with pytest.raises(ValueError, match="missing 1, extra 1"):
             _leaf_values(t, {"a": 0.5, "b": 0.1, "c": 0.2, "e": 0.2})
+
+
+def span_sum_instances(seed):
+    """Trees with weightings that stress exact span sums: every random
+    weight kind, dyadic and subnormal weights, spans of signed zeros, and
+    int or Fraction values."""
+    rng = random.Random(seed)
+    for shape in ("random", "caterpillar"):
+        n = rng.randint(1, 60)
+        tree = caterpillar(n) if shape == "caterpillar" else random_tree(rng, n)
+        labels = tree.leaf_order
+        for kind in ("dense", "exponential", "sparse", "spiked"):
+            yield tree, random_weight_table(rng, labels, kind)
+        yield tree, dyadic_weight_table(rng, labels)
+        yield tree, {lab: rng.randint(0, 5) * 2.0**-1074 for lab in labels}
+        yield tree, {lab: rng.choice((rng.random(), rng.randint(1, 5) * 2.0**-1074)) for lab in labels}
+        yield tree, {lab: rng.choice((0.0, -0.0, 0.0, -0.0, rng.random())) for lab in labels}
+        yield tree, {lab: -0.0 for lab in labels}
+        yield tree, {lab: rng.randint(0, 9) for lab in labels}
+        yield tree, {lab: Fraction(rng.randint(0, 9), rng.randint(1, 7)) for lab in labels}
+
+
+def float_bits(xs):
+    return [float.hex(float(x)) for x in xs]
+
+
+class TestSpanSums:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vals=st.lists(
+            st.floats(-1e300, 1e300) | st.integers(-5, 5).map(lambda m: m * 2.0**-1074),
+            max_size=40,
+        )
+    )
+    def test_prefix_difference_equals_fsum(self, vals):
+        sums, den = span_sums(vals)
+        assert len(sums) == len(vals) + 1
+        for lo in range(len(vals) + 1):
+            for hi in range(lo, len(vals) + 1):
+                assert float_bits([(sums[hi] - sums[lo]) / den]) == float_bits([fsum(vals[lo:hi])])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_node_discrepancies_match_the_slice_reference(self, seed):
+        for tree, w in span_sum_instances(seed):
+            got = node_discrepancies(tree, w)
+            assert float_bits(got) == float_bits(reference_node_discrepancies(tree, w))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_node_queries_equal_fsum_of_the_span(self, seed):
+        for tree, w in span_sum_instances(seed):
+            oracle = Oracle(tree, w)
+            vals = oracle.leaf_values
+            for v in range(tree.node_count):
+                lo, hi = tree.span(v)
+                assert float_bits([oracle.query_node(v)]) == float_bits([fsum(vals[lo:hi])])
 
 
 def reference_split_quality(tree, w):
