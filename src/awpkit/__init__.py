@@ -8,11 +8,11 @@ budget-matched baselines.
 """
 
 from awpkit.adversarial import (
-    Construction,
     HeavyLeafVectors,
     assemble,
     build_greedy_trap_a,
     build_greedy_trap_b,
+    build_heavy_leaf,
     build_lookahead_trap,
     build_tightness,
     greedy_lookahead,
@@ -37,11 +37,9 @@ from awpkit.engine import (
 )
 from awpkit.estimator import (
     NodeStats,
-    bernstein_radius,
     confidence_radius,
     estimate_discrepancy,
     exact_discrepancy,
-    hoeffding_radius,
 )
 from awpkit.fileio import (
     dump_tree,

@@ -19,7 +19,7 @@ discrepancies decompose additively over these children.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from awpkit.tree import HierTree, WeightTable, _preorder, node_discrepancies
@@ -173,35 +173,10 @@ def heavy_leaf_vectors(n: int) -> HeavyLeafVectors:
     )
 
 
-@dataclass
-class Construction:
-    """Named hard instance; ``build`` returns its (tree, weights) pair."""
-
-    kind: str
-    params: dict[str, int] = field(default_factory=dict)
-
-    _KINDS = ("greedy-trap-a", "greedy-trap-b", "lookahead-trap", "tightness", "heavy-leaf")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown construction {self.kind!r}, expected one of {self._KINDS}")
-
-    def build(self) -> tuple[HierTree, WeightTable]:
-        p = self.params
-        if self.kind == "greedy-trap-a":
-            return build_greedy_trap_a(p["k"])
-        if self.kind == "greedy-trap-b":
-            return build_greedy_trap_b(p["k"])
-        if self.kind == "lookahead-trap":
-            return build_lookahead_trap(p["heavy"], p["depth"])
-        if self.kind == "tightness":
-            tree, table, _ = build_tightness(p["n"])
-            return tree, table
-        n = p["n"]
-        vec = heavy_leaf_vectors(n).zero_one
-        labels = [f"e{i:07d}" for i in range(n)]
-        tree = HierTree.from_nested(_balanced(labels))  # type: ignore[arg-type]
-        return tree, WeightTable(dict(zip(tree.leaf_order, vec)))
+def build_heavy_leaf(n: int) -> tuple[HierTree, WeightTable]:
+    """Balanced tree over n leaves carrying the ``zero_one`` weights of
+    ``heavy_leaf_vectors(n)``: all mass on the last leaf in leaf order."""
+    return assemble(_balanced(list(heavy_leaf_vectors(n).zero_one)))
 
 
 def _greedy(tree: HierTree, truth, k: int, score) -> tuple[int, ...]:

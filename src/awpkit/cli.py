@@ -6,12 +6,15 @@ Subcommands::
     awpkit synth SPEC --out-tree tree.hwt [--weights SRC --out-weights w.txt]
     awpkit inspect --tree tree.hwt --weights w.txt
 
-A tree SRC is either a path to an HWT file or a generator spec such as
-``median-split:n=4096,dim=8``, ``random-balanced:n=64``, ``tightness:n=8``,
-``greedy-trap-a:k=4``, ``greedy-trap-b:k=4``, ``lookahead-trap:heavy=3,depth=6``
-or ``heavy-leaf:n=100``.  A weights SRC is a path to a weight file or
-``geometric:bins=10,ratio=4[,layout=shuffled|contiguous]``.  Constructions
-carry their own weights, so --weights may be omitted for them.
+A tree SRC is either a path to an HWT file or a generator spec
+``kind:name=value,...`` of kind median-split, random-balanced, tightness,
+greedy-trap-a, greedy-trap-b, lookahead-trap or heavy-leaf.  A weights SRC
+is a path to a weight file or a geometric spec, whose layout is shuffled
+(the default) or contiguous.  The constructions (every tree kind but
+median-split and random-balanced) carry their own weights, so --weights
+may be omitted for them.  The end of ``awpkit --help`` lists each kind's
+parameters with their defaults; a parameter without one is required, and
+an unknown or repeated parameter is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input file,
 3 internal invariant breach or any other internal error.  Repeated
@@ -24,10 +27,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import fsum
 
-from awpkit.adversarial import Construction
+from awpkit.adversarial import (
+    build_greedy_trap_a,
+    build_greedy_trap_b,
+    build_heavy_leaf,
+    build_lookahead_trap,
+    build_tightness,
+)
 from awpkit.baselines import match_budget, run_empirical, run_uniform, run_weight
 from awpkit.engine import EngineConfig, normalized_distance, run_awp
 from awpkit.fileio import dump_tree, dump_weights, load_tree, load_weights
@@ -54,7 +64,6 @@ from awpkit.tree import (
 
 ALGORITHMS = ("awp", "weight", "uniform", "empirical")
 _BASELINE_RUNNERS = {"weight": run_weight, "uniform": run_uniform, "empirical": run_empirical}
-_TREE_KINDS = ("median-split", "random-balanced") + Construction._KINDS
 
 DETAIL_HEADER = "algorithm,k,run,normalized_distance,basic_queries,node_queries"
 AGGREGATE_HEADER = "algorithm,k,mean,min,max"
@@ -64,94 +73,101 @@ class UsageError(Exception):
     pass
 
 
-def _parse_params(text: str) -> dict[str, str]:
-    params: dict[str, str] = {}
-    if not text:
-        return params
-    for chunk in text.split(","):
-        if "=" not in chunk:
+def _labels(n: int) -> list[str]:
+    return [f"x{i:06d}" for i in range(n)]
+
+
+def _geometric(tree: HierTree, seed: int, bins: int, ratio: float, layout: str) -> WeightTable:
+    if layout == "contiguous":
+        spec = TargetSpec("geometric-bins", ratio=ratio, bins=leaf_order_bins(tree, bins))
+    elif layout == "shuffled":
+        spec = TargetSpec("geometric-bins", n_bins=bins, ratio=ratio)
+    else:
+        raise ValueError(f"layout must be shuffled or contiguous, got {layout!r}")
+    return make_geometric_target(tree, spec, seed)
+
+
+# The spec language: each generator kind's parameters and builder.  A
+# parameter maps to its default or, when it is required, to its type.  A
+# tree kind's builder takes (seed, **params) and returns the tree and its
+# weights (None unless the kind is a construction); the weights kind
+# geometric takes (tree, seed, **params) and returns weights.  Builders
+# look generators up as module globals on every call.
+_SPECS = {
+    "median-split": (
+        {"n": int, "dim": 8},
+        lambda seed, n, dim: (build_median_split_tree(random_features(_labels(n), dim, seed), seed), None),
+    ),
+    "random-balanced": ({"n": int}, lambda seed, n: (build_random_balanced_tree(_labels(n), seed), None)),
+    "tightness": ({"n": int}, lambda seed, n: build_tightness(n)[:2]),
+    "greedy-trap-a": ({"k": int}, lambda seed, k: build_greedy_trap_a(k)),
+    "greedy-trap-b": ({"k": int}, lambda seed, k: build_greedy_trap_b(k)),
+    "lookahead-trap": (
+        {"heavy": int, "depth": int},
+        lambda seed, heavy, depth: build_lookahead_trap(heavy, depth),
+    ),
+    "heavy-leaf": ({"n": int}, lambda seed, n: build_heavy_leaf(n)),
+    "geometric": ({"bins": int, "ratio": float, "layout": "shuffled"}, _geometric),
+}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def _parse_spec(src: str, role: str) -> tuple[Callable, dict[str, object]] | None:
+    """The builder and parameters of a generator spec ``kind:name=value,...``
+    in role "tree" or "weights", or None when src names no generator kind."""
+    kind, _, text = src.partition(":")
+    if kind not in _SPECS:
+        return None
+    kind_role = "weights" if kind == "geometric" else "tree"
+    if kind_role != role:
+        raise UsageError(f"{kind!r} is a {kind_role} source, not a {role} source")
+    defaults, builder = _SPECS[kind]
+    given: dict[str, str] = {}
+    for chunk in text.split(",") if text else ():
+        name, eq, value = chunk.partition("=")
+        name = name.strip()
+        if not eq:
             raise UsageError(f"bad parameter {chunk!r}, expected name=value")
-        name, value = chunk.split("=", 1)
-        params[name.strip()] = value.strip()
-    return params
-
-
-def _int_param(params: dict[str, str], name: str, default: int | None = None) -> int:
-    if name not in params:
-        if default is None:
-            raise UsageError(f"missing required parameter {name!r}")
-        return default
-    try:
-        return int(params[name])
-    except ValueError:
-        raise UsageError(f"parameter {name!r} must be an integer, got {params[name]!r}") from None
-
-
-def _split_spec(src: str) -> tuple[str, dict[str, str]] | None:
-    head, _, rest = src.partition(":")
-    if head in _TREE_KINDS or head == "geometric":
-        return head, _parse_params(rest)
-    return None
+        if name not in defaults:
+            raise UsageError(f"unknown parameter {name!r} for {kind}, expected one of {', '.join(defaults)}")
+        if name in given:
+            raise UsageError(f"parameter {name!r} is given more than once")
+        given[name] = value.strip()
+    params = {}
+    for name, default in defaults.items():
+        convert = default if isinstance(default, type) else type(default)
+        if name in given:
+            try:
+                params[name] = convert(given[name])
+            except ValueError:
+                raise UsageError(f"parameter {name!r} must be {_TYPE_NAMES[convert]}, got {given[name]!r}") from None
+        elif convert is default:
+            raise UsageError(f"missing required parameter {name!r} for {kind}")
+        else:
+            params[name] = default
+    return builder, params
 
 
 def make_tree_source(src: str, seed: int) -> tuple[HierTree, WeightTable | None]:
     """Resolve a tree source to a tree, plus weights when the source is a
     construction that defines them."""
-    spec = _split_spec(src)
+    spec = _parse_spec(src, "tree")
     if spec is None:
         return load_tree(src), None
-    kind, params = spec
-    if kind == "median-split":
-        n = _int_param(params, "n")
-        dim = _int_param(params, "dim", 8)
-        labels = [f"x{i:06d}" for i in range(n)]
-        try:
-            return build_median_split_tree(random_features(labels, dim, seed), seed), None
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if kind == "random-balanced":
-        n = _int_param(params, "n")
-        labels = [f"x{i:06d}" for i in range(n)]
-        try:
-            return build_random_balanced_tree(labels, seed), None
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if kind == "geometric":
-        raise UsageError("geometric is a weights source, not a tree source")
-    cparams: dict[str, int] = {}
-    for name in ("k", "n", "heavy", "depth"):
-        if name in params:
-            cparams[name] = _int_param(params, name)
+    builder, params = spec
     try:
-        tree, weights = Construction(kind, cparams).build()
-    except KeyError as exc:
-        raise UsageError(f"construction {kind!r} is missing parameter {exc.args[0]!r}") from None
+        return builder(seed, **params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return tree, weights
 
 
 def make_target_source(src: str, tree: HierTree, seed: int) -> WeightTable:
-    spec = _split_spec(src)
+    spec = _parse_spec(src, "weights")
     if spec is None:
         return load_weights(src)
-    kind, params = spec
-    if kind != "geometric":
-        raise UsageError(f"{kind!r} is a tree source, not a weights source")
-    n_bins = _int_param(params, "bins")
+    builder, params = spec
     try:
-        ratio = float(params.get("ratio", ""))
-    except ValueError:
-        raise UsageError(f"parameter 'ratio' must be a number, got {params.get('ratio')!r}") from None
-    layout = params.get("layout", "shuffled")
-    try:
-        if layout == "contiguous":
-            tspec = TargetSpec("geometric-bins", ratio=ratio, bins=leaf_order_bins(tree, n_bins))
-        elif layout == "shuffled":
-            tspec = TargetSpec("geometric-bins", n_bins=n_bins, ratio=ratio)
-        else:
-            raise UsageError(f"layout must be shuffled or contiguous, got {layout!r}")
-        return make_geometric_target(tree, tspec, seed)
+        return builder(tree, seed, **params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -335,7 +351,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if _split_spec(args.spec) is None:
+    if _parse_spec(args.spec, "tree") is None:
         raise UsageError(f"synth needs a generator spec, got {args.spec!r}")
     tree, built_weights = make_tree_source(args.spec, args.seed)
     dump_tree(tree, args.out_tree)
@@ -365,13 +381,23 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec_help() -> str:
+    lines = ["generator specs (a parameter without =default is required):"]
+    for kind, (defaults, _) in _SPECS.items():
+        names = (name if isinstance(d, type) else f"{name}={d}" for name, d in defaults.items())
+        lines.append(f"  {kind}:{','.join(names)}")
+    return "\n".join(lines)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="awpkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(
+        prog="awpkit", description=__doc__, epilog=_spec_help(), formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment sweep and write a CSV")

@@ -99,13 +99,6 @@ def _log_term(k: int, delta: float, m: int) -> float:
     return math.log(2.0 * k * _PI_SQ * m * m / (3.0 * delta))
 
 
-def _check_args(k: int, delta: float) -> None:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-
-
 def _hoeffding(stats: NodeStats, m: int, log_term: float) -> float:
     return stats.w_star * math.sqrt(2.0 * log_term / m)
 
@@ -121,35 +114,6 @@ def _bernstein(stats: NodeStats, m: int, log_term: float) -> float:
     )
 
 
-def hoeffding_radius(stats: NodeStats, k: int, delta: float) -> float:
-    """Range-based radius w_star * sqrt(2 ln(2 k pi^2 m^2 / (3 delta)) / m).
-
-    Infinite when no draw has been seen; zero for zero-mass nodes.
-    """
-    _check_args(k, delta)
-    m = stats.m
-    if m == 0:
-        return math.inf
-    return _hoeffding(stats, m, _log_term(k, delta, m))
-
-
-def bernstein_radius(stats: NodeStats, k: int, delta: float, *, strict_paper: bool = False) -> float:
-    """Variance-adaptive radius from the empirical sample variance.
-
-    With V the unbiased variance of the centered draws |z - W| - z,
-
-        n_leaves * sqrt(8 V ln(2/d) / m)  +  28 w_star ln(2/d) / (3 (m - 1))
-
-    where d is the split confidence delta(m) (or the raw delta when
-    strict_paper).  Infinite for m <= 1, where the variance is undefined.
-    """
-    _check_args(k, delta)
-    m = stats.m
-    if m <= 1:
-        return math.inf
-    return _bernstein(stats, m, math.log(2.0 / delta) if strict_paper else _log_term(k, delta, m))
-
-
 def confidence_radius(
     stats: NodeStats,
     k: int,
@@ -158,14 +122,27 @@ def confidence_radius(
     *,
     strict_paper: bool = False,
 ) -> float:
-    """Dispatch on mode: "hoeffding", "bernstein", or their pointwise "min".
+    """Confidence radius of a node's discrepancy estimate.
 
-    Equal to the named radius function (or the min of both), with the
-    arguments checked and the log term computed once.
+    mode "hoeffding" is the range-based radius
+    w_star * sqrt(2 ln(2/d) / m), and mode "bernstein" the
+    variance-adaptive one: with V the unbiased variance of the centered
+    draws |z - W| - z,
+
+        n_leaves * sqrt(8 V ln(2/d) / m)  +  28 w_star ln(2/d) / (3 (m - 1))
+
+    Here d is the split confidence delta(m) = 3 delta / (k pi^2 m^2), or,
+    for the Bernstein radius under strict_paper, the raw delta.  Mode "min"
+    takes the pointwise minimum of both.  Infinite before the first draw,
+    and for the Bernstein radius also at m = 1, where the variance is
+    undefined; zero for Hoeffding on a zero-mass node.
     """
     if mode not in RADIUS_MODES:
         raise ValueError(f"unknown radius mode {mode!r}")
-    _check_args(k, delta)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     m = stats.m
     if m == 0:
         return math.inf

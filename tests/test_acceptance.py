@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from awpkit.adversarial import (
-    Construction,
     build_greedy_trap_a,
+    build_heavy_leaf,
     build_lookahead_trap,
     build_tightness,
     greedy_lookahead,
@@ -28,7 +28,7 @@ from awpkit.adversarial import (
 from awpkit.baselines import empirical_score
 from awpkit.cli import ExperimentConfig, run_experiment
 from awpkit.engine import EngineConfig, run_awp
-from awpkit.estimator import NodeStats, estimate_discrepancy, hoeffding_radius
+from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
 from awpkit.oracle import Oracle
 from awpkit.tree import (
     induced_weighting,
@@ -111,7 +111,7 @@ def test_03_estimator_concentration():
             raw[0] = 1.0
         vectors.append(raw / raw.sum())
 
-    radius = hoeffding_radius(NodeStats(0, 1.0, n, samples=[0.0] * m), 1, delta)
+    radius = confidence_radius(NodeStats(0, 1.0, n, samples=[0.0] * m), 1, delta, "hoeffding")
     avg = 1.0 / n
     violations = 0
     for w in vectors:
@@ -244,7 +244,7 @@ def test_08_lookahead_starves_heavy_node():
 
 
 def test_09_plugin_score_blind_to_missed_heavy_leaf():
-    tree, table = Construction("heavy-leaf", {"n": 100}).build()
+    tree, table = build_heavy_leaf(100)
     # The heavy leaf is last in leaf order; a sample drawn from the others
     # sees only zeros.
     draws = [table[lab] for lab in tree.leaf_order[:50]]

@@ -8,16 +8,17 @@ from math import fsum, isclose
 import pytest
 
 from awpkit.adversarial import (
-    Construction,
     assemble,
     build_greedy_trap_a,
     build_greedy_trap_b,
+    build_heavy_leaf,
     build_lookahead_trap,
     build_tightness,
     greedy_lookahead,
     greedy_max_discrepancy,
     heavy_leaf_vectors,
 )
+from awpkit.fileio import dumps_tree, dumps_weights
 from awpkit.tree import (
     HierTree,
     WeightTable,
@@ -221,29 +222,33 @@ class TestHeavyLeafVectors:
             heavy_leaf_vectors(1)
 
 
-class TestConstruction:
-    @pytest.mark.parametrize(
-        "kind,params,leaves",
-        [
-            ("greedy-trap-a", {"k": 4}, 14),
-            ("greedy-trap-b", {"k": 4}, 15),
-            ("lookahead-trap", {"heavy": 3, "depth": 2}, 22),
-            ("tightness", {"n": 4}, 6),
-            ("heavy-leaf", {"n": 9}, 9),
-        ],
-    )
-    def test_build_round_trip(self, kind, params, leaves):
-        tree, table = Construction(kind, params).build()
-        assert tree.leaf_count_total == leaves
-        assert isclose(fsum(table[lab] for lab in tree.leaf_order), 1.0, abs_tol=1e-9)
+class TestBuildHeavyLeaf:
+    # Dumps of the instance the CLI built inline before build_heavy_leaf
+    # existed: a balanced tree over e0000000.. with all mass on the last leaf.
+    PINNED = {
+        2: (
+            "HWT 1\nI 0 1 2\nL 1 e0000000\nL 2 e0000001\n",
+            "e0000000 0.0\ne0000001 1.0\n",
+        ),
+        3: (
+            "HWT 1\nI 0 1 4\nI 1 2 3\nL 2 e0000000\nL 3 e0000001\nL 4 e0000002\n",
+            "e0000000 0.0\ne0000001 0.0\ne0000002 1.0\n",
+        ),
+        5: (
+            "HWT 1\nI 0 1 6\nI 1 2 5\nI 2 3 4\nL 3 e0000000\nL 4 e0000001\nL 5 e0000002\n"
+            "I 6 7 8\nL 7 e0000003\nL 8 e0000004\n",
+            "e0000000 0.0\ne0000001 0.0\ne0000002 0.0\ne0000003 0.0\ne0000004 1.0\n",
+        ),
+    }
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown construction"):
-            Construction("pathological")
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_dumps_match_pinned_text(self, n):
+        tree, table = build_heavy_leaf(n)
+        assert (dumps_tree(tree), dumps_weights(table)) == self.PINNED[n]
 
-    def test_missing_param(self):
-        with pytest.raises(KeyError):
-            Construction("tightness").build()
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            build_heavy_leaf(1)
 
 
 class TestInformedGreedies:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import subprocess
 import sys
 from math import fsum, isclose
+from pathlib import Path
 from time import monotonic
 
 import pytest
@@ -20,6 +21,7 @@ from awpkit.cli import (
     DETAIL_HEADER,
     ExperimentConfig,
     UsageError,
+    build_parser,
     format_csv,
     format_traces,
     main,
@@ -85,10 +87,35 @@ class TestTreeSources:
             make_tree_source("median-split:n=abc", seed=0)
         with pytest.raises(UsageError, match="missing required parameter"):
             make_tree_source("median-split:dim=4", seed=0)
-        with pytest.raises(UsageError, match="missing parameter"):
+        with pytest.raises(UsageError, match="missing required parameter"):
             make_tree_source("tightness:", seed=0)
         with pytest.raises(UsageError):
             make_tree_source("tightness:n=3", seed=0)
+        with pytest.raises(UsageError, match="unknown parameter 'dimm'"):
+            make_tree_source("median-split:n=64,dimm=3", seed=0)
+        with pytest.raises(UsageError, match="more than once"):
+            make_tree_source("median-split:n=64,n=32", seed=0)
+        # The role is checked before the parameters.
+        with pytest.raises(UsageError, match="weights source"):
+            make_tree_source("geometric:bins", seed=0)
+        # A name that is no generator kind is a file path.
+        with pytest.raises(FileNotFoundError):
+            make_tree_source("pathological:n=3", seed=0)
+
+    @pytest.mark.parametrize(
+        "spec,leaves",
+        [
+            ("greedy-trap-a:k=4", 14),
+            ("greedy-trap-b:k=4", 15),
+            ("lookahead-trap:heavy=3,depth=2", 22),
+            ("tightness:n=4", 6),
+            ("heavy-leaf:n=9", 9),
+        ],
+    )
+    def test_construction_round_trip(self, spec, leaves):
+        tree, table = make_tree_source(spec, seed=0)
+        assert tree.leaf_count_total == leaves
+        assert isclose(fsum(table[lab] for lab in tree.leaf_order), 1.0, abs_tol=1e-9)
 
 
 class TestTargetSources:
@@ -116,8 +143,16 @@ class TestTargetSources:
         tree, _ = make_tree_source("random-balanced:n=8", seed=0)
         with pytest.raises(UsageError, match="tree source"):
             make_target_source("median-split:n=8", tree, seed=0)
-        with pytest.raises(UsageError, match="ratio"):
+        with pytest.raises(UsageError, match="tree source"):
+            make_target_source("median-split:n", tree, seed=0)
+        with pytest.raises(UsageError, match="missing required parameter 'ratio'"):
             make_target_source("geometric:bins=3", tree, seed=0)
+        with pytest.raises(UsageError, match="parameter 'ratio' must be a number"):
+            make_target_source("geometric:bins=3,ratio=x", tree, seed=0)
+        with pytest.raises(UsageError, match="unknown parameter 'layot'"):
+            make_target_source("geometric:bins=4,ratio=2,layot=contiguous", tree, seed=0)
+        with pytest.raises(UsageError, match="more than once"):
+            make_target_source("geometric:bins=4,ratio=2,ratio=3", tree, seed=0)
         with pytest.raises(UsageError, match="layout"):
             make_target_source("geometric:bins=3,ratio=2,layout=zigzag", tree, seed=0)
 
@@ -453,6 +488,11 @@ class TestMain:
             ("random-balanced:n=16", "geometric:bins=2,ratio=inf"),
             ("random-balanced:n=16", "geometric:bins=2,ratio=1e308"),
             ("random-balanced:n=16", "geometric:bins=3,ratio=1e308"),
+            ("median-split:n=64,dimm=3", "geometric:bins=2,ratio=2"),
+            ("median-split:n=64,n=32", "geometric:bins=2,ratio=2"),
+            ("tightness:n=8,k=3", "geometric:bins=2,ratio=2"),
+            ("random-balanced:n=64", "geometric:bins=4,ratio=2,layot=contiguous"),
+            ("random-balanced:n=64", "geometric:bins=4,ratio=2,ratio=3"),
         ],
     )
     def test_exit_code_1_bad_generator_parameters(self, tmp_path, capsys, tree_src, weights_src):
@@ -467,6 +507,7 @@ class TestMain:
         ])
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
         rc = main([
             "synth", tree_src,
             "--weights", weights_src,
@@ -543,6 +584,37 @@ class TestMain:
         assert rc == 0
         assert monotonic() - t0 < 30.0
 
+    def test_strict_paper_environment_variable(self, tmp_path, monkeypatch):
+        # AWPKIT_STRICT_PAPER=1 switches the Bernstein log term, which
+        # changes how long the adaptive runs sample.
+        flags = dict(
+            tree_source="random-balanced:n=64",
+            target_source="geometric:bins=4,ratio=4",
+            k_values=(4, 8),
+            runs=2,
+            radius_mode="bernstein",
+            max_basic_queries=3000,
+        )
+        argv = [
+            "run",
+            "--tree", flags["tree_source"],
+            "--weights", flags["target_source"],
+            "--k", "4,8",
+            "--runs", "2",
+            "--radius", "bernstein",
+            "--max-queries", "3000",
+        ]
+        monkeypatch.delenv("AWPKIT_STRICT_PAPER", raising=False)
+        assert main([*argv, "--out", str(tmp_path / "default.csv")]) == 0
+        monkeypatch.setenv("AWPKIT_STRICT_PAPER", "1")
+        assert main([*argv, "--out", str(tmp_path / "strict.csv")]) == 0
+        default = (tmp_path / "default.csv").read_text(encoding="utf-8")
+        strict = (tmp_path / "strict.csv").read_text(encoding="utf-8")
+        assert default == format_csv(run_experiment(ExperimentConfig(**flags)))
+        assert strict == format_csv(run_experiment(ExperimentConfig(**flags, strict_paper=True)))
+        assert parse_results(default)[0][0][:5] == ("awp", 4, 0, 0.0, 1740)
+        assert parse_results(strict)[0][0][:5] == ("awp", 4, 0, 0.0, 327)
+
     def test_exit_code_3_any_unexpected_exception(self, tmp_path, capsys, monkeypatch):
         def boom(config):
             raise ZeroDivisionError("boom")
@@ -551,6 +623,22 @@ class TestMain:
         args, _, _ = self.run_args(tmp_path, "z")
         assert main(args) == 3
         assert capsys.readouterr().err == "internal error: ZeroDivisionError: boom\n"
+
+
+def test_every_spec_kind_is_documented():
+    # The README table lists each kind with the parameters and defaults of
+    # the spec table, and the module docstring and --help name every kind.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Source specs"):readme.index("### Flags")]
+    rows = {line.split("|")[1].strip(): line for line in section.splitlines() if line.startswith("| `")}
+    usage = build_parser().format_help()
+    for kind, (defaults, _) in cli_mod._SPECS.items():
+        names = [name if isinstance(d, type) else f"{name}={d}" for name, d in defaults.items()]
+        cells = [cell.strip() for cell in rows.pop(f"`{kind}`").split("|")]
+        assert ", ".join(f"`{name}`" for name in names) in cells
+        assert kind in cli_mod.__doc__
+        assert f"  {kind}:{','.join(names)}\n" in usage
+    assert not rows
 
 
 def test_runtime_imports_no_numpy(tmp_path):

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awpkit.estimator import (
+    RADIUS_MODES,
     NodeStats,
-    bernstein_radius,
     confidence_radius,
     estimate_discrepancy,
     exact_discrepancy,
-    hoeffding_radius,
 )
 from awpkit.tree import InvariantError, node_discrepancy
 
@@ -43,8 +42,8 @@ class TestNodeStats:
         for z in [0.3, 0.05, 0.0]:
             b.push(z)
         assert estimate_discrepancy(a) == estimate_discrepancy(b)
-        assert hoeffding_radius(a, 4, 0.05) == hoeffding_radius(b, 4, 0.05)
-        assert bernstein_radius(a, 4, 0.05) == bernstein_radius(b, 4, 0.05)
+        assert confidence_radius(a, 4, 0.05, "hoeffding") == confidence_radius(b, 4, 0.05, "hoeffding")
+        assert confidence_radius(a, 4, 0.05, "bernstein") == confidence_radius(b, 4, 0.05, "bernstein")
 
     def test_sample_range_enforced(self):
         st_ = stats_with([])
@@ -102,43 +101,44 @@ class TestEstimate:
 
 class TestHoeffdingRadius:
     def test_no_samples_is_infinite(self):
-        assert hoeffding_radius(stats_with([]), 4, 0.05) == math.inf
+        assert confidence_radius(stats_with([]), 4, 0.05, "hoeffding") == math.inf
 
     def test_frozen_example(self):
         st_ = stats_with([0.1] * 8, w_star=0.5, n_leaves=4)
         want = 0.5 * math.sqrt(2.0 * math.log(8.0 * math.pi**2 * 64.0 / 0.15) / 8.0)
-        got = hoeffding_radius(st_, 4, 0.05)
+        got = confidence_radius(st_, 4, 0.05, "hoeffding")
         assert got == want
         assert abs(got - 0.807190512736313) <= 1e-12
 
     def test_zero_mass_node_has_zero_radius(self):
         st_ = NodeStats(0, 0.0, 4, samples=[0.0, 0.0])
-        assert hoeffding_radius(st_, 4, 0.05) == 0.0
+        assert confidence_radius(st_, 4, 0.05, "hoeffding") == 0.0
 
     @pytest.mark.parametrize("k,delta", [(2, 0.05), (4, 0.05), (8, 0.2), (40, 0.01)])
     def test_non_increasing_in_m_from_three(self, k, delta):
         prev = None
         for m in range(3, 200):
             st_ = stats_with([0.2] * m, w_star=1.0, n_leaves=5)
-            r = hoeffding_radius(st_, k, delta)
+            r = confidence_radius(st_, k, delta, "hoeffding")
             if prev is not None:
                 assert r <= prev
             prev = r
 
     def test_argument_validation(self):
         st_ = stats_with([0.1])
-        with pytest.raises(ValueError):
-            hoeffding_radius(st_, 0, 0.05)
-        with pytest.raises(ValueError):
-            hoeffding_radius(st_, 4, 0.0)
-        with pytest.raises(ValueError):
-            hoeffding_radius(st_, 4, 1.0)
+        for mode in RADIUS_MODES:
+            with pytest.raises(ValueError):
+                confidence_radius(st_, 0, 0.05, mode)
+            with pytest.raises(ValueError):
+                confidence_radius(st_, 4, 0.0, mode)
+            with pytest.raises(ValueError):
+                confidence_radius(st_, 4, 1.0, mode)
 
 
 class TestBernsteinRadius:
     def test_fewer_than_two_samples_is_infinite(self):
-        assert bernstein_radius(stats_with([]), 4, 0.05) == math.inf
-        assert bernstein_radius(stats_with([0.2]), 4, 0.05) == math.inf
+        assert confidence_radius(stats_with([]), 4, 0.05, "bernstein") == math.inf
+        assert confidence_radius(stats_with([0.2]), 4, 0.05, "bernstein") == math.inf
 
     def test_constant_draws_leave_only_the_bias_term(self):
         # Identical draws have zero sample variance, so the radius is
@@ -146,7 +146,7 @@ class TestBernsteinRadius:
         m = 6
         st_ = stats_with([0.1] * m, w_star=0.5, n_leaves=4)
         log_term = math.log(2.0 * 4 * math.pi**2 * m * m / (3.0 * 0.05))
-        assert bernstein_radius(st_, 4, 0.05) == 28.0 * 0.5 * log_term / (3.0 * (m - 1))
+        assert confidence_radius(st_, 4, 0.05, "bernstein") == 28.0 * 0.5 * log_term / (3.0 * (m - 1))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -166,25 +166,27 @@ class TestBernsteinRadius:
 
     def test_strict_mode_uses_smaller_log_term(self):
         st_ = stats_with([0.0, 0.3, 0.1, 0.4], w_star=0.5, n_leaves=4)
-        loose = bernstein_radius(st_, 4, 0.05)
-        strict = bernstein_radius(st_, 4, 0.05, strict_paper=True)
+        loose = confidence_radius(st_, 4, 0.05, "bernstein")
+        strict = confidence_radius(st_, 4, 0.05, "bernstein", strict_paper=True)
         assert strict < loose
 
 
 class TestConfidenceRadius:
     def test_modes_dispatch(self):
         st_ = stats_with([0.0, 0.3, 0.1], w_star=0.5, n_leaves=4)
-        h = hoeffding_radius(st_, 4, 0.05)
-        b = bernstein_radius(st_, 4, 0.05)
-        assert confidence_radius(st_, 4, 0.05, "hoeffding") == h
-        assert confidence_radius(st_, 4, 0.05, "bernstein") == b
+        h = confidence_radius(st_, 4, 0.05, "hoeffding")
+        b = confidence_radius(st_, 4, 0.05, "bernstein")
+        assert h == reference_confidence_radius(st_, 4, 0.05, "hoeffding")
+        assert b == reference_confidence_radius(st_, 4, 0.05, "bernstein")
+        assert h != b
         assert confidence_radius(st_, 4, 0.05, "min") == min(h, b)
+        assert confidence_radius(st_, 4, 0.05) == min(h, b)
         with pytest.raises(ValueError):
             confidence_radius(st_, 4, 0.05, "other")
 
     def test_min_mode_with_one_sample_falls_back_to_hoeffding(self):
         st_ = stats_with([0.2])
-        assert confidence_radius(st_, 4, 0.05, "min") == hoeffding_radius(st_, 4, 0.05)
+        assert confidence_radius(st_, 4, 0.05, "min") == confidence_radius(st_, 4, 0.05, "hoeffding")
 
 
 class TestRadiusAgainstReference:
@@ -202,10 +204,6 @@ class TestRadiusAgainstReference:
                     want = reference_confidence_radius(st_, k, delta, mode, strict_paper=strict)
                     got = confidence_radius(st_, k, delta, mode, strict_paper=strict)
                     assert got == want, (w_star, n_leaves, m, k, delta)
-                    if mode == "hoeffding":
-                        assert hoeffding_radius(st_, k, delta) == want
-                    elif mode == "bernstein":
-                        assert bernstein_radius(st_, k, delta, strict_paper=strict) == want
 
     @settings(max_examples=80, deadline=None)
     @given(
