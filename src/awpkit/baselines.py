@@ -19,8 +19,9 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import fsum
+from operator import itemgetter
 
-from awpkit.engine import PruningResult, build_result, split_node
+from awpkit.engine import PruningResult, PruningSearch
 from awpkit.estimator import NodeStats
 from awpkit.oracle import Oracle
 from awpkit.tree import HierTree
@@ -64,65 +65,58 @@ def empirical_score(w_star: float, n_leaves: int, values) -> float:
     return (n_leaves / len(vals)) * fsum(abs(avg - x) for x in vals)
 
 
-def _check_run_args(tree: HierTree, oracle: Oracle, k: int, budget: Budget) -> None:
-    if oracle.tree is not tree:
-        raise ValueError("oracle is bound to a different tree")
+def _check_run_args(tree: HierTree, k: int, budget: Budget) -> None:
     if not (1 <= k <= tree.leaf_count_total):
         raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
     if budget.node < k - 1:
         raise ValueError(f"node budget {budget.node} cannot cover {k - 1} splits")
 
 
-def _draw_all(tree, oracle, rng, count, trace):
+def _draw_all(search: PruningSearch, rng: random.Random, count: int) -> list[tuple[int, float]]:
     """Uniform-with-replacement leaf draws over the whole leaf set,
-    attributed to the root (they serve no single node).  Returns the drawn
-    leaf positions and their weights."""
-    root = tree.root_id
-    n = tree.leaf_count_total
-    positions = []
-    values = []
-    order = tree.leaf_order
+    attributed to the root (they serve no single node).  Returns the
+    (leaf position, weight) pairs in draw order."""
+    root = search.tree.root_id
+    n = search.tree.leaf_count_total
+    draws = []
     for _ in range(count):
         pos = rng.randrange(n)
-        val = oracle.query_leaf(pos, attributed_to=root)
-        positions.append(pos)
-        values.append(val)
-        trace.append(("SAMPLE", root, order[pos], val))
-    return positions, values
+        draws.append((pos, search.draw(pos, root)))
+    return draws
+
+
+def _split_best(search: PruningSearch, k: int, key) -> None:
+    """Split the internal pruning node with the largest key (smallest id
+    on ties) until the pruning has k nodes."""
+    tree = search.tree
+    # k <= leaf_count_total, and a pruning of leaves only has that many
+    # nodes, so each split finds an internal node.
+    while len(search.pruning) < k:
+        search.split(max((v for v in search.pruning if not tree.is_leaf(v)), key=key))
 
 
 def run_weight(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int) -> PruningResult:
     """Split the heaviest pruning node k-1 times, then spend the whole
     basic budget on uniform leaf draws used only to refine the output."""
-    _check_run_args(tree, oracle, k, budget)
-    pruning = [tree.root_id]
-    weights = {tree.root_id: 1.0}
-    trace: list[tuple] = []
-    # k <= leaf_count_total, and a pruning of leaves only has that many
-    # nodes, so each of the k-1 splits finds an internal node.
-    for _ in range(k - 1):
-        target = max((v for v in pruning if not tree.is_leaf(v)), key=weights.__getitem__)
-        weights.update(split_node(tree, oracle, pruning, trace, target, weights[target]))
-    positions, values = _draw_all(tree, oracle, random.Random(seed), budget.basic, trace)
-    stats = {v: NodeStats(v, weights[v], tree.leaf_count(v)) for v in pruning}
-    return build_result(tree, oracle, pruning, dict(zip(positions, values)), stats, trace, None)
+    search = PruningSearch(tree, oracle)
+    _check_run_args(tree, k, budget)
+    _split_best(search, k, search.mass.__getitem__)
+    _draw_all(search, random.Random(seed), budget.basic)
+    return search.finish({v: NodeStats(v, search.mass[v], tree.leaf_count(v)) for v in search.pruning})
 
 
 def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
-    _check_run_args(tree, oracle, k, budget)
-    rng = random.Random(seed)
-    trace: list[tuple] = []
-    positions, values = _draw_all(tree, oracle, rng, budget.basic, trace)
-    by_pos = sorted(range(len(positions)), key=positions.__getitem__)
-    pos_sorted = [positions[i] for i in by_pos]
-    val_sorted = [values[i] for i in by_pos]
+    search = PruningSearch(tree, oracle)
+    _check_run_args(tree, k, budget)
+    draws = sorted(_draw_all(search, random.Random(seed), budget.basic), key=itemgetter(0))
+    pos_sorted = [pos for pos, _ in draws]
+    val_sorted = [x for _, x in draws]
 
     def subsample(v):
         lo, hi = tree.span(v)
         return val_sorted[bisect_left(pos_sorted, lo) : bisect_left(pos_sorted, hi)]
 
-    pruning = [tree.root_id]
-    weights = {tree.root_id: 1.0}
+    mass = search.mass
     scores: dict[int, float | None] = {}
 
     def rank(v):
@@ -130,17 +124,14 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
         # not, which rank by mass.
         if v not in scores:
             sub = subsample(v)
-            scores[v] = score_fn(weights[v], tree.leaf_count(v), sub) if sub else None
+            scores[v] = score_fn(mass[v], tree.leaf_count(v), sub) if sub else None
         s = scores[v]
-        return (False, weights[v]) if s is None else (True, s)
+        return (False, mass[v]) if s is None else (True, s)
 
-    # k <= leaf_count_total, and a pruning of leaves only has that many
-    # nodes, so each of the k-1 splits finds an internal node.
-    for _ in range(k - 1):
-        target = max((v for v in pruning if not tree.is_leaf(v)), key=rank)
-        weights.update(split_node(tree, oracle, pruning, trace, target, weights[target]))
-    stats = {v: NodeStats(v, weights[v], tree.leaf_count(v), samples=subsample(v)) for v in pruning}
-    return build_result(tree, oracle, pruning, dict(zip(positions, values)), stats, trace, None)
+    _split_best(search, k, rank)
+    return search.finish(
+        {v: NodeStats(v, mass[v], tree.leaf_count(v), samples=subsample(v)) for v in search.pruning}
+    )
 
 
 def run_uniform(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int) -> PruningResult:

@@ -202,6 +202,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms {bad}, expected subset of {ALGORITHMS}")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"algorithms must be distinct, got {','.join(self.algorithms)}")
 
     def engine_config(self, k: int, seed: int) -> EngineConfig:
         """Engine parameters of one (k, run) cell."""
@@ -353,16 +355,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if _parse_spec(args.spec, "tree") is None:
         raise UsageError(f"synth needs a generator spec, got {args.spec!r}")
-    tree, built_weights = make_tree_source(args.spec, args.seed)
-    dump_tree(tree, args.out_tree)
+    if args.weights is not None and not args.out_weights:
+        raise UsageError("--weights needs --out-weights")
+    # Resolve everything before writing, so a failed synth writes no file.
+    tree, weights = make_tree_source(args.spec, args.seed)
+    if args.weights is not None:
+        weights = make_target_source(args.weights, tree, args.seed)
+    if args.out_weights and weights is None:
+        raise UsageError("this spec defines no weights; pass --weights to synthesize some")
     if args.out_weights:
-        if args.weights:
-            weights = make_target_source(args.weights, tree, args.seed)
-        elif built_weights is not None:
-            weights = built_weights
-        else:
-            raise UsageError("this spec defines no weights; pass --weights to synthesize some")
         dump_weights(weights, args.out_weights)
+        # Free the weights before the tree's text is built, so that synth
+        # never holds both at once.
+        del weights
+    dump_tree(tree, args.out_tree)
     return 0
 
 

@@ -96,117 +96,122 @@ class PruningResult:
         return out
 
 
-def split_node(
-    tree: HierTree,
-    oracle: Oracle,
-    pruning: list[int],
-    trace: list,
-    v: int,
-    w_v: float,
-) -> tuple[tuple[int, float], tuple[int, float]]:
-    """Replace pruning node v, of known mass w_v, by its children in place
-    and append a SPLIT event.  Returns ((left, mass), (right, mass)).
+class PruningSearch:
+    """The state every pruning search shares, grown from the pruning {root}.
 
-    Costs one node query, for the right child; the left child's mass is
-    w_v minus it, clamped at zero within MASS_TOL.
+    ``pruning`` holds the node ids in ascending order, ``mass`` each node's
+    known mass (the root's is 1 by definition of a weighting, so it is
+    never queried), ``queried`` maps leaf positions to their queried
+    weights, and ``trace`` records every query as a SAMPLE or SPLIT event.
     """
-    l = tree.left(v)
-    r = tree.right(v)
-    w_r = oracle.query_node(r)
-    w_l = w_v - w_r
-    if w_l < 0.0:
-        if w_l < -MASS_TOL:
-            raise InvariantError(f"child mass {w_l!r} below zero at node {v}")
-        w_l = 0.0
-    pruning.remove(v)
-    insort(pruning, l)
-    insort(pruning, r)
-    trace.append(("SPLIT", v, w_r))
-    if not is_pruning(tree, pruning):
-        raise InvariantError(f"pruning broken after splitting node {v}")
-    return (l, w_l), (r, w_r)
+
+    def __init__(self, tree: HierTree, oracle: Oracle):
+        if oracle.tree is not tree:
+            raise ValueError("oracle is bound to a different tree")
+        self.tree = tree
+        self.oracle = oracle
+        self.pruning: list[int] = [tree.root_id]
+        self.mass: dict[int, float] = {tree.root_id: 1.0}
+        self.queried: dict[int, float] = {}
+        self.trace: list[tuple] = []
+
+    def draw(self, pos: int, v: int) -> float:
+        """Query the weight of the leaf at position pos on behalf of node v."""
+        value = self.oracle.query_leaf(pos, attributed_to=v)
+        self.queried[pos] = value
+        self.trace.append(("SAMPLE", v, self.tree.leaf_order[pos], value))
+        return value
+
+    def split(self, v: int) -> tuple[int, int]:
+        """Replace pruning node v by its children and return them.
+
+        Costs one node query, for the right child; the left child's mass is
+        v's minus it, clamped at zero within MASS_TOL.
+        """
+        tree = self.tree
+        l = tree.left(v)
+        r = tree.right(v)
+        w_r = self.oracle.query_node(r)
+        w_l = self.mass[v] - w_r
+        if w_l < 0.0:
+            if w_l < -MASS_TOL:
+                raise InvariantError(f"child mass {w_l!r} below zero at node {v}")
+            w_l = 0.0
+        self.mass[l] = w_l
+        self.mass[r] = w_r
+        pruning = self.pruning
+        pruning.remove(v)
+        insort(pruning, l)
+        insort(pruning, r)
+        self.trace.append(("SPLIT", v, w_r))
+        if not is_pruning(tree, pruning):
+            raise InvariantError(f"pruning broken after splitting node {v}")
+        return l, r
+
+    def finish(self, stats: dict[int, NodeStats], early_stop: str | None = None) -> PruningResult:
+        """Freeze the search into a PruningResult, spreading the pruning's
+        node masses into the refined weighting."""
+        ptuple = tuple(self.pruning)
+        node_weights = {v: self.mass[v] for v in ptuple}
+        refined = refine_with_queries(self.tree, ptuple, node_weights, self.queried)
+        total = fsum(refined)
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+            raise InvariantError(f"refined weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
+        return PruningResult(
+            pruning=ptuple,
+            node_weights=node_weights,
+            w_p_refined=refined,
+            ledger=self.oracle.ledger.snapshot(),
+            stats=stats,
+            trace=tuple(self.trace),
+            early_stop=early_stop,
+        )
 
 
-def build_result(
-    tree: HierTree,
-    oracle: Oracle,
-    pruning: list[int],
-    queried: dict[int, float],
-    stats: dict[int, NodeStats],
-    trace: list,
-    early_stop: str | None,
-) -> PruningResult:
-    """Freeze a finished search into a PruningResult, spreading the
-    pruning's node masses (read from ``stats``, which must cover every
-    pruning node) into the refined weighting.  ``queried`` maps leaf
-    positions to their queried weights."""
-    ptuple = tuple(pruning)
-    node_weights = {v: stats[v].w_star for v in ptuple}
-    refined = refine_with_queries(tree, ptuple, node_weights, queried)
-    total = fsum(refined)
-    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-        raise InvariantError(f"refined weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
-    return PruningResult(
-        pruning=ptuple,
-        node_weights=node_weights,
-        w_p_refined=refined,
-        ledger=oracle.ledger.snapshot(),
-        stats=stats,
-        trace=tuple(trace),
-        early_stop=early_stop,
-    )
-
-
-class AwpRun:
+class AwpRun(PruningSearch):
     """Mutable state of one adaptive run; drive via sample_step and
     split_check, or use run_awp for the full loop.
 
-    ``open`` holds the internal nodes of the pruning in ascending id order,
-    and only they are scored: a pruning leaf is never drawn from or split,
-    and it is every node's rival at an optimistic value of exactly 0 (a
-    single leaf has no discrepancy).  Every pick takes the largest score,
-    and the smallest id on ties.
+    Only the internal nodes of the pruning, the open nodes, are scored: a
+    pruning leaf is never drawn from or split, and it is every node's
+    rival at an optimistic value of exactly 0 (a single leaf has no
+    discrepancy).  Every pick takes the largest score, and the smallest id
+    on ties.
 
-    No pick scans ``open`` per query; two lazy max-heaps answer them:
+    No pick scans the pruning per query; two lazy max-heaps answer them:
       - ``(-ucb, v, stamp)`` for every open node v;
       - ``(-(beta * lcb), v, stamp)`` for every open node v with a draw.
     Each rescore of v takes a fresh stamp, records it as ``_stamp[v]`` (the
     stamp of v's live entries) and pushes both entries; a split deletes
-    v's stamp.  An entry whose stamp is not live is popped once it reaches
-    the top, so the top live entry has the largest value and, by tuple
-    order, the smallest id on ties.
+    v's stamp, so the keys of ``_stamp`` are exactly the open nodes.  An
+    entry whose stamp is not live is popped once it reaches the top, so
+    the top live entry has the largest value and, by tuple order, the
+    smallest id on ties.
 
     A draw takes the top of the ucb heap.  A split check filters, then
     scans: some node qualifies iff the best lcb key other than the top
     ucb node's reaches the top ucb, or the top ucb node's own key reaches
-    the second-best ucb.  Only then, on the rare hit, is ``open`` scanned
-    in id order for the first qualifying node.
+    the second-best ucb.  Only then, on the rare hit, is the pruning
+    scanned in id order for the first qualifying node; a pruning leaf
+    never has an lcb, so the scan skips it.
     """
 
     def __init__(self, tree: HierTree, oracle: Oracle, config: EngineConfig):
-        if oracle.tree is not tree:
-            raise ValueError("oracle is bound to a different tree")
+        super().__init__(tree, oracle)
         if not (2 <= config.k <= tree.leaf_count_total):
             raise ValueError(f"k must be in 2..{tree.leaf_count_total}, got {config.k}")
-        self.tree = tree
-        self.oracle = oracle
         self.config = config
         self.rng = random.Random(config.seed)
         root = tree.root_id
-        # Root mass is 1 by definition of a weighting; never queried.
-        self.stats: dict[int, NodeStats] = {root: NodeStats(root, 1.0, tree.leaf_count(root))}
-        self.pruning: list[int] = [root]
-        # k >= 2 leaves, so the root is internal.
-        self.open: list[int] = [root]
+        self.stats: dict[int, NodeStats] = {root: NodeStats(root, self.mass[root], tree.leaf_count(root))}
         # Pessimistic estimates of the open nodes with at least one draw.
         self._lcb: dict[int, float] = {}
         self._ucb_heap: list[tuple[float, int, int]] = []
         self._lcb_heap: list[tuple[float, int, int]] = []
         self._stamp: dict[int, int] = {}
         self._clock = count()
-        self.trace: list[tuple] = []
-        self.queried: dict[int, float] = {}
         self.early_stop: str | None = None
+        # k >= 2 leaves, so the root is internal.
         self._rescore(root)
 
     # -- scoring -----------------------------------------------------------
@@ -253,27 +258,21 @@ class AwpRun:
         """Draw one leaf from the most promising internal pruning node
         (largest optimistic estimate, smallest id on ties) and record its
         weight.  Returns the sampled node's id."""
-        if not self.open:
-            raise InvariantError("no internal node available to sample")
         target = self._top(self._ucb_heap)[1]
+        if target < 0:
+            raise InvariantError("no internal node available to sample")
         lo, hi = self.tree._span[target]
-        pos = self.rng.randrange(lo, hi)
-        value = self.oracle.query_leaf(pos, attributed_to=target)
-        self.queried[pos] = value
-        self.stats[target].push(value)
-        self.trace.append(("SAMPLE", target, self.tree.leaf_order[pos], value))
+        self.stats[target].push(self.draw(self.rng.randrange(lo, hi), target))
         self._rescore(target)
         return target
 
     # -- splitting ---------------------------------------------------------
 
     def _split(self, v: int) -> None:
-        self.open.remove(v)
         del self._stamp[v], self._lcb[v]
-        for c, w in split_node(self.tree, self.oracle, self.pruning, self.trace, v, self.stats[v].w_star):
-            self.stats[c] = NodeStats(c, w, self.tree.leaf_count(c))
+        for c in self.split(v):
+            self.stats[c] = NodeStats(c, self.mass[c], self.tree.leaf_count(c))
             if not self.tree.is_leaf(c):
-                insort(self.open, c)
                 self._rescore(c)
 
     def split_check(self) -> list[int]:
@@ -286,7 +285,7 @@ class AwpRun:
             # Each node's rival is the best optimistic value among the
             # others: top2 for top1_node, top1 for the rest.  Pruning leaves
             # all sit at 0, so they only set the floor.
-            floor = 0.0 if len(self.open) < len(self.pruning) else -inf
+            floor = 0.0 if len(self._stamp) < len(self.pruning) else -inf
             top1, top1_node = self._top(self._ucb_heap)
             if top1 <= floor:
                 top1 = top2 = floor
@@ -301,7 +300,7 @@ class AwpRun:
                 or (top1_node in self._lcb and beta * self._lcb[top1_node] >= top2)
             ):
                 break
-            for v in self.open:
+            for v in self.pruning:
                 if v in self._lcb and beta * self._lcb[v] >= (top2 if v == top1_node else top1):
                     break
             else:
@@ -313,9 +312,7 @@ class AwpRun:
     # -- assembling the outcome -------------------------------------------
 
     def result(self) -> PruningResult:
-        return build_result(
-            self.tree, self.oracle, self.pruning, self.queried, dict(self.stats), self.trace, self.early_stop
-        )
+        return self.finish(dict(self.stats), self.early_stop)
 
 
 def run_awp(tree: HierTree, oracle: Oracle, config: EngineConfig) -> PruningResult:

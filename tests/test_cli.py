@@ -380,6 +380,14 @@ class TestMain:
         ])
         assert rc == 1
         assert "no weights" in capsys.readouterr().err
+        assert not (tmp_path / "o.hwt").exists()
+
+    @pytest.mark.parametrize("weights_src", ["geometric:bins=100,ratio=2", "nosuchfile.txt"])
+    def test_synth_weights_need_out_weights(self, tmp_path, capsys, weights_src):
+        rc = main(["synth", "random-balanced:n=8", "--weights", weights_src, "--out-tree", str(tmp_path / "t.hwt")])
+        assert rc == 1
+        assert "--weights needs --out-weights" in capsys.readouterr().err
+        assert not (tmp_path / "t.hwt").exists()
 
     def test_inspect_output(self, tmp_path, capsys):
         tree_path, w_path = write_quad(tmp_path)
@@ -426,6 +434,10 @@ class TestMain:
         assert main([]) == 1
         args, _, _ = self.run_args(tmp_path, "v", extra=("--algorithms", "awp,psychic"))
         assert main(args) == 1
+        args, csv, _ = self.run_args(tmp_path, "w", extra=("--algorithms", "awp,awp"))
+        assert main(args) == 1
+        assert "algorithms must be distinct" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_exit_code_2_bad_input(self, tmp_path, capsys):
         rc = main([
@@ -493,6 +505,7 @@ class TestMain:
             ("tightness:n=8,k=3", "geometric:bins=2,ratio=2"),
             ("random-balanced:n=64", "geometric:bins=4,ratio=2,layot=contiguous"),
             ("random-balanced:n=64", "geometric:bins=4,ratio=2,ratio=3"),
+            ("random-balanced:n=8", "geometric:bins=100,ratio=2"),
         ],
     )
     def test_exit_code_1_bad_generator_parameters(self, tmp_path, capsys, tree_src, weights_src):
@@ -516,6 +529,7 @@ class TestMain:
         ])
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "t.hwt").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_exit_code_2_non_finite_weight(self, tmp_path, bad):

@@ -7,8 +7,10 @@ from math import fsum, inf, isinf
 import pytest
 
 from awpkit.engine import (
+    MASS_TOL,
     AwpRun,
     EngineConfig,
+    PruningSearch,
     refine_with_queries,
     normalized_distance,
     run_awp,
@@ -24,6 +26,7 @@ from awpkit.oracle import (
 )
 from awpkit.tree import (
     HierTree,
+    InvariantError,
     WeightTable,
     induced_weighting,
     is_pruning,
@@ -80,6 +83,43 @@ class TestSplitCriterion:
         assert sc_satisfied(4.0, 0.5, 0.1, 1.0)
         assert not sc_satisfied(4.0, 0.5, 0.4, 1.0)
         assert sc_satisfied(4.0, 0.0, inf, -inf)
+
+
+class TestSplitStep:
+    # quad_instance: root 0 over 1 = (a, b) and 4 = (c, d), node 4 of mass 0.4.
+    def test_left_mass_within_tolerance_clamps_to_zero(self):
+        tree, truth = quad_instance()
+        search = PruningSearch(tree, Oracle(tree, truth))
+        w_r = Oracle(tree, truth).query_node(4)
+        search.mass[0] = w_r - MASS_TOL / 2
+        assert search.split(0) == (1, 4)
+        assert search.mass[1] == 0.0 and search.mass[4] == w_r
+        assert search.pruning == [1, 4]
+        assert search.trace == [("SPLIT", 0, w_r)]
+
+    def test_left_mass_below_tolerance_raises(self):
+        tree, truth = quad_instance()
+        search = PruningSearch(tree, Oracle(tree, truth))
+        search.mass[0] = Oracle(tree, truth).query_node(4) - 10 * MASS_TOL
+        with pytest.raises(InvariantError, match="below zero"):
+            search.split(0)
+
+    def test_splitting_a_leaf_raises(self):
+        tree, truth = quad_instance()
+        search = PruningSearch(tree, Oracle(tree, truth))
+        search.split(0)
+        search.split(1)
+        with pytest.raises(ValueError, match="leaf"):
+            search.split(2)
+        assert search.pruning == [2, 3, 4]
+        assert search.oracle.ledger.node_queries == 2
+
+    def test_broken_pruning_raises(self):
+        tree, truth = quad_instance()
+        search = PruningSearch(tree, Oracle(tree, truth))
+        search.pruning.append(4)
+        with pytest.raises(InvariantError, match="pruning broken"):
+            search.split(0)
 
 
 class TestMinimalRun:
@@ -210,7 +250,7 @@ class TestHandDrivenSelection:
                 want = argmax_ucb(tree, run.stats, run.pruning, cfg)
                 assert run.sample_step() == want
             checks = rng.choice((0, 1, 2))
-        assert run.open == [v for v in run.pruning if not tree.is_leaf(v)]
+        assert sorted(run._stamp) == [v for v in run.pruning if not tree.is_leaf(v)]
         assert splits and len(run.pruning) == len(splits) + 1
 
 
@@ -243,7 +283,7 @@ class TestBookkeeping:
         run = AwpRun(tree, Oracle(tree, truth), cfg)
 
         def check():
-            assert run.open == [v for v in run.pruning if not tree.is_leaf(v)]
+            assert sorted(run._stamp) == [v for v in run.pruning if not tree.is_leaf(v)]
 
         check()
         while len(run.pruning) < cfg.k:
