@@ -8,19 +8,22 @@ discrepancy of a node measures how far the target weighting is from uniform
 on the node's leaves, and the discrepancy of a pruning is the l1 distance
 between the induced weighting and the target.
 
-All l1 accumulations use ``math.fsum``, or the exact integer prefix sums of
-``span_sums``, which equal it bit for bit, so that results are
-reproducible to well below the documented tolerances regardless of
-summation order.
+All l1 accumulations use ``math.fsum``, or an exact integer sum over one
+power-of-two denominator followed by one correctly rounded ``int / int``
+division, which equals it bit for bit: the prefix sums of ``span_sums``
+for span masses, and the sums grouped by distinct leaf value in
+``node_discrepancies``.  So results are reproducible to well below the
+documented tolerances regardless of summation order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import accumulate, repeat
-from math import fsum, inf
-from operator import itemgetter, sub
+from math import fsum, inf, isfinite
+from operator import floordiv, itemgetter, mul, sub
 from typing import Union
 
 WEIGHT_SUM_TOL = 1e-9
@@ -65,15 +68,22 @@ class WeightTable(Mapping):
     __slots__ = ("_w",)
 
     def __init__(self, weights: Mapping[str, float]):
-        items = {}
-        for label, value in weights.items():
-            value = float(value)
-            if not 0.0 <= value < inf:
-                raise ValueError(f"weight {value!r} for leaf {label!r} is not a finite non-negative number")
-            items[str(label)] = value
+        items = dict(weights)
+        # Weight files and the generators give str labels and floats, which
+        # are taken as they are; anything else is converted once.
+        if set(map(type, items)) != {str} or set(map(type, items.values())) != {float}:
+            items = {str(label): float(value) for label, value in items.items()}
         if not items:
             raise ValueError("empty weight table")
-        total = fsum(items.values())
+        values = items.values()
+        try:
+            total = fsum(values)
+        except (ValueError, OverflowError):  # inf - inf, or past the float range
+            total = inf
+        if not isfinite(total) or min(values) < 0.0:
+            for label, value in items.items():
+                if not 0.0 <= value < inf:
+                    raise ValueError(f"weight {value!r} for leaf {label!r} is not a finite non-negative number")
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
         self._w = items
@@ -134,6 +144,7 @@ class HierTree:
         "_span",
         "_depth",
         "_order",
+        "_pre",
         "root_id",
         "node_count",
         "leaf_count_total",
@@ -218,7 +229,8 @@ class HierTree:
 
     def _build_index(self, root: int) -> None:
         """One iterative preorder walk from the root: leaf order and depths
-        on the way down, spans in reverse preorder."""
+        on the way down, spans in reverse preorder.  ``_pre`` keeps the
+        preorder, so reversed it visits children before their parents."""
         n = self.node_count
         children, labels = self._children, self._labels
         self.root_id = root
@@ -259,6 +271,7 @@ class HierTree:
         self._span = span
         self._depth = depth
         self._order = tuple(order)
+        self._pre = pre
         self.leaf_count_total = len(order)
 
     def _check_id(self, v: int) -> None:
@@ -374,6 +387,26 @@ def _discrepancy(vals: Sequence[float]) -> float:
     return fsum(map(abs, map(sub, repeat(avg, len(vals)), vals)))
 
 
+# Cut-overs of node_discrepancies; its docstring says how they are used.
+_SMALL = 64
+_KEEP_RATIO = 2
+_GROUP_RATIO = 10
+
+
+def _grouped_deviation(avg: float, counts: Mapping) -> float:
+    """Sum of m * |avg - x| over the value counts ``{x: m}`` of a span.
+
+    Each term |avg - x| is rounded to a float as ``fsum`` rounds it; the
+    m-fold terms are summed exactly as integers over one power-of-two
+    denominator, and the one ``int / int`` division rounds correctly, so
+    the result equals ``fsum`` over the span's per-leaf terms bit for bit.
+    """
+    ratios = list(map(float.as_integer_ratio, map(float, map(abs, map(sub, repeat(avg), counts)))))
+    d = max(map(itemgetter(1), ratios))
+    scaled = map(mul, map(itemgetter(0), ratios), map(floordiv, repeat(d), map(itemgetter(1), ratios)))
+    return sum(map(mul, counts.values(), scaled)) / d
+
+
 def node_discrepancy(tree: HierTree, v: int, w: Mapping[str, float]) -> float:
     """Sum over the node's leaves of |node_average - leaf_weight|.
 
@@ -386,16 +419,57 @@ def node_discrepancy(tree: HierTree, v: int, w: Mapping[str, float]) -> float:
 
 
 def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
-    """Discrepancy of every node, indexed by node id.  Each node's mean comes
-    from exact prefix sums, so only the deviation pass walks its leaves;
-    a leaf's discrepancy is always 0.0."""
+    """Discrepancy of every node, indexed by node id; a leaf's is 0.0.
+
+    Every value equals ``fsum`` of |avg - x| over the node's leaf values x
+    bit for bit, with ``avg`` the node's exact prefix-sum mass
+    ``(P[hi] - P[lo]) / D`` (see ``span_sums``) over its leaf count.
+
+    Nodes are visited children first.  A node of more than ``_SMALL``
+    leaves builds the value -> count map of its span: it merges its
+    children's maps, the smaller into the larger, and counts the leaves of
+    a child of at most ``_SMALL`` leaves, which keeps no map.  When the map
+    holds at most one distinct value per ``_GROUP_RATIO`` leaves, the node
+    costs one term per distinct value (``_grouped_deviation``); otherwise
+    it walks its leaves.  A map with more than ``_SMALL`` values and more
+    than one per ``_KEEP_RATIO`` leaves is dropped, and every ancestor of
+    its node walks its leaves too.  So a target with few distinct values
+    costs about the node count times that number on every tree shape, and
+    one with all-distinct values the sum of all span lengths, as a leaf
+    pass does.  Maps are freed as soon as the parent has taken them.
+    """
     vals = _leaf_values(tree, w)
     sums, den = span_sums(vals)
     out = [0.0] * tree.node_count
-    for v, (lo, hi) in enumerate(tree._span):
-        if hi - lo > 1:
-            avg = (sums[hi] - sums[lo]) / den / (hi - lo)
-            out[v] = fsum(map(abs, map(sub, repeat(avg, hi - lo), vals[lo:hi])))
+    span, children = tree._span, tree._children
+    counts: list[Counter | None] = [None] * tree.node_count
+    for v in reversed(tree._pre):
+        lo, hi = span[v]
+        c = hi - lo
+        if c == 1:
+            continue
+        avg = (sums[hi] - sums[lo]) / den / c
+        if c > _SMALL:
+            l, r = children[v]
+            mid = span[l][1]
+            # A child of at most _SMALL leaves has no map: take its leaves.
+            a = counts[l] if mid - lo > _SMALL else vals[lo:mid]
+            b = counts[r] if hi - mid > _SMALL else vals[mid:hi]
+            counts[l] = counts[r] = None
+            if a is not None and b is not None:
+                # Count into the larger map; a list is no map.
+                if isinstance(a, list) or (not isinstance(b, list) and len(a) < len(b)):
+                    a, b = b, a
+                if isinstance(a, list):
+                    a = Counter(a)
+                a.update(b)
+                g = len(a)
+                if g <= _SMALL or g * _KEEP_RATIO <= c:
+                    counts[v] = a
+                    if g * _GROUP_RATIO <= c:
+                        out[v] = _grouped_deviation(avg, a)
+                        continue
+        out[v] = fsum(map(abs, map(sub, repeat(avg, c), vals[lo:hi])))
     return out
 
 
@@ -515,9 +589,10 @@ def optimal_pruning(
     smallest left budget wins.  This makes the reported pruning
     deterministic.
 
-    The dynamic program takes O(n·k) time for n leaves on every tree shape;
-    the ``node_discrepancies`` pass before it costs the sum of all node
-    leaf counts.
+    The dynamic program takes O(n·k) time for n leaves on every tree shape.
+    The ``node_discrepancies`` pass before it costs about the node count
+    times the number of distinct leaf values when that number is small,
+    and at most the sum of all node leaf counts otherwise.
     """
     if not (1 <= k <= tree.leaf_count_total):
         raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
@@ -529,22 +604,22 @@ def optimal_pruning(
     cost: list[list[float]] = [[]] * tree.node_count
     choice: list[list[int | None]] = [[]] * tree.node_count
 
-    # Children precede parents in reversed preorder only for preorder id
-    # assignment, which from_records does not guarantee; order by depth.
-    by_depth = sorted(range(tree.node_count), key=tree.depth, reverse=True)
-    for v in by_depth:
-        if tree.is_leaf(v):
+    span, children = tree._span, tree._children
+    for v in reversed(tree._pre):
+        kids = children[v]
+        if not kids:
             cost[v] = [0.0]
             choice[v] = [None]
             continue
-        l, r = tree.children(v)
+        l, r = kids
         cost_l, cost_r = cost[l], cost[r]
         n_l, n_r = len(cost_l), len(cost_r)
         right_full = cost_r[-1]
         cv: list[float] = []
         ch: list[int | None] = []
         first = 1
-        for b in range(1, min(k, tree.leaf_count(v)) + 1):
+        lo, hi = span[v]
+        for b in range(1, min(k, hi - lo) + 1):
             best = disc[v]
             pick: int | None = None
             # A left budget bl <= b - n_r leaves the right child all it can
@@ -580,7 +655,7 @@ def optimal_pruning(
         if pick is None:
             result.append(v)
         else:
-            l, r = tree.children(v)
+            l, r = children[v]
             stack.append((l, pick))
             stack.append((r, b - pick))
     result.sort()

@@ -548,6 +548,13 @@ class TestMain:
         ])
         assert rc == 2
 
+    def test_exit_code_2_weights_summing_past_the_float_range(self, tmp_path, capsys):
+        tree_path, _ = write_quad(tmp_path)
+        w_path = tmp_path / "big.txt"
+        w_path.write_text("a 1e308\nb 1e308\nc 0\nd 0\n", encoding="utf-8")
+        assert main(["inspect", "--tree", tree_path, "--weights", str(w_path)]) == 2
+        assert "bad input: weights sum to inf" in capsys.readouterr().err
+
     def test_exit_code_2_infeasible_k(self, tmp_path):
         # k exceeding the leaf count surfaces as invalid input, not a crash.
         tree_path, w_path = write_quad(tmp_path)

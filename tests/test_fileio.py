@@ -171,6 +171,7 @@ class TestWeightFormat:
             ("a 0.5\na 0.5\n", "duplicate label"),
             ("a 0.5\nb 0.2\n", "sum"),
             ("a -0.5\nb 1.5\n", "negative"),
+            ("a 1e308\nb 1e308\n", "sum to inf"),
         ],
     )
     def test_malformed_weights(self, text, fragment):

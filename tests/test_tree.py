@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awpkit.fileio import dumps_tree, loads_tree
-from awpkit.oracle import Oracle
+from awpkit.oracle import Oracle, TargetSpec, make_geometric_target
 from awpkit.tree import (
     FileFormatError,
     HierTree,
@@ -211,6 +211,23 @@ class TestWeightTable:
         with pytest.raises(ValueError, match="finite"):
             WeightTable({"a": bad, "b": 0.5})
 
+    def test_names_the_first_bad_entry(self):
+        with pytest.raises(ValueError, match=r"weight -0\.25 for leaf 'b' is not a finite non-negative"):
+            WeightTable({"a": 0.5, "b": -0.25, "c": float("inf"), "d": float("nan")})
+
+    def test_total_past_the_float_range_is_a_bad_total(self):
+        with pytest.raises(ValueError, match="sum to inf"):
+            WeightTable({"a": 1e308, "b": 1e308})
+
+    def test_labels_become_str_and_values_plain_floats(self):
+        class Real(float):
+            pass
+
+        table = WeightTable({1: Fraction(1, 4), "b": Real(0.5), "c": 0, "d": Fraction(1, 4)})
+        assert dict(table) == {"1": 0.25, "b": 0.5, "c": 0.0, "d": 0.25}
+        assert {type(lab) for lab in table} == {str}
+        assert {type(x) for x in table.values()} == {float}
+
 
 class TestPruning:
     def test_membership_cases(self):
@@ -365,7 +382,8 @@ class TestLeafOrderWeightings:
 def span_sum_instances(seed):
     """Trees with weightings that stress exact span sums: every random
     weight kind, dyadic and subnormal weights, spans of signed zeros, and
-    int or Fraction values."""
+    int or Fraction values; then trees of a few hundred leaves with few
+    distinct values, whose larger nodes sum by value."""
     rng = random.Random(seed)
     for shape in ("random", "caterpillar"):
         n = rng.randint(1, 60)
@@ -380,6 +398,67 @@ def span_sum_instances(seed):
         yield tree, {lab: -0.0 for lab in labels}
         yield tree, {lab: rng.randint(0, 9) for lab in labels}
         yield tree, {lab: Fraction(rng.randint(0, 9), rng.randint(1, 7)) for lab in labels}
+    for shape in ("random", "caterpillar"):
+        n = rng.randint(200, 400)
+        tree = caterpillar(n) if shape == "caterpillar" else random_tree(rng, n)
+        for w in few_valued_weightings(rng, tree, seed):
+            yield tree, w
+    yield from cutover_instances(rng)
+
+
+def few_valued_weightings(rng, tree, seed):
+    """Weightings with 2 to 12 distinct values: random levels, geometric
+    bins, levels with signed zeros, subnormal levels, Fraction levels, and
+    few levels with one run of distinct values."""
+    labels = tree.leaf_order
+
+    def draw(levels):
+        return {lab: rng.choice(levels) for lab in labels}
+
+    yield draw([rng.random() for _ in range(rng.randint(2, 12))])
+    spec = TargetSpec("geometric-bins", n_bins=rng.randint(2, 12), ratio=rng.choice((2.0, 4.0, 10.0)))
+    yield make_geometric_target(tree, spec, seed)
+    yield draw([0.0, -0.0] + [rng.random() for _ in range(rng.randint(1, 4))])
+    yield draw([k * 2.0**-1074 for k in rng.sample(range(1, 40), rng.randint(2, 6))] + [0.0, 2.0**-1022])
+    yield draw([Fraction(1, 3), Fraction(2, 7), 0.25, rng.randint(0, 3)])
+    w = draw([rng.random() for _ in range(rng.randint(2, 5))])
+    start = rng.randrange(len(labels))
+    for lab in labels[start : start + rng.randint(20, 120)]:
+        w[lab] = rng.random()
+    yield w
+
+
+def cutover_instances(rng):
+    """Trees built so that nodes land on every side of the cut-overs of
+    ``node_discrepancies``: each joins a few-valued subtree to a sibling
+    whose values are all distinct."""
+    count = iter(range(10**6))
+
+    def subtree(n, levels):
+        # A random shape over n fresh labels, with the weight of each.
+        labels = [f"u{next(count):05d}" for _ in range(n)]
+        spec = labels[0]
+        for lab in labels[1:]:
+            spec = (spec, lab) if rng.random() < 0.5 else (lab, spec)
+        return spec, {lab: rng.choice(levels) if levels else rng.random() for lab in labels}
+
+    def join(*parts):
+        spec, w = parts[0]
+        for other_spec, other_w in parts[1:]:
+            spec, w = (spec, other_spec), {**w, **other_w}
+        return HierTree.from_nested(spec), w
+
+    few = [0.125, 0.25, 0.5]
+    # The few-valued child is summed by value; its parent gains 60 more
+    # distinct values, keeps its counts but walks its leaves.
+    yield join(subtree(200, few), subtree(60, None))
+    # 70 leaves with 6 values are summed by value; joined with 64 distinct
+    # values the counts are dropped, and the root above, whose other child
+    # is few-valued again, walks its leaves.
+    yield join(subtree(70, [rng.random() for _ in range(6)]), subtree(64, None), subtree(300, few))
+    # Two few-valued subtrees above 64 leaves each: the smaller counts are
+    # merged into the larger.
+    yield join(subtree(150, few), subtree(100, few + [0.75]), subtree(5, None))
 
 
 def float_bits(xs):
@@ -415,6 +494,37 @@ class TestSpanSums:
             for v in range(tree.node_count):
                 lo, hi = tree.span(v)
                 assert float_bits([oracle.query_node(v)]) == float_bits([fsum(vals[lo:hi])])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alphabet=st.lists(
+            st.floats(0.0, 1.0) | st.integers(0, 5).map(lambda m: m * 2.0**-1074) | st.just(-0.0),
+            min_size=1,
+            max_size=6,
+        ),
+        n=st.integers(60, 260),
+        shape=st.sampled_from(("random", "caterpillar")),
+        seed=st.integers(0, 10**6),
+    )
+    def test_small_alphabets_match_the_slice_reference(self, alphabet, n, shape, seed):
+        rng = random.Random(seed)
+        tree = caterpillar(n) if shape == "caterpillar" else random_tree(rng, n)
+        w = {lab: rng.choice(alphabet) for lab in tree.leaf_order}
+        assert float_bits(node_discrepancies(tree, w)) == float_bits(reference_node_discrepancies(tree, w))
+
+    def test_deep_few_valued_caterpillar_is_not_quadratic(self):
+        # 20,000 leaves in a chain: a pass over every node's leaves would
+        # touch 2e8 values.  Ten distinct weights keep it near linear.
+        n = 20_000
+        tree = caterpillar(n)
+        w = make_geometric_target(tree, TargetSpec("geometric-bins", n_bins=10, ratio=4.0), 0)
+        t0 = monotonic()
+        disc = node_discrepancies(tree, w)
+        nodes, cost = optimal_pruning(tree, 10, w)
+        elapsed = monotonic() - t0
+        assert len(nodes) <= 10 and is_pruning(tree, nodes)
+        assert cost <= disc[tree.root_id]
+        assert elapsed < 5.0
 
 
 def reference_split_quality(tree, w):
@@ -577,6 +687,22 @@ class TestOptimalPruning:
         w = WeightTable({f"l{i}": m for i, m in enumerate(masses)})
         assert optimal_pruning(t, 6, w) == ((1, 5, 6, 7, 18), 0.15625)
         assert reference_optimal_pruning(t, 6, w) == ((1, 5, 6, 7, 18), 0.15625)
+
+    def test_ids_need_not_follow_the_preorder(self):
+        # Shuffled ids put some children before their parents; the DP walks
+        # the tree's own preorder backwards, so ids do not matter.
+        rng = random.Random(7)
+        base = random_tree(rng, 30)
+        perm = list(range(base.node_count))
+        rng.shuffle(perm)
+        records = [
+            ("L", perm[v], base.label(v)) if base.is_leaf(v) else ("I", perm[v], tuple(perm[c] for c in base.children(v)))
+            for v in range(base.node_count)
+        ]
+        t = HierTree.from_records(records)
+        w = random_weight_table(rng, t.leaf_order)
+        for k in range(1, 31):
+            assert optimal_pruning(t, k, w) == reference_optimal_pruning(t, k, w)
 
     def test_deep_caterpillar_at_full_budget(self):
         # Depth 1499: the DP must neither recurse nor go quadratic in k.
