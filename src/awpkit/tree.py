@@ -68,11 +68,7 @@ class WeightTable(Mapping):
     __slots__ = ("_w",)
 
     def __init__(self, weights: Mapping[str, float]):
-        items = dict(weights)
-        # Weight files and the generators give str labels and floats, which
-        # are taken as they are; anything else is converted once.
-        if set(map(type, items)) != {str} or set(map(type, items.values())) != {float}:
-            items = {str(label): float(value) for label, value in items.items()}
+        items = {str(label): float(value) for label, value in weights.items()}
         if not items:
             raise ValueError("empty weight table")
         values = items.values()
@@ -389,7 +385,6 @@ def _discrepancy(vals: Sequence[float]) -> float:
 
 # Cut-overs of node_discrepancies; its docstring says how they are used.
 _SMALL = 64
-_KEEP_RATIO = 2
 _GROUP_RATIO = 10
 
 
@@ -431,12 +426,13 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     a child of at most ``_SMALL`` leaves, which keeps no map.  When the map
     holds at most one distinct value per ``_GROUP_RATIO`` leaves, the node
     costs one term per distinct value (``_grouped_deviation``); otherwise
-    it walks its leaves.  A map with more than ``_SMALL`` values and more
-    than one per ``_KEEP_RATIO`` leaves is dropped, and every ancestor of
-    its node walks its leaves too.  So a target with few distinct values
-    costs about the node count times that number on every tree shape, and
-    one with all-distinct values the sum of all span lengths, as a leaf
-    pass does.  Maps are freed as soon as the parent has taken them.
+    it walks its leaves.  Every node keeps its map, so an ancestor with
+    few distinct values per leaf is summed by value whatever its
+    descendants did.  So a target with g distinct values costs about the
+    node count times g on every tree shape, and one with all-distinct
+    values the sum of all span lengths, as a leaf pass does, plus the
+    merges (at most n log2 n entries for n leaves).  Maps are freed as
+    soon as the parent has taken them.
     """
     vals = _leaf_values(tree, w)
     sums, den = span_sums(vals)
@@ -456,19 +452,23 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
             a = counts[l] if mid - lo > _SMALL else vals[lo:mid]
             b = counts[r] if hi - mid > _SMALL else vals[mid:hi]
             counts[l] = counts[r] = None
-            if a is not None and b is not None:
-                # Count into the larger map; a list is no map.
-                if isinstance(a, list) or (not isinstance(b, list) and len(a) < len(b)):
-                    a, b = b, a
-                if isinstance(a, list):
-                    a = Counter(a)
+            # Count into the larger map; a list is no map.
+            if isinstance(a, list) or (not isinstance(b, list) and len(a) < len(b)):
+                a, b = b, a
+            if isinstance(a, list):
+                a = Counter(a)
+            if isinstance(b, list):
                 a.update(b)
-                g = len(a)
-                if g <= _SMALL or g * _KEEP_RATIO <= c:
-                    counts[v] = a
-                    if g * _GROUP_RATIO <= c:
-                        out[v] = _grouped_deviation(avg, a)
-                        continue
+            else:
+                # Counter.update adds a map value by value in Python; add
+                # only the shared values so, and copy the rest in C.
+                for x in a.keys() & b.keys():
+                    b[x] += a[x]
+                dict.update(a, b)
+            counts[v] = a
+            if len(a) * _GROUP_RATIO <= c:
+                out[v] = _grouped_deviation(avg, a)
+                continue
         out[v] = fsum(map(abs, map(sub, repeat(avg, c), vals[lo:hi])))
     return out
 

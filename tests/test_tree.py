@@ -453,9 +453,9 @@ def cutover_instances(rng):
     # distinct values, keeps its counts but walks its leaves.
     yield join(subtree(200, few), subtree(60, None))
     # 70 leaves with 6 values are summed by value; joined with 64 distinct
-    # values the counts are dropped, and the root above, whose other child
-    # is few-valued again, walks its leaves.
-    yield join(subtree(70, [rng.random() for _ in range(6)]), subtree(64, None), subtree(300, few))
+    # values their parent walks its leaves, and the root above, whose other
+    # child is few-valued again, is summed by value.
+    yield join(subtree(70, [rng.random() for _ in range(6)]), subtree(64, None), subtree(700, few))
     # Two few-valued subtrees above 64 leaves each: the smaller counts are
     # merged into the larger.
     yield join(subtree(150, few), subtree(100, few + [0.75]), subtree(5, None))
