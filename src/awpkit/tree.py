@@ -592,7 +592,7 @@ def optimal_pruning(
     The dynamic program takes O(n·k) time for n leaves on every tree shape.
     The ``node_discrepancies`` pass before it costs about the node count
     times the number of distinct leaf values when that number is small,
-    and at most the sum of all node leaf counts otherwise.
+    and otherwise about the sum of all node leaf counts, as a leaf pass.
     """
     if not (1 <= k <= tree.leaf_count_total):
         raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
