@@ -70,26 +70,32 @@ def loads_tree(text: str) -> HierTree:
     return HierTree(children, labels)  # type: ignore[arg-type]
 
 
-def _refuse_label(label: str, what: str) -> None:
-    """Raise for a label that the matching reader would split or drop."""
-    if not label:
-        raise FileFormatError(f"{what} is empty")
-    if label.split() != [label]:
-        raise FileFormatError(f"{what} {label!r} contains whitespace")
-    raise FileFormatError(f"{what} {label!r} starts with '#', which marks a comment line")
+def _check_labels(labels: list[str], what: str, comment: bool) -> None:
+    """Raise for the first label that the matching reader would split or
+    drop: an empty one, one with whitespace, or, when ``comment``, one
+    starting with '#'.  All labels are checked at once, since split() gives
+    back the joined labels exactly when none is empty or holds whitespace;
+    they are walked one by one only to name the refused one."""
+    joined = "\n".join(labels)
+    if joined.split() == labels and not (comment and "\n#" in "\n" + joined):
+        return
+    for label in labels:
+        if not label:
+            raise FileFormatError(f"{what} is empty")
+        if label.split() != [label]:
+            raise FileFormatError(f"{what} {label!r} contains whitespace")
+        if comment and label.startswith("#"):
+            raise FileFormatError(f"{what} {label!r} starts with '#', which marks a comment line")
 
 
 def dumps_tree(tree: HierTree) -> str:
-    out = [HWT_MAGIC]
-    for v, (kids, label) in enumerate(zip(tree._children, tree._labels)):
-        if label is None:
-            out.append(f"I {v} {kids[0]} {kids[1]}")
-        else:
-            # split() is [label] only for a non-empty label without whitespace.
-            if label.split() != [label]:
-                _refuse_label(label, "leaf label")
-            out.append(f"L {v} {label}")
-    return "\n".join(out) + "\n"
+    labels = tree._labels
+    _check_labels([label for label in labels if label is not None], "leaf label", comment=False)
+    records = [
+        f"L {v} {label}" if label is not None else f"I {v} {kids[0]} {kids[1]}"
+        for v, kids, label in zip(range(tree.node_count), tree._children, labels)
+    ]
+    return f"{HWT_MAGIC}\n" + "\n".join(records) + "\n"
 
 
 def load_tree(path: str | os.PathLike) -> HierTree:
@@ -103,7 +109,8 @@ def dump_tree(tree: HierTree, path: str | os.PathLike) -> None:
 
 
 def loads_weights(text: str) -> WeightTable:
-    weights: dict[str, float] = {}
+    # The weights stay strings here; WeightTable converts each one once.
+    weights: dict[str, str] = {}
     for lineno, line in _content_lines(text):
         parts = line.split()
         if len(parts) != 2:
@@ -111,25 +118,25 @@ def loads_weights(text: str) -> WeightTable:
         label, raw = parts
         if label in weights:
             raise FileFormatError(f"line {lineno}: duplicate label {label!r}")
-        try:
-            weights[label] = float(raw)
-        except ValueError:
-            raise FileFormatError(f"line {lineno}: bad weight {raw!r}") from None
+        weights[label] = raw
     if not weights:
         raise FileFormatError("empty weight file")
     try:
         return WeightTable(weights)
     except ValueError as exc:
+        for lineno, line in _content_lines(text):
+            raw = line.split()[1]
+            try:
+                float(raw)
+            except ValueError:
+                raise FileFormatError(f"line {lineno}: bad weight {raw!r}") from None
         raise FileFormatError(str(exc)) from None
 
 
 def dumps_weights(table: WeightTable) -> str:
-    out = []
-    for label in sorted(table):
-        if label.split() != [label] or label.startswith("#"):
-            _refuse_label(label, "label")
-        out.append(f"{label} {table[label]!r}")
-    return "\n".join(out) + "\n"
+    labels = sorted(table)
+    _check_labels(labels, "label", comment=True)
+    return "\n".join([f"{label} {table[label]!r}" for label in labels]) + "\n"
 
 
 def load_weights(path: str | os.PathLike) -> WeightTable:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from math import fsum, inf
+from itertools import repeat
+from math import fsum, inf, isfinite
 
 from awpkit.adversarial import _balanced
 from awpkit.tree import HierTree, WeightTable, _leaf_values, span_sums
@@ -159,28 +160,60 @@ def build_median_split_tree(features: Mapping[str, Sequence[float]], seed: int) 
     The splitting coordinate cycles with depth from a seeded starting
     coordinate.  Each node's labels are ordered by (coordinate value,
     label) and cut at the middle, so both halves are non-empty and the
-    depth is logarithmic in the number of labels.
+    depth is logarithmic in the number of labels.  Every coordinate must
+    be a finite number.
+
+    Cost: one stable sort of the label indices per coordinate gives each
+    label its rank there; equal values keep the sorted label order, which
+    is the (value, label) tie rule.  Each level then sorts its groups on
+    those int ranks, and one explicit stack emits the nodes in preorder,
+    so the cost is dim sorts plus one int-keyed sort per level, O((dim +
+    depth) n log n), with no Python call per compared item.
     """
     labels = sorted(features.keys())
     if not labels:
         raise ValueError("no features given")
-    dims = {len(features[lab]) for lab in labels}
+    vectors = [features[lab] for lab in labels]
+    dims = set(map(len, vectors))
     if len(dims) != 1:
         raise ValueError(f"feature vectors have mixed dimensions {sorted(dims)}")
     dim = dims.pop()
     if dim < 1:
         raise ValueError("feature vectors are empty")
     start = random.Random(seed).randrange(dim)
-
-    def split(group: list[str], depth: int):
+    # The rank lists take their ints from idx, so all dim of them share one
+    # set of int objects.
+    idx = list(range(len(labels)))
+    ranks = []
+    for col in zip(*vectors):
+        if not all(map(isfinite, col)):
+            bad = next(i for i in idx if not isfinite(col[i]))
+            raise ValueError(f"feature vector of {labels[bad]!r} has a non-finite coordinate {col[bad]!r}")
+        rank = [0] * len(idx)
+        for r, i in zip(idx, sorted(idx, key=col.__getitem__)):
+            rank[i] = r
+        ranks.append(rank)
+    # Preorder ids, as from_nested gives them: a left child's id is its
+    # parent's plus one, so only a right child carries its parent's id.
+    children: list[tuple[int, ...]] = []
+    leaf_labels: list[str | None] = []
+    stack = [(idx, start, -1)]
+    while stack:
+        group, coord, parent = stack.pop()
+        v = len(children)
+        if parent >= 0:
+            children[parent] = (parent + 1, v)
+        children.append(())
         if len(group) == 1:
-            return group[0]
-        coord = (start + depth) % dim
-        ordered = sorted(group, key=lambda lab: (features[lab][coord], lab))
-        mid = len(ordered) // 2
-        return (split(ordered[:mid], depth + 1), split(ordered[mid:], depth + 1))
-
-    return HierTree.from_nested(split(labels, 0))
+            leaf_labels.append(str(labels[group[0]]))
+            continue
+        leaf_labels.append(None)
+        group.sort(key=ranks[coord].__getitem__)
+        mid = len(group) // 2
+        coord = coord + 1 if coord + 1 < dim else 0
+        stack.append((group[mid:], coord, v))
+        stack.append((group[:mid], coord, -1))
+    return HierTree(children, leaf_labels)
 
 
 def build_random_balanced_tree(labels: Sequence[str], seed: int) -> HierTree:
@@ -195,11 +228,15 @@ def build_random_balanced_tree(labels: Sequence[str], seed: int) -> HierTree:
 
 
 def random_features(labels: Sequence[str], dim: int, seed: int) -> dict[str, tuple[float, ...]]:
-    """Seeded uniform feature vectors, for synthetic median-split trees."""
+    """Seeded uniform feature vectors, for synthetic median-split trees.
+    The labels (after ``str``) must be distinct; their vectors are drawn
+    in sorted label order."""
     if dim < 1:
         raise ValueError("dim must be positive")
+    labs = sorted(map(str, labels))
+    if len(set(labs)) != len(labs):
+        raise ValueError("duplicate labels")
     rng = random.Random(seed)
-    out = {}
-    for lab in sorted(str(x) for x in labels):
-        out[lab] = tuple(rng.random() for _ in range(dim))
-    return out
+    flat = list(map(random.Random.random, repeat(rng, len(labs) * dim)))
+    # zip over dim references to one iterator cuts flat into dim-tuples.
+    return dict(zip(labs, zip(*[iter(flat)] * dim)))

@@ -4,12 +4,14 @@ trace replay validator for adaptive runs."""
 from __future__ import annotations
 
 import math
+import random
 from bisect import insort
 from math import fsum, inf
 
 from awpkit.engine import EngineConfig, PruningResult
 from awpkit.estimator import NodeStats, estimate_discrepancy
-from awpkit.tree import HierTree, WeightTable, node_discrepancies
+from awpkit.fileio import HWT_MAGIC
+from awpkit.tree import FileFormatError, HierTree, WeightTable, node_discrepancies
 
 
 def leaves_under(tree: HierTree, v: int) -> list[str]:
@@ -178,6 +180,71 @@ def reference_optimal_pruning(tree: HierTree, k: int, w) -> tuple[tuple[int, ...
     collect(root, k)
     result.sort()
     return tuple(result), cost[root][min(k, tree.leaf_count_total) - 1]
+
+
+def reference_median_split_tree(features, seed: int) -> HierTree:
+    """The recursive median-split build, kept as the slow reference for
+    ``build_median_split_tree``: every group is sorted by a
+    ``(coordinate value, label)`` tuple key at every level, and the nested
+    pairs go through ``from_nested``.  It runs no finiteness check."""
+    labels = sorted(features.keys())
+    dim = len(features[labels[0]])
+    start = random.Random(seed).randrange(dim)
+
+    def split(group, depth):
+        if len(group) == 1:
+            return group[0]
+        coord = (start + depth) % dim
+        ordered = sorted(group, key=lambda lab: (features[lab][coord], lab))
+        mid = len(ordered) // 2
+        return (split(ordered[:mid], depth + 1), split(ordered[mid:], depth + 1))
+
+    return HierTree.from_nested(split(labels, 0))
+
+
+def reference_random_features(labels, dim: int, seed: int) -> dict[str, tuple[float, ...]]:
+    """Per-label draws, kept as the slow reference for ``random_features``."""
+    rng = random.Random(seed)
+    out = {}
+    for lab in sorted(str(x) for x in labels):
+        out[lab] = tuple(rng.random() for _ in range(dim))
+    return out
+
+
+def _reference_refusal(label: str, what: str) -> str:
+    """The writers' message for a label that their reader cannot read back."""
+    if not label:
+        return f"{what} is empty"
+    if label.split() != [label]:
+        return f"{what} {label!r} contains whitespace"
+    return f"{what} {label!r} starts with '#', which marks a comment line"
+
+
+def reference_dumps_tree(tree: HierTree) -> str:
+    """One record and one label check per node, in id order: the slow
+    reference for ``dumps_tree``."""
+    out = [HWT_MAGIC]
+    for v in range(tree.node_count):
+        if tree.is_leaf(v):
+            label = tree.label(v)
+            if label.split() != [label]:
+                raise FileFormatError(_reference_refusal(label, "leaf label"))
+            out.append(f"L {v} {label}")
+        else:
+            left, right = tree.children(v)
+            out.append(f"I {v} {left} {right}")
+    return "\n".join(out) + "\n"
+
+
+def reference_dumps_weights(table: WeightTable) -> str:
+    """One line and one label check per label, in sorted order: the slow
+    reference for ``dumps_weights``."""
+    out = []
+    for label in sorted(table):
+        if label.split() != [label] or label.startswith("#"):
+            raise FileFormatError(_reference_refusal(label, "label"))
+        out.append(f"{label} {table[label]!r}")
+    return "\n".join(out) + "\n"
 
 
 def random_pruning(rng, tree: HierTree, splits: int | None = None) -> tuple[int, ...]:

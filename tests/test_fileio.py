@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awpkit.fileio import (
     HWT_MAGIC,
@@ -18,7 +20,13 @@ from awpkit.fileio import (
 from awpkit.oracle import build_random_balanced_tree
 from awpkit.tree import FileFormatError, HierTree, TreeStructureError, WeightTable
 
-from helpers import caterpillar, random_tree, random_weight_table
+from helpers import (
+    caterpillar,
+    random_tree,
+    random_weight_table,
+    reference_dumps_tree,
+    reference_dumps_weights,
+)
 
 
 SAMPLE = """\
@@ -45,6 +53,67 @@ def assert_same_tree(got, want):
         assert got.is_leaf(v) == want.is_leaf(v)
         if want.is_leaf(v):
             assert got.label(v) == want.label(v)
+
+
+# Labels built from these pieces: ASCII and Unicode whitespace (str.split
+# splits on all of them), '#', '!' (which sorts before '#') and letters; an
+# empty label is the empty list of pieces.  Half the lists hold only labels
+# without whitespace, so that lists both writers accept come up often.
+_PIECES = ["a", "b", "!", "#", " ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+_LABELS = st.lists(st.text("!ab#", min_size=1, max_size=3), min_size=1, max_size=12, unique=True) | st.lists(
+    st.lists(st.sampled_from(_PIECES), max_size=3).map("".join), min_size=1, max_size=12, unique=True
+)
+
+
+def _outcome(dump, obj):
+    """The text a writer returns, or the message of the FileFormatError it
+    raises."""
+    try:
+        return "text", dump(obj)
+    except FileFormatError as exc:
+        return "refused", str(exc)
+
+
+def _tree_with_shuffled_ids(labels, rng):
+    """A random tree over the labels whose ids are permuted, so that id
+    order and leaf order differ."""
+    spec = labels[0]
+    for lab in labels[1:]:
+        spec = (spec, lab) if rng.random() < 0.5 else (lab, spec)
+    tree = HierTree.from_nested(spec)
+    perm = list(range(tree.node_count))
+    rng.shuffle(perm)
+    children = [()] * tree.node_count
+    names = [None] * tree.node_count
+    for v in range(tree.node_count):
+        children[perm[v]] = tuple(perm[c] for c in tree.children(v))
+        names[perm[v]] = tree.label(v) if tree.is_leaf(v) else None
+    return HierTree(children, names)
+
+
+class TestWriterLabelCheck:
+    """The writers check all labels at once and name the refused label by
+    walking them only on failure; they refuse exactly the lists that the
+    per-label reference writers refuse, with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=_LABELS, seed=st.integers(0, 2**32))
+    def test_tree_writer_matches_per_label_rule(self, labels, seed):
+        tree = _tree_with_shuffled_ids(labels, random.Random(seed))
+        assert _outcome(dumps_tree, tree) == _outcome(reference_dumps_tree, tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=_LABELS)
+    def test_weight_writer_matches_per_label_rule(self, labels):
+        table = WeightTable({lab: 1 / len(labels) for lab in labels})
+        assert _outcome(dumps_weights, table) == _outcome(reference_dumps_weights, table)
+
+    def test_first_bad_label_in_id_order_is_named(self):
+        # Leaf order is "x y", "a#", "p q"; id order puts "p q" first.
+        tree = HierTree([(3, 1), (), (), (2, 4), ()], [None, "p q", "x y", None, "a#"])
+        assert tree.leaf_order == ("x y", "a#", "p q")
+        with pytest.raises(FileFormatError, match="'p q' contains whitespace"):
+            dumps_tree(tree)
 
 
 class TestTreeFormat:
@@ -178,6 +247,15 @@ class TestWeightFormat:
         with pytest.raises(FileFormatError) as err:
             loads_weights(text)
         assert fragment in str(err.value)
+
+    def test_bad_weight_on_a_later_line_is_named(self):
+        # WeightTable converts the weights; the line is found afterwards.
+        text = "# header\na 0.25\n\nb 0.25\nc 1e-x\nd oops\n"
+        with pytest.raises(FileFormatError, match=r"^line 5: bad weight '1e-x'$"):
+            loads_weights(text)
+        # A parsable non-finite weight is WeightTable's to refuse.
+        with pytest.raises(FileFormatError, match="weight nan for leaf 'b'"):
+            loads_weights("a 0.5\nb nan\n")
 
     @pytest.mark.parametrize("label", ["", "#a", "a b"])
     def test_unreadable_label_cannot_be_dumped(self, label):

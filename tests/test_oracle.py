@@ -16,9 +16,16 @@ from awpkit.oracle import (
     make_geometric_target,
     random_features,
 )
+from awpkit.fileio import dumps_tree
 from awpkit.tree import HierTree, WeightTable
 
-from helpers import leaves_under, random_tree, random_weight_table
+from helpers import (
+    leaves_under,
+    random_tree,
+    random_weight_table,
+    reference_median_split_tree,
+    reference_random_features,
+)
 
 
 def small_instance():
@@ -208,6 +215,16 @@ class TestSyntheticTrees:
         with pytest.raises(ValueError):
             build_median_split_tree({"a": (), "b": ()}, seed=0)
 
+    def test_median_split_refuses_non_finite_coordinates(self):
+        # Both the old build and a NaN-unaware sort would place 'a' by how
+        # the sort happens to compare NaN; every ordering needs finite values.
+        for bad in (math.nan, math.inf, -math.inf):
+            feats = {"a": (0.5, 0.1), "b": (0.5, bad), "c": (0.1, 0.2)}
+            with pytest.raises(ValueError, match="'b' has a non-finite coordinate"):
+                build_median_split_tree(feats, seed=0)
+        with pytest.raises(ValueError, match="'a'"):
+            build_median_split_tree({"a": (math.nan,), "b": (0.5,), "c": (0.1,)}, seed=0)
+
     def test_random_balanced_tree(self):
         labels = [f"b{i}" for i in range(10)]
         t1 = build_random_balanced_tree(labels, seed=3)
@@ -231,3 +248,54 @@ class TestSyntheticTrees:
         assert all(0.0 <= x < 1.0 for v in f1.values() for x in v)
         with pytest.raises(ValueError):
             random_features(["a"], 0, seed=0)
+
+    @pytest.mark.parametrize("labels", [["a", "a"], ["x", 1, "1"], [3, "b", "3"]])
+    def test_random_features_refuses_duplicate_labels(self, labels):
+        # Labels are compared after str(), as build_random_balanced_tree does.
+        with pytest.raises(ValueError, match="duplicate labels"):
+            random_features(labels, 2, seed=0)
+
+
+def _features(kind: str, n: int, dim: int, rng) -> dict:
+    """Feature vectors over n labels, inserted in descending label order:
+    uniform draws, coordinates tied in thirds ((i + c) % 3), or uniform
+    draws with one coordinate equal for every label."""
+    feats = {}
+    for i in reversed(range(n)):
+        if kind == "tied":
+            vec = [float((i + c) % 3) for c in range(dim)]
+        else:
+            vec = [rng.random() for _ in range(dim)]
+            if kind == "constant":
+                vec[dim // 2] = 0.25
+        feats[f"f{i:04d}"] = tuple(vec)
+    return feats
+
+
+class TestMedianSplitAgainstReference:
+    """The ranked one-pass build writes the same tree file as the recursive
+    (value, label)-keyed build, byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "tied", "constant"])
+    def test_small_trees(self, kind):
+        rng = random.Random(kind)
+        for n in range(1, 301):
+            dim = 1 + n % 8
+            seed = n % 5
+            feats = _features(kind, n, dim, rng)
+            got = dumps_tree(build_median_split_tree(feats, seed))
+            assert got == dumps_tree(reference_median_split_tree(feats, seed)), (kind, n, dim)
+
+    @pytest.mark.parametrize(
+        "kind,dim,seed", [("uniform", 8, 0), ("uniform", 3, 11), ("tied", 5, 2), ("constant", 2, 7)]
+    )
+    def test_4096_leaves(self, kind, dim, seed):
+        feats = _features(kind, 4096, dim, random.Random(seed))
+        tree = build_median_split_tree(feats, seed)
+        assert tree.max_depth == 12 > dim
+        assert dumps_tree(tree) == dumps_tree(reference_median_split_tree(feats, seed))
+
+    @pytest.mark.parametrize("n,dim,seed", [(1, 1, 0), (2, 3, 1), (37, 8, 5), (300, 2, 9), (1001, 4, 3)])
+    def test_random_features(self, n, dim, seed):
+        labels = [f"r{i}" for i in range(n)][::-1]
+        assert random_features(labels, dim, seed) == reference_random_features(labels, dim, seed)
