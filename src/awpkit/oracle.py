@@ -161,7 +161,7 @@ def build_median_split_tree(features: Mapping[str, Sequence[float]], seed: int) 
     coordinate.  Each node's labels are ordered by (coordinate value,
     label) and cut at the middle, so both halves are non-empty and the
     depth is logarithmic in the number of labels.  Every coordinate must
-    be a finite number.
+    be a finite real number.
 
     Cost: one stable sort of the label indices per coordinate gives each
     label its rank there; equal values keep the sorted label order, which
