@@ -216,8 +216,8 @@ class TestSyntheticTrees:
             build_median_split_tree({"a": (), "b": ()}, seed=0)
 
     def test_median_split_refuses_non_finite_coordinates(self):
-        # Both the old build and a NaN-unaware sort would place 'a' by how
-        # the sort happens to compare NaN; every ordering needs finite values.
+        # NaN compares false both ways, so a tree over it would depend on
+        # the order in which the sort compares; the build refuses it.
         for bad in (math.nan, math.inf, -math.inf):
             feats = {"a": (0.5, 0.1), "b": (0.5, bad), "c": (0.1, 0.2)}
             with pytest.raises(ValueError, match="'b' has a non-finite coordinate"):
