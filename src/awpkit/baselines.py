@@ -22,7 +22,6 @@ from math import fsum
 from operator import itemgetter
 
 from awpkit.engine import PruningResult, PruningSearch
-from awpkit.estimator import NodeStats
 from awpkit.oracle import Oracle
 from awpkit.tree import HierTree
 
@@ -74,7 +73,7 @@ def _check_run_args(tree: HierTree, k: int, budget: Budget) -> None:
 
 def _draw_all(search: PruningSearch, rng: random.Random, count: int) -> list[tuple[int, float]]:
     """Uniform-with-replacement leaf draws over the whole leaf set,
-    attributed to the root (they serve no single node).  Returns the
+    drawn for the root (they serve no single node).  Returns the
     (leaf position, weight) pairs in draw order."""
     root = search.tree.root_id
     n = search.tree.leaf_count_total
@@ -102,7 +101,7 @@ def run_weight(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int
     _check_run_args(tree, k, budget)
     _split_best(search, k, search.mass.__getitem__)
     _draw_all(search, random.Random(seed), budget.basic)
-    return search.finish({v: NodeStats(v, search.mass[v], tree.leaf_count(v)) for v in search.pruning})
+    return search.finish()
 
 
 def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
@@ -111,11 +110,6 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
     draws = sorted(_draw_all(search, random.Random(seed), budget.basic), key=itemgetter(0))
     pos_sorted = [pos for pos, _ in draws]
     val_sorted = [x for _, x in draws]
-
-    def subsample(v):
-        lo, hi = tree.span(v)
-        return val_sorted[bisect_left(pos_sorted, lo) : bisect_left(pos_sorted, hi)]
-
     mass = search.mass
     scores: dict[int, float | None] = {}
 
@@ -123,15 +117,14 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
         # Nodes that received a draw rank by score above those that did
         # not, which rank by mass.
         if v not in scores:
-            sub = subsample(v)
+            lo, hi = tree.span(v)
+            sub = val_sorted[bisect_left(pos_sorted, lo) : bisect_left(pos_sorted, hi)]
             scores[v] = score_fn(mass[v], tree.leaf_count(v), sub) if sub else None
         s = scores[v]
         return (False, mass[v]) if s is None else (True, s)
 
     _split_best(search, k, rank)
-    return search.finish(
-        {v: NodeStats(v, mass[v], tree.leaf_count(v), samples=subsample(v)) for v in search.pruning}
-    )
+    return search.finish()
 
 
 def run_uniform(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int) -> PruningResult:

@@ -9,6 +9,12 @@ node query, for the right child only; the left child's mass is the
 difference.  The loop stops at the requested pruning size, or early when a
 basic-query cap is reached.
 
+Every run ends, cap or no cap: once a node's own draws cover its leaves,
+both its estimates are its exact discrepancy, so it qualifies as soon as
+it holds the largest optimistic estimate.  Between two splits every draw
+thus serves a node not yet covered, which takes a coupon-collector number
+of its own draws.
+
 Every oracle interaction is recorded in a trace (SAMPLE and SPLIT events)
 from which a run can be replayed and audited without the oracle.
 """
@@ -28,6 +34,7 @@ from awpkit.tree import (
     WEIGHT_SUM_TOL,
     HierTree,
     InvariantError,
+    _discrepancy,
     is_pruning,
     refine_with_queries,
     tv_distance,
@@ -71,18 +78,20 @@ class EngineConfig:
 class PruningResult:
     """Outcome of a pruning search (adaptive or baseline).
 
+    pruning holds the node ids, ascending, and node_weights their masses.
     w_p_refined is the output weighting, a list in ``tree.leaf_order``
     order: each pruning node's mass spread over its leaves, with every leaf
     whose weight was individually queried pinned to its true value and
-    only the residual mass spread uniformly over the rest.  early_stop is
-    None for a normal finish, else "max-queries".
+    only the residual mass spread uniformly over the rest.  ledger counts
+    the oracle calls; trace, the only per-draw record, lists them as
+    SAMPLE (node, leaf label, weight) and SPLIT (node, right child's mass)
+    events.  early_stop is None for a normal finish, else "max-queries".
     """
 
     pruning: tuple[int, ...]
     node_weights: dict[int, float]
     w_p_refined: list[float]
     ledger: QueryLedger
-    stats: dict[int, NodeStats]
     trace: tuple[tuple, ...]
     early_stop: str | None = None
 
@@ -117,7 +126,7 @@ class PruningSearch:
 
     def draw(self, pos: int, v: int) -> float:
         """Query the weight of the leaf at position pos on behalf of node v."""
-        value = self.oracle.query_leaf(pos, attributed_to=v)
+        value = self.oracle.query_leaf(pos)
         self.queried[pos] = value
         self.trace.append(("SAMPLE", v, self.tree.leaf_order[pos], value))
         return value
@@ -148,7 +157,7 @@ class PruningSearch:
             raise InvariantError(f"pruning broken after splitting node {v}")
         return l, r
 
-    def finish(self, stats: dict[int, NodeStats], early_stop: str | None = None) -> PruningResult:
+    def finish(self, early_stop: str | None = None) -> PruningResult:
         """Freeze the search into a PruningResult, spreading the pruning's
         node masses into the refined weighting."""
         ptuple = tuple(self.pruning)
@@ -162,7 +171,6 @@ class PruningSearch:
             node_weights=node_weights,
             w_p_refined=refined,
             ledger=self.oracle.ledger.snapshot(),
-            stats=stats,
             trace=tuple(self.trace),
             early_stop=early_stop,
         )
@@ -177,6 +185,11 @@ class AwpRun(PruningSearch):
     rival at an optimistic value of exactly 0 (a single leaf has no
     discrepancy).  Every pick takes the largest score, and the smallest id
     on ties.
+
+    ``drawn[v]`` holds the distinct leaf positions open node v drew itself.
+    Until they cover v, its ucb and lcb are the estimate plus and minus the
+    radius; after, both are ``_discrepancy`` over ``queried`` in span
+    order, and v qualifies whenever it has the top ucb.
 
     No pick scans the pruning per query; two lazy max-heaps answer them:
       - ``(-ucb, v, stamp)`` for every open node v;
@@ -204,6 +217,7 @@ class AwpRun(PruningSearch):
         self.rng = random.Random(config.seed)
         root = tree.root_id
         self.stats: dict[int, NodeStats] = {root: NodeStats(root, self.mass[root], tree.leaf_count(root))}
+        self.drawn: dict[int, set[int]] = {root: set()}
         # Pessimistic estimates of the open nodes with at least one draw.
         self._lcb: dict[int, float] = {}
         self._ucb_heap: list[tuple[float, int, int]] = []
@@ -222,16 +236,16 @@ class AwpRun(PruningSearch):
         if st.m == 0:
             heappush(self._ucb_heap, (-inf, v, stamp))
             return
-        d = estimate_discrepancy(st)
-        r = confidence_radius(
-            st,
-            self.config.k,
-            self.config.delta,
-            self.config.radius_mode,
-            strict_paper=self.config.strict_paper,
-        )
-        lcb = self._lcb[v] = d - r
-        heappush(self._ucb_heap, (-(d + r), v, stamp))
+        lo, hi = self.tree._span[v]
+        if len(self.drawn[v]) == hi - lo:
+            ucb = lcb = _discrepancy([self.queried[p] for p in range(lo, hi)])
+        else:
+            cfg = self.config
+            d = estimate_discrepancy(st)
+            r = confidence_radius(st, cfg.k, cfg.delta, cfg.radius_mode, strict_paper=cfg.strict_paper)
+            ucb, lcb = d + r, d - r
+        self._lcb[v] = lcb
+        heappush(self._ucb_heap, (-ucb, v, stamp))
         heappush(self._lcb_heap, (-(self.config.beta * lcb), v, stamp))
 
     def _top(self, heap: list, skip: int = -1) -> tuple[float, int]:
@@ -262,17 +276,20 @@ class AwpRun(PruningSearch):
         if target < 0:
             raise InvariantError("no internal node available to sample")
         lo, hi = self.tree._span[target]
-        self.stats[target].push(self.draw(self.rng.randrange(lo, hi), target))
+        pos = self.rng.randrange(lo, hi)
+        self.stats[target].push(self.draw(pos, target))
+        self.drawn[target].add(pos)
         self._rescore(target)
         return target
 
     # -- splitting ---------------------------------------------------------
 
     def _split(self, v: int) -> None:
-        del self._stamp[v], self._lcb[v]
+        del self._stamp[v], self._lcb[v], self.drawn[v]
         for c in self.split(v):
             self.stats[c] = NodeStats(c, self.mass[c], self.tree.leaf_count(c))
             if not self.tree.is_leaf(c):
+                self.drawn[c] = set()
                 self._rescore(c)
 
     def split_check(self) -> list[int]:
@@ -312,7 +329,7 @@ class AwpRun(PruningSearch):
     # -- assembling the outcome -------------------------------------------
 
     def result(self) -> PruningResult:
-        return self.finish(dict(self.stats), self.early_stop)
+        return self.finish(self.early_stop)
 
 
 def run_awp(tree: HierTree, oracle: Oracle, config: EngineConfig) -> PruningResult:

@@ -34,35 +34,26 @@ RADIUS_MODES = ("hoeffding", "bernstein", "min")
 
 @dataclass
 class NodeStats:
-    """Per-node sampling state: known mass, leaf count, and raw draws.
+    """Per-node sampling state: known mass, leaf count, draw count and the
+    running sums that make the estimate and radii O(1) per update.
 
-    Draw values are kept in arrival order; running sums are maintained so
-    the estimate and radii are O(1) per update.  Leaf identity is not
-    retained here.
+    Neither the draws' values nor their leaves are kept here.
     """
 
     node_id: int
     w_star: float
     n_leaves: int
-    samples: list[float] = field(default_factory=list)
-    _sum_z: float = field(default=0.0, repr=False)
-    _sum_dev: float = field(default=0.0, repr=False)      # sum |z - W|
-    _sum_zp: float = field(default=0.0, repr=False)       # sum (|z - W| - z)
-    _sum_zp2: float = field(default=0.0, repr=False)      # sum (|z - W| - z)^2
+    m: int = field(default=0, init=False)
+    _sum_z: float = field(default=0.0, init=False, repr=False)
+    _sum_dev: float = field(default=0.0, init=False, repr=False)   # sum |z - W|
+    _sum_zp: float = field(default=0.0, init=False, repr=False)    # sum (|z - W| - z)
+    _sum_zp2: float = field(default=0.0, init=False, repr=False)   # sum (|z - W| - z)^2
 
     def __post_init__(self):
         if self.w_star < 0.0:
             raise InvariantError(f"negative node mass {self.w_star!r}")
         if self.n_leaves < 1:
             raise InvariantError(f"node must cover at least one leaf, got {self.n_leaves}")
-        given = list(self.samples)
-        self.samples = []
-        for z in given:
-            self.push(z)
-
-    @property
-    def m(self) -> int:
-        return len(self.samples)
 
     @property
     def mean_weight(self) -> float:
@@ -74,7 +65,7 @@ class NodeStats:
             raise InvariantError(
                 f"sample {value!r} outside [0, {self.w_star!r}] for node {self.node_id}"
             )
-        self.samples.append(value)
+        self.m += 1
         dev = abs(value - self.mean_weight)
         zp = dev - value
         self._sum_z += value

@@ -3,15 +3,14 @@
 The oracle holds the hidden target weighting and exposes it only through
 two query operations: the weight of a single leaf (a basic query) and the
 total weight of a node's leaf set (a node query).  Every call is counted in
-a ledger; basic queries are additionally attributed to the node on whose
-behalf they were drawn.
+a ledger.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from math import fsum, inf, isfinite
 
@@ -25,17 +24,15 @@ class QueryLedger:
 
     basic_queries: int = 0
     node_queries: int = 0
-    per_node_basic: dict[int, int] = field(default_factory=dict)
 
-    def record_basic(self, attributed_to: int) -> None:
+    def record_basic(self) -> None:
         self.basic_queries += 1
-        self.per_node_basic[attributed_to] = self.per_node_basic.get(attributed_to, 0) + 1
 
     def record_node(self) -> None:
         self.node_queries += 1
 
     def snapshot(self) -> "QueryLedger":
-        return QueryLedger(self.basic_queries, self.node_queries, dict(self.per_node_basic))
+        return QueryLedger(self.basic_queries, self.node_queries)
 
 
 class Oracle:
@@ -60,14 +57,13 @@ class Oracle:
         not a query and is not counted."""
         return self._vals
 
-    def query_leaf(self, pos: int, attributed_to: int) -> float:
+    def query_leaf(self, pos: int) -> float:
         """Weight of the leaf at position ``pos`` of ``tree.leaf_order``;
-        counted as a basic query for the given node.  Raises KeyError for
-        a position that is not an int in 0..leaf_count_total-1."""
+        counted as a basic query.  Raises KeyError for a position that is
+        not an int in 0..leaf_count_total-1."""
         if not (isinstance(pos, int) and 0 <= pos < self.tree.leaf_count_total):
             raise KeyError(f"unknown leaf position {pos!r}")
-        self.tree._check_id(attributed_to)
-        self.ledger.record_basic(attributed_to)
+        self.ledger.record_basic()
         return self._vals[pos]
 
     def query_node(self, v: int) -> float:

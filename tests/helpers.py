@@ -355,12 +355,32 @@ def _radius(stats: NodeStats, config: EngineConfig) -> float:
     )
 
 
-def _scores(tree, stats, config, v):
+def own_draws(tree: HierTree, trace) -> dict[int, dict[int, float]]:
+    """Each node's own draws from a trace: node -> {leaf position: weight}."""
+    pos = {lab: i for i, lab in enumerate(tree.leaf_order)}
+    out: dict[int, dict[int, float]] = {}
+    for ev in trace:
+        if ev[0] == "SAMPLE":
+            out.setdefault(ev[1], {})[pos[ev[2]]] = ev[3]
+    return out
+
+
+def _scores(tree, stats, drawn, config, v):
+    """(ucb, lcb) of pruning node v.  Once v's own draws cover its leaves
+    both are its exact discrepancy, summed as in
+    ``reference_node_discrepancies``."""
     if tree.is_leaf(v):
         return 0.0, 0.0
     st = stats[v]
     if st.m == 0:
         return inf, -inf
+    lo, hi = tree.span(v)
+    own = drawn.get(v, {})
+    if len(own) == hi - lo:
+        vals = [own[i] for i in range(lo, hi)]
+        avg = fsum(vals) / len(vals)
+        exact = fsum(abs(avg - x) for x in vals)
+        return exact, exact
     d = estimate_discrepancy(st)
     r = _radius(st, config)
     return d + r, d - r
@@ -373,11 +393,12 @@ def sc_satisfied(beta: float, estimate: float, radius: float, rival_ucb: float) 
     return beta * (estimate - radius) >= rival_ucb
 
 
-def first_qualifying_split(tree, stats, pruning, config):
+def first_qualifying_split(tree, stats, drawn, pruning, config):
     """Reference for the engine's split pick: the smallest-id node whose
     pessimistic estimate, scaled by beta, beats the best rival's optimistic
-    estimate, with that rival; (None, None) when no node qualifies."""
-    ucb = {v: _scores(tree, stats, config, v)[0] for v in pruning}
+    estimate, with that rival; (None, None) when no node qualifies.
+    ``drawn`` holds each node's own draws, as ``own_draws`` gives them."""
+    ucb = {v: _scores(tree, stats, drawn, config, v)[0] for v in pruning}
     top1_node = -1
     top1 = -inf
     top2 = -inf
@@ -393,17 +414,18 @@ def first_qualifying_split(tree, stats, pruning, config):
         if tree.is_leaf(v) or stats[v].m == 0:
             continue
         rival = top2 if v == top1_node else top1
-        if config.beta * _scores(tree, stats, config, v)[1] >= rival:
+        if config.beta * _scores(tree, stats, drawn, config, v)[1] >= rival:
             return v, rival
     return None, None
 
 
-def argmax_ucb(tree, stats, pruning, config):
+def argmax_ucb(tree, stats, drawn, pruning, config):
     """First internal pruning node, in id order, with the largest
     optimistic estimate: the node the engine must draw from next."""
     internal = [u for u in pruning if not tree.is_leaf(u)]
-    best = max(_scores(tree, stats, config, u)[0] for u in internal)
-    return [u for u in internal if _scores(tree, stats, config, u)[0] == best][0]
+    ucb = {u: _scores(tree, stats, drawn, config, u)[0] for u in internal}
+    best = max(ucb.values())
+    return [u for u in internal if ucb[u] == best][0]
 
 
 def replay_trace(tree: HierTree, truth, result: PruningResult, config: EngineConfig):
@@ -416,13 +438,14 @@ def replay_trace(tree: HierTree, truth, result: PruningResult, config: EngineCon
       - each split is the first qualifying node of the scan and satisfies
         the margin criterion against its best rival;
       - drawn values and split masses agree exactly with the target;
-      - the final pruning, node masses, ledger, and per-node draw counts
-        all match the result.
+      - the final pruning, node masses and ledger all match the result.
 
     Returns the per-node draw counts.
     """
     root = tree.root_id
     stats = {root: NodeStats(root, 1.0, tree.leaf_count(root))}
+    drawn: dict[int, dict[int, float]] = {}
+    leaf_pos = {lab: i for i, lab in enumerate(tree.leaf_order)}
     pruning = [root]
     node_w = {root: 1.0}
     counts: dict[int, int] = {}
@@ -435,24 +458,24 @@ def replay_trace(tree: HierTree, truth, result: PruningResult, config: EngineCon
             assert len(pruning) < config.k, "drew after reaching the target size"
             if cap is not None:
                 assert n_basic < cap, "drew past the basic-query cap"
-            found, _ = first_qualifying_split(tree, stats, pruning, config)
+            found, _ = first_qualifying_split(tree, stats, drawn, pruning, config)
             assert found is None, f"skipped a qualifying split of node {found}"
             assert v in pruning and not tree.is_leaf(v)
-            want = argmax_ucb(tree, stats, pruning, config)
+            want = argmax_ucb(tree, stats, drawn, pruning, config)
             assert v == want, f"drew from {v}, expected argmax {want}"
             lo, hi = tree.span(v)
-            assert label in tree.leaf_order[lo:hi]
+            assert lo <= leaf_pos[label] < hi
             assert value == truth[label]
             stats[v].push(value)
+            drawn.setdefault(v, {})[leaf_pos[label]] = value
             counts[v] = counts.get(v, 0) + 1
             n_basic += 1
         else:
             _, v, w_r = ev
             assert len(pruning) < config.k, "split past the target size"
-            found, rival = first_qualifying_split(tree, stats, pruning, config)
+            found, rival = first_qualifying_split(tree, stats, drawn, pruning, config)
             assert found == v, f"split {v}, expected first qualifying {found}"
-            st = stats[v]
-            assert sc_satisfied(config.beta, estimate_discrepancy(st), _radius(st, config), rival)
+            assert config.beta * _scores(tree, stats, drawn, config, v)[1] >= rival
             left, right = tree.left(v), tree.right(v)
             true_wr = fsum(truth[lab] for lab in leaves_under(tree, right))
             assert w_r == true_wr, f"split mass {w_r!r} differs from true {true_wr!r}"
@@ -478,13 +501,10 @@ def replay_trace(tree: HierTree, truth, result: PruningResult, config: EngineCon
         assert cap is not None and n_basic == cap
     else:
         raise AssertionError(f"unknown early stop {result.early_stop!r}")
-    found, _ = first_qualifying_split(tree, stats, pruning, config)
+    found, _ = first_qualifying_split(tree, stats, drawn, pruning, config)
     if len(pruning) < config.k:
         assert found is None
 
     assert result.ledger.basic_queries == n_basic
     assert result.ledger.node_queries == sum(1 for ev in result.trace if ev[0] == "SPLIT")
-    assert result.ledger.per_node_basic == counts
-    for v, st in stats.items():
-        assert result.stats[v].samples == st.samples
     return counts

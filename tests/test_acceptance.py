@@ -86,6 +86,14 @@ def test_02_pruning_discrepancy_at_most_twice_root():
     _report(2, "pruning discrepancy at most twice the root's, bound tight at 1.6", ok and elapsed < 5.0)
 
 
+def _node_stats(n, draws):
+    """Statistics of a unit-mass node of n leaves after the given draws."""
+    stats = NodeStats(0, 1.0, n)
+    for z in draws:
+        stats.push(z)
+    return stats
+
+
 def test_03_estimator_concentration():
     t0 = monotonic()
     n, m, delta = 1000, 50, 0.05
@@ -111,7 +119,7 @@ def test_03_estimator_concentration():
             raw[0] = 1.0
         vectors.append(raw / raw.sum())
 
-    radius = confidence_radius(NodeStats(0, 1.0, n, samples=[0.0] * m), 1, delta, "hoeffding")
+    radius = confidence_radius(_node_stats(n, [0.0] * m), 1, delta, "hoeffding")
     avg = 1.0 / n
     violations = 0
     for w in vectors:
@@ -137,8 +145,7 @@ def test_04_estimator_unbiased_exhaustive():
         for m in range(1, 4):
             estimates = []
             for tup in itertools.product(range(n), repeat=m):
-                stats = NodeStats(0, 1.0, n, samples=[w[i] for i in tup])
-                estimates.append(estimate_discrepancy(stats))
+                estimates.append(estimate_discrepancy(_node_stats(n, [w[i] for i in tup])))
             mean = fsum(estimates) / len(estimates)
             ok = ok and abs(mean - d_true) <= 1e-12
     elapsed = monotonic() - t0

@@ -93,7 +93,9 @@ class TestScores:
             n = rng.randint(1, 40)
             w_star = rng.random() + 0.01
             draws = [rng.random() * w_star for _ in range(rng.randint(1, 30))]
-            stats = NodeStats(0, w_star, n, samples=list(draws))
+            stats = NodeStats(0, w_star, n)
+            for z in draws:
+                stats.push(z)
             assert isclose(
                 uniform_score(w_star, n, draws),
                 estimate_discrepancy(stats),
@@ -230,7 +232,6 @@ class TestRunWeight:
 
         assert result.ledger.basic_queries == 5
         assert result.ledger.node_queries == 2
-        assert result.ledger.per_node_basic == {tree.root_id: 5}
         assert result.early_stop is None
 
     def test_mass_tie_prefers_smaller_id(self):
@@ -263,7 +264,7 @@ class TestRunWeight:
         assert result.pruning == (tree.root_id,)
         assert result.ledger.basic_queries == 6
         assert result.ledger.node_queries == 0
-        assert result.stats[tree.root_id].samples == []
+        assert [t[:2] for t in result.trace] == [("SAMPLE", tree.root_id)] * 6
 
     def test_replay_split_sequence(self):
         # The k-1 splits must each hit the heaviest internal pruning node,
@@ -374,15 +375,8 @@ def replay_scored(tree, table, result, k, budget, score_fn):
 
     assert result.pruning == tuple(pruning)
     assert result.node_weights == {u: weights[u] for u in pruning}
-    for u in pruning:
-        assert result.stats[u].samples == [float(x) for x in subsample(u)]
-    # Pruning nodes partition the leaves, so the retained subsamples
-    # partition the draws.
-    assert sum(len(result.stats[u].samples) for u in pruning) == budget.basic
     assert result.ledger.basic_queries == budget.basic
     assert result.ledger.node_queries == k - 1
-    if budget.basic:
-        assert result.ledger.per_node_basic == {tree.root_id: budget.basic}
 
 
 class TestScoredBaselines:
@@ -407,7 +401,7 @@ class TestScoredBaselines:
         scored = runner(tree, Oracle(tree, table), k, Budget(0, k - 1), seed=3)
         weighted = run_weight(tree, Oracle(tree, table), k, Budget(0, k - 1), seed=3)
         assert scored.pruning == weighted.pruning
-        assert all(scored.stats[v].samples == [] for v in scored.pruning)
+        assert scored.trace == weighted.trace
 
     @pytest.mark.parametrize("runner", [run_uniform, run_empirical])
     def test_same_seed_reproduces(self, runner):

@@ -633,8 +633,8 @@ class TestMain:
         strict = (tmp_path / "strict.csv").read_text(encoding="utf-8")
         assert default == format_csv(run_experiment(ExperimentConfig(**flags)))
         assert strict == format_csv(run_experiment(ExperimentConfig(**flags, strict_paper=True)))
-        assert parse_results(default)[0][0][:5] == ("awp", 4, 0, 0.0, 1740)
-        assert parse_results(strict)[0][0][:5] == ("awp", 4, 0, 0.0, 327)
+        assert parse_results(default)[0][0][:5] == ("awp", 4, 0, 0.0, 331)
+        assert parse_results(strict)[0][0][:5] == ("awp", 4, 0, 0.0, 305)
 
     def test_exit_code_3_any_unexpected_exception(self, tmp_path, capsys, monkeypatch):
         def boom(config):
@@ -660,6 +660,33 @@ def test_every_spec_kind_is_documented():
         assert kind in cli_mod.__doc__
         assert f"  {kind}:{','.join(names)}\n" in usage
     assert not rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tree", "tightness:n=8", "--k", "8", "--runs", "1", "--algorithms", "awp"],
+        [
+            "--tree", "random-balanced:n=200",
+            "--weights", "geometric:bins=4,ratio=2,layout=contiguous",
+            "--k", "4,8", "--runs", "3", "--seed", "5",
+        ],
+    ],
+    ids=["tightness", "contiguous-bins"],
+)
+def test_uncapped_run_ends(tmp_path, argv):
+    # Both targets have zero-discrepancy nodes, which split only once their
+    # own draws cover them; the subprocess timeout keeps a run that does
+    # not end from hanging the suite.
+    code = "import sys, awpkit.cli; sys.exit(awpkit.cli.main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", *argv, "--out", "out.csv"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    details, _ = parse_results((tmp_path / "out.csv").read_text(encoding="utf-8"))
+    awp = [row for row in details if row[0] == "awp"]
+    assert awp and all(row[5] == row[1] - 1 for row in awp), "a run stopped short of size k"
 
 
 def test_runtime_imports_no_numpy(tmp_path):

@@ -2,6 +2,7 @@
 concentration event, all audited through recorded traces."""
 
 import random
+from collections import Counter
 from math import fsum, inf, isinf
 
 import pytest
@@ -39,6 +40,7 @@ from helpers import (
     caterpillar,
     first_qualifying_split,
     leaf_ids,
+    own_draws,
     random_tree,
     random_weight_table,
     replay_trace,
@@ -175,12 +177,9 @@ class TestReplayAudit:
         replay_trace(tree, truth, res, cfg)
 
     def test_full_expansion(self):
-        # Every internal node needs positive discrepancy here: once a node's
-        # rivals are all leaves the criterion compares against 0, which a
-        # zero-discrepancy node can never beat.
         tree = HierTree.from_nested((("a", "b"), ("c", "d")))
         truth = WeightTable({"a": 0.5, "b": 0.1, "c": 0.3, "d": 0.1})
-        cfg = EngineConfig(k=4, seed=3, max_basic_queries=50000)
+        cfg = EngineConfig(k=4, seed=3)
         res = run_awp(tree, Oracle(tree, truth), cfg)
         assert res.early_stop is None
         assert res.pruning == tuple(leaf_ids(tree))
@@ -225,7 +224,7 @@ class TestHandDrivenSelection:
         splits = []
 
         def checked_split(v):
-            want, _ = first_qualifying_split(tree, run.stats, run.pruning, cfg)
+            want, _ = first_qualifying_split(tree, run.stats, own_draws(tree, run.trace), run.pruning, cfg)
             assert v == want, f"split {v}, expected first qualifying {want}"
             split(v)
             splits.append(v)
@@ -243,15 +242,67 @@ class TestHandDrivenSelection:
                 performed = run.split_check()
                 assert performed == splits[done:]
                 if len(run.pruning) < cfg.k:
-                    assert first_qualifying_split(tree, run.stats, run.pruning, cfg)[0] is None
+                    assert first_qualifying_split(tree, run.stats, own_draws(tree, run.trace), run.pruning, cfg)[0] is None
             for _ in range(rng.choice((1, 2, 3, 5))):
                 if not busy():
                     break
-                want = argmax_ucb(tree, run.stats, run.pruning, cfg)
+                want = argmax_ucb(tree, run.stats, own_draws(tree, run.trace), run.pruning, cfg)
                 assert run.sample_step() == want
             checks = rng.choice((0, 1, 2))
         assert sorted(run._stamp) == [v for v in run.pruning if not tree.is_leaf(v)]
         assert splits and len(run.pruning) == len(splits) + 1
+
+
+def live_ucb(run, v):
+    """The ucb of open node v in the engine's heap."""
+    return next(-key for key, u, stamp in run._ucb_heap if u == v and stamp == run._stamp[v])
+
+
+class TestEveryRunEnds:
+    KINDS = ["zero-mass", "contiguous", "caterpillar", "sparse-caterpillar"]
+
+    @staticmethod
+    def draw_until_covered(run):
+        """Draw, without split checks, until the node drawn from is fully
+        drawn; return that node."""
+        for _ in range(10_000):
+            v = run.sample_step()
+            if len(run.drawn[v]) == run.tree.leaf_count(v):
+                return v
+        raise AssertionError("no node was fully drawn")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fully_drawn_node_scores_its_exact_discrepancy(self, kind):
+        # Once a node's own draws cover its leaves, ucb == lcb == its exact
+        # discrepancy, bit for bit: first the root, drawn from alone, then
+        # the first of its descendants to be covered.
+        tree, truth = tie_heavy_instance(kind)
+        disc = node_discrepancies(tree, truth)
+        run = AwpRun(tree, Oracle(tree, truth), EngineConfig(k=tree.leaf_count_total, seed=1))
+        v = self.draw_until_covered(run)
+        assert v == tree.root_id
+        assert run._lcb[v].hex() == live_ucb(run, v).hex() == disc[v].hex()
+        assert run.split_check()[0] == v
+        v = self.draw_until_covered(run)
+        assert run._lcb[v].hex() == live_ucb(run, v).hex() == disc[v].hex()
+        lo, hi = tree.span(v)
+        assert run.drawn[v] == set(range(lo, hi))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_uncapped_full_expansion_ends(self, kind):
+        # Under any finite radius a zero-discrepancy node keeps lcb < 0 and
+        # never beats a rival at 0: only full coverage lets it split.
+        tree, truth = tie_heavy_instance(kind)
+        cfg = EngineConfig(k=tree.leaf_count_total, seed=0)
+        run = AwpRun(tree, Oracle(tree, truth), cfg)
+        for _ in range(100_000):
+            if len(run.pruning) == cfg.k:
+                break
+            run.sample_step()
+            run.split_check()
+        res = run.result()
+        assert res.early_stop is None and res.pruning == tuple(leaf_ids(tree))
+        replay_trace(tree, truth, res, cfg)
 
 
 class TestBookkeeping:
@@ -262,8 +313,7 @@ class TestBookkeeping:
         rng = random.Random(100 + seed)
         tree = random_tree(rng, rng.randint(4, 20))
         truth = random_weight_table(rng, tree.leaf_order)
-        # Random targets can have zero-discrepancy regions where no split
-        # ever qualifies, so a finite cap keeps every run bounded.
+        # Capped or not, every run ends; the caps here make some stop early.
         cfg = EngineConfig(
             k=rng.randint(2, min(5, tree.leaf_count_total)),
             seed=seed,
@@ -298,12 +348,20 @@ class TestBookkeeping:
         replay_trace(tree, truth, run.result(), cfg)
 
     def test_per_node_draw_counts_match_stats(self):
+        # The trace is the only per-draw record: its SAMPLE events give each
+        # node's draw count and, for an open node, its distinct positions.
         tree, truth = spiked_quality_tree((32, 6, 3, 2, 1))
         cfg = EngineConfig(k=5, seed=7)
-        res = run_awp(tree, Oracle(tree, truth), cfg)
-        for v, count in res.ledger.per_node_basic.items():
-            assert res.stats[v].m == count
-        assert sum(res.ledger.per_node_basic.values()) == res.ledger.basic_queries
+        run = AwpRun(tree, Oracle(tree, truth), cfg)
+        while len(run.pruning) < cfg.k:
+            run.sample_step()
+            run.split_check()
+        res = run.result()
+        counts = Counter(ev[1] for ev in res.trace if ev[0] == "SAMPLE")
+        assert counts == {v: st.m for v, st in run.stats.items() if st.m}
+        assert counts.total() == res.ledger.basic_queries
+        own = own_draws(tree, res.trace)
+        assert run.drawn == {v: set(own.get(v, ())) for v in run.pruning if not tree.is_leaf(v)}
 
     def test_node_masses_are_exact(self):
         tree, truth = spiked_quality_tree((16, 4, 2, 1))

@@ -35,25 +35,24 @@ def small_instance():
 
 
 class TestLedger:
-    def test_counts_and_attribution(self):
+    def test_counts(self):
         led = QueryLedger()
-        led.record_basic(3)
-        led.record_basic(3)
-        led.record_basic(7)
+        led.record_basic()
+        led.record_basic()
+        led.record_basic()
         led.record_node()
         assert led.basic_queries == 3
         assert led.node_queries == 1
-        assert led.per_node_basic == {3: 2, 7: 1}
 
     def test_snapshot_is_detached(self):
         led = QueryLedger()
-        led.record_basic(0)
+        led.record_basic()
         snap = led.snapshot()
-        led.record_basic(0)
+        led.record_basic()
         led.record_node()
         assert snap.basic_queries == 1
         assert snap.node_queries == 0
-        assert snap.per_node_basic == {0: 1}
+        assert led.basic_queries == 2
 
 
 class TestOracle:
@@ -61,13 +60,12 @@ class TestOracle:
         tree, truth = small_instance()
         oracle = Oracle(tree, truth)
         a = tree.leaf_order.index("a")
-        assert oracle.query_leaf(a, attributed_to=0) == 0.5
-        assert oracle.query_leaf(a, attributed_to=1) == 0.5
+        assert oracle.query_leaf(a) == 0.5
+        assert oracle.query_leaf(a) == 0.5
         assert oracle.query_node(1) == fsum([0.5, 0.1])
         assert oracle.query_node(0) == truth.total()
         assert oracle.ledger.basic_queries == 2
         assert oracle.ledger.node_queries == 2
-        assert oracle.ledger.per_node_basic == {0: 1, 1: 1}
 
     def test_leaf_values_are_read_only_and_free(self):
         tree, truth = small_instance()
@@ -82,7 +80,7 @@ class TestOracle:
         tree, truth = small_instance()
         oracle = Oracle(tree, truth)
         for _ in range(5):
-            oracle.query_leaf(tree.leaf_order.index("c"), attributed_to=0)
+            oracle.query_leaf(tree.leaf_order.index("c"))
         assert oracle.ledger.basic_queries == 5
 
     def test_leaf_set_must_match(self):
@@ -100,7 +98,7 @@ class TestOracle:
         oracle = Oracle(tree, truth)
         for bad in (-1, tree.leaf_count_total, "a"):
             with pytest.raises(KeyError):
-                oracle.query_leaf(bad, attributed_to=0)
+                oracle.query_leaf(bad)
         with pytest.raises(KeyError):
             oracle.query_node(99)
 
