@@ -20,9 +20,7 @@ from awpkit.adversarial import (
     heavy_leaf_vectors,
 )
 from awpkit.baselines import (
-    Budget,
     empirical_score,
-    match_budget,
     run_empirical,
     run_uniform,
     run_weight,
@@ -39,7 +37,6 @@ from awpkit.estimator import (
     NodeStats,
     confidence_radius,
     estimate_discrepancy,
-    exact_discrepancy,
 )
 from awpkit.fileio import (
     dump_tree,

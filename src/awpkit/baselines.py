@@ -1,8 +1,10 @@
 """Non-adaptive baselines run under a matched query budget.
 
-All three baselines produce a size-k pruning and spend exactly the same
-number of basic and node queries as a reference adaptive run (see
-match_budget), making their output weightings directly comparable.
+All three baselines produce a size-k pruning with exactly k - 1 splits,
+so k - 1 node queries, and spend a given number of basic queries.  Given
+the size and basic-query count an adaptive run reached, they spend
+exactly what it spent, making their output weightings directly
+comparable.
 
 WEIGHT ignores samples for its split choices and always splits the pruning
 node with the largest known mass.  UNIFORM and EMPIRICAL draw their whole
@@ -17,30 +19,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import fsum
 from operator import itemgetter
 
 from awpkit.engine import PruningResult, PruningSearch
 from awpkit.oracle import Oracle
 from awpkit.tree import HierTree
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Query allowance: basic (leaf) queries and node (subtree mass) queries."""
-
-    basic: int
-    node: int
-
-    def __post_init__(self):
-        if self.basic < 0 or self.node < 0:
-            raise ValueError("budget counts must be non-negative")
-
-
-def match_budget(result: PruningResult) -> Budget:
-    """Budget equal to what a finished run actually spent."""
-    return Budget(result.ledger.basic_queries, result.ledger.node_queries)
 
 
 def _as_draws(values) -> list[float]:
@@ -64,11 +48,11 @@ def empirical_score(w_star: float, n_leaves: int, values) -> float:
     return (n_leaves / len(vals)) * fsum(abs(avg - x) for x in vals)
 
 
-def _check_run_args(tree: HierTree, k: int, budget: Budget) -> None:
+def _check_run_args(tree: HierTree, k: int, basic: int) -> None:
     if not (1 <= k <= tree.leaf_count_total):
         raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
-    if budget.node < k - 1:
-        raise ValueError(f"node budget {budget.node} cannot cover {k - 1} splits")
+    if basic < 0:
+        raise ValueError(f"basic query count must be non-negative, got {basic}")
 
 
 def _draw_all(search: PruningSearch, rng: random.Random, count: int) -> list[tuple[int, float]]:
@@ -94,20 +78,20 @@ def _split_best(search: PruningSearch, k: int, key) -> None:
         search.split(max((v for v in search.pruning if not tree.is_leaf(v)), key=key))
 
 
-def run_weight(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int) -> PruningResult:
-    """Split the heaviest pruning node k-1 times, then spend the whole
-    basic budget on uniform leaf draws used only to refine the output."""
+def run_weight(tree: HierTree, oracle: Oracle, k: int, basic: int, seed: int) -> PruningResult:
+    """Split the heaviest pruning node k-1 times, then spend all ``basic``
+    queries on uniform leaf draws used only to refine the output."""
     search = PruningSearch(tree, oracle)
-    _check_run_args(tree, k, budget)
+    _check_run_args(tree, k, basic)
     _split_best(search, k, search.mass.__getitem__)
-    _draw_all(search, random.Random(seed), budget.basic)
+    _draw_all(search, random.Random(seed), basic)
     return search.finish()
 
 
-def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
+def _run_scored(tree, oracle, k, basic, seed, score_fn) -> PruningResult:
     search = PruningSearch(tree, oracle)
-    _check_run_args(tree, k, budget)
-    draws = sorted(_draw_all(search, random.Random(seed), budget.basic), key=itemgetter(0))
+    _check_run_args(tree, k, basic)
+    draws = sorted(_draw_all(search, random.Random(seed), basic), key=itemgetter(0))
     pos_sorted = [pos for pos, _ in draws]
     val_sorted = [x for _, x in draws]
     mass = search.mass
@@ -127,13 +111,13 @@ def _run_scored(tree, oracle, k, budget, seed, score_fn) -> PruningResult:
     return search.finish()
 
 
-def run_uniform(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int) -> PruningResult:
+def run_uniform(tree: HierTree, oracle: Oracle, k: int, basic: int, seed: int) -> PruningResult:
     """Score candidate splits with the unbiased discrepancy estimate over a
     fixed, uniformly pre-drawn sample."""
-    return _run_scored(tree, oracle, k, budget, seed, uniform_score)
+    return _run_scored(tree, oracle, k, basic, seed, uniform_score)
 
 
-def run_empirical(tree: HierTree, oracle: Oracle, k: int, budget: Budget, seed: int) -> PruningResult:
+def run_empirical(tree: HierTree, oracle: Oracle, k: int, basic: int, seed: int) -> PruningResult:
     """Score candidate splits with the plug-in deviation sum over a fixed,
     uniformly pre-drawn sample."""
-    return _run_scored(tree, oracle, k, budget, seed, empirical_score)
+    return _run_scored(tree, oracle, k, basic, seed, empirical_score)

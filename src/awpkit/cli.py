@@ -38,12 +38,12 @@ from awpkit.adversarial import (
     build_lookahead_trap,
     build_tightness,
 )
-from awpkit.baselines import match_budget, run_empirical, run_uniform, run_weight
+from awpkit.baselines import run_empirical, run_uniform, run_weight
 from awpkit.engine import EngineConfig, normalized_distance, run_awp
+from awpkit.estimator import RADIUS_MODES
 from awpkit.fileio import dump_tree, dump_weights, load_tree, load_weights
 from awpkit.oracle import (
     Oracle,
-    QueryLedger,
     TargetSpec,
     build_median_split_tree,
     build_random_balanced_tree,
@@ -227,7 +227,8 @@ class ExperimentOutput:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     """Run the sweep.  Every run r uses seed config.seed + r; baselines are
-    given exactly the budget the adaptive run spent for the same (k, run)."""
+    given exactly the basic queries the adaptive run spent for the same
+    (k, run), and split to the size it reached."""
     tree, built_weights = make_tree_source(config.tree_source, config.seed)
     if config.target_source is not None:
         truth = make_target_source(config.target_source, tree, config.seed)
@@ -236,8 +237,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     else:
         raise UsageError("this tree source defines no weights; pass --weights")
 
-    # One oracle for the sweep; each cell starts on a fresh ledger, and its
-    # result keeps a snapshot of it.
     oracle = Oracle(tree, truth)
     truth_vals = oracle.leaf_values
     algs = tuple(a for a in ALGORITHMS if a in config.algorithms)
@@ -246,18 +245,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     for k in config.k_values:
         for r in range(config.runs):
             run_seed = config.seed + r
-            oracle.ledger = QueryLedger()
             awp_res = run_awp(tree, oracle, config.engine_config(k, run_seed))
-            budget = match_budget(awp_res)
             # A capped adaptive run may stop short of k; baselines then
-            # target the size it actually reached so budgets stay equal.
+            # target the size it actually reached, with the basic queries it
+            # spent, so spends stay equal.
             k_reached = len(awp_res.pruning)
+            basic = awp_res.ledger.basic_queries
             for alg in algs:
                 if alg == "awp":
                     res = awp_res
                 else:
-                    oracle.ledger = QueryLedger()
-                    res = _BASELINE_RUNNERS[alg](tree, oracle, k_reached, budget, run_seed)
+                    res = _BASELINE_RUNNERS[alg](tree, oracle, k_reached, basic, run_seed)
                 nd = normalized_distance(res, truth_vals)
                 out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
                 out.traces.append((alg, k, r, res.trace_lines()))
@@ -414,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--delta", type=float, default=0.05)
     p_run.add_argument("--beta", type=float, default=4.0)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--radius", choices=("hoeffding", "bernstein", "min"), default="min")
+    p_run.add_argument("--radius", choices=RADIUS_MODES, default="min")
     p_run.add_argument("--algorithms", default=",".join(ALGORITHMS))
     p_run.add_argument("--max-queries", type=int, default=None, help="cap on basic queries per run")
     p_run.add_argument("--out", required=True, help="CSV output path")

@@ -48,9 +48,10 @@ MASS_TOL = 1e-12
 class EngineConfig:
     """Run parameters.
 
-    beta is the split margin (> 1): larger values split sooner at the price
-    of a looser approximation guarantee.  max_basic_queries, when set, hard
-    stops the run before the next draw once the ledger reaches the cap.
+    beta is the split margin (finite, > 1): larger values split sooner at
+    the price of a looser approximation guarantee.  max_basic_queries, when
+    set, hard stops the run before the next draw once this run's own basic
+    queries reach the cap.
     """
 
     k: int
@@ -66,8 +67,8 @@ class EngineConfig:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if not self.beta > 1.0:
-            raise ValueError(f"beta must exceed 1, got {self.beta!r}")
+        if not 1.0 < self.beta < inf:
+            raise ValueError(f"beta must exceed 1 and be finite, got {self.beta!r}")
         if self.radius_mode not in RADIUS_MODES:
             raise ValueError(f"radius_mode must be one of {RADIUS_MODES}, got {self.radius_mode!r}")
         if self.max_basic_queries is not None and self.max_basic_queries < 0:
@@ -83,7 +84,8 @@ class PruningResult:
     order: each pruning node's mass spread over its leaves, with every leaf
     whose weight was individually queried pinned to its true value and
     only the residual mass spread uniformly over the rest.  ledger counts
-    the oracle calls; trace, the only per-draw record, lists them as
+    this search's own oracle calls, whatever the oracle served before or
+    serves after; trace, the only per-draw record, lists them as
     SAMPLE (node, leaf label, weight) and SPLIT (node, right child's mass)
     events.  early_stop is None for a normal finish, else "max-queries".
     """
@@ -112,6 +114,8 @@ class PruningSearch:
     known mass (the root's is 1 by definition of a weighting, so it is
     never queried), ``queried`` maps leaf positions to their queried
     weights, and ``trace`` records every query as a SAMPLE or SPLIT event.
+    The oracle's counts at the start are kept, so the result's ledger is
+    this search's own spend, whatever the oracle served before.
     """
 
     def __init__(self, tree: HierTree, oracle: Oracle):
@@ -123,6 +127,7 @@ class PruningSearch:
         self.mass: dict[int, float] = {tree.root_id: 1.0}
         self.queried: dict[int, float] = {}
         self.trace: list[tuple] = []
+        self._start = (oracle.ledger.basic_queries, oracle.ledger.node_queries)
 
     def draw(self, pos: int, v: int) -> float:
         """Query the weight of the leaf at position pos on behalf of node v."""
@@ -166,11 +171,12 @@ class PruningSearch:
         total = fsum(refined)
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise InvariantError(f"refined weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
+        led = self.oracle.ledger
         return PruningResult(
             pruning=ptuple,
             node_weights=node_weights,
             w_p_refined=refined,
-            ledger=self.oracle.ledger.snapshot(),
+            ledger=QueryLedger(led.basic_queries - self._start[0], led.node_queries - self._start[1]),
             trace=tuple(self.trace),
             early_stop=early_stop,
         )
@@ -336,6 +342,10 @@ def run_awp(tree: HierTree, oracle: Oracle, config: EngineConfig) -> PruningResu
     """Run the adaptive loop to a size-k pruning (or an early stop)."""
     state = AwpRun(tree, oracle, config)
     cap = config.max_basic_queries
+    # The cap counts this run's own queries, from the oracle's count at its
+    # start.
+    if cap is not None:
+        cap += state._start[0]
     # k <= leaf_count_total, and a pruning of leaves only has that many
     # nodes, so a pruning smaller than k always has an internal node.
     while len(state.pruning) < config.k:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from awpkit.tree import InvariantError, _discrepancy
+from awpkit.tree import InvariantError
 
 SAMPLE_TOL = 1e-12
 
@@ -144,11 +144,3 @@ def confidence_radius(
     if mode == "bernstein":
         return bern
     return min(_hoeffding(stats, m, log_term), bern)
-
-
-def exact_discrepancy(values) -> float:
-    """Discrepancy of an explicit weight vector: sum of |mean - value|."""
-    vals = [float(x) for x in values]
-    if not vals:
-        raise ValueError("empty value sequence")
-    return _discrepancy(vals)

@@ -3,7 +3,7 @@
 The oracle holds the hidden target weighting and exposes it only through
 two query operations: the weight of a single leaf (a basic query) and the
 total weight of a node's leaf set (a node query).  Every call is counted in
-a ledger.
+a ledger that runs over the oracle's whole life.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from awpkit.tree import HierTree, WeightTable, _leaf_values, span_sums
 
 @dataclass
 class QueryLedger:
-    """Running count of oracle calls."""
+    """Running count of oracle calls, over the oracle's whole life; a
+    search reports its own spend as the difference from the counts at its
+    start."""
 
     basic_queries: int = 0
     node_queries: int = 0
@@ -31,17 +33,16 @@ class QueryLedger:
     def record_node(self) -> None:
         self.node_queries += 1
 
-    def snapshot(self) -> "QueryLedger":
-        return QueryLedger(self.basic_queries, self.node_queries)
-
 
 class Oracle:
     """Query access to a hidden target weighting over a tree's leaves.
 
     The label-keyed target must cover exactly the tree's leaf set.  Answers
     are exact; repeated queries for the same leaf are answered (and
-    charged) again.  Both queries take O(1) time: ``query_node`` reads
-    exact prefix sums built once here (see ``span_sums``).
+    charged) again.  ``ledger`` counts every query the oracle serves over
+    its whole life, so one oracle can serve many searches, and each search
+    reports its own spend.  Both queries take O(1) time: ``query_node``
+    reads exact prefix sums built once here (see ``span_sums``).
     """
 
     def __init__(self, tree: HierTree, truth: Mapping[str, float]):

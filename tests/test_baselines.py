@@ -1,4 +1,4 @@
-"""Non-adaptive baselines: budget parity, split selection, scoring, and
+"""Non-adaptive baselines: spend parity, split selection, scoring, and
 trace replay audits.
 
 The scored baselines are replayed step by step from their traces with an
@@ -10,7 +10,6 @@ checked against kept numpy and induced-weighting references.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from bisect import insort
 from math import fsum, isclose
@@ -19,9 +18,7 @@ import numpy as np
 import pytest
 
 from awpkit.baselines import (
-    Budget,
     empirical_score,
-    match_budget,
     run_empirical,
     run_uniform,
     run_weight,
@@ -55,24 +52,6 @@ QUAD = HierTree.from_nested((("a", "b"), ("c", "d")))
 def quad_instance(a, b, c, d):
     table = WeightTable({"a": a, "b": b, "c": c, "d": d})
     return QUAD, table
-
-
-class TestBudget:
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            Budget(-1, 0)
-        with pytest.raises(ValueError):
-            Budget(0, -2)
-
-    def test_frozen(self):
-        budget = Budget(3, 2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            budget.basic = 5
-
-    def test_match_budget_reads_ledger(self):
-        tree, table = quad_instance(0.4, 0.2, 0.3, 0.1)
-        result = run_weight(tree, Oracle(tree, table), 3, Budget(5, 2), seed=7)
-        assert match_budget(result) == Budget(5, 2)
 
 
 class TestScores:
@@ -194,25 +173,25 @@ class TestRunArgs:
         oracle = Oracle(other, table)
         for fn in (run_weight, run_uniform, run_empirical):
             with pytest.raises(ValueError, match="different tree"):
-                fn(tree, oracle, 2, Budget(0, 1), seed=0)
+                fn(tree, oracle, 2, 0, seed=0)
 
     def test_k_out_of_range(self):
         tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
         for bad_k in (0, 5):
             with pytest.raises(ValueError, match="k must be"):
-                run_weight(tree, Oracle(tree, table), bad_k, Budget(0, 10), seed=0)
+                run_weight(tree, Oracle(tree, table), bad_k, 0, seed=0)
 
-    def test_node_budget_must_cover_splits(self):
+    def test_negative_basic_count_rejected(self):
         tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
-        with pytest.raises(ValueError, match="node budget"):
-            run_uniform(tree, Oracle(tree, table), 3, Budget(4, 1), seed=0)
+        for fn in (run_weight, run_uniform, run_empirical):
+            with pytest.raises(ValueError, match="non-negative"):
+                fn(tree, Oracle(tree, table), 3, -1, seed=0)
 
 
 class TestRunWeight:
     def test_quad_split_order_and_outputs(self):
         tree, table = quad_instance(0.4, 0.2, 0.3, 0.1)
-        budget = Budget(5, 2)
-        result = run_weight(tree, Oracle(tree, table), 3, budget, seed=11)
+        result = run_weight(tree, Oracle(tree, table), 3, 5, seed=11)
 
         # Root first, then the heavier child (mass 0.6 on the left).
         assert result.pruning == (2, 3, 4)
@@ -236,7 +215,7 @@ class TestRunWeight:
 
     def test_mass_tie_prefers_smaller_id(self):
         tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
-        result = run_weight(tree, Oracle(tree, table), 3, Budget(0, 2), seed=0)
+        result = run_weight(tree, Oracle(tree, table), 3, 0, seed=0)
         # Children tie at 0.5 after the root split; node 1 wins the tie.
         assert result.pruning == (2, 3, 4)
 
@@ -244,7 +223,7 @@ class TestRunWeight:
         tree, table = quad_instance(0.1, 0.2, 0.3, 0.4)
         prunings = set()
         for seed in range(5):
-            result = run_weight(tree, Oracle(tree, table), 3, Budget(20, 2), seed=seed)
+            result = run_weight(tree, Oracle(tree, table), 3, 20, seed=seed)
             prunings.add(result.pruning)
         assert len(prunings) == 1
 
@@ -252,7 +231,7 @@ class TestRunWeight:
         rng = random.Random(3)
         tree = random_tree(rng, 12)
         table = random_weight_table(rng, tree.leaf_order, kind="dense")
-        result = run_weight(tree, Oracle(tree, table), 4, Budget(15, 3), seed=8)
+        result = run_weight(tree, Oracle(tree, table), 4, 15, seed=8)
         queried = {t[2] for t in result.trace if t[0] == "SAMPLE"}
         assert queried
         for label in queried:
@@ -260,7 +239,7 @@ class TestRunWeight:
 
     def test_k1_spends_basic_budget_only(self):
         tree, table = quad_instance(0.4, 0.2, 0.3, 0.1)
-        result = run_weight(tree, Oracle(tree, table), 1, Budget(6, 0), seed=2)
+        result = run_weight(tree, Oracle(tree, table), 1, 6, seed=2)
         assert result.pruning == (tree.root_id,)
         assert result.ledger.basic_queries == 6
         assert result.ledger.node_queries == 0
@@ -274,8 +253,7 @@ class TestRunWeight:
             tree = random_tree(rng, rng.randint(6, 28))
             table = random_weight_table(rng, tree.leaf_order)
             k = rng.randint(2, min(6, tree.leaf_count_total))
-            budget = Budget(rng.randint(0, 25), k - 1)
-            result = run_weight(tree, Oracle(tree, table), k, budget, seed=seed)
+            result = run_weight(tree, Oracle(tree, table), k, rng.randint(0, 25), seed=seed)
 
             splits = [t for t in result.trace if t[0] == "SPLIT"]
             assert len(splits) == k - 1
@@ -305,7 +283,7 @@ class TestRunWeight:
             assert result.node_weights == {u: weights[u] for u in pruning}
 
 
-def replay_scored(tree, table, result, k, budget, score_fn):
+def replay_scored(tree, table, result, k, basic, score_fn):
     """Re-derive every selection a scored baseline made from its trace.
 
     Draws are position-sorted with a stable numpy argsort and node
@@ -316,7 +294,7 @@ def replay_scored(tree, table, result, k, budget, score_fn):
     samples = [t for t in result.trace if t[0] == "SAMPLE"]
     splits = [t for t in result.trace if t[0] == "SPLIT"]
     assert list(result.trace) == samples + splits
-    assert len(samples) == budget.basic
+    assert len(samples) == basic
     assert len(splits) == k - 1
 
     positions = np.empty(len(samples), dtype=np.int64)
@@ -375,7 +353,7 @@ def replay_scored(tree, table, result, k, budget, score_fn):
 
     assert result.pruning == tuple(pruning)
     assert result.node_weights == {u: weights[u] for u in pruning}
-    assert result.ledger.basic_queries == budget.basic
+    assert result.ledger.basic_queries == basic
     assert result.ledger.node_queries == k - 1
 
 
@@ -388,9 +366,8 @@ class TestScoredBaselines:
             table = random_weight_table(rng, tree.leaf_order)
             k = rng.randint(2, min(6, tree.leaf_count_total))
             basic = rng.choice((0, 1, 7, 40))
-            budget = Budget(basic, k - 1)
-            result = runner(tree, Oracle(tree, table), k, budget, seed=seed)
-            replay_scored(tree, table, result, k, budget, score_fn)
+            result = runner(tree, Oracle(tree, table), k, basic, seed=seed)
+            replay_scored(tree, table, result, k, basic, score_fn)
 
     @pytest.mark.parametrize("runner", [run_uniform, run_empirical])
     def test_no_draws_falls_back_to_heaviest(self, runner):
@@ -398,8 +375,8 @@ class TestScoredBaselines:
         tree = random_tree(rng, 16)
         table = random_weight_table(rng, tree.leaf_order, kind="exponential")
         k = 5
-        scored = runner(tree, Oracle(tree, table), k, Budget(0, k - 1), seed=3)
-        weighted = run_weight(tree, Oracle(tree, table), k, Budget(0, k - 1), seed=3)
+        scored = runner(tree, Oracle(tree, table), k, 0, seed=3)
+        weighted = run_weight(tree, Oracle(tree, table), k, 0, seed=3)
         assert scored.pruning == weighted.pruning
         assert scored.trace == weighted.trace
 
@@ -408,8 +385,8 @@ class TestScoredBaselines:
         rng = random.Random(23)
         tree = random_tree(rng, 20)
         table = random_weight_table(rng, tree.leaf_order)
-        first = runner(tree, Oracle(tree, table), 4, Budget(30, 3), seed=9)
-        second = runner(tree, Oracle(tree, table), 4, Budget(30, 3), seed=9)
+        first = runner(tree, Oracle(tree, table), 4, 30, seed=9)
+        second = runner(tree, Oracle(tree, table), 4, 30, seed=9)
         assert first.trace == second.trace
         assert first.pruning == second.pruning
         assert first.w_p_refined == second.w_p_refined
@@ -420,8 +397,8 @@ class TestScoredBaselines:
         rng = random.Random(29)
         tree = random_tree(rng, 18)
         table = random_weight_table(rng, tree.leaf_order)
-        uni = run_uniform(tree, Oracle(tree, table), 3, Budget(12, 2), seed=4)
-        emp = run_empirical(tree, Oracle(tree, table), 3, Budget(12, 2), seed=4)
+        uni = run_uniform(tree, Oracle(tree, table), 3, 12, seed=4)
+        emp = run_empirical(tree, Oracle(tree, table), 3, 12, seed=4)
         uni_samples = [t for t in uni.trace if t[0] == "SAMPLE"]
         emp_samples = [t for t in emp.trace if t[0] == "SAMPLE"]
         assert uni_samples == emp_samples
@@ -429,21 +406,22 @@ class TestScoredBaselines:
 
 class TestBudgetParity:
     def test_all_baselines_match_adaptive_spend(self):
-        # Baselines fed a matched budget must spend exactly what the
-        # adaptive reference run spent, down to both ledger counters.
+        # Baselines given the adaptive run's basic-query count and reached
+        # size must spend exactly what it spent, down to both ledger
+        # counters.
         rng = random.Random(31)
         tree = random_tree(rng, 24)
         table = random_weight_table(rng, tree.leaf_order, kind="dense")
         config = EngineConfig(k=5, delta=0.05, beta=4.0, seed=0, max_basic_queries=120)
         reference = run_awp(tree, Oracle(tree, table), config)
-        budget = match_budget(reference)
+        spent = reference.ledger
         k_reached = len(reference.pruning)
-        assert budget.node == k_reached - 1
+        assert spent.node_queries == k_reached - 1
 
         for fn in (run_weight, run_uniform, run_empirical):
-            result = fn(tree, Oracle(tree, table), k_reached, budget, seed=1)
-            assert result.ledger.basic_queries == budget.basic
-            assert result.ledger.node_queries == budget.node
+            result = fn(tree, Oracle(tree, table), k_reached, spent.basic_queries, seed=1)
+            assert result.ledger.basic_queries == spent.basic_queries
+            assert result.ledger.node_queries == spent.node_queries
             assert len(result.pruning) == k_reached
             # Comparable outputs: normalized weightings over the leaf set.
             w_p = induced_weighting(tree, result.pruning, result.node_weights)
@@ -463,7 +441,7 @@ class TestFullSize:
         k = tree.leaf_count_total
         leaves = tuple(leaf_ids(tree))
         for fn in (run_weight, run_uniform, run_empirical):
-            result = fn(tree, Oracle(tree, table), k, Budget(rng.randint(0, 30), k - 1), seed=seed)
+            result = fn(tree, Oracle(tree, table), k, rng.randint(0, 30), seed=seed)
             assert result.pruning == leaves
             assert result.early_stop is None
         config = EngineConfig(k=k, seed=seed, max_basic_queries=400)

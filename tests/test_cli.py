@@ -474,7 +474,7 @@ class TestMain:
         assert "distinct" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value", [("--delta", "2"), ("--beta", "1"), ("--max-queries", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--delta", "2"), ("--beta", "1"), ("--beta", "inf"), ("--max-queries", "-1")])
     def test_exit_code_1_bad_engine_flag_before_reading_the_tree(self, tmp_path, capsys, flag, value):
         # The tree path does not exist: exit 1, not 2, shows the flag was
         # rejected before any input was read.

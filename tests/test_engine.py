@@ -16,14 +16,18 @@ from awpkit.engine import (
     normalized_distance,
     run_awp,
 )
+from awpkit.baselines import run_empirical, run_uniform, run_weight
 from awpkit.cli import ExperimentOutput, format_traces
 from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
 from awpkit.oracle import (
     Oracle,
+    QueryLedger,
     TargetSpec,
+    build_median_split_tree,
     build_random_balanced_tree,
     leaf_order_bins,
     make_geometric_target,
+    random_features,
 )
 from awpkit.tree import (
     HierTree,
@@ -66,6 +70,8 @@ class TestConfig:
             EngineConfig(k=2, delta=1.0)
         with pytest.raises(ValueError):
             EngineConfig(k=2, beta=1.0)
+        with pytest.raises(ValueError):
+            EngineConfig(k=2, beta=inf)
         with pytest.raises(ValueError):
             EngineConfig(k=2, radius_mode="other")
         with pytest.raises(ValueError):
@@ -398,6 +404,57 @@ class TestQueryCap:
         free = run_awp(tree, Oracle(tree, truth), EngineConfig(k=2))
         assert capped.early_stop is None
         assert capped.trace_lines() == free.trace_lines()
+
+
+class TestOwnSpend:
+    """A search reports and caps only the queries it made itself, however
+    many the oracle served before or serves after."""
+
+    CONFIG = EngineConfig(k=8, seed=1, max_basic_queries=300)
+
+    @staticmethod
+    def instance():
+        labels = [f"x{i:06d}" for i in range(512)]
+        tree = build_median_split_tree(random_features(labels, 8, seed=0), seed=0)
+        truth = make_geometric_target(tree, TargetSpec("geometric-bins", n_bins=4, ratio=2.0), seed=0)
+        return tree, truth
+
+    def test_reused_oracle_repeats_capped_runs(self):
+        tree, truth = self.instance()
+        fresh = run_awp(tree, Oracle(tree, truth), self.CONFIG)
+        assert fresh.early_stop == "max-queries"
+        oracle = Oracle(tree, truth)
+        for _ in range(2):
+            res = run_awp(tree, oracle, self.CONFIG)
+            assert res.pruning == fresh.pruning
+            assert res.trace == fresh.trace
+            assert res.ledger == fresh.ledger == QueryLedger(300, len(fresh.pruning) - 1)
+            assert res.early_stop == "max-queries"
+
+    def test_baseline_after_reused_runs_counts_its_own_draws(self):
+        tree, truth = self.instance()
+        oracle = Oracle(tree, truth)
+        awp = [run_awp(tree, oracle, self.CONFIG) for _ in range(2)][-1]
+        k = len(awp.pruning)
+        for fn in (run_weight, run_uniform, run_empirical):
+            res = fn(tree, oracle, k, awp.ledger.basic_queries, seed=1)
+            assert res.ledger == QueryLedger(300, k - 1)
+            assert res.trace == fn(tree, Oracle(tree, truth), k, 300, seed=1).trace
+
+    def test_finished_ledger_is_detached(self):
+        tree, truth = quad_instance()
+        oracle = Oracle(tree, truth)
+        oracle.query_leaf(0)
+        oracle.query_node(1)
+        res = run_awp(tree, oracle, EngineConfig(k=3, seed=2))
+        spent = QueryLedger(
+            sum(ev[0] == "SAMPLE" for ev in res.trace), sum(ev[0] == "SPLIT" for ev in res.trace)
+        )
+        assert res.ledger == spent
+        oracle.query_leaf(0)
+        oracle.query_node(1)
+        assert res.ledger == spent
+        assert oracle.ledger == QueryLedger(spent.basic_queries + 2, spent.node_queries + 2)
 
 
 class TestRefinedWeighting:

@@ -15,9 +15,8 @@ from awpkit.estimator import (
     NodeStats,
     confidence_radius,
     estimate_discrepancy,
-    exact_discrepancy,
 )
-from awpkit.tree import InvariantError, node_discrepancy
+from awpkit.tree import HierTree, InvariantError, WeightTable, node_discrepancy
 
 from helpers import random_tree, random_weight_table, reference_confidence_radius
 
@@ -81,7 +80,8 @@ class TestEstimate:
     def test_exhaustively_unbiased_on_a_tiny_vector(self):
         values = [0.6, 0.3, 0.1]
         n = len(values)
-        exact = exact_discrepancy(values)
+        tree = HierTree.from_nested(("a", ("b", "c")))
+        exact = node_discrepancy(tree, tree.root_id, WeightTable(dict(zip("abc", values))))
         for m in (1, 2, 3):
             ests = []
             for tup in itertools.product(range(n), repeat=m):
@@ -210,19 +210,3 @@ class TestRadiusAgainstReference:
         st_ = stats_with([0.3 * f for f in fractions], w_star=0.3, n_leaves=n_leaves)
         want = reference_confidence_radius(st_, 40, 0.05, mode, strict_paper=strict)
         assert confidence_radius(st_, 40, 0.05, mode, strict_paper=strict) == want
-
-
-class TestExactDiscrepancy:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            exact_discrepancy([])
-
-    def test_matches_node_discrepancy_on_full_vector(self):
-        rng = random.Random(11)
-        tree = random_tree(rng, 17)
-        w = random_weight_table(rng, tree.leaf_order)
-        vals = [w[lab] for lab in tree.leaf_order]
-        assert exact_discrepancy(vals) == node_discrepancy(tree, tree.root_id, w)
-
-    def test_uniform_vector_is_zero(self):
-        assert exact_discrepancy([0.25] * 4) == 0.0

@@ -44,16 +44,6 @@ class TestLedger:
         assert led.basic_queries == 3
         assert led.node_queries == 1
 
-    def test_snapshot_is_detached(self):
-        led = QueryLedger()
-        led.record_basic()
-        snap = led.snapshot()
-        led.record_basic()
-        led.record_node()
-        assert snap.basic_queries == 1
-        assert snap.node_queries == 0
-        assert led.basic_queries == 2
-
 
 class TestOracle:
     def test_queries_are_exact_and_counted(self):
