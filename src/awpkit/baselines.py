@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import repeat
 from math import fsum
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from awpkit.engine import PruningResult, PruningSearch
 from awpkit.oracle import Oracle
@@ -28,7 +29,7 @@ from awpkit.tree import HierTree
 
 
 def _as_draws(values) -> list[float]:
-    vals = [float(x) for x in values]
+    vals = list(map(float, values))
     if not vals:
         raise ValueError("empty subsample")
     return vals
@@ -38,14 +39,14 @@ def uniform_score(w_star: float, n_leaves: int, values) -> float:
     """Unbiased discrepancy estimate of a node from a uniform subsample."""
     vals = _as_draws(values)
     avg = w_star / n_leaves
-    return w_star + (n_leaves / len(vals)) * (fsum(abs(x - avg) for x in vals) - fsum(vals))
+    return w_star + (n_leaves / len(vals)) * (fsum(map(abs, map(sub, vals, repeat(avg)))) - fsum(vals))
 
 
 def empirical_score(w_star: float, n_leaves: int, values) -> float:
     """Plug-in deviation sum (n/m) * sum |node_average - z|."""
     vals = _as_draws(values)
     avg = w_star / n_leaves
-    return (n_leaves / len(vals)) * fsum(abs(avg - x) for x in vals)
+    return (n_leaves / len(vals)) * fsum(map(abs, map(sub, repeat(avg), vals)))
 
 
 def _check_run_args(tree: HierTree, k: int, basic: int) -> None:

@@ -25,6 +25,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from collections.abc import Callable
@@ -230,6 +231,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     given exactly the basic queries the adaptive run spent for the same
     (k, run), and split to the size it reached."""
     tree, built_weights = make_tree_source(config.tree_source, config.seed)
+    n = tree.leaf_count_total
+    if max(config.k_values) > n:
+        raise UsageError(f"k must be in 2..{n} for this tree, got {max(config.k_values)}")
     if config.target_source is not None:
         truth = make_target_source(config.target_source, tree, config.seed)
     elif built_weights is not None:
@@ -241,6 +245,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     truth_vals = oracle.leaf_values
     algs = tuple(a for a in ALGORITHMS if a in config.algorithms)
     out = ExperimentOutput()
+    # One oracle answers every query of the sweep, so each leaf's
+    # "label weight" text is rendered once and shared by all traces.
+    leaf_texts: dict[str, str] = {}
     per_alg_k: dict[tuple[str, int], list[float]] = {}
     for k in config.k_values:
         for r in range(config.runs):
@@ -258,7 +265,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
                     res = _BASELINE_RUNNERS[alg](tree, oracle, k_reached, basic, run_seed)
                 nd = normalized_distance(res, truth_vals)
                 out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
-                out.traces.append((alg, k, r, res.trace_lines()))
+                out.traces.append((alg, k, r, res.trace_lines(leaf_texts)))
                 per_alg_k.setdefault((alg, k), []).append(nd)
     order = {alg: i for i, alg in enumerate(ALGORITHMS)}
     out.details.sort(key=lambda row: (order[row[0]], row[1], row[2]))
@@ -319,6 +326,34 @@ def _env_strict_paper() -> bool:
     return os.environ.get("AWPKIT_STRICT_PAPER", "") == "1"
 
 
+@contextlib.contextmanager
+def _all_or_none():
+    """Yield ``stage``, which maps an output path to a temporary file
+    beside it to write instead.  When the block succeeds, each temporary
+    file replaces its output, in staging order; when it raises, they are
+    all removed, so a failed command leaves no output file, new or
+    overwritten.  An error on a temporary file names its output path."""
+    staged: dict[str, str] = {}
+
+    def stage(path: str) -> str:
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}-{len(staged)}.tmp")
+        staged[tmp] = path
+        return tmp
+
+    try:
+        yield stage
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename in staged:
+            exc.filename = staged[exc.filename]
+        raise
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         k_values = tuple(int(x) for x in args.k.split(","))
@@ -342,11 +377,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     output = run_experiment(config)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(format_csv(output))
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.write(format_traces(output))
+    with _all_or_none() as stage:
+        with open(stage(args.out), "w", encoding="utf-8") as fh:
+            fh.write(format_csv(output))
+        if args.trace_out:
+            with open(stage(args.trace_out), "w", encoding="utf-8") as fh:
+                fh.write(format_traces(output))
     return 0
 
 
@@ -361,12 +397,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         weights = make_target_source(args.weights, tree, args.seed)
     if args.out_weights and weights is None:
         raise UsageError("this spec defines no weights; pass --weights to synthesize some")
-    if args.out_weights:
-        dump_weights(weights, args.out_weights)
-        # Free the weights before the tree's text is built, so that synth
-        # never holds both at once.
-        del weights
-    dump_tree(tree, args.out_tree)
+    with _all_or_none() as stage:
+        if args.out_weights:
+            dump_weights(weights, stage(args.out_weights))
+            # Free the weights before the tree's text is built, so that
+            # synth never holds both at once.
+            del weights
+        dump_tree(tree, stage(args.out_tree))
     return 0
 
 

@@ -97,11 +97,26 @@ class PruningResult:
     trace: tuple[tuple, ...]
     early_stop: str | None = None
 
-    def trace_lines(self) -> list[str]:
+    def trace_lines(self, leaf_texts: dict[str, str] | None = None) -> list[str]:
+        """The trace as text lines, ``SAMPLE node label weight`` and
+        ``SPLIT node mass``, with floats in repr form.
+
+        ``leaf_texts`` maps a leaf label to its ``"label weight"`` text and
+        is filled as labels are met, so results drawn from one oracle can
+        share it and render each leaf once.  It is keyed by label, not by
+        weight, since ``0.0 == -0.0`` but their reprs differ.  Without one,
+        a fresh map is used.
+        """
+        if leaf_texts is None:
+            leaf_texts = {}
         out = []
         for ev in self.trace:
             if ev[0] == "SAMPLE":
-                out.append(f"SAMPLE {ev[1]} {ev[2]} {ev[3]!r}")
+                label = ev[2]
+                text = leaf_texts.get(label)
+                if text is None:
+                    text = leaf_texts[label] = f"{label} {ev[3]!r}"
+                out.append(f"SAMPLE {ev[1]} {text}")
             else:
                 out.append(f"SPLIT {ev[1]} {ev[2]!r}")
         return out
@@ -208,11 +223,14 @@ class AwpRun(PruningSearch):
     smallest id on ties.
 
     A draw takes the top of the ucb heap.  A split check filters, then
-    scans: some node qualifies iff the best lcb key other than the top
-    ucb node's reaches the top ucb, or the top ucb node's own key reaches
-    the second-best ucb.  Only then, on the rare hit, is the pruning
-    scanned in id order for the first qualifying node; a pruning leaf
-    never has an lcb, so the scan skips it.
+    scans.  Every node's rival is at least top2, the second-best ucb, so
+    while the best lcb key lies below top2 no node qualifies, and the
+    check ends after one look at the lcb heap; most checks end there.
+    Otherwise some node qualifies iff the best lcb key reaches top1, the
+    top ucb, or the top ucb node's own key reaches top2.  Only then, on
+    the rare hit, is the pruning scanned in id order for the first
+    qualifying node; a pruning leaf never has an lcb, so the scan skips
+    it.
     """
 
     def __init__(self, tree: HierTree, oracle: Oracle, config: EngineConfig):
@@ -278,9 +296,13 @@ class AwpRun(PruningSearch):
         """Draw one leaf from the most promising internal pruning node
         (largest optimistic estimate, smallest id on ties) and record its
         weight.  Returns the sampled node's id."""
-        target = self._top(self._ucb_heap)[1]
-        if target < 0:
+        heap = self._ucb_heap
+        live = self._stamp
+        while heap and live.get(heap[0][1]) != heap[0][2]:
+            heappop(heap)
+        if not heap:
             raise InvariantError("no internal node available to sample")
+        target = heap[0][1]
         lo, hi = self.tree._span[target]
         pos = self.rng.randrange(lo, hi)
         self.stats[target].push(self.draw(pos, target))
@@ -316,12 +338,12 @@ class AwpRun(PruningSearch):
             else:
                 top2 = max(self._top(self._ucb_heap, top1_node)[0], floor)
             # beta * (estimate - radius) >= rival holds for some node with a
-            # draw iff it holds for the best key of the lcb heap, or for
-            # top1_node against its own rival.
-            if not (
-                self._top(self._lcb_heap, top1_node)[0] >= top1
-                or (top1_node in self._lcb and beta * self._lcb[top1_node] >= top2)
-            ):
+            # draw iff the best lcb key reaches top1, or top1_node's own
+            # key reaches top2 (a best key of top1_node's own that reaches
+            # top1 reaches top2 too).  Every rival is at least top2, so a
+            # best key below top2 rules out every node with one look.
+            key = self._top(self._lcb_heap)[0]
+            if key < top2 or not (key >= top1 or (top1_node in self._lcb and beta * self._lcb[top1_node] >= top2)):
                 break
             for v in self.pruning:
                 if v in self._lcb and beta * self._lcb[v] >= (top2 if v == top1_node else top1):

@@ -22,8 +22,8 @@ confidence ln(2/delta).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from math import inf, log, pi, sqrt
 
 from awpkit.tree import InvariantError
 
@@ -82,27 +82,7 @@ def estimate_discrepancy(stats: NodeStats) -> float:
     return stats.w_star + (stats.n_leaves / m) * (stats._sum_dev - stats._sum_z)
 
 
-_PI_SQ = math.pi**2
-
-
-def _log_term(k: int, delta: float, m: int) -> float:
-    # ln(2 / delta(m)) with delta(m) = 3 delta / (k pi^2 m^2)
-    return math.log(2.0 * k * _PI_SQ * m * m / (3.0 * delta))
-
-
-def _hoeffding(stats: NodeStats, m: int, log_term: float) -> float:
-    return stats.w_star * math.sqrt(2.0 * log_term / m)
-
-
-def _bernstein(stats: NodeStats, m: int, log_term: float) -> float:
-    # Pairwise-difference form reduced to O(m):
-    # sum_{i<j} (a_i - a_j)^2 = m * sum a_i^2 - (sum a_i)^2, over m(m-1).
-    var = (m * stats._sum_zp2 - stats._sum_zp**2) / (m * (m - 1))
-    if var < 0.0:
-        var = 0.0
-    return stats.n_leaves * math.sqrt(8.0 * var * log_term / m) + (
-        28.0 * stats.w_star * log_term / (3.0 * (m - 1))
-    )
+_PI_SQ = pi**2
 
 
 def confidence_radius(
@@ -127,6 +107,9 @@ def confidence_radius(
     takes the pointwise minimum of both.  Infinite before the first draw,
     and for the Bernstein radius also at m = 1, where the variance is
     undefined; zero for Hoeffding on a zero-mass node.
+
+    The engine calls this once per draw, so both radii are computed in
+    this one body, without helper calls.
     """
     if mode not in RADIUS_MODES:
         raise ValueError(f"unknown radius mode {mode!r}")
@@ -136,11 +119,25 @@ def confidence_radius(
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     m = stats.m
     if m == 0:
-        return math.inf
-    log_term = _log_term(k, delta, m)
+        return inf
+    # ln(2 / delta(m)) with delta(m) = 3 delta / (k pi^2 m^2)
+    log_term = log(2.0 * k * _PI_SQ * m * m / (3.0 * delta))
+    hoeffding = stats.w_star * sqrt(2.0 * log_term / m)
     if mode == "hoeffding":
-        return _hoeffding(stats, m, log_term)
-    bern = math.inf if m == 1 else _bernstein(stats, m, math.log(2.0 / delta) if strict_paper else log_term)
+        return hoeffding
+    if m == 1:
+        bernstein = inf
+    else:
+        if strict_paper:
+            log_term = log(2.0 / delta)
+        # Pairwise-difference form reduced to O(m):
+        # sum_{i<j} (a_i - a_j)^2 = m * sum a_i^2 - (sum a_i)^2, over m(m-1).
+        var = (m * stats._sum_zp2 - stats._sum_zp**2) / (m * (m - 1))
+        if var < 0.0:
+            var = 0.0
+        bernstein = stats.n_leaves * sqrt(8.0 * var * log_term / m) + (
+            28.0 * stats.w_star * log_term / (3.0 * (m - 1))
+        )
     if mode == "bernstein":
-        return bern
-    return min(_hoeffding(stats, m, log_term), bern)
+        return bernstein
+    return min(hoeffding, bernstein)

@@ -247,6 +247,18 @@ def reference_dumps_weights(table: WeightTable) -> str:
     return "\n".join(out) + "\n"
 
 
+def reference_trace_lines(result: PruningResult) -> list[str]:
+    """One f-string per event, each weight by its own repr: the slow
+    reference for ``PruningResult.trace_lines``."""
+    out = []
+    for ev in result.trace:
+        if ev[0] == "SAMPLE":
+            out.append(f"SAMPLE {ev[1]} {ev[2]} {ev[3]!r}")
+        else:
+            out.append(f"SPLIT {ev[1]} {ev[2]!r}")
+    return out
+
+
 def random_pruning(rng, tree: HierTree, splits: int | None = None) -> tuple[int, ...]:
     """Random antichain covering the leaves, grown by random splits."""
     if splits is None:

@@ -3,6 +3,7 @@ formats, file round trips, and exit codes."""
 
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 from math import fsum, isclose
@@ -30,8 +31,11 @@ from awpkit.cli import (
     parse_results,
     run_experiment,
 )
+from awpkit.engine import PruningResult
 from awpkit.fileio import dump_tree, dump_weights, dumps_tree, load_tree, load_weights
 from awpkit.tree import FileFormatError, HierTree, WeightTable
+
+from helpers import reference_trace_lines
 
 
 def write_quad(tmp_path, weights=None):
@@ -314,6 +318,65 @@ class TestFormats:
         headers = [ln for ln in text.splitlines() if ln.startswith("# ")]
         assert headers == ["# awp k=2 run=0", "# awp k=2 run=1", "# weight k=2 run=0", "# weight k=2 run=1"]
 
+    def test_trace_file_matches_reference_renderer(self, tmp_path, monkeypatch):
+        # A sweep renders each leaf's text once; its trace file must equal
+        # the event-by-event rendering byte for byte.  The weights hold
+        # 0.0 and -0.0 leaves (equal as keys, with different reprs) and
+        # 17-digit reprs, and two weight files put different values on the
+        # same labels, so each sweep must render its own.
+        labels = [f"q{i:02d}" for i in range(16)]
+        tree_path = str(tmp_path / "t.hwt")
+        dump_tree(oracle_mod.build_random_balanced_tree(labels, 5), tree_path)
+        rng = random.Random(7)
+        raw = [rng.random() for _ in range(10)]
+        values = [0.0, -0.0] * 3 + [x / fsum(raw) for x in raw]
+
+        def sweep(w_path, tag):
+            trace = tmp_path / f"{tag}.txt"
+            rc = main([
+                "run", "--tree", tree_path, "--weights", w_path,
+                "--k", "2,5", "--runs", "2", "--max-queries", "80",
+                "--out", str(tmp_path / f"{tag}.csv"), "--trace-out", str(trace),
+            ])
+            assert rc == 0
+            return trace.read_text(encoding="utf-8")
+
+        rendered = []
+        for name, vals in (("fwd", values), ("rev", values[::-1])):
+            w_path = str(tmp_path / f"{name}.w")
+            dump_weights(WeightTable(dict(zip(labels, vals))), w_path)
+            got = sweep(w_path, f"{name}-got")
+            with monkeypatch.context() as m:
+                m.setattr(PruningResult, "trace_lines", lambda self, leaf_texts=None: reference_trace_lines(self))
+                assert got == sweep(w_path, f"{name}-want")
+            samples = {tuple(ln.split()[2:]) for ln in got.splitlines() if ln.startswith("SAMPLE ")}
+            shown = {text for _, text in samples}
+            assert {"0.0", "-0.0"} <= shown
+            assert any(len(text.replace(".", "").lstrip("0")) == 17 for text in shown)
+            rendered.append(dict(samples))
+        fwd, rev = rendered
+        assert any(fwd[label] != rev[label] for label in fwd.keys() & rev.keys())
+
+
+BAD_GENERATOR_CASES = [
+    ("random-balanced:n=64", "geometric:bins=100,ratio=4", "2"),
+    ("random-balanced:n=64", "geometric:bins=100,ratio=4,layout=contiguous", "2"),
+    ("random-balanced:n=64", "geometric:bins=4,ratio=1", "2"),
+    ("random-balanced:n=0", "geometric:bins=2,ratio=2", "2"),
+    ("median-split:n=64,dim=0", "geometric:bins=2,ratio=2", "2"),
+    ("random-balanced:n=16", "geometric:bins=2,ratio=inf", "2"),
+    ("random-balanced:n=16", "geometric:bins=2,ratio=1e308", "2"),
+    ("random-balanced:n=16", "geometric:bins=3,ratio=1e308", "2"),
+    ("median-split:n=64,dimm=3", "geometric:bins=2,ratio=2", "2"),
+    ("median-split:n=64,n=32", "geometric:bins=2,ratio=2", "2"),
+    ("tightness:n=8,k=3", "geometric:bins=2,ratio=2", "2"),
+    ("random-balanced:n=64", "geometric:bins=4,ratio=2,layot=contiguous", "2"),
+    ("random-balanced:n=64", "geometric:bins=4,ratio=2,ratio=3", "2"),
+    ("random-balanced:n=8", "geometric:bins=100,ratio=2", "2"),
+    # k above the leaf count: no source is wrong, so this is a usage error too.
+    ("random-balanced:n=8", "geometric:bins=2,ratio=2", "9"),
+]
+
 
 class TestMain:
     def run_args(self, tmp_path, tag, extra=()):
@@ -490,30 +553,16 @@ class TestMain:
         assert "usage error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "tree_src,weights_src",
-        [
-            ("random-balanced:n=64", "geometric:bins=100,ratio=4"),
-            ("random-balanced:n=64", "geometric:bins=100,ratio=4,layout=contiguous"),
-            ("random-balanced:n=64", "geometric:bins=4,ratio=1"),
-            ("random-balanced:n=0", "geometric:bins=2,ratio=2"),
-            ("median-split:n=64,dim=0", "geometric:bins=2,ratio=2"),
-            ("random-balanced:n=16", "geometric:bins=2,ratio=inf"),
-            ("random-balanced:n=16", "geometric:bins=2,ratio=1e308"),
-            ("random-balanced:n=16", "geometric:bins=3,ratio=1e308"),
-            ("median-split:n=64,dimm=3", "geometric:bins=2,ratio=2"),
-            ("median-split:n=64,n=32", "geometric:bins=2,ratio=2"),
-            ("tightness:n=8,k=3", "geometric:bins=2,ratio=2"),
-            ("random-balanced:n=64", "geometric:bins=4,ratio=2,layot=contiguous"),
-            ("random-balanced:n=64", "geometric:bins=4,ratio=2,ratio=3"),
-            ("random-balanced:n=8", "geometric:bins=100,ratio=2"),
-        ],
+        "tree_src,weights_src,k",
+        BAD_GENERATOR_CASES,
+        ids=[f"{t}-{w}" if k == "2" else f"{t}-{w}-k={k}" for t, w, k in BAD_GENERATOR_CASES],
     )
-    def test_exit_code_1_bad_generator_parameters(self, tmp_path, capsys, tree_src, weights_src):
+    def test_exit_code_1_bad_generator_parameters(self, tmp_path, capsys, tree_src, weights_src, k):
         rc = main([
             "run",
             "--tree", tree_src,
             "--weights", weights_src,
-            "--k", "2",
+            "--k", k,
             "--runs", "1",
             "--max-queries", "10",
             "--out", str(tmp_path / "o.csv"),
@@ -521,6 +570,8 @@ class TestMain:
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+        if k != "2":
+            return  # synth takes no --k
         rc = main([
             "synth", tree_src,
             "--weights", weights_src,
@@ -555,18 +606,56 @@ class TestMain:
         assert main(["inspect", "--tree", tree_path, "--weights", str(w_path)]) == 2
         assert "bad input: weights sum to inf" in capsys.readouterr().err
 
-    def test_exit_code_2_infeasible_k(self, tmp_path):
-        # k exceeding the leaf count surfaces as invalid input, not a crash.
+    def test_exit_code_1_k_above_the_leaf_count(self, tmp_path, capsys, monkeypatch):
+        # The files are fine; k does not fit the tree.  The check comes
+        # once, before any run.
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli_mod, "run_awp", no_run)
         tree_path, w_path = write_quad(tmp_path)
         rc = main([
             "run",
             "--tree", tree_path,
             "--weights", w_path,
-            "--k", "50",
+            "--k", "3,50",
             "--max-queries", "10",
             "--out", str(tmp_path / "o.csv"),
         ])
-        assert rc == 2
+        assert rc == 1
+        assert "usage error: k must be in 2..4 for this tree, got 50" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_failed_synth_writes_nothing(self, tmp_path, capsys):
+        # The weights come first, the tree file cannot be written: neither
+        # file is left, and an older weight file keeps its contents.
+        w_path = tmp_path / "w.txt"
+        for old in (None, "old\n"):
+            if old is not None:
+                w_path.write_text(old, encoding="utf-8")
+            rc = main([
+                "synth", "random-balanced:n=16",
+                "--weights", "geometric:bins=2,ratio=2",
+                "--out-weights", str(w_path),
+                "--out-tree", str(tmp_path / "nodir" / "t.hwt"),
+            ])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert f"No such file or directory: {str(tmp_path / 'nodir' / 't.hwt')!r}" in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["w.txt"])
+            if old is not None:
+                assert w_path.read_text(encoding="utf-8") == old
+
+    def test_run_writes_both_files_or_neither(self, tmp_path, capsys):
+        args, _, _ = self.run_args(tmp_path, "1")
+        bad = tmp_path / "nodir" / "t.txt"
+        args[args.index("--trace-out") + 1] = str(bad)
+        assert main(args) == 2
+        assert f"No such file or directory: {str(bad)!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        args, csv, trace = self.run_args(tmp_path, "2")
+        assert main(args) == 0
+        assert sorted(tmp_path.iterdir()) == sorted([csv, trace])
 
     def test_exit_code_3_internal_error(self, tmp_path, capsys, monkeypatch):
         # A RecursionError while building the instance is an internal

@@ -3,7 +3,8 @@ concentration event, all audited through recorded traces."""
 
 import random
 from collections import Counter
-from math import fsum, inf, isinf
+from heapq import heappush
+from math import fsum, inf, isinf, nextafter
 
 import pytest
 
@@ -128,6 +129,34 @@ class TestSplitStep:
         search.pruning.append(4)
         with pytest.raises(InvariantError, match="pruning broken"):
             search.split(0)
+
+
+class TestSplitCheckBoundary:
+    # Scores set by hand on the pruning {1, 4} of quad_instance: node 1
+    # holds the top ucb, and its rival is node 4's ucb, top2 = 0.5.
+
+    @staticmethod
+    def scored_run(lcb_1):
+        tree, truth = quad_instance()
+        run = AwpRun(tree, Oracle(tree, truth), EngineConfig(k=3, beta=4.0))
+        assert run.sample_step() == 0
+        assert run.split_check() == [0]
+        for v, ucb, lcb in ((1, 1.0, lcb_1), (4, 0.5, 0.0)):
+            stamp = run._stamp[v] = next(run._clock)
+            run._lcb[v] = lcb
+            heappush(run._ucb_heap, (-ucb, v, stamp))
+            heappush(run._lcb_heap, (-(run.config.beta * lcb), v, stamp))
+        return run
+
+    def test_top_node_meeting_top2_exactly_splits(self):
+        run = self.scored_run(0.125)  # beta * lcb == 0.5 == top2
+        assert run.split_check() == [1]
+        assert run.pruning == [2, 3, 4]
+
+    def test_top_node_just_below_top2_does_not_split(self):
+        run = self.scored_run(nextafter(0.125, 0.0))
+        assert run.split_check() == []
+        assert run.pruning == [1, 4]
 
 
 class TestMinimalRun:
