@@ -60,13 +60,9 @@ def _draw_all(search: PruningSearch, rng: random.Random, count: int) -> list[tup
     """Uniform-with-replacement leaf draws over the whole leaf set,
     drawn for the root (they serve no single node).  Returns the
     (leaf position, weight) pairs in draw order."""
-    root = search.tree.root_id
-    n = search.tree.leaf_count_total
-    draws = []
-    for _ in range(count):
-        pos = rng.randrange(n)
-        draws.append((pos, search.draw(pos, root)))
-    return draws
+    # randrange(n) returns _randbelow(n) after its argument checks.
+    positions = list(map(rng._randbelow, repeat(search.tree.leaf_count_total, count)))
+    return list(zip(positions, search.draw_many(positions, search.tree.root_id)))
 
 
 def _split_best(search: PruningSearch, k: int, key) -> None:

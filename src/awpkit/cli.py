@@ -232,6 +232,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     (k, run), and split to the size it reached."""
     tree, built_weights = make_tree_source(config.tree_source, config.seed)
     n = tree.leaf_count_total
+    if n < 2:
+        raise UsageError("the tree has 1 leaf; a search needs at least 2")
     if max(config.k_values) > n:
         raise UsageError(f"k must be in 2..{n} for this tree, got {max(config.k_values)}")
     if config.target_source is not None:

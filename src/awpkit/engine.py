@@ -24,8 +24,8 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import count
+from heapq import heappop, heappush, heapreplace
+from itertools import count, repeat
 from math import fsum, inf
 
 from awpkit.estimator import RADIUS_MODES, NodeStats, confidence_radius, estimate_discrepancy
@@ -144,12 +144,14 @@ class PruningSearch:
         self.trace: list[tuple] = []
         self._start = (oracle.ledger.basic_queries, oracle.ledger.node_queries)
 
-    def draw(self, pos: int, v: int) -> float:
-        """Query the weight of the leaf at position pos on behalf of node v."""
-        value = self.oracle.query_leaf(pos)
-        self.queried[pos] = value
-        self.trace.append(("SAMPLE", v, self.tree.leaf_order[pos], value))
-        return value
+    def draw_many(self, positions: list[int], v: int) -> list[float]:
+        """Query the weights of the leaves at the given positions, in order,
+        on behalf of node v, and return them."""
+        values = list(map(self.oracle.query_leaf, positions))
+        self.queried.update(zip(positions, values))
+        labels = map(self.tree.leaf_order.__getitem__, positions)
+        self.trace.extend(zip(repeat("SAMPLE"), repeat(v), labels, values))
+        return values
 
     def split(self, v: int) -> tuple[int, int]:
         """Replace pruning node v by its children and return them.
@@ -215,17 +217,25 @@ class AwpRun(PruningSearch):
     No pick scans the pruning per query; two lazy max-heaps answer them:
       - ``(-ucb, v, stamp)`` for every open node v;
       - ``(-(beta * lcb), v, stamp)`` for every open node v with a draw.
-    Each rescore of v takes a fresh stamp, records it as ``_stamp[v]`` (the
-    stamp of v's live entries) and pushes both entries; a split deletes
-    v's stamp, so the keys of ``_stamp`` are exactly the open nodes.  An
-    entry whose stamp is not live is popped once it reaches the top, so
-    the top live entry has the largest value and, by tuple order, the
-    smallest id on ties.
+    Each score of v takes a fresh stamp and records it as ``_stamp[v]``,
+    the stamp of v's live entries; a split deletes v's stamp, so the keys
+    of ``_stamp`` are exactly the open nodes.  An entry whose stamp is not
+    live is stale and is popped once it reaches the top, so the top live
+    entry has the largest value and, by tuple order, the smallest id on
+    ties.
 
-    A draw takes the top of the ucb heap.  A split check filters, then
-    scans.  Every node's rival is at least top2, the second-best ucb, so
-    while the best lcb key lies below top2 no node qualifies, and the
-    check ends after one look at the lcb heap; most checks end there.
+    A draw takes the top of the ucb heap and rescores that node: its new
+    ucb entry replaces its old one, the live top, in place, while its new
+    lcb entry is pushed and leaves the old one stale.  So the ucb heap's
+    stale entries come only from splits, one per split node.  top2, the
+    second-best ucb, is read without popping: under a live top, the better
+    of ``heap[1]`` and ``heap[2]`` is the best of all other entries, so
+    when it is live its value is top2.  Only when it is stale is the top
+    popped, the heap cleaned below it, and the top pushed back.
+
+    A split check filters, then scans.  Every node's rival is at least
+    top2, so while the best lcb key lies below top2 no node qualifies, and
+    the check ends after one look at the lcb heap; most checks end there.
     Otherwise some node qualifies iff the best lcb key reaches top1, the
     top ucb, or the top ucb node's own key reaches top2.  Only then, on
     the rare hit, is the pruning scanned in id order for the first
@@ -250,32 +260,24 @@ class AwpRun(PruningSearch):
         self._clock = count()
         self.early_stop: str | None = None
         # k >= 2 leaves, so the root is internal.
-        self._rescore(root)
+        self._open(root)
 
     # -- scoring -----------------------------------------------------------
 
-    def _rescore(self, v: int) -> None:
+    def _open(self, v: int) -> None:
+        """Score a newly opened node: without a draw its ucb is infinite,
+        and it has no lcb."""
         stamp = self._stamp[v] = next(self._clock)
-        st = self.stats[v]
-        if st.m == 0:
-            heappush(self._ucb_heap, (-inf, v, stamp))
-            return
-        lo, hi = self.tree._span[v]
-        if len(self.drawn[v]) == hi - lo:
-            ucb = lcb = _discrepancy([self.queried[p] for p in range(lo, hi)])
-        else:
-            cfg = self.config
-            d = estimate_discrepancy(st)
-            r = confidence_radius(st, cfg.k, cfg.delta, cfg.radius_mode, strict_paper=cfg.strict_paper)
-            ucb, lcb = d + r, d - r
-        self._lcb[v] = lcb
-        heappush(self._ucb_heap, (-ucb, v, stamp))
-        heappush(self._lcb_heap, (-(self.config.beta * lcb), v, stamp))
+        heappush(self._ucb_heap, (-inf, v, stamp))
 
     def _top(self, heap: list, skip: int = -1) -> tuple[float, int]:
         """Largest live (value, id) of a score heap, ignoring node ``skip``;
         (-inf, -1) when there is none."""
         live = self._stamp
+        if heap:
+            key, v, stamp = heap[0]
+            if v != skip and live.get(v) == stamp:
+                return -key, v
         held = None
         while heap:
             _, v, stamp = heap[0]
@@ -304,10 +306,27 @@ class AwpRun(PruningSearch):
             raise InvariantError("no internal node available to sample")
         target = heap[0][1]
         lo, hi = self.tree._span[target]
-        pos = self.rng.randrange(lo, hi)
-        self.stats[target].push(self.draw(pos, target))
-        self.drawn[target].add(pos)
-        self._rescore(target)
+        # randrange(lo, hi) returns this after its argument checks.
+        pos = lo + self.rng._randbelow(hi - lo)
+        value = self.oracle.query_leaf(pos)
+        self.queried[pos] = value
+        self.trace.append(("SAMPLE", target, self.tree.leaf_order[pos], value))
+        st = self.stats[target]
+        st.push(value)
+        drawn = self.drawn[target]
+        drawn.add(pos)
+        cfg = self.config
+        stamp = live[target] = next(self._clock)
+        if len(drawn) == hi - lo:
+            ucb = lcb = _discrepancy([self.queried[p] for p in range(lo, hi)])
+        else:
+            d = estimate_discrepancy(st)
+            r = confidence_radius(st, cfg.k, cfg.delta, cfg.radius_mode, strict_paper=cfg.strict_paper)
+            ucb = d + r
+            lcb = d - r
+        self._lcb[target] = lcb
+        heapreplace(heap, (-ucb, target, stamp))
+        heappush(self._lcb_heap, (-(cfg.beta * lcb), target, stamp))
         return target
 
     # -- splitting ---------------------------------------------------------
@@ -318,7 +337,7 @@ class AwpRun(PruningSearch):
             self.stats[c] = NodeStats(c, self.mass[c], self.tree.leaf_count(c))
             if not self.tree.is_leaf(c):
                 self.drawn[c] = set()
-                self._rescore(c)
+                self._open(c)
 
     def split_check(self) -> list[int]:
         """Split, in ascending node-id order, every node whose split
@@ -326,17 +345,29 @@ class AwpRun(PruningSearch):
         or the pruning reaches size k.  Returns the nodes split."""
         performed = []
         beta = self.config.beta
+        heap = self._ucb_heap
+        live = self._stamp
         while len(self.pruning) < self.config.k:
             # Each node's rival is the best optimistic value among the
             # others: top2 for top1_node, top1 for the rest.  Pruning leaves
             # all sit at 0, so they only set the floor.
-            floor = 0.0 if len(self._stamp) < len(self.pruning) else -inf
-            top1, top1_node = self._top(self._ucb_heap)
+            floor = 0.0 if len(live) < len(self.pruning) else -inf
+            top1, top1_node = self._top(heap)
             if top1 <= floor:
                 top1 = top2 = floor
                 top1_node = -1
             else:
-                top2 = max(self._top(self._ucb_heap, top1_node)[0], floor)
+                # heap[0] is top1_node's one live entry.  The better of
+                # heap[1] and heap[2] beats every entry below them, so when
+                # it is live its value is top2; otherwise, or in a heap of
+                # two entries or fewer, the heap is cleaned below the top.
+                second = (heap[1] if heap[1] < heap[2] else heap[2]) if len(heap) > 2 else None
+                if second is not None and live.get(second[1]) == second[2]:
+                    top2 = -second[0]
+                else:
+                    top2 = self._top(heap, top1_node)[0]
+                if floor > top2:
+                    top2 = floor
             # beta * (estimate - radius) >= rival holds for some node with a
             # draw iff the best lcb key reaches top1, or top1_node's own
             # key reaches top2 (a best key of top1_node's own that reaches

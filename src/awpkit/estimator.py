@@ -44,6 +44,7 @@ class NodeStats:
     w_star: float
     n_leaves: int
     m: int = field(default=0, init=False)
+    mean_weight: float = field(init=False, repr=False)   # w_star / n_leaves
     _sum_z: float = field(default=0.0, init=False, repr=False)
     _sum_dev: float = field(default=0.0, init=False, repr=False)   # sum |z - W|
     _sum_zp: float = field(default=0.0, init=False, repr=False)    # sum (|z - W| - z)
@@ -54,10 +55,7 @@ class NodeStats:
             raise InvariantError(f"negative node mass {self.w_star!r}")
         if self.n_leaves < 1:
             raise InvariantError(f"node must cover at least one leaf, got {self.n_leaves}")
-
-    @property
-    def mean_weight(self) -> float:
-        return self.w_star / self.n_leaves
+        self.mean_weight = self.w_star / self.n_leaves
 
     def push(self, value: float) -> None:
         value = float(value)
@@ -140,4 +138,5 @@ def confidence_radius(
         )
     if mode == "bernstein":
         return bernstein
-    return min(hoeffding, bernstein)
+    # min(hoeffding, bernstein), without the builtin's call cost.
+    return bernstein if bernstein < hoeffding else hoeffding

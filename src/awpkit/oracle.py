@@ -27,12 +27,6 @@ class QueryLedger:
     basic_queries: int = 0
     node_queries: int = 0
 
-    def record_basic(self) -> None:
-        self.basic_queries += 1
-
-    def record_node(self) -> None:
-        self.node_queries += 1
-
 
 class Oracle:
     """Query access to a hidden target weighting over a tree's leaves.
@@ -64,14 +58,14 @@ class Oracle:
         not an int in 0..leaf_count_total-1."""
         if not (isinstance(pos, int) and 0 <= pos < self.tree.leaf_count_total):
             raise KeyError(f"unknown leaf position {pos!r}")
-        self.ledger.record_basic()
+        self.ledger.basic_queries += 1
         return self._vals[pos]
 
     def query_node(self, v: int) -> float:
         """Total weight of the leaves under node v, equal to ``fsum`` over
         them; counted as a node query."""
         lo, hi = self.tree.span(v)
-        self.ledger.record_node()
+        self.ledger.node_queries += 1
         return (self._sums[hi] - self._sums[lo]) / self._den
 
 

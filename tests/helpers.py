@@ -8,7 +8,7 @@ import random
 from bisect import insort
 from math import fsum, inf
 
-from awpkit.engine import EngineConfig, PruningResult
+from awpkit.engine import EngineConfig, PruningResult, PruningSearch
 from awpkit.estimator import NodeStats, estimate_discrepancy
 from awpkit.fileio import HWT_MAGIC
 from awpkit.tree import FileFormatError, HierTree, WeightTable, node_discrepancies
@@ -257,6 +257,21 @@ def reference_trace_lines(result: PruningResult) -> list[str]:
         else:
             out.append(f"SPLIT {ev[1]} {ev[2]!r}")
     return out
+
+
+def reference_draw_all(search: PruningSearch, rng: random.Random, count: int) -> list[tuple[int, float]]:
+    """One ``randrange`` and one recorded oracle query per draw: the slow
+    reference for ``baselines._draw_all``."""
+    root = search.tree.root_id
+    n = search.tree.leaf_count_total
+    draws = []
+    for _ in range(count):
+        pos = rng.randrange(n)
+        value = search.oracle.query_leaf(pos)
+        search.queried[pos] = value
+        search.trace.append(("SAMPLE", root, search.tree.leaf_order[pos], value))
+        draws.append((pos, value))
+    return draws
 
 
 def random_pruning(rng, tree: HierTree, splits: int | None = None) -> tuple[int, ...]:

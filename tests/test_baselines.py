@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 
 from awpkit.baselines import (
+    _draw_all,
     empirical_score,
     run_empirical,
     run_uniform,
     run_weight,
     uniform_score,
 )
-from awpkit.engine import EngineConfig, run_awp
+from awpkit.engine import EngineConfig, PruningSearch, run_awp
 from awpkit.estimator import NodeStats, estimate_discrepancy
 from awpkit.oracle import Oracle
 from awpkit.tree import (
@@ -42,6 +43,7 @@ from helpers import (
     random_pruning,
     random_tree,
     random_weight_table,
+    reference_draw_all,
     replay_trace,
 )
 
@@ -402,6 +404,28 @@ class TestScoredBaselines:
         uni_samples = [t for t in uni.trace if t[0] == "SAMPLE"]
         emp_samples = [t for t in emp.trace if t[0] == "SAMPLE"]
         assert uni_samples == emp_samples
+
+
+class TestDrawAll:
+    @pytest.mark.parametrize("shape", ["random", "caterpillar"])
+    @pytest.mark.parametrize("basic", [0, 1, 7, 2000])
+    def test_matches_reference(self, shape, basic):
+        # The batch records the same draws, in the same order, as one query
+        # at a time, on an oracle that has served queries before.
+        rng = random.Random(41)
+        tree = random_tree(rng, 37) if shape == "random" else caterpillar(23)
+        table = random_weight_table(rng, tree.leaf_order)
+        sides = []
+        for draw_all in (_draw_all, reference_draw_all):
+            oracle = Oracle(tree, table)
+            oracle.query_leaf(0)
+            search = PruningSearch(tree, oracle)
+            draw_rng = random.Random(basic)
+            draws = draw_all(search, draw_rng, basic)
+            result = search.finish()
+            sides.append((draws, result.trace, list(search.queried.items()), result.ledger, draw_rng.getstate()))
+        assert sides[0] == sides[1]
+        assert sides[0][3].basic_queries == basic
 
 
 class TestBudgetParity:

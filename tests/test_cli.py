@@ -625,6 +625,17 @@ class TestMain:
         assert rc == 1
         assert "usage error: k must be in 2..4 for this tree, got 50" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+        # No k fits a tree of one leaf.
+        rc = main([
+            "run",
+            "--tree", "median-split:n=1",
+            "--weights", "geometric:bins=1,ratio=2",
+            "--k", "2",
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        assert "usage error: the tree has 1 leaf; a search needs at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_failed_synth_writes_nothing(self, tmp_path, capsys):
         # The weights come first, the tree file cannot be written: neither

@@ -159,6 +159,25 @@ class TestSplitCheckBoundary:
         assert run.pruning == [1, 4]
 
 
+class TestPrivateSampler:
+    # The engine draws lo + _randbelow(hi - lo) and the baselines
+    # _randbelow(n), which is what randrange returns after its argument
+    # checks.  A Python release that changes _randbelow fails this test
+    # before it changes any output digest.  Powers of two take the
+    # rejection path of _randbelow_with_getrandbits.
+    @pytest.mark.parametrize("seed", [0, 1, 2021])
+    def test_randbelow_draws_what_randrange_draws(self, seed):
+        widths = [*range(1, 301), 4096, 65536]
+        for lo in (0, 5, 4097):
+            fast, slow = random.Random(seed), random.Random(seed)
+            got = [lo + fast._randbelow(w) for w in widths for _ in range(3)]
+            want = [slow.randrange(lo, lo + w) for w in widths for _ in range(3)]
+            assert got == want
+            assert fast.getstate() == slow.getstate()
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert [fast._randbelow(w) for w in widths] == [slow.randrange(w) for w in widths]
+
+
 class TestMinimalRun:
     def test_root_splits_after_one_draw(self):
         tree, truth = quad_instance()
@@ -286,6 +305,36 @@ class TestHandDrivenSelection:
             checks = rng.choice((0, 1, 2))
         assert sorted(run._stamp) == [v for v in run.pruning if not tree.is_leaf(v)]
         assert splits and len(run.pruning) == len(splits) + 1
+
+
+class TestStaleEntryBelowTop:
+    # Instances found by search on which, just before a split check, a
+    # split node's stale ucb entry sits at heap[1] or heap[2] under the
+    # live top, above every other live entry.  Read as top2, that stale
+    # value would hide a split that qualifies against the true top2.
+    @pytest.mark.parametrize(
+        "seed,beta,draws,at",
+        [(1488, 2.0, 36, 1), (3621, 1.5, 52, 2)],
+    )
+    def test_split_check_skips_a_stale_second_entry(self, seed, beta, draws, at):
+        rng = random.Random(seed)
+        tree = random_tree(rng, rng.randint(6, 20))
+        truth = random_weight_table(rng, tree.leaf_order)
+        cfg = EngineConfig(k=6, beta=beta, seed=seed)
+        run = AwpRun(tree, Oracle(tree, truth), cfg)
+        for _ in range(draws - 1):
+            run.sample_step()
+            run.split_check()
+        run.sample_step()
+        heap, live = run._ucb_heap, run._stamp
+        top1, top1_node = run._top(heap)
+        second = min(heap[1:3])
+        assert heap.index(second) == at
+        assert second[1] not in live
+        assert -second[0] > max(-key for key, v, stamp in heap[1:] if live.get(v) == stamp)
+        want, rival = first_qualifying_split(tree, run.stats, own_draws(tree, run.trace), run.pruning, cfg)
+        assert want == top1_node and rival < -second[0]
+        assert run.split_check()[:1] == [want]
 
 
 def live_ucb(run, v):

@@ -36,11 +36,16 @@ def small_instance():
 
 class TestLedger:
     def test_counts(self):
-        led = QueryLedger()
-        led.record_basic()
-        led.record_basic()
-        led.record_basic()
-        led.record_node()
+        tree, truth = small_instance()
+        oracle = Oracle(tree, truth)
+        led = oracle.ledger
+        assert led == QueryLedger(0, 0)
+        for pos in (0, 3, 0):
+            oracle.query_leaf(pos)
+        oracle.query_node(4)
+        # A refused query is not counted.
+        with pytest.raises(KeyError):
+            oracle.query_leaf(4)
         assert led.basic_queries == 3
         assert led.node_queries == 1
 
