@@ -8,16 +8,12 @@ budget-matched baselines.
 """
 
 from awpkit.adversarial import (
-    HeavyLeafVectors,
     assemble,
     build_greedy_trap_a,
     build_greedy_trap_b,
     build_heavy_leaf,
     build_lookahead_trap,
     build_tightness,
-    greedy_lookahead,
-    greedy_max_discrepancy,
-    heavy_leaf_vectors,
 )
 from awpkit.baselines import (
     empirical_score,

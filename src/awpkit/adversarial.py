@@ -1,4 +1,4 @@
-"""Hard instances for greedy pruning strategies, and the greedies they defeat.
+"""Hard instances for greedy pruning strategies.
 
 The builders return (tree, weight table) pairs whose node discrepancies are
 known in closed form, so tests can pin exact values.  Component vocabulary,
@@ -18,11 +18,9 @@ discrepancies decompose additively over these children.
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass
 from typing import Union
 
-from awpkit.tree import HierTree, WeightTable, _preorder, node_discrepancies
+from awpkit.tree import HierTree, WeightTable, _preorder
 
 # Nested weighted spec: a leaf weight, or a (left, right) pair of specs.
 WSpec = Union[float, tuple]
@@ -146,66 +144,11 @@ def build_tightness(n: int) -> tuple[HierTree, WeightTable, tuple[int, int]]:
     return tree, table, (tree.left(root), tree.right(root))
 
 
-@dataclass(frozen=True)
-class HeavyLeafVectors:
-    """Weight vectors around a single dominant leaf.
-
-    zero_one: n leaves, all mass on the last one; discrepancy 2 - 2/n.
-    spiked / flat: n+1 leaves of weight 1/(n+n^2) where the last leaf
-    carries either n^2 times that (discrepancy 2 - 4/(n+1)) or exactly that
-    (discrepancy 0).  A uniform subsample that misses the last leaf is
-    identical under all three, which is what defeats plug-in estimates.
-    """
-
-    zero_one: tuple[float, ...]
-    spiked: tuple[float, ...]
-    flat: tuple[float, ...]
-
-
-def heavy_leaf_vectors(n: int) -> HeavyLeafVectors:
+def build_heavy_leaf(n: int) -> tuple[HierTree, WeightTable]:
+    """Balanced tree over n leaves with all mass on the last leaf in leaf
+    order; its root discrepancy is 2 - 2/n.  A uniform subsample that
+    misses that leaf sees only zeros, which is what defeats plug-in
+    estimates."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    small = 1.0 / (n + n * n)
-    return HeavyLeafVectors(
-        zero_one=(0.0,) * (n - 1) + (1.0,),
-        spiked=(small,) * n + (n * n * small,),
-        flat=(small,) * (n + 1),
-    )
-
-
-def build_heavy_leaf(n: int) -> tuple[HierTree, WeightTable]:
-    """Balanced tree over n leaves carrying the ``zero_one`` weights of
-    ``heavy_leaf_vectors(n)``: all mass on the last leaf in leaf order."""
-    return assemble(_balanced(list(heavy_leaf_vectors(n).zero_one)))
-
-
-def _greedy(tree: HierTree, truth, k: int, score) -> tuple[int, ...]:
-    if not (1 <= k <= tree.leaf_count_total):
-        raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
-    disc = node_discrepancies(tree, truth)
-    pruning = [tree.root_id]
-    # k <= leaf_count_total, and a pruning of leaves only has that many
-    # nodes, so each of the k-1 splits finds an internal node.
-    for _ in range(k - 1):
-        target = max((v for v in pruning if not tree.is_leaf(v)), key=lambda v: score(v, disc))
-        pruning.remove(target)
-        for c in tree.children(target):
-            insort(pruning, c)
-    return tuple(pruning)
-
-
-def greedy_max_discrepancy(tree: HierTree, truth, k: int) -> tuple[int, ...]:
-    """Fully informed greedy: split the pruning node with the largest true
-    discrepancy (smallest id on ties), k-1 times."""
-    return _greedy(tree, truth, k, lambda v, disc: disc[v])
-
-
-def greedy_lookahead(tree: HierTree, truth, k: int) -> tuple[int, ...]:
-    """Fully informed one-step lookahead: split the node whose children
-    drop the total discrepancy the most (smallest id on ties)."""
-
-    def gain(v, disc):
-        l, r = tree.children(v)
-        return disc[v] - disc[l] - disc[r]
-
-    return _greedy(tree, truth, k, gain)
+    return assemble(_balanced([0.0] * (n - 1) + [1.0]))

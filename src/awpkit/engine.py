@@ -175,14 +175,18 @@ class PruningSearch:
         insort(pruning, l)
         insort(pruning, r)
         self.trace.append(("SPLIT", v, w_r))
-        if not is_pruning(tree, pruning):
-            raise InvariantError(f"pruning broken after splitting node {v}")
         return l, r
 
     def finish(self, early_stop: str | None = None) -> PruningResult:
         """Freeze the search into a PruningResult, spreading the pruning's
-        node masses into the refined weighting."""
+        node masses into the refined weighting.
+
+        A split keeps the pruning a partition of the leaves, so it is
+        checked once here, before any result is built.
+        """
         ptuple = tuple(self.pruning)
+        if not is_pruning(self.tree, ptuple):
+            raise InvariantError(f"pruning broken: {ptuple} does not partition the leaves")
         node_weights = {v: self.mass[v] for v in ptuple}
         refined = refine_with_queries(self.tree, ptuple, node_weights, self.queried)
         total = fsum(refined)

@@ -12,11 +12,19 @@ order), and the root is the unique id that never appears as a child.
 Weight files hold one ``<label> <weight>`` pair per line with the same
 comment rules.  Labels may not be empty or contain whitespace, and a
 weight file label may not start with ``#``; the writers refuse such labels.
+
+``loads_tree`` reads a tree file in one pass over its lines: it keeps each
+record's fields as strings, converts the ids with one ``map(int, ...)``
+per column and places the records by id.  Only when that pass finds a
+malformed record (a bad tag or field count, an id that is no integer, out
+of range or repeated) are the records checked again one line at a time,
+to raise for the first bad one with its line number.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import islice
 
 from awpkit.tree import FileFormatError, HierTree, TreeStructureError, WeightTable
 
@@ -32,42 +40,90 @@ def _content_lines(text: str):
 
 
 def loads_tree(text: str) -> HierTree:
-    lines = list(_content_lines(text))
-    if not lines:
+    lines = text.splitlines()
+    for start, first in enumerate(lines):
+        first = first.strip()
+        if first and first[0] != "#":
+            break
+    else:
         raise FileFormatError("empty tree file")
-    first_no, first = lines[0]
     if first != HWT_MAGIC:
-        raise FileFormatError(f"line {first_no}: expected {HWT_MAGIC!r} header, got {first!r}")
-    n = len(lines) - 1
-    # Each record line is parsed once, straight into the lists HierTree
-    # takes; None marks an id no record has claimed yet.
+        raise FileFormatError(f"line {start + 1}: expected {HWT_MAGIC!r} header, got {first!r}")
+    # One pass keeps each record's fields as strings, column by column;
+    # a line that is no well-formed record, comment or blank ends it.
+    ids: list[str] = []
+    lefts: list[str] = []
+    rights: list[str] = []
+    leaf_ids: list[str] = []
+    leaf_labels: list[str] = []
+    for line in islice(lines, start + 1, None):
+        parts = line.split()
+        if len(parts) == 4 and parts[0] == "I":
+            ids.append(parts[1])
+            lefts.append(parts[2])
+            rights.append(parts[3])
+        elif len(parts) == 3 and parts[0] == "L":
+            leaf_ids.append(parts[1])
+            leaf_labels.append(parts[2])
+        elif parts and parts[0][0] != "#":
+            _raise_record_error(text, start)
+    # Each list of strings is freed once converted, which keeps the peak
+    # memory of a large file below that of a line-by-line parse.
+    del lines
+    try:
+        node_ids = list(map(int, ids))
+        del ids
+        kids = list(zip(map(int, lefts), map(int, rights)))
+        del lefts, rights
+        leaf_node_ids = list(map(int, leaf_ids))
+        del leaf_ids
+    except ValueError:
+        _raise_record_error(text, start)
+    every_id = node_ids + leaf_node_ids
+    n = len(every_id)
+    if n and not (0 <= min(every_id) and max(every_id) < n):
+        _raise_record_error(text, start)
+    # n ids in 0..n-1 leave a slot empty exactly when one id repeats.
     children: list[tuple[int, ...] | None] = [None] * n
     labels: list[str | None] = [None] * n
-    for lineno, line in lines[1:]:
+    for v, c in zip(node_ids, kids):
+        children[v] = c
+    for v, label in zip(leaf_node_ids, leaf_labels):
+        children[v] = ()
+        labels[v] = label
+    if None in children:
+        _raise_record_error(text, start)
+    return HierTree(children, labels)  # type: ignore[arg-type]
+
+
+def _raise_record_error(text: str, start: int) -> None:
+    """Check the records after the header, which is at index ``start`` of
+    ``text.splitlines()``, one by one, and raise for the first malformed
+    one; ``loads_tree`` calls this only once its one pass has found that
+    some record is malformed."""
+    records = [(lineno, line) for lineno, line in _content_lines(text) if lineno > start + 1]
+    n = len(records)
+    seen: set[int] = set()
+    for lineno, line in records:
         parts = line.split()
         tag = parts[0]
         if tag == "I":
             if len(parts) != 4:
                 raise FileFormatError(f"line {lineno}: internal record needs 'I <id> <left> <right>'")
-            label = None
         elif tag == "L":
             if len(parts) != 3:
                 raise FileFormatError(f"line {lineno}: leaf record needs 'L <id> <label>'")
-            label = parts[2]
         else:
             raise FileFormatError(f"line {lineno}: unknown record tag {tag!r}")
         try:
-            node_id = int(parts[1])
-            kids = () if label is not None else (int(parts[2]), int(parts[3]))
+            node_id = list(map(int, parts[1:] if tag == "I" else parts[1:2]))[0]
         except ValueError:
             raise FileFormatError(f"line {lineno}: non-integer id in {line!r}") from None
         if not 0 <= node_id < n:
             raise TreeStructureError("bad-node-ids", None, f"ids must be dense 0..{n - 1}, got {node_id!r}")
-        if children[node_id] is not None:
+        if node_id in seen:
             raise TreeStructureError("duplicate-node-id", node_id)
-        children[node_id] = kids
-        labels[node_id] = label
-    return HierTree(children, labels)  # type: ignore[arg-type]
+        seen.add(node_id)
 
 
 def _check_labels(labels: list[str], what: str, comment: bool) -> None:

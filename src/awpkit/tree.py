@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import fsum, inf, isfinite
 from operator import floordiv, itemgetter, mul, sub
 from typing import Union
@@ -363,7 +363,13 @@ def _leaf_values(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     raise ValueError(f"weighting does not match the tree's leaf set (missing {missing}, extra {extra})")
 
 
-def span_sums(vals: Iterable[float]) -> tuple[list[int], int]:
+# Cut-overs of span_sums and node_discrepancies; their docstrings say how
+# they are used.
+_SMALL = 64
+_GROUP_RATIO = 10
+
+
+def span_sums(vals: Sequence[float]) -> tuple[list[int], int]:
     """Exact prefix sums ``(P, D)`` of a list of finite weights.
 
     Every float is an integer over a power of two, so over the largest such
@@ -371,7 +377,23 @@ def span_sums(vals: Iterable[float]) -> tuple[list[int], int]:
     integer.  ``(P[hi] - P[lo]) / D`` is then one correctly rounded
     ``int / int`` division, so it equals ``fsum(vals[lo:hi])`` bit for bit,
     in O(1).  Values are converted with ``float()`` first, as ``fsum`` does.
+
+    With at most one distinct value per ``_GROUP_RATIO`` values, both in
+    the whole list and in its first ``_SMALL * _GROUP_RATIO`` values, each
+    distinct value is scaled to ``D`` once; otherwise each value is, since
+    a per-value map would cost more than it saves.  So a list with many
+    distinct values is told apart after that head alone.
     """
+    cap = len(vals) // _GROUP_RATIO
+    head = _SMALL * _GROUP_RATIO
+    distinct = set(islice(vals, head))
+    if len(distinct) <= min(cap, _SMALL):
+        distinct.update(islice(vals, head, None))
+        if len(distinct) <= cap:
+            ratios = {x: float(x).as_integer_ratio() for x in distinct}
+            den = max(map(itemgetter(1), ratios.values()), default=1)
+            scaled = {x: num * (den // d) for x, (num, d) in ratios.items()}
+            return list(accumulate(map(scaled.__getitem__, vals), initial=0)), den
     ratios = list(map(float.as_integer_ratio, map(float, vals)))
     den = max(map(itemgetter(1), ratios), default=1)
     return list(accumulate((num * (den // d) for num, d in ratios), initial=0)), den
@@ -381,11 +403,6 @@ def _discrepancy(vals: Sequence[float]) -> float:
     """Sum of |mean - value| over a non-empty list of weights."""
     avg = fsum(vals) / len(vals)
     return fsum(map(abs, map(sub, repeat(avg, len(vals)), vals)))
-
-
-# Cut-overs of node_discrepancies; its docstring says how they are used.
-_SMALL = 64
-_GROUP_RATIO = 10
 
 
 def _grouped_deviation(avg: float, counts: Mapping) -> float:
@@ -590,6 +607,11 @@ def optimal_pruning(
     deterministic.
 
     The dynamic program takes O(n·k) time for n leaves on every tree shape.
+    Its per-budget loop calls no builtins.  When a split of budget b
+    leaves exactly one left budget to scan, its sum is computed directly,
+    without a scan loop.  That is the case at a node whose left child is a
+    leaf, for every budget from 2 up to the right child's leaf count, so
+    on every node of a caterpillar that hangs its leaves on the left.
     The ``node_discrepancies`` pass before it costs about the node count
     times the number of distinct leaf values when that number is small,
     and otherwise about the sum of all node leaf counts, as a leaf pass.
@@ -615,12 +637,13 @@ def optimal_pruning(
         cost_l, cost_r = cost[l], cost[r]
         n_l, n_r = len(cost_l), len(cost_r)
         right_full = cost_r[-1]
+        keep = disc[v]
         cv: list[float] = []
         ch: list[int | None] = []
         first = 1
         lo, hi = span[v]
-        for b in range(1, min(k, hi - lo) + 1):
-            best = disc[v]
+        for b in range(1, (hi - lo if hi - lo < k else k) + 1):
+            best = keep
             pick: int | None = None
             # A left budget bl <= b - n_r leaves the right child all it can
             # use, so the split costs cost_l[bl-1] + right_full, which does
@@ -635,12 +658,22 @@ def optimal_pruning(
                         first += 1
                     best = c
                     pick = first
-            # Left budgets above n_l cost no less than n_l itself.
-            for bl in range(max(low, 0) + 1, min(n_l, b - 1) + 1):
-                c = cost_l[bl - 1] + cost_r[b - bl - 1]
+            else:
+                low = 0
+            # Scan bl in low+1..end.  Left budgets above n_l cost no less
+            # than n_l itself.
+            end = n_l if n_l < b - 1 else b - 1
+            if end == low + 1:
+                c = cost_l[low] + cost_r[b - end - 1]
                 if c < best:
                     best = c
-                    pick = bl
+                    pick = end
+            elif end > low:
+                for bl in range(low + 1, end + 1):
+                    c = cost_l[bl - 1] + cost_r[b - bl - 1]
+                    if c < best:
+                        best = c
+                        pick = bl
             cv.append(best)
             ch.append(pick)
         cost[v] = cv

@@ -1,17 +1,20 @@
-"""Shared test fixtures: random instances, brute-force oracles, and a
-trace replay validator for adaptive runs."""
+"""Shared test fixtures: random instances, brute-force oracles, slow
+references for the optimized paths, the informed greedies that the hard
+instances defeat, and a trace replay validator for adaptive runs."""
 
 from __future__ import annotations
 
 import math
 import random
 from bisect import insort
+from itertools import accumulate
 from math import fsum, inf
+from operator import itemgetter
 
 from awpkit.engine import EngineConfig, PruningResult, PruningSearch
 from awpkit.estimator import NodeStats, estimate_discrepancy
 from awpkit.fileio import HWT_MAGIC
-from awpkit.tree import FileFormatError, HierTree, WeightTable, node_discrepancies
+from awpkit.tree import FileFormatError, HierTree, TreeStructureError, WeightTable, node_discrepancies
 
 
 def leaves_under(tree: HierTree, v: int) -> list[str]:
@@ -182,6 +185,63 @@ def reference_optimal_pruning(tree: HierTree, k: int, w) -> tuple[tuple[int, ...
     return tuple(result), cost[root][min(k, tree.leaf_count_total) - 1]
 
 
+def reference_span_sums(vals) -> tuple[list[int], int]:
+    """Every value scaled to the common denominator on its own: the slow
+    reference for ``span_sums``, which scales each distinct value once
+    when there are few of them."""
+    ratios = list(map(float.as_integer_ratio, map(float, vals)))
+    den = max(map(itemgetter(1), ratios), default=1)
+    return list(accumulate((num * (den // d) for num, d in ratios), initial=0)), den
+
+
+def _reference_content_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line
+
+
+def reference_loads_tree(text: str) -> HierTree:
+    """One line at a time, each record checked and placed as it is read:
+    the slow reference for ``loads_tree``, which parses in one pass and
+    names a malformed line only after it has failed."""
+    lines = list(_reference_content_lines(text))
+    if not lines:
+        raise FileFormatError("empty tree file")
+    first_no, first = lines[0]
+    if first != HWT_MAGIC:
+        raise FileFormatError(f"line {first_no}: expected {HWT_MAGIC!r} header, got {first!r}")
+    n = len(lines) - 1
+    children: list[tuple[int, ...] | None] = [None] * n
+    labels: list[str | None] = [None] * n
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        tag = parts[0]
+        if tag == "I":
+            if len(parts) != 4:
+                raise FileFormatError(f"line {lineno}: internal record needs 'I <id> <left> <right>'")
+            label = None
+        elif tag == "L":
+            if len(parts) != 3:
+                raise FileFormatError(f"line {lineno}: leaf record needs 'L <id> <label>'")
+            label = parts[2]
+        else:
+            raise FileFormatError(f"line {lineno}: unknown record tag {tag!r}")
+        try:
+            node_id = int(parts[1])
+            kids = () if label is not None else (int(parts[2]), int(parts[3]))
+        except ValueError:
+            raise FileFormatError(f"line {lineno}: non-integer id in {line!r}") from None
+        if not 0 <= node_id < n:
+            raise TreeStructureError("bad-node-ids", None, f"ids must be dense 0..{n - 1}, got {node_id!r}")
+        if children[node_id] is not None:
+            raise TreeStructureError("duplicate-node-id", node_id)
+        children[node_id] = kids
+        labels[node_id] = label
+    return HierTree(children, labels)
+
+
 def reference_median_split_tree(features, seed: int) -> HierTree:
     """The recursive median-split build, kept as the slow reference for
     ``build_median_split_tree``: every group is sorted by a
@@ -272,6 +332,40 @@ def reference_draw_all(search: PruningSearch, rng: random.Random, count: int) ->
         search.trace.append(("SAMPLE", root, search.tree.leaf_order[pos], value))
         draws.append((pos, value))
     return draws
+
+
+def _greedy(tree: HierTree, truth, k: int, score) -> tuple[int, ...]:
+    if not (1 <= k <= tree.leaf_count_total):
+        raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
+    disc = node_discrepancies(tree, truth)
+    pruning = [tree.root_id]
+    # k <= leaf_count_total, and a pruning of leaves only has that many
+    # nodes, so each of the k-1 splits finds an internal node.
+    for _ in range(k - 1):
+        target = max((v for v in pruning if not tree.is_leaf(v)), key=lambda v: score(v, disc))
+        pruning.remove(target)
+        for c in tree.children(target):
+            insort(pruning, c)
+    return tuple(pruning)
+
+
+def greedy_max_discrepancy(tree: HierTree, truth, k: int) -> tuple[int, ...]:
+    """Fully informed greedy: split the pruning node with the largest true
+    discrepancy (smallest id on ties), k-1 times.  The greedy traps of
+    ``awpkit.adversarial`` are built to defeat it."""
+    return _greedy(tree, truth, k, lambda v, disc: disc[v])
+
+
+def greedy_lookahead(tree: HierTree, truth, k: int) -> tuple[int, ...]:
+    """Fully informed one-step lookahead: split the node whose children
+    drop the total discrepancy the most (smallest id on ties).  The
+    lookahead trap of ``awpkit.adversarial`` is built to defeat it."""
+
+    def gain(v, disc):
+        l, r = tree.children(v)
+        return disc[v] - disc[l] - disc[r]
+
+    return _greedy(tree, truth, k, gain)
 
 
 def random_pruning(rng, tree: HierTree, splits: int | None = None) -> tuple[int, ...]:

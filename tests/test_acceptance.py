@@ -22,8 +22,6 @@ from awpkit.adversarial import (
     build_heavy_leaf,
     build_lookahead_trap,
     build_tightness,
-    greedy_lookahead,
-    greedy_max_discrepancy,
 )
 from awpkit.baselines import empirical_score
 from awpkit.cli import ExperimentConfig, run_experiment
@@ -39,7 +37,15 @@ from awpkit.tree import (
     split_quality,
 )
 
-from helpers import leaves_under, random_pruning, random_tree, random_weight_table, spiked_quality_tree
+from helpers import (
+    greedy_lookahead,
+    greedy_max_discrepancy,
+    leaves_under,
+    random_pruning,
+    random_tree,
+    random_weight_table,
+    spiked_quality_tree,
+)
 
 
 def _report(num: int, name: str, ok: bool) -> None:

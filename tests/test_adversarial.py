@@ -1,5 +1,6 @@
 """Hard-instance builders: closed-form discrepancies, greedy failure
-factors, and the informed greedy strategies they are built against."""
+factors, and the informed greedy strategies (in ``helpers``) they are
+built against."""
 
 from __future__ import annotations
 
@@ -14,9 +15,6 @@ from awpkit.adversarial import (
     build_heavy_leaf,
     build_lookahead_trap,
     build_tightness,
-    greedy_lookahead,
-    greedy_max_discrepancy,
-    heavy_leaf_vectors,
 )
 from awpkit.fileio import dumps_tree, dumps_weights
 from awpkit.tree import (
@@ -29,17 +27,7 @@ from awpkit.tree import (
     split_quality,
 )
 
-
-def balanced_tree(n: int) -> HierTree:
-    labels = [f"e{i:07d}" for i in range(n)]
-
-    def build(group):
-        if len(group) == 1:
-            return group[0]
-        mid = (len(group) + 1) // 2
-        return (build(group[:mid]), build(group[mid:]))
-
-    return HierTree.from_nested(build(labels))
+from helpers import greedy_lookahead, greedy_max_discrepancy
 
 
 class TestAssemble:
@@ -182,44 +170,16 @@ class TestLookaheadTrap:
 
 
 class TestHeavyLeafVectors:
+    # The zero_one vector of build_heavy_leaf: all mass on the last leaf.
     def test_shapes_and_totals(self):
         n = 100
-        vectors = heavy_leaf_vectors(n)
-        assert len(vectors.zero_one) == n
-        assert len(vectors.spiked) == n + 1
-        assert len(vectors.flat) == n + 1
-        assert fsum(vectors.zero_one) == 1.0
-        assert fsum(vectors.spiked) == 1.0
-        # flat is deliberately sub-normalized: it exists to be
-        # sample-indistinguishable from spiked, not to be a distribution.
-        assert isclose(fsum(vectors.flat), 1.0 / n, rel_tol=1e-12)
-
-    def test_indistinguishable_prefix(self):
-        n = 100
-        vectors = heavy_leaf_vectors(n)
-        small = 1.0 / (n + n * n)
-        assert vectors.spiked[:-1] == vectors.flat[:-1]
-        assert all(x == small for x in vectors.flat)
-        assert all(x == 0.0 for x in vectors.zero_one[:-1])
+        tree, table = build_heavy_leaf(n)
+        assert [table[lab] for lab in tree.leaf_order] == [0.0] * (n - 1) + [1.0]
 
     def test_root_discrepancies(self):
         n = 100
-        vectors = heavy_leaf_vectors(n)
-
-        tree_n = balanced_tree(n)
-        zero_one = WeightTable(dict(zip(tree_n.leaf_order, vectors.zero_one)))
-        assert node_discrepancy(tree_n, tree_n.root_id, zero_one) == 2.0 - 2.0 / n
-
-        tree_n1 = balanced_tree(n + 1)
-        spiked = WeightTable(dict(zip(tree_n1.leaf_order, vectors.spiked)))
-        assert isclose(node_discrepancy(tree_n1, tree_n1.root_id, spiked), 2.0 - 4.0 / (n + 1), rel_tol=1e-12)
-
-        flat = dict(zip(tree_n1.leaf_order, vectors.flat))
-        assert node_discrepancy(tree_n1, tree_n1.root_id, flat) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            heavy_leaf_vectors(1)
+        tree, table = build_heavy_leaf(n)
+        assert node_discrepancy(tree, tree.root_id, table) == 2.0 - 2.0 / n
 
 
 class TestBuildHeavyLeaf:

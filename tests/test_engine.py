@@ -127,8 +127,11 @@ class TestSplitStep:
         tree, truth = quad_instance()
         search = PruningSearch(tree, Oracle(tree, truth))
         search.pruning.append(4)
+        # A split keeps the pruning valid by construction, so the one check
+        # runs in finish, before any result is built.
+        search.split(0)
         with pytest.raises(InvariantError, match="pruning broken"):
-            search.split(0)
+            search.finish()
 
 
 class TestSplitCheckBoundary:

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awpkit.fileio import (
@@ -26,6 +26,7 @@ from helpers import (
     random_weight_table,
     reference_dumps_tree,
     reference_dumps_weights,
+    reference_loads_tree,
 )
 
 
@@ -89,6 +90,103 @@ def _tree_with_shuffled_ids(labels, rng):
         children[perm[v]] = tuple(perm[c] for c in tree.children(v))
         names[perm[v]] = tree.label(v) if tree.is_leaf(v) else None
     return HierTree(children, names)
+
+
+# Line breaks that str.splitlines honours, and whitespace, ASCII and
+# Unicode, that str.split and str.strip honour but splitlines does not.
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1e", "\u2028"]
+_SPACES = [" ", "  ", "\t", "\xa0", "\x1f", "\u3000"]
+# Each kind of malformed file, with the replacement values that make one:
+# a header, a record's tag, a dropped or added field, an id or child id
+# that int() cannot read or that is out of range, and a repeated id.
+_MALFORMED = {
+    "header": ["HWT 2", "HWT  1x", "hwt 1", "HWT", ""],
+    "tag": ["Q", "i", "II", "LL"],
+    "fields": ["drop", "add"],
+    "integer": ["x", "1.5", "0x1", "--1", "1e3", "\u0661\u0662a"],
+    "range": ["-1", "{n}", "{big}"],
+    "duplicate": [None],
+}
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@st.composite
+def hwt_texts(draw):
+    """An HWT text of a random tree, with records in any order, comments,
+    blank lines, mixed line breaks and whitespace, ids written in any form
+    int() reads, and up to two malformed records or a bad header."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    labels = [f"{'#' if rng.random() < 0.2 else ''}x{i}" for i in range(draw(st.integers(1, 9)))]
+    tree = _tree_with_shuffled_ids(labels, rng)
+    n = tree.node_count
+
+    def spell(v):
+        # int() also reads a sign, leading zeros and other decimal digits.
+        return rng.choice([str(v), str(v), f"+{v}", f"0{v}", str(v).translate(_ARABIC_INDIC)])
+
+    records = [
+        ["L", spell(v), tree.label(v)] if tree.is_leaf(v) else ["I", spell(v), *map(spell, tree.children(v))]
+        for v in range(n)
+    ]
+    if draw(st.booleans()):
+        rng.shuffle(records)
+    header = "HWT 1"
+    for kind in draw(st.lists(st.sampled_from(sorted(_MALFORMED)), max_size=2)):
+        bad = rng.choice(_MALFORMED[kind])
+        rec = rng.choice(records)
+        if kind == "header":
+            header = bad
+        elif kind == "tag":
+            rec[0] = bad
+        elif kind == "fields":
+            if bad == "drop":
+                rec.pop()
+            else:
+                rec.append("7")
+        elif kind == "duplicate":
+            rec[1] = rng.choice(records)[1]
+        else:
+            rec[rng.randrange(1, len(rec))] = bad.format(n=n, big=10**30)
+    lines = [header] + [rng.choice(_SPACES).join(rec) for rec in records]
+    out = []
+    for line in lines:
+        while rng.random() < 0.2:
+            out.append(rng.choice(["", "#", "# note", " \t", "\u3000#x y z", "  # I 0 1 2"]))
+        out.append(rng.choice(["", "", " ", "\xa0"]) + line + rng.choice(["", "", "\t", "\u3000"]))
+    return "".join(line + rng.choice(_BREAKS) for line in out)
+
+
+def _load_outcome(load, text):
+    """The loaded tree's root and records, or the type and message of the
+    error the loader raises."""
+    try:
+        tree = load(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tree.root_id, tree.leaf_order, dumps_tree(tree)
+
+
+class TestLoaderMatchesReference:
+    """``loads_tree`` parses in one pass and names a bad line only after
+    that pass fails; it loads the same tree, or raises the same error with
+    the same message, as the line-by-line reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=hwt_texts())
+    @example(text="HWT 1\r\nI 0 1 2\r\nL 1 a\r\nL 2 b\r\n")
+    @example(text="  HWT 1\u3000\n\n# c\nL\xa02 b\nI 0\t1 +2\nL 01 a\n")
+    @example(text="HWT 2\nI 0 1 2\nL 1 a\nL 2 b\n")
+    @example(text="HWT 1\nI 0 1 2\nQ 1 a\nL 2 b\n")
+    @example(text="HWT 1\nI 0 1 2 3\nL 1 a\nL 2 b\n")
+    @example(text="HWT 1\nI 0 1 2\nL 1 a b\nL 2 b\n")
+    @example(text="HWT 1\nI 0 1 x\nL 1 a\nL 2 b\n")
+    @example(text="HWT 1\nI 0 1 2\nL 3 a\nL 2 b\n")
+    @example(text="HWT 1\nI 0 1 2\nL 2 a\nL 2 b\n")
+    @example(text="HWT 1\nI 0 1 2\nL 2 a\nL x b\n")
+    @example(text="HWT 1\nL -1 a\n")
+    @example(text="HWT 1\n")
+    def test_same_tree_or_same_error(self, text):
+        assert _load_outcome(loads_tree, text) == _load_outcome(reference_loads_tree, text)
 
 
 class TestWriterLabelCheck:

@@ -42,6 +42,7 @@ from helpers import (
     reference_node_discrepancies,
     reference_optimal_pruning,
     reference_refine_with_queries,
+    reference_span_sums,
     reference_tv_distance,
 )
 
@@ -480,6 +481,52 @@ class TestSpanSums:
             for hi in range(lo, len(vals) + 1):
                 assert float_bits([(sums[hi] - sums[lo]) / den]) == float_bits([fsum(vals[lo:hi])])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(
+            st.floats(0.0, 1.0) | st.integers(-5, 5).map(lambda m: m * 2.0**-1074) | st.sampled_from((0.0, -0.0)),
+            min_size=1,
+            max_size=8,
+        ),
+        picks=st.lists(st.integers(0, 7), max_size=300),
+    )
+    def test_few_valued_lists_match_the_reference(self, pool, picks):
+        # Mostly at most one distinct value per _GROUP_RATIO values, where
+        # each distinct value is scaled once.
+        vals = [pool[i % len(pool)] for i in picks]
+        assert span_sums(vals) == reference_span_sums(vals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vals=st.lists(st.floats(0.0, 1.0) | st.floats(0.0, 2.0**-1000), unique=True, max_size=300))
+    def test_all_distinct_lists_match_the_reference(self, vals):
+        assert span_sums(vals) == reference_span_sums(vals)
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            [],
+            [0.0],
+            [-0.0],
+            [5e-324],
+            [0.75],
+            [0.0, -0.0] * 20,
+            [5e-324] * 30 + [2.0**-1022] * 30 + [1.0] * 30,
+            # Exactly one distinct value per 10 values, and one more.
+            [i / 16 for i in range(10)] * 10,
+            [i / 16 for i in range(11)] * 10,
+            # The first tenth all distinct, the rest one value.
+            [i / 64 for i in range(11)] + [0.5] * 89,
+            # Past a head of 640 values: few values in both, many in the
+            # head only, and many after the head only.
+            [i / 8 for i in range(8)] * 100,
+            [i / 1024 for i in range(65)] + [0.5] * 1000,
+            [0.5] * 640 + [i / 4096 for i in range(200)],
+        ],
+        ids=lambda vals: f"{len(vals)}-values",
+    )
+    def test_edge_lists_match_the_reference(self, vals):
+        assert span_sums(vals) == reference_span_sums(vals)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_node_discrepancies_match_the_slice_reference(self, seed):
         for tree, w in span_sum_instances(seed):
@@ -591,6 +638,25 @@ class TestSplitQuality:
         assert abs(average_split_quality(t, disc) - 0.4) < 1e-15
 
 
+def broom(rng, n, spine, side):
+    """Tree over n leaves: a caterpillar spine of ``spine`` leaves, each
+    hung on the ``side`` ("left", "right" or "random") of the spine, that
+    ends in a balanced subtree over the other leaves."""
+    labels = [f"b{i:04d}" for i in range(n)]
+
+    def balanced(group):
+        if len(group) == 1:
+            return group[0]
+        mid = (len(group) + 1) // 2
+        return (balanced(group[:mid]), balanced(group[mid:]))
+
+    spec = balanced(labels[spine:])
+    for lab in reversed(labels[:spine]):
+        on_left = side == "left" or (side == "random" and rng.random() < 0.5)
+        spec = (lab, spec) if on_left else (spec, lab)
+    return HierTree.from_nested(spec)
+
+
 class TestOptimalPruning:
     def test_rejects_bad_budget(self):
         t = quad_tree()
@@ -658,6 +724,32 @@ class TestOptimalPruning:
             w = random_weight_table(rng, labels, kind)
         for k in range(1, n + 1):
             assert optimal_pruning(t, k, w) == reference_optimal_pruning(t, k, w)
+
+    @pytest.mark.parametrize("target", ("uniform", "dyadic", "distinct"))
+    @pytest.mark.parametrize("shape", ("leaf-left", "leaf-right", "broom"))
+    @pytest.mark.parametrize("n", (29, 97, 300))
+    def test_matches_reference_on_deep_shapes(self, n, shape, target):
+        # A node whose left child is a leaf scans exactly one left budget,
+        # which the DP computes without a scan loop; a right leaf child
+        # leaves only the clamped budget b - 1.  k = n also takes the
+        # clamped path at every node; the O(n·k²) reference takes seconds
+        # at k = n = 300, so that pair is left out.
+        rng = random.Random(f"{n}-{shape}-{target}")
+        if shape == "broom":
+            t = broom(rng, n, n - n // 4, "random")
+        else:
+            t = broom(rng, n, n - 1, shape[5:])
+        assert t.max_depth >= n // 2
+        # Uniform weights tie every split with keeping the node whole.
+        if target == "uniform":
+            w = WeightTable({lab: 1.0 / n for lab in t.leaf_order})
+        elif target == "dyadic":
+            w = dyadic_weight_table(rng, t.leaf_order)
+        else:
+            w = random_weight_table(rng, t.leaf_order, "dense")
+        ks = {*range(1, 13), 40, n} if n < 300 else {*range(1, 13), 40}
+        for k in sorted(k for k in ks if k <= n):
+            assert optimal_pruning(t, k, w) == reference_optimal_pruning(t, k, w), k
 
     def test_matches_reference_on_dyadic_ties(self):
         # About one random tree in 150 has a tie that only the first-budget
