@@ -24,8 +24,8 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
-from heapq import heappop, heappush, heapreplace
-from itertools import count, repeat
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import repeat
 from math import fsum, inf
 
 from awpkit.estimator import RADIUS_MODES, NodeStats, confidence_radius, estimate_discrepancy
@@ -213,29 +213,25 @@ class AwpRun(PruningSearch):
     discrepancy).  Every pick takes the largest score, and the smallest id
     on ties.
 
-    ``drawn[v]`` holds the distinct leaf positions open node v drew itself.
-    Until they cover v, its ucb and lcb are the estimate plus and minus the
-    radius; after, both are ``_discrepancy`` over ``queried`` in span
-    order, and v qualifies whenever it has the top ucb.
+    ``drawn[v]`` holds the distinct leaf positions open node v drew itself,
+    so the keys of ``drawn`` are exactly the open nodes.  Until they cover
+    v, its ucb and lcb are the estimate plus and minus the radius; after,
+    both are ``_discrepancy`` over ``queried`` in span order, and v
+    qualifies whenever it has the top ucb.
 
-    No pick scans the pruning per query; two lazy max-heaps answer them:
-      - ``(-ucb, v, stamp)`` for every open node v;
-      - ``(-(beta * lcb), v, stamp)`` for every open node v with a draw.
-    Each score of v takes a fresh stamp and records it as ``_stamp[v]``,
-    the stamp of v's live entries; a split deletes v's stamp, so the keys
-    of ``_stamp`` are exactly the open nodes.  An entry whose stamp is not
-    live is stale and is popped once it reaches the top, so the top live
-    entry has the largest value and, by tuple order, the smallest id on
-    ties.
+    No pick scans the pruning per query; two max-heaps answer them:
+      - ``(-ucb, v)``, exactly one entry for every open node v;
+      - ``(-(beta * lcb), v)`` for every open node v with a draw.
+    By tuple order the top entry has the largest value and the smallest
+    id on ties.  A draw takes the top of the ucb heap and replaces that
+    entry in place with the node's new score; a split filters the split
+    node's entry out and re-heapifies.  So top1 is ``heap[0]`` and top2,
+    the second-best ucb, is the better of ``heap[1]`` and ``heap[2]``.
 
-    A draw takes the top of the ucb heap and rescores that node: its new
-    ucb entry replaces its old one, the live top, in place, while its new
-    lcb entry is pushed and leaves the old one stale.  So the ucb heap's
-    stale entries come only from splits, one per split node.  top2, the
-    second-best ucb, is read without popping: under a live top, the better
-    of ``heap[1]`` and ``heap[2]`` is the best of all other entries, so
-    when it is live its value is top2.  Only when it is stale is the top
-    popped, the heap cleaned below it, and the top pushed back.
+    The lcb heap is lazy: each draw pushes the node's new entry, and an
+    entry is live while its node is open and its key is the node's current
+    ``-(beta * lcb)``, the same float expression the push used.  Other
+    entries are popped once they reach the top.
 
     A split check filters, then scans.  Every node's rival is at least
     top2, so while the best lcb key lies below top2 no node qualifies, and
@@ -258,43 +254,11 @@ class AwpRun(PruningSearch):
         self.drawn: dict[int, set[int]] = {root: set()}
         # Pessimistic estimates of the open nodes with at least one draw.
         self._lcb: dict[int, float] = {}
-        self._ucb_heap: list[tuple[float, int, int]] = []
-        self._lcb_heap: list[tuple[float, int, int]] = []
-        self._stamp: dict[int, int] = {}
-        self._clock = count()
+        # k >= 2 leaves, so the root is internal.  It opens with no draw:
+        # an infinite ucb and no lcb.
+        self._ucb_heap: list[tuple[float, int]] = [(-inf, root)]
+        self._lcb_heap: list[tuple[float, int]] = []
         self.early_stop: str | None = None
-        # k >= 2 leaves, so the root is internal.
-        self._open(root)
-
-    # -- scoring -----------------------------------------------------------
-
-    def _open(self, v: int) -> None:
-        """Score a newly opened node: without a draw its ucb is infinite,
-        and it has no lcb."""
-        stamp = self._stamp[v] = next(self._clock)
-        heappush(self._ucb_heap, (-inf, v, stamp))
-
-    def _top(self, heap: list, skip: int = -1) -> tuple[float, int]:
-        """Largest live (value, id) of a score heap, ignoring node ``skip``;
-        (-inf, -1) when there is none."""
-        live = self._stamp
-        if heap:
-            key, v, stamp = heap[0]
-            if v != skip and live.get(v) == stamp:
-                return -key, v
-        held = None
-        while heap:
-            _, v, stamp = heap[0]
-            if live.get(v) != stamp:
-                heappop(heap)
-            elif v == skip:
-                held = heappop(heap)
-            else:
-                break
-        top = (-heap[0][0], heap[0][1]) if heap else (-inf, -1)
-        if held is not None:
-            heappush(heap, held)
-        return top
 
     # -- one basic query ---------------------------------------------------
 
@@ -303,9 +267,6 @@ class AwpRun(PruningSearch):
         (largest optimistic estimate, smallest id on ties) and record its
         weight.  Returns the sampled node's id."""
         heap = self._ucb_heap
-        live = self._stamp
-        while heap and live.get(heap[0][1]) != heap[0][2]:
-            heappop(heap)
         if not heap:
             raise InvariantError("no internal node available to sample")
         target = heap[0][1]
@@ -320,7 +281,6 @@ class AwpRun(PruningSearch):
         drawn = self.drawn[target]
         drawn.add(pos)
         cfg = self.config
-        stamp = live[target] = next(self._clock)
         if len(drawn) == hi - lo:
             ucb = lcb = _discrepancy([self.queried[p] for p in range(lo, hi)])
         else:
@@ -329,19 +289,38 @@ class AwpRun(PruningSearch):
             ucb = d + r
             lcb = d - r
         self._lcb[target] = lcb
-        heapreplace(heap, (-ucb, target, stamp))
-        heappush(self._lcb_heap, (-(cfg.beta * lcb), target, stamp))
+        heapreplace(heap, (-ucb, target))
+        heappush(self._lcb_heap, (-(cfg.beta * lcb), target))
         return target
 
     # -- splitting ---------------------------------------------------------
 
     def _split(self, v: int) -> None:
-        del self._stamp[v], self._lcb[v], self.drawn[v]
+        """Split open node v: drop its scores and open its internal
+        children, which have no draw yet, so an infinite ucb and no lcb."""
+        del self._lcb[v], self.drawn[v]
+        heap = self._ucb_heap
+        heap[:] = [entry for entry in heap if entry[1] != v]
+        heapify(heap)
+        tree = self.tree
         for c in self.split(v):
-            self.stats[c] = NodeStats(c, self.mass[c], self.tree.leaf_count(c))
-            if not self.tree.is_leaf(c):
+            if not tree.is_leaf(c):
+                self.stats[c] = NodeStats(c, self.mass[c], tree.leaf_count(c))
                 self.drawn[c] = set()
-                self._open(c)
+                heappush(heap, (-inf, c))
+
+    def _best_lcb_key(self) -> float:
+        """The largest live ``beta * lcb``, popping the dead entries above
+        it; -inf when there is none."""
+        heap = self._lcb_heap
+        lcb = self._lcb
+        beta = self.config.beta
+        while heap:
+            key, v = heap[0]
+            if v in lcb and -(beta * lcb[v]) == key:
+                return -key
+            heappop(heap)
+        return -inf
 
     def split_check(self) -> list[int]:
         """Split, in ascending node-id order, every node whose split
@@ -350,26 +329,23 @@ class AwpRun(PruningSearch):
         performed = []
         beta = self.config.beta
         heap = self._ucb_heap
-        live = self._stamp
+        lcb = self._lcb
         while len(self.pruning) < self.config.k:
             # Each node's rival is the best optimistic value among the
             # others: top2 for top1_node, top1 for the rest.  Pruning leaves
             # all sit at 0, so they only set the floor.
-            floor = 0.0 if len(live) < len(self.pruning) else -inf
-            top1, top1_node = self._top(heap)
+            floor = 0.0 if len(self.drawn) < len(self.pruning) else -inf
+            top1, top1_node = (-heap[0][0], heap[0][1]) if heap else (-inf, -1)
             if top1 <= floor:
                 top1 = top2 = floor
                 top1_node = -1
             else:
-                # heap[0] is top1_node's one live entry.  The better of
-                # heap[1] and heap[2] beats every entry below them, so when
-                # it is live its value is top2; otherwise, or in a heap of
-                # two entries or fewer, the heap is cleaned below the top.
-                second = (heap[1] if heap[1] < heap[2] else heap[2]) if len(heap) > 2 else None
-                if second is not None and live.get(second[1]) == second[2]:
-                    top2 = -second[0]
+                # heap[0] is top1_node's entry, so the better of heap[1] and
+                # heap[2] is the best of the other open nodes.
+                if len(heap) > 2:
+                    top2 = -(heap[1] if heap[1] < heap[2] else heap[2])[0]
                 else:
-                    top2 = self._top(heap, top1_node)[0]
+                    top2 = -heap[1][0] if len(heap) == 2 else -inf
                 if floor > top2:
                     top2 = floor
             # beta * (estimate - radius) >= rival holds for some node with a
@@ -377,11 +353,11 @@ class AwpRun(PruningSearch):
             # key reaches top2 (a best key of top1_node's own that reaches
             # top1 reaches top2 too).  Every rival is at least top2, so a
             # best key below top2 rules out every node with one look.
-            key = self._top(self._lcb_heap)[0]
-            if key < top2 or not (key >= top1 or (top1_node in self._lcb and beta * self._lcb[top1_node] >= top2)):
+            key = self._best_lcb_key()
+            if key < top2 or not (key >= top1 or (top1_node in lcb and beta * lcb[top1_node] >= top2)):
                 break
             for v in self.pruning:
-                if v in self._lcb and beta * self._lcb[v] >= (top2 if v == top1_node else top1):
+                if v in lcb and beta * lcb[v] >= (top2 if v == top1_node else top1):
                     break
             else:
                 raise InvariantError("split filter found a node that the scan did not")

@@ -160,7 +160,8 @@ class HierTree:
     def from_records(cls, records: Iterable[tuple]) -> "HierTree":
         """Build from ("I", id, (child ids...)) and ("L", id, label) records.
 
-        Ids must form a dense range 0..n-1.
+        Ids must form a dense range 0..n-1; a record that is not exactly
+        (tag, id, payload) is a "bad-record" error.
         """
         recs = list(records)
         n = len(recs)
@@ -170,17 +171,20 @@ class HierTree:
         labels: list[str | None] = [None] * n
         seen = [False] * n
         for rec in recs:
-            tag, node_id = rec[0], rec[1]
+            try:
+                tag, node_id, payload = rec
+            except (TypeError, ValueError):
+                raise TreeStructureError("bad-record", None, f"expected (tag, id, payload), got {rec!r}") from None
             if not isinstance(node_id, int) or not (0 <= node_id < n):
                 raise TreeStructureError("bad-node-ids", None, f"ids must be dense 0..{n - 1}, got {node_id!r}")
             if seen[node_id]:
                 raise TreeStructureError("duplicate-node-id", node_id)
             seen[node_id] = True
             if tag == "I":
-                children[node_id] = tuple(int(c) for c in rec[2])
+                children[node_id] = tuple(int(c) for c in payload)
             elif tag == "L":
                 children[node_id] = ()
-                labels[node_id] = str(rec[2])
+                labels[node_id] = str(payload)
             else:
                 raise TreeStructureError("bad-record", node_id, f"unknown tag {tag!r}")
         return cls([c if c is not None else () for c in children], labels)

@@ -378,6 +378,22 @@ BAD_GENERATOR_CASES = [
 ]
 
 
+def no_work(*args):
+    raise AssertionError("work started")
+
+
+def other_name(path, spelling):
+    """Another name for the file at path: the same string, a path through
+    its directory's ``.``, or a symlink beside it."""
+    if spelling == "dotted":
+        return f"{path.parent}/./{path.name}"
+    if spelling == "symlink":
+        link = path.parent / "link.txt"
+        link.symlink_to(path.name)
+        return str(link)
+    return str(path)
+
+
 class TestMain:
     def run_args(self, tmp_path, tag, extra=()):
         csv = tmp_path / f"out{tag}.csv"
@@ -501,6 +517,38 @@ class TestMain:
         assert main(args) == 1
         assert "algorithms must be distinct" in capsys.readouterr().err
         assert not csv.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_exit_code_1_run_outputs_under_one_name(self, tmp_path, capsys, monkeypatch, spelling):
+        # Checked before any run; the existing file stays as it was.
+        monkeypatch.setattr(cli_mod, "run_experiment", no_work)
+        out = tmp_path / "o.txt"
+        out.write_text("keep\n", encoding="utf-8")
+        args, _, _ = self.run_args(tmp_path, "s")
+        args[args.index("--out") + 1] = str(out)
+        args[args.index("--trace-out") + 1] = other_name(out, spelling)
+        before = sorted(tmp_path.iterdir())
+        assert main(args) == 1
+        assert "--out and --trace-out name the same file" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "keep\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    def test_exit_code_1_synth_outputs_under_one_name(self, tmp_path, capsys, monkeypatch, spelling):
+        monkeypatch.setattr(cli_mod, "make_tree_source", no_work)
+        out = tmp_path / "o.txt"
+        out.write_text("keep\n", encoding="utf-8")
+        args = [
+            "synth", "random-balanced:n=8",
+            "--weights", "geometric:bins=2,ratio=2",
+            "--out-tree", str(out),
+            "--out-weights", other_name(out, spelling),
+        ]
+        before = sorted(tmp_path.iterdir())
+        assert main(args) == 1
+        assert "--out-tree and --out-weights name the same file" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "keep\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_exit_code_2_bad_input(self, tmp_path, capsys):
         rc = main([

@@ -144,11 +144,10 @@ class TestSplitCheckBoundary:
         run = AwpRun(tree, Oracle(tree, truth), EngineConfig(k=3, beta=4.0))
         assert run.sample_step() == 0
         assert run.split_check() == [0]
-        for v, ucb, lcb in ((1, 1.0, lcb_1), (4, 0.5, 0.0)):
-            stamp = run._stamp[v] = next(run._clock)
-            run._lcb[v] = lcb
-            heappush(run._ucb_heap, (-ucb, v, stamp))
-            heappush(run._lcb_heap, (-(run.config.beta * lcb), v, stamp))
+        beta = run.config.beta
+        run._lcb = {1: lcb_1, 4: 0.0}
+        run._ucb_heap[:] = [(-1.0, 1), (-0.5, 4)]
+        run._lcb_heap[:] = sorted((-(beta * lcb), v) for v, lcb in run._lcb.items())
         return run
 
     def test_top_node_meeting_top2_exactly_splits(self):
@@ -158,6 +157,14 @@ class TestSplitCheckBoundary:
 
     def test_top_node_just_below_top2_does_not_split(self):
         run = self.scored_run(nextafter(0.125, 0.0))
+        assert run.split_check() == []
+        assert run.pruning == [1, 4]
+
+    def test_an_earlier_larger_lcb_is_dead(self):
+        # Node 1's lcb has fallen since an earlier draw, whose entry stays
+        # in the lcb heap: only the current lcb counts.
+        run = self.scored_run(nextafter(0.125, 0.0))
+        heappush(run._lcb_heap, (-(run.config.beta * 0.5), 1))
         assert run.split_check() == []
         assert run.pruning == [1, 4]
 
@@ -306,20 +313,26 @@ class TestHandDrivenSelection:
                 want = argmax_ucb(tree, run.stats, own_draws(tree, run.trace), run.pruning, cfg)
                 assert run.sample_step() == want
             checks = rng.choice((0, 1, 2))
-        assert sorted(run._stamp) == [v for v in run.pruning if not tree.is_leaf(v)]
+        assert_open_nodes(run)
         assert splits and len(run.pruning) == len(splits) + 1
 
 
-class TestStaleEntryBelowTop:
+def assert_open_nodes(run):
+    """The open nodes, the keys of ``drawn``, are the internal pruning
+    nodes, and the ucb heap holds one entry for each of them."""
+    want = [v for v in run.pruning if not run.tree.is_leaf(v)]
+    assert sorted(run.drawn) == want
+    assert sorted(v for _, v in run._ucb_heap) == want
+
+
+class TestSplitNodeLeavesTheUcbHeap:
     # Instances found by search on which, just before a split check, a
-    # split node's stale ucb entry sits at heap[1] or heap[2] under the
-    # live top, above every other live entry.  Read as top2, that stale
-    # value would hide a split that qualifies against the true top2.
-    @pytest.mark.parametrize(
-        "seed,beta,draws,at",
-        [(1488, 2.0, 36, 1), (3621, 1.5, 52, 2)],
-    )
-    def test_split_check_skips_a_stale_second_entry(self, seed, beta, draws, at):
+    # node split earlier last scored a ucb above every open node's but the
+    # top's.  Were its entry left in the ucb heap, it would sit at heap[1]
+    # or heap[2] and be read as top2, hiding the split of the top node,
+    # which qualifies against the true top2.
+    @pytest.mark.parametrize("seed,beta,draws", [(1488, 2.0, 36), (3621, 1.5, 52)])
+    def test_split_check_splits_the_top_node(self, seed, beta, draws):
         rng = random.Random(seed)
         tree = random_tree(rng, rng.randint(6, 20))
         truth = random_weight_table(rng, tree.leaf_order)
@@ -329,20 +342,15 @@ class TestStaleEntryBelowTop:
             run.sample_step()
             run.split_check()
         run.sample_step()
-        heap, live = run._ucb_heap, run._stamp
-        top1, top1_node = run._top(heap)
-        second = min(heap[1:3])
-        assert heap.index(second) == at
-        assert second[1] not in live
-        assert -second[0] > max(-key for key, v, stamp in heap[1:] if live.get(v) == stamp)
-        want, rival = first_qualifying_split(tree, run.stats, own_draws(tree, run.trace), run.pruning, cfg)
-        assert want == top1_node and rival < -second[0]
+        assert_open_nodes(run)
+        want, _ = first_qualifying_split(tree, run.stats, own_draws(tree, run.trace), run.pruning, cfg)
+        assert want == run._ucb_heap[0][1]
         assert run.split_check()[:1] == [want]
 
 
 def live_ucb(run, v):
     """The ucb of open node v in the engine's heap."""
-    return next(-key for key, u, stamp in run._ucb_heap if u == v and stamp == run._stamp[v])
+    return next(-key for key, u in run._ucb_heap if u == v)
 
 
 class TestEveryRunEnds:
@@ -418,19 +426,15 @@ class TestBookkeeping:
         truth = random_weight_table(rng, tree.leaf_order)
         cfg = EngineConfig(k=rng.randint(2, n), seed=seed, max_basic_queries=3000)
         run = AwpRun(tree, Oracle(tree, truth), cfg)
-
-        def check():
-            assert sorted(run._stamp) == [v for v in run.pruning if not tree.is_leaf(v)]
-
-        check()
+        assert_open_nodes(run)
         while len(run.pruning) < cfg.k:
             if run.oracle.ledger.basic_queries >= cfg.max_basic_queries:
                 run.early_stop = "max-queries"
                 break
             run.sample_step()
-            check()
+            assert_open_nodes(run)
             run.split_check()
-            check()
+            assert_open_nodes(run)
         assert len(run.pruning) > 1
         replay_trace(tree, truth, run.result(), cfg)
 

@@ -147,6 +147,13 @@ class TestStructure:
             HierTree.from_records(records)
         assert err.value.kind == kind
 
+    @pytest.mark.parametrize("record", [("I", 0), ("L", 0), (), ("L", 0, "a", "b"), None])
+    def test_record_not_a_triple_is_a_bad_record(self, record):
+        # Not part of INVALID_RECORDS, which is also written as HWT text.
+        with pytest.raises(TreeStructureError) as err:
+            HierTree.from_records([record, ("L", 1, "b")])
+        assert err.value.kind == "bad-record"
+
     @pytest.mark.parametrize("records,kind", INVALID_RECORDS)
     def test_invalid_hwt_text_identifies_the_same_violation(self, records, kind):
         # loads_tree fills the node lists itself, so it must find what
