@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from heapq import heappop, heappush
 from itertools import repeat
 from math import fsum
 from operator import itemgetter, sub
@@ -66,13 +67,18 @@ def _draw_all(search: PruningSearch, rng: random.Random, count: int) -> list[tup
 
 
 def _split_best(search: PruningSearch, k: int, key) -> None:
-    """Split the internal pruning node with the largest key (smallest id
-    on ties) until the pruning has k nodes."""
+    """Split the internal pruning node with the smallest key (smallest id
+    on ties) until the pruning has k nodes.  A node's key is computed once,
+    when it joins the pruning, so it must not change after that."""
     tree = search.tree
-    # k <= leaf_count_total, and a pruning of leaves only has that many
-    # nodes, so each split finds an internal node.
+    # Each internal pruning node is in the heap once.  k <= leaf_count_total,
+    # and a pruning of leaves only has that many nodes, so each split finds
+    # an internal node; in particular the root is internal when k > 1.
+    heap = [(key(tree.root_id), tree.root_id)]
     while len(search.pruning) < k:
-        search.split(max((v for v in search.pruning if not tree.is_leaf(v)), key=key))
+        for c in search.split(heappop(heap)[1]):
+            if not tree.is_leaf(c):
+                heappush(heap, (key(c), c))
 
 
 def run_weight(tree: HierTree, oracle: Oracle, k: int, basic: int, seed: int) -> PruningResult:
@@ -80,7 +86,8 @@ def run_weight(tree: HierTree, oracle: Oracle, k: int, basic: int, seed: int) ->
     queries on uniform leaf draws used only to refine the output."""
     search = PruningSearch(tree, oracle)
     _check_run_args(tree, k, basic)
-    _split_best(search, k, search.mass.__getitem__)
+    mass = search.mass
+    _split_best(search, k, lambda v: -mass[v])
     _draw_all(search, random.Random(seed), basic)
     return search.finish()
 
@@ -92,19 +99,17 @@ def _run_scored(tree, oracle, k, basic, seed, score_fn) -> PruningResult:
     pos_sorted = [pos for pos, _ in draws]
     val_sorted = [x for _, x in draws]
     mass = search.mass
-    scores: dict[int, float | None] = {}
 
-    def rank(v):
-        # Nodes that received a draw rank by score above those that did
+    def key(v):
+        # Nodes that received a draw rank by score ahead of those that did
         # not, which rank by mass.
-        if v not in scores:
-            lo, hi = tree.span(v)
-            sub = val_sorted[bisect_left(pos_sorted, lo) : bisect_left(pos_sorted, hi)]
-            scores[v] = score_fn(mass[v], tree.leaf_count(v), sub) if sub else None
-        s = scores[v]
-        return (False, mass[v]) if s is None else (True, s)
+        lo, hi = tree.span(v)
+        sub = val_sorted[bisect_left(pos_sorted, lo) : bisect_left(pos_sorted, hi)]
+        if sub:
+            return (False, -score_fn(mass[v], tree.leaf_count(v), sub))
+        return (True, -mass[v])
 
-    _split_best(search, k, rank)
+    _split_best(search, k, key)
     return search.finish()
 
 

@@ -356,15 +356,19 @@ def _all_or_none():
         raise
 
 
-def _check_distinct_outputs(flag_a: str, path_a: str, flag_b: str, path_b: str | None) -> None:
-    """Refuse two output flags that name one file, where the later write
-    would replace the earlier one."""
+def _check_outputs(flag_a: str, path_a: str, flag_b: str, path_b: str | None) -> None:
+    """Refuse an output flag that names an existing directory, which no
+    output file can replace, and two output flags that name one file,
+    where the later write would replace the earlier one."""
+    for flag, path in ((flag_a, path_a), (flag_b, path_b)):
+        if path and os.path.isdir(path):
+            raise UsageError(f"{flag} names a directory {path!r}")
     if path_b and os.path.realpath(path_a) == os.path.realpath(path_b):
         raise UsageError(f"{flag_a} and {flag_b} name the same file {path_b!r}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _check_distinct_outputs("--out", args.out, "--trace-out", args.trace_out)
+    _check_outputs("--out", args.out, "--trace-out", args.trace_out)
     try:
         k_values = tuple(int(x) for x in args.k.split(","))
         algorithms = tuple(args.algorithms.split(","))
@@ -397,7 +401,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _check_distinct_outputs("--out-tree", args.out_tree, "--out-weights", args.out_weights)
+    _check_outputs("--out-tree", args.out_tree, "--out-weights", args.out_weights)
     if _parse_spec(args.spec, "tree") is None:
         raise UsageError(f"synth needs a generator spec, got {args.spec!r}")
     if args.weights is not None and not args.out_weights:

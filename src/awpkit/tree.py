@@ -161,7 +161,8 @@ class HierTree:
         """Build from ("I", id, (child ids...)) and ("L", id, label) records.
 
         Ids must form a dense range 0..n-1; a record that is not exactly
-        (tag, id, payload) is a "bad-record" error.
+        (tag, id, payload), or an "I" record whose payload is a string, is
+        a "bad-record" error.
         """
         recs = list(records)
         n = len(recs)
@@ -181,6 +182,8 @@ class HierTree:
                 raise TreeStructureError("duplicate-node-id", node_id)
             seen[node_id] = True
             if tag == "I":
+                if isinstance(payload, str):
+                    raise TreeStructureError("bad-record", node_id, f"child ids must be a sequence, got {payload!r}")
                 children[node_id] = tuple(int(c) for c in payload)
             elif tag == "L":
                 children[node_id] = ()
@@ -601,22 +604,29 @@ def optimal_pruning(
     w: Mapping[str, float],
 ) -> tuple[tuple[int, ...], float]:
     """Minimum-discrepancy pruning of size at most k, by exact dynamic
-    programming over the tree.
+    programming over the tree, in two phases.
 
-    For each node and budget b, either keep the node whole (cost = its
-    discrepancy) or split b between the children.  Ties prefer not
-    splitting and then the smaller left budget: a split is taken only when
-    it is strictly cheaper, and among equally cheap splits the one with the
-    smallest left budget wins.  This makes the reported pruning
-    deterministic.
+    The value pass computes, for each node and budget b, the least
+    discrepancy of a pruning of its subtree with at most b nodes: either
+    the node kept whole (its discrepancy) or the best split of b between
+    the children.  It scans left budgets from ``max(1, b - n_r)``, for a
+    right child of n_r leaves, since a smaller one only leaves the right
+    child budget it cannot use.  It takes O(n·k) time for n leaves on
+    every tree shape, and its per-budget loop calls no builtins.  When
+    the scan has one candidate, its sum is computed directly, without a
+    scan loop.  That is the case for every budget above 1 at a node whose
+    left child is a leaf, so on every node of a caterpillar that hangs its
+    leaves on the left.
 
-    The dynamic program takes O(n·k) time for n leaves on every tree shape.
-    Its per-budget loop calls no builtins.  When a split of budget b
-    leaves exactly one left budget to scan, its sum is computed directly,
-    without a scan loop.  That is the case at a node whose left child is a
-    leaf, for every budget from 2 up to the right child's leaf count, so
-    on every node of a caterpillar that hangs its leaves on the left.
-    The ``node_discrepancies`` pass before it costs about the node count
+    The read-back walks down from the root with budget k and repeats one
+    node's scan at each node it reaches, this time over every left budget
+    from 1, to recover the choice.  Ties prefer not splitting and then the
+    smaller left budget: a split is taken only when it is strictly cheaper,
+    and among equally cheap splits the one with the smallest left budget
+    wins.  This makes the reported pruning deterministic.  It reaches at
+    most 2k - 1 nodes at O(k) each, so O(k²) in all.
+
+    The ``node_discrepancies`` pass before both costs about the node count
     times the number of distinct leaf values when that number is small,
     and otherwise about the sum of all node leaf counts, as a leaf pass.
     """
@@ -625,75 +635,58 @@ def optimal_pruning(
     disc = node_discrepancies(tree, w)
 
     # cost[v][b-1]: best discrepancy for the subtree at v using at most b
-    # pruning nodes, for b up to min(k, leaf count); choice[v][b-1] is None
-    # (keep whole) or the left budget.  cost[v] is non-increasing in b.
+    # pruning nodes, for b up to min(k, leaf count).  cost[v] is
+    # non-increasing in b, so a left budget above n_l costs no less than
+    # n_l itself, and one below b - n_r no less than b - n_r.
     cost: list[list[float]] = [[]] * tree.node_count
-    choice: list[list[int | None]] = [[]] * tree.node_count
-
-    span, children = tree._span, tree._children
+    children = tree._children
     for v in reversed(tree._pre):
         kids = children[v]
         if not kids:
             cost[v] = [0.0]
-            choice[v] = [None]
             continue
         l, r = kids
         cost_l, cost_r = cost[l], cost[r]
         n_l, n_r = len(cost_l), len(cost_r)
-        right_full = cost_r[-1]
         keep = disc[v]
         cv: list[float] = []
-        ch: list[int | None] = []
-        first = 1
-        lo, hi = span[v]
-        for b in range(1, (hi - lo if hi - lo < k else k) + 1):
+        for b in range(1, (n_l + n_r if n_l + n_r < k else k) + 1):
             best = keep
-            pick: int | None = None
-            # A left budget bl <= b - n_r leaves the right child all it can
-            # use, so the split costs cost_l[bl-1] + right_full, which does
-            # not increase with bl: the scan would pick the first bl whose
-            # sum equals the one at bl = b - n_r.  That first bl never
-            # decreases with b.
-            low = b - n_r
-            if low >= 1:
-                c = cost_l[low - 1] + right_full
-                if c < best:
-                    while cost_l[first - 1] + right_full > c:
-                        first += 1
-                    best = c
-                    pick = first
-            else:
-                low = 0
-            # Scan bl in low+1..end.  Left budgets above n_l cost no less
-            # than n_l itself.
+            start = b - n_r if b - n_r > 1 else 1
             end = n_l if n_l < b - 1 else b - 1
-            if end == low + 1:
-                c = cost_l[low] + cost_r[b - end - 1]
+            if end == start:
+                c = cost_l[start - 1] + cost_r[b - start - 1]
                 if c < best:
                     best = c
-                    pick = end
-            elif end > low:
-                for bl in range(low + 1, end + 1):
+            elif end > start:
+                for bl in range(start, end + 1):
                     c = cost_l[bl - 1] + cost_r[b - bl - 1]
                     if c < best:
                         best = c
-                        pick = bl
             cv.append(best)
-            ch.append(pick)
         cost[v] = cv
-        choice[v] = ch
 
     result: list[int] = []
     stack = [(tree.root_id, k)]
     while stack:
         v, b = stack.pop()
         # A split may give a child more budget than it has leaves.
-        pick = choice[v][min(b, len(choice[v])) - 1]
-        if pick is None:
-            result.append(v)
-        else:
+        b = min(b, len(cost[v]))
+        best = disc[v]
+        pick = 0
+        if children[v]:
             l, r = children[v]
+            cost_l, cost_r = cost[l], cost[r]
+            n_r = len(cost_r)
+            for bl in range(1, min(len(cost_l), b - 1) + 1):
+                c = cost_l[bl - 1] + cost_r[(b - bl if b - bl < n_r else n_r) - 1]
+                if c < best:
+                    best = c
+                    pick = bl
+        if pick:
             stack.append((l, pick))
             stack.append((r, b - pick))
+        else:
+            result.append(v)
     result.sort()
     return tuple(result), cost[tree.root_id][-1]

@@ -366,7 +366,7 @@ class TestScoredBaselines:
             rng = random.Random(7000 + seed)
             tree = random_tree(rng, rng.randint(6, 30))
             table = random_weight_table(rng, tree.leaf_order)
-            k = rng.randint(2, min(6, tree.leaf_count_total))
+            k = rng.randint(2, tree.leaf_count_total)
             basic = rng.choice((0, 1, 7, 40))
             result = runner(tree, Oracle(tree, table), k, basic, seed=seed)
             replay_scored(tree, table, result, k, basic, score_fn)

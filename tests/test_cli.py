@@ -550,6 +550,39 @@ class TestMain:
         assert out.read_text(encoding="utf-8") == "keep\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_exit_code_1_run_output_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        # Checked before any run; the other output keeps its contents.
+        monkeypatch.setattr(cli_mod, "run_experiment", no_work)
+        args, csv, _ = self.run_args(tmp_path, "d")
+        csv.write_text("OLD\n", encoding="utf-8")
+        tracedir = tmp_path / "tracedir"
+        tracedir.mkdir()
+        args[args.index("--trace-out") + 1] = str(tracedir)
+        before = sorted(tmp_path.iterdir())
+        assert main(args) == 1
+        assert f"--trace-out names a directory {str(tracedir)!r}" in capsys.readouterr().err
+        assert csv.read_text(encoding="utf-8") == "OLD\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert list(tracedir.iterdir()) == []
+
+    def test_exit_code_1_synth_output_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "make_tree_source", no_work)
+        w_path = tmp_path / "w.txt"
+        w_path.write_text("OLD\n", encoding="utf-8")
+        tdir = tmp_path / "tdir"
+        tdir.mkdir()
+        args = [
+            "synth", "tightness:n=8",
+            "--out-tree", str(tdir),
+            "--out-weights", str(w_path),
+        ]
+        before = sorted(tmp_path.iterdir())
+        assert main(args) == 1
+        assert f"--out-tree names a directory {str(tdir)!r}" in capsys.readouterr().err
+        assert w_path.read_text(encoding="utf-8") == "OLD\n"
+        assert sorted(tmp_path.iterdir()) == before
+        assert list(tdir.iterdir()) == []
+
     def test_exit_code_2_bad_input(self, tmp_path, capsys):
         rc = main([
             "run",

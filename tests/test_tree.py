@@ -147,7 +147,7 @@ class TestStructure:
             HierTree.from_records(records)
         assert err.value.kind == kind
 
-    @pytest.mark.parametrize("record", [("I", 0), ("L", 0), (), ("L", 0, "a", "b"), None])
+    @pytest.mark.parametrize("record", [("I", 0), ("L", 0), (), ("L", 0, "a", "b"), None, ("I", 0, "12")])
     def test_record_not_a_triple_is_a_bad_record(self, record):
         # Not part of INVALID_RECORDS, which is also written as HWT text.
         with pytest.raises(TreeStructureError) as err:
