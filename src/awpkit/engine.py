@@ -270,12 +270,14 @@ class AwpRun(PruningSearch):
         if not heap:
             raise InvariantError("no internal node available to sample")
         target = heap[0][1]
-        lo, hi = self.tree._span[target]
+        tree = self.tree
+        lo = tree._lo[target]
+        hi = tree._hi[target]
         # randrange(lo, hi) returns this after its argument checks.
         pos = lo + self.rng._randbelow(hi - lo)
         value = self.oracle.query_leaf(pos)
         self.queried[pos] = value
-        self.trace.append(("SAMPLE", target, self.tree.leaf_order[pos], value))
+        self.trace.append(("SAMPLE", target, tree._order[pos], value))
         st = self.stats[target]
         st.push(value)
         drawn = self.drawn[target]

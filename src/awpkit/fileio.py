@@ -19,6 +19,14 @@ per column and places the records by id.  Only when that pass finds a
 malformed record (a bad tag or field count, an id that is no integer, out
 of range or repeated) are the records checked again one line at a time,
 to raise for the first bad one with its line number.
+
+``loads_weights`` also reads in one pass: one comprehension drops the
+comment and blank lines, ``dict(map(str.split, ...))`` pairs the labels
+with their weight strings, and each weight string becomes a float once,
+or once per distinct string when there is at most one per
+``_GROUP_RATIO`` lines.  The lines are walked one at a time only after a
+failure, to name the first bad one: a line that is no pair or repeats a
+label (``_raise_weight_line_error``), or a weight that is no float.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import os
 from itertools import islice
 
-from awpkit.tree import FileFormatError, HierTree, TreeStructureError, WeightTable
+from awpkit.tree import _GROUP_RATIO, FileFormatError, HierTree, TreeStructureError, WeightTable
 
 HWT_MAGIC = "HWT 1"
 
@@ -165,28 +173,46 @@ def dump_tree(tree: HierTree, path: str | os.PathLike) -> None:
 
 
 def loads_weights(text: str) -> WeightTable:
-    # The weights stay strings here; WeightTable converts each one once.
-    weights: dict[str, str] = {}
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    try:
+        raw = dict(map(str.split, lines))
+    except ValueError:  # a line that is no '<label> <weight>' pair
+        _raise_weight_line_error(text)
+    if len(raw) != len(lines):  # a repeated label
+        _raise_weight_line_error(text)
+    if not raw:
+        raise FileFormatError("empty weight file")
+    values = raw.values()
+    try:
+        distinct = set(values)
+        if len(distinct) * _GROUP_RATIO <= len(raw):
+            value_of = dict(zip(distinct, map(float, distinct)))
+            weights = dict(zip(raw, map(value_of.__getitem__, values)))
+        else:
+            weights = dict(zip(raw, map(float, values)))
+        return WeightTable(weights)
+    except ValueError as exc:
+        for lineno, line in _content_lines(text):
+            raw_weight = line.split()[1]
+            try:
+                float(raw_weight)
+            except ValueError:
+                raise FileFormatError(f"line {lineno}: bad weight {raw_weight!r}") from None
+        raise FileFormatError(str(exc)) from None
+
+
+def _raise_weight_line_error(text: str) -> None:
+    """Raise for the first line of a weight file that is no
+    '<label> <weight>' pair or repeats a label; ``loads_weights`` calls
+    this only once its one pass has found such a line."""
+    seen: set[str] = set()
     for lineno, line in _content_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise FileFormatError(f"line {lineno}: expected '<label> <weight>', got {line!r}")
-        label, raw = parts
-        if label in weights:
-            raise FileFormatError(f"line {lineno}: duplicate label {label!r}")
-        weights[label] = raw
-    if not weights:
-        raise FileFormatError("empty weight file")
-    try:
-        return WeightTable(weights)
-    except ValueError as exc:
-        for lineno, line in _content_lines(text):
-            raw = line.split()[1]
-            try:
-                float(raw)
-            except ValueError:
-                raise FileFormatError(f"line {lineno}: bad weight {raw!r}") from None
-        raise FileFormatError(str(exc)) from None
+        if parts[0] in seen:
+            raise FileFormatError(f"line {lineno}: duplicate label {parts[0]!r}")
+        seen.add(parts[0])
 
 
 def dumps_weights(table: WeightTable) -> str:

@@ -21,10 +21,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import fsum, inf, isfinite
-from operator import floordiv, itemgetter, mul, sub
-from typing import Union
+from operator import floordiv, index, itemgetter, mul, sub
+from typing import NoReturn, Union
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -132,12 +132,25 @@ class HierTree:
     the tree also carries a left-to-right leaf ordering in which every
     node's leaf set is a contiguous span; this makes uniform leaf draws and
     subtree lookups O(1).
+
+    The spans are two flat int lists indexed by node id, ``_lo`` and
+    ``_hi``, so a tree holds no object per node beyond its child tuple;
+    ``span(v)`` pairs them.  Construction checks and indexes the child
+    links in one iterative preorder walk from the root, the one id that
+    the child ids leave out of the sum of all ids.  The walk pops exactly
+    ``node_count`` nodes, so it ends on any input.  Whole-list checks
+    after it (nothing left to visit, leaves and only leaves labelled, no
+    label twice) show that it reached every node once.  Only when the
+    walk or these checks fail are the links checked again one node at a
+    time (``_check``, then ``_name_fault``), to name the first fault with
+    its kind and node id.
     """
 
     __slots__ = (
         "_children",
         "_labels",
-        "_span",
+        "_lo",
+        "_hi",
         "_depth",
         "_order",
         "_pre",
@@ -152,7 +165,12 @@ class HierTree:
         self._children = tuple(map(tuple, children))
         self._labels = tuple(labels)
         self.node_count = len(self._children)
-        self._build_index(self._check())
+        try:
+            indexed = self._build_index()
+        except (IndexError, TypeError, ValueError):
+            indexed = False
+        if not indexed:
+            self._name_fault()
 
     # -- construction ------------------------------------------------------
 
@@ -161,8 +179,8 @@ class HierTree:
         """Build from ("I", id, (child ids...)) and ("L", id, label) records.
 
         Ids must form a dense range 0..n-1; a record that is not exactly
-        (tag, id, payload), or an "I" record whose payload is a string, is
-        a "bad-record" error.
+        (tag, id, payload), or an "I" record whose payload is not a
+        sequence of integers, is a "bad-record" error.
         """
         recs = list(records)
         n = len(recs)
@@ -182,9 +200,12 @@ class HierTree:
                 raise TreeStructureError("duplicate-node-id", node_id)
             seen[node_id] = True
             if tag == "I":
-                if isinstance(payload, str):
-                    raise TreeStructureError("bad-record", node_id, f"child ids must be a sequence, got {payload!r}")
-                children[node_id] = tuple(int(c) for c in payload)
+                try:
+                    children[node_id] = tuple(map(index, payload))
+                except TypeError:
+                    raise TreeStructureError(
+                        "bad-record", node_id, f"child ids must be a sequence of integers, got {payload!r}"
+                    ) from None
             elif tag == "L":
                 children[node_id] = ()
                 labels[node_id] = str(payload)
@@ -204,10 +225,65 @@ class HierTree:
 
     # -- structural checks -------------------------------------------------
 
+    def _build_index(self) -> bool:
+        """Index the tree in one preorder walk; False when the links are
+        not a tree over uniquely labelled leaves.  May also raise
+        IndexError, TypeError or ValueError on such links.
+
+        The walk gives the leaves their spans in order; an internal node
+        spans its left child's ``_lo`` to its right child's ``_hi``, set in
+        reverse preorder.  ``_pre`` keeps the preorder, so reversed it
+        visits children before their parents."""
+        n = self.node_count
+        children, labels = self._children, self._labels
+        # In a tree every id but the root's is a child id exactly once.
+        root = n * (n - 1) // 2 - sum(chain.from_iterable(children))
+        lo = [0] * n
+        hi = [0] * n
+        depth = [0] * n
+        order: list[str] = []
+        pre: list[int] = []
+        stack = [root]
+        pop, push, visit, place = stack.pop, stack.append, pre.append, order.append
+        for _ in range(n):
+            v = pop()
+            visit(v)
+            kids = children[v]
+            if kids:
+                l, r = kids
+                depth[l] = depth[r] = depth[v] + 1
+                push(r)
+                push(l)
+            else:
+                lo[v] = len(order)
+                place(labels[v])
+                hi[v] = len(order)
+        # With n visits and nothing left to visit, a node reached twice
+        # would have reached some leaf twice, so when no label repeats,
+        # every node was reached once.  The ids reached, the root and every
+        # child id, then sum to those of 0..n-1, so no negative id stood in
+        # for a node.
+        if stack or None in order or len(set(order)) != len(order) or labels.count(None) != n - len(order):
+            return False
+        for v in reversed(pre):
+            kids = children[v]
+            if kids:
+                l, r = kids
+                lo[v] = lo[l]
+                hi[v] = hi[r]
+        self.root_id = root
+        self._lo = lo
+        self._hi = hi
+        self._depth = depth
+        self._order = tuple(order)
+        self._pre = pre
+        self.leaf_count_total = len(order)
+        return True
+
     def _check(self) -> int:
         """Raise TreeStructureError on the first violation of the child
         links; return the root id.  Reachability and label uniqueness are
-        checked by ``_build_index``."""
+        checked by ``_name_fault``."""
         n = self.node_count
         if n == 0:
             raise TreeStructureError("empty-tree")
@@ -218,8 +294,8 @@ class HierTree:
             if lab is not None and kids:
                 raise TreeStructureError("leaf-with-children", v)
             for c in kids:
-                if not (0 <= c < n):
-                    raise TreeStructureError("dangling-child", v, f"child id {c}")
+                if not (isinstance(c, int) and 0 <= c < n):
+                    raise TreeStructureError("dangling-child", v, f"child id {c!r}")
                 if parent[c] != -1 or c == v:
                     raise TreeStructureError("multiple-parents" if c != v else "cycle", c)
                 parent[c] = v
@@ -230,52 +306,30 @@ class HierTree:
             raise TreeStructureError("multiple-roots", parent.index(-1, root + 1))
         return root
 
-    def _build_index(self, root: int) -> None:
-        """One iterative preorder walk from the root: leaf order and depths
-        on the way down, spans in reverse preorder.  ``_pre`` keeps the
-        preorder, so reversed it visits children before their parents."""
-        n = self.node_count
+    def _name_fault(self) -> NoReturn:
+        """Raise TreeStructureError for the first fault of links that
+        ``_build_index`` refused: ``_check``'s, then a node unreachable
+        from the root, then a repeated leaf label."""
         children, labels = self._children, self._labels
-        self.root_id = root
-        span: list[tuple[int, int]] = [(0, 0)] * n
-        depth = [0] * n
-        order: list[str] = []
-        pre: list[int] = []
+        root = self._check()
+        reached = {root}
         stack = [root]
         while stack:
-            v = stack.pop()
-            pre.append(v)
-            kids = children[v]
-            if kids:
-                l, r = kids
-                depth[l] = depth[r] = depth[v] + 1
-                stack.append(r)
-                stack.append(l)
-            else:
-                span[v] = (len(order), len(order) + 1)
-                order.append(labels[v])  # type: ignore[arg-type]
-        if len(pre) != n:
+            kids = children[stack.pop()]
+            reached.update(kids)
+            stack.extend(kids)
+        if len(reached) != self.node_count:
             # Each node has at most one parent, so any node unreachable from
             # the root sits in a detached component that must hold a cycle.
-            reached = set(pre)
-            bad = next(v for v in range(n) if v not in reached)
+            bad = next(v for v in range(self.node_count) if v not in reached)
             raise TreeStructureError("cycle", bad, "unreachable from root")
-        if len(set(order)) != len(order):
-            seen_labels: set[str] = set()
-            for v, lab in enumerate(labels):
-                if lab in seen_labels:
-                    raise TreeStructureError("duplicate-leaf-label", v, lab)
-                if lab is not None:
-                    seen_labels.add(lab)
-        for v in reversed(pre):
-            kids = children[v]
-            if kids:
-                span[v] = (span[kids[0]][0], span[kids[1]][1])
-        self._span = span
-        self._depth = depth
-        self._order = tuple(order)
-        self._pre = pre
-        self.leaf_count_total = len(order)
+        seen_labels: set[str] = set()
+        for v, lab in enumerate(labels):
+            if lab in seen_labels:
+                raise TreeStructureError("duplicate-leaf-label", v, lab)
+            if lab is not None:
+                seen_labels.add(lab)
+        raise InvariantError("the tree index walk refused links that every check accepts")
 
     def _check_id(self, v: int) -> None:
         if not (isinstance(v, int) and 0 <= v < self.node_count):
@@ -313,7 +367,7 @@ class HierTree:
     def span(self, v: int) -> tuple[int, int]:
         """Half-open range of ``leaf_order`` positions covered by node v."""
         self._check_id(v)
-        return self._span[v]
+        return self._lo[v], self._hi[v]
 
     def leaf_count(self, v: int) -> int:
         lo, hi = self.span(v)
@@ -341,26 +395,26 @@ class HierTree:
 def is_pruning(tree: HierTree, nodes: Iterable[int]) -> bool:
     """True iff the node set partitions the leaf set (an antichain covering
     every leaf exactly once).  Single leaves may appear as pruning nodes."""
-    spans = []
-    for v in nodes:
+    node_list = list(nodes)
+    for v in node_list:
         tree._check_id(v)
-        spans.append(tree._span[v])
-    if not spans:
+    if not node_list:
         return False
-    spans.sort()
+    lo, hi = tree._lo, tree._hi
     cursor = 0
-    for lo, hi in spans:
-        if lo != cursor:
+    for v in sorted(node_list, key=lo.__getitem__):
+        if lo[v] != cursor:
             return False
-        cursor = hi
+        cursor = hi[v]
     return cursor == tree.leaf_count_total
 
 
 def _leaf_values(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     """A label-keyed weighting as a list in ``leaf_order`` order.  Raises
     ValueError unless its labels are exactly the tree's leaves."""
+    table = w._w if isinstance(w, WeightTable) else w
     try:
-        vals = [w[lab] for lab in tree.leaf_order]
+        vals = list(map(table.__getitem__, tree.leaf_order))
         if len(w) == tree.leaf_count_total:
             return vals
     except KeyError:
@@ -461,17 +515,18 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     vals = _leaf_values(tree, w)
     sums, den = span_sums(vals)
     out = [0.0] * tree.node_count
-    span, children = tree._span, tree._children
+    span_lo, span_hi, children = tree._lo, tree._hi, tree._children
     counts: list[Counter | None] = [None] * tree.node_count
     for v in reversed(tree._pre):
-        lo, hi = span[v]
+        lo = span_lo[v]
+        hi = span_hi[v]
         c = hi - lo
         if c == 1:
             continue
         avg = (sums[hi] - sums[lo]) / den / c
         if c > _SMALL:
             l, r = children[v]
-            mid = span[l][1]
+            mid = span_hi[l]
             # A child of at most _SMALL leaves has no map: take its leaves.
             a = counts[l] if mid - lo > _SMALL else vals[lo:mid]
             b = counts[r] if hi - mid > _SMALL else vals[mid:hi]

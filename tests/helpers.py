@@ -242,6 +242,95 @@ def reference_loads_tree(text: str) -> HierTree:
     return HierTree(children, labels)
 
 
+def reference_loads_weights(text: str) -> WeightTable:
+    """One ``(lineno, line)`` pair at a time, each checked as it is read:
+    the slow reference for ``loads_weights``, which reads in one pass and
+    walks the lines only after a failure."""
+    weights: dict[str, str] = {}
+    for lineno, line in _reference_content_lines(text):
+        parts = line.split()
+        if len(parts) != 2:
+            raise FileFormatError(f"line {lineno}: expected '<label> <weight>', got {line!r}")
+        label, raw = parts
+        if label in weights:
+            raise FileFormatError(f"line {lineno}: duplicate label {label!r}")
+        weights[label] = raw
+    if not weights:
+        raise FileFormatError("empty weight file")
+    try:
+        return WeightTable(weights)
+    except ValueError as exc:
+        for lineno, line in _reference_content_lines(text):
+            raw = line.split()[1]
+            try:
+                float(raw)
+            except ValueError:
+                raise FileFormatError(f"line {lineno}: bad weight {raw!r}") from None
+        raise FileFormatError(str(exc)) from None
+
+
+def reference_tree_index(children, labels) -> tuple:
+    """Check the child links node by node, then index the tree in a second
+    walk: the slow reference for ``HierTree``'s one-walk index.  Returns
+    ``(root, spans, depths, leaf order, preorder)`` or raises the
+    TreeStructureError that names the first fault."""
+    children = tuple(map(tuple, children))
+    labels = tuple(labels)
+    n = len(children)
+    if n == 0:
+        raise TreeStructureError("empty-tree")
+    parent = [-1] * n
+    for v, kids, lab in zip(range(n), children, labels):
+        if lab is None and len(kids) != 2:
+            raise TreeStructureError("non-binary-internal", v, f"{len(kids)} children")
+        if lab is not None and kids:
+            raise TreeStructureError("leaf-with-children", v)
+        for c in kids:
+            if not (0 <= c < n):
+                raise TreeStructureError("dangling-child", v, f"child id {c}")
+            if parent[c] != -1 or c == v:
+                raise TreeStructureError("multiple-parents" if c != v else "cycle", c)
+            parent[c] = v
+    if -1 not in parent:
+        raise TreeStructureError("no-root")
+    root = parent.index(-1)
+    if parent.count(-1) > 1:
+        raise TreeStructureError("multiple-roots", parent.index(-1, root + 1))
+    span: list[tuple[int, int]] = [(0, 0)] * n
+    depth = [0] * n
+    order: list[str] = []
+    pre: list[int] = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        kids = children[v]
+        if kids:
+            l, r = kids
+            depth[l] = depth[r] = depth[v] + 1
+            stack.append(r)
+            stack.append(l)
+        else:
+            span[v] = (len(order), len(order) + 1)
+            order.append(labels[v])
+    if len(pre) != n:
+        reached = set(pre)
+        bad = next(v for v in range(n) if v not in reached)
+        raise TreeStructureError("cycle", bad, "unreachable from root")
+    if len(set(order)) != len(order):
+        seen_labels: set[str] = set()
+        for v, lab in enumerate(labels):
+            if lab in seen_labels:
+                raise TreeStructureError("duplicate-leaf-label", v, lab)
+            if lab is not None:
+                seen_labels.add(lab)
+    for v in reversed(pre):
+        kids = children[v]
+        if kids:
+            span[v] = (span[kids[0]][0], span[kids[1]][1])
+    return root, span, depth, tuple(order), pre
+
+
 def reference_median_split_tree(features, seed: int) -> HierTree:
     """The recursive median-split build, kept as the slow reference for
     ``build_median_split_tree``: every group is sorted by a

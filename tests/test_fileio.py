@@ -27,6 +27,7 @@ from helpers import (
     reference_dumps_tree,
     reference_dumps_weights,
     reference_loads_tree,
+    reference_loads_weights,
 )
 
 
@@ -187,6 +188,99 @@ class TestLoaderMatchesReference:
     @example(text="HWT 1\n")
     def test_same_tree_or_same_error(self, text):
         assert _load_outcome(loads_tree, text) == _load_outcome(reference_loads_tree, text)
+
+
+# Weights that float() refuses, and ones it reads that WeightTable refuses.
+_BAD_WEIGHTS = ["x", "1e-x", "0x1p-3", "1.2.3", "--1", "1,5"]
+_NON_FINITE = ["nan", "-nan", "inf", "-inf", "1e999", "-1e999"]
+
+
+def _spellings(rng, weight: str) -> str:
+    """Another string float() reads as the same weight, at times."""
+    forms = [weight, weight, f"+{weight}", weight.replace("e", "E")]
+    if "." in weight and "e" not in weight:
+        forms.append(weight + "0")
+    return rng.choice(forms)
+
+
+@st.composite
+def weight_texts(draw):
+    """A weight file over 1 to 60 labels, some holding '#': weights with at
+    most three distinct values or all distinct, summing to 1 or not, in
+    different spellings, with comments, blank and whitespace-only lines,
+    mixed line breaks and whitespace, a zero or minus-zero weight at times,
+    and up to two faults: a repeated label, a line with one or three
+    fields, a weight float() refuses, a non-finite or a negative one."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        levels = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        raw = [rng.choice(levels) for _ in range(n)]
+    else:
+        raw = [rng.randint(1, 10**9) for _ in range(n)]
+    total = sum(raw) * (1.0 if draw(st.integers(0, 4)) else 1.5)
+    records = [
+        [f"w{'#' if rng.random() < 0.2 else ''}{i}", _spellings(rng, repr(x / total))] for i, x in enumerate(raw)
+    ]
+    if records and rng.random() < 0.2:
+        records.insert(rng.randrange(len(records)), ["zero", rng.choice(["0.0", "-0.0", "0"])])
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "fields", "bad", "non-finite", "negative"]), max_size=2)):
+        if not records:
+            break
+        rec = rng.choice(records)
+        if kind == "duplicate":
+            rec[0] = rng.choice(records)[0]
+        elif kind == "fields":
+            if len(rec) > 1 and rng.random() < 0.5:
+                rec.pop()
+            else:
+                rec.append("7")
+        elif kind == "bad":
+            rec[-1] = rng.choice(_BAD_WEIGHTS)
+        elif kind == "non-finite":
+            rec[-1] = rng.choice(_NON_FINITE)
+        else:
+            rec[-1] = "-" + rec[-1]
+    out = []
+    for rec in records:
+        while rng.random() < 0.2:
+            out.append(rng.choice(["", "#", "# note", " \t", "\u3000#x y z", "  # a 0.5"]))
+        line = rng.choice(_SPACES).join(rec)
+        out.append(rng.choice(["", "", " ", "\xa0"]) + line + rng.choice(["", "", "\t", "\u3000"]))
+    return "".join(line + rng.choice(_BREAKS) for line in out)
+
+
+def _weights_outcome(load, text):
+    """The loaded table's labels in order with the repr of each weight, or
+    the type and message of the error the loader raises."""
+    try:
+        table = load(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(label, repr(table[label])) for label in table]
+
+
+class TestWeightLoaderMatchesReference:
+    """``loads_weights`` reads in one pass and names a bad line only after
+    that pass fails; it loads the same table, or raises the same error with
+    the same message, as the line-by-line reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=weight_texts())
+    @example(text="a 0.25\r\nb 0.75\r\n")
+    @example(text="\u2028\u3000a\xa00.5\x1e# c\rb 0.5\x0b")
+    @example(text="a 0.5\nb 0.5\na 0.5\n")
+    @example(text="a -0.0\nb 1.0\n")
+    @example(text="a# 0.5\nb#c 0.5\n")
+    @example(text="a nan\nb 1\n")
+    @example(text="a 1\nb x\nc 1 2\n")
+    @example(text="#a 1\n\n   \n")
+    @example(text="a 0.1\n" + "".join(f"w{i} 0.1\n" for i in range(9)))
+    @example(text="".join(f"w{i} {(i % 5 + 1) / 180!r}\n" for i in range(60)))
+    @example(text="".join(f"w{i} {'0.1' if i % 2 else '1e-x'}\n" for i in range(40)))
+    @example(text="")
+    def test_same_table_or_same_error(self, text):
+        assert _weights_outcome(loads_weights, text) == _weights_outcome(reference_loads_weights, text)
 
 
 class TestWriterLabelCheck:

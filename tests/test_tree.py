@@ -43,6 +43,7 @@ from helpers import (
     reference_optimal_pruning,
     reference_refine_with_queries,
     reference_span_sums,
+    reference_tree_index,
     reference_tv_distance,
 )
 
@@ -154,6 +155,22 @@ class TestStructure:
             HierTree.from_records([record, ("L", 1, "b")])
         assert err.value.kind == "bad-record"
 
+    @pytest.mark.parametrize("payload", [5, None, ("x", "y"), (1.5, 2), (1, "2")])
+    def test_non_integer_child_ids_are_a_bad_record(self, payload):
+        # None of these may escape as a TypeError or ValueError, and a float
+        # child id may not be truncated to an integer one.
+        with pytest.raises(TreeStructureError) as err:
+            HierTree.from_records([("I", 0, payload), ("L", 1, "a"), ("L", 2, "b")])
+        assert err.value.kind == "bad-record"
+        assert err.value.node_id == 0
+
+    @pytest.mark.parametrize("kids", [(1.5, 2), (1, "2"), (None, 2), (1, 2.0)])
+    def test_non_integer_child_id_is_a_dangling_child(self, kids):
+        with pytest.raises(TreeStructureError) as err:
+            HierTree([kids, (), ()], [None, "a", "b"])
+        assert err.value.kind == "dangling-child"
+        assert err.value.node_id == 0
+
     @pytest.mark.parametrize("records,kind", INVALID_RECORDS)
     def test_invalid_hwt_text_identifies_the_same_violation(self, records, kind):
         # loads_tree fills the node lists itself, so it must find what
@@ -202,6 +219,121 @@ class TestStructure:
                 assert t.span(l)[1] == t.span(r)[0]
                 assert t.span(r)[1] == hi
         assert sorted(leaves_under(t, t.root_id)) == sorted(t.leaf_order)
+
+
+def _shuffled_links(rng, n: int) -> tuple[list, list]:
+    """Children and labels of a random tree over n leaves, with its ids
+    permuted so that the root and the id order are arbitrary."""
+    tree = random_tree(rng, n)
+    perm = list(range(tree.node_count))
+    rng.shuffle(perm)
+    children: list = [()] * tree.node_count
+    labels: list = [None] * tree.node_count
+    for v in range(tree.node_count):
+        children[perm[v]] = tuple(perm[c] for c in tree.children(v))
+        labels[perm[v]] = tree.label(v) if tree.is_leaf(v) else None
+    return children, labels
+
+
+_CORRUPTIONS = ("relink", "dangling", "arity", "label", "duplicate-label", "detached", "swap")
+
+
+def _corrupt(rng, children: list, labels: list, kind: str) -> None:
+    """Break the links or labels in place, one way per kind: a child link
+    moved to any node (multiple parents, a cycle or a lost root), a child
+    id out of range, an internal node without two children or a leaf with
+    some, a label added or removed, two leaves with one label, a detached
+    two-node cycle, or the children of two nodes swapped."""
+    n = len(children)
+    v = rng.randrange(n)
+    internal = [u for u in range(n) if children[u]]
+    if kind in ("relink", "dangling") and internal:
+        u = rng.choice(internal)
+        kids = list(children[u])
+        i = rng.randrange(len(kids))
+        # A negative id that indexes the node it replaces is out of range too.
+        kids[i] = rng.randrange(n) if kind == "relink" else rng.choice([kids[i] - n, -1, n, n + 7])
+        children[u] = tuple(kids)
+    elif kind == "arity":
+        if children[v] and rng.random() < 0.5:
+            children[v] = ()
+        else:
+            children[v] = tuple(rng.randrange(n) for _ in range(rng.choice([1, 2, 3])))
+    elif kind == "label":
+        labels[v] = None if labels[v] is not None else "new"
+    elif kind == "duplicate-label":
+        leaves = [u for u in range(n) if not children[u]] or [v]
+        labels[rng.choice(leaves)] = labels[rng.choice(leaves)]
+    elif kind == "detached":
+        children += [(n + 1, n + 2), (n, n + 3), (), ()]
+        labels += [None, None, "da", "db"]
+    elif kind == "swap":
+        u = rng.randrange(n)
+        children[u], children[v] = children[v], children[u]
+
+
+def _index_outcome(build, children, labels):
+    """A tree's root, spans, depths, leaf order and preorder, or the kind,
+    node id and message of the TreeStructureError that refuses it."""
+    try:
+        return build(children, labels)
+    except TreeStructureError as exc:
+        return exc.kind, exc.node_id, str(exc)
+
+
+def _one_walk_index(children, labels):
+    t = HierTree(children, labels)
+    n = t.node_count
+    return t.root_id, [t.span(v) for v in range(n)], [t.depth(v) for v in range(n)], t.leaf_order, list(t._pre)
+
+
+class TestIndexMatchesReference:
+    """``HierTree`` checks and indexes the links in one walk and names a
+    fault only after that walk refuses them; it gives the same index, or
+    the same error kind, node id and message, as the two-pass reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32), kinds=st.lists(st.sampled_from(_CORRUPTIONS), max_size=2))
+    def test_same_index_or_same_fault(self, seed, kinds):
+        rng = random.Random(seed)
+        children, labels = _shuffled_links(rng, rng.randint(1, 30))
+        for kind in kinds:
+            _corrupt(rng, children, labels, kind)
+        want = _index_outcome(reference_tree_index, children, labels)
+        assert _index_outcome(_one_walk_index, children, labels) == want
+        if not kinds:
+            assert isinstance(want[1], list)
+
+    @pytest.mark.parametrize(
+        "children,labels",
+        [
+            ([], []),
+            # One node that is both of its own children: its walk pops the
+            # one node and leaves two to visit.
+            ([(0, 0)], [None]),
+            ([(1, 2), (0, 3), (), ()], [None, None, "a", "b"]),
+            ([(1, 2), (), (-1, 1), ()], [None, "a", None, "b"]),
+        ],
+    )
+    def test_hand_written_faults(self, children, labels):
+        want = _index_outcome(reference_tree_index, children, labels)
+        assert isinstance(want[0], str)
+        assert _index_outcome(_one_walk_index, children, labels) == want
+
+    @pytest.mark.parametrize("fault", [None, "back-to-root", "detached"])
+    def test_deep_caterpillar_without_recursion(self, fault):
+        # Spine node i has children (leaf i, spine i + 1); leaf j is d + j.
+        d = 100_000
+        children: list = [(d + i, i + 1) for i in range(d - 1)] + [(2 * d - 1, 2 * d)] + [()] * (d + 1)
+        labels: list = [None] * d + [f"c{j}" for j in range(d + 1)]
+        if fault == "back-to-root":
+            children[d - 1] = (2 * d - 1, 0)
+        elif fault == "detached":
+            _corrupt(random.Random(0), children, labels, "detached")
+        want = _index_outcome(reference_tree_index, children, labels)
+        assert _index_outcome(_one_walk_index, children, labels) == want
+        if fault is None:
+            assert HierTree(children, labels).max_depth == d
 
 
 class TestWeightTable:
