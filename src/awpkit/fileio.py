@@ -22,9 +22,8 @@ to raise for the first bad one with its line number.
 
 ``loads_weights`` also reads in one pass: one comprehension drops the
 comment and blank lines, ``dict(map(str.split, ...))`` pairs the labels
-with their weight strings, and each weight string becomes a float once,
-or once per distinct string when there is at most one per
-``_GROUP_RATIO`` lines.  The lines are walked one at a time only after a
+with their weight strings, and ``WeightTable`` converts each weight string
+to a float once.  The lines are walked one at a time only after a
 failure, to name the first bad one: a line that is no pair or repeats a
 label (``_raise_weight_line_error``), or a weight that is no float.
 """
@@ -34,7 +33,7 @@ from __future__ import annotations
 import os
 from itertools import islice
 
-from awpkit.tree import _GROUP_RATIO, FileFormatError, HierTree, TreeStructureError, WeightTable
+from awpkit.tree import FileFormatError, HierTree, TreeStructureError, WeightTable
 
 HWT_MAGIC = "HWT 1"
 
@@ -182,15 +181,9 @@ def loads_weights(text: str) -> WeightTable:
         _raise_weight_line_error(text)
     if not raw:
         raise FileFormatError("empty weight file")
-    values = raw.values()
+    # The weights stay strings here; WeightTable converts each one once.
     try:
-        distinct = set(values)
-        if len(distinct) * _GROUP_RATIO <= len(raw):
-            value_of = dict(zip(distinct, map(float, distinct)))
-            weights = dict(zip(raw, map(value_of.__getitem__, values)))
-        else:
-            weights = dict(zip(raw, map(float, values)))
-        return WeightTable(weights)
+        return WeightTable(raw)
     except ValueError as exc:
         for lineno, line in _content_lines(text):
             raw_weight = line.split()[1]
