@@ -62,7 +62,8 @@ def assemble(spec: WSpec) -> tuple[HierTree, WeightTable]:
         weights[lab] = float(w)
         return lab
 
-    return HierTree(*_preorder(spec, label)), WeightTable(weights)
+    labels, left, right = _preorder(spec, label)
+    return HierTree(None, labels, left=left, right=right), WeightTable(weights)
 
 
 def build_greedy_trap_a(k: int) -> tuple[HierTree, WeightTable]:

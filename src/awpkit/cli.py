@@ -44,13 +44,13 @@ from awpkit.engine import EngineConfig, normalized_distance, run_awp
 from awpkit.estimator import RADIUS_MODES
 from awpkit.fileio import dump_tree, dump_weights, load_tree, load_weights
 from awpkit.oracle import (
+    FeatureColumns,
     Oracle,
     TargetSpec,
     build_median_split_tree,
     build_random_balanced_tree,
     leaf_order_bins,
     make_geometric_target,
-    random_features,
 )
 from awpkit.tree import (
     FileFormatError,
@@ -74,6 +74,13 @@ class UsageError(Exception):
     pass
 
 
+# Caps on a generated instance, checked before anything is allocated: its
+# leaf count, and for median-split its n * dim feature draws.  They admit
+# 2**22 leaves at dim=8.
+MAX_LEAVES = 1 << 22
+MAX_DRAWS = 1 << 25
+
+
 def _labels(n: int) -> list[str]:
     return [f"x{i:06d}" for i in range(n)]
 
@@ -88,27 +95,36 @@ def _geometric(tree: HierTree, seed: int, bins: int, ratio: float, layout: str) 
     return make_geometric_target(tree, spec, seed)
 
 
-# The spec language: each generator kind's parameters and builder.  A
+# The spec language: each generator kind's parameters, builder and size.  A
 # parameter maps to its default or, when it is required, to its type.  A
 # tree kind's builder takes (seed, **params) and returns the tree and its
 # weights (None unless the kind is a construction); the weights kind
 # geometric takes (tree, seed, **params) and returns weights.  Builders
-# look generators up as module globals on every call.
+# look generators up as module globals on every call.  A tree kind's size
+# takes its params and gives (leaves, feature draws) for the caps; a value
+# that its builder refuses may give any size within them.
 _SPECS = {
     "median-split": (
         {"n": int, "dim": 8},
-        lambda seed, n, dim: (build_median_split_tree(random_features(_labels(n), dim, seed), seed), None),
+        lambda seed, n, dim: (build_median_split_tree(FeatureColumns(_labels(n), dim, seed), seed), None),
+        lambda n, dim: (n, n * dim),
     ),
-    "random-balanced": ({"n": int}, lambda seed, n: (build_random_balanced_tree(_labels(n), seed), None)),
-    "tightness": ({"n": int}, lambda seed, n: build_tightness(n)[:2]),
-    "greedy-trap-a": ({"k": int}, lambda seed, k: build_greedy_trap_a(k)),
-    "greedy-trap-b": ({"k": int}, lambda seed, k: build_greedy_trap_b(k)),
+    "random-balanced": (
+        {"n": int},
+        lambda seed, n: (build_random_balanced_tree(_labels(n), seed), None),
+        lambda n: (n, 0),
+    ),
+    "tightness": ({"n": int}, lambda seed, n: build_tightness(n)[:2], lambda n: (n + 2, 0)),
+    "greedy-trap-a": ({"k": int}, lambda seed, k: build_greedy_trap_a(k), lambda k: (3 * k + 2, 0)),
+    "greedy-trap-b": ({"k": int}, lambda seed, k: build_greedy_trap_b(k), lambda k: (4 * k - 1, 0)),
     "lookahead-trap": (
         {"heavy": int, "depth": int},
         lambda seed, heavy, depth: build_lookahead_trap(heavy, depth),
+        # The builder refuses a depth outside 1..25 itself.
+        lambda heavy, depth: (2 * 3**depth + 4 if 1 <= depth <= 25 else 0, 0),
     ),
-    "heavy-leaf": ({"n": int}, lambda seed, n: build_heavy_leaf(n)),
-    "geometric": ({"bins": int, "ratio": float, "layout": "shuffled"}, _geometric),
+    "heavy-leaf": ({"n": int}, lambda seed, n: build_heavy_leaf(n), lambda n: (n, 0)),
+    "geometric": ({"bins": int, "ratio": float, "layout": "shuffled"}, _geometric, None),
 }
 _TYPE_NAMES = {int: "an integer", float: "a number"}
 
@@ -122,7 +138,7 @@ def _parse_spec(src: str, role: str) -> tuple[Callable, dict[str, object]] | Non
     kind_role = "weights" if kind == "geometric" else "tree"
     if kind_role != role:
         raise UsageError(f"{kind!r} is a {kind_role} source, not a {role} source")
-    defaults, builder = _SPECS[kind]
+    defaults, builder, size = _SPECS[kind]
     given: dict[str, str] = {}
     for chunk in text.split(",") if text else ():
         name, eq, value = chunk.partition("=")
@@ -146,6 +162,12 @@ def _parse_spec(src: str, role: str) -> tuple[Callable, dict[str, object]] | Non
             raise UsageError(f"missing required parameter {name!r} for {kind}")
         else:
             params[name] = default
+    if size is not None:
+        leaves, draws = size(**params)
+        if leaves > MAX_LEAVES:
+            raise UsageError(f"{kind} would have {leaves} leaves, above the cap of {MAX_LEAVES}")
+        if draws > MAX_DRAWS:
+            raise UsageError(f"{kind} would draw n*dim = {draws} features, above the cap of {MAX_DRAWS}")
     return builder, params
 
 
@@ -439,7 +461,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def _spec_help() -> str:
     lines = ["generator specs (a parameter without =default is required):"]
-    for kind, (defaults, _) in _SPECS.items():
+    for kind, (defaults, *_) in _SPECS.items():
         names = (name if isinstance(d, type) else f"{name}={d}" for name, d in defaults.items())
         lines.append(f"  {kind}:{','.join(names)}")
     return "\n".join(lines)

@@ -13,29 +13,41 @@ Weight files hold one ``<label> <weight>`` pair per line with the same
 comment rules.  Labels may not be empty or contain whitespace, and a
 weight file label may not start with ``#``; the writers refuse such labels.
 
-``loads_tree`` reads a tree file in one pass over its lines: it keeps each
-record's fields as strings, converts the ids with one ``map(int, ...)``
-per column and places the records by id.  Only when that pass finds a
-malformed record (a bad tag or field count, an id that is no integer, out
-of range or repeated) are the records checked again one line at a time,
-to raise for the first bad one with its line number.
+Both readers parse the text in slices of about ``_SLICE`` characters,
+each cut just after a ``"\n"``, so each slice's ``splitlines()`` gives
+the same lines as the whole text's, ``"\r\n"`` pairs included.  Each
+slice's fields are converted before the next slice is split, so only one
+slice's lines and field strings are alive at a time.
 
-``loads_weights`` also reads in one pass: one comprehension drops the
-comment and blank lines, ``dict(map(str.split, ...))`` pairs the labels
-with their weight strings, and ``WeightTable`` converts each weight string
-to a float once.  The lines are walked one at a time only after a
-failure, to name the first bad one: a line that is no pair or repeats a
-label (``_raise_weight_line_error``), or a weight that is no float.
+``loads_tree`` keeps each record's fields of a slice as strings, column
+by column, and converts the ids with one ``map(int, ...)`` per column;
+once every slice is read it places the records by id into the child
+columns and labels of ``HierTree``.  Only when that finds a malformed
+record (a bad tag or field count, an id that is no integer, out of range
+or repeated) are the records checked again one line at a time, to raise
+for the first bad one with its line number.
+
+``loads_weights`` drops a slice's comment and blank lines with one
+comprehension, pairs its labels with their weight strings with
+``dict(map(str.split, ...))`` and converts the weights with ``float``.
+The lines are walked one at a time only after a failure, to name the
+first bad one: a line that is no pair or repeats a label, or else a
+weight that is no float.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import islice
+from itertools import chain
+from typing import NoReturn
 
-from awpkit.tree import FileFormatError, HierTree, TreeStructureError, WeightTable
+from awpkit.tree import FileFormatError, HierTree, InvariantError, TreeStructureError, WeightTable
 
 HWT_MAGIC = "HWT 1"
+
+
+# Characters per slice of a file's text; see the module docstring.
+_SLICE = 1 << 16
 
 
 def _content_lines(text: str):
@@ -46,67 +58,88 @@ def _content_lines(text: str):
         yield lineno, line
 
 
+def _sliced_lines(text: str):
+    """The lines of ``text.splitlines()``, one list per slice of about
+    ``_SLICE`` characters, each slice cut just after a "\n"."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE - 1) + 1 or size
+        yield text[start:end].splitlines()
+        start = end
+
+
 def loads_tree(text: str) -> HierTree:
-    lines = text.splitlines()
-    for start, first in enumerate(lines):
-        first = first.strip()
-        if first and first[0] != "#":
-            break
+    slices = _sliced_lines(text)
+    start = 0  # the header's index in text.splitlines()
+    for lines in slices:
+        for i, first in enumerate(lines):
+            first = first.strip()
+            if first and first[0] != "#":
+                break
+        else:
+            start += len(lines)
+            continue
+        break
     else:
         raise FileFormatError("empty tree file")
+    start += i
     if first != HWT_MAGIC:
         raise FileFormatError(f"line {start + 1}: expected {HWT_MAGIC!r} header, got {first!r}")
-    # One pass keeps each record's fields as strings, column by column;
-    # a line that is no well-formed record, comment or blank ends it.
-    ids: list[str] = []
-    lefts: list[str] = []
-    rights: list[str] = []
-    leaf_ids: list[str] = []
+    del lines[: i + 1]
+    node_ids: list[int] = []
+    lefts: list[int] = []
+    rights: list[int] = []
+    leaf_node_ids: list[int] = []
     leaf_labels: list[str] = []
-    for line in islice(lines, start + 1, None):
-        parts = line.split()
-        if len(parts) == 4 and parts[0] == "I":
-            ids.append(parts[1])
-            lefts.append(parts[2])
-            rights.append(parts[3])
-        elif len(parts) == 3 and parts[0] == "L":
-            leaf_ids.append(parts[1])
-            leaf_labels.append(parts[2])
-        elif parts and parts[0][0] != "#":
+    for lines in chain([lines], slices):
+        # A line that is no well-formed record, comment or blank ends the
+        # parse.
+        ids: list[str] = []
+        ls: list[str] = []
+        rs: list[str] = []
+        leaf_ids: list[str] = []
+        for line in lines:
+            parts = line.split()
+            if len(parts) == 4 and parts[0] == "I":
+                ids.append(parts[1])
+                ls.append(parts[2])
+                rs.append(parts[3])
+            elif len(parts) == 3 and parts[0] == "L":
+                leaf_ids.append(parts[1])
+                leaf_labels.append(parts[2])
+            elif parts and parts[0][0] != "#":
+                _raise_record_error(text, start)
+        try:
+            node_ids += map(int, ids)
+            lefts += map(int, ls)
+            rights += map(int, rs)
+            leaf_node_ids += map(int, leaf_ids)
+        except ValueError:
             _raise_record_error(text, start)
-    # Each list of strings is freed once converted, which keeps the peak
-    # memory of a large file below that of a line-by-line parse.
-    del lines
-    try:
-        node_ids = list(map(int, ids))
-        del ids
-        kids = list(zip(map(int, lefts), map(int, rights)))
-        del lefts, rights
-        leaf_node_ids = list(map(int, leaf_ids))
-        del leaf_ids
-    except ValueError:
-        _raise_record_error(text, start)
-    every_id = node_ids + leaf_node_ids
-    n = len(every_id)
-    if n and not (0 <= min(every_id) and max(every_id) < n):
+    n = len(node_ids) + len(leaf_node_ids)
+    if n and not (0 <= min(chain(node_ids, leaf_node_ids)) and max(chain(node_ids, leaf_node_ids)) < n):
         _raise_record_error(text, start)
     # n ids in 0..n-1 leave a slot empty exactly when one id repeats.
-    children: list[tuple[int, ...] | None] = [None] * n
+    left: list[int | None] = [None] * n
+    right = [-1] * n
     labels: list[str | None] = [None] * n
-    for v, c in zip(node_ids, kids):
-        children[v] = c
+    for v, l, r in zip(node_ids, lefts, rights):
+        left[v] = l
+        right[v] = r
+    del node_ids, lefts, rights
     for v, label in zip(leaf_node_ids, leaf_labels):
-        children[v] = ()
+        left[v] = -1
         labels[v] = label
-    if None in children:
+    del leaf_node_ids, leaf_labels
+    if None in left:
         _raise_record_error(text, start)
-    return HierTree(children, labels)  # type: ignore[arg-type]
+    return HierTree(None, labels, left=left, right=right)  # type: ignore[arg-type]
 
 
-def _raise_record_error(text: str, start: int) -> None:
+def _raise_record_error(text: str, start: int) -> NoReturn:
     """Check the records after the header, which is at index ``start`` of
     ``text.splitlines()``, one by one, and raise for the first malformed
-    one; ``loads_tree`` calls this only once its one pass has found that
+    one; ``loads_tree`` calls this only once its parse has found that
     some record is malformed."""
     records = [(lineno, line) for lineno, line in _content_lines(text) if lineno > start + 1]
     n = len(records)
@@ -131,6 +164,7 @@ def _raise_record_error(text: str, start: int) -> None:
         if node_id in seen:
             raise TreeStructureError("duplicate-node-id", node_id)
         seen.add(node_id)
+    raise InvariantError("the tree file parse refused records that every check accepts")
 
 
 def _check_labels(labels: list[str], what: str, comment: bool) -> None:
@@ -155,8 +189,8 @@ def dumps_tree(tree: HierTree) -> str:
     labels = tree._labels
     _check_labels([label for label in labels if label is not None], "leaf label", comment=False)
     records = [
-        f"L {v} {label}" if label is not None else f"I {v} {kids[0]} {kids[1]}"
-        for v, kids, label in zip(range(tree.node_count), tree._children, labels)
+        f"L {v} {label}" if label is not None else f"I {v} {l} {r}"
+        for v, l, r, label in zip(range(tree.node_count), tree._left, tree._right, labels)
     ]
     return f"{HWT_MAGIC}\n" + "\n".join(records) + "\n"
 
@@ -172,32 +206,31 @@ def dump_tree(tree: HierTree, path: str | os.PathLike) -> None:
 
 
 def loads_weights(text: str) -> WeightTable:
-    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    weights: dict[str, float] = {}
+    count = 0
     try:
-        raw = dict(map(str.split, lines))
-    except ValueError:  # a line that is no '<label> <weight>' pair
+        for lines in _sliced_lines(text):
+            lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+            count += len(lines)
+            raw = dict(map(str.split, lines))
+            weights.update(zip(raw, map(float, raw.values())))
+    except ValueError:  # a line that is no '<label> <weight>' pair, or a weight that is no float
         _raise_weight_line_error(text)
-    if len(raw) != len(lines):  # a repeated label
+    if len(weights) != count:  # a repeated label
         _raise_weight_line_error(text)
-    if not raw:
+    if not weights:
         raise FileFormatError("empty weight file")
-    # The weights stay strings here; WeightTable converts each one once.
     try:
-        return WeightTable(raw)
+        return WeightTable(weights)
     except ValueError as exc:
-        for lineno, line in _content_lines(text):
-            raw_weight = line.split()[1]
-            try:
-                float(raw_weight)
-            except ValueError:
-                raise FileFormatError(f"line {lineno}: bad weight {raw_weight!r}") from None
         raise FileFormatError(str(exc)) from None
 
 
-def _raise_weight_line_error(text: str) -> None:
+def _raise_weight_line_error(text: str) -> NoReturn:
     """Raise for the first line of a weight file that is no
-    '<label> <weight>' pair or repeats a label; ``loads_weights`` calls
-    this only once its one pass has found such a line."""
+    '<label> <weight>' pair or repeats a label, or, when there is none,
+    for the first weight that is no float; ``loads_weights`` calls this
+    only once its parse has failed."""
     seen: set[str] = set()
     for lineno, line in _content_lines(text):
         parts = line.split()
@@ -206,6 +239,13 @@ def _raise_weight_line_error(text: str) -> None:
         if parts[0] in seen:
             raise FileFormatError(f"line {lineno}: duplicate label {parts[0]!r}")
         seen.add(parts[0])
+    for lineno, line in _content_lines(text):
+        raw_weight = line.split()[1]
+        try:
+            float(raw_weight)
+        except ValueError:
+            raise FileFormatError(f"line {lineno}: bad weight {raw_weight!r}") from None
+    raise InvariantError("the weight file parse refused lines that every check accepts")
 
 
 def dumps_weights(table: WeightTable) -> str:

@@ -9,6 +9,8 @@ a ledger that runs over the oracle's whole life.
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -145,6 +147,37 @@ def make_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> Weight
     return WeightTable({lab: raw[lab] / total for lab in labels})
 
 
+class FeatureColumns(Mapping):
+    """Seeded uniform features kept flat, as ``random_features`` draws them:
+    ``labels`` in sorted order, and coordinate c of label i at
+    ``flat[i * dim + c]``, so coordinate c of every label is
+    ``flat[c::dim]``.  As a mapping it gives each label its feature tuple,
+    like ``random_features``' dict; ``build_median_split_tree`` reads its
+    columns instead, with no tuple per label."""
+
+    def __init__(self, labels: Sequence[str], dim: int, seed: int):
+        if dim < 1:
+            raise ValueError("dim must be positive")
+        self.labels = sorted(map(str, labels))
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("duplicate labels")
+        self.dim = dim
+        rng = random.Random(seed)
+        self.flat = array("d", map(random.Random.random, repeat(rng, len(self.labels) * dim)))
+
+    def __getitem__(self, label: str) -> tuple[float, ...]:
+        i = bisect_left(self.labels, label)
+        if i == len(self.labels) or self.labels[i] != label:
+            raise KeyError(label)
+        return tuple(self.flat[i * self.dim : (i + 1) * self.dim])
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
 def build_median_split_tree(features: Mapping[str, Sequence[float]], seed: int) -> HierTree:
     """Top-down median-split tree over labelled feature vectors.
 
@@ -154,21 +187,28 @@ def build_median_split_tree(features: Mapping[str, Sequence[float]], seed: int) 
     depth is logarithmic in the number of labels.  Every coordinate must
     be a finite real number.
 
-    Cost: one stable sort of the label indices per coordinate gives each
-    label its rank there; equal values keep the sorted label order, which
-    is the (value, label) tie rule.  Each level then sorts its groups on
-    those int ranks, and one explicit stack emits the nodes in preorder,
-    so the cost is dim sorts plus one int-keyed sort per level, O((dim +
-    depth) n log n), with no Python call per compared item.
+    Cost: one stable sort of the label indices per coordinate column gives
+    each label its rank there; equal values keep the sorted label order,
+    which is the (value, label) tie rule.  Each level then sorts its groups
+    on those int ranks, and one explicit stack emits the nodes in preorder
+    into the child columns of ``HierTree``, so the cost is dim sorts plus
+    one int-keyed sort per level, O((dim + depth) n log n), with no Python
+    call per compared item.  A ``FeatureColumns`` is read column by column,
+    with no tuple per label.
     """
-    labels = sorted(features.keys())
+    if isinstance(features, FeatureColumns):
+        labels, dim, flat = features.labels, features.dim, features.flat
+        columns = (flat[c::dim] for c in range(dim))
+    else:
+        labels = sorted(features.keys())
+        vectors = [features[lab] for lab in labels]
+        dims = set(map(len, vectors))
+        if len(dims) > 1:
+            raise ValueError(f"feature vectors have mixed dimensions {sorted(dims)}")
+        dim = dims.pop() if dims else 0
+        columns = zip(*vectors)
     if not labels:
         raise ValueError("no features given")
-    vectors = [features[lab] for lab in labels]
-    dims = set(map(len, vectors))
-    if len(dims) != 1:
-        raise ValueError(f"feature vectors have mixed dimensions {sorted(dims)}")
-    dim = dims.pop()
     if dim < 1:
         raise ValueError("feature vectors are empty")
     start = random.Random(seed).randrange(dim)
@@ -176,7 +216,7 @@ def build_median_split_tree(features: Mapping[str, Sequence[float]], seed: int) 
     # set of int objects.
     idx = list(range(len(labels)))
     ranks = []
-    for col in zip(*vectors):
+    for col in columns:
         if not all(map(isfinite, col)):
             bad = next(i for i in idx if not isfinite(col[i]))
             raise ValueError(f"feature vector of {labels[bad]!r} has a non-finite coordinate {col[bad]!r}")
@@ -186,25 +226,30 @@ def build_median_split_tree(features: Mapping[str, Sequence[float]], seed: int) 
         ranks.append(rank)
     # Preorder ids, as from_nested gives them: a left child's id is its
     # parent's plus one, so only a right child carries its parent's id.
-    children: list[tuple[int, ...]] = []
-    leaf_labels: list[str | None] = []
+    count = 2 * len(labels) - 1
+    left = [-1] * count
+    right = [-1] * count
+    leaf_labels: list[str | None] = [None] * count
+    v = 0
     stack = [(idx, start, -1)]
     while stack:
         group, coord, parent = stack.pop()
-        v = len(children)
         if parent >= 0:
-            children[parent] = (parent + 1, v)
-        children.append(())
+            right[parent] = v
+        nxt = v + 1
         if len(group) == 1:
-            leaf_labels.append(str(labels[group[0]]))
-            continue
-        leaf_labels.append(None)
-        group.sort(key=ranks[coord].__getitem__)
-        mid = len(group) // 2
-        coord = coord + 1 if coord + 1 < dim else 0
-        stack.append((group[mid:], coord, v))
-        stack.append((group[:mid], coord, -1))
-    return HierTree(children, leaf_labels)
+            leaf_labels[v] = str(labels[group[0]])
+        else:
+            left[v] = nxt
+            group.sort(key=ranks[coord].__getitem__)
+            mid = len(group) // 2
+            coord = coord + 1 if coord + 1 < dim else 0
+            stack.append((group[mid:], coord, v))
+            stack.append((group[:mid], coord, -1))
+        v = nxt
+    # The ranks are not needed by the index walk; free them before it.
+    del idx, ranks
+    return HierTree(None, leaf_labels, left=left, right=right)
 
 
 def build_random_balanced_tree(labels: Sequence[str], seed: int) -> HierTree:
@@ -221,13 +266,7 @@ def build_random_balanced_tree(labels: Sequence[str], seed: int) -> HierTree:
 def random_features(labels: Sequence[str], dim: int, seed: int) -> dict[str, tuple[float, ...]]:
     """Seeded uniform feature vectors, for synthetic median-split trees.
     The labels (after ``str``) must be distinct; their vectors are drawn
-    in sorted label order."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    labs = sorted(map(str, labels))
-    if len(set(labs)) != len(labs):
-        raise ValueError("duplicate labels")
-    rng = random.Random(seed)
-    flat = list(map(random.Random.random, repeat(rng, len(labs) * dim)))
+    in sorted label order, as ``FeatureColumns`` draws them."""
+    features = FeatureColumns(labels, dim, seed)
     # zip over dim references to one iterator cuts flat into dim-tuples.
-    return dict(zip(labs, zip(*[iter(flat)] * dim)))
+    return dict(zip(features.labels, zip(*[iter(features.flat)] * dim)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from math import fsum, inf, isfinite
 from operator import floordiv, index, itemgetter, mul, sub
 from typing import NoReturn, Union
@@ -100,29 +100,33 @@ class WeightTable(Mapping):
         return fsum(self._w.values())
 
 
-def _preorder(spec, leaf: Callable[..., str]) -> tuple[list[tuple[int, ...]], list[str | None]]:
-    """Children and labels of a nested spec, with ids in preorder; ``leaf``
-    maps a leaf spec to its label.  Iterative, so any depth works."""
-    children: list[tuple[int, ...]] = []
+def _preorder(spec, leaf: Callable[..., str]) -> tuple[list[str | None], list[int], list[int]]:
+    """Labels and child columns (see ``HierTree``) of a nested spec, with
+    ids in preorder; ``leaf`` maps a leaf spec to its label.  Iterative, so
+    any depth works."""
     labels: list[str | None] = []
+    left: list[int] = []
+    right: list[int] = []
     # A left child's id is its parent's plus one, so only a right child
     # carries the id of the parent that links to it.
     stack = [(spec, -1)]
     while stack:
         s, parent = stack.pop()
-        v = len(children)
+        v = len(labels)
         if parent >= 0:
-            children[parent] = (parent + 1, v)
-        children.append(())
+            right[parent] = v
+        left.append(-1)
+        right.append(-1)
         if isinstance(s, tuple):
             if len(s) != 2:
                 raise ValueError(f"internal spec must be a pair, got {len(s)} entries")
             labels.append(None)
+            left[v] = v + 1
             stack.append((s[1], v))
             stack.append((s[0], -1))
         else:
             labels.append(leaf(s))
-    return children, labels
+    return labels, left, right
 
 
 class HierTree:
@@ -133,22 +137,30 @@ class HierTree:
     node's leaf set is a contiguous span; this makes uniform leaf draws and
     subtree lookups O(1).
 
-    The spans are two flat int lists indexed by node id, ``_lo`` and
-    ``_hi``, so a tree holds no object per node beyond its child tuple;
-    ``span(v)`` pairs them.  Construction checks and indexes the child
-    links in one iterative preorder walk from the root, the one id that
-    the child ids leave out of the sum of all ids.  The walk pops exactly
-    ``node_count`` nodes, so it ends on any input.  Whole-list checks
-    after it (nothing left to visit, leaves and only leaves labelled, no
-    label twice) show that it reached every node once.  Only when the
-    walk or these checks fail are the links checked again one node at a
-    time (``_check``, then ``_name_fault``), to name the first fault with
-    its kind and node id.
+    The tree is a set of flat columns indexed by node id: the labels
+    ``_labels`` (None for an internal node), the child links ``_left`` and
+    ``_right`` (-1 for a leaf), the leaf spans ``_lo`` and ``_hi``, and the
+    depths.  So a tree holds no object per node, only list slots and the
+    ints and labels they point to; ``children(v)`` and ``span(v)`` pair
+    the columns.  The links come either as one child tuple per node
+    (``children``) or as the two columns (``left`` and ``right``, with
+    ``children`` None).  Given the columns, the tree keeps the three lists
+    it is handed, so the caller must not change them.
+
+    Construction checks and indexes the links in one iterative preorder
+    walk from the root, the one id that the child ids leave out of the sum
+    of all ids.  The walk pops exactly ``node_count`` nodes, so it ends on
+    any input.  Whole-list checks after it (nothing left to visit, every
+    leaf placed once, no negative id visited, a leaf's links -1) show that
+    it reached every node once.  Only when the walk or these checks fail
+    are the links checked again one node at a time (``_check``, then
+    ``_name_fault``), to name the first fault with its kind and node id.
     """
 
     __slots__ = (
-        "_children",
         "_labels",
+        "_left",
+        "_right",
         "_lo",
         "_hi",
         "_depth",
@@ -159,18 +171,45 @@ class HierTree:
         "leaf_count_total",
     )
 
-    def __init__(self, children: Sequence[tuple[int, ...]], labels: Sequence[str | None]):
-        if len(children) != len(labels):
-            raise ValueError("children and labels must have equal length")
-        self._children = tuple(map(tuple, children))
-        self._labels = tuple(labels)
-        self.node_count = len(self._children)
+    def __init__(
+        self,
+        children: Sequence[tuple[int, ...]] | None,
+        labels: Sequence[str | None],
+        *,
+        left: list[int] | None = None,
+        right: list[int] | None = None,
+    ):
+        if children is not None:
+            if left is not None or right is not None:
+                raise ValueError("give the child tuples or the two child columns, not both")
+            children = tuple(map(tuple, children))
+            if len(children) != len(labels):
+                raise ValueError("children and labels must have equal length")
+            labels = list(labels)
+            # Links have a column form when every internal node has two
+            # children and every leaf none; others go to the fault path.
+            if all(len(kids) == (2 if lab is None else 0) for kids, lab in zip(children, labels)):
+                left = [kids[0] if kids else -1 for kids in children]
+                right = [kids[1] if kids else -1 for kids in children]
+            else:
+                left = right = []
+        elif left is None or right is None or not len(left) == len(right) == len(labels):
+            raise ValueError("left, right and labels must have equal length")
+        self._labels = labels
+        self._left = left
+        self._right = right
+        self.node_count = len(labels)
         try:
-            indexed = self._build_index()
+            indexed = len(left) == self.node_count and self._build_index()
         except (IndexError, TypeError, ValueError):
             indexed = False
         if not indexed:
-            self._name_fault()
+            if children is None:
+                children = [
+                    () if lab is not None and l == -1 and r == -1 else (l, r)
+                    for l, r, lab in zip(left, right, labels)
+                ]
+            self._name_fault(children)
 
     # -- construction ------------------------------------------------------
 
@@ -221,7 +260,8 @@ class HierTree:
         assigned in preorder (node before its left subtree, left before
         right), so every subtree occupies a contiguous id range.
         """
-        return cls(*_preorder(spec, str))
+        labels, left, right = _preorder(spec, str)
+        return cls(None, labels, left=left, right=right)
 
     # -- structural checks -------------------------------------------------
 
@@ -230,14 +270,17 @@ class HierTree:
         not a tree over uniquely labelled leaves.  May also raise
         IndexError, TypeError or ValueError on such links.
 
-        The walk gives the leaves their spans in order; an internal node
-        spans its left child's ``_lo`` to its right child's ``_hi``, set in
-        reverse preorder.  ``_pre`` keeps the preorder, so reversed it
-        visits children before their parents."""
+        A node is internal exactly when it has no label.  The walk gives
+        the leaves their spans in order, each leaf's ``_hi`` the next one's
+        ``_lo``; an internal node spans its left child's ``_lo`` to its
+        right child's ``_hi``, set in reverse preorder.  ``_pre`` keeps the
+        preorder, so reversed it visits children before their parents."""
         n = self.node_count
-        children, labels = self._children, self._labels
-        # In a tree every id but the root's is a child id exactly once.
-        root = n * (n - 1) // 2 - sum(chain.from_iterable(children))
+        left, right, labels = self._left, self._right, self._labels
+        leaves = n - labels.count(None)
+        # In a tree every id but the root's is a child id exactly once, and
+        # each leaf adds -1 to both columns.
+        root = n * (n - 1) // 2 - sum(left) - sum(right) - 2 * leaves
         lo = [0] * n
         hi = [0] * n
         depth = [0] * n
@@ -245,50 +288,58 @@ class HierTree:
         pre: list[int] = []
         stack = [root]
         pop, push, visit, place = stack.pop, stack.append, pre.append, order.append
+        pos = 0
         for _ in range(n):
             v = pop()
             visit(v)
-            kids = children[v]
-            if kids:
-                l, r = kids
+            label = labels[v]
+            if label is None:
+                l = left[v]
+                r = right[v]
                 depth[l] = depth[r] = depth[v] + 1
                 push(r)
                 push(l)
             else:
-                lo[v] = len(order)
-                place(labels[v])
-                hi[v] = len(order)
-        # With n visits and nothing left to visit, a node reached twice
-        # would have reached some leaf twice, so when no label repeats,
-        # every node was reached once.  The ids reached, the root and every
-        # child id, then sum to those of 0..n-1, so no negative id stood in
-        # for a node.
-        if stack or None in order or len(set(order)) != len(order) or labels.count(None) != n - len(order):
+                lo[v] = pos
+                place(label)
+                pos = len(order)
+                hi[v] = pos
+        # With n visits and nothing left to visit, a node visited twice
+        # would have visited some leaf twice, so when every leaf was placed
+        # and no label repeats, every node was visited once.  No visited id
+        # is negative, so no -1 stood in for node n - 1, and every child id
+        # of an internal node is a node: the -1 entries are the leaves'.
+        if (
+            stack
+            or len(order) != leaves
+            or len(set(order)) != leaves
+            or min(pre) < 0
+            or left.count(-1) != leaves
+            or right.count(-1) != leaves
+        ):
             return False
         for v in reversed(pre):
-            kids = children[v]
-            if kids:
-                l, r = kids
-                lo[v] = lo[l]
-                hi[v] = hi[r]
+            if labels[v] is None:
+                lo[v] = lo[left[v]]
+                hi[v] = hi[right[v]]
         self.root_id = root
         self._lo = lo
         self._hi = hi
         self._depth = depth
         self._order = tuple(order)
         self._pre = pre
-        self.leaf_count_total = len(order)
+        self.leaf_count_total = leaves
         return True
 
-    def _check(self) -> int:
+    def _check(self, children: Sequence[tuple[int, ...]]) -> int:
         """Raise TreeStructureError on the first violation of the child
-        links; return the root id.  Reachability and label uniqueness are
-        checked by ``_name_fault``."""
+        links, one tuple per node; return the root id.  Reachability and
+        label uniqueness are checked by ``_name_fault``."""
         n = self.node_count
         if n == 0:
             raise TreeStructureError("empty-tree")
         parent = [-1] * n
-        for v, kids, lab in zip(range(n), self._children, self._labels):
+        for v, kids, lab in zip(range(n), children, self._labels):
             if lab is None and len(kids) != 2:
                 raise TreeStructureError("non-binary-internal", v, f"{len(kids)} children")
             if lab is not None and kids:
@@ -306,12 +357,12 @@ class HierTree:
             raise TreeStructureError("multiple-roots", parent.index(-1, root + 1))
         return root
 
-    def _name_fault(self) -> NoReturn:
+    def _name_fault(self, children: Sequence[tuple[int, ...]]) -> NoReturn:
         """Raise TreeStructureError for the first fault of links that
         ``_build_index`` refused: ``_check``'s, then a node unreachable
         from the root, then a repeated leaf label."""
-        children, labels = self._children, self._labels
-        root = self._check()
+        labels = self._labels
+        root = self._check(children)
         reached = {root}
         stack = [root]
         while stack:
@@ -343,19 +394,21 @@ class HierTree:
 
     def children(self, v: int) -> tuple[int, ...]:
         self._check_id(v)
-        return self._children[v]
+        if self._labels[v] is not None:
+            return ()
+        return self._left[v], self._right[v]
 
     def left(self, v: int) -> int:
         self._check_id(v)
-        if not self._children[v]:
+        if self._labels[v] is not None:
             raise ValueError(f"node {v} is a leaf")
-        return self._children[v][0]
+        return self._left[v]
 
     def right(self, v: int) -> int:
         self._check_id(v)
-        if not self._children[v]:
+        if self._labels[v] is not None:
             raise ValueError(f"node {v} is a leaf")
-        return self._children[v][1]
+        return self._right[v]
 
     def label(self, v: int) -> str:
         self._check_id(v)
@@ -515,7 +568,7 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     vals = _leaf_values(tree, w)
     sums, den = span_sums(vals)
     out = [0.0] * tree.node_count
-    span_lo, span_hi, children = tree._lo, tree._hi, tree._children
+    span_lo, span_hi, left, right = tree._lo, tree._hi, tree._left, tree._right
     counts: list[Counter | None] = [None] * tree.node_count
     for v in reversed(tree._pre):
         lo = span_lo[v]
@@ -525,7 +578,8 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
             continue
         avg = (sums[hi] - sums[lo]) / den / c
         if c > _SMALL:
-            l, r = children[v]
+            l = left[v]
+            r = right[v]
             mid = span_hi[l]
             # A child of at most _SMALL leaves has no map: take its leaves.
             a = counts[l] if mid - lo > _SMALL else vals[lo:mid]
@@ -694,13 +748,13 @@ def optimal_pruning(
     # non-increasing in b, so a left budget above n_l costs no less than
     # n_l itself, and one below b - n_r no less than b - n_r.
     cost: list[list[float]] = [[]] * tree.node_count
-    children = tree._children
+    left, right = tree._left, tree._right
     for v in reversed(tree._pre):
-        kids = children[v]
-        if not kids:
+        l = left[v]
+        if l < 0:
             cost[v] = [0.0]
             continue
-        l, r = kids
+        r = right[v]
         cost_l, cost_r = cost[l], cost[r]
         n_l, n_r = len(cost_l), len(cost_r)
         keep = disc[v]
@@ -729,8 +783,9 @@ def optimal_pruning(
         b = min(b, len(cost[v]))
         best = disc[v]
         pick = 0
-        if children[v]:
-            l, r = children[v]
+        l = left[v]
+        if l >= 0:
+            r = right[v]
             cost_l, cost_r = cost[l], cost[r]
             n_r = len(cost_r)
             for bl in range(1, min(len(cost_l), b - 1) + 1):

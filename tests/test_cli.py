@@ -3,6 +3,7 @@ formats, file round trips, and exit codes."""
 
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 import sys
@@ -827,6 +828,71 @@ class TestMain:
         assert capsys.readouterr().err == "internal error: ZeroDivisionError: boom\n"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "median-split:n=4,dim=100000000000",
+        f"median-split:n={2**22 + 1},dim=1",
+        f"median-split:n={2**22},dim=9",
+        "random-balanced:n=10000000000",
+        f"tightness:n={2**22}",
+        "greedy-trap-a:k=1398102",
+        "greedy-trap-b:k=1048577",
+        "lookahead-trap:heavy=1,depth=14",
+        f"heavy-leaf:n={2**22 + 1}",
+    ],
+)
+def test_oversized_spec_is_refused_before_it_is_built(spec, tmp_path, capsys):
+    # Each spec here is past a cap, so it is refused before any allocation.
+    out = tmp_path / "t.hwt"
+    assert main(["synth", spec, "--out-tree", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "above the cap" in err
+    assert not out.exists()
+    assert main(["run", "--tree", spec, "--k", "2", "--out", str(tmp_path / "r.csv")]) == 1
+
+
+def test_caps_admit_the_largest_sizes():
+    # Parsing builds nothing, so the largest admitted specs can be checked.
+    for spec in (f"median-split:n={2**22}", f"median-split:n={2**22},dim=8", "lookahead-trap:heavy=1,depth=13"):
+        assert cli_mod._parse_spec(spec, "tree") is not None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "median-split:n=5,dim=2",
+        "random-balanced:n=7",
+        "tightness:n=6",
+        "greedy-trap-a:k=3",
+        "greedy-trap-b:k=4",
+        "lookahead-trap:heavy=2,depth=1",
+        "lookahead-trap:heavy=1,depth=3",
+        "heavy-leaf:n=9",
+    ],
+)
+def test_spec_size_is_the_leaf_count(spec):
+    kind, _, text = spec.partition(":")
+    params = {name: int(value) for name, value in (chunk.split("=") for chunk in text.split(","))}
+    defaults, _, size = cli_mod._SPECS[kind]
+    leaves, _ = size(**{**{k: d for k, d in defaults.items() if not isinstance(d, type)}, **params})
+    assert leaves == make_tree_source(spec, seed=0)[0].leaf_count_total
+
+
+@pytest.mark.parametrize("n,code", [(64, 0), (1, 1)])
+def test_scale_script(n, code):
+    # With one leaf the weights spec fails, so synth exits 1 and the
+    # other commands find no files; the script then exits 1.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "scale.py"
+    proc = subprocess.run([sys.executable, str(script), "--n", str(n)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    line = json.loads(proc.stdout)
+    assert line["n"] == n and list(line["commands"]) == ["synth", "inspect", "run"]
+    exits = [c["exit"] for c in line["commands"].values()]
+    assert exits == ([0, 0, 0] if code == 0 else [1, 2, 2])
+    assert all(c["wall_s"] > 0 and c["peak_rss_mb"] > 0 for c in line["commands"].values())
+
+
 def test_every_spec_kind_is_documented():
     # The README table lists each kind with the parameters and defaults of
     # the spec table, and the module docstring and --help name every kind.
@@ -834,7 +900,7 @@ def test_every_spec_kind_is_documented():
     section = readme[readme.index("### Source specs"):readme.index("### Flags")]
     rows = {line.split("|")[1].strip(): line for line in section.splitlines() if line.startswith("| `")}
     usage = build_parser().format_help()
-    for kind, (defaults, _) in cli_mod._SPECS.items():
+    for kind, (defaults, *_) in cli_mod._SPECS.items():
         names = [name if isinstance(d, type) else f"{name}={d}" for name, d in defaults.items()]
         cells = [cell.strip() for cell in rows.pop(f"`{kind}`").split("|")]
         assert ", ".join(f"`{name}`" for name in names) in cells

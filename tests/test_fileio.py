@@ -1,11 +1,13 @@
 """Round trips and error reporting for the on-disk formats."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import awpkit.fileio as fileio
 from awpkit.fileio import (
     HWT_MAGIC,
     dump_tree,
@@ -168,8 +170,8 @@ def _load_outcome(load, text):
 
 
 class TestLoaderMatchesReference:
-    """``loads_tree`` parses in one pass and names a bad line only after
-    that pass fails; it loads the same tree, or raises the same error with
+    """``loads_tree`` parses in slices and names a bad line only after that
+    parse fails; it loads the same tree, or raises the same error with
     the same message, as the line-by-line reference."""
 
     @settings(max_examples=400, deadline=None)
@@ -261,8 +263,8 @@ def _weights_outcome(load, text):
 
 
 class TestWeightLoaderMatchesReference:
-    """``loads_weights`` reads in one pass and names a bad line only after
-    that pass fails; it loads the same table, or raises the same error with
+    """``loads_weights`` reads in slices and names a bad line only after
+    that parse fails; it loads the same table, or raises the same error with
     the same message, as the line-by-line reference."""
 
     @settings(max_examples=400, deadline=None)
@@ -281,6 +283,46 @@ class TestWeightLoaderMatchesReference:
     @example(text="")
     def test_same_table_or_same_error(self, text):
         assert _weights_outcome(loads_weights, text) == _weights_outcome(reference_loads_weights, text)
+
+
+_LINE_TEXT = st.text(alphabet="ab #\t\n\r\x0b\x0c\x1c\x1e\x85\u2028", max_size=60)
+
+
+class TestSlicedParse:
+    """Slices of a few characters, so that records, "\r\n" pairs and
+    separators straddle the nominal slice boundaries: the slices' lines
+    are the text's lines, and both loaders give the same tree or table, or
+    the same error, as the line-by-line references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_LINE_TEXT, size=st.integers(1, 12))
+    @example(text="ab\r\ncd\r\n", size=3)
+    def test_slices_keep_the_lines(self, text, size):
+        with patch.object(fileio, "_SLICE", size):
+            slices = list(fileio._sliced_lines(text))
+        assert [line for lines in slices for line in lines] == text.splitlines()
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=hwt_texts(), size=st.integers(1, 40))
+    @example(text="HWT 1\r\nI 0 1 2\r\nL 1 a\r\nL 2 b\r\n", size=7)
+    @example(text="# c\n\nHWT 1\nI 0 1 2\nL 1 a\nL 2 b\n", size=1)
+    @example(text="# c\n\nHWT 2\nI 0 1 2\nL 1 a\nL 2 b\n", size=1)
+    @example(text="HWT 1\nI 0 1 2\nL 1 a\nL 2 b\nL 2 c\n", size=1)
+    @example(text="HWT 1\nI 0 1 2\nL 1 a\nL x b\n", size=9)
+    def test_tree(self, text, size):
+        with patch.object(fileio, "_SLICE", size):
+            got = _load_outcome(loads_tree, text)
+        assert got == _load_outcome(reference_loads_tree, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=weight_texts(), size=st.integers(1, 40))
+    @example(text="a 0.25\r\nb 0.75\r\n", size=7)
+    @example(text="a 1\nb x\nc 1\na 2\n", size=1)
+    @example(text="a 1e-x\nb 1\nc 1 2\n", size=1)
+    def test_weights(self, text, size):
+        with patch.object(fileio, "_SLICE", size):
+            got = _weights_outcome(loads_weights, text)
+        assert got == _weights_outcome(reference_loads_weights, text)
 
 
 class TestWriterLabelCheck:

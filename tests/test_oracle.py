@@ -6,7 +6,9 @@ from math import fsum
 
 import pytest
 
+from awpkit.cli import make_target_source, make_tree_source
 from awpkit.oracle import (
+    FeatureColumns,
     Oracle,
     QueryLedger,
     TargetSpec,
@@ -16,7 +18,7 @@ from awpkit.oracle import (
     make_geometric_target,
     random_features,
 )
-from awpkit.fileio import dumps_tree
+from awpkit.fileio import dumps_tree, dumps_weights
 from awpkit.tree import HierTree, WeightTable
 
 from helpers import (
@@ -292,3 +294,31 @@ class TestMedianSplitAgainstReference:
     def test_random_features(self, n, dim, seed):
         labels = [f"r{i}" for i in range(n)][::-1]
         assert random_features(labels, dim, seed) == reference_random_features(labels, dim, seed)
+
+
+class TestFlatFeatureSpec:
+    """The median-split spec draws flat feature columns and builds its
+    child columns directly; it writes the same tree and weight files, byte
+    for byte, as the per-label reference features and recursive build."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 1001, 4096])
+    def test_same_files_as_reference(self, n, dim, seed):
+        labels = [f"x{i:06d}" for i in range(n)]
+        want = reference_median_split_tree(reference_random_features(labels, dim, seed), seed)
+        tree, _ = make_tree_source(f"median-split:n={n},dim={dim}", seed)
+        assert dumps_tree(tree) == dumps_tree(want)
+        weights = f"geometric:bins={min(n, 10)},ratio=4"
+        got_w = dumps_weights(make_target_source(weights, tree, seed))
+        assert got_w == dumps_weights(make_target_source(weights, want, seed))
+
+    def test_columns_as_a_mapping(self):
+        labels = ["b", "a", "c"]
+        cols = FeatureColumns(labels, 2, seed=3)
+        assert dict(cols) == random_features(labels, 2, seed=3) == reference_random_features(labels, 2, 3)
+        assert [list(cols.flat[c::2]) for c in range(2)] == [[cols[lab][c] for lab in cols] for c in range(2)]
+        with pytest.raises(KeyError):
+            cols["d"]
+        with pytest.raises(ValueError, match="dim must be positive"):
+            FeatureColumns(labels, 0, seed=0)

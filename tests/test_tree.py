@@ -281,10 +281,13 @@ def _index_outcome(build, children, labels):
         return exc.kind, exc.node_id, str(exc)
 
 
-def _one_walk_index(children, labels):
-    t = HierTree(children, labels)
+def _tree_index(t):
     n = t.node_count
     return t.root_id, [t.span(v) for v in range(n)], [t.depth(v) for v in range(n)], t.leaf_order, list(t._pre)
+
+
+def _one_walk_index(children, labels):
+    return _tree_index(HierTree(children, labels))
 
 
 class TestIndexMatchesReference:
@@ -334,6 +337,104 @@ class TestIndexMatchesReference:
         assert _index_outcome(_one_walk_index, children, labels) == want
         if fault is None:
             assert HierTree(children, labels).max_depth == d
+
+
+def _columns(children, labels):
+    """The column form of tuple links: (left, right) per node, -1 for a
+    leaf; None when some links have no column form, because an internal
+    node has not two children, or a leaf has some or has the links
+    (-1, -1), which the column form reads as no children."""
+    left, right = [], []
+    for kids, lab in zip(children, labels):
+        if len(kids) != (2 if lab is None else 0) or (lab is not None and kids == (-1, -1)):
+            return None
+        left.append(kids[0] if kids else -1)
+        right.append(kids[1] if kids else -1)
+    return left, right
+
+
+def _column_index(children, labels):
+    left, right = _columns(children, labels)
+    t = HierTree(None, list(labels), left=left, right=right)
+    assert [t.children(v) for v in range(t.node_count)] == [tuple(kids) for kids in children]
+    return _tree_index(t)
+
+
+_COLUMN_CORRUPTIONS = ("negative", "beyond-int64", "repeat", "cycle")
+
+
+def _corrupt_column(rng, children: list, kind: str) -> None:
+    """Break a child link in place, one way per kind: a negative child id,
+    one beyond int64, a child id repeated (one node's two children, or a
+    child of another node), or a link from a node back to an ancestor."""
+    internal = [u for u in range(len(children)) if children[u]]
+    if not internal:
+        return
+    u = rng.choice(internal)
+    kids = list(children[u])
+    i = rng.randrange(len(kids))
+    if kind == "negative":
+        kids[i] = rng.choice([-1, -2, -len(children), -len(children) - 1])
+    elif kind == "beyond-int64":
+        kids[i] = rng.choice([2**63, 2**70, -(2**63) - 1])
+    elif kind == "repeat":
+        kids[i] = kids[i - 1] if rng.random() < 0.5 else rng.choice(children[rng.choice(internal)])
+    else:
+        parent = {c: p for p, ks in enumerate(children) for c in ks}
+        a = u
+        while a in parent and rng.random() < 0.7:
+            a = parent[a]
+        kids[i] = a
+    children[u] = tuple(kids)
+
+
+class TestColumnFormMatchesTupleForm:
+    """``HierTree`` given the two child columns indexes the same tree, or
+    raises the same error kind, node id and message, as given one child
+    tuple per node, and as the two-pass reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        kinds=st.lists(st.sampled_from(_CORRUPTIONS + _COLUMN_CORRUPTIONS), max_size=2),
+    )
+    def test_same_index_or_same_fault(self, seed, kinds):
+        rng = random.Random(seed)
+        children, labels = _shuffled_links(rng, rng.randint(1, 30))
+        for kind in kinds:
+            if kind in _COLUMN_CORRUPTIONS:
+                _corrupt_column(rng, children, kind)
+            else:
+                _corrupt(rng, children, labels, kind)
+        want = _index_outcome(reference_tree_index, children, labels)
+        assert _index_outcome(_one_walk_index, children, labels) == want
+        if _columns(children, labels) is not None:
+            assert _index_outcome(_column_index, children, labels) == want
+
+    @pytest.mark.parametrize(
+        "left,right,labels,kind,node",
+        [
+            # An internal node's -1 is a dangling child, not a missing one.
+            ([1, -1, -1], [-1, -1, -1], [None, "a", "b"], "dangling-child", 0),
+            ([1, -1, -1], [2**64, -1, -1], [None, "a", "b"], "dangling-child", 0),
+            # A leaf with links other than (-1, -1) has children.
+            ([1, -1, -1], [2, 0, -1], [None, "a", "b"], "leaf-with-children", 1),
+            ([1, -1, -2], [2, -1, 0], [None, "a", "b"], "leaf-with-children", 2),
+            # Every unlabelled node has two children in the column form.
+            ([1, 2, -1], [1, -1, -1], [None, None, "a"], "multiple-parents", 1),
+            ([0], [0], [None], "cycle", 0),
+        ],
+    )
+    def test_hand_written_column_faults(self, left, right, labels, kind, node):
+        with pytest.raises(TreeStructureError) as err:
+            HierTree(None, labels, left=left, right=right)
+        assert (err.value.kind, err.value.node_id) == (kind, node)
+
+    def test_column_form_needs_equal_lengths_and_one_form(self):
+        with pytest.raises(ValueError, match="equal length"):
+            HierTree(None, [None, "a", "b"], left=[1, -1], right=[2, -1, -1])
+        with pytest.raises(ValueError, match="not both"):
+            HierTree([(1, 2), (), ()], [None, "a", "b"], left=[1, -1, -1], right=[2, -1, -1])
 
 
 class TestWeightTable:
