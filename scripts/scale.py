@@ -1,10 +1,10 @@
 """Wall time and peak RSS of ``synth``, ``inspect`` and ``run`` on one
 generated median-split instance of N leaves.
 
-    python scripts/scale.py --n 1048576 [--limit-mb 3072]
+    python scripts/scale.py --n 1048576
 
 The three commands run one after another, each in its own child process
-under an address-space limit (``RLIMIT_AS``) of ``--limit-mb``:
+under an address-space limit (``RLIMIT_AS``) of ``LIMIT_BYTES``, 3 GiB:
 
     awpkit synth "median-split:n=N,dim=8" --weights geometric:bins=10,ratio=4
     awpkit inspect --tree T --weights W
@@ -30,10 +30,11 @@ import tempfile
 from time import perf_counter
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+LIMIT_BYTES = 3 << 30
 MAIN = "import sys; from awpkit.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run_child(argv: list[str], limit_bytes: int) -> dict:
+def run_child(argv: list[str]) -> dict:
     """Run ``awpkit argv`` in a child under the address-space limit, with
     its stdout discarded; its wall time, peak RSS and exit code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -41,7 +42,7 @@ def run_child(argv: list[str], limit_bytes: int) -> dict:
     pid = os.fork()
     if pid == 0:
         try:
-            resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+            resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, 1)
             os.execve(sys.executable, [sys.executable, "-c", MAIN, *argv], env)
@@ -58,9 +59,7 @@ def run_child(argv: list[str], limit_bytes: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--n", type=int, required=True, help="leaf count of the median-split instance")
-    parser.add_argument("--limit-mb", type=int, default=3072, help="address-space limit of each command, in MiB")
     args = parser.parse_args(argv)
-    limit = args.limit_mb * 2**20
     with tempfile.TemporaryDirectory() as tmp:
         tree, weights = os.path.join(tmp, "t.hwt"), os.path.join(tmp, "t.w")
         files = ["--tree", tree, "--weights", weights]
@@ -72,8 +71,8 @@ def main(argv=None) -> int:
             "inspect": ["inspect", *files],
             "run": ["run", *files, "--k", "10", "--runs", "1", "--max-queries", "2000", "--out", os.path.join(tmp, "r.csv")],
         }
-        results = {name: run_child(cmd, limit) for name, cmd in commands.items()}
-    print(json.dumps({"n": args.n, "limit_mb": args.limit_mb, "python": platform.python_version(), "commands": results}))
+        results = {name: run_child(cmd) for name, cmd in commands.items()}
+    print(json.dumps({"n": args.n, "python": platform.python_version(), "commands": results}))
     return 1 if any(r["exit"] != 0 for r in results.values()) else 0
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -147,13 +146,12 @@ def make_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> Weight
     return WeightTable({lab: raw[lab] / total for lab in labels})
 
 
-class FeatureColumns(Mapping):
+class FeatureColumns:
     """Seeded uniform features kept flat, as ``random_features`` draws them:
     ``labels`` in sorted order, and coordinate c of label i at
     ``flat[i * dim + c]``, so coordinate c of every label is
-    ``flat[c::dim]``.  As a mapping it gives each label its feature tuple,
-    like ``random_features``' dict; ``build_median_split_tree`` reads its
-    columns instead, with no tuple per label."""
+    ``flat[c::dim]``.  ``build_median_split_tree`` reads these columns,
+    with no tuple per label."""
 
     def __init__(self, labels: Sequence[str], dim: int, seed: int):
         if dim < 1:
@@ -165,20 +163,8 @@ class FeatureColumns(Mapping):
         rng = random.Random(seed)
         self.flat = array("d", map(random.Random.random, repeat(rng, len(self.labels) * dim)))
 
-    def __getitem__(self, label: str) -> tuple[float, ...]:
-        i = bisect_left(self.labels, label)
-        if i == len(self.labels) or self.labels[i] != label:
-            raise KeyError(label)
-        return tuple(self.flat[i * self.dim : (i + 1) * self.dim])
 
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-def build_median_split_tree(features: Mapping[str, Sequence[float]], seed: int) -> HierTree:
+def build_median_split_tree(features: Mapping[str, Sequence[float]] | FeatureColumns, seed: int) -> HierTree:
     """Top-down median-split tree over labelled feature vectors.
 
     The splitting coordinate cycles with depth from a seeded starting

@@ -1,12 +1,13 @@
 """Memory guards for the column tree layer, the sliced loaders and the
 median-split build, on a 2**14-leaf median-split instance.
 
-Each bound is about 1.3 times the tracemalloc figure measured on Python
-3.11 (given beside it, in MiB).  The design before the columns, with a
-child tuple per node, a feature tuple per label and every line of a file
-alive at once, measured 7.9 MiB for ``loads_tree``, 4.6 MiB for
-``loads_weights``, 13.4 MiB for the build and 328 bytes per leaf, so the
-three peak bounds refuse it.
+Each bound is about 1.3 times the larger of the tracemalloc figures
+measured on Python 3.10 and 3.11 (given beside it, in MiB).  The design
+before the columns, with a child tuple per node, a feature tuple per label
+and every line of a file alive at once, measured 7.9 MiB for
+``loads_tree``, 4.6 (3.11) and 5.0 (3.10) MiB for ``loads_weights``, 13.4
+MiB for the build and 328 bytes per leaf, so the three peak bounds refuse
+it on both.
 """
 
 import gc
@@ -45,17 +46,17 @@ def instance_texts():
 def test_loads_tree_peak_and_bytes_per_leaf(instance_texts):
     tree, peak, kept = _traced(lambda: loads_tree(instance_texts[0]))
     assert tree.leaf_count_total == N
-    assert peak < 6.7  # measured 5.15
-    assert kept * MIB / N < 340  # measured 260 bytes per leaf
+    assert peak < 6.7  # measured 5.15 on both
+    assert kept * MIB / N < 340  # measured 260 bytes per leaf on both
 
 
 def test_loads_weights_peak(instance_texts):
     table, peak, _ = _traced(lambda: loads_weights(instance_texts[1]))
     assert len(table) == N
-    assert peak < 3.2  # measured 2.47
+    assert peak < 3.8  # measured 2.47 on 3.11, 2.90 on 3.10
 
 
 def test_median_split_build_peak():
     (tree, _), peak, _ = _traced(lambda: make_tree_source(SPEC, seed=0))
     assert tree.leaf_count_total == N
-    assert peak < 8.8  # measured 6.75
+    assert peak < 8.8  # measured 6.75 on 3.11, 6.57 on 3.10
