@@ -58,9 +58,8 @@ from awpkit.tree import (
     InvariantError,
     TreeStructureError,
     WeightTable,
-    average_split_quality,
+    _split_qualities,
     node_discrepancies,
-    split_quality,
 )
 
 ALGORITHMS = ("awp", "weight", "uniform", "empirical")
@@ -448,8 +447,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     tree = load_tree(args.tree)
     weights = load_weights(args.weights)
     disc = node_discrepancies(tree, weights)
-    sq = split_quality(tree, disc)
-    asq = average_split_quality(tree, disc)
+    sq, asq = _split_qualities(tree, disc)
     print(f"leaves: {tree.leaf_count_total}")
     print(f"depth: {tree.max_depth}")
     print(f"total_weight: {weights.total()!r}")

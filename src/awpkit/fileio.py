@@ -32,22 +32,30 @@ comprehension, pairs its labels with their weight strings with
 ``dict(map(str.split, ...))`` and converts the weights with ``float``.
 The lines are walked one at a time only after a failure, to name the
 first bad one: a line that is no pair or repeats a label, or else a
-weight that is no float.
+weight that is no float.  The ``WeightTable`` it returns keeps that dict
+without a copy.
+
+``dump_tree`` checks every label first and then writes the records
+``_DUMP_SLICE`` at a time, so only one chunk of the text is alive at
+once; ``dumps_tree`` joins the same chunks.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from itertools import chain
 from typing import NoReturn
 
-from awpkit.tree import FileFormatError, HierTree, InvariantError, TreeStructureError, WeightTable
+from awpkit.tree import FileFormatError, HierTree, InvariantError, TreeStructureError, WeightTable, _LoadedWeights
 
 HWT_MAGIC = "HWT 1"
 
 
 # Characters per slice of a file's text; see the module docstring.
 _SLICE = 1 << 16
+# Records per chunk that the tree writers render at a time.
+_DUMP_SLICE = 1 << 12
 
 
 def _content_lines(text: str):
@@ -185,14 +193,25 @@ def _check_labels(labels: list[str], what: str, comment: bool) -> None:
             raise FileFormatError(f"{what} {label!r} starts with '#', which marks a comment line")
 
 
-def dumps_tree(tree: HierTree) -> str:
-    labels = tree._labels
+def _hwt_chunks(tree: HierTree) -> Iterator[str]:
+    """The HWT text of ``tree``: the header, then its records in id order,
+    ``_DUMP_SLICE`` records per chunk.  Every label is checked before the
+    first chunk."""
+    labels, left, right = tree._labels, tree._left, tree._right
     _check_labels([label for label in labels if label is not None], "leaf label", comment=False)
-    records = [
-        f"L {v} {label}" if label is not None else f"I {v} {l} {r}"
-        for v, l, r, label in zip(range(tree.node_count), tree._left, tree._right, labels)
-    ]
-    return f"{HWT_MAGIC}\n" + "\n".join(records) + "\n"
+    yield f"{HWT_MAGIC}\n"
+    for start in range(0, tree.node_count, _DUMP_SLICE):
+        stop = start + _DUMP_SLICE
+        yield "".join(
+            [
+                f"L {v} {label}\n" if label is not None else f"I {v} {l} {r}\n"
+                for v, l, r, label in zip(range(start, stop), left[start:stop], right[start:stop], labels[start:stop])
+            ]
+        )
+
+
+def dumps_tree(tree: HierTree) -> str:
+    return "".join(_hwt_chunks(tree))
 
 
 def load_tree(path: str | os.PathLike) -> HierTree:
@@ -201,12 +220,15 @@ def load_tree(path: str | os.PathLike) -> HierTree:
 
 
 def dump_tree(tree: HierTree, path: str | os.PathLike) -> None:
+    """Write ``dumps_tree(tree)`` to ``path`` one chunk at a time, so the
+    whole text is never held at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_tree(tree))
+        fh.writelines(_hwt_chunks(tree))
 
 
 def loads_weights(text: str) -> WeightTable:
-    weights: dict[str, float] = {}
+    # The table keeps this dict as it is, without a copy.
+    weights = _LoadedWeights()
     count = 0
     try:
         for lines in _sliced_lines(text):

@@ -16,7 +16,7 @@ from itertools import repeat
 from math import fsum, inf, isfinite
 
 from awpkit.adversarial import _balanced
-from awpkit.tree import HierTree, WeightTable, _leaf_values, span_sums
+from awpkit.tree import HierTree, WeightTable, _instance_stats
 
 
 @dataclass
@@ -37,12 +37,19 @@ class Oracle:
     charged) again.  ``ledger`` counts every query the oracle serves over
     its whole life, so one oracle can serve many searches, and each search
     reports its own spend.  Both queries take O(1) time: ``query_node``
-    reads exact prefix sums built once here (see ``span_sums``).
+    reads exact prefix sums (see ``span_sums``).
+
+    The leaf values and prefix sums come from the instance's statistics
+    entry (see ``tree._instance_stats``), the one that
+    ``node_discrepancies`` reads: for a ``WeightTable`` truth they are
+    computed once per (tree, table) pair, whichever asks first, and kept
+    on the tree while both live; for any other mapping they are computed
+    here.
     """
 
     def __init__(self, tree: HierTree, truth: Mapping[str, float]):
-        self._vals = tuple(_leaf_values(tree, truth))
-        self._sums, self._den = span_sums(self._vals)
+        stats = _instance_stats(tree, truth)
+        self._vals, self._sums, self._den = stats.vals, stats.sums, stats.den
         self.tree = tree
         self.ledger = QueryLedger()
 

@@ -18,9 +18,11 @@ documented tolerances regardless of summation order.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import partial
 from itertools import accumulate, islice, repeat
 from math import fsum, inf, isfinite
 from operator import floordiv, index, itemgetter, mul, sub
@@ -57,18 +59,33 @@ class InvariantError(RuntimeError):
     """An internal runtime invariant was breached; results are unusable."""
 
 
+class _LoadedWeights(dict):
+    """A label -> float dict that ``fileio.loads_weights`` built and hands
+    over to ``WeightTable``, which keeps it without a copy."""
+
+    __slots__ = ()
+
+
 class WeightTable(Mapping):
     """Non-negative masses over leaf labels, summing to one within
     ``WEIGHT_SUM_TOL``.
 
     The form in which weight files, generated targets and constructions
-    give a target.  Inside a run a weighting is a list in leaf order.
+    give a target.  Inside a run a weighting is a list in leaf order.  A
+    table cannot change through its API, so a tree memoises its exact
+    statistics under it (see ``_instance_stats``): the entry lives on the
+    tree and holds the table only by a weak reference, so it is freed
+    with either of the two.  The table copies the mapping it is given,
+    except the dict that ``loads_weights`` built for it, which it keeps.
     """
 
-    __slots__ = ("_w",)
+    __slots__ = ("_w", "__weakref__")
 
     def __init__(self, weights: Mapping[str, float]):
-        items = {str(label): float(value) for label, value in weights.items()}
+        if type(weights) is _LoadedWeights:
+            items: dict[str, float] = weights
+        else:
+            items = {str(label): float(value) for label, value in weights.items()}
         if not items:
             raise ValueError("empty weight table")
         values = items.values()
@@ -155,6 +172,9 @@ class HierTree:
     it reached every node once.  Only when the walk or these checks fail
     are the links checked again one node at a time (``_check``, then
     ``_name_fault``), to name the first fault with its kind and node id.
+
+    A tree also keeps the exact statistics of the last ``WeightTable`` it
+    was asked about (``_stats``; see ``_instance_stats``).
     """
 
     __slots__ = (
@@ -169,6 +189,8 @@ class HierTree:
         "root_id",
         "node_count",
         "leaf_count_total",
+        "_stats",
+        "__weakref__",
     )
 
     def __init__(
@@ -198,6 +220,7 @@ class HierTree:
         self._labels = labels
         self._left = left
         self._right = right
+        self._stats: _Stats | None = None
         self.node_count = len(labels)
         try:
             indexed = len(left) == self.node_count and self._build_index()
@@ -513,6 +536,60 @@ def span_sums(vals: Sequence[float]) -> tuple[list[int], int]:
     return list(accumulate((num * (den // d) for num, d in ratios), initial=0)), den
 
 
+class _Stats:
+    """Exact statistics of one instance, a tree under a weighting: the leaf
+    values ``vals`` as a tuple in ``leaf_order`` order, their prefix sums
+    ``(sums, den)`` from ``span_sums``, and the node discrepancies
+    ``disc``, None until ``node_discrepancies`` first asks for them.
+    ``table`` is a weak reference to the ``WeightTable`` they were computed
+    from, or None for a weighting that is not memoised."""
+
+    __slots__ = ("table", "vals", "sums", "den", "disc")
+
+    def __init__(self, vals: tuple[float, ...]):
+        self.table: weakref.ref | None = None
+        self.vals = vals
+        self.sums, self.den = span_sums(vals)
+        self.disc: list[float] | None = None
+
+    def __reduce__(self):
+        # A pickle or copy of a tree gets no entry: a weak reference cannot
+        # be pickled, and the copy computes its own entry when asked.
+        return type(None), ()
+
+
+def _forget_stats(tree_ref: weakref.ref, table_ref: weakref.ref) -> None:
+    """Called when a table dies: drop its entry from the tree, if the tree
+    lives and still keeps that entry."""
+    tree = tree_ref()
+    if tree is not None and tree._stats is not None and tree._stats.table is table_ref:
+        tree._stats = None
+
+
+def _instance_stats(tree: HierTree, w: Mapping[str, float]) -> _Stats:
+    """The exact statistics of ``tree`` under ``w``, computed once per
+    (tree, ``WeightTable``) pair.
+
+    A tree keeps one entry, that of the last ``WeightTable`` asked about,
+    and a call with that same table returns it.  The entry refers to the
+    table only through a weak reference, whose callback drops the entry
+    from the tree when the table dies; an ``id()`` could be reused by a
+    later table.  So the entry is freed with the tree or with the table,
+    whichever goes first.  Any other mapping may change between calls,
+    so its entry is built afresh every time and not kept.
+    """
+    memoised = isinstance(w, WeightTable)
+    if memoised:
+        entry = tree._stats
+        if entry is not None and entry.table() is w:
+            return entry
+    entry = _Stats(tuple(_leaf_values(tree, w)))
+    if memoised:
+        entry.table = weakref.ref(w, partial(_forget_stats, weakref.ref(tree)))
+        tree._stats = entry
+    return entry
+
+
 def _discrepancy(vals: Sequence[float]) -> float:
     """Sum of |mean - value| over a non-empty list of weights."""
     avg = fsum(vals) / len(vals)
@@ -564,9 +641,23 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     values the sum of all span lengths, as a leaf pass does, plus the
     merges (at most n log2 n entries for n leaves).  Maps are freed as
     soon as the parent has taken them.
+
+    The pass runs once per (tree, ``WeightTable``) pair: its result is
+    kept in the pair's statistics entry (see ``_instance_stats``), which
+    lives as long as both the tree and the table, and every call returns
+    a fresh copy of it.  A weighting given as any other mapping is not
+    memoised, so each call with it runs the pass.
     """
-    vals = _leaf_values(tree, w)
-    sums, den = span_sums(vals)
+    stats = _instance_stats(tree, w)
+    if stats.disc is None:
+        stats.disc = _discrepancy_pass(tree, stats)
+    return list(stats.disc)
+
+
+def _discrepancy_pass(tree: HierTree, stats: _Stats) -> list[float]:
+    """The pass of ``node_discrepancies`` over the leaf values and prefix
+    sums of ``stats``."""
+    vals, sums, den = stats.vals, stats.sums, stats.den
     out = [0.0] * tree.node_count
     span_lo, span_hi, left, right = tree._lo, tree._hi, tree._left, tree._right
     counts: list[Counter | None] = [None] * tree.node_count
@@ -585,12 +676,12 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
             a = counts[l] if mid - lo > _SMALL else vals[lo:mid]
             b = counts[r] if hi - mid > _SMALL else vals[mid:hi]
             counts[l] = counts[r] = None
-            # Count into the larger map; a list is no map.
-            if isinstance(a, list) or (not isinstance(b, list) and len(a) < len(b)):
+            # Count into the larger map; a slice of vals is no map.
+            if isinstance(a, tuple) or (not isinstance(b, tuple) and len(a) < len(b)):
                 a, b = b, a
-            if isinstance(a, list):
+            if isinstance(a, tuple):
                 a = Counter(a)
-            if isinstance(b, list):
+            if isinstance(b, tuple):
                 a.update(b)
             else:
                 # Counter.update adds a map value by value in Python; add
@@ -680,31 +771,35 @@ def tv_distance(w1: Sequence[float], w2: Sequence[float]) -> float:
 
 def _split_shares(tree: HierTree, disc: Sequence[float]) -> list[float]:
     """Larger child's share of the parent discrepancy, for every internal
-    node with positive discrepancy."""
-    shares = []
-    for v in tree.internal_ids():
-        if disc[v] > 0.0:
-            l, r = tree.children(v)
-            shares.append(max(disc[l], disc[r]) / disc[v])
-    return shares
+    node with positive discrepancy, in node id order."""
+    return [
+        max(disc[l], disc[r]) / d
+        for l, r, d in zip(tree._left, tree._right, disc)
+        if l >= 0 and d > 0.0
+    ]
+
+
+def _split_qualities(tree: HierTree, disc: Sequence[float]) -> tuple[float | None, float | None]:
+    """``split_quality`` and ``average_split_quality`` from one pass over
+    the internal nodes."""
+    shares = _split_shares(tree, disc)
+    if not shares:
+        return None, None
+    return max(shares), fsum(shares) / len(shares)
 
 
 def split_quality(tree: HierTree, disc: Sequence[float]) -> float | None:
     """Largest child-to-parent discrepancy ratio over internal nodes with
     positive discrepancy; None when no such node exists.  ``disc`` is the
     list returned by ``node_discrepancies``."""
-    shares = _split_shares(tree, disc)
-    return max(shares) if shares else None
+    return _split_qualities(tree, disc)[0]
 
 
 def average_split_quality(tree: HierTree, disc: Sequence[float]) -> float | None:
     """Mean over internal nodes with positive discrepancy of the larger
     child's share of the parent discrepancy; None when undefined.  ``disc``
     is the list returned by ``node_discrepancies``."""
-    shares = _split_shares(tree, disc)
-    if not shares:
-        return None
-    return fsum(shares) / len(shares)
+    return _split_qualities(tree, disc)[1]
 
 
 def optimal_pruning(
@@ -738,6 +833,9 @@ def optimal_pruning(
     The ``node_discrepancies`` pass before both costs about the node count
     times the number of distinct leaf values when that number is small,
     and otherwise about the sum of all node leaf counts, as a leaf pass.
+    It runs once per (tree, ``WeightTable``) pair, so further calls on the
+    same pair, at any k, reuse it (see ``node_discrepancies``); the value
+    pass runs on every call.
     """
     if not (1 <= k <= tree.leaf_count_total):
         raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")

@@ -3,6 +3,7 @@ formats, file round trips, and exit codes."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import subprocess
@@ -223,6 +224,7 @@ class TestRunExperiment:
         # The sweep scores every row against the oracle's own leaf-order
         # list instead of converting the label-keyed target again, and the
         # oracle's prefix sums are built once, not once per (k, run) cell.
+        # Both are called only from the tree module's statistics entry.
         calls = {"_leaf_values": 0, "span_sums": 0}
         for name in calls:
             original = getattr(tree_mod, name)
@@ -232,7 +234,7 @@ class TestRunExperiment:
                 return _original(*args)
 
             monkeypatch.setattr(tree_mod, name, counted)
-            monkeypatch.setattr(oracle_mod, name, counted)
+            assert not hasattr(oracle_mod, name)
             assert not hasattr(cli_mod, name)
         run_experiment(self.small_config(k_values=(2, 3)))
         assert calls == {"_leaf_values": 1, "span_sums": 1}
@@ -503,6 +505,20 @@ class TestMain:
         tree_path, w_path = write_quad(tmp_path)
         assert main(["inspect", "--tree", tree_path, "--weights", w_path]) == 0
         assert len(calls) == 1
+
+    def test_inspect_makes_one_split_share_pass(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = tree_mod._split_shares
+
+        def counted(tree, disc):
+            calls.append(tree)
+            return original(tree, disc)
+
+        monkeypatch.setattr(tree_mod, "_split_shares", counted)
+        tree_path, w_path = write_quad(tmp_path)
+        assert main(["inspect", "--tree", tree_path, "--weights", w_path]) == 0
+        assert len(calls) == 1
+        assert "average_split_quality: 0.4" in capsys.readouterr().out
 
     def test_exit_code_1_usage(self, tmp_path, capsys):
         args, _, _ = self.run_args(tmp_path, "u")
@@ -891,6 +907,39 @@ def test_scale_script(n, code):
     exits = [c["exit"] for c in line["commands"].values()]
     assert exits == ([0, 0, 0] if code == 0 else [1, 2, 2])
     assert all(c["wall_s"] > 0 and c["peak_rss_mb"] > 0 for c in line["commands"].values())
+
+
+def test_pairs_summary():
+    # Two pairs and a failed run: medians, inclusive quartiles and PR wins
+    # come from complete pairs only, with "better" taken from the metric.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "pairs.py"
+    spec = importlib.util.spec_from_file_location("pairs", script)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+
+    def run(side, seed, wall, ops):
+        metrics = {"wall_s": wall, "ops": ops, "awp_queries": 7, "awp_tv": 0.5}
+        result = {"correct": True, "failed": 0, "metrics": {m: {"value": v} for m, v in metrics.items()}}
+        return {"side": side, "workload": "w", "seed": seed, "failed": 0, "result": result}
+
+    runs = [run("parent", 1, 2.0, 5), run("pr", 1, 1.0, 5), run("pr", 2, 3.0, 5), run("parent", 2, 4.0, 5)]
+    runs.append({"side": "pr", "workload": "w", "seed": 3, "failed": None, "result": None})
+    metrics = [{"name": "wall_s", "better": "lower"}, {"name": "ops", "better": "higher"}]
+    summary = pairs.summarise(runs, metrics)
+    assert summary["wall_s"] == {
+        "parent_median": 3.0,
+        "pr_median": 2.0,
+        "change": -0.3333,
+        "pr_better_pairs": 2,
+        "pairs": 2,
+        "parent_q1_q3": [2.5, 3.5],
+        "parent_iqr": 1.0,
+        "pr_q1_q3": [1.5, 2.5],
+        "pr_iqr": 1.0,
+    }
+    assert summary["ops"]["pr_better_pairs"] == 0
+    assert summary["ops_awp_queries_awp_tv_identical_per_seed"] is True
+    assert summary["failed_total"] == 0 and summary["all_correct"] is False
 
 
 def test_every_spec_kind_is_documented():

@@ -325,6 +325,29 @@ class TestSlicedParse:
         assert got == _weights_outcome(reference_loads_weights, text)
 
 
+class TestChunkedWriter:
+    """Chunks of a few records, so that a chunk ends before, after and on
+    the last record: both tree writers give the reference text, or refuse
+    with its message before writing any record."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=_LABELS, seed=st.integers(0, 2**32), size=st.integers(1, 7))
+    def test_same_text_or_same_refusal(self, tmp_path_factory, labels, seed, size):
+        tree = _tree_with_shuffled_ids(labels, random.Random(seed))
+        want = _outcome(reference_dumps_tree, tree)
+        path = tmp_path_factory.mktemp("dump") / "t.hwt"
+
+        def dump_and_read(t):
+            dump_tree(t, path)
+            return path.read_text(encoding="utf-8")
+
+        with patch.object(fileio, "_DUMP_SLICE", size):
+            assert _outcome(dumps_tree, tree) == want
+            assert _outcome(dump_and_read, tree) == want
+        if want[0] == "refused":
+            assert path.read_text(encoding="utf-8") == ""
+
+
 class TestWriterLabelCheck:
     """The writers check all labels at once and name the refused label by
     walking them only on failure; they refuse exactly the lists that the

@@ -1,5 +1,6 @@
-"""Memory guards for the column tree layer, the sliced loaders and the
-median-split build, on a 2**14-leaf median-split instance.
+"""Memory guards for the column tree layer, the sliced loaders, the
+median-split build and the chunked tree writer, on a 2**14-leaf
+median-split instance.
 
 Each bound is about 1.3 times the larger of the tracemalloc figures
 measured on Python 3.10 and 3.11 (given beside it, in MiB).  The design
@@ -7,7 +8,8 @@ before the columns, with a child tuple per node, a feature tuple per label
 and every line of a file alive at once, measured 7.9 MiB for
 ``loads_tree``, 4.6 (3.11) and 5.0 (3.10) MiB for ``loads_weights``, 13.4
 MiB for the build and 328 bytes per leaf, so the three peak bounds refuse
-it on both.
+it on both.  A writer that rendered every record before writing measured
+3.39 MiB for ``dump_tree`` on both, which its bound refuses.
 """
 
 import gc
@@ -16,7 +18,7 @@ import tracemalloc
 import pytest
 
 from awpkit.cli import make_target_source, make_tree_source
-from awpkit.fileio import dumps_tree, dumps_weights, loads_tree, loads_weights
+from awpkit.fileio import dump_tree, dumps_tree, dumps_weights, loads_tree, loads_weights
 
 N = 2**14
 SPEC = f"median-split:n={N},dim=8"
@@ -53,10 +55,18 @@ def test_loads_tree_peak_and_bytes_per_leaf(instance_texts):
 def test_loads_weights_peak(instance_texts):
     table, peak, _ = _traced(lambda: loads_weights(instance_texts[1]))
     assert len(table) == N
-    assert peak < 3.8  # measured 2.47 on 3.11, 2.90 on 3.10
+    assert peak < 2.95  # measured 2.07 on 3.11, 2.27 on 3.10
 
 
 def test_median_split_build_peak():
     (tree, _), peak, _ = _traced(lambda: make_tree_source(SPEC, seed=0))
     assert tree.leaf_count_total == N
     assert peak < 8.8  # measured 6.75 on 3.11, 6.57 on 3.10
+
+
+def test_dump_tree_peak(instance_texts, tmp_path):
+    tree = loads_tree(instance_texts[0])
+    path = tmp_path / "t.hwt"
+    _, peak, _ = _traced(lambda: dump_tree(tree, path))
+    assert path.read_text(encoding="utf-8") == instance_texts[0]
+    assert peak < 1.65  # measured 1.27 on both

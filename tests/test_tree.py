@@ -1,6 +1,10 @@
 """Tree structure validation, pruning identities, and the exact DP."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 from math import fsum
 from time import monotonic
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import awpkit.tree as tree_mod
 from awpkit.fileio import dumps_tree, loads_tree
 from awpkit.oracle import Oracle, TargetSpec, make_geometric_target
 from awpkit.tree import (
@@ -16,6 +21,7 @@ from awpkit.tree import (
     HierTree,
     TreeStructureError,
     WeightTable,
+    _LoadedWeights,
     average_split_quality,
     induced_weighting,
     is_pruning,
@@ -460,6 +466,25 @@ class TestWeightTable:
         with pytest.raises(ValueError, match="sum to inf"):
             WeightTable({"a": 1e308, "b": 1e308})
 
+    @pytest.mark.parametrize(
+        "weights",
+        [{"a": 0.5, "b": 0.5}, {"a": -0.1, "b": 1.1}, {"a": 0.5, "b": float("nan")}, {"a": 0.5}, {}],
+    )
+    def test_keeps_the_loaders_dict_and_copies_any_other(self, weights):
+        # The loader's dict is kept as it is and checked as a copy would be.
+        def outcome(mapping):
+            try:
+                return "table", WeightTable(mapping)._w
+            except ValueError as exc:
+                return "refused", str(exc)
+
+        loaded = _LoadedWeights(weights)
+        plain = dict(weights)
+        assert outcome(loaded) == outcome(plain)
+        if outcome(plain)[0] == "table":
+            assert WeightTable(loaded)._w is loaded
+            assert WeightTable(plain)._w is not plain
+
     def test_labels_become_str_and_values_plain_floats(self):
         class Real(float):
             pass
@@ -812,6 +837,137 @@ class TestSpanSums:
         assert len(nodes) <= 10 and is_pruning(tree, nodes)
         assert cost <= disc[tree.root_id]
         assert elapsed < 5.0
+
+
+def entry_instances(seed):
+    """A tree with two WeightTables over its leaves: a random tree of a few
+    hundred leaves with few-valued geometric targets, so that larger
+    nodes merge value counts, or a caterpillar with random weights."""
+    rng = random.Random(seed)
+    if seed % 2:
+        tree = random_tree(rng, rng.randint(150, 400))
+        spec = TargetSpec("geometric-bins", n_bins=rng.randint(2, 12), ratio=4.0)
+        return tree, make_geometric_target(tree, spec, seed), make_geometric_target(tree, spec, seed + 1)
+    tree = caterpillar(rng.randint(2, 120))
+    return tree, random_weight_table(rng, tree.leaf_order), random_weight_table(rng, tree.leaf_order)
+
+
+def fresh_optimum(tree, k, w):
+    """optimal_pruning on a rebuilt tree with a plain dict, which no
+    statistics entry serves."""
+    return optimal_pruning(loads_tree(dumps_tree(tree)), k, dict(w))
+
+
+class TestStatisticsEntry:
+    """A tree memoises its exact statistics under a WeightTable: repeated
+    calls give the fresh results bit for bit and run one pass, and the
+    entry lives only as long as both the tree and the table."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_calls_equal_fresh_results(self, seed):
+        tree, w1, w2 = entry_instances(seed)
+        n = tree.leaf_count_total
+        ks = sorted({1, 2, min(5, n), min(40, n), n})
+        want = {id(w): float_bits(reference_node_discrepancies(tree, w)) for w in (w1, w2)}
+        optima = {(id(w), k): fresh_optimum(tree, k, w) for w in (w1, w2) for k in ks}
+        for order in (ks, ks[::-1]):
+            for w, other in ((w1, w2), (w2, w1)):
+                for k in order:
+                    assert float_bits(node_discrepancies(tree, w)) == want[id(w)]
+                    nodes, cost = optimal_pruning(tree, k, w)
+                    want_nodes, want_cost = optima[(id(w), k)]
+                    assert nodes == want_nodes and float_bits([cost]) == float_bits([want_cost])
+                    # Another table in between replaces the entry.
+                    assert float_bits(node_discrepancies(tree, other)) == want[id(other)]
+
+    def test_second_call_runs_no_second_pass(self, monkeypatch):
+        tree, w, other = entry_instances(1)
+        calls = {"_discrepancy_pass": 0, "span_sums": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(tree_mod, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(tree_mod, name, counted)
+        first = node_discrepancies(tree, w)
+        Oracle(tree, w)
+        assert node_discrepancies(tree, w) == first
+        optimal_pruning(tree, 10, w)
+        optimal_pruning(tree, 40, w)
+        Oracle(tree, w)
+        assert calls == {"_discrepancy_pass": 1, "span_sums": 1}
+        # A plain mapping is never memoised; another table is computed once.
+        node_discrepancies(tree, dict(w))
+        node_discrepancies(tree, dict(w))
+        assert calls == {"_discrepancy_pass": 3, "span_sums": 3}
+        node_discrepancies(tree, other)
+        optimal_pruning(tree, 10, other)
+        assert calls == {"_discrepancy_pass": 4, "span_sums": 4}
+
+    def test_returned_list_is_a_copy(self):
+        tree, w, _ = entry_instances(1)
+        want = float_bits(reference_node_discrepancies(tree, w))
+        optimum = fresh_optimum(tree, 10, w)
+        disc = node_discrepancies(tree, w)
+        disc[:] = [0.0] * len(disc)
+        assert float_bits(node_discrepancies(tree, w)) == want
+        assert optimal_pruning(tree, 10, w) == optimum
+
+    def test_plain_dict_mutated_between_calls(self):
+        tree, w, _ = entry_instances(3)
+        truth = dict(w)
+        before = node_discrepancies(tree, truth)
+        oracle_before = Oracle(tree, truth)
+        heavy = max(truth, key=truth.get)
+        light = min(truth, key=truth.get)
+        truth[heavy], truth[light] = truth[light], truth[heavy]
+        after = node_discrepancies(tree, truth)
+        assert float_bits(after) == float_bits(reference_node_discrepancies(tree, truth))
+        assert after != before
+        assert Oracle(tree, truth).leaf_values == tuple(truth[lab] for lab in tree.leaf_order)
+        assert oracle_before.leaf_values != Oracle(tree, truth).leaf_values
+
+    def test_entry_is_freed_with_the_table_or_the_tree(self):
+        tree, w, _ = entry_instances(1)
+        node_discrepancies(tree, w)
+        assert weakref.getweakrefcount(w) == 1
+        table_ref = weakref.ref(w)
+        del w
+        gc.collect()
+        assert table_ref() is None
+        assert tree._stats is None
+
+        tree, w, _ = entry_instances(1)
+        Oracle(tree, w)
+        tree_ref = weakref.ref(tree)
+        del tree
+        gc.collect()
+        assert tree_ref() is None
+        assert weakref.getweakrefcount(w) == 0
+
+    def test_tree_with_an_entry_pickles_and_copies_without_it(self):
+        tree, w, _ = entry_instances(1)
+        want = node_discrepancies(tree, w)
+        for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
+            if clone._stats is not None:  # a shallow copy shares the entry
+                assert clone._stats is tree._stats
+            assert float_bits(node_discrepancies(clone, w)) == float_bits(want)
+            assert clone.leaf_order == tree.leaf_order
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_shares_the_entry(self, seed):
+        tree, w, _ = entry_instances(seed)
+        alone = Oracle(loads_tree(dumps_tree(tree)), w)
+        before = Oracle(tree, w)
+        disc = node_discrepancies(tree, w)
+        after = Oracle(tree, w)
+        assert float_bits(disc) == float_bits(reference_node_discrepancies(tree, w))
+        assert before.leaf_values is after.leaf_values
+        for oracle in (before, after):
+            assert oracle.leaf_values == alone.leaf_values
+            for v in range(tree.node_count):
+                assert float_bits([oracle.query_node(v)]) == float_bits([alone.query_node(v)])
 
 
 def reference_split_quality(tree, w):
