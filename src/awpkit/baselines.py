@@ -61,8 +61,16 @@ def _draw_all(search: PruningSearch, rng: random.Random, count: int) -> list[tup
     """Uniform-with-replacement leaf draws over the whole leaf set,
     drawn for the root (they serve no single node).  Returns the
     (leaf position, weight) pairs in draw order."""
-    # randrange(n) returns _randbelow(n) after its argument checks.
-    positions = list(map(rng._randbelow, repeat(search.tree.leaf_count_total, count)))
+    # randrange(n) returns _randbelow(n) after its argument checks, which
+    # returns the first getrandbits(n.bit_length()) below n.  So the draws
+    # are the values below n in that stream of getrandbits calls, taken in
+    # batches no longer than the draws still missing: the last call is the
+    # last draw, and the generator ends in randrange's state.
+    n = search.tree.leaf_count_total
+    bits = n.bit_length()
+    positions: list[int] = []
+    while len(positions) < count:
+        positions += filter(n.__gt__, map(rng.getrandbits, repeat(bits, count - len(positions))))
     return list(zip(positions, search.draw_many(positions, search.tree.root_id)))
 
 

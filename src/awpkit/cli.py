@@ -28,7 +28,7 @@ import argparse
 import contextlib
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from math import fsum
 
@@ -242,6 +242,10 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentOutput:
+    """A sweep's CSV rows and traces.  Each trace is (alg, k, run, text),
+    where text is the result's trace lines joined by newlines, so a sweep
+    keeps one string per result rather than one per event."""
+
     details: list[tuple] = field(default_factory=list)
     aggregates: list[tuple] = field(default_factory=list)
     traces: list[tuple] = field(default_factory=list)
@@ -288,7 +292,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
                     res = _BASELINE_RUNNERS[alg](tree, oracle, k_reached, basic, run_seed)
                 nd = normalized_distance(res, truth_vals)
                 out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
-                out.traces.append((alg, k, r, res.trace_lines(leaf_texts)))
+                out.traces.append((alg, k, r, "\n".join(res.trace_lines(leaf_texts))))
                 per_alg_k.setdefault((alg, k), []).append(nd)
     order = {alg: i for i, alg in enumerate(ALGORITHMS)}
     out.details.sort(key=lambda row: (order[row[0]], row[1], row[2]))
@@ -337,12 +341,19 @@ def parse_results(text: str) -> tuple[list[tuple], list[tuple]]:
     return details, aggregates
 
 
+def _trace_chunks(output: ExperimentOutput) -> Iterator[str]:
+    """The trace file in pieces: each result's ``# alg k=K run=R`` header
+    line, then its trace text, if it has any, each ending in a newline."""
+    for alg, k, r, text in output.traces:
+        yield f"# {alg} k={k} run={r}\n"
+        if text:
+            yield text + "\n"
+
+
 def format_traces(output: ExperimentOutput) -> str:
-    lines = []
-    for alg, k, r, trace in output.traces:
-        lines.append(f"# {alg} k={k} run={r}")
-        lines.extend(trace)
-    return "\n".join(lines) + "\n"
+    """The trace file's text; ``run --trace-out`` writes the same pieces
+    one by one, so the file's text is never held whole."""
+    return "".join(_trace_chunks(output))
 
 
 def _env_strict_paper() -> bool:
@@ -417,7 +428,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             fh.write(format_csv(output))
         if args.trace_out:
             with open(stage(args.trace_out), "w", encoding="utf-8") as fh:
-                fh.write(format_traces(output))
+                fh.writelines(_trace_chunks(output))
     return 0
 
 

@@ -17,6 +17,19 @@ of its own draws.
 
 Every oracle interaction is recorded in a trace (SAMPLE and SPLIT events)
 from which a run can be replayed and audited without the oracle.
+
+The per-draw path, ``run_awp``'s loop: ``AwpRun.sample_step`` takes the
+top of the ucb heap, draws a leaf position in that node's span, makes one
+``Oracle.query_leaf`` call, records the answer in the trace, ``queried``
+and the node's ``drawn`` set, and pushes it into the node's ``NodeStats``,
+which updates the estimate.  One ``ConfidenceRadii.radius`` call then
+gives the radius, and the node's new ucb and lcb go on the heaps;
+``AwpRun.split_check`` follows.  A run builds its ``ConfidenceRadii``
+from its config once, and it lives as long as the ``AwpRun``: the
+arguments are checked there, and each sample size's log term and
+Hoeffding factor are computed on first use and kept (see
+``awpkit.estimator``).  The baselines draw their whole budget at once
+and answer it with one ``Oracle.query_leaves`` call.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from itertools import repeat
 from math import fsum, inf
 
-from awpkit.estimator import RADIUS_MODES, NodeStats, confidence_radius, estimate_discrepancy
+from awpkit.estimator import RADIUS_MODES, ConfidenceRadii, NodeStats
 from awpkit.oracle import Oracle, QueryLedger
 from awpkit.tree import (
     WEIGHT_SUM_TOL,
@@ -105,10 +118,12 @@ class PruningResult:
         is filled as labels are met, so results drawn from one oracle can
         share it and render each leaf once.  It is keyed by label, not by
         weight, since ``0.0 == -0.0`` but their reprs differ.  Without one,
-        a fresh map is used.
+        a fresh map is used.  Each node's ``"SAMPLE node "`` head is
+        likewise rendered once per call.
         """
         if leaf_texts is None:
             leaf_texts = {}
+        heads: dict[int, str] = {}
         out = []
         for ev in self.trace:
             if ev[0] == "SAMPLE":
@@ -116,7 +131,10 @@ class PruningResult:
                 text = leaf_texts.get(label)
                 if text is None:
                     text = leaf_texts[label] = f"{label} {ev[3]!r}"
-                out.append(f"SAMPLE {ev[1]} {text}")
+                head = heads.get(ev[1])
+                if head is None:
+                    head = heads[ev[1]] = f"SAMPLE {ev[1]} "
+                out.append(head + text)
             else:
                 out.append(f"SPLIT {ev[1]} {ev[2]!r}")
         return out
@@ -146,8 +164,9 @@ class PruningSearch:
 
     def draw_many(self, positions: list[int], v: int) -> list[float]:
         """Query the weights of the leaves at the given positions, in order,
-        on behalf of node v, and return them."""
-        values = list(map(self.oracle.query_leaf, positions))
+        on behalf of node v, with one ``Oracle.query_leaves`` call, and
+        return them."""
+        values = self.oracle.query_leaves(positions)
         self.queried.update(zip(positions, values))
         labels = map(self.tree.leaf_order.__getitem__, positions)
         self.trace.extend(zip(repeat("SAMPLE"), repeat(v), labels, values))
@@ -249,6 +268,9 @@ class AwpRun(PruningSearch):
             raise ValueError(f"k must be in 2..{tree.leaf_count_total}, got {config.k}")
         self.config = config
         self.rng = random.Random(config.seed)
+        self.radii = ConfidenceRadii(
+            config.k, config.delta, config.radius_mode, strict_paper=config.strict_paper
+        )
         root = tree.root_id
         self.stats: dict[int, NodeStats] = {root: NodeStats(root, self.mass[root], tree.leaf_count(root))}
         self.drawn: dict[int, set[int]] = {root: set()}
@@ -282,17 +304,16 @@ class AwpRun(PruningSearch):
         st.push(value)
         drawn = self.drawn[target]
         drawn.add(pos)
-        cfg = self.config
         if len(drawn) == hi - lo:
             ucb = lcb = _discrepancy([self.queried[p] for p in range(lo, hi)])
         else:
-            d = estimate_discrepancy(st)
-            r = confidence_radius(st, cfg.k, cfg.delta, cfg.radius_mode, strict_paper=cfg.strict_paper)
+            d = st.estimate
+            r = self.radii.radius(st)
             ucb = d + r
             lcb = d - r
         self._lcb[target] = lcb
         heapreplace(heap, (-ucb, target))
-        heappush(self._lcb_heap, (-(cfg.beta * lcb), target))
+        heappush(self._lcb_heap, (-(self.config.beta * lcb), target))
         return target
 
     # -- splitting ---------------------------------------------------------
@@ -311,19 +332,6 @@ class AwpRun(PruningSearch):
                 self.drawn[c] = set()
                 heappush(heap, (-inf, c))
 
-    def _best_lcb_key(self) -> float:
-        """The largest live ``beta * lcb``, popping the dead entries above
-        it; -inf when there is none."""
-        heap = self._lcb_heap
-        lcb = self._lcb
-        beta = self.config.beta
-        while heap:
-            key, v = heap[0]
-            if v in lcb and -(beta * lcb[v]) == key:
-                return -key
-            heappop(heap)
-        return -inf
-
     def split_check(self) -> list[int]:
         """Split, in ascending node-id order, every node whose split
         criterion holds, re-checking after each split, until none qualifies
@@ -332,11 +340,23 @@ class AwpRun(PruningSearch):
         beta = self.config.beta
         heap = self._ucb_heap
         lcb = self._lcb
-        while len(self.pruning) < self.config.k:
+        lcb_heap = self._lcb_heap
+        pruning = self.pruning
+        drawn = self.drawn
+        k = self.config.k
+        while len(pruning) < k:
+            # The best live lcb key, popping the dead entries above it.
+            key = -inf
+            while lcb_heap:
+                neg, v = lcb_heap[0]
+                if v in lcb and -(beta * lcb[v]) == neg:
+                    key = -neg
+                    break
+                heappop(lcb_heap)
             # Each node's rival is the best optimistic value among the
             # others: top2 for top1_node, top1 for the rest.  Pruning leaves
             # all sit at 0, so they only set the floor.
-            floor = 0.0 if len(self.drawn) < len(self.pruning) else -inf
+            floor = 0.0 if len(drawn) < len(pruning) else -inf
             top1, top1_node = (-heap[0][0], heap[0][1]) if heap else (-inf, -1)
             if top1 <= floor:
                 top1 = top2 = floor
@@ -355,10 +375,9 @@ class AwpRun(PruningSearch):
             # key reaches top2 (a best key of top1_node's own that reaches
             # top1 reaches top2 too).  Every rival is at least top2, so a
             # best key below top2 rules out every node with one look.
-            key = self._best_lcb_key()
             if key < top2 or not (key >= top1 or (top1_node in lcb and beta * lcb[top1_node] >= top2)):
                 break
-            for v in self.pruning:
+            for v in pruning:
                 if v in lcb and beta * lcb[v] >= (top2 if v == top1_node else top1):
                     break
             else:

@@ -18,12 +18,27 @@ variance-adaptive radius applies the same split so that both kinds share
 one coverage guarantee; setting AWPKIT_STRICT_PAPER=1 in the environment
 (or strict_paper=True) drops the split there and uses the plain per-use
 confidence ln(2/delta).
+
+What is kept, and for how long:
+  - ``NodeStats.push`` folds each draw into the node's running sums and
+    recomputes its estimate, which ``estimate_discrepancy`` returns; both
+    live as long as the node's stats.
+  - ``ConfidenceRadii`` checks (k, delta, mode) once and keeps
+    ln(2/delta(m)) and the Hoeffding factor sqrt(2 ln(2/delta(m)) / m)
+    keyed by m, from the first radius at m for the object's life.  An
+    engine run builds one from its config and drops it with the run;
+    ``confidence_radius`` builds one per call.  Each kept value is the
+    float a fresh evaluation of the same expression gives, so every
+    radius is too.
+
+Per draw, the engine makes two calls here: ``push``, then one
+``ConfidenceRadii.radius``; the estimate is read from the stats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, log, pi, sqrt
+from math import inf, log, nan, pi, sqrt
 
 from awpkit.tree import InvariantError
 
@@ -34,8 +49,9 @@ RADIUS_MODES = ("hoeffding", "bernstein", "min")
 
 @dataclass
 class NodeStats:
-    """Per-node sampling state: known mass, leaf count, draw count and the
-    running sums that make the estimate and radii O(1) per update.
+    """Per-node sampling state: known mass, leaf count, draw count, the
+    running sums that make the estimate and radii O(1) per update, and the
+    estimate itself (nan before the first draw).
 
     Neither the draws' values nor their leaves are kept here.
     """
@@ -49,6 +65,7 @@ class NodeStats:
     _sum_dev: float = field(default=0.0, init=False, repr=False)   # sum |z - W|
     _sum_zp: float = field(default=0.0, init=False, repr=False)    # sum (|z - W| - z)
     _sum_zp2: float = field(default=0.0, init=False, repr=False)   # sum (|z - W| - z)^2
+    estimate: float = field(default=nan, init=False, compare=False)
 
     def __post_init__(self):
         if self.w_star < 0.0:
@@ -63,35 +80,28 @@ class NodeStats:
             raise InvariantError(
                 f"sample {value!r} outside [0, {self.w_star!r}] for node {self.node_id}"
             )
-        self.m += 1
+        m = self.m = self.m + 1
         dev = abs(value - self.mean_weight)
         zp = dev - value
-        self._sum_z += value
-        self._sum_dev += dev
+        sum_z = self._sum_z = self._sum_z + value
+        sum_dev = self._sum_dev = self._sum_dev + dev
         self._sum_zp += zp
         self._sum_zp2 += zp * zp
+        self.estimate = self.w_star + (self.n_leaves / m) * (sum_dev - sum_z)
 
 
 def estimate_discrepancy(stats: NodeStats) -> float:
     """Unbiased node-discrepancy estimate from the draws seen so far."""
-    m = stats.m
-    if m == 0:
+    if stats.m == 0:
         raise ValueError("no samples to estimate from")
-    return stats.w_star + (stats.n_leaves / m) * (stats._sum_dev - stats._sum_z)
+    return stats.estimate
 
 
 _PI_SQ = pi**2
 
 
-def confidence_radius(
-    stats: NodeStats,
-    k: int,
-    delta: float,
-    mode: str = "min",
-    *,
-    strict_paper: bool = False,
-) -> float:
-    """Confidence radius of a node's discrepancy estimate.
+class ConfidenceRadii:
+    """Confidence radii of k tracked nodes at confidence delta, for one run.
 
     mode "hoeffding" is the range-based radius
     w_star * sqrt(2 ln(2/d) / m), and mode "bernstein" the
@@ -106,37 +116,72 @@ def confidence_radius(
     and for the Bernstein radius also at m = 1, where the variance is
     undefined; zero for Hoeffding on a zero-mass node.
 
-    The engine calls this once per draw, so both radii are computed in
-    this one body, without helper calls.
+    The arguments are checked once, here.  ln(2/delta(m)) and the
+    Hoeffding factor sqrt(2 ln(2/delta(m)) / m) depend on m alone, so
+    each is computed on the first radius at m and kept, keyed by m, for
+    the object's life.
     """
-    if mode not in RADIUS_MODES:
-        raise ValueError(f"unknown radius mode {mode!r}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    m = stats.m
-    if m == 0:
-        return inf
-    # ln(2 / delta(m)) with delta(m) = 3 delta / (k pi^2 m^2)
-    log_term = log(2.0 * k * _PI_SQ * m * m / (3.0 * delta))
-    hoeffding = stats.w_star * sqrt(2.0 * log_term / m)
-    if mode == "hoeffding":
-        return hoeffding
-    if m == 1:
-        bernstein = inf
-    else:
-        if strict_paper:
-            log_term = log(2.0 / delta)
-        # Pairwise-difference form reduced to O(m):
-        # sum_{i<j} (a_i - a_j)^2 = m * sum a_i^2 - (sum a_i)^2, over m(m-1).
-        var = (m * stats._sum_zp2 - stats._sum_zp**2) / (m * (m - 1))
-        if var < 0.0:
-            var = 0.0
-        bernstein = stats.n_leaves * sqrt(8.0 * var * log_term / m) + (
-            28.0 * stats.w_star * log_term / (3.0 * (m - 1))
-        )
-    if mode == "bernstein":
-        return bernstein
-    # min(hoeffding, bernstein), without the builtin's call cost.
-    return bernstein if bernstein < hoeffding else hoeffding
+
+    __slots__ = ("k", "delta", "mode", "strict_paper", "_strict_log", "_terms")
+
+    def __init__(self, k: int, delta: float, mode: str = "min", *, strict_paper: bool = False):
+        if mode not in RADIUS_MODES:
+            raise ValueError(f"unknown radius mode {mode!r}")
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
+        if not (0.0 < delta < 1.0):
+            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+        self.k = k
+        self.delta = delta
+        self.mode = mode
+        self.strict_paper = strict_paper
+        self._strict_log = log(2.0 / delta)
+        # m -> (ln(2 / delta(m)), sqrt(2 ln(2 / delta(m)) / m))
+        self._terms: dict[int, tuple[float, float]] = {}
+
+    def radius(self, stats: NodeStats) -> float:
+        """The radius of stats' estimate after its m draws."""
+        m = stats.m
+        if m == 0:
+            return inf
+        term = self._terms.get(m)
+        if term is None:
+            # ln(2 / delta(m)) with delta(m) = 3 delta / (k pi^2 m^2)
+            log_term = log(2.0 * self.k * _PI_SQ * m * m / (3.0 * self.delta))
+            term = self._terms[m] = (log_term, sqrt(2.0 * log_term / m))
+        log_term, factor = term
+        hoeffding = stats.w_star * factor
+        mode = self.mode
+        if mode == "hoeffding":
+            return hoeffding
+        if m == 1:
+            bernstein = inf
+        else:
+            if self.strict_paper:
+                log_term = self._strict_log
+            # Pairwise-difference form reduced to O(m):
+            # sum_{i<j} (a_i - a_j)^2 = m * sum a_i^2 - (sum a_i)^2, over m(m-1).
+            var = (m * stats._sum_zp2 - stats._sum_zp**2) / (m * (m - 1))
+            if var < 0.0:
+                var = 0.0
+            bernstein = stats.n_leaves * sqrt(8.0 * var * log_term / m) + (
+                28.0 * stats.w_star * log_term / (3.0 * (m - 1))
+            )
+        if mode == "bernstein":
+            return bernstein
+        # min(hoeffding, bernstein), without the builtin's call cost.
+        return bernstein if bernstein < hoeffding else hoeffding
+
+
+def confidence_radius(
+    stats: NodeStats,
+    k: int,
+    delta: float,
+    mode: str = "min",
+    *,
+    strict_paper: bool = False,
+) -> float:
+    """Confidence radius of a node's discrepancy estimate; see
+    ``ConfidenceRadii`` for the formulas.  Raises ValueError for an
+    unknown mode, k < 1 or delta outside (0, 1)."""
+    return ConfidenceRadii(k, delta, mode, strict_paper=strict_paper).radius(stats)

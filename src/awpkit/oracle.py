@@ -2,8 +2,9 @@
 
 The oracle holds the hidden target weighting and exposes it only through
 two query operations: the weight of a single leaf (a basic query) and the
-total weight of a node's leaf set (a node query).  Every call is counted in
-a ledger that runs over the oracle's whole life.
+total weight of a node's leaf set (a node query).  ``query_leaves`` answers
+a batch of basic queries in one call.  Every query is counted in a ledger
+that runs over the oracle's whole life.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ class Oracle:
             raise KeyError(f"unknown leaf position {pos!r}")
         self.ledger.basic_queries += 1
         return self._vals[pos]
+
+    def query_leaves(self, positions: Sequence[int]) -> list[float]:
+        """Weights of the leaves at the given positions, in order; counted
+        as one basic query per position, as ``query_leaf`` per position
+        would be.  A bad position raises the KeyError that ``query_leaf``
+        raises, after the positions before it are charged."""
+        n = self.tree.leaf_count_total
+        # C-level checks clear a batch of plain ints in range at once; any
+        # other batch is answered one ``query_leaf`` at a time.
+        if not positions or (set(map(type, positions)) == {int} and 0 <= min(positions) and max(positions) < n):
+            self.ledger.basic_queries += len(positions)
+            return list(map(self._vals.__getitem__, positions))
+        return list(map(self.query_leaf, positions))
 
     def query_node(self, v: int) -> float:
         """Total weight of the leaves under node v, equal to ``fsum`` over

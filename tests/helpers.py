@@ -559,6 +559,18 @@ def reference_confidence_radius(stats: NodeStats, k: int, delta: float, mode: st
     raise ValueError(f"unknown radius mode {mode!r}")
 
 
+def reference_estimate(w_star: float, n_leaves: int, draws) -> float:
+    """The unbiased estimate written out from the draw list, summed left to
+    right as the running sums are: the slow reference for
+    ``NodeStats.estimate``."""
+    avg = w_star / n_leaves
+    sum_dev = sum_z = 0.0
+    for z in draws:
+        sum_dev += abs(z - avg)
+        sum_z += z
+    return w_star + (n_leaves / len(draws)) * (sum_dev - sum_z)
+
+
 def _radius(stats: NodeStats, config: EngineConfig) -> float:
     return reference_confidence_radius(
         stats, config.k, config.delta, config.radius_mode, strict_paper=config.strict_paper

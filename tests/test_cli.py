@@ -215,7 +215,8 @@ class TestRunExperiment:
         # afresh: a row's counts equal the events of its own trace section.
         out = run_experiment(self.small_config(k_values=(2, 3)))
         assert len(out.details) == 4 * 2 * 2
-        for row, (alg, k, r, lines) in zip(out.details, out.traces):
+        for row, (alg, k, r, text) in zip(out.details, out.traces):
+            lines = text.splitlines()
             assert row[:3] == (alg, k, r)
             assert row[4] == sum(1 for ln in lines if ln.startswith("SAMPLE "))
             assert row[5] == sum(1 for ln in lines if ln.startswith("SPLIT "))
@@ -320,6 +321,30 @@ class TestFormats:
         text = format_traces(out)
         headers = [ln for ln in text.splitlines() if ln.startswith("# ")]
         assert headers == ["# awp k=2 run=0", "# awp k=2 run=1", "# weight k=2 run=0", "# weight k=2 run=1"]
+
+    @pytest.mark.parametrize("max_queries", [0, 1, 90])
+    def test_trace_file_joins_the_per_result_blocks(self, tmp_path, max_queries):
+        # The sweep keeps one text block per result and the file is
+        # written piece by piece; it must read as the header and event
+        # lines of every result joined by newlines, with no line for an
+        # empty trace (at --max-queries 0 every trace is empty).
+        spec = ("random-balanced:n=16", "geometric:bins=4,ratio=3")
+        out = run_experiment(ExperimentConfig(*spec, k_values=(2, 5), runs=2, max_basic_queries=max_queries))
+        lines = []
+        for alg, k, r, text in out.traces:
+            lines.append(f"# {alg} k={k} run={r}")
+            lines.extend(text.splitlines())
+        want = "\n".join(lines) + "\n"
+        assert format_traces(out) == want
+        trace = tmp_path / "tr.txt"
+        rc = main([
+            "run", "--tree", spec[0], "--weights", spec[1], "--k", "2,5", "--runs", "2",
+            "--max-queries", str(max_queries), "--out", str(tmp_path / "r.csv"), "--trace-out", str(trace),
+        ])
+        assert rc == 0
+        assert trace.read_text(encoding="utf-8") == want
+        if max_queries == 0:
+            assert all(ln.startswith("# ") for ln in lines) and len(lines) == 4 * 2 * 2
 
     def test_trace_file_matches_reference_renderer(self, tmp_path, monkeypatch):
         # A sweep renders each leaf's text once; its trace file must equal

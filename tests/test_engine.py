@@ -170,11 +170,12 @@ class TestSplitCheckBoundary:
 
 
 class TestPrivateSampler:
-    # The engine draws lo + _randbelow(hi - lo) and the baselines
-    # _randbelow(n), which is what randrange returns after its argument
-    # checks.  A Python release that changes _randbelow fails this test
-    # before it changes any output digest.  Powers of two take the
-    # rejection path of _randbelow_with_getrandbits.
+    # The engine draws lo + _randbelow(hi - lo), which is what randrange
+    # returns after its argument checks; the baselines take the same
+    # stream in batches (see TestDrawAll in test_baselines.py).  A Python
+    # release that changes _randbelow fails this test before it changes
+    # any output digest.  Powers of two take the rejection path of
+    # _randbelow_with_getrandbits.
     @pytest.mark.parametrize("seed", [0, 1, 2021])
     def test_randbelow_draws_what_randrange_draws(self, seed):
         widths = [*range(1, 301), 4096, 65536]
@@ -186,6 +187,31 @@ class TestPrivateSampler:
             assert fast.getstate() == slow.getstate()
         fast, slow = random.Random(seed), random.Random(seed)
         assert [fast._randbelow(w) for w in widths] == [slow.randrange(w) for w in widths]
+
+
+class TestDrawStream:
+    # Each SAMPLE event's leaf is randrange(lo, hi) over the drawn node's
+    # span, drawn event by event from random.Random(seed): the engine's
+    # draws are the public sampler's, whatever shortcut it takes.
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    @pytest.mark.parametrize("shape", ["random", "caterpillar", "median-split"])
+    def test_trace_positions_are_randrange_draws(self, seed, shape):
+        rng = random.Random(f"{shape}-{seed}")
+        if shape == "random":
+            tree = random_tree(rng, 61)
+        elif shape == "caterpillar":
+            tree = caterpillar(40)
+        else:
+            tree = build_median_split_tree(random_features([f"m{i}" for i in range(128)], 3, seed), seed)
+        truth = random_weight_table(rng, tree.leaf_order, kind="dense")
+        res = run_awp(tree, Oracle(tree, truth), EngineConfig(k=12, seed=seed, max_basic_queries=3000))
+        pos = {lab: i for i, lab in enumerate(tree.leaf_order)}
+        events = [ev for ev in res.trace if ev[0] == "SAMPLE"]
+        assert len(events) > 50
+        public = random.Random(seed)
+        for ev in events:
+            lo, hi = tree.span(ev[1])
+            assert pos[ev[2]] == public.randrange(lo, hi)
 
 
 class TestMinimalRun:
@@ -581,7 +607,7 @@ class TestTraceOutput:
             assert int(parts[1]) == ev[1]
             assert float(parts[-1]) == ev[-1]
         path = tmp_path / "trace.txt"
-        path.write_text(format_traces(ExperimentOutput(traces=[("awp", 3, 0, lines)])))
+        path.write_text(format_traces(ExperimentOutput(traces=[("awp", 3, 0, "\n".join(lines))])))
         assert path.read_text().splitlines() == ["# awp k=3 run=0"] + lines
 
 

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from awpkit.estimator import (
     RADIUS_MODES,
+    ConfidenceRadii,
     NodeStats,
     confidence_radius,
     estimate_discrepancy,
 )
 from awpkit.tree import HierTree, InvariantError, WeightTable, node_discrepancy
 
-from helpers import random_tree, random_weight_table, reference_confidence_radius
+from helpers import random_tree, random_weight_table, reference_confidence_radius, reference_estimate
 
 
 def stats_with(samples, w_star=0.5, n_leaves=4, node_id=0):
@@ -210,3 +211,66 @@ class TestRadiusAgainstReference:
         st_ = stats_with([0.3 * f for f in fractions], w_star=0.3, n_leaves=n_leaves)
         want = reference_confidence_radius(st_, 40, 0.05, mode, strict_paper=strict)
         assert confidence_radius(st_, 40, 0.05, mode, strict_paper=strict) == want
+
+
+class TestPerRunRadii:
+    # One ConfidenceRadii per run keeps its log terms and Hoeffding factors
+    # by m.  Shared by several nodes, its every radius must equal the
+    # formulas evaluated afresh, and each running estimate the estimate
+    # summed from the draw list, bit for bit.
+    NODES = ((0.0, 2), (0.0, 9), (0.5, 2), (0.3, 7), (1.0, 4096))
+    CHECKED = {*range(1, 301), 1000, 4096, 20000}
+
+    def test_exactly_equal_to_the_references(self):
+        configs = [
+            (k, delta, mode, strict)
+            for k, delta in ((2, 0.05), (96, 1e-3))
+            for mode in ("hoeffding", "bernstein", "min")
+            for strict in (False, True)
+        ]
+        radii = [ConfidenceRadii(k, delta, mode, strict_paper=strict) for k, delta, mode, strict in configs]
+        rng = random.Random(23)
+        for w_star, n_leaves in self.NODES:
+            leaves = [rng.uniform(0.0, w_star) for _ in range(n_leaves - 1)]
+            leaves.append(w_star - fsum(leaves) if n_leaves == 2 else 0.0)
+            st_ = NodeStats(0, w_star, n_leaves)
+            draws = []
+            while st_.m < max(self.CHECKED):
+                z = rng.choice(leaves)
+                draws.append(z)
+                st_.push(z)
+                if st_.m not in self.CHECKED:
+                    continue
+                want = reference_estimate(w_star, n_leaves, draws)
+                assert st_.estimate.hex() == estimate_discrepancy(st_).hex() == want.hex()
+                for (k, delta, mode, strict), r in zip(configs, radii):
+                    want = reference_confidence_radius(st_, k, delta, mode, strict_paper=strict)
+                    assert r.radius(st_) == want, (w_star, n_leaves, st_.m, k, delta, mode, strict)
+                    assert confidence_radius(st_, k, delta, mode, strict_paper=strict) == want
+
+    def test_no_draw_means_no_estimate_and_an_infinite_radius(self):
+        st_ = NodeStats(0, 0.5, 4)
+        assert math.isnan(st_.estimate)
+        with pytest.raises(ValueError, match="no samples"):
+            estimate_discrepancy(st_)
+        for mode in RADIUS_MODES:
+            assert ConfidenceRadii(4, 0.05, mode).radius(st_) == math.inf
+
+    @pytest.mark.parametrize("build", [
+        lambda k, delta, mode: confidence_radius(stats_with([0.1, 0.2]), k, delta, mode),
+        lambda k, delta, mode: ConfidenceRadii(k, delta, mode),
+    ])
+    def test_argument_errors(self, build):
+        # The checks run in this order, with these messages, as before the
+        # radii were kept per run.
+        cases = [
+            ((4, 0.05, "other"), "unknown radius mode 'other'"),
+            ((0, 2.0, "other"), "unknown radius mode 'other'"),
+            ((0, 0.05, "min"), "k must be positive, got 0"),
+            ((-3, 0.0, "hoeffding"), "k must be positive, got -3"),
+            ((4, 0.0, "bernstein"), "delta must lie in \\(0, 1\\), got 0.0"),
+            ((4, 1.0, "min"), "delta must lie in \\(0, 1\\), got 1.0"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(*args)

@@ -10,6 +10,12 @@ and every line of a file alive at once, measured 7.9 MiB for
 MiB for the build and 328 bytes per leaf, so the three peak bounds refuse
 it on both.  A writer that rendered every record before writing measured
 3.39 MiB for ``dump_tree`` on both, which its bound refuses.
+
+The ``run --trace-out`` guard runs the README sweep on its 4,096-leaf
+instance.  A sweep that kept every trace line until the end, then joined
+and wrote the whole file at once, measured 24.4 (3.11) and 23.4 (3.10)
+MiB; one that kept a joined block per result but still joined the file
+measured 16.0 (3.11).
 """
 
 import gc
@@ -17,7 +23,7 @@ import tracemalloc
 
 import pytest
 
-from awpkit.cli import make_target_source, make_tree_source
+from awpkit.cli import main, make_target_source, make_tree_source
 from awpkit.fileio import dump_tree, dumps_tree, dumps_weights, loads_tree, loads_weights
 
 N = 2**14
@@ -70,3 +76,18 @@ def test_dump_tree_peak(instance_texts, tmp_path):
     _, peak, _ = _traced(lambda: dump_tree(tree, path))
     assert path.read_text(encoding="utf-8") == instance_texts[0]
     assert peak < 1.65  # measured 1.27 on both
+
+
+def test_run_trace_out_peak(tmp_path):
+    tree, weights, csv, traces = (str(tmp_path / name) for name in ("t.hwt", "w.txt", "r.csv", "tr.txt"))
+    assert main([
+        "synth", "median-split:n=4096,dim=8", "--seed", "0", "--out-tree", tree,
+        "--weights", "geometric:bins=10,ratio=4", "--out-weights", weights,
+    ]) == 0
+    argv = [
+        "run", "--tree", tree, "--weights", weights, "--k", "5,10,20,40", "--runs", "10",
+        "--max-queries", "2000", "--out", csv, "--trace-out", traces,
+    ]
+    rc, peak, _ = _traced(lambda: main(argv))
+    assert rc == 0
+    assert peak < 10.7  # measured 8.11 on 3.11, 8.23 on 3.10

@@ -99,6 +99,35 @@ class TestOracle:
         with pytest.raises(KeyError):
             oracle.query_node(99)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_answers_and_charges_as_one_query_each(self, seed):
+        rng = random.Random(seed)
+        tree = random_tree(rng, rng.randint(2, 40))
+        truth = random_weight_table(rng, tree.leaf_order)
+        n = tree.leaf_count_total
+        positions = [rng.randrange(n) for _ in range(rng.randint(1, 90))] + [0, n - 1, True, False]
+        batch, single = Oracle(tree, truth), Oracle(tree, truth)
+        single.query_leaf(0)
+        batch.query_leaf(0)
+        assert batch.query_leaves(positions) == [single.query_leaf(pos) for pos in positions]
+        assert batch.ledger == single.ledger
+        assert batch.query_leaves([]) == []
+        assert batch.ledger == single.ledger
+
+    @pytest.mark.parametrize("bad", [-1, 4, 1.0, "a", None])
+    @pytest.mark.parametrize("before", [0, 1, 3])
+    def test_batch_refuses_a_bad_position_after_charging_the_earlier_ones(self, bad, before):
+        tree, truth = small_instance()
+        batch, single = Oracle(tree, truth), Oracle(tree, truth)
+        positions = [3, 0, 2][:before] + [bad, 1]
+        with pytest.raises(KeyError) as want:
+            for pos in positions:
+                single.query_leaf(pos)
+        with pytest.raises(KeyError) as got:
+            batch.query_leaves(positions)
+        assert got.value.args == want.value.args
+        assert batch.ledger == single.ledger == QueryLedger(before, 0)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_node_query_equals_leaf_sum(self, seed):
         rng = random.Random(seed)
