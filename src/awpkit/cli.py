@@ -81,6 +81,9 @@ MAX_DRAWS = 1 << 25
 
 
 def _labels(n: int) -> list[str]:
+    """The labels of a median-split or random-balanced instance of n leaves."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return [f"x{i:06d}" for i in range(n)]
 
 

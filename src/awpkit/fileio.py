@@ -37,7 +37,9 @@ without a copy.
 
 ``dump_tree`` checks every label first and then writes the records
 ``_DUMP_SLICE`` at a time, so only one chunk of the text is alive at
-once; ``dumps_tree`` joins the same chunks.
+once; ``dumps_tree`` joins the same chunks.  ``dump_weights`` and
+``dumps_weights`` do the same with the lines of a weight file, in sorted
+label order, reading each weight from the table's dict.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ HWT_MAGIC = "HWT 1"
 
 # Characters per slice of a file's text; see the module docstring.
 _SLICE = 1 << 16
-# Records per chunk that the tree writers render at a time.
+# Records or lines per chunk that the writers render at a time.
 _DUMP_SLICE = 1 << 12
 
 
@@ -270,10 +272,19 @@ def _raise_weight_line_error(text: str) -> NoReturn:
     raise InvariantError("the weight file parse refused lines that every check accepts")
 
 
-def dumps_weights(table: WeightTable) -> str:
-    labels = sorted(table)
+def _weight_chunks(table: WeightTable) -> Iterator[str]:
+    """The weight file text of ``table``: one line per label in sorted
+    order, ``_DUMP_SLICE`` lines per chunk.  Every label is checked before
+    the first chunk."""
+    weights = table._w
+    labels = sorted(weights)
     _check_labels(labels, "label", comment=True)
-    return "\n".join([f"{label} {table[label]!r}" for label in labels]) + "\n"
+    for start in range(0, len(labels), _DUMP_SLICE):
+        yield "".join([f"{label} {weights[label]!r}\n" for label in labels[start : start + _DUMP_SLICE]])
+
+
+def dumps_weights(table: WeightTable) -> str:
+    return "".join(_weight_chunks(table))
 
 
 def load_weights(path: str | os.PathLike) -> WeightTable:
@@ -282,5 +293,7 @@ def load_weights(path: str | os.PathLike) -> WeightTable:
 
 
 def dump_weights(table: WeightTable, path: str | os.PathLike) -> None:
+    """Write ``dumps_weights(table)`` to ``path`` one chunk at a time, so
+    the whole text is never held at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_weights(table))
+        fh.writelines(_weight_chunks(table))

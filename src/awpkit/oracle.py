@@ -13,11 +13,12 @@ import random
 from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import fsum, inf, isfinite
+from operator import truediv
 
 from awpkit.adversarial import _balanced
-from awpkit.tree import HierTree, WeightTable, _instance_stats
+from awpkit.tree import HierTree, WeightTable, _instance_stats, _LoadedWeights
 
 
 @dataclass
@@ -139,11 +140,17 @@ def leaf_order_bins(tree: HierTree, n_bins: int) -> tuple[tuple[str, ...], ...]:
 def make_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> WeightTable:
     """Geometric-bins target: every leaf in bin i has weight proportional to
     ratio**(B-1-i), so bin 0 is heaviest and successive bins differ by an
-    exact factor of ``ratio``."""
+    exact factor of ``ratio``.
+
+    The label-to-level dict and the table, in leaf order, are built in
+    C-level passes (``zip``, ``chain``, ``repeat`` and ``map``); the total
+    is ``fsum`` over the levels, which is exact in any order.  The
+    returned ``WeightTable`` keeps the table's dict without a copy (see
+    ``_LoadedWeights``)."""
     labels = tree.leaf_order
     if spec.bins is not None:
         bins = spec.bins
-        flat = [lab for b in bins for lab in b]
+        flat = list(chain.from_iterable(bins))
         if sorted(flat) != sorted(labels) or len(flat) != len(set(flat)):
             raise ValueError("explicit bins are not a partition of the leaf set")
     else:
@@ -155,16 +162,13 @@ def make_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> Weight
     if any(not b for b in bins):
         raise ValueError("empty bin in target partition")
     n_bins = len(bins)
-    raw: dict[str, float] = {}
     try:
-        for i, b in enumerate(bins):
-            level = float(spec.ratio) ** (n_bins - 1 - i)
-            for lab in b:
-                raw[lab] = level
-        total = fsum(raw[lab] for lab in labels)
+        levels = [float(spec.ratio) ** (n_bins - 1 - i) for i in range(n_bins)]
+        raw = dict(zip(chain.from_iterable(bins), chain.from_iterable(map(repeat, levels, map(len, bins)))))
+        total = fsum(raw.values())
     except OverflowError:
         raise ValueError(f"ratio {spec.ratio!r} over {n_bins} bins gives weights beyond float range") from None
-    return WeightTable({lab: raw[lab] / total for lab in labels})
+    return WeightTable(_LoadedWeights(zip(labels, map(truediv, map(raw.__getitem__, labels), repeat(total)))))
 
 
 class FeatureColumns:
@@ -194,18 +198,26 @@ def build_median_split_tree(features: Mapping[str, Sequence[float]] | FeatureCol
     depth is logarithmic in the number of labels.  Every coordinate must
     be a finite real number.
 
-    Cost: one stable sort of the label indices per coordinate column gives
-    each label its rank there; equal values keep the sorted label order,
-    which is the (value, label) tie rule.  Each level then sorts its groups
-    on those int ranks, and one explicit stack emits the nodes in preorder
-    into the child columns of ``HierTree``, so the cost is dim sorts plus
-    one int-keyed sort per level, O((dim + depth) n log n), with no Python
-    call per compared item.  A ``FeatureColumns`` is read column by column,
-    with no tuple per label.
+    Cost: a coordinate column whose values are all distinct is sorted on
+    its own values, since value order is then the (value, label) order; a
+    ``FeatureColumns`` column is read from its ``array('d')`` slice, with
+    no float object kept per label.  Only a column with a repeated value
+    (``0.0`` and ``-0.0`` count as one) gets a rank list: one stable sort
+    of the label indices gives each label its rank, so equal values keep
+    the sorted label order.  Each level then sorts its groups on those
+    keys, and one explicit stack emits the nodes into the child columns of
+    ``HierTree``.  The stack holds only groups of two or more labels; a
+    node's id fixes its children's, ``v + 1`` on the left and ``v + 2*mid``
+    on the right for a left half of ``mid`` labels, so ids come out in
+    preorder, and a one-label child is written as a leaf by its parent,
+    with no slice, tuple or pop per leaf.  That is O(dim * n) memory for
+    the columns plus one int list per tied column, and dim sorts plus one
+    sort per level, O((dim + depth) n log n), with no Python call per
+    compared item.
     """
     if isinstance(features, FeatureColumns):
         labels, dim, flat = features.labels, features.dim, features.flat
-        columns = (flat[c::dim] for c in range(dim))
+        columns = [flat[c::dim] for c in range(dim)]
     else:
         labels = sorted(features.keys())
         vectors = [features[lab] for lab in labels]
@@ -213,49 +225,57 @@ def build_median_split_tree(features: Mapping[str, Sequence[float]] | FeatureCol
         if len(dims) > 1:
             raise ValueError(f"feature vectors have mixed dimensions {sorted(dims)}")
         dim = dims.pop() if dims else 0
-        columns = zip(*vectors)
+        columns = list(zip(*vectors))
     if not labels:
         raise ValueError("no features given")
     if dim < 1:
         raise ValueError("feature vectors are empty")
     start = random.Random(seed).randrange(dim)
-    # The rank lists take their ints from idx, so all dim of them share one
-    # set of int objects.
-    idx = list(range(len(labels)))
-    ranks = []
+    n = len(labels)
+    idx = list(range(n))
+    keys = []
     for col in columns:
         if not all(map(isfinite, col)):
             bad = next(i for i in idx if not isfinite(col[i]))
             raise ValueError(f"feature vector of {labels[bad]!r} has a non-finite coordinate {col[bad]!r}")
-        rank = [0] * len(idx)
-        for r, i in zip(idx, sorted(idx, key=col.__getitem__)):
-            rank[i] = r
-        ranks.append(rank)
-    # Preorder ids, as from_nested gives them: a left child's id is its
-    # parent's plus one, so only a right child carries its parent's id.
-    count = 2 * len(labels) - 1
+        if len(set(col)) == n:
+            keys.append(col.__getitem__)
+        else:
+            # The rank list takes its ints from idx, so every rank list
+            # shares one set of int objects.
+            rank = [0] * n
+            for r, i in zip(idx, sorted(idx, key=col.__getitem__)):
+                rank[i] = r
+            keys.append(rank.__getitem__)
+    del columns
+    count = 2 * n - 1
     left = [-1] * count
     right = [-1] * count
     leaf_labels: list[str | None] = [None] * count
-    v = 0
-    stack = [(idx, start, -1)]
+    stack = []
+    if n > 1:
+        stack.append((idx, start, 0))
+    else:
+        leaf_labels[0] = str(labels[0])
     while stack:
-        group, coord, parent = stack.pop()
-        if parent >= 0:
-            right[parent] = v
-        nxt = v + 1
-        if len(group) == 1:
-            leaf_labels[v] = str(labels[group[0]])
+        group, coord, v = stack.pop()
+        group.sort(key=keys[coord])
+        mid = len(group) >> 1
+        # The left half's mid leaves take ids v + 1 .. v + 2*mid - 1.
+        w = v + 2 * mid
+        left[v] = v + 1
+        right[v] = w
+        coord = coord + 1 if coord + 1 < dim else 0
+        if len(group) - mid > 1:
+            stack.append((group[mid:], coord, w))
         else:
-            left[v] = nxt
-            group.sort(key=ranks[coord].__getitem__)
-            mid = len(group) // 2
-            coord = coord + 1 if coord + 1 < dim else 0
-            stack.append((group[mid:], coord, v))
-            stack.append((group[:mid], coord, -1))
-        v = nxt
-    # The ranks are not needed by the index walk; free them before it.
-    del idx, ranks
+            leaf_labels[w] = str(labels[group[mid]])
+        if mid > 1:
+            stack.append((group[:mid], coord, v + 1))
+        else:
+            leaf_labels[v + 1] = str(labels[group[0]])
+    # The keys are not needed by the index walk; free them before it.
+    del idx, keys
     return HierTree(None, leaf_labels, left=left, right=right)
 
 

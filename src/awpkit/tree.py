@@ -60,8 +60,11 @@ class InvariantError(RuntimeError):
 
 
 class _LoadedWeights(dict):
-    """A label -> float dict that ``fileio.loads_weights`` built and hands
-    over to ``WeightTable``, which keeps it without a copy."""
+    """A str label -> float dict that the package built for one
+    ``WeightTable`` and hands over to it, which keeps it without a copy:
+    ``fileio.loads_weights`` builds one from a weight file and
+    ``oracle.make_geometric_target`` one from its levels.  Nothing else
+    holds it, so the table cannot change."""
 
     __slots__ = ()
 
@@ -75,8 +78,11 @@ class WeightTable(Mapping):
     table cannot change through its API, so a tree memoises its exact
     statistics under it (see ``_instance_stats``): the entry lives on the
     tree and holds the table only by a weak reference, so it is freed
-    with either of the two.  The table copies the mapping it is given,
-    except the dict that ``loads_weights`` built for it, which it keeps.
+    with either of the two.  The table copies the mapping it is given
+    into a dict of str labels and float values, except a ``_LoadedWeights``
+    (the dicts that ``loads_weights`` and ``make_geometric_target`` build
+    for it), which it keeps as it is; its value and sum checks run on
+    either.
     """
 
     __slots__ = ("_w", "__weakref__")

@@ -14,6 +14,7 @@ from operator import itemgetter
 from awpkit.engine import EngineConfig, PruningResult, PruningSearch
 from awpkit.estimator import NodeStats, estimate_discrepancy
 from awpkit.fileio import HWT_MAGIC
+from awpkit.oracle import TargetSpec, _near_equal_runs
 from awpkit.tree import FileFormatError, HierTree, TreeStructureError, WeightTable, node_discrepancies
 
 
@@ -349,6 +350,36 @@ def reference_median_split_tree(features, seed: int) -> HierTree:
         return (split(ordered[:mid], depth + 1), split(ordered[mid:], depth + 1))
 
     return HierTree.from_nested(split(labels, 0))
+
+
+def reference_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> WeightTable:
+    """The geometric-bins target built one label at a time, and copied by
+    ``WeightTable``: the slow reference for ``make_geometric_target``."""
+    labels = tree.leaf_order
+    if spec.bins is not None:
+        bins = spec.bins
+        flat = [lab for b in bins for lab in b]
+        if sorted(flat) != sorted(labels) or len(flat) != len(set(flat)):
+            raise ValueError("explicit bins are not a partition of the leaf set")
+    else:
+        if spec.n_bins > len(labels):
+            raise ValueError(f"cannot fill {spec.n_bins} bins from {len(labels)} leaves")
+        shuffled = list(labels)
+        random.Random(seed).shuffle(shuffled)
+        bins = _near_equal_runs(shuffled, spec.n_bins)
+    if any(not b for b in bins):
+        raise ValueError("empty bin in target partition")
+    n_bins = len(bins)
+    raw: dict[str, float] = {}
+    try:
+        for i, b in enumerate(bins):
+            level = float(spec.ratio) ** (n_bins - 1 - i)
+            for lab in b:
+                raw[lab] = level
+        total = fsum(raw[lab] for lab in labels)
+    except OverflowError:
+        raise ValueError(f"ratio {spec.ratio!r} over {n_bins} bins gives weights beyond float range") from None
+    return WeightTable({lab: raw[lab] / total for lab in labels})
 
 
 def reference_random_features(labels, dim: int, seed: int) -> dict[str, tuple[float, ...]]:

@@ -705,6 +705,30 @@ class TestMain:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "t.hwt").exists()
 
+    @pytest.mark.parametrize("tree_src", ["median-split:n=0", "median-split:n=-3", "random-balanced:n=-2"])
+    def test_exit_code_1_leaf_count_below_one_is_named(self, tmp_path, capsys, tree_src):
+        n = tree_src.partition("=")[2]
+        want = f"usage error: n must be at least 1, got {n}\n"
+        rc = main([
+            "synth", tree_src,
+            "--weights", "geometric:bins=2,ratio=2",
+            "--out-tree", str(tmp_path / "t.hwt"),
+            "--out-weights", str(tmp_path / "w.txt"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "t.hwt").exists()
+        rc = main([
+            "run",
+            "--tree", tree_src,
+            "--weights", "geometric:bins=2,ratio=2",
+            "--k", "2",
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_exit_code_2_non_finite_weight(self, tmp_path, bad):
         tree_path, _ = write_quad(tmp_path)

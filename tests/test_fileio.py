@@ -348,6 +348,29 @@ class TestChunkedWriter:
             assert path.read_text(encoding="utf-8") == ""
 
 
+class TestChunkedWeightWriter:
+    """Chunks of a few lines, so that a chunk ends before, after and on the
+    last line: both weight writers give the reference text, or refuse with
+    its message before writing any line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=_LABELS, seed=st.integers(0, 2**32), size=st.integers(1, 7))
+    def test_same_text_or_same_refusal(self, tmp_path_factory, labels, seed, size):
+        table = random_weight_table(random.Random(seed), labels)
+        want = _outcome(reference_dumps_weights, table)
+        path = tmp_path_factory.mktemp("dump") / "w.txt"
+
+        def dump_and_read(t):
+            dump_weights(t, path)
+            return path.read_text(encoding="utf-8")
+
+        with patch.object(fileio, "_DUMP_SLICE", size):
+            assert _outcome(dumps_weights, table) == want
+            assert _outcome(dump_and_read, table) == want
+        if want[0] == "refused":
+            assert path.read_text(encoding="utf-8") == ""
+
+
 class TestWriterLabelCheck:
     """The writers check all labels at once and name the refused label by
     walking them only on failure; they refuse exactly the lists that the

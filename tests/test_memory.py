@@ -1,6 +1,6 @@
 """Memory guards for the column tree layer, the sliced loaders, the
-median-split build and the chunked tree writer, on a 2**14-leaf
-median-split instance.
+median-split build and the chunked tree and weight writers, on a
+2**14-leaf median-split instance.
 
 Each bound is about 1.3 times the larger of the tracemalloc figures
 measured on Python 3.10 and 3.11 (given beside it, in MiB).  The design
@@ -9,7 +9,9 @@ and every line of a file alive at once, measured 7.9 MiB for
 ``loads_tree``, 4.6 (3.11) and 5.0 (3.10) MiB for ``loads_weights``, 13.4
 MiB for the build and 328 bytes per leaf, so the three peak bounds refuse
 it on both.  A writer that rendered every record before writing measured
-3.39 MiB for ``dump_tree`` on both, which its bound refuses.
+3.39 MiB for ``dump_tree`` on both, and one that rendered every line
+before writing measured 1.96 MiB for ``dump_weights`` on both, which
+their bounds refuse.
 
 The ``run --trace-out`` guard runs the README sweep on its 4,096-leaf
 instance.  A sweep that kept every trace line until the end, then joined
@@ -24,7 +26,7 @@ import tracemalloc
 import pytest
 
 from awpkit.cli import main, make_target_source, make_tree_source
-from awpkit.fileio import dump_tree, dumps_tree, dumps_weights, loads_tree, loads_weights
+from awpkit.fileio import dump_tree, dump_weights, dumps_tree, dumps_weights, loads_tree, loads_weights
 
 N = 2**14
 SPEC = f"median-split:n={N},dim=8"
@@ -76,6 +78,14 @@ def test_dump_tree_peak(instance_texts, tmp_path):
     _, peak, _ = _traced(lambda: dump_tree(tree, path))
     assert path.read_text(encoding="utf-8") == instance_texts[0]
     assert peak < 1.65  # measured 1.27 on both
+
+
+def test_dump_weights_peak(instance_texts, tmp_path):
+    table = loads_weights(instance_texts[1])
+    path = tmp_path / "w.txt"
+    _, peak, _ = _traced(lambda: dump_weights(table, path))
+    assert path.read_text(encoding="utf-8") == instance_texts[1]
+    assert peak < 1.65  # measured 1.26 on both
 
 
 def test_run_trace_out_peak(tmp_path):

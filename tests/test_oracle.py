@@ -25,6 +25,7 @@ from helpers import (
     leaves_under,
     random_tree,
     random_weight_table,
+    reference_geometric_target,
     reference_median_split_tree,
     reference_random_features,
 )
@@ -220,6 +221,64 @@ class TestGeometricTarget:
             make_geometric_target(tree, spec, seed=0)
 
 
+def _target_outcome(make, tree, spec, seed):
+    """A target table's items, each value by its repr, or the type and
+    message of the error that making it raises."""
+    try:
+        table = make(tree, spec, seed)
+    except (ValueError, OverflowError) as exc:
+        return "refused", type(exc), str(exc)
+    assert all(type(lab) is str and type(value) is float for lab, value in table.items())
+    return "table", [(lab, repr(value)) for lab, value in table.items()]
+
+
+class TestGeometricTargetAgainstReference:
+    """The C-level target build gives the reference's table, item for item
+    and in the same order, or its refusal."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 4096])
+    def test_every_bin_count_ratio_and_seed(self, n):
+        tree = build_random_balanced_tree([f"g{i:04d}" for i in range(n)], seed=n)
+        refused = 0
+        for n_bins in range(1, min(n, 12) + 1):
+            for ratio in (1.5, 2, 4, 1e10, 1e300):
+                # Explicit bins ignore the seed, so they take one.
+                cases = [(TargetSpec("geometric-bins", ratio=ratio, bins=leaf_order_bins(tree, n_bins)), 0)]
+                cases += [(TargetSpec("geometric-bins", n_bins=n_bins, ratio=ratio), seed) for seed in (0, 1, 2)]
+                for spec, seed in cases:
+                    want = _target_outcome(reference_geometric_target, tree, spec, seed)
+                    assert _target_outcome(make_geometric_target, tree, spec, seed) == want, (n_bins, ratio, seed)
+                    refused += want[0] == "refused"
+        # ratio 1e300 over 3 or more bins is past the float range.
+        assert refused == 4 * max(0, min(n, 12) - 2)
+
+    def test_same_refusals(self):
+        tree = build_random_balanced_tree([f"g{i}" for i in range(6)], seed=0)
+        labs = tree.leaf_order
+        specs = [
+            TargetSpec("geometric-bins", n_bins=7, ratio=2.0),
+            TargetSpec("geometric-bins", ratio=2.0, bins=(labs[:2], labs[:2], labs[2:])),
+            TargetSpec("geometric-bins", ratio=2.0, bins=(labs[:5],)),
+            TargetSpec("geometric-bins", ratio=2.0, bins=(labs, ())),
+            TargetSpec("geometric-bins", ratio=1e200, bins=(labs[:1], labs[1:3], labs[3:])),
+        ]
+        for spec in specs:
+            want = _target_outcome(reference_geometric_target, tree, spec, 0)
+            assert want[0] == "refused"
+            assert _target_outcome(make_geometric_target, tree, spec, 0) == want
+
+    def test_explicit_bins_out_of_leaf_order(self):
+        # Bins cut from a shuffle, so the labels of the level dict come in
+        # another order than the leaves.
+        tree = build_random_balanced_tree([f"g{i:03d}" for i in range(101)], seed=4)
+        shuffled = list(tree.leaf_order)
+        random.Random(5).shuffle(shuffled)
+        spec = TargetSpec("geometric-bins", ratio=3.0, bins=(tuple(shuffled[:7]), tuple(shuffled[7:40]), tuple(shuffled[40:])))
+        want = _target_outcome(reference_geometric_target, tree, spec, 0)
+        assert want[0] == "table"
+        assert _target_outcome(make_geometric_target, tree, spec, 0) == want
+
+
 class TestSyntheticTrees:
     def test_median_split_is_deterministic_and_balanced(self):
         labels = [f"m{i:03d}" for i in range(37)]
@@ -323,6 +382,74 @@ class TestMedianSplitAgainstReference:
     def test_random_features(self, n, dim, seed):
         labels = [f"r{i}" for i in range(n)][::-1]
         assert random_features(labels, dim, seed) == reference_random_features(labels, dim, seed)
+
+
+def _column(kind: str, n: int, rng) -> list:
+    """One coordinate column over n labels: distinct floats, distinct floats
+    but for one 0.0 and one -0.0 (from n=2), floats tied in threes, signed
+    zeros among ones (0.0 and -0.0 both present from n=2), distinct ints,
+    or ints tied in twos."""
+    if kind == "distinct":
+        return [rng.random() for _ in range(n)]
+    if kind == "one-signed-zero":
+        col = [rng.random() for _ in range(n)]
+        col[:2] = [0.0, -0.0][:n]
+        rng.shuffle(col)
+        return col
+    if kind == "tied":
+        return [float(rng.randrange(max(1, n // 3))) for _ in range(n)]
+    if kind == "zeros":
+        col = [rng.choice((0.0, -0.0, 1.0)) for _ in range(n)]
+        col[:2] = [0.0, -0.0][:n]
+        rng.shuffle(col)
+        return col
+    if kind == "int":
+        return rng.sample(range(-3 * n, 3 * n), n)
+    if kind == "int-tied":
+        return [rng.randrange(max(1, n // 2)) for _ in range(n)]
+    raise ValueError(kind)
+
+
+class TestMedianSplitColumnChoice:
+    """Columns whose values are all distinct are sorted on their values,
+    the others on ranks; one build that mixes both kinds of column gives
+    the reference's tree file, for every starting coordinate, and for
+    small n with one-label children on either side."""
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("distinct", "distinct", "distinct"),
+            ("tied", "tied"),
+            ("zeros", "distinct"),
+            ("one-signed-zero", "distinct"),
+            ("int", "int-tied", "distinct"),
+            ("distinct", "tied", "zeros", "int"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 37, 300])
+    def test_mixed_columns(self, kinds, n):
+        rng = random.Random(f"{kinds}-{n}")
+        for trial in range(4):
+            columns = [_column(kind, n, rng) for kind in kinds]
+            # Inserted in shuffled label order, as a Mapping need not be sorted.
+            labels = [f"c{i:03d}" for i in range(n)]
+            order = list(range(n))
+            rng.shuffle(order)
+            feats = {labels[i]: tuple(col[i] for col in columns) for i in order}
+            for seed in range(2 * len(kinds)):
+                got = dumps_tree(build_median_split_tree(feats, seed))
+                assert got == dumps_tree(reference_median_split_tree(feats, seed)), (trial, seed)
+
+    def test_feature_columns_refuse_non_finite_coordinates(self):
+        cols = FeatureColumns(["a", "b", "c"], 2, seed=0)
+        cols.flat[3] = math.nan  # coordinate 1 of "b"
+        with pytest.raises(ValueError, match=r"^feature vector of 'b' has a non-finite coordinate nan$"):
+            build_median_split_tree(cols, seed=0)
+        cols.flat[3] = 0.5
+        cols.flat[4] = -math.inf  # coordinate 0 of "c"
+        with pytest.raises(ValueError, match=r"^feature vector of 'c' has a non-finite coordinate -inf$"):
+            build_median_split_tree(cols, seed=0)
 
 
 class TestFlatFeatureSpec:
