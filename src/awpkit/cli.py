@@ -212,6 +212,9 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
     max_basic_queries: int | None = None
     strict_paper: bool = False
+    # False leaves ExperimentOutput.traces empty: no trace text is
+    # rendered, as when `run` writes no trace file.
+    traces: bool = True
 
     def __post_init__(self):
         if not self.k_values:
@@ -247,7 +250,8 @@ class ExperimentConfig:
 class ExperimentOutput:
     """A sweep's CSV rows and traces.  Each trace is (alg, k, run, text),
     where text is the result's trace lines joined by newlines, so a sweep
-    keeps one string per result rather than one per event."""
+    keeps one string per result rather than one per event.  ``traces`` is
+    empty when the config's ``traces`` is False."""
 
     details: list[tuple] = field(default_factory=list)
     aggregates: list[tuple] = field(default_factory=list)
@@ -295,7 +299,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
                     res = _BASELINE_RUNNERS[alg](tree, oracle, k_reached, basic, run_seed)
                 nd = normalized_distance(res, truth_vals)
                 out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
-                out.traces.append((alg, k, r, "\n".join(res.trace_lines(leaf_texts))))
+                if config.traces:
+                    out.traces.append((alg, k, r, "\n".join(res.trace_lines(leaf_texts))))
                 per_alg_k.setdefault((alg, k), []).append(nd)
     order = {alg: i for i, alg in enumerate(ALGORITHMS)}
     out.details.sort(key=lambda row: (order[row[0]], row[1], row[2]))
@@ -422,6 +427,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             algorithms=algorithms,
             max_basic_queries=args.max_queries,
             strict_paper=_env_strict_paper(),
+            traces=bool(args.trace_out),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

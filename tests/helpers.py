@@ -7,9 +7,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import insort
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import fsum, inf
-from operator import itemgetter
+from operator import floordiv, itemgetter, mul, sub
 
 from awpkit.engine import EngineConfig, PruningResult, PruningSearch
 from awpkit.estimator import NodeStats, estimate_discrepancy
@@ -129,6 +129,17 @@ def reference_node_discrepancies(tree: HierTree, w) -> list[float]:
         avg = fsum(span) / len(span)
         out.append(fsum(abs(avg - x) for x in span))
     return out
+
+
+def reference_grouped_deviation(avg: float, counts) -> float:
+    """The m-fold terms m * |avg - x| of a value -> count map summed
+    exactly as integers over one power-of-two denominator, then one
+    correctly rounded ``int / int`` division: the slow reference for
+    ``tree._grouped_deviation``, which sums split products with ``fsum``."""
+    ratios = list(map(float.as_integer_ratio, map(float, map(abs, map(sub, repeat(avg), counts)))))
+    d = max(map(itemgetter(1), ratios))
+    scaled = map(mul, map(itemgetter(0), ratios), map(floordiv, repeat(d), map(itemgetter(1), ratios)))
+    return sum(map(mul, counts.values(), scaled)) / d
 
 
 def reference_optimal_pruning(tree: HierTree, k: int, w) -> tuple[tuple[int, ...], float]:

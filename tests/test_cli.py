@@ -454,6 +454,27 @@ class TestMain:
         assert csv1.read_bytes() == csv2.read_bytes()
         assert trace1.read_bytes() == trace2.read_bytes()
 
+    def test_run_without_trace_out_renders_no_trace(self, tmp_path, monkeypatch):
+        calls = []
+        render = PruningResult.trace_lines
+
+        def counted(self, *args):
+            calls.append(self)
+            return render(self, *args)
+
+        monkeypatch.setattr(PruningResult, "trace_lines", counted)
+        args, csv, trace = self.run_args(tmp_path, "t")
+        assert main(args) == 0
+        # One trace per (algorithm, run) at the one k.
+        assert len(calls) == 2 * len(ALGORITHMS)
+        untraced = tmp_path / "untraced.csv"
+        plain = args[: args.index("--trace-out")]
+        plain[plain.index("--out") + 1] = str(untraced)
+        calls.clear()
+        assert main(plain) == 0
+        assert calls == []
+        assert untraced.read_bytes() == csv.read_bytes()
+
     def test_synth_round_trip(self, tmp_path):
         tree_path = tmp_path / "t.hwt"
         w_path = tmp_path / "w.txt"

@@ -370,11 +370,48 @@ class TestChunkedWeightWriter:
         if want[0] == "refused":
             assert path.read_text(encoding="utf-8") == ""
 
+    @pytest.mark.parametrize(
+        "bad, message", [(["#x", "a b"], "label '#x' starts with '#'"), (["a b"], "label 'a b' contains whitespace")]
+    )
+    def test_refusal_in_the_last_chunk_writes_nothing(self, tmp_path, bad, message):
+        # "!" sorts before "#" and "a", so the bad labels come last, in the
+        # third chunk of four labels.
+        labels = [f"!{i}" for i in range(9)] + bad
+        table = WeightTable({lab: 1 / len(labels) for lab in labels})
+        path = tmp_path / "w.txt"
+        with patch.object(fileio, "_DUMP_SLICE", 4), pytest.raises(FileFormatError, match=f"^{message}"):
+            dump_weights(table, path)
+        assert path.read_text(encoding="utf-8") == ""
+
+
+class TestChunkedTreeWriter:
+    """The tree writers in chunks of a few records and labels, so that the
+    first refused label may sit in any chunk: both give the reference text,
+    or refuse with its message before writing any record."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=_LABELS, seed=st.integers(0, 2**32), size=st.integers(1, 7))
+    def test_same_text_or_same_refusal(self, tmp_path_factory, labels, seed, size):
+        tree = _tree_with_shuffled_ids(labels, random.Random(seed))
+        want = _outcome(reference_dumps_tree, tree)
+        path = tmp_path_factory.mktemp("dump") / "t.hwt"
+
+        def dump_and_read(t):
+            dump_tree(t, path)
+            return path.read_text(encoding="utf-8")
+
+        with patch.object(fileio, "_DUMP_SLICE", size):
+            assert _outcome(dumps_tree, tree) == want
+            assert _outcome(dump_and_read, tree) == want
+        if want[0] == "refused":
+            assert path.read_text(encoding="utf-8") == ""
+
 
 class TestWriterLabelCheck:
-    """The writers check all labels at once and name the refused label by
-    walking them only on failure; they refuse exactly the lists that the
-    per-label reference writers refuse, with the same message."""
+    """The writers check the labels of a chunk at once and name the refused
+    label by walking that chunk only on failure; they refuse exactly the
+    lists that the per-label reference writers refuse, with the same
+    message."""
 
     @settings(max_examples=300, deadline=None)
     @given(labels=_LABELS, seed=st.integers(0, 2**32))

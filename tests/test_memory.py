@@ -10,8 +10,10 @@ and every line of a file alive at once, measured 7.9 MiB for
 MiB for the build and 328 bytes per leaf, so the three peak bounds refuse
 it on both.  A writer that rendered every record before writing measured
 3.39 MiB for ``dump_tree`` on both, and one that rendered every line
-before writing measured 1.96 MiB for ``dump_weights`` on both, which
-their bounds refuse.
+before writing measured 1.96 MiB for ``dump_weights`` on both.  Writers
+that checked every label at once, in one joined string, measured 1.27 and
+1.26 MiB on both; checking one chunk of labels at a time brings both
+peaks under their bounds, which refuse all of these.
 
 The ``run --trace-out`` guard runs the README sweep on its 4,096-leaf
 instance.  A sweep that kept every trace line until the end, then joined
@@ -77,7 +79,7 @@ def test_dump_tree_peak(instance_texts, tmp_path):
     path = tmp_path / "t.hwt"
     _, peak, _ = _traced(lambda: dump_tree(tree, path))
     assert path.read_text(encoding="utf-8") == instance_texts[0]
-    assert peak < 1.65  # measured 1.27 on both
+    assert peak < 0.6  # measured 0.45 on both
 
 
 def test_dump_weights_peak(instance_texts, tmp_path):
@@ -85,7 +87,7 @@ def test_dump_weights_peak(instance_texts, tmp_path):
     path = tmp_path / "w.txt"
     _, peak, _ = _traced(lambda: dump_weights(table, path))
     assert path.read_text(encoding="utf-8") == instance_texts[1]
-    assert peak < 1.65  # measured 1.26 on both
+    assert peak < 0.78  # measured 0.59 on both
 
 
 def test_run_trace_out_peak(tmp_path):

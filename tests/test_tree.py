@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import math
 import pickle
 import random
 import weakref
@@ -22,6 +23,7 @@ from awpkit.tree import (
     TreeStructureError,
     WeightTable,
     _LoadedWeights,
+    _grouped_deviation,
     average_split_quality,
     induced_weighting,
     is_pruning,
@@ -45,6 +47,7 @@ from helpers import (
     random_pruning,
     random_tree,
     random_weight_table,
+    reference_grouped_deviation,
     reference_node_discrepancies,
     reference_optimal_pruning,
     reference_refine_with_queries,
@@ -839,6 +842,130 @@ class TestSpanSums:
         assert elapsed < 5.0
 
 
+def _grouped_outcome(fn, avg, counts):
+    """The float bits of ``fn(avg, counts)``, or its error's type and
+    message."""
+    try:
+        return "value", float.hex(fn(avg, counts))
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _exact_mean(counts):
+    """The value -> count map's mean, correctly rounded."""
+    return float(sum(Fraction(x) * m for x, m in counts.items()) / sum(counts.values()))
+
+
+# Keys in [0, 1], subnormal, signed zeros, ints, and of either sign in
+# every binade from 2**990 to the float maximum, so that terms reach from
+# 0 past 2**996.
+_GROUPED_KEYS = (
+    st.floats(0.0, 1.0)
+    | st.integers(0, 2**20).map(lambda m: m * 2.0**-1074)
+    | st.sampled_from((0.0, -0.0))
+    | st.integers(-(2**60), 2**60)
+    | st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), st.integers(991, 1024))
+)
+# Counts of few and of many significant bits, below, around and above
+# 2**27.
+_GROUPED_COUNTS = (
+    st.integers(1, 300)
+    | st.integers(2**27 - 4, 2**27 + 4)
+    | st.integers(2**24, 2**29)
+    | st.integers(1, 2**40)
+)
+_BELOW_CAP = math.nextafter(2.0**996, 0.0)
+
+
+class TestGroupedDeviation:
+    """``_grouped_deviation`` sums split products with one ``fsum`` below
+    its bounds and takes the integer form above them; either way it equals
+    the integer-ratio reference bit for bit, or raises as it does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        counts=st.dictionaries(_GROUPED_KEYS, _GROUPED_COUNTS, min_size=1, max_size=12),
+        avg=st.none() | st.floats(0.0, 1.0) | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_matches_the_integer_reference(self, counts, avg):
+        if avg is None:
+            avg = _exact_mean(counts)
+        assert _grouped_outcome(_grouped_deviation, avg, counts) == _grouped_outcome(
+            reference_grouped_deviation, avg, counts
+        )
+
+    @pytest.mark.parametrize("counts_below", ("split", "cap", "far"))
+    def test_random_maps_match_the_integer_reference(self, counts_below):
+        # Counts of many significant bits, so that a product that is not
+        # exact shows in a few hundred of these maps: summing to below
+        # 2**27, where every product must be exact, from 2**27 to 2**28,
+        # just past the bound, and up to 2**40.
+        rng = random.Random(counts_below)
+        top = {"split": 2**27, "cap": 2**28, "far": 2**40}[counts_below]
+        for _ in range(6000):
+            g = rng.randint(1, 12)
+            low = 1 if counts_below == "split" else 2**27 // g + 1
+            scales = (1.0, 2.0**-1000, 2.0**990)
+            counts = {rng.random() * rng.choice(scales): rng.randint(low, top // g - 1) for _ in range(g)}
+            avg = rng.choice((rng.random(), _exact_mean(counts)))
+            assert _grouped_outcome(_grouped_deviation, avg, counts) == _grouped_outcome(
+                reference_grouped_deviation, avg, counts
+            )
+
+    @pytest.mark.parametrize(
+        "avg, counts",
+        [
+            # Terms on both sides of 2**996, and near the float maximum.
+            (0.0, {2.0**996: 3, 0.25: 1}),
+            (0.0, {_BELOW_CAP: 3, 0.25: 1}),
+            (0.0, {-_BELOW_CAP: 2**27 - 1}),
+            (0.5, {1.7e308: 1, 5e-324: 7, 0.5: 2}),
+            (0.0, {1.7e308: 2}),
+            (0.0, {2.0**1000: 1, 0.5: 1}),
+            (0.0, {math.ldexp(0.75, 997): 5, -(2.0**-1074): 1}),
+            # Terms below 2**996 and each count below 2**27, but a sum past
+            # the float range: the integer form's OverflowError.
+            (0.0, {_BELOW_CAP: 2**27 - 1, -_BELOW_CAP: 2**27 - 1, _BELOW_CAP / 2: 2**27 - 1}),
+            (-1e308, {1e308: 1}),
+            # Counts on both sides of 2**27, alone and as a sum.
+            (0.7, {0.1: 2**27 - 1}),
+            (0.7, {0.1: 2**27}),
+            (0.7, {0.1: 2**27 - 2, 0.3: 1}),
+            (0.7, {0.1: 2**27 - 1, 0.3: 1}),
+            (0.7, {0.1: 2**40 + 1, 0.3: 3, 2**-1074: 5}),
+            (0.7, {0.1: 2**28 - 1}),
+            (0.2, {0.1: 2**26 - 1, 0.3: 2**26 - 3, 1 / 3: 2**25 - 7}),
+            # Subnormal terms, signed zeros and int keys.
+            (2.0**-1074, {0.0: 3, 2.0**-1073: 1, 3 * 2.0**-1074: 2**27 - 5}),
+            (-0.0, {-0.0: 4, 7: 1, -3: 2}),
+            (1 / 3, {0: 5, 1: 2, 0.1: 2**26 + 1}),
+        ],
+    )
+    def test_bounds_and_edges(self, avg, counts):
+        want = _grouped_outcome(reference_grouped_deviation, avg, counts)
+        assert _grouped_outcome(_grouped_deviation, avg, counts) == want
+
+    def test_few_valued_caterpillars_match_the_slice_reference(self):
+        # 3,000 leaves with ten distinct weights, hung on either side:
+        # every node of more than _SMALL leaves sums by value.
+        for side in ("left", "right"):
+            t = hung_caterpillar(3000, side)
+            w = make_geometric_target(t, TargetSpec("geometric-bins", n_bins=10, ratio=4.0), 0)
+            assert float_bits(node_discrepancies(t, w)) == float_bits(reference_node_discrepancies(t, w))
+
+
+def hung_caterpillar(n, side):
+    """A caterpillar of n leaves, built from records, whose every internal
+    node has a leaf as its ``side`` ("left" or "right") child."""
+    records = []
+    for i in range(n - 1):
+        kids = (2 * i + 1, 2 * i + 2) if side == "left" else (2 * i + 2, 2 * i + 1)
+        records.append(("I", 2 * i, kids))
+        records.append(("L", 2 * i + 1, f"c{i:04d}"))
+    records.append(("L", 2 * n - 2, f"c{n - 1:04d}"))
+    return HierTree.from_records(records)
+
+
 def entry_instances(seed):
     """A tree with two WeightTables over its leaves: a random tree of a few
     hundred leaves with few-valued geometric targets, so that larger
@@ -1146,6 +1273,41 @@ class TestOptimalPruning:
         ks = {*range(1, 13), 40, n} if n < 300 else {*range(1, 13), 40}
         for k in sorted(k for k in ks if k <= n):
             assert optimal_pruning(t, k, w) == reference_optimal_pruning(t, k, w), k
+
+    @pytest.mark.parametrize("target", ("dense", "dyadic", "uniform", "few"))
+    @pytest.mark.parametrize("shape", ("left", "right", "cherries", "balanced", "random"))
+    def test_leaf_child_rows_match_reference_at_every_budget(self, shape, target):
+        # A node beside a leaf child fills its row in one loop: caterpillars
+        # hang a leaf on one side of every node, a spine of two-leaf nodes
+        # and a balanced tree have both children leaves at their lowest
+        # nodes, and random shapes mix them with scanned nodes.
+        rng = random.Random(f"{shape}-{target}")
+        if shape in ("left", "right"):
+            t = hung_caterpillar(30, shape)
+        elif shape == "cherries":
+            spec = ("a", "b")
+            for i in range(9):
+                cherry = (f"x{i}", f"y{i}")
+                spec = (cherry, spec) if i % 2 else (spec, cherry)
+            t = HierTree.from_nested(spec)
+        elif shape == "balanced":
+            t = broom(rng, 32, 0, "left")
+        else:
+            t = random_tree(rng, rng.randint(2, 30))
+        labels = t.leaf_order
+        n = len(labels)
+        if target == "uniform":
+            w = WeightTable({lab: 1.0 / n for lab in labels})
+        elif target == "dyadic":
+            w = dyadic_weight_table(rng, labels)
+        elif target == "few":
+            w = make_geometric_target(t, TargetSpec("geometric-bins", n_bins=3, ratio=4.0), 0)
+        else:
+            w = random_weight_table(rng, labels, "dense")
+        for k in range(1, n + 1):
+            nodes, cost = optimal_pruning(t, k, w)
+            want_nodes, want_cost = reference_optimal_pruning(t, k, w)
+            assert nodes == want_nodes and float_bits([cost]) == float_bits([want_cost]), k
 
     def test_matches_reference_on_dyadic_ties(self):
         # About one random tree in 150 has a tie that only the first-budget
