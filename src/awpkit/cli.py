@@ -276,6 +276,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
         raise UsageError("this tree source defines no weights; pass --weights")
 
     oracle = Oracle(tree, truth)
+    # The instance's own leaf values: scored against them, every result
+    # reuses the value counts that earlier results took (normalized_distance).
     truth_vals = oracle.leaf_values
     algs = tuple(a for a in ALGORITHMS if a in config.algorithms)
     out = ExperimentOutput()

@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import repeat
-from math import fsum, inf
+from math import inf
 
 from awpkit.estimator import RADIUS_MODES, ConfidenceRadii, NodeStats
 from awpkit.oracle import Oracle, QueryLedger
@@ -48,6 +49,9 @@ from awpkit.tree import (
     HierTree,
     InvariantError,
     _discrepancy,
+    _exact_sum,
+    _refined_shares,
+    _refined_tv,
     is_pruning,
     refine_with_queries,
     tv_distance,
@@ -92,23 +96,48 @@ class EngineConfig:
 class PruningResult:
     """Outcome of a pruning search (adaptive or baseline).
 
-    pruning holds the node ids, ascending, and node_weights their masses.
-    w_p_refined is the output weighting, a list in ``tree.leaf_order``
-    order: each pruning node's mass spread over its leaves, with every leaf
-    whose weight was individually queried pinned to its true value and
-    only the residual mass spread uniformly over the rest.  ledger counts
-    this search's own oracle calls, whatever the oracle served before or
-    serves after; trace, the only per-draw record, lists them as
-    SAMPLE (node, leaf label, weight) and SPLIT (node, right child's mass)
-    events.  early_stop is None for a normal finish, else "max-queries".
+    pruning holds the node ids, ascending, and node_weights their masses;
+    tree is the tree searched, and queried maps the leaf positions whose
+    weights the search queried to those weights.  ledger counts this
+    search's own oracle calls, whatever the oracle served before or serves
+    after; trace, the only per-draw record, lists them as SAMPLE (node,
+    leaf label, weight) and SPLIT (node, right child's mass) events.
+    early_stop is None for a normal finish, else "max-queries".
+
+    The output weighting is each pruning node's mass spread over its
+    leaves, with every queried leaf pinned to its true value and only the
+    residual mass spread uniformly over the rest.  A result holds it node
+    by node (see ``tree._refined_shares``), which is all that its weight
+    sum check and ``normalized_distance`` read; ``w_p_refined``, the
+    weighting as a list in ``tree.leaf_order`` order, is built from it by
+    ``refine_with_queries`` on first access and kept.
     """
 
     pruning: tuple[int, ...]
     node_weights: dict[int, float]
-    w_p_refined: list[float]
     ledger: QueryLedger
     trace: tuple[tuple, ...]
+    tree: HierTree
+    queried: dict[int, float]
     early_stop: str | None = None
+    _shares: list | None = field(default=None, init=False, repr=False, compare=False)
+    _refined: list[float] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def _node_shares(self) -> list[tuple[int, int, int, float, list[int]]]:
+        """The output weighting node by node, ``(v, lo, hi, share, pins)``
+        per pruning node (see ``tree._refined_shares``), computed once."""
+        if self._shares is None:
+            self._shares = _refined_shares(self.tree, self.pruning, self.node_weights, self.queried)
+        return self._shares
+
+    @property
+    def w_p_refined(self) -> list[float]:
+        """The output weighting as a list in ``tree.leaf_order`` order,
+        built on first access and kept."""
+        if self._refined is None:
+            self._refined = refine_with_queries(self.tree, self.pruning, self.node_weights, self.queried)
+        return self._refined
 
     def trace_lines(self, leaf_texts: dict[str, str] | None = None) -> list[str]:
         """The trace as text lines, ``SAMPLE node label weight`` and
@@ -197,29 +226,35 @@ class PruningSearch:
         return l, r
 
     def finish(self, early_stop: str | None = None) -> PruningResult:
-        """Freeze the search into a PruningResult, spreading the pruning's
-        node masses into the refined weighting.
+        """Freeze the search into a PruningResult, whose output weighting
+        spreads the pruning's node masses over the leaves not queried.
 
         A split keeps the pruning a partition of the leaves, so it is
-        checked once here, before any result is built.
+        checked once here, before any result is built.  The weighting's
+        sum is checked without building its list: it is the exact sum of
+        each node's share times its unqueried leaves, plus every queried
+        weight (each queried position lies in one node's span), correctly
+        rounded (``tree._exact_sum``), so it equals ``fsum`` over the list
+        bit for bit.
         """
         ptuple = tuple(self.pruning)
         if not is_pruning(self.tree, ptuple):
             raise InvariantError(f"pruning broken: {ptuple} does not partition the leaves")
-        node_weights = {v: self.mass[v] for v in ptuple}
-        refined = refine_with_queries(self.tree, ptuple, node_weights, self.queried)
-        total = fsum(refined)
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-            raise InvariantError(f"refined weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
         led = self.oracle.ledger
-        return PruningResult(
+        result = PruningResult(
             pruning=ptuple,
-            node_weights=node_weights,
-            w_p_refined=refined,
+            node_weights={v: self.mass[v] for v in ptuple},
             ledger=QueryLedger(led.basic_queries - self._start[0], led.node_queries - self._start[1]),
             trace=tuple(self.trace),
+            tree=self.tree,
+            queried=dict(self.queried),
             early_stop=early_stop,
         )
+        groups = [(share, {0.0: hi - lo - len(pins)}) for _, lo, hi, share, pins in result._node_shares]
+        total = _exact_sum(groups, result.queried.values())
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
+            raise InvariantError(f"refined weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
+        return result
 
 
 class AwpRun(PruningSearch):
@@ -411,7 +446,24 @@ def run_awp(tree: HierTree, oracle: Oracle, config: EngineConfig) -> PruningResu
     return state.result()
 
 
-def normalized_distance(result: PruningResult, truth: list[float]) -> float:
+def normalized_distance(result: PruningResult, truth: Sequence[float]) -> float:
     """Total variation distance between the refined output weighting and
-    the true target, given as a list in ``tree.leaf_order`` order."""
-    return tv_distance(result.w_p_refined, truth)
+    the true target, given as a sequence in ``tree.leaf_order`` order.
+
+    It equals ``tv_distance(result.w_p_refined, truth)`` bit for bit, and
+    is computed from the result's pruning, node shares and pins without
+    that list (see ``tree._refined_tv``).  When ``truth`` is the leaf
+    values of the instance's statistics entry, as ``Oracle.leaf_values``
+    is, a few-valued pruning node costs its distinct values, counted once
+    per instance, plus its pins; any other node or target costs one pass
+    over the node's leaves.  A target whose terms do not sum as finite
+    floats (an infinite entry, say) is scored on ``w_p_refined`` itself,
+    so it gets ``tv_distance``'s value or error.
+    """
+    n = result.tree.leaf_count_total
+    if len(truth) != n:
+        raise ValueError(f"weightings have different lengths ({n} and {len(truth)})")
+    try:
+        return _refined_tv(result.tree, result._node_shares, result.queried, truth)
+    except (ValueError, OverflowError):
+        return tv_distance(result.w_p_refined, truth)

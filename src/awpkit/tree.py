@@ -12,11 +12,16 @@ All l1 accumulations use ``math.fsum``, which rounds the exact sum
 correctly, or forms that equal it bit for bit: an exact integer sum over
 one power-of-two denominator followed by one correctly rounded
 ``int / int`` division (the prefix sums of ``span_sums`` for span
-masses), and, for the sums grouped by distinct leaf value in
-``node_discrepancies``, one ``fsum`` over exact products m * hi and
-m * lo, where hi + lo is a term cut in two 26-bit halves by Veltkamp's
-split (see ``_grouped_deviation``).  So results are reproducible to well
-below the documented tolerances regardless of summation order.
+masses), and, for sums that repeat a term m times, one ``fsum`` over
+exact products m * hi and m * lo, where hi + lo is the term cut in two
+26-bit halves by Veltkamp's split (see ``_exact_sum``).  That form has
+three users: the sums grouped by distinct leaf value in
+``node_discrepancies``, and, for a search result, its weight-sum check
+(each node's share times its unqueried leaves) and its total variation
+from a target (``_refined_tv``, one term per distinct value of a
+few-valued node), neither of which builds the n-long refined weighting.
+So results are reproducible to well below the documented tolerances
+regardless of summation order.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from bisect import bisect_left
 from collections import _count_elements  # type: ignore[attr-defined]
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import fsum, inf, isfinite
-from operator import floordiv, index, itemgetter, mul, sub
+from operator import floordiv, index, itemgetter, mul, neg, sub
 from typing import NoReturn, Union
 
 WEIGHT_SUM_TOL = 1e-9
@@ -511,12 +516,12 @@ def _leaf_values(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     raise ValueError(f"weighting does not match the tree's leaf set (missing {missing}, extra {extra})")
 
 
-# Cut-overs of span_sums and node_discrepancies; their docstrings say how
-# they are used.
+# Cut-overs of span_sums, node_discrepancies and _few_values; their
+# docstrings say how they are used.
 _SMALL = 64
 _GROUP_RATIO = 10
 # Veltkamp's splitting constant 2**27 + 1, and the bounds under which
-# ``_grouped_deviation`` sums split products; its docstring says why.
+# ``_exact_sum`` sums split products; its docstring says why.
 _VELTKAMP = float((1 << 27) + 1)
 _SPLIT_TERM_CAP = 2.0**996
 _SPLIT_COUNT_CAP = 1 << 27
@@ -555,18 +560,22 @@ def span_sums(vals: Sequence[float]) -> tuple[list[int], int]:
 class _Stats:
     """Exact statistics of one instance, a tree under a weighting: the leaf
     values ``vals`` as a tuple in ``leaf_order`` order, their prefix sums
-    ``(sums, den)`` from ``span_sums``, and the node discrepancies
-    ``disc``, None until ``node_discrepancies`` first asks for them.
-    ``table`` is a weak reference to the ``WeightTable`` they were computed
-    from, or None for a weighting that is not memoised."""
+    ``(sums, den)`` from ``span_sums``, the node discrepancies ``disc``,
+    None until ``node_discrepancies`` first asks for them, and ``counts``,
+    which maps each node a result was scored on (see ``_refined_tv``) to
+    its span's value -> count map when that span is few-valued
+    (``_few_values``), else to None.  ``table`` is a weak reference to the
+    ``WeightTable`` they were computed from, or None for a weighting that
+    is not memoised."""
 
-    __slots__ = ("table", "vals", "sums", "den", "disc")
+    __slots__ = ("table", "vals", "sums", "den", "disc", "counts")
 
     def __init__(self, vals: tuple[float, ...]):
         self.table: weakref.ref | None = None
         self.vals = vals
         self.sums, self.den = span_sums(vals)
         self.disc: list[float] | None = None
+        self.counts: dict[int, dict | None] = {}
 
     def __reduce__(self):
         # A pickle or copy of a tree gets no entry: a weak reference cannot
@@ -612,33 +621,37 @@ def _discrepancy(vals: Sequence[float]) -> float:
     return fsum(map(abs, map(sub, repeat(avg, len(vals)), vals)))
 
 
-def _grouped_deviation(avg: float, counts: Mapping) -> float:
-    """Sum of m * |avg - x| over the value counts ``{x: m}`` of a span.
+def _exact_sum(groups: Sequence[tuple[float, Mapping]], singles: Iterable[float] = ()) -> float:
+    """The exact sum of m * |a - x| over the value counts ``{x: m}`` of
+    every group ``(a, counts)``, plus the floats ``singles`` (read once),
+    correctly rounded.
 
-    Each term t = |avg - x| is rounded to a float as ``fsum`` rounds it,
-    and the result is the exact sum of the m * t, correctly rounded, so it
-    equals ``fsum`` over the span's per-leaf terms bit for bit.
-
-    Veltkamp's split with the constant 2**27 + 1 cuts each t into halves
-    ``hi + lo == t`` of at most 26 significant bits each, in IEEE-754
-    binary64 with round to nearest, underflow included (Dekker 1971;
-    Boldo 2006).  A count m below 2**27 has at most 27 bits, so m * hi and
-    m * lo are exact floats, and one ``fsum`` over these 2g products,
-    which rounds their exact sum correctly (Shewchuk 1997), is the result,
-    in about one Python step per value.  The split needs
-    t * (2**27 + 1) finite, so it is taken only when every t is below
-    2**996 and the counts, which sum to the span's leaf count, sum to
-    below 2**27.  Then the exact total is below 2**1023, so neither a
-    product nor ``fsum`` can overflow.  Otherwise the m-fold terms are
+    Each term t = |a - x| is rounded to a float as ``fsum`` rounds it, so
+    the result equals ``fsum`` over a list that holds each t m times and
+    each single once, bit for bit.  Veltkamp's split with the constant
+    2**27 + 1 cuts each t into halves ``hi + lo == t`` of at most 26
+    significant bits each, in IEEE-754 binary64 with round to nearest,
+    underflow included (Dekker 1971; Boldo 2006).  A count m below 2**27
+    has at most 27 bits, so m * hi and m * lo are exact floats, and one
+    ``fsum`` over these 2g products and the singles, which rounds their
+    exact sum correctly (Shewchuk 1997), is the result, in about one
+    Python step per term.  The split needs t * (2**27 + 1) finite, so it
+    is taken only when every t is below 2**996 and all the counts sum to
+    below 2**27.  Then the products' exact total is below 2**1023, so no
+    product overflows.  Otherwise the m-fold terms and the singles are
     summed exactly as integers over one power-of-two denominator, and the
     one ``int / int`` division rounds correctly, or raises
     ``OverflowError`` when the total passes the float range.
     """
-    if sum(counts.values()) < _SPLIT_COUNT_CAP:
-        products: list[float] = []
-        add = products.append
+    products: list[float] = []
+    add = products.append
+    total = 0
+    for a, counts in groups:
+        total += sum(counts.values())
+        if total >= _SPLIT_COUNT_CAP:
+            break
         for x, m in counts.items():
-            t = abs(avg - x)
+            t = abs(a - x)
             if not t < _SPLIT_TERM_CAP:
                 break
             scaled = t * _VELTKAMP
@@ -646,11 +659,37 @@ def _grouped_deviation(avg: float, counts: Mapping) -> float:
             add(m * hi)
             add(m * (t - hi))
         else:
-            return fsum(products)
-    ratios = list(map(float.as_integer_ratio, map(float, map(abs, map(sub, repeat(avg), counts)))))
-    d = max(map(itemgetter(1), ratios))
-    scaled = map(mul, map(itemgetter(0), ratios), map(floordiv, repeat(d), map(itemgetter(1), ratios)))
-    return sum(map(mul, counts.values(), scaled)) / d
+            continue
+        break
+    else:
+        return fsum(chain(products, singles)) if singles else fsum(products)
+    terms = chain.from_iterable(map(abs, map(sub, repeat(a), counts)) for a, counts in groups)
+    ratios = list(map(float.as_integer_ratio, map(float, chain(terms, singles))))
+    d = max(map(itemgetter(1), ratios), default=1)
+    nums = map(mul, map(itemgetter(0), ratios), map(floordiv, repeat(d), map(itemgetter(1), ratios)))
+    # Each single counts once.
+    ms = chain(chain.from_iterable(counts.values() for _, counts in groups), repeat(1))
+    return sum(map(mul, ms, nums)) / d
+
+
+def _grouped_deviation(avg: float, counts: Mapping) -> float:
+    """Sum of m * |avg - x| over the value counts ``{x: m}`` of a span,
+    correctly rounded (``_exact_sum``), so it equals ``fsum`` over the
+    span's per-leaf terms bit for bit."""
+    return _exact_sum(((avg, counts),))
+
+
+def _few_values(vals: Sequence[float]) -> dict | None:
+    """The value -> count map of ``vals`` when it holds at most one
+    distinct value per ``_GROUP_RATIO`` values, else None.  As in
+    ``span_sums``, a list with many distinct values is told apart after
+    its first ``_SMALL * _GROUP_RATIO`` values."""
+    cap = len(vals) // _GROUP_RATIO
+    if len(set(vals[: _SMALL * _GROUP_RATIO])) > min(cap, _SMALL):
+        return None
+    counts: dict = {}
+    _count_elements(counts, vals)
+    return counts if len(counts) <= cap else None
 
 
 def node_discrepancy(tree: HierTree, v: int, w: Mapping[str, float]) -> float:
@@ -782,6 +821,32 @@ def induced_weighting(
     return refine_with_queries(tree, node_list, dict(zip(node_list, masses)), {})
 
 
+def _refined_shares(
+    tree: HierTree,
+    pruning: Iterable[int],
+    node_weights: Mapping[int, float],
+    queried: Mapping[int, float],
+) -> list[tuple[int, int, int, float, list[int]]]:
+    """The refined weighting node by node: for each pruning node v, in the
+    given order, ``(v, lo, hi, share, pins)``, with ``pins`` the queried
+    leaf positions in v's span ``[lo, hi)``, ascending, and ``share`` the
+    weight of each of its other leaves.  That is v's residual mass, its
+    mass less the pinned weights (their ``fsum``) and clamped at zero,
+    over the number of those leaves, or 0.0 when every leaf is pinned."""
+    pins = sorted(queried)
+    out = []
+    for v in pruning:
+        lo, hi = tree.span(v)
+        known = pins[bisect_left(pins, lo) : bisect_left(pins, hi)]
+        residual = node_weights[v] - fsum(map(queried.__getitem__, known))
+        if residual < 0.0:
+            # Queried masses can only overshoot the node total by rounding.
+            residual = 0.0
+        rest = hi - lo - len(known)
+        out.append((v, lo, hi, residual / rest if rest else 0.0, known))
+    return out
+
+
 def refine_with_queries(
     tree: HierTree,
     pruning: Iterable[int],
@@ -793,19 +858,66 @@ def refine_with_queries(
     spreads each pruning node's residual mass uniformly over its unqueried
     leaves."""
     out = [0.0] * tree.leaf_count_total
-    pins = sorted(queried)
-    for v in pruning:
-        lo, hi = tree.span(v)
-        known = pins[bisect_left(pins, lo) : bisect_left(pins, hi)]
-        residual = node_weights[v] - fsum(queried[pos] for pos in known)
-        if residual < 0.0:
-            # Queried masses can only overshoot the node total by rounding.
-            residual = 0.0
-        rest = hi - lo - len(known)
-        out[lo:hi] = [residual / rest if rest else 0.0] * (hi - lo)
-        for pos in known:
-            out[pos] = queried[pos]
+    for _, lo, hi, share, pins in _refined_shares(tree, pruning, node_weights, queried):
+        out[lo:hi] = _refined_span(lo, hi, share, pins, queried)
     return out
+
+
+def _refined_span(lo: int, hi: int, share: float, pins: list[int], queried: Mapping[int, float]) -> list[float]:
+    """The refined weighting over one pruning node's span ``[lo, hi)``:
+    its share on every leaf, but each pin's queried weight on the pins."""
+    out = [share] * (hi - lo)
+    for pos in pins:
+        out[pos - lo] = queried[pos]
+    return out
+
+
+def _refined_tv(
+    tree: HierTree,
+    shares: Iterable[tuple[int, int, int, float, list[int]]],
+    queried: Mapping[int, float],
+    truth: Sequence[float],
+) -> float:
+    """``tv_distance`` between the refined weighting given by ``shares``
+    (see ``_refined_shares``) and ``queried``, and ``truth``, a sequence
+    in ``leaf_order`` order, bit for bit, without the refined list.
+
+    Every unqueried leaf of a node with share q adds the term |q - x| for
+    its true weight x, and every pinned leaf p adds |queried[p] - x|,
+    which is 0.0 when ``truth`` holds the values the oracle answered.
+    When ``truth`` is the leaf values of the tree's statistics entry (see
+    ``_instance_stats``), a node whose span is few-valued (``_few_values``)
+    adds each distinct x's term once, times its count in the span, and
+    each of its pins adds minus the term |q - x| that its leaf got there.
+    The value counts are kept in the entry's ``counts``, so the results of
+    an instance count each node's span once.  Every other node walks the
+    refined weighting over its span (``_refined_span``) leaf by leaf, as
+    ``tv_distance`` walks the whole list.  All these terms go under one
+    exact sum (``_exact_sum``), so the result is ``fsum`` over the
+    per-leaf terms, halved, as ``tv_distance`` computes it, whenever that
+    sum is finite.
+    """
+    stats = tree._stats
+    memo = stats.counts if stats is not None and stats.vals is truth else None
+    groups: list[tuple[float, dict]] = []
+    singles: list[Iterable[float]] = []
+    for v, lo, hi, share, pins in shares:
+        few = None
+        if memo is not None:
+            if v in memo:
+                few = memo[v]
+            else:
+                few = memo[v] = _few_values(truth[lo:hi])
+        if few is None:
+            singles.append(map(abs, map(sub, _refined_span(lo, hi, share, pins, queried), truth[lo:hi])))
+            continue
+        groups.append((share, few))
+        if pins:
+            # Each pin's term replaces the share's term counted above.
+            pinned = list(map(truth.__getitem__, pins))
+            singles.append(map(abs, map(sub, map(queried.__getitem__, pins), pinned)))
+            singles.append(map(neg, map(abs, map(sub, repeat(share), pinned))))
+    return 0.5 * _exact_sum(groups, chain.from_iterable(singles))
 
 
 def tv_distance(w1: Sequence[float], w2: Sequence[float]) -> float:

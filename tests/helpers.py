@@ -117,6 +117,17 @@ def reference_tv_distance(w1, w2):
     return 0.5 * fsum(abs(w1[lab] - w2[lab]) for lab in w1)
 
 
+def reference_normalized_distance(result: PruningResult, truth) -> float:
+    """``reference_tv_distance(reference_refine_with_queries(...))``: the
+    total variation distance between a result's refined weighting and a
+    leaf-order ``truth``, both keyed by label, kept as the slow reference
+    for ``normalized_distance``, which builds no refined list."""
+    order = result.tree.leaf_order
+    queried = {order[pos]: value for pos, value in result.queried.items()}
+    refined = reference_refine_with_queries(result.tree, result.pruning, result.node_weights, queried)
+    return reference_tv_distance(refined, dict(zip(order, truth)))
+
+
 def reference_node_discrepancies(tree: HierTree, w) -> list[float]:
     """Each node's discrepancy from its own slice, mean and deviations both
     summed with ``fsum``: the slow reference for ``node_discrepancies``,

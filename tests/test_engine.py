@@ -3,22 +3,28 @@ concentration event, all audited through recorded traces."""
 
 import random
 from collections import Counter
+from dataclasses import replace
 from heapq import heappush
 from math import fsum, inf, isinf, nextafter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import awpkit.engine as engine_mod
+import awpkit.tree as tree_mod
 from awpkit.engine import (
     MASS_TOL,
     AwpRun,
     EngineConfig,
+    PruningResult,
     PruningSearch,
     refine_with_queries,
     normalized_distance,
     run_awp,
 )
 from awpkit.baselines import run_empirical, run_uniform, run_weight
-from awpkit.cli import ExperimentOutput, format_traces
+from awpkit.cli import ExperimentConfig, ExperimentOutput, format_traces, run_experiment
 from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
 from awpkit.oracle import (
     Oracle,
@@ -31,6 +37,7 @@ from awpkit.oracle import (
     random_features,
 )
 from awpkit.tree import (
+    WEIGHT_SUM_TOL,
     HierTree,
     InvariantError,
     WeightTable,
@@ -47,7 +54,10 @@ from helpers import (
     leaf_ids,
     own_draws,
     random_tree,
+    random_pruning,
     random_weight_table,
+    reference_normalized_distance,
+    reference_refine_with_queries,
     replay_trace,
     sc_satisfied,
     spiked_quality_tree,
@@ -594,6 +604,227 @@ class TestRefinedWeighting:
             assert res.w_p_refined[tree.leaf_order.index(lab)] == truth[lab]
         truth_vals = [truth[lab] for lab in tree.leaf_order]
         assert normalized_distance(res, truth_vals) == tv_distance(res.w_p_refined, truth_vals)
+
+
+def few_valued_table(rng, labels) -> WeightTable:
+    """Weights drawn from one to five levels, which may include 0.0 and
+    -0.0, so that a node of ten leaves or more per level sums by value."""
+    levels = [rng.choice((0.0, -0.0, rng.random(), rng.random())) for _ in range(rng.randint(1, 5))]
+    raw = [rng.choice(levels) for _ in labels]
+    if fsum(raw) <= 0.0:
+        raw[rng.randrange(len(raw))] = 1.0
+    total = fsum(raw)
+    return WeightTable({lab: x / total for lab, x in zip(labels, raw)})
+
+
+def scored_result(rng, tree, oracle) -> PruningResult:
+    """A result over a random pruning with the oracle's node masses and
+    random pins, built directly, so that it may hold what no search makes:
+    zero and -0.0 masses, nodes with every leaf pinned, and pins that
+    overshoot their node's mass, whose residual is clamped at zero."""
+    pruning = random_pruning(rng, tree, rng.randint(0, tree.leaf_count_total - 1))
+    vals = oracle.leaf_values
+    share = rng.choice((0.0, 0.1, 0.5, 1.0))
+    queried = {pos: vals[pos] for pos in range(tree.leaf_count_total) if rng.random() < share}
+    node_weights = {}
+    for v in pruning:
+        lo, hi = tree.span(v)
+        mass = oracle.query_node(v)
+        case = rng.randrange(6)
+        if case == 0:
+            queried.update((pos, vals[pos]) for pos in range(lo, hi))
+        elif case == 1:
+            mass = rng.choice((0.0, -0.0))
+        elif case == 2:
+            mass *= 0.5  # pins may now overshoot it
+        node_weights[v] = mass
+    return PruningResult(
+        pruning=pruning, node_weights=node_weights, ledger=QueryLedger(), trace=(), tree=tree, queried=queried
+    )
+
+
+class TestNormalizedDistance:
+    """``normalized_distance`` builds no refined list, yet equals the
+    label-keyed reference and ``tv_distance`` over ``w_p_refined`` bit for
+    bit, on either path: by value over a memoised few-valued instance, or
+    leaf by leaf."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(("random", "caterpillar")),
+        target=st.sampled_from(("few", "distinct")),
+        truth_kind=st.sampled_from(("oracle", "copy", "other", "other-memoised")),
+    )
+    def test_matches_the_reference(self, seed, shape, target, truth_kind):
+        rng = random.Random(seed)
+        n = rng.randint(1, 600)
+        tree = random_tree(rng, n) if shape == "random" else caterpillar(n)
+        make = few_valued_table if target == "few" else (lambda r, labels: random_weight_table(r, labels))
+        table = make(rng, tree.leaf_order)
+        oracle = Oracle(tree, table)
+        results = [scored_result(rng, tree, oracle) for _ in range(3)]
+        if truth_kind == "oracle":
+            truth = oracle.leaf_values
+        elif truth_kind == "copy":
+            truth = list(oracle.leaf_values)
+        else:
+            # Another table's values, so that pins are not the truth's:
+            # as a list, while the tree keeps the oracle's statistics
+            # entry, or as the values of a new entry.
+            other = make(rng, tree.leaf_order)
+            if truth_kind == "other":
+                truth = [other[lab] for lab in tree.leaf_order]
+            else:
+                truth = Oracle(tree, other).leaf_values
+        # Interleaved with the oracle's values, so that no truth is scored
+        # with the value counts of another.
+        for res in results + results:
+            for target in (truth, oracle.leaf_values):
+                got = normalized_distance(res, target)
+                assert got.hex() == reference_normalized_distance(res, target).hex()
+                assert got.hex() == tv_distance(res.w_p_refined, target).hex()
+
+    def test_few_valued_nodes_are_counted_once_per_instance(self, monkeypatch):
+        tree = build_median_split_tree(random_features([f"x{i}" for i in range(4096)], 8, 0), 0)
+        table = make_geometric_target(tree, TargetSpec("geometric-bins", n_bins=10, ratio=4.0), 0)
+        oracle = Oracle(tree, table)
+        results = [run_awp(tree, oracle, EngineConfig(k=20, seed=s, max_basic_queries=1500)) for s in range(3)]
+        calls = []
+        original = tree_mod._few_values
+        monkeypatch.setattr(tree_mod, "_few_values", lambda vals: calls.append(1) or original(vals))
+        truth = oracle.leaf_values
+        first = [normalized_distance(res, truth) for res in results]
+        counted = len(calls)
+        assert [normalized_distance(res, truth) for res in results] == first
+        assert len(calls) == counted  # the second pass counts nothing
+        memo = tree._stats.counts
+        assert counted == len(memo) and any(memo.values())
+        for res, got in zip(results, first):
+            assert got.hex() == reference_normalized_distance(res, truth).hex()
+
+    def test_lengths_must_match(self):
+        tree, truth = quad_instance()
+        res = run_awp(tree, Oracle(tree, truth), EngineConfig(k=2, seed=0))
+        with pytest.raises(ValueError, match="different lengths"):
+            normalized_distance(res, [0.25] * 3)
+
+    @pytest.mark.parametrize("bad", (inf, -inf, float("nan"), 1e308))
+    def test_non_finite_or_huge_targets_score_as_tv_distance(self, bad):
+        tree = random_tree(random.Random(3), 40)
+        oracle = Oracle(tree, random_weight_table(random.Random(4), tree.leaf_order, kind="dense"))
+        res = run_awp(tree, oracle, EngineConfig(k=4, seed=0, max_basic_queries=60))
+        for pos in (0, next(iter(res.queried))):
+            truth = list(oracle.leaf_values)
+            truth[pos] = bad
+            truth[-1] = bad
+            try:
+                want = ("value", tv_distance(res.w_p_refined, truth).hex())
+            except (ValueError, OverflowError) as exc:
+                want = (type(exc).__name__, str(exc))
+            try:
+                got = ("value", normalized_distance(res, truth).hex())
+            except (ValueError, OverflowError) as exc:
+                got = (type(exc).__name__, str(exc))
+            assert got == want
+
+    @pytest.mark.parametrize("bad", (inf, float("nan"), 1e308))
+    def test_a_non_finite_node_mass_scores_as_tv_distance(self, bad):
+        tree = build_median_split_tree(random_features([f"x{i}" for i in range(512)], 4, 0), 0)
+        table = make_geometric_target(tree, TargetSpec("geometric-bins", n_bins=4, ratio=4.0), 0)
+        oracle = Oracle(tree, table)
+        res = run_awp(tree, oracle, EngineConfig(k=3, seed=0, max_basic_queries=40))
+        big = max(res.pruning, key=tree.leaf_count)
+        res = replace(res, node_weights={**res.node_weights, big: bad})
+        truth = oracle.leaf_values
+        want = tv_distance(res.w_p_refined, truth)
+        got = normalized_distance(res, truth)
+        assert got.hex() == want.hex()
+        assert tree._stats.counts[big] is not None  # the node was counted by value
+
+
+class TestExactSumCheck:
+    """``finish`` checks the refined weighting's sum without the list: it
+    raises exactly when ``fsum`` over the list is off by more than
+    ``WEIGHT_SUM_TOL``, with that sum in the message."""
+
+    # Mass shifts on both sides of the tolerance, a few ulps of 1 apart,
+    # and far from it.
+    SHIFTS = tuple(
+        sign * (WEIGHT_SUM_TOL + j * 2.0**-52) for sign in (1.0, -1.0) for j in (-3, -1, 0, 1, 3)
+    ) + (0.0, 1e-12, -1e-12, 3e-9, -0.5)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_raises_exactly_when_fsum_is_off(self, seed):
+        rng = random.Random(seed)
+        tree = random_tree(rng, rng.randint(2, 300))
+        table = (few_valued_table if seed % 2 else random_weight_table)(rng, tree.leaf_order)
+        oracle = Oracle(tree, table)
+        raised = kept = 0
+        for shift in self.SHIFTS * 3:
+            search = PruningSearch(tree, oracle)
+            for _ in range(rng.randint(0, 12)):
+                internal = [v for v in search.pruning if not tree.is_leaf(v)]
+                if internal:
+                    search.split(rng.choice(internal))
+            positions = [rng.randrange(tree.leaf_count_total) for _ in range(rng.randint(0, 40))]
+            search.draw_many(positions, tree.root_id)
+            v = rng.choice(search.pruning)
+            search.mass[v] += shift
+            if rng.random() < 0.3 and search.queried:
+                search.queried[rng.choice(list(search.queried))] += shift
+            pruning = tuple(search.pruning)
+            refined = refine_with_queries(tree, pruning, {u: search.mass[u] for u in pruning}, search.queried)
+            total = fsum(refined)
+            if abs(total - 1.0) <= WEIGHT_SUM_TOL:
+                res = search.finish()
+                assert res.w_p_refined == refined
+                kept += 1
+            else:
+                with pytest.raises(InvariantError) as exc:
+                    search.finish()
+                assert str(exc.value) == f"refined weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}"
+                raised += 1
+        assert raised and kept
+
+
+class TestLazyRefinedList:
+    def test_built_on_first_access_and_equal_to_the_reference(self):
+        rng = random.Random(5)
+        tree = random_tree(rng, 200)
+        table = random_weight_table(rng, tree.leaf_order)
+        oracle = Oracle(tree, table)
+        awp = run_awp(tree, oracle, EngineConfig(k=6, seed=1, max_basic_queries=300))
+        k, basic = len(awp.pruning), awp.ledger.basic_queries
+        for res in (awp, *(run(tree, oracle, k, basic, 1) for run in (run_weight, run_uniform, run_empirical))):
+            assert res._refined is None
+            refined = res.w_p_refined
+            assert res.w_p_refined is refined
+            labels = {tree.leaf_order[pos]: x for pos, x in res.queried.items()}
+            ref = reference_refine_with_queries(tree, res.pruning, res.node_weights, labels)
+            assert [x.hex() for x in refined] == [ref[lab].hex() for lab in tree.leaf_order]
+
+    def test_a_sweep_never_builds_it(self, monkeypatch):
+        calls = []
+        original = engine_mod.refine_with_queries
+        monkeypatch.setattr(engine_mod, "refine_with_queries", lambda *args: calls.append(1) or original(*args))
+        config = ExperimentConfig(
+            tree_source="median-split:n=512,dim=4", target_source="geometric:bins=10,ratio=4",
+            k_values=(4, 8), runs=2, max_basic_queries=300,
+        )
+        out = run_experiment(config)
+        assert out.details and not calls
+
+    def test_a_result_keeps_its_pins_when_the_run_goes_on(self):
+        tree = random_tree(random.Random(6), 64)
+        run = AwpRun(tree, Oracle(tree, random_weight_table(random.Random(7), tree.leaf_order)), EngineConfig(k=6))
+        for _ in range(20):
+            run.sample_step()
+        res = run.result()
+        pins = dict(res.queried)
+        for _ in range(20):
+            run.sample_step()
+        assert res.queried == pins and len(run.queried) > len(pins)
 
 
 class TestTraceOutput:

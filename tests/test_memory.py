@@ -15,6 +15,10 @@ that checked every label at once, in one joined string, measured 1.27 and
 1.26 MiB on both; checking one chunk of labels at a time brings both
 peaks under their bounds, which refuse all of these.
 
+Scoring a result keeps one value -> count map per few-valued pruning
+node on the instance's statistics entry, and no map at all on a target
+with all-distinct values; the maps die with the entry.
+
 The ``run --trace-out`` guard runs the README sweep on its 4,096-leaf
 instance.  A sweep that kept every trace line until the end, then joined
 and wrote the whole file at once, measured 24.4 (3.11) and 23.4 (3.10)
@@ -23,11 +27,17 @@ measured 16.0 (3.11).
 """
 
 import gc
+import random
+import sys
 import tracemalloc
 
 import pytest
 
+from awpkit.baselines import run_empirical, run_uniform, run_weight
 from awpkit.cli import main, make_target_source, make_tree_source
+from awpkit.engine import EngineConfig, normalized_distance, run_awp
+from awpkit.oracle import Oracle
+from awpkit.tree import WeightTable
 from awpkit.fileio import dump_tree, dump_weights, dumps_tree, dumps_weights, loads_tree, loads_weights
 
 N = 2**14
@@ -103,3 +113,39 @@ def test_run_trace_out_peak(tmp_path):
     rc, peak, _ = _traced(lambda: main(argv))
     assert rc == 0
     assert peak < 10.7  # measured 8.11 on 3.11, 8.23 on 3.10
+
+
+def _score_a_sweep(tree, table):
+    """Score an adaptive run and its three baselines on the instance; the
+    statistics entry's count memo."""
+    oracle = Oracle(tree, table)
+    truth = oracle.leaf_values
+    for seed in range(2):
+        awp = run_awp(tree, oracle, EngineConfig(k=10, seed=seed, max_basic_queries=500))
+        k, basic = len(awp.pruning), awp.ledger.basic_queries
+        for res in (awp, *(run(tree, oracle, k, basic, seed) for run in (run_weight, run_uniform, run_empirical))):
+            normalized_distance(res, truth)
+    assert tree._stats.vals is truth
+    return tree._stats.counts
+
+
+def test_scoring_an_all_distinct_target_keeps_no_count_maps():
+    tree, _ = make_tree_source("median-split:n=4096,dim=8", seed=0)
+    rng = random.Random(0)
+    raw = [rng.random() for _ in tree.leaf_order]
+    total = sum(raw)
+    table = WeightTable({lab: x / total for lab, x in zip(tree.leaf_order, raw)})
+    memo = _score_a_sweep(tree, table)
+    assert memo and all(counts is None for counts in memo.values())
+
+
+def test_count_maps_die_with_their_statistics_entry():
+    tree, _ = make_tree_source("median-split:n=4096,dim=8", seed=0)
+    table = make_target_source("geometric:bins=10,ratio=4", tree, seed=0)
+    memo = _score_a_sweep(tree, table)
+    assert any(memo.values())
+    del table
+    gc.collect()
+    assert tree._stats is None
+    # Only this frame's name and getrefcount's argument still hold it.
+    assert sys.getrefcount(memo) == 2
