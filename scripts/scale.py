@@ -11,16 +11,20 @@ under an address-space limit (``RLIMIT_AS``) of ``LIMIT_BYTES``, 3 GiB:
     awpkit run --tree T --weights W --k 10 --runs 1 --max-queries 2000
 
 The script prints one JSON line with each command's wall time, peak RSS
-and exit code.  The peak RSS is the child's ``ru_maxrss``, as ``wait4``
-reports it for that child alone (its part of ``RUSAGE_CHILDREN``).  The
-exit code is 1 when any command exits non-zero, 0 otherwise.  Stdlib
-only; the package is imported from the ``src`` directory beside this
-script, and the instance files go to a temporary directory.
+and exit code, and the sha256 of the tree file, the weight file and the
+``run`` CSV (null for a file that was not written), so two checkouts can
+be shown to write the same bytes.  The peak RSS is the child's
+``ru_maxrss``, as ``wait4`` reports it for that child alone (its part of
+``RUSAGE_CHILDREN``).  The exit code is 1 when any command exits
+non-zero, 0 otherwise.  Stdlib only; the package is imported from the
+``src`` directory beside this script, and the instance files go to a
+temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -56,12 +60,24 @@ def run_child(argv: list[str]) -> dict:
     }
 
 
+def sha256(path: str) -> str | None:
+    """The hex sha256 of the file at ``path``, or None when there is none."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    except FileNotFoundError:
+        return None
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--n", type=int, required=True, help="leaf count of the median-split instance")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        tree, weights = os.path.join(tmp, "t.hwt"), os.path.join(tmp, "t.w")
+        tree, weights, csv = os.path.join(tmp, "t.hwt"), os.path.join(tmp, "t.w"), os.path.join(tmp, "r.csv")
         files = ["--tree", tree, "--weights", weights]
         commands = {
             "synth": [
@@ -69,10 +85,11 @@ def main(argv=None) -> int:
                 "--out-tree", tree, "--out-weights", weights,
             ],
             "inspect": ["inspect", *files],
-            "run": ["run", *files, "--k", "10", "--runs", "1", "--max-queries", "2000", "--out", os.path.join(tmp, "r.csv")],
+            "run": ["run", *files, "--k", "10", "--runs", "1", "--max-queries", "2000", "--out", csv],
         }
         results = {name: run_child(cmd) for name, cmd in commands.items()}
-    print(json.dumps({"n": args.n, "python": platform.python_version(), "commands": results}))
+        digests = {name: sha256(path) for name, path in (("tree", tree), ("weights", weights), ("csv", csv))}
+    print(json.dumps({"n": args.n, "python": platform.python_version(), "commands": results, "sha256": digests}))
     return 1 if any(r["exit"] != 0 for r in results.values()) else 0
 
 

@@ -80,11 +80,24 @@ MAX_LEAVES = 1 << 22
 MAX_DRAWS = 1 << 25
 
 
+# The last three digits of the labels, shared by every thousand of them.
+_TAILS = [f"{t:03d}" for t in range(1000)]
+
+
 def _labels(n: int) -> list[str]:
-    """The labels of a median-split or random-balanced instance of n leaves."""
+    """The labels ``f"x{i:06d}"`` of a median-split or random-balanced
+    instance of n leaves, for i in 0..n-1.  Label i is the head
+    ``f"x{i // 1000:03d}"`` followed by the tail ``f"{i % 1000:03d}"``, so
+    each thousand of labels joins one head to the shared tails in a
+    C-level ``map``, with no format call per label; the list is cut at
+    n."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return [f"x{i:06d}" for i in range(n)]
+    labels: list[str] = []
+    for j in range((n + 999) // 1000):
+        labels += map(f"x{j:03d}".__add__, _TAILS)
+    del labels[n:]
+    return labels
 
 
 def _geometric(tree: HierTree, seed: int, bins: int, ratio: float, layout: str) -> WeightTable:

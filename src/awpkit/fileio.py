@@ -30,17 +30,24 @@ for the first bad one with its line number.
 ``loads_weights`` drops a slice's comment and blank lines with one
 comprehension, pairs its labels with their weight strings with
 ``dict(map(str.split, ...))`` and converts the weights with ``float``.
-The lines are walked one at a time only after a failure, to name the
-first bad one: a line that is no pair or repeats a label, or else a
-weight that is no float.  The ``WeightTable`` it returns keeps that dict
-without a copy.
+When the slice's weight strings are few-valued (``tree._few_distinct``,
+at most one distinct string per ten), each distinct string is converted
+once, in a map keyed by the string, so "-0.0" and "0.0", or "1e-3" and
+"0.001", each keep their own ``float()``; a slice of distinct strings
+pays only for the test's first few strings.  The lines are walked one at
+a time only after a failure, to name the first bad one: a line that is
+no pair or repeats a label, or else a weight that is no float.  The
+``WeightTable`` it returns keeps that dict without a copy.
 
 ``dump_tree`` checks every label first, ``_DUMP_SLICE`` labels at a
 time, and then writes the records ``_DUMP_SLICE`` at a time, so only one
 chunk of labels or of text is alive at once; ``dumps_tree`` joins the
 same chunks.  ``dump_weights`` and ``dumps_weights`` do the same with
 the lines of a weight file, in sorted label order, reading each weight
-from the table's dict.
+from the table's dict.  When the table's weights are few-valued, by the
+same test, and none is zero, each distinct weight's ``" {x!r}\n"`` is
+rendered once and joined to its labels; a zero takes the per-label
+path, since ``0.0 == -0.0`` but their reprs differ.
 """
 
 from __future__ import annotations
@@ -50,7 +57,15 @@ from collections.abc import Iterator
 from itertools import chain
 from typing import NoReturn
 
-from awpkit.tree import FileFormatError, HierTree, InvariantError, TreeStructureError, WeightTable, _LoadedWeights
+from awpkit.tree import (
+    FileFormatError,
+    HierTree,
+    InvariantError,
+    TreeStructureError,
+    WeightTable,
+    _few_distinct,
+    _LoadedWeights,
+)
 
 HWT_MAGIC = "HWT 1"
 
@@ -241,7 +256,13 @@ def loads_weights(text: str) -> WeightTable:
             lines = [line for line in map(str.strip, lines) if line and line[0] != "#"]
             count += len(lines)
             raw = dict(map(str.split, lines))
-            weights.update(zip(raw, map(float, raw.values())))
+            strings = raw.values()
+            distinct = _few_distinct(strings)
+            if distinct is None:
+                weights.update(zip(raw, map(float, strings)))
+            else:
+                value = {string: float(string) for string in distinct}
+                weights.update(zip(raw, map(value.__getitem__, strings)))
     except ValueError:  # a line that is no '<label> <weight>' pair, or a weight that is no float
         _raise_weight_line_error(text)
     if len(weights) != count:  # a repeated label
@@ -279,12 +300,21 @@ def _raise_weight_line_error(text: str) -> NoReturn:
 def _weight_chunks(table: WeightTable) -> Iterator[str]:
     """The weight file text of ``table``: one line per label in sorted
     order, ``_DUMP_SLICE`` lines per chunk.  Every label is checked before
-    the first chunk."""
+    the first chunk.  A few-valued table (``_few_distinct``) without a
+    zero renders each distinct weight once, since equal weights other than
+    ``0.0`` and ``-0.0`` have one repr."""
     weights = table._w
     labels = sorted(weights)
     _check_labels(labels, "label", comment=True)
+    distinct = _few_distinct(weights.values())
+    if distinct is None or 0.0 in distinct:
+        for start in range(0, len(labels), _DUMP_SLICE):
+            yield "".join([f"{label} {weights[label]!r}\n" for label in labels[start : start + _DUMP_SLICE]])
+        return
+    rendered = {x: f" {x!r}\n" for x in distinct}
     for start in range(0, len(labels), _DUMP_SLICE):
-        yield "".join([f"{label} {weights[label]!r}\n" for label in labels[start : start + _DUMP_SLICE]])
+        chunk = labels[start : start + _DUMP_SLICE]
+        yield "".join(map(str.__add__, chunk, map(rendered.__getitem__, map(weights.__getitem__, chunk))))
 
 
 def dumps_weights(table: WeightTable) -> str:

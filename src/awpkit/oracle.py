@@ -15,7 +15,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import fsum, inf, isfinite
-from operator import truediv
 
 from awpkit.adversarial import _balanced
 from awpkit.tree import HierTree, WeightTable, _instance_stats, _LoadedWeights
@@ -142,11 +141,13 @@ def make_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> Weight
     ratio**(B-1-i), so bin 0 is heaviest and successive bins differ by an
     exact factor of ``ratio``.
 
-    The label-to-level dict and the table, in leaf order, are built in
-    C-level passes (``zip``, ``chain``, ``repeat`` and ``map``); the total
-    is ``fsum`` over the levels, which is exact in any order.  The
-    returned ``WeightTable`` keeps the table's dict without a copy (see
-    ``_LoadedWeights``)."""
+    The total is ``fsum`` over every leaf's level, which is exact in any
+    order.  Each bin's level is divided by it once, and every label of the
+    bin shares that one float, so the table holds one float object per
+    bin, with the bits of a per-leaf division.  The label-to-share dict
+    and the table, in leaf order, are built in C-level passes (``zip``,
+    ``chain``, ``repeat`` and ``map``).  The returned ``WeightTable`` keeps
+    the table's dict without a copy (see ``_LoadedWeights``)."""
     labels = tree.leaf_order
     if spec.bins is not None:
         bins = spec.bins
@@ -162,13 +163,15 @@ def make_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> Weight
     if any(not b for b in bins):
         raise ValueError("empty bin in target partition")
     n_bins = len(bins)
+    sizes = list(map(len, bins))
     try:
         levels = [float(spec.ratio) ** (n_bins - 1 - i) for i in range(n_bins)]
-        raw = dict(zip(chain.from_iterable(bins), chain.from_iterable(map(repeat, levels, map(len, bins)))))
-        total = fsum(raw.values())
+        total = fsum(chain.from_iterable(map(repeat, levels, sizes)))
     except OverflowError:
         raise ValueError(f"ratio {spec.ratio!r} over {n_bins} bins gives weights beyond float range") from None
-    return WeightTable(_LoadedWeights(zip(labels, map(truediv, map(raw.__getitem__, labels), repeat(total)))))
+    shares = [level / total for level in levels]
+    share = dict(zip(chain.from_iterable(bins), chain.from_iterable(map(repeat, shares, sizes))))
+    return WeightTable(_LoadedWeights(zip(labels, map(share.__getitem__, labels))))
 
 
 class FeatureColumns:

@@ -27,11 +27,11 @@ regardless of summation order.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 # _count_elements is the C loop behind Counter.update, which counts an
 # iterable into a plain dict without Counter's Python-level overhead.
 from collections import _count_elements  # type: ignore[attr-defined]
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from math import fsum, inf, isfinite
@@ -516,7 +516,7 @@ def _leaf_values(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     raise ValueError(f"weighting does not match the tree's leaf set (missing {missing}, extra {extra})")
 
 
-# Cut-overs of span_sums, node_discrepancies and _few_values; their
+# Cut-overs of _few_distinct, node_discrepancies and _few_values; their
 # docstrings say how they are used.
 _SMALL = 64
 _GROUP_RATIO = 10
@@ -525,6 +525,30 @@ _GROUP_RATIO = 10
 _VELTKAMP = float((1 << 27) + 1)
 _SPLIT_TERM_CAP = 2.0**996
 _SPLIT_COUNT_CAP = 1 << 27
+
+
+def _few_distinct(vals: Collection) -> set | None:
+    """The set of distinct items of ``vals`` when it holds at most one per
+    ``_GROUP_RATIO`` items, else None.
+
+    The head test comes first: the first ``_SMALL * _GROUP_RATIO`` items
+    may hold at most ``bound = min(len(vals) // _GROUP_RATIO, _SMALL)``
+    distinct ones.  Before it, the first ``bound + 1`` items alone are
+    checked, since when those are all distinct the head fails too.  So a
+    list of distinct items costs only ``bound + 1`` of them.
+    ``span_sums`` and the weight file reader and writer (see ``fileio``)
+    take their few-valued paths on this test."""
+    cap = len(vals) // _GROUP_RATIO
+    bound = min(cap, _SMALL)
+    if len(set(islice(vals, bound + 1))) > bound:
+        return None
+    head = _SMALL * _GROUP_RATIO
+    distinct = set(islice(vals, head))
+    if len(distinct) <= bound:
+        distinct.update(islice(vals, head, None))
+        if len(distinct) <= cap:
+            return distinct
+    return None
 
 
 def span_sums(vals: Sequence[float]) -> tuple[list[int], int]:
@@ -537,21 +561,18 @@ def span_sums(vals: Sequence[float]) -> tuple[list[int], int]:
     in O(1).  Values are converted with ``float()`` first, as ``fsum`` does.
 
     With at most one distinct value per ``_GROUP_RATIO`` values, both in
-    the whole list and in its first ``_SMALL * _GROUP_RATIO`` values, each
-    distinct value is scaled to ``D`` once; otherwise each value is, since
-    a per-value map would cost more than it saves.  So a list with many
-    distinct values is told apart after that head alone.
+    the whole list and in its first ``_SMALL * _GROUP_RATIO`` values
+    (``_few_distinct``), each distinct value is scaled to ``D`` once;
+    otherwise each value is, since a per-value map would cost more than it
+    saves.  So a list with many distinct values is told apart after that
+    head at most.
     """
-    cap = len(vals) // _GROUP_RATIO
-    head = _SMALL * _GROUP_RATIO
-    distinct = set(islice(vals, head))
-    if len(distinct) <= min(cap, _SMALL):
-        distinct.update(islice(vals, head, None))
-        if len(distinct) <= cap:
-            ratios = {x: float(x).as_integer_ratio() for x in distinct}
-            den = max(map(itemgetter(1), ratios.values()), default=1)
-            scaled = {x: num * (den // d) for x, (num, d) in ratios.items()}
-            return list(accumulate(map(scaled.__getitem__, vals), initial=0)), den
+    distinct = _few_distinct(vals)
+    if distinct is not None:
+        ratios = {x: float(x).as_integer_ratio() for x in distinct}
+        den = max(map(itemgetter(1), ratios.values()), default=1)
+        scaled = {x: num * (den // d) for x, (num, d) in ratios.items()}
+        return list(accumulate(map(scaled.__getitem__, vals), initial=0)), den
     ratios = list(map(float.as_integer_ratio, map(float, vals)))
     den = max(map(itemgetter(1), ratios), default=1)
     return list(accumulate((num * (den // d) for num, d in ratios), initial=0)), den
@@ -976,14 +997,17 @@ def optimal_pruning(
     right child of n_r leaves, since a smaller one only leaves the right
     child budget it cannot use.  It takes O(n·k) time for n leaves on
     every tree shape, and its per-budget loop calls no builtins.  Beside a
-    leaf child, on either side, every budget b above 1 has one candidate,
-    the leaf's cost c0 plus the other child's cost at b - 1, so such a
-    node fills its row in one loop: ``keep`` (its discrepancy), then the
-    lesser of ``c0 + c`` and ``keep``, ``keep`` on a tie, for each of the
-    other child's first ``top - 1`` costs c, with ``top`` its row length.  Every node of
-    a caterpillar is such a node: at 3,000 leaves the value pass takes
-    about 9 ms at k=40 (Python 3.11, 2-core host).  Elsewhere a scan
-    with one candidate still sums it directly, without a scan loop.
+    leaf child, on either side, every budget b above 1 has one candidate:
+    the leaf's cost, 0.0, plus the other child's cost at b - 1.  That
+    row does not increase, so the node's row, of length ``top``, is a
+    clamp: ``keep`` (its discrepancy) for budget 1 and for each of the
+    other child's leading costs of at least ``keep`` (``keep`` wins a
+    tie), then the rest of the other child's first ``top - 1`` costs.
+    ``bisect_right`` finds where that run of costs ends, so the row is
+    built by two C-level list operations.  Every node of a caterpillar is
+    such a node: at 3,000 leaves the value pass takes about 4 ms at k=40
+    (Python 3.11, 2-core host).  Elsewhere a scan with one candidate still
+    sums it directly, without a scan loop.
 
     The read-back walks down from the root with budget k and repeats one
     node's scan at each node it reaches, this time over every left budget
@@ -1021,19 +1045,14 @@ def optimal_pruning(
         keep = disc[v]
         top = n_l + n_r if n_l + n_r < k else k
         if n_l == 1 or n_r == 1:
-            # Beside a leaf child, budget b has one candidate: the leaf's
-            # cost c0 plus the other child's cost at budget b - 1.  (At
-            # k = 1 every row has one cost, and top is 1.)
-            if n_l == 1:
-                c0, other = cost_l[0], cost_r
-            else:
-                c0, other = cost_r[0], cost_l
-            cv = [keep]
-            add = cv.append
-            for c in other[: top - 1]:
-                c = c0 + c
-                add(c if c < keep else keep)
-            cost[v] = cv
+            # Beside a leaf child, whose row is [0.0], budget b has one
+            # candidate: the other child's cost at budget b - 1.  That row
+            # does not increase, so its costs of at least keep come first,
+            # j of them, and each of them yields to keep.  (At k = 1 every
+            # row has one cost, and top is 1.)
+            other = cost_r if n_l == 1 else cost_l
+            j = bisect_right(other, -keep, 0, top - 1, key=neg)
+            cost[v] = [keep] * (j + 1) + other[j : top - 1]
             continue
         cv = []
         for b in range(1, top + 1):

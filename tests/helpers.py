@@ -404,6 +404,13 @@ def reference_geometric_target(tree: HierTree, spec: TargetSpec, seed: int) -> W
     return WeightTable({lab: raw[lab] / total for lab in labels})
 
 
+def reference_labels(n: int) -> list[str]:
+    """One format call per label: the slow reference for ``cli._labels``."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    return [f"x{i:06d}" for i in range(n)]
+
+
 def reference_random_features(labels, dim: int, seed: int) -> dict[str, tuple[float, ...]]:
     """Per-label draws, kept as the slow reference for ``random_features``."""
     rng = random.Random(seed)

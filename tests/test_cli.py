@@ -3,6 +3,7 @@ formats, file round trips, and exit codes."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import random
@@ -37,7 +38,7 @@ from awpkit.engine import PruningResult
 from awpkit.fileio import dump_tree, dump_weights, dumps_tree, load_tree, load_weights
 from awpkit.tree import FileFormatError, HierTree, WeightTable
 
-from helpers import reference_trace_lines
+from helpers import reference_labels, reference_trace_lines
 
 
 def write_quad(tmp_path, weights=None):
@@ -965,6 +966,59 @@ def test_spec_size_is_the_leaf_count(spec):
     assert leaves == make_tree_source(spec, seed=0)[0].leaf_count_total
 
 
+@pytest.mark.parametrize("n", [1, 999, 1000, 1001, 999_999, 1_000_000, 1_000_001])
+def test_labels_match_reference(n):
+    assert cli_mod._labels(n) == reference_labels(n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_labels_refuse_n_below_one(n):
+    with pytest.raises(ValueError) as want:
+        reference_labels(n)
+    with pytest.raises(ValueError, match=f"^{want.value}$"):
+        cli_mod._labels(n)
+
+
+@pytest.mark.parametrize(
+    "argv, tree_sha, weights_sha",
+    [
+        (
+            ["median-split:n=4096", "--weights", "geometric:bins=10,ratio=4"],
+            "73f090419d2dcd65d6a737eefcfb2ae1fd9f91f2a1f71936df27d4c308eb1af1",
+            "ca5379684c17d55f6d3d5d5a4d0b6e0025c5d298f2750151ba87be973592e50a",
+        ),
+        (
+            ["median-split:n=4096", "--weights", "geometric:bins=10,ratio=4,layout=contiguous"],
+            "73f090419d2dcd65d6a737eefcfb2ae1fd9f91f2a1f71936df27d4c308eb1af1",
+            "9302a8388cf3c64d1788fb4952d51a1544ba360ce879609ef86c9eb2a1adc766",
+        ),
+        (
+            ["random-balanced:n=1000", "--weights", "geometric:bins=10,ratio=4"],
+            "fe44eb98beb7cae8a449ddb8003b6d4885ee8dfcea20f918149c75e37f83b9c6",
+            "2786f4c8df3504a986936165c252ce71f23a5650bfaf2386ceba8d9882dcdb64",
+        ),
+        # The constructions below write 0.0 weights.
+        (
+            ["lookahead-trap:heavy=2,depth=3"],
+            "dbf79c4c6be5ec6b1ff04af5c5e0268dd51355de0e08f356db57d2910b1e5f2d",
+            "4dd63c18ad796a5b7943d4bab38a1c8d3889d69a8eb099ba6a8d1ad5965a7973",
+        ),
+        (
+            ["heavy-leaf:n=50"],
+            "cf6fd6757e42420378a586139a22ab90719b13938c3fbcfaaaf78afa1e757ade",
+            "92582a07452b35132baf306179792f3abeeb316217fc93062a5795acee167df2",
+        ),
+    ],
+)
+def test_synth_files_keep_their_digests(tmp_path, argv, tree_sha, weights_sha):
+    # The sha256 of both files, as synth wrote them before it built its
+    # labels, shares and weight lines from shared pieces.
+    tree, weights = tmp_path / "t.hwt", tmp_path / "w.txt"
+    assert main(["synth", *argv, "--seed", "0", "--out-tree", str(tree), "--out-weights", str(weights)]) == 0
+    assert hashlib.sha256(tree.read_bytes()).hexdigest() == tree_sha
+    assert hashlib.sha256(weights.read_bytes()).hexdigest() == weights_sha
+
+
 @pytest.mark.parametrize("n,code", [(64, 0), (1, 1)])
 def test_scale_script(n, code):
     # With one leaf the weights spec fails, so synth exits 1 and the
@@ -977,6 +1031,11 @@ def test_scale_script(n, code):
     exits = [c["exit"] for c in line["commands"].values()]
     assert exits == ([0, 0, 0] if code == 0 else [1, 2, 2])
     assert all(c["wall_s"] > 0 and c["peak_rss_mb"] > 0 for c in line["commands"].values())
+    assert list(line["sha256"]) == ["tree", "weights", "csv"]
+    if code == 0:
+        assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef") for digest in line["sha256"].values())
+    else:
+        assert line["sha256"] == {"tree": None, "weights": None, "csv": None}
 
 
 def test_pairs_summary():

@@ -1,6 +1,8 @@
 """Round trips and error reporting for the on-disk formats."""
 
 import random
+import re
+from math import fsum
 from unittest.mock import patch
 
 import pytest
@@ -525,6 +527,110 @@ class TestTreeFormat:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_tree(tmp_path / "absent.hwt")
+
+
+def _table(rng, values):
+    """A weight table of the given values over their total, inserted in
+    their order under shuffled labels, so that sorted and insertion order
+    differ."""
+    labels = [f"v{i:05d}" for i in range(len(values))]
+    rng.shuffle(labels)
+    total = fsum(values)
+    return WeightTable({lab: x / total for lab, x in zip(labels, values)})
+
+
+class TestFewValuedWeightWriter:
+    """The writers render each distinct weight of a few-valued table without
+    a zero once, and fall back to one repr per label otherwise; either way
+    they give the per-label reference's text."""
+
+    @pytest.mark.parametrize("size", [None, 7])
+    def test_few_values(self, size):
+        rng = random.Random(0)
+        table = _table(rng, [rng.choice([1, 2, 3, 5]) for _ in range(2000)])
+        assert fileio._few_distinct(table._w.values()) is not None
+        with patch.object(fileio, "_DUMP_SLICE", size or fileio._DUMP_SLICE):
+            assert dumps_weights(table) == reference_dumps_weights(table)
+
+    def test_zero_and_minus_zero(self):
+        # 0.0 == -0.0, but the two have their own repr.
+        rng = random.Random(1)
+        table = _table(rng, [rng.choice([0.0, 0.0, 1, 2]) for _ in range(1000)])
+        weights = dict(table)
+        for i, lab in enumerate(sorted(weights)):
+            if weights[lab] == 0.0 and i % 2:
+                weights[lab] = -0.0
+        table = WeightTable(weights)
+        text = dumps_weights(table)
+        assert text == reference_dumps_weights(table)
+        assert " -0.0\n" in text and " 0.0\n" in text
+
+    def test_few_values_in_the_head_only(self):
+        # The first 640 values in insertion order take two values, the rest
+        # are all distinct.
+        rng = random.Random(2)
+        table = _table(rng, [rng.choice([1, 2]) for _ in range(640)] + [rng.randint(3, 10**9) for _ in range(1360)])
+        assert fileio._few_distinct(table._w.values()) is None
+        assert dumps_weights(table) == reference_dumps_weights(table)
+
+    def test_all_distinct(self):
+        rng = random.Random(3)
+        table = _table(rng, [rng.random() for _ in range(3000)])
+        assert dumps_weights(table) == reference_dumps_weights(table)
+
+
+def _lines_text(records):
+    return "".join(f"{label} {weight}\n" for label, weight in records)
+
+
+class TestFewValuedWeightReader:
+    """The reader converts each distinct weight string of a slice once
+    when the slice is few-valued, keyed by the string; it loads the
+    reference's table, or raises its error with its message."""
+
+    @pytest.mark.parametrize("size", [None, 4096])
+    def test_equal_floats_from_distinct_strings(self, size):
+        spellings = ["1e-3", "0.001", "0.0010", "1E-3"]
+        text = _lines_text((f"e{i:04d}", spellings[i % 4]) for i in range(1000))
+        with patch.object(fileio, "_SLICE", size or fileio._SLICE):
+            assert _weights_outcome(loads_weights, text) == _weights_outcome(reference_loads_weights, text)
+            table = loads_weights(text)
+            slices = len(list(fileio._sliced_lines(text)))
+        # One float per distinct string of each slice.
+        assert len(set(map(id, table.values()))) <= 4 * slices
+
+    def test_zero_and_minus_zero(self):
+        text = _lines_text((f"z{i:04d}", ["0.0", "-0.0", "0", "0.002"][i % 4]) for i in range(2000))
+        got = _weights_outcome(loads_weights, text)
+        assert got == _weights_outcome(reference_loads_weights, text)
+        assert ("z0001", "-0.0") in got and ("z0000", "0.0") in got
+
+    @pytest.mark.parametrize("size", [None, 16384])
+    def test_few_values_in_the_head_only(self, size):
+        rng = random.Random(4)
+        values = [rng.choice([1, 2]) for _ in range(640)] + [rng.randint(3, 10**9) for _ in range(2360)]
+        total = fsum(values)
+        text = _lines_text((f"h{i:04d}", repr(x / total)) for i, x in enumerate(values))
+        with patch.object(fileio, "_SLICE", size or fileio._SLICE):
+            got = _weights_outcome(loads_weights, text)
+        assert got == _weights_outcome(reference_loads_weights, text)
+        assert got[0][0] == "h0000"
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("a 0.001 x", r"^line 701: expected '<label> <weight>', got 'a 0.001 x'$"),
+            ("f0002 0.001", r"^line 701: duplicate label 'f0002'$"),
+            ("a 1e-x", r"^line 701: bad weight '1e-x'$"),
+            ("a -0.001", r"^weight -0.001 for leaf 'a' is not a finite non-negative number$"),
+        ],
+    )
+    def test_malformed_line_in_a_few_valued_slice(self, fault, message):
+        records = [(f"f{i:04d}", "0.001") for i in range(1000)]
+        text = _lines_text(records[:700]) + fault + "\n" + _lines_text(records[700:])
+        got = _weights_outcome(loads_weights, text)
+        assert got == _weights_outcome(reference_loads_weights, text)
+        assert got[0] is FileFormatError and re.match(message, got[1])
 
 
 class TestWeightFormat:

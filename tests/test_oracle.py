@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from math import fsum
 
 import pytest
@@ -277,6 +278,26 @@ class TestGeometricTargetAgainstReference:
         want = _target_outcome(reference_geometric_target, tree, spec, 0)
         assert want[0] == "table"
         assert _target_outcome(make_geometric_target, tree, spec, 0) == want
+
+
+class TestGeometricTargetShares:
+    """Every label of a bin shares one float, with the bits of the
+    reference's per-leaf division."""
+
+    @pytest.mark.parametrize("n, n_bins, ratio", [(1, 1, 2.0), (100, 3, 1.5), (4096, 10, 4.0), (4097, 7, 1e10)])
+    @pytest.mark.parametrize("layout", ["shuffled", "contiguous"])
+    def test_same_bits_and_one_float_per_bin(self, n, n_bins, ratio, layout):
+        tree = build_random_balanced_tree([f"s{i:05d}" for i in range(n)], seed=n)
+        if layout == "contiguous":
+            spec = TargetSpec("geometric-bins", ratio=ratio, bins=leaf_order_bins(tree, n_bins))
+        else:
+            spec = TargetSpec("geometric-bins", n_bins=n_bins, ratio=ratio)
+        got = make_geometric_target(tree, spec, seed=3)
+        want = reference_geometric_target(tree, spec, seed=3)
+        bits = struct.Struct("<d").pack
+        assert list(got) == list(want)
+        assert [bits(got[lab]) for lab in got] == [bits(want[lab]) for lab in want]
+        assert len(set(map(id, got.values()))) <= n_bins
 
 
 class TestSyntheticTrees:
