@@ -289,9 +289,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
         raise UsageError("this tree source defines no weights; pass --weights")
 
     oracle = Oracle(tree, truth)
-    # The instance's own leaf values: scored against them, every result
-    # reuses the value counts that earlier results took (normalized_distance).
-    truth_vals = oracle.leaf_values
     algs = tuple(a for a in ALGORITHMS if a in config.algorithms)
     out = ExperimentOutput()
     # One oracle answers every query of the sweep, so each leaf's
@@ -312,7 +309,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
                     res = awp_res
                 else:
                     res = _BASELINE_RUNNERS[alg](tree, oracle, k_reached, basic, run_seed)
-                nd = normalized_distance(res, truth_vals)
+                nd = normalized_distance(res, truth)
                 out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
                 if config.traces:
                     out.traces.append((alg, k, r, "\n".join(res.trace_lines(leaf_texts))))

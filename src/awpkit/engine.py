@@ -48,8 +48,10 @@ from awpkit.tree import (
     WEIGHT_SUM_TOL,
     HierTree,
     InvariantError,
+    WeightTable,
     _discrepancy,
     _exact_sum,
+    _instance_stats,
     _refined_shares,
     _refined_tv,
     is_pruning,
@@ -446,24 +448,31 @@ def run_awp(tree: HierTree, oracle: Oracle, config: EngineConfig) -> PruningResu
     return state.result()
 
 
-def normalized_distance(result: PruningResult, truth: Sequence[float]) -> float:
+def normalized_distance(result: PruningResult, truth: WeightTable | Sequence[float]) -> float:
     """Total variation distance between the refined output weighting and
-    the true target, given as a sequence in ``tree.leaf_order`` order.
+    the true target, given as the instance's ``WeightTable`` or as a
+    sequence in ``tree.leaf_order`` order.
 
-    It equals ``tv_distance(result.w_p_refined, truth)`` bit for bit, and
-    is computed from the result's pruning, node shares and pins without
-    that list (see ``tree._refined_tv``).  When ``truth`` is the leaf
-    values of the instance's statistics entry, as ``Oracle.leaf_values``
-    is, a few-valued pruning node costs its distinct values, counted once
-    per instance, plus its pins; any other node or target costs one pass
-    over the node's leaves.  A target whose terms do not sum as finite
-    floats (an infinite entry, say) is scored on ``w_p_refined`` itself,
-    so it gets ``tv_distance``'s value or error.
+    It equals ``tv_distance(result.w_p_refined, truth)`` over the target's
+    leaf-order values bit for bit, and is computed from the result's
+    pruning, node shares and pins without that list (see
+    ``tree._refined_tv``).  A table is read through its statistics entry
+    for ``result.tree`` (see ``tree._instance_stats``), so a few-valued
+    pruning node costs its distinct values, counted once per instance,
+    plus its pins; a table over another leaf set raises ValueError.  Any
+    other node or target costs one pass over the node's leaves.  A target
+    whose terms do not sum as finite floats (an infinite entry, say) is
+    scored on ``w_p_refined`` itself, so it gets ``tv_distance``'s value
+    or error.
     """
+    memo = None
+    if isinstance(truth, WeightTable):
+        stats = _instance_stats(result.tree, truth)
+        truth, memo = stats.vals, stats.counts
     n = result.tree.leaf_count_total
     if len(truth) != n:
         raise ValueError(f"weightings have different lengths ({n} and {len(truth)})")
     try:
-        return _refined_tv(result.tree, result._node_shares, result.queried, truth)
+        return _refined_tv(result._node_shares, result.queried, truth, memo)
     except (ValueError, OverflowError):
         return tv_distance(result.w_p_refined, truth)

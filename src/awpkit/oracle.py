@@ -42,10 +42,10 @@ class Oracle:
 
     The leaf values and prefix sums come from the instance's statistics
     entry (see ``tree._instance_stats``), the one that
-    ``node_discrepancies`` reads: for a ``WeightTable`` truth they are
-    computed once per (tree, table) pair, whichever asks first, and kept
-    on the tree while both live; for any other mapping they are computed
-    here.
+    ``node_discrepancies`` and ``engine.normalized_distance`` read: for a
+    ``WeightTable`` truth they are computed once per (tree, table) pair,
+    whichever asks first, and kept on the table; for any other mapping
+    they are computed here.
     """
 
     def __init__(self, tree: HierTree, truth: Mapping[str, float]):
@@ -56,9 +56,10 @@ class Oracle:
 
     @property
     def leaf_values(self) -> tuple[float, ...]:
-        """The hidden target in ``tree.leaf_order`` order, read-only; for
-        scoring results, not for the algorithms under test.  Reading it is
-        not a query and is not counted."""
+        """The hidden target in ``tree.leaf_order`` order, read-only; not
+        for the algorithms under test.  Reading it is not a query and is
+        not counted.  Scoring takes the table itself (see
+        ``engine.normalized_distance``)."""
         return self._vals
 
     def query_leaf(self, pos: int) -> float:

@@ -26,13 +26,11 @@ regardless of summation order.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left, bisect_right
 # _count_elements is the C loop behind Counter.update, which counts an
 # iterable into a plain dict without Counter's Python-level overhead.
 from collections import _count_elements  # type: ignore[attr-defined]
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
-from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from math import fsum, inf, isfinite
 from operator import floordiv, index, itemgetter, mul, neg, sub
@@ -85,17 +83,17 @@ class WeightTable(Mapping):
 
     The form in which weight files, generated targets and constructions
     give a target.  Inside a run a weighting is a list in leaf order.  A
-    table cannot change through its API, so a tree memoises its exact
-    statistics under it (see ``_instance_stats``): the entry lives on the
-    tree and holds the table only by a weak reference, so it is freed
-    with either of the two.  The table copies the mapping it is given
-    into a dict of str labels and float values, except a ``_LoadedWeights``
-    (the dicts that ``loads_weights`` and ``make_geometric_target`` build
-    for it), which it keeps as it is; its value and sum checks run on
-    either.
+    table cannot change through its API, so it keeps the exact statistics
+    of the last tree it was asked about (``_stats``; see
+    ``_instance_stats``).  The entry refers to that tree, and no tree
+    refers to a table, so the entry is freed with the table.  The table
+    copies the mapping it is given into a dict of str labels and float
+    values, except a ``_LoadedWeights`` (the dicts that ``loads_weights``
+    and ``make_geometric_target`` build for it), which it keeps as it is;
+    its value and sum checks run on either.
     """
 
-    __slots__ = ("_w", "__weakref__")
+    __slots__ = ("_w", "_stats")
 
     def __init__(self, weights: Mapping[str, float]):
         if type(weights) is _LoadedWeights:
@@ -116,6 +114,7 @@ class WeightTable(Mapping):
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
         self._w = items
+        self._stats: _Stats | None = None
 
     def __getitem__(self, label: str) -> float:
         return self._w[label]
@@ -189,8 +188,8 @@ class HierTree:
     are the links checked again one node at a time (``_check``, then
     ``_name_fault``), to name the first fault with its kind and node id.
 
-    A tree also keeps the exact statistics of the last ``WeightTable`` it
-    was asked about (``_stats``; see ``_instance_stats``).
+    A tree refers to no weighting: the exact statistics of a tree under a
+    ``WeightTable`` live on the table (see ``_instance_stats``).
     """
 
     __slots__ = (
@@ -205,8 +204,6 @@ class HierTree:
         "root_id",
         "node_count",
         "leaf_count_total",
-        "_stats",
-        "__weakref__",
     )
 
     def __init__(
@@ -236,7 +233,6 @@ class HierTree:
         self._labels = labels
         self._left = left
         self._right = right
-        self._stats: _Stats | None = None
         self.node_count = len(labels)
         try:
             indexed = len(left) == self.node_count and self._build_index()
@@ -579,60 +575,40 @@ def span_sums(vals: Sequence[float]) -> tuple[list[int], int]:
 
 
 class _Stats:
-    """Exact statistics of one instance, a tree under a weighting: the leaf
-    values ``vals`` as a tuple in ``leaf_order`` order, their prefix sums
-    ``(sums, den)`` from ``span_sums``, the node discrepancies ``disc``,
-    None until ``node_discrepancies`` first asks for them, and ``counts``,
-    which maps each node a result was scored on (see ``_refined_tv``) to
-    its span's value -> count map when that span is few-valued
-    (``_few_values``), else to None.  ``table`` is a weak reference to the
-    ``WeightTable`` they were computed from, or None for a weighting that
-    is not memoised."""
+    """Exact statistics of one instance, a tree under a weighting: the tree
+    ``tree``, the leaf values ``vals`` as a tuple in ``leaf_order`` order,
+    their prefix sums ``(sums, den)`` from ``span_sums``, the node
+    discrepancies ``disc``, None until ``node_discrepancies`` first asks
+    for them, and ``counts``, which maps each node a result was scored on
+    (see ``_refined_tv``) to its span's value -> count map when that span
+    is few-valued (``_few_values``), else to None."""
 
-    __slots__ = ("table", "vals", "sums", "den", "disc", "counts")
+    __slots__ = ("tree", "vals", "sums", "den", "disc", "counts")
 
-    def __init__(self, vals: tuple[float, ...]):
-        self.table: weakref.ref | None = None
-        self.vals = vals
-        self.sums, self.den = span_sums(vals)
+    def __init__(self, tree: HierTree, w: Mapping[str, float]):
+        self.tree = tree
+        self.vals = tuple(_leaf_values(tree, w))
+        self.sums, self.den = span_sums(self.vals)
         self.disc: list[float] | None = None
         self.counts: dict[int, dict | None] = {}
-
-    def __reduce__(self):
-        # A pickle or copy of a tree gets no entry: a weak reference cannot
-        # be pickled, and the copy computes its own entry when asked.
-        return type(None), ()
-
-
-def _forget_stats(tree_ref: weakref.ref, table_ref: weakref.ref) -> None:
-    """Called when a table dies: drop its entry from the tree, if the tree
-    lives and still keeps that entry."""
-    tree = tree_ref()
-    if tree is not None and tree._stats is not None and tree._stats.table is table_ref:
-        tree._stats = None
 
 
 def _instance_stats(tree: HierTree, w: Mapping[str, float]) -> _Stats:
     """The exact statistics of ``tree`` under ``w``, computed once per
     (tree, ``WeightTable``) pair.
 
-    A tree keeps one entry, that of the last ``WeightTable`` asked about,
-    and a call with that same table returns it.  The entry refers to the
-    table only through a weak reference, whose callback drops the entry
-    from the tree when the table dies; an ``id()`` could be reused by a
-    later table.  So the entry is freed with the tree or with the table,
-    whichever goes first.  Any other mapping may change between calls,
-    so its entry is built afresh every time and not kept.
+    A table keeps one entry, that of the last tree it was asked about, and
+    a call with that same tree (``entry.tree is tree``) returns it; a call
+    with another tree replaces it.  The references run one way, table to
+    entry to tree, so the entry is freed with the table, and a table keeps
+    its last tree alive.  Any other mapping may change between calls, so
+    its entry is built afresh every time and not kept.
     """
-    memoised = isinstance(w, WeightTable)
-    if memoised:
-        entry = tree._stats
-        if entry is not None and entry.table() is w:
-            return entry
-    entry = _Stats(tuple(_leaf_values(tree, w)))
-    if memoised:
-        entry.table = weakref.ref(w, partial(_forget_stats, weakref.ref(tree)))
-        tree._stats = entry
+    if not isinstance(w, WeightTable):
+        return _Stats(tree, w)
+    entry = w._stats
+    if entry is None or entry.tree is not tree:
+        entry = w._stats = _Stats(tree, w)
     return entry
 
 
@@ -693,13 +669,6 @@ def _exact_sum(groups: Sequence[tuple[float, Mapping]], singles: Iterable[float]
     return sum(map(mul, ms, nums)) / d
 
 
-def _grouped_deviation(avg: float, counts: Mapping) -> float:
-    """Sum of m * |avg - x| over the value counts ``{x: m}`` of a span,
-    correctly rounded (``_exact_sum``), so it equals ``fsum`` over the
-    span's per-leaf terms bit for bit."""
-    return _exact_sum(((avg, counts),))
-
-
 def _few_values(vals: Sequence[float]) -> dict | None:
     """The value -> count map of ``vals`` when it holds at most one
     distinct value per ``_GROUP_RATIO`` values, else None.  As in
@@ -738,7 +707,7 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     map, with the C loop behind ``Counter.update``.  When the map holds at
     most one distinct value per ``_GROUP_RATIO`` leaves, the node costs
     one term per distinct value, summed as exact split products under one
-    ``fsum`` (``_grouped_deviation``); otherwise it walks its leaves.
+    ``fsum`` (``_exact_sum``); otherwise it walks its leaves.
     Every node keeps its map, so an ancestor with few distinct values per
     leaf is summed by value whatever its descendants did.  So a target
     with g distinct values costs about the node count times g on every
@@ -750,10 +719,10 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     grouped node.
 
     The pass runs once per (tree, ``WeightTable``) pair: its result is
-    kept in the pair's statistics entry (see ``_instance_stats``), which
-    lives as long as both the tree and the table, and every call returns
-    a fresh copy of it.  A weighting given as any other mapping is not
-    memoised, so each call with it runs the pass.
+    kept in the pair's statistics entry, which the table holds while it
+    is asked about that tree (see ``_instance_stats``), and every call
+    returns a fresh copy of it.  A weighting given as any other mapping is
+    not memoised, so each call with it runs the pass.
     """
     stats = _instance_stats(tree, w)
     if stats.disc is None:
@@ -798,7 +767,7 @@ def _discrepancy_pass(tree: HierTree, stats: _Stats) -> list[float]:
                 a.update(b)
             counts[v] = a
             if len(a) * _GROUP_RATIO <= c:
-                out[v] = _grouped_deviation(avg, a)
+                out[v] = _exact_sum(((avg, a),))
                 continue
         out[v] = fsum(map(abs, map(sub, repeat(avg, c), vals[lo:hi])))
     return out
@@ -894,10 +863,10 @@ def _refined_span(lo: int, hi: int, share: float, pins: list[int], queried: Mapp
 
 
 def _refined_tv(
-    tree: HierTree,
     shares: Iterable[tuple[int, int, int, float, list[int]]],
     queried: Mapping[int, float],
     truth: Sequence[float],
+    memo: dict[int, dict | None] | None,
 ) -> float:
     """``tv_distance`` between the refined weighting given by ``shares``
     (see ``_refined_shares``) and ``queried``, and ``truth``, a sequence
@@ -906,20 +875,19 @@ def _refined_tv(
     Every unqueried leaf of a node with share q adds the term |q - x| for
     its true weight x, and every pinned leaf p adds |queried[p] - x|,
     which is 0.0 when ``truth`` holds the values the oracle answered.
-    When ``truth`` is the leaf values of the tree's statistics entry (see
-    ``_instance_stats``), a node whose span is few-valued (``_few_values``)
-    adds each distinct x's term once, times its count in the span, and
-    each of its pins adds minus the term |q - x| that its leaf got there.
-    The value counts are kept in the entry's ``counts``, so the results of
-    an instance count each node's span once.  Every other node walks the
+    Given ``memo``, the ``counts`` of the statistics entry whose leaf
+    values ``truth`` is (see ``_instance_stats``), a node whose span is
+    few-valued (``_few_values``) adds each distinct x's term once, times
+    its count in the span, and each of its pins adds minus the term
+    |q - x| that its leaf got there.  The value counts are kept in
+    ``memo``, so the results of an instance count each node's span once.
+    Without it, or for a node that is not few-valued, the node walks the
     refined weighting over its span (``_refined_span``) leaf by leaf, as
     ``tv_distance`` walks the whole list.  All these terms go under one
     exact sum (``_exact_sum``), so the result is ``fsum`` over the
     per-leaf terms, halved, as ``tv_distance`` computes it, whenever that
     sum is finite.
     """
-    stats = tree._stats
-    memo = stats.counts if stats is not None and stats.vals is truth else None
     groups: list[tuple[float, dict]] = []
     singles: list[Iterable[float]] = []
     for v, lo, hi, share, pins in shares:

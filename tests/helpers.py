@@ -146,7 +146,9 @@ def reference_grouped_deviation(avg: float, counts) -> float:
     """The m-fold terms m * |avg - x| of a value -> count map summed
     exactly as integers over one power-of-two denominator, then one
     correctly rounded ``int / int`` division: the slow reference for
-    ``tree._grouped_deviation``, which sums split products with ``fsum``."""
+    ``tree._exact_sum`` over one group ``(avg, counts)``, as the
+    discrepancy pass calls it for a few-valued node, which sums split
+    products with ``fsum``."""
     ratios = list(map(float.as_integer_ratio, map(float, map(abs, map(sub, repeat(avg), counts)))))
     d = max(map(itemgetter(1), ratios))
     scaled = map(mul, map(itemgetter(0), ratios), map(floordiv, repeat(d), map(itemgetter(1), ratios)))

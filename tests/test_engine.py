@@ -56,6 +56,7 @@ from helpers import (
     random_tree,
     random_pruning,
     random_weight_table,
+    reference_node_discrepancies,
     reference_normalized_distance,
     reference_refine_with_queries,
     replay_trace,
@@ -646,15 +647,15 @@ def scored_result(rng, tree, oracle) -> PruningResult:
 class TestNormalizedDistance:
     """``normalized_distance`` builds no refined list, yet equals the
     label-keyed reference and ``tv_distance`` over ``w_p_refined`` bit for
-    bit, on either path: by value over a memoised few-valued instance, or
-    leaf by leaf."""
+    bit, on either path: by value when the target is a table over a
+    few-valued instance, or leaf by leaf."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         shape=st.sampled_from(("random", "caterpillar")),
         target=st.sampled_from(("few", "distinct")),
-        truth_kind=st.sampled_from(("oracle", "copy", "other", "other-memoised")),
+        truth_kind=st.sampled_from(("oracle", "copy", "other", "other-memoised", "table", "other-table")),
     )
     def test_matches_the_reference(self, seed, shape, target, truth_kind):
         rng = random.Random(seed)
@@ -668,22 +669,26 @@ class TestNormalizedDistance:
             truth = oracle.leaf_values
         elif truth_kind == "copy":
             truth = list(oracle.leaf_values)
+        elif truth_kind == "table":
+            truth = table
         else:
-            # Another table's values, so that pins are not the truth's:
-            # as a list, while the tree keeps the oracle's statistics
-            # entry, or as the values of a new entry.
+            # Another table, so that pins are not the truth's: its values
+            # as a list, as another oracle's leaf values, or the table.
             other = make(rng, tree.leaf_order)
             if truth_kind == "other":
                 truth = [other[lab] for lab in tree.leaf_order]
-            else:
+            elif truth_kind == "other-memoised":
                 truth = Oracle(tree, other).leaf_values
-        # Interleaved with the oracle's values, so that no truth is scored
+            else:
+                truth = other
+        # Interleaved with the oracle's table, so that no truth is scored
         # with the value counts of another.
         for res in results + results:
-            for target in (truth, oracle.leaf_values):
+            for target in (truth, table):
+                vals = [target[lab] for lab in tree.leaf_order] if isinstance(target, WeightTable) else target
                 got = normalized_distance(res, target)
-                assert got.hex() == reference_normalized_distance(res, target).hex()
-                assert got.hex() == tv_distance(res.w_p_refined, target).hex()
+                assert got.hex() == reference_normalized_distance(res, vals).hex()
+                assert got.hex() == tv_distance(res.w_p_refined, vals).hex()
 
     def test_few_valued_nodes_are_counted_once_per_instance(self, monkeypatch):
         tree = build_median_split_tree(random_features([f"x{i}" for i in range(4096)], 8, 0), 0)
@@ -693,15 +698,61 @@ class TestNormalizedDistance:
         calls = []
         original = tree_mod._few_values
         monkeypatch.setattr(tree_mod, "_few_values", lambda vals: calls.append(1) or original(vals))
-        truth = oracle.leaf_values
-        first = [normalized_distance(res, truth) for res in results]
+        first = [normalized_distance(res, table) for res in results]
         counted = len(calls)
-        assert [normalized_distance(res, truth) for res in results] == first
+        assert [normalized_distance(res, table) for res in results] == first
         assert len(calls) == counted  # the second pass counts nothing
-        memo = tree._stats.counts
+        assert table._stats.tree is tree
+        memo = table._stats.counts
         assert counted == len(memo) and any(memo.values())
         for res, got in zip(results, first):
-            assert got.hex() == reference_normalized_distance(res, truth).hex()
+            assert got.hex() == reference_normalized_distance(res, oracle.leaf_values).hex()
+
+    def test_a_table_used_with_two_trees_rebinds_its_entry(self):
+        labels = [f"x{i}" for i in range(600)]
+        trees = (build_median_split_tree(random_features(labels, 4, 0), 0), build_random_balanced_tree(labels, 1))
+        table = make_geometric_target(trees[0], TargetSpec("geometric-bins", n_bins=4, ratio=4.0), 0)
+        results = {}
+        for tree in trees:
+            oracle = Oracle(tree, table)
+            results[tree] = [run_awp(tree, oracle, EngineConfig(k=8, seed=s, max_basic_queries=300)) for s in range(2)]
+        for _ in range(2):
+            for tree in trees:
+                vals = [table[lab] for lab in tree.leaf_order]
+                for res in results[tree]:
+                    got = normalized_distance(res, table)
+                    assert table._stats.tree is tree
+                    assert got.hex() == reference_normalized_distance(res, vals).hex()
+                    assert got.hex() == tv_distance(res.w_p_refined, vals).hex()
+                assert any(table._stats.counts.values())  # counted by value
+                want = reference_node_discrepancies(tree, table)
+                assert [x.hex() for x in node_discrepancies(tree, table)] == [x.hex() for x in want]
+
+    def test_the_table_and_its_leaf_values_score_alike(self):
+        tree = build_median_split_tree(random_features([f"x{i}" for i in range(1024)], 4, 0), 0)
+        table = make_geometric_target(tree, TargetSpec("geometric-bins", n_bins=10, ratio=4.0), 0)
+        oracle = Oracle(tree, table)
+        for seed in range(2):
+            awp = run_awp(tree, oracle, EngineConfig(k=12, seed=seed, max_basic_queries=600))
+            k, basic = len(awp.pruning), awp.ledger.basic_queries
+            baselines = (run(tree, oracle, k, basic, seed) for run in (run_weight, run_uniform, run_empirical))
+            for res in (awp, *baselines):
+                assert normalized_distance(res, table).hex() == normalized_distance(res, oracle.leaf_values).hex()
+        assert any(table._stats.counts.values())  # the table took the grouped path
+
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            ({"a": 0.5, "b": 0.3, "c": 0.2}, "missing 1, extra 0"),
+            ({"a": 0.5, "b": 0.1, "c": 0.2, "e": 0.2}, "missing 1, extra 1"),
+            ({"a": 0.5, "b": 0.1, "c": 0.2, "d": 0.2, "e": 0.0}, "missing 0, extra 1"),
+        ],
+    )
+    def test_a_table_over_another_leaf_set_raises(self, other, message):
+        tree, truth = quad_instance()
+        res = run_awp(tree, Oracle(tree, truth), EngineConfig(k=2, seed=0))
+        with pytest.raises(ValueError, match=rf"does not match the tree's leaf set \({message}\)"):
+            normalized_distance(res, WeightTable(other))
 
     def test_lengths_must_match(self):
         tree, truth = quad_instance()
@@ -736,11 +787,10 @@ class TestNormalizedDistance:
         res = run_awp(tree, oracle, EngineConfig(k=3, seed=0, max_basic_queries=40))
         big = max(res.pruning, key=tree.leaf_count)
         res = replace(res, node_weights={**res.node_weights, big: bad})
-        truth = oracle.leaf_values
-        want = tv_distance(res.w_p_refined, truth)
-        got = normalized_distance(res, truth)
+        want = tv_distance(res.w_p_refined, oracle.leaf_values)
+        got = normalized_distance(res, table)
         assert got.hex() == want.hex()
-        assert tree._stats.counts[big] is not None  # the node was counted by value
+        assert table._stats.counts[big] is not None  # the node was counted by value
 
 
 class TestExactSumCheck:

@@ -116,17 +116,16 @@ def test_run_trace_out_peak(tmp_path):
 
 
 def _score_a_sweep(tree, table):
-    """Score an adaptive run and its three baselines on the instance; the
-    statistics entry's count memo."""
+    """Score an adaptive run and its three baselines on the instance with
+    its table; the table's statistics entry's count memo."""
     oracle = Oracle(tree, table)
-    truth = oracle.leaf_values
     for seed in range(2):
         awp = run_awp(tree, oracle, EngineConfig(k=10, seed=seed, max_basic_queries=500))
         k, basic = len(awp.pruning), awp.ledger.basic_queries
         for res in (awp, *(run(tree, oracle, k, basic, seed) for run in (run_weight, run_uniform, run_empirical))):
-            normalized_distance(res, truth)
-    assert tree._stats.vals is truth
-    return tree._stats.counts
+            normalized_distance(res, table)
+    assert table._stats.tree is tree and table._stats.vals is oracle.leaf_values
+    return table._stats.counts
 
 
 def test_scoring_an_all_distinct_target_keeps_no_count_maps():
@@ -144,8 +143,8 @@ def test_count_maps_die_with_their_statistics_entry():
     table = make_target_source("geometric:bins=10,ratio=4", tree, seed=0)
     memo = _score_a_sweep(tree, table)
     assert any(memo.values())
+    assert not hasattr(tree, "_stats")
     del table
     gc.collect()
-    assert tree._stats is None
     # Only this frame's name and getrefcount's argument still hold it.
     assert sys.getrefcount(memo) == 2

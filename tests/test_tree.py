@@ -5,7 +5,7 @@ import gc
 import math
 import pickle
 import random
-import weakref
+import sys
 from fractions import Fraction
 from math import fsum
 from time import monotonic
@@ -23,7 +23,7 @@ from awpkit.tree import (
     TreeStructureError,
     WeightTable,
     _LoadedWeights,
-    _grouped_deviation,
+    _exact_sum,
     average_split_quality,
     induced_weighting,
     is_pruning,
@@ -851,6 +851,12 @@ def _grouped_outcome(fn, avg, counts):
         return type(exc).__name__, str(exc)
 
 
+def _one_group_sum(avg, counts):
+    """``_exact_sum`` over the single group ``(avg, counts)``, as the
+    discrepancy pass calls it for a few-valued node."""
+    return _exact_sum(((avg, counts),))
+
+
 def _exact_mean(counts):
     """The value -> count map's mean, correctly rounded."""
     return float(sum(Fraction(x) * m for x, m in counts.items()) / sum(counts.values()))
@@ -878,9 +884,10 @@ _BELOW_CAP = math.nextafter(2.0**996, 0.0)
 
 
 class TestGroupedDeviation:
-    """``_grouped_deviation`` sums split products with one ``fsum`` below
-    its bounds and takes the integer form above them; either way it equals
-    the integer-ratio reference bit for bit, or raises as it does."""
+    """``_exact_sum`` over one group, a few-valued node's value counts,
+    sums split products with one ``fsum`` below its bounds and takes the
+    integer form above them; either way it equals the integer-ratio
+    reference bit for bit, or raises as it does."""
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -890,7 +897,7 @@ class TestGroupedDeviation:
     def test_matches_the_integer_reference(self, counts, avg):
         if avg is None:
             avg = _exact_mean(counts)
-        assert _grouped_outcome(_grouped_deviation, avg, counts) == _grouped_outcome(
+        assert _grouped_outcome(_one_group_sum, avg, counts) == _grouped_outcome(
             reference_grouped_deviation, avg, counts
         )
 
@@ -908,7 +915,7 @@ class TestGroupedDeviation:
             scales = (1.0, 2.0**-1000, 2.0**990)
             counts = {rng.random() * rng.choice(scales): rng.randint(low, top // g - 1) for _ in range(g)}
             avg = rng.choice((rng.random(), _exact_mean(counts)))
-            assert _grouped_outcome(_grouped_deviation, avg, counts) == _grouped_outcome(
+            assert _grouped_outcome(_one_group_sum, avg, counts) == _grouped_outcome(
                 reference_grouped_deviation, avg, counts
             )
 
@@ -943,7 +950,7 @@ class TestGroupedDeviation:
     )
     def test_bounds_and_edges(self, avg, counts):
         want = _grouped_outcome(reference_grouped_deviation, avg, counts)
-        assert _grouped_outcome(_grouped_deviation, avg, counts) == want
+        assert _grouped_outcome(_one_group_sum, avg, counts) == want
 
     def test_few_valued_caterpillars_match_the_slice_reference(self):
         # 3,000 leaves with ten distinct weights, hung on either side:
@@ -986,9 +993,10 @@ def fresh_optimum(tree, k, w):
 
 
 class TestStatisticsEntry:
-    """A tree memoises its exact statistics under a WeightTable: repeated
-    calls give the fresh results bit for bit and run one pass, and the
-    entry lives only as long as both the tree and the table."""
+    """A WeightTable memoises the exact statistics of the last tree it was
+    asked about: repeated calls give the fresh results bit for bit and run
+    one pass, the entry lives as long as the table, and the tree holds
+    none."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_repeated_calls_equal_fresh_results(self, seed):
@@ -1055,32 +1063,35 @@ class TestStatisticsEntry:
         assert Oracle(tree, truth).leaf_values == tuple(truth[lab] for lab in tree.leaf_order)
         assert oracle_before.leaf_values != Oracle(tree, truth).leaf_values
 
-    def test_entry_is_freed_with_the_table_or_the_tree(self):
-        tree, w, _ = entry_instances(1)
-        node_discrepancies(tree, w)
-        assert weakref.getweakrefcount(w) == 1
-        table_ref = weakref.ref(w)
-        del w
-        gc.collect()
-        assert table_ref() is None
-        assert tree._stats is None
-
+    def test_entry_is_freed_with_the_table_and_the_tree_holds_none(self):
         tree, w, _ = entry_instances(1)
         Oracle(tree, w)
-        tree_ref = weakref.ref(tree)
-        del tree
+        node_discrepancies(tree, w)
+        entry = w._stats
+        assert entry.tree is tree and entry.disc is not None
+        assert not hasattr(tree, "_stats") and not hasattr(tree, "__dict__")
+        count = sys.getrefcount(entry)
+        del w
         gc.collect()
-        assert tree_ref() is None
-        assert weakref.getweakrefcount(w) == 0
+        # Only this frame's name and getrefcount's argument still hold it.
+        assert sys.getrefcount(entry) == count - 1 == 2
 
-    def test_tree_with_an_entry_pickles_and_copies_without_it(self):
+    def test_table_with_an_entry_survives_pickle_and_copies(self):
         tree, w, _ = entry_instances(1)
-        want = node_discrepancies(tree, w)
-        for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), copy.copy(tree)):
-            if clone._stats is not None:  # a shallow copy shares the entry
-                assert clone._stats is tree._stats
-            assert float_bits(node_discrepancies(clone, w)) == float_bits(want)
-            assert clone.leaf_order == tree.leaf_order
+        want = float_bits(node_discrepancies(tree, w))
+        want_sums = (w._stats.sums, w._stats.den)
+        for clone in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(w)):
+            assert dict(clone) == dict(w)
+            kept = clone._stats
+            assert kept is not None and float_bits(kept.disc) == want
+            assert kept.vals == w._stats.vals and (kept.sums, kept.den) == want_sums
+            assert kept.tree.leaf_order == tree.leaf_order
+            # On the copy's tree the kept entry serves; on the original tree
+            # a deep copy builds its own.
+            for t in (kept.tree, tree):
+                assert float_bits(node_discrepancies(t, clone)) == want
+                assert float_bits(reference_node_discrepancies(t, clone)) == want
+            assert float_bits(node_discrepancies(tree, w)) == want
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oracle_shares_the_entry(self, seed):
