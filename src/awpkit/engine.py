@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from collections.abc import Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import repeat
@@ -45,10 +45,9 @@ from math import inf
 from awpkit.estimator import RADIUS_MODES, ConfidenceRadii, NodeStats
 from awpkit.oracle import Oracle, QueryLedger
 from awpkit.tree import (
-    WEIGHT_SUM_TOL,
+    MASS_TOL,
     HierTree,
     InvariantError,
-    WeightTable,
     _discrepancy,
     _exact_sum,
     _instance_stats,
@@ -58,9 +57,6 @@ from awpkit.tree import (
     refine_with_queries,
     tv_distance,
 )
-
-# Tolerance for a derived left-child mass coming out barely negative.
-MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -237,7 +233,9 @@ class PruningSearch:
         each node's share times its unqueried leaves, plus every queried
         weight (each queried position lies in one node's span), correctly
         rounded (``tree._exact_sum``), so it equals ``fsum`` over the list
-        bit for bit.
+        bit for bit.  Like the engine's other mass checks it allows
+        ``MASS_TOL``, since the target's total may be off 1 by up to
+        ``WEIGHT_SUM_TOL`` (see ``tree.MASS_TOL``).
         """
         ptuple = tuple(self.pruning)
         if not is_pruning(self.tree, ptuple):
@@ -254,8 +252,8 @@ class PruningSearch:
         )
         groups = [(share, {0.0: hi - lo - len(pins)}) for _, lo, hi, share, pins in result._node_shares]
         total = _exact_sum(groups, result.queried.values())
-        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-            raise InvariantError(f"refined weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
+        if not abs(total - 1.0) <= MASS_TOL:
+            raise InvariantError(f"refined weights sum to {total!r}, expected 1 within {MASS_TOL}")
         return result
 
 
@@ -448,31 +446,27 @@ def run_awp(tree: HierTree, oracle: Oracle, config: EngineConfig) -> PruningResu
     return state.result()
 
 
-def normalized_distance(result: PruningResult, truth: WeightTable | Sequence[float]) -> float:
+def normalized_distance(result: PruningResult, truth: Mapping[str, float]) -> float:
     """Total variation distance between the refined output weighting and
-    the true target, given as the instance's ``WeightTable`` or as a
-    sequence in ``tree.leaf_order`` order.
+    the true target ``truth``, keyed by leaf label like every target of
+    the package: the instance's ``WeightTable`` or another mapping over
+    exactly the tree's leaves (any other leaf set raises ValueError).
 
-    It equals ``tv_distance(result.w_p_refined, truth)`` over the target's
-    leaf-order values bit for bit, and is computed from the result's
-    pruning, node shares and pins without that list (see
-    ``tree._refined_tv``).  A table is read through its statistics entry
-    for ``result.tree`` (see ``tree._instance_stats``), so a few-valued
-    pruning node costs its distinct values, counted once per instance,
-    plus its pins; a table over another leaf set raises ValueError.  Any
-    other node or target costs one pass over the node's leaves.  A target
-    whose terms do not sum as finite floats (an infinite entry, say) is
+    It equals ``tv_distance(result.w_p_refined, vals)``, for the target's
+    values ``vals`` in ``tree.leaf_order`` order, bit for bit, and is
+    computed from the result's pruning, node shares and pins without that
+    list (see ``tree._refined_tv``).  The target is read through its
+    statistics entry for ``result.tree`` (see ``tree._instance_stats``):
+    a table keeps its entry, so a few-valued pruning node costs its
+    distinct values, counted once per instance, plus its pins, while any
+    other mapping gets a fresh entry, dropped after the call.  A node that
+    is not few-valued costs one pass over its leaves.  A result whose
+    terms do not sum as finite floats (a non-finite node mass, say) is
     scored on ``w_p_refined`` itself, so it gets ``tv_distance``'s value
     or error.
     """
-    memo = None
-    if isinstance(truth, WeightTable):
-        stats = _instance_stats(result.tree, truth)
-        truth, memo = stats.vals, stats.counts
-    n = result.tree.leaf_count_total
-    if len(truth) != n:
-        raise ValueError(f"weightings have different lengths ({n} and {len(truth)})")
+    stats = _instance_stats(result.tree, truth)
     try:
-        return _refined_tv(result._node_shares, result.queried, truth, memo)
+        return _refined_tv(result._node_shares, result.queried, stats)
     except (ValueError, OverflowError):
-        return tv_distance(result.w_p_refined, truth)
+        return tv_distance(result.w_p_refined, stats.vals)

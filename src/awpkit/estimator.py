@@ -40,9 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf, log, nan, pi, sqrt
 
-from awpkit.tree import InvariantError
-
-SAMPLE_TOL = 1e-12
+from awpkit.tree import MASS_TOL, InvariantError
 
 RADIUS_MODES = ("hoeffding", "bernstein", "min")
 
@@ -76,7 +74,7 @@ class NodeStats:
 
     def push(self, value: float) -> None:
         value = float(value)
-        if not (0.0 <= value <= self.w_star + SAMPLE_TOL):
+        if not (0.0 <= value <= self.w_star + MASS_TOL):
             raise InvariantError(
                 f"sample {value!r} outside [0, {self.w_star!r}] for node {self.node_id}"
             )

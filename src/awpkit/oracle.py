@@ -40,12 +40,13 @@ class Oracle:
     reports its own spend.  Both queries take O(1) time: ``query_node``
     reads exact prefix sums (see ``span_sums``).
 
-    The leaf values and prefix sums come from the instance's statistics
-    entry (see ``tree._instance_stats``), the one that
-    ``node_discrepancies`` and ``engine.normalized_distance`` read: for a
-    ``WeightTable`` truth they are computed once per (tree, table) pair,
+    The oracle answers from the instance's statistics entry (see
+    ``tree._instance_stats``), the one that ``node_discrepancies`` and
+    ``engine.normalized_distance`` read: for a ``WeightTable`` truth its
+    leaf values and prefix sums are computed once per (tree, table) pair,
     whichever asks first, and kept on the table; for any other mapping
-    they are computed here.
+    they are computed here.  The oracle exposes the target only through
+    its queries: a caller that needs the leaf values reads the target.
     """
 
     def __init__(self, tree: HierTree, truth: Mapping[str, float]):
@@ -53,14 +54,6 @@ class Oracle:
         self._vals, self._sums, self._den = stats.vals, stats.sums, stats.den
         self.tree = tree
         self.ledger = QueryLedger()
-
-    @property
-    def leaf_values(self) -> tuple[float, ...]:
-        """The hidden target in ``tree.leaf_order`` order, read-only; not
-        for the algorithms under test.  Reading it is not a query and is
-        not counted.  Scoring takes the table itself (see
-        ``engine.normalized_distance``)."""
-        return self._vals
 
     def query_leaf(self, pos: int) -> float:
         """Weight of the leaf at position ``pos`` of ``tree.leaf_order``;

@@ -30,13 +30,19 @@ from bisect import bisect_left, bisect_right
 # _count_elements is the C loop behind Counter.update, which counts an
 # iterable into a plain dict without Counter's Python-level overhead.
 from collections import _count_elements  # type: ignore[attr-defined]
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate, chain, islice, repeat
 from math import fsum, inf, isfinite
 from operator import floordiv, index, itemgetter, mul, neg, sub
 from typing import NoReturn, Union
 
 WEIGHT_SUM_TOL = 1e-9
+# The root's mass is 1 by definition, but a table's total is only within
+# WEIGHT_SUM_TOL of 1, so a leaf's weight may pass its node's mass, a
+# derived left-child mass may fall below zero and a refined weighting may
+# sum away from 1, each by up to WEIGHT_SUM_TOL plus rounding.  The engine
+# allows twice that in all three checks.
+MASS_TOL = 2 * WEIGHT_SUM_TOL
 
 # Structure spec for HierTree.from_nested: a leaf label, or a (left, right) pair.
 NestedSpec = Union[str, tuple]
@@ -532,8 +538,8 @@ def _few_distinct(vals: Collection) -> set | None:
     distinct ones.  Before it, the first ``bound + 1`` items alone are
     checked, since when those are all distinct the head fails too.  So a
     list of distinct items costs only ``bound + 1`` of them.
-    ``span_sums`` and the weight file reader and writer (see ``fileio``)
-    take their few-valued paths on this test."""
+    ``span_sums``, ``_few_values`` and the weight file reader and writer
+    (see ``fileio``) take their few-valued paths on this test."""
     cap = len(vals) // _GROUP_RATIO
     bound = min(cap, _SMALL)
     if len(set(islice(vals, bound + 1))) > bound:
@@ -547,31 +553,37 @@ def _few_distinct(vals: Collection) -> set | None:
     return None
 
 
+def _over_one_denominator(xs: Iterable[float]) -> tuple[Iterator[int], int]:
+    """The floats ``xs`` as integers over one denominator: ``(nums, D)``,
+    with ``D`` the largest of their power-of-two denominators and ``nums``
+    a lazy iterator over their numerators, in order, so that each x is
+    exactly its numerator over ``D``.  Values are converted with
+    ``float()`` first, as ``fsum`` does; a non-finite one raises
+    ``float.as_integer_ratio``'s ValueError or OverflowError."""
+    ratios = list(map(float.as_integer_ratio, map(float, xs)))
+    den = max(map(itemgetter(1), ratios), default=1)
+    return map(mul, map(itemgetter(0), ratios), map(floordiv, repeat(den), map(itemgetter(1), ratios))), den
+
+
 def span_sums(vals: Sequence[float]) -> tuple[list[int], int]:
     """Exact prefix sums ``(P, D)`` of a list of finite weights.
 
-    Every float is an integer over a power of two, so over the largest such
-    denominator ``D`` each prefix sum ``P[i]`` of ``vals[:i]`` is an exact
-    integer.  ``(P[hi] - P[lo]) / D`` is then one correctly rounded
-    ``int / int`` division, so it equals ``fsum(vals[lo:hi])`` bit for bit,
-    in O(1).  Values are converted with ``float()`` first, as ``fsum`` does.
-
-    With at most one distinct value per ``_GROUP_RATIO`` values, both in
-    the whole list and in its first ``_SMALL * _GROUP_RATIO`` values
-    (``_few_distinct``), each distinct value is scaled to ``D`` once;
-    otherwise each value is, since a per-value map would cost more than it
-    saves.  So a list with many distinct values is told apart after that
-    head at most.
+    Over one power-of-two denominator ``D`` (``_over_one_denominator``)
+    each prefix sum ``P[i]`` of ``vals[:i]`` is an exact integer.
+    ``(P[hi] - P[lo]) / D`` is then one correctly rounded ``int / int``
+    division, so it equals ``fsum(vals[lo:hi])`` bit for bit, in O(1).
+    A list that ``_few_distinct`` finds few-valued has each distinct value
+    scaled once; any other list has each value scaled, since a per-value
+    map would cost more than it saves.
     """
     distinct = _few_distinct(vals)
-    if distinct is not None:
-        ratios = {x: float(x).as_integer_ratio() for x in distinct}
-        den = max(map(itemgetter(1), ratios.values()), default=1)
-        scaled = {x: num * (den // d) for x, (num, d) in ratios.items()}
-        return list(accumulate(map(scaled.__getitem__, vals), initial=0)), den
-    ratios = list(map(float.as_integer_ratio, map(float, vals)))
-    den = max(map(itemgetter(1), ratios), default=1)
-    return list(accumulate((num * (den // d) for num, d in ratios), initial=0)), den
+    if distinct is None:
+        nums, den = _over_one_denominator(vals)
+    else:
+        keys = list(distinct)
+        nums, den = _over_one_denominator(keys)
+        nums = map(dict(zip(keys, nums)).__getitem__, vals)
+    return list(accumulate(nums, initial=0)), den
 
 
 class _Stats:
@@ -636,9 +648,10 @@ def _exact_sum(groups: Sequence[tuple[float, Mapping]], singles: Iterable[float]
     is taken only when every t is below 2**996 and all the counts sum to
     below 2**27.  Then the products' exact total is below 2**1023, so no
     product overflows.  Otherwise the m-fold terms and the singles are
-    summed exactly as integers over one power-of-two denominator, and the
-    one ``int / int`` division rounds correctly, or raises
-    ``OverflowError`` when the total passes the float range.
+    summed exactly as integers over one denominator
+    (``_over_one_denominator``), and the one ``int / int`` division rounds
+    correctly, or raises ``OverflowError`` when the total passes the float
+    range.
     """
     products: list[float] = []
     add = products.append
@@ -661,25 +674,21 @@ def _exact_sum(groups: Sequence[tuple[float, Mapping]], singles: Iterable[float]
     else:
         return fsum(chain(products, singles)) if singles else fsum(products)
     terms = chain.from_iterable(map(abs, map(sub, repeat(a), counts)) for a, counts in groups)
-    ratios = list(map(float.as_integer_ratio, map(float, chain(terms, singles))))
-    d = max(map(itemgetter(1), ratios), default=1)
-    nums = map(mul, map(itemgetter(0), ratios), map(floordiv, repeat(d), map(itemgetter(1), ratios)))
+    nums, d = _over_one_denominator(chain(terms, singles))
     # Each single counts once.
     ms = chain(chain.from_iterable(counts.values() for _, counts in groups), repeat(1))
     return sum(map(mul, ms, nums)) / d
 
 
 def _few_values(vals: Sequence[float]) -> dict | None:
-    """The value -> count map of ``vals`` when it holds at most one
-    distinct value per ``_GROUP_RATIO`` values, else None.  As in
-    ``span_sums``, a list with many distinct values is told apart after
-    its first ``_SMALL * _GROUP_RATIO`` values."""
-    cap = len(vals) // _GROUP_RATIO
-    if len(set(vals[: _SMALL * _GROUP_RATIO])) > min(cap, _SMALL):
+    """The value -> count map of ``vals`` when ``_few_distinct`` finds it
+    few-valued, else None, so a list with many distinct values is told
+    apart as ``span_sums`` tells it apart."""
+    if _few_distinct(vals) is None:
         return None
     counts: dict = {}
     _count_elements(counts, vals)
-    return counts if len(counts) <= cap else None
+    return counts
 
 
 def node_discrepancy(tree: HierTree, v: int, w: Mapping[str, float]) -> float:
@@ -690,7 +699,7 @@ def node_discrepancy(tree: HierTree, v: int, w: Mapping[str, float]) -> float:
     uniform spread of the node's mass.
     """
     lo, hi = tree.span(v)
-    return _discrepancy(_leaf_values(tree, w)[lo:hi])
+    return _discrepancy(_instance_stats(tree, w).vals[lo:hi])
 
 
 def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
@@ -783,7 +792,7 @@ def pruning_discrepancy(tree: HierTree, nodes: Iterable[int], w: Mapping[str, fl
     node_list = list(nodes)
     if not is_pruning(tree, node_list):
         raise ValueError("node set is not a pruning")
-    vals = _leaf_values(tree, w)
+    vals = _instance_stats(tree, w).vals
     return fsum(_discrepancy(vals[slice(*tree.span(v))]) for v in node_list)
 
 
@@ -865,38 +874,34 @@ def _refined_span(lo: int, hi: int, share: float, pins: list[int], queried: Mapp
 def _refined_tv(
     shares: Iterable[tuple[int, int, int, float, list[int]]],
     queried: Mapping[int, float],
-    truth: Sequence[float],
-    memo: dict[int, dict | None] | None,
+    stats: _Stats,
 ) -> float:
     """``tv_distance`` between the refined weighting given by ``shares``
-    (see ``_refined_shares``) and ``queried``, and ``truth``, a sequence
-    in ``leaf_order`` order, bit for bit, without the refined list.
+    (see ``_refined_shares``) and ``queried``, and the leaf values of the
+    statistics entry ``stats``, bit for bit, without the refined list.
 
     Every unqueried leaf of a node with share q adds the term |q - x| for
     its true weight x, and every pinned leaf p adds |queried[p] - x|,
-    which is 0.0 when ``truth`` holds the values the oracle answered.
-    Given ``memo``, the ``counts`` of the statistics entry whose leaf
-    values ``truth`` is (see ``_instance_stats``), a node whose span is
-    few-valued (``_few_values``) adds each distinct x's term once, times
-    its count in the span, and each of its pins adds minus the term
-    |q - x| that its leaf got there.  The value counts are kept in
-    ``memo``, so the results of an instance count each node's span once.
-    Without it, or for a node that is not few-valued, the node walks the
+    which is 0.0 when the entry holds the values the oracle answered.  A
+    node whose span is few-valued (``_few_values``) adds each distinct x's
+    term once, times its count in the span, and each of its pins adds
+    minus the term |q - x| that its leaf got there.  Each node's value
+    counts, or None, are kept in the entry's ``counts``, so the results
+    of an instance count each node's span once.  Any other node walks the
     refined weighting over its span (``_refined_span``) leaf by leaf, as
     ``tv_distance`` walks the whole list.  All these terms go under one
     exact sum (``_exact_sum``), so the result is ``fsum`` over the
     per-leaf terms, halved, as ``tv_distance`` computes it, whenever that
     sum is finite.
     """
+    truth, memo = stats.vals, stats.counts
     groups: list[tuple[float, dict]] = []
     singles: list[Iterable[float]] = []
     for v, lo, hi, share, pins in shares:
-        few = None
-        if memo is not None:
-            if v in memo:
-                few = memo[v]
-            else:
-                few = memo[v] = _few_values(truth[lo:hi])
+        if v in memo:
+            few = memo[v]
+        else:
+            few = memo[v] = _few_values(truth[lo:hi])
         if few is None:
             singles.append(map(abs, map(sub, _refined_span(lo, hi, share, pins, queried), truth[lo:hi])))
             continue

@@ -11,7 +11,7 @@ from itertools import accumulate, repeat
 from math import fsum, inf
 from operator import floordiv, itemgetter, mul, sub
 
-from awpkit.engine import EngineConfig, PruningResult, PruningSearch
+from awpkit.engine import MASS_TOL, EngineConfig, PruningResult, PruningSearch
 from awpkit.estimator import NodeStats, estimate_discrepancy
 from awpkit.fileio import HWT_MAGIC
 from awpkit.oracle import TargetSpec, _near_equal_runs
@@ -120,12 +120,12 @@ def reference_tv_distance(w1, w2):
 def reference_normalized_distance(result: PruningResult, truth) -> float:
     """``reference_tv_distance(reference_refine_with_queries(...))``: the
     total variation distance between a result's refined weighting and a
-    leaf-order ``truth``, both keyed by label, kept as the slow reference
-    for ``normalized_distance``, which builds no refined list."""
+    label-keyed ``truth``, kept as the slow reference for
+    ``normalized_distance``, which builds no refined list."""
     order = result.tree.leaf_order
     queried = {order[pos]: value for pos, value in result.queried.items()}
     refined = reference_refine_with_queries(result.tree, result.pruning, result.node_weights, queried)
-    return reference_tv_distance(refined, dict(zip(order, truth)))
+    return reference_tv_distance(refined, truth)
 
 
 def reference_node_discrepancies(tree: HierTree, w) -> list[float]:
@@ -764,7 +764,7 @@ def replay_trace(tree: HierTree, truth, result: PruningResult, config: EngineCon
             true_wr = fsum(truth[lab] for lab in leaves_under(tree, right))
             assert w_r == true_wr, f"split mass {w_r!r} differs from true {true_wr!r}"
             w_l = node_w[v] - w_r
-            assert w_l >= -1e-12
+            assert w_l >= -MASS_TOL
             if w_l < 0.0:
                 w_l = 0.0
             pruning.remove(v)

@@ -223,10 +223,10 @@ class TestRunExperiment:
             assert row[5] == sum(1 for ln in lines if ln.startswith("SPLIT "))
 
     def test_converts_the_truth_once(self, monkeypatch):
-        # The sweep scores every row against the oracle's own leaf-order
-        # list instead of converting the label-keyed target again, and the
-        # oracle's prefix sums are built once, not once per (k, run) cell.
-        # Both are called only from the tree module's statistics entry.
+        # The sweep scores every row against the table's statistics entry,
+        # which the oracle shares, instead of converting the label-keyed
+        # target again, and the prefix sums are built once, not once per
+        # (k, run) cell.  Both are called only from that entry.
         calls = {"_leaf_values": 0, "span_sums": 0}
         for name in calls:
             original = getattr(tree_mod, name)
@@ -538,6 +538,22 @@ class TestMain:
         assert "split_quality: n/a" in out
         assert "average_split_quality: n/a" in out
         assert "root_discrepancy: 0.0" in out
+
+    @pytest.mark.parametrize("weights", ["a 1.0000000005\nb 0.0\n", "a 0.0\nb 1.0000000005\n"])
+    def test_a_table_that_loads_also_runs(self, tmp_path, capsys, weights):
+        # The table's total is 1 within 1e-9, but the root's mass is 1: a
+        # leaf may weigh more than the root and a left mass fall below 0.
+        tree_path = tmp_path / "t.hwt"
+        w_path = tmp_path / "w.txt"
+        csv = tmp_path / "r.csv"
+        dump_tree(HierTree.from_nested(("a", "b")), tree_path)
+        w_path.write_text(weights, encoding="utf-8")
+        assert main(["inspect", "--tree", str(tree_path), "--weights", str(w_path)]) == 0
+        assert "total_weight: 1.0000000005" in capsys.readouterr().out.splitlines()
+        rc = main(["run", "--tree", str(tree_path), "--weights", str(w_path), "--k", "2", "--out", str(csv)])
+        assert rc == 0, capsys.readouterr().err
+        details, _ = parse_results(csv.read_text(encoding="utf-8"))
+        assert {row[0] for row in details} == set(ALGORITHMS)
 
     def test_inspect_makes_one_discrepancy_pass(self, tmp_path, capsys, monkeypatch):
         calls = []

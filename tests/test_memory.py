@@ -124,7 +124,7 @@ def _score_a_sweep(tree, table):
         k, basic = len(awp.pruning), awp.ledger.basic_queries
         for res in (awp, *(run(tree, oracle, k, basic, seed) for run in (run_weight, run_uniform, run_empirical))):
             normalized_distance(res, table)
-    assert table._stats.tree is tree and table._stats.vals is oracle.leaf_values
+    assert table._stats.tree is tree and table._stats.vals is oracle._vals
     return table._stats.counts
 
 

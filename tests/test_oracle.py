@@ -66,15 +66,6 @@ class TestOracle:
         assert oracle.ledger.basic_queries == 2
         assert oracle.ledger.node_queries == 2
 
-    def test_leaf_values_are_read_only_and_free(self):
-        tree, truth = small_instance()
-        oracle = Oracle(tree, truth)
-        assert oracle.leaf_values == tuple(truth[lab] for lab in tree.leaf_order)
-        assert isinstance(oracle.leaf_values, tuple)
-        with pytest.raises(AttributeError):
-            oracle.leaf_values = ()
-        assert oracle.ledger.basic_queries == 0 and oracle.ledger.node_queries == 0
-
     def test_repeat_queries_charge_again(self):
         tree, truth = small_instance()
         oracle = Oracle(tree, truth)

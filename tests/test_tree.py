@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import fsum
 from time import monotonic
@@ -24,6 +25,7 @@ from awpkit.tree import (
     WeightTable,
     _LoadedWeights,
     _exact_sum,
+    _few_values,
     average_split_quality,
     induced_weighting,
     is_pruning,
@@ -751,6 +753,23 @@ class TestSpanSums:
 
     @settings(max_examples=200, deadline=None)
     @given(
+        size=st.integers(1, 150),
+        n=st.integers(0, 1600),
+        head=st.integers(0, 1600),
+        seed=st.integers(0, 10**6),
+    )
+    def test_few_values_counts_exactly_the_few_valued_lists(self, size, n, head, seed):
+        # At most one distinct value per 10 values, and at most
+        # min(n // 10, 64) among the first 640; the head draws from a
+        # smaller alphabet, so that each bound is met alone.
+        rng = random.Random(seed)
+        alphabet = [i / 7 for i in range(size)] + [-0.0]
+        vals = tuple(rng.choice(alphabet[: 1 + i % 4] if i < head else alphabet) for i in range(n))
+        few = len(set(vals)) <= n // 10 and len(set(vals[:640])) <= min(n // 10, 64)
+        assert _few_values(vals) == (Counter(vals) if few else None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
         pool=st.lists(
             st.floats(0.0, 1.0) | st.integers(-5, 5).map(lambda m: m * 2.0**-1074) | st.sampled_from((0.0, -0.0)),
             min_size=1,
@@ -805,7 +824,7 @@ class TestSpanSums:
     def test_node_queries_equal_fsum_of_the_span(self, seed):
         for tree, w in span_sum_instances(seed):
             oracle = Oracle(tree, w)
-            vals = oracle.leaf_values
+            vals = [w[lab] for lab in tree.leaf_order]
             for v in range(tree.node_count):
                 lo, hi = tree.span(v)
                 assert float_bits([oracle.query_node(v)]) == float_bits([fsum(vals[lo:hi])])
@@ -1040,6 +1059,26 @@ class TestStatisticsEntry:
         optimal_pruning(tree, 10, other)
         assert calls == {"_discrepancy_pass": 4, "span_sums": 4}
 
+    def test_every_reader_converts_the_table_once(self, monkeypatch):
+        tree, w, _ = entry_instances(1)
+        calls = []
+        original = tree_mod._leaf_values
+        monkeypatch.setattr(tree_mod, "_leaf_values", lambda *args: calls.append(1) or original(*args))
+        nodes = optimal_pruning(tree, 10, w)[0]
+        oracle = Oracle(tree, w)
+        want = float_bits([oracle.query_node(v) for v in range(tree.node_count)])
+        for v in range(tree.node_count):
+            node_discrepancy(tree, v, w)
+        pruning_discrepancy(tree, nodes, w)
+        node_discrepancies(tree, w)
+        assert len(calls) == 1
+        # A plain dict is converted again on every call.
+        node_discrepancy(tree, tree.root_id, dict(w))
+        pruning_discrepancy(tree, nodes, dict(w))
+        oracle = Oracle(tree, dict(w))
+        assert float_bits([oracle.query_node(v) for v in range(tree.node_count)]) == want
+        assert len(calls) == 4
+
     def test_returned_list_is_a_copy(self):
         tree, w, _ = entry_instances(1)
         want = float_bits(reference_node_discrepancies(tree, w))
@@ -1060,8 +1099,10 @@ class TestStatisticsEntry:
         after = node_discrepancies(tree, truth)
         assert float_bits(after) == float_bits(reference_node_discrepancies(tree, truth))
         assert after != before
-        assert Oracle(tree, truth).leaf_values == tuple(truth[lab] for lab in tree.leaf_order)
-        assert oracle_before.leaf_values != Oracle(tree, truth).leaf_values
+        positions = range(tree.leaf_count_total)
+        answers = Oracle(tree, truth).query_leaves(positions)
+        assert answers == [truth[lab] for lab in tree.leaf_order]
+        assert oracle_before.query_leaves(positions) != answers
 
     def test_entry_is_freed_with_the_table_and_the_tree_holds_none(self):
         tree, w, _ = entry_instances(1)
@@ -1101,9 +1142,9 @@ class TestStatisticsEntry:
         disc = node_discrepancies(tree, w)
         after = Oracle(tree, w)
         assert float_bits(disc) == float_bits(reference_node_discrepancies(tree, w))
-        assert before.leaf_values is after.leaf_values
+        assert before._vals is after._vals is w._stats.vals
         for oracle in (before, after):
-            assert oracle.leaf_values == alone.leaf_values
+            assert oracle._vals == alone._vals
             for v in range(tree.node_count):
                 assert float_bits([oracle.query_node(v)]) == float_bits([alone.query_node(v)])
 
