@@ -13,9 +13,18 @@ one run on each side with the same seed, the parent first on the 1st,
 3rd, ... pair.  The seeds are 100*N+1 to 100*N+20, one per pair and
 workload.  It writes ``BENCH_<N>.json`` at the root of the checkout:
 every run's JSON result line, untouched, and per workload and end-to-end
-metric each side's median and quartiles and the number of pairs in which
-the PR side is better.  The exit code is 1 when a run fails or reports
-failed ops, 0 otherwise.  Stdlib only.
+metric each side's median and quartiles, the number of pairs in which
+the PR side is better, and the two acceptance rules:
+
+  - ``gain_shown``: the PR side is better in at least 9 of the 10 pairs
+    (a tie counts for neither side), and its median beats the parent's
+    by more than the parent's interquartile range;
+  - ``within_bound``: the PR median is not worse than the parent's by
+    more than the metric's ``bound`` in ``BENCHMARK.json``, as a fraction
+    of the parent median.
+
+The exit code is 1 when a run fails or reports failed ops, 0 otherwise.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+# Pairs the PR side must win for a claimed gain to be shown.
+GAIN_WINS = 9
 # Metrics that depend only on the seed, so both sides must report the
 # same value for it.
 DETERMINISTIC = ("ops", "awp_queries", "awp_tv")
@@ -81,16 +92,19 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         sign = 1 if metric["better"] == "lower" else -1
         pq1, pmed, pq3 = statistics.quantiles(parent, n=4, method="inclusive")
         rq1, rmed, rq3 = statistics.quantiles(pr, n=4, method="inclusive")
+        wins = sum(sign * (b - a) < 0 for a, b in values)
         out[name] = {
             "parent_median": round(pmed, 4),
             "pr_median": round(rmed, 4),
             "change": round(rmed / pmed - 1, 4) if pmed else None,
-            "pr_better_pairs": sum(sign * (b - a) < 0 for a, b in values),
+            "pr_better_pairs": wins,
             "pairs": len(values),
             "parent_q1_q3": [round(pq1, 4), round(pq3, 4)],
             "parent_iqr": round(pq3 - pq1, 4),
             "pr_q1_q3": [round(rq1, 4), round(rq3, 4)],
             "pr_iqr": round(rq3 - rq1, 4),
+            "gain_shown": wins >= GAIN_WINS and sign * (pmed - rmed) > pq3 - pq1,
+            "within_bound": sign * (rmed - pmed) <= metric["bound"] * abs(pmed),
         }
     out["ops_awp_queries_awp_tv_identical_per_seed"] = all(
         a["metrics"][m]["value"] == b["metrics"][m]["value"] for a, b in pairs for m in DETERMINISTIC

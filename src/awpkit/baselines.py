@@ -13,16 +13,23 @@ every candidate node from the drawn leaves that happen to fall under it:
 UNIFORM with the unbiased discrepancy estimate, EMPIRICAL with the plug-in
 sum (n/m) * sum |node_average - z|, which looks like the discrepancy but
 concentrates around the wrong value when rare heavy leaves are missed.
+
+The three baselines of one (k, run) cell draw the same leaf positions
+from the same seed, so the positions are drawn, and sorted, once per
+cell (``_seeded_positions``, ``_sort_positions``); each baseline still
+answers them with its own oracle call, which charges its own ledger and
+records its own trace.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import repeat
 from math import fsum
-from operator import itemgetter, sub
+from operator import sub
 
 from awpkit.engine import PruningResult, PruningSearch
 from awpkit.oracle import Oracle
@@ -57,21 +64,55 @@ def _check_run_args(tree: HierTree, k: int, basic: int) -> None:
         raise ValueError(f"basic query count must be non-negative, got {basic}")
 
 
-def _draw_all(search: PruningSearch, rng: random.Random, count: int) -> list[tuple[int, float]]:
-    """Uniform-with-replacement leaf draws over the whole leaf set,
-    drawn for the root (they serve no single node).  Returns the
-    (leaf position, weight) pairs in draw order."""
+def _draw_positions(rng: random.Random, n: int, count: int) -> list[int]:
+    """``count`` uniform-with-replacement leaf positions below n, in draw
+    order, as ``rng.randrange(n)`` per draw would give them."""
     # randrange(n) returns _randbelow(n) after its argument checks, which
     # returns the first getrandbits(n.bit_length()) below n.  So the draws
     # are the values below n in that stream of getrandbits calls, taken in
     # batches no longer than the draws still missing: the last call is the
     # last draw, and the generator ends in randrange's state.
-    n = search.tree.leaf_count_total
     bits = n.bit_length()
     positions: list[int] = []
     while len(positions) < count:
         positions += filter(n.__gt__, map(rng.getrandbits, repeat(bits, count - len(positions))))
-    return list(zip(positions, search.draw_many(positions, search.tree.root_id)))
+    return positions
+
+
+# The three baselines of one (k, run) cell draw the same budget from the
+# same seed, so the last budget drawn from an int seed, and the last sort
+# order, are kept: one entry each, holding only ints.  typed=True keeps a
+# float count from hitting an equal int count's entry: it must still fail
+# in ``_draw_positions``.
+@lru_cache(maxsize=1, typed=True)
+def _seeded_positions(n: int, seed: int, count: int) -> tuple[int, ...]:
+    return tuple(_draw_positions(random.Random(seed), n, count))
+
+
+@lru_cache(maxsize=1)
+def _sort_positions(positions: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions sorted, and the draw indices in that order (draw
+    order among equal positions)."""
+    order = sorted(range(len(positions)), key=positions.__getitem__)
+    return tuple(map(positions.__getitem__, order)), tuple(order)
+
+
+def _draw_budget(search: PruningSearch, seed, count: int) -> tuple[tuple[int, ...], list[float]]:
+    """Draw ``count`` uniform leaf positions over the whole leaf set from
+    ``random.Random(seed)`` and answer them with one ``draw_many`` call for
+    the root (the draws serve no single node), which charges this search's
+    ledger and records its trace.  Returns the positions and their values,
+    in draw order.
+
+    The positions are a pure function of (leaf count, seed, count),
+    memoised for an int seed; any other seed draws afresh, as
+    ``random.Random(None)`` must."""
+    n = search.tree.leaf_count_total
+    if type(seed) is int:
+        positions = _seeded_positions(n, seed, count)
+    else:
+        positions = tuple(_draw_positions(random.Random(seed), n, count))
+    return positions, search.draw_many(positions, search.tree.root_id)
 
 
 def _split_best(search: PruningSearch, k: int, key) -> None:
@@ -96,16 +137,16 @@ def run_weight(tree: HierTree, oracle: Oracle, k: int, basic: int, seed: int) ->
     _check_run_args(tree, k, basic)
     mass = search.mass
     _split_best(search, k, lambda v: -mass[v])
-    _draw_all(search, random.Random(seed), basic)
+    _draw_budget(search, seed, basic)
     return search.finish()
 
 
 def _run_scored(tree, oracle, k, basic, seed, score_fn) -> PruningResult:
     search = PruningSearch(tree, oracle)
     _check_run_args(tree, k, basic)
-    draws = sorted(_draw_all(search, random.Random(seed), basic), key=itemgetter(0))
-    pos_sorted = [pos for pos, _ in draws]
-    val_sorted = [x for _, x in draws]
+    positions, values = _draw_budget(search, seed, basic)
+    pos_sorted, order = _sort_positions(positions)
+    val_sorted = list(map(values.__getitem__, order))
     mass = search.mass
 
     def key(v):

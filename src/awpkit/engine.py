@@ -28,8 +28,10 @@ gives the radius, and the node's new ucb and lcb go on the heaps;
 from its config once, and it lives as long as the ``AwpRun``: the
 arguments are checked there, and each sample size's log term and
 Hoeffding factor are computed on first use and kept (see
-``awpkit.estimator``).  The baselines draw their whole budget at once
-and answer it with one ``Oracle.query_leaves`` call.
+``awpkit.estimator``), where mode "min" also skips the Bernstein radius
+at sample sizes where it cannot win.  The baselines draw their whole
+budget at once, once per (k, run) cell, and each answers it with one
+``Oracle.query_leaves`` call.
 """
 
 from __future__ import annotations

@@ -23,13 +23,36 @@ What is kept, and for how long:
   - ``NodeStats.push`` folds each draw into the node's running sums and
     recomputes its estimate, which ``estimate_discrepancy`` returns; both
     live as long as the node's stats.
-  - ``ConfidenceRadii`` checks (k, delta, mode) once and keeps
-    ln(2/delta(m)) and the Hoeffding factor sqrt(2 ln(2/delta(m)) / m)
-    keyed by m, from the first radius at m for the object's life.  An
-    engine run builds one from its config and drops it with the run;
-    ``confidence_radius`` builds one per call.  Each kept value is the
-    float a fresh evaluation of the same expression gives, so every
-    radius is too.
+  - ``ConfidenceRadii`` checks (k, delta, mode) once and keeps, keyed by
+    m, the Bernstein radius's log term, the Hoeffding factor
+    sqrt(2 ln(2/delta(m)) / m) and whether Hoeffding must win at m, from
+    the first radius at m for the object's life.  An engine run builds
+    one from its config and drops it with the run; ``confidence_radius``
+    builds one per call.  Each kept value is the float a fresh evaluation
+    of the same expression gives, so every radius is too.
+
+The Bernstein shortcut.  Bernstein's constant term
+28 w_star L / (3 (m - 1)) grows with w_star exactly as the Hoeffding
+radius w_star * factor does, and below a crossover sample size that
+depends only on k and delta (m of about 900 to 1,000 at delta = 0.05)
+its coefficient alone exceeds the Hoeffding factor.  There mode "min"
+returns the Hoeffding radius without computing the variance or its
+square root.  This is exact, not an approximation: with u = 2^-53,
+
+  - the flag is set only when the float 28 L / (3 (m - 1)) is at least
+    factor * (1 + 2^-40), so the real coefficient exceeds the factor by
+    a relative 2^-41 or more;
+  - for w_star >= 2^-900 no rounding below is subnormal, so each of the
+    three roundings of the constant term T2 = fl(fl(fl(28 w_star) L) /
+    (3 (m - 1))) loses a relative u at most (overflow only rounds up),
+    and T2 >= w_star * factor * (1 + 2^-41) (1 - u)^3
+    > w_star * factor * (1 + u) >= fl(w_star * factor), the Hoeffding
+    radius;
+  - the variance term is >= 0 (or nan), and rounding is monotone, so the
+    Bernstein radius fl(variance term + T2) is >= T2 (or nan), and
+    "bernstein < hoeffding" is false: ``min`` would have returned the
+    same Hoeffding float.  At w_star = 0 both constant terms are 0 and
+    the same holds without the flag; at m = 1 Bernstein is infinite.
 
 Per draw, the engine makes two calls here: ``push``, then one
 ``ConfidenceRadii.radius``; the estimate is read from the stats.
@@ -96,6 +119,10 @@ def estimate_discrepancy(stats: NodeStats) -> float:
 
 
 _PI_SQ = pi**2
+# The smallest node mass for which the Bernstein shortcut's roundings stay
+# normal (see the module docstring), and the flag's relative margin.
+_SHORTCUT_MIN_MASS = 2.0**-900
+_SHORTCUT_MARGIN = 1.0 + 2.0**-40
 
 
 class ConfidenceRadii:
@@ -114,10 +141,12 @@ class ConfidenceRadii:
     and for the Bernstein radius also at m = 1, where the variance is
     undefined; zero for Hoeffding on a zero-mass node.
 
-    The arguments are checked once, here.  ln(2/delta(m)) and the
-    Hoeffding factor sqrt(2 ln(2/delta(m)) / m) depend on m alone, so
-    each is computed on the first radius at m and kept, keyed by m, for
-    the object's life.
+    The arguments are checked once, here.  The Bernstein log term, the
+    Hoeffding factor sqrt(2 ln(2/delta(m)) / m) and, in mode "min", the
+    flag that Bernstein's constant term alone beats the Hoeffding radius
+    (the module docstring's shortcut) depend on m alone, so each is
+    computed on the first radius at m and kept, keyed by m, for the
+    object's life.
     """
 
     __slots__ = ("k", "delta", "mode", "strict_paper", "_strict_log", "_terms")
@@ -134,8 +163,19 @@ class ConfidenceRadii:
         self.mode = mode
         self.strict_paper = strict_paper
         self._strict_log = log(2.0 / delta)
-        # m -> (ln(2 / delta(m)), sqrt(2 ln(2 / delta(m)) / m))
-        self._terms: dict[int, tuple[float, float]] = {}
+        # m -> (Bernstein log term, Hoeffding factor, Hoeffding wins "min")
+        self._terms: dict[int, tuple[float, float, bool]] = {}
+
+    def _term(self, m: int) -> tuple[float, float, bool]:
+        # ln(2 / delta(m)) with delta(m) = 3 delta / (k pi^2 m^2)
+        log_term = log(2.0 * self.k * _PI_SQ * m * m / (3.0 * self.delta))
+        factor = sqrt(2.0 * log_term / m)
+        if self.strict_paper:
+            log_term = self._strict_log
+        hoeffding_wins = self.mode == "min" and (
+            m == 1 or 28.0 * log_term / (3.0 * (m - 1)) >= factor * _SHORTCUT_MARGIN
+        )
+        return log_term, factor, hoeffding_wins
 
     def radius(self, stats: NodeStats) -> float:
         """The radius of stats' estimate after its m draws."""
@@ -144,26 +184,25 @@ class ConfidenceRadii:
             return inf
         term = self._terms.get(m)
         if term is None:
-            # ln(2 / delta(m)) with delta(m) = 3 delta / (k pi^2 m^2)
-            log_term = log(2.0 * self.k * _PI_SQ * m * m / (3.0 * self.delta))
-            term = self._terms[m] = (log_term, sqrt(2.0 * log_term / m))
-        log_term, factor = term
-        hoeffding = stats.w_star * factor
+            term = self._terms[m] = self._term(m)
+        log_term, factor, hoeffding_wins = term
+        w_star = stats.w_star
+        hoeffding = w_star * factor
+        if hoeffding_wins and (w_star >= _SHORTCUT_MIN_MASS or w_star == 0.0):
+            return hoeffding
         mode = self.mode
         if mode == "hoeffding":
             return hoeffding
         if m == 1:
             bernstein = inf
         else:
-            if self.strict_paper:
-                log_term = self._strict_log
             # Pairwise-difference form reduced to O(m):
             # sum_{i<j} (a_i - a_j)^2 = m * sum a_i^2 - (sum a_i)^2, over m(m-1).
             var = (m * stats._sum_zp2 - stats._sum_zp**2) / (m * (m - 1))
             if var < 0.0:
                 var = 0.0
             bernstein = stats.n_leaves * sqrt(8.0 * var * log_term / m) + (
-                28.0 * stats.w_star * log_term / (3.0 * (m - 1))
+                28.0 * w_star * log_term / (3.0 * (m - 1))
             )
         if mode == "bernstein":
             return bernstein

@@ -589,20 +589,33 @@ def span_sums(vals: Sequence[float]) -> tuple[list[int], int]:
 class _Stats:
     """Exact statistics of one instance, a tree under a weighting: the tree
     ``tree``, the leaf values ``vals`` as a tuple in ``leaf_order`` order,
-    their prefix sums ``(sums, den)`` from ``span_sums``, the node
-    discrepancies ``disc``, None until ``node_discrepancies`` first asks
-    for them, and ``counts``, which maps each node a result was scored on
-    (see ``_refined_tv``) to its span's value -> count map when that span
-    is few-valued (``_few_values``), else to None."""
+    their prefix sums ``(sums, den)`` from ``span_sums``, computed on their
+    first read, the node discrepancies ``disc``, None until
+    ``node_discrepancies`` first asks for them, and ``counts``, which maps
+    each node a result was scored on (see ``_refined_tv``) to its span's
+    value -> count map when that span is few-valued (``_few_values``),
+    else to None.
+
+    Only ``Oracle`` and the discrepancy pass read the prefix sums, so
+    scoring a result and ``node_discrepancy`` or ``pruning_discrepancy``
+    against a mapping that is not a ``WeightTable``, whose entry is built
+    per call, never pay for them."""
 
     __slots__ = ("tree", "vals", "sums", "den", "disc", "counts")
 
     def __init__(self, tree: HierTree, w: Mapping[str, float]):
         self.tree = tree
         self.vals = tuple(_leaf_values(tree, w))
-        self.sums, self.den = span_sums(self.vals)
         self.disc: list[float] | None = None
         self.counts: dict[int, dict | None] = {}
+
+    def __getattr__(self, name: str):
+        # Python calls this only when the normal lookup fails, which for
+        # the prefix sums means before their first read.
+        if name not in ("sums", "den"):
+            raise AttributeError(name)
+        self.sums, self.den = span_sums(self.vals)
+        return getattr(self, name)
 
 
 def _instance_stats(tree: HierTree, w: Mapping[str, float]) -> _Stats:

@@ -472,7 +472,7 @@ def reference_trace_lines(result: PruningResult) -> list[str]:
 
 def reference_draw_all(search: PruningSearch, rng: random.Random, count: int) -> list[tuple[int, float]]:
     """One ``randrange`` and one recorded oracle query per draw: the slow
-    reference for ``baselines._draw_all``."""
+    reference for ``baselines._draw_budget``."""
     root = search.tree.root_id
     n = search.tree.leaf_count_total
     draws = []

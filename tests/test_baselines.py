@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import random
 from bisect import insort
+from itertools import permutations
 from math import fsum, isclose
 
 import numpy as np
 import pytest
 
 from awpkit.baselines import (
-    _draw_all,
+    _draw_budget,
+    _draw_positions,
+    _seeded_positions,
+    _sort_positions,
     empirical_score,
     run_empirical,
     run_uniform,
@@ -411,24 +415,86 @@ class TestDrawAll:
     @pytest.mark.parametrize("basic", [0, 1, 7, 2000])
     def test_matches_reference(self, shape, basic):
         # The batch records the same draws, in the same order, as one query
-        # at a time, on an oracle that has served queries before, and
-        # leaves the generator where randrange per draw leaves it.  With
-        # 32 leaves half of the raw draws are rejected.
+        # at a time, on an oracle that has served queries before, whether
+        # the budget is drawn afresh or comes from the memo; the position
+        # draw leaves the generator where randrange per draw leaves it.
+        # With 32 leaves half of the raw draws are rejected.
         rng = random.Random(41)
         tree = {"random": lambda: random_tree(rng, 37), "caterpillar": lambda: caterpillar(23),
                 "power-of-two": lambda: random_tree(rng, 32)}[shape]()
         table = random_weight_table(rng, tree.leaf_order)
+        _seeded_positions.cache_clear()
         sides = []
-        for draw_all in (_draw_all, reference_draw_all):
+        for side in ("fresh", "memo", "reference"):
             oracle = Oracle(tree, table)
             oracle.query_leaf(0)
             search = PruningSearch(tree, oracle)
             draw_rng = random.Random(basic)
-            draws = draw_all(search, draw_rng, basic)
+            if side == "reference":
+                draws = reference_draw_all(search, draw_rng, basic)
+            else:
+                draws = list(zip(*_draw_budget(search, basic, basic)))
+                _draw_positions(draw_rng, tree.leaf_count_total, basic)
             result = search.finish()
             sides.append((draws, result.trace, list(search.queried.items()), result.ledger, draw_rng.getstate()))
-        assert sides[0] == sides[1]
+        assert sides[0] == sides[1] == sides[2]
         assert sides[0][3].basic_queries == basic
+
+
+class TestBudgetMemo:
+    RUNNERS = {"weight": run_weight, "uniform": run_uniform, "empirical": run_empirical}
+
+    @staticmethod
+    def outcome(fn, tree, table, k, basic, seed):
+        oracle = Oracle(tree, table)
+        result = fn(tree, oracle, k, basic, seed)
+        return result.pruning, result.node_weights, result.ledger, result.trace, result.queried, oracle.ledger
+
+    @pytest.mark.parametrize("order", list(permutations(RUNNERS)))
+    def test_baselines_agree_with_and_without_the_memo(self, order):
+        # Each baseline of a cell gives the same result whether the memo
+        # is empty or already holds the cell's draw and sort order, in
+        # every call order; its ledger, trace and queried map stay its own.
+        rng = random.Random(67)
+        tree = random_tree(rng, 150)
+        table = random_weight_table(rng, tree.leaf_order)
+        k, basic, seed = 9, 400, 12
+        cold = {}
+        for name, fn in self.RUNNERS.items():
+            _seeded_positions.cache_clear()
+            _sort_positions.cache_clear()
+            cold[name] = self.outcome(fn, tree, table, k, basic, seed)
+        _seeded_positions.cache_clear()
+        _sort_positions.cache_clear()
+        for name in order:
+            assert self.outcome(self.RUNNERS[name], tree, table, k, basic, seed) == cold[name]
+        assert _seeded_positions.cache_info().hits == 2
+        # Another cell's draw replaces the one entry.
+        assert self.outcome(run_weight, tree, table, k, basic, seed + 1) != cold["weight"]
+        assert _seeded_positions.cache_info().currsize == 1
+
+    def test_memo_holds_only_ints(self):
+        positions = _seeded_positions(64, 3, 50)
+        assert type(positions) is tuple and all(type(p) is int for p in positions)
+        pos_sorted, order = _sort_positions(positions)
+        assert all(type(x) is int for x in (*pos_sorted, *order))
+        assert list(pos_sorted) == sorted(positions)
+        # Stable: equal positions keep their draw order.
+        assert order == tuple(sorted(range(50), key=lambda i: (positions[i], i)))
+
+    def test_non_int_seeds_are_not_memoised(self):
+        # Random(None) must draw afresh on every call; other seed types are
+        # drawn afresh too, never looked up in the memo.
+        rng = random.Random(5)
+        tree = random_tree(rng, 300)
+        table = random_weight_table(rng, tree.leaf_order)
+        _seeded_positions.cache_clear()
+        traces = {self.outcome(run_uniform, tree, table, 4, 60, None)[3] for _ in range(3)}
+        assert len(traces) == 3
+        assert self.outcome(run_weight, tree, table, 4, 60, "cell")[3] == self.outcome(
+            run_weight, tree, table, 4, 60, "cell"
+        )[3]
+        assert _seeded_positions.cache_info().currsize == 0
 
 
 class TestBudgetParity:

@@ -1035,6 +1035,81 @@ def test_synth_files_keep_their_digests(tmp_path, argv, tree_sha, weights_sha):
     assert hashlib.sha256(weights.read_bytes()).hexdigest() == weights_sha
 
 
+RUN_SMALL = [
+    "--tree", "random-balanced:n=256", "--weights", "geometric:bins=6,ratio=4", "--seed", "3",
+    "--k", "4,8,16", "--runs", "3", "--max-queries", "3000",
+]
+# Near-uniform weights keep the adaptive runs sampling past the sample size
+# from which the Hoeffding radius no longer wins mode "min" outright.
+RUN_CROSSOVER = [
+    "--tree", "random-balanced:n=256", "--weights", "geometric:bins=2,ratio=1.5", "--seed", "3",
+    "--k", "4,8", "--runs", "2", "--max-queries", "20000",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, strict, csv_sha, trace_sha",
+    [
+        pytest.param(
+            ["--tree", "median-split:n=4096,dim=8", "--weights", "geometric:bins=10,ratio=4", "--seed", "0",
+             "--k", "5,10,20,40", "--runs", "10", "--max-queries", "2000"],
+            False,
+            "94754c84666c100d9c6997c8274607af8d89b3d246e8b6b8e188d5698a14e3da",
+            "3387e29d7c2a6a639db5d7f1e82fab9cfe3e6279c1c0a1da0fdc9dd40f178158",
+            id="readme",
+        ),
+        pytest.param(
+            [*RUN_SMALL, "--radius", "hoeffding"],
+            False,
+            "caf15c3e7e8ac4e767fd849b429a6bd7b9ff4e4d8094d205a98bb5611acc5012",
+            "76dcc965e462eaa9ef990b2a3afa06bad1bf5216dd8660bfb83bd3d9ca398f9e",
+            id="hoeffding",
+        ),
+        pytest.param(
+            [*RUN_SMALL, "--radius", "bernstein"],
+            False,
+            "d2e455620ef47de03166f8b844970e2277a9280a2089cb1783e65314324ac9af",
+            "7c862ffa2e140ce839b92f2b7bc76f35fab9893a6174009c49265519e0eda85b",
+            id="bernstein",
+        ),
+        pytest.param(
+            RUN_CROSSOVER,
+            False,
+            "5fa75482bec258115da93787f6eca822450c3d52f4ee01553415b66e68c9d848",
+            "f1bed59744bf10987b90a8343e55d9c3df2d460ecda076b22521d2d4a5fc268d",
+            id="crossover",
+        ),
+        pytest.param(
+            RUN_CROSSOVER,
+            True,
+            "c99a6def314aa6de2a37a6ab47e6d129f355ea5a076fd947e8e872a8c7b74288",
+            "9347d03a52ba2e167008f055a18e51733744db0189dfc1eeb56cfb3a39e06ae3",
+            id="strict-crossover",
+        ),
+        pytest.param(
+            [*RUN_SMALL, "--radius", "bernstein"],
+            True,
+            "af6ce031dd517ffd18ed50e4429926482ca5a7afe8ebb3518169bca8f7020642",
+            "009ef365c2b3d0c04777c2aff47862d8bb3e1ff8d7c63426236a1023ed9b7a9f",
+            id="strict-bernstein",
+        ),
+    ],
+)
+def test_run_files_keep_their_digests(tmp_path, monkeypatch, argv, strict, csv_sha, trace_sha):
+    # The sha256 of the CSV and trace files of fixed-seed sweeps, as run
+    # wrote them before the Bernstein shortcut and the shared baseline
+    # draw: the README sweep, and small sweeps in each radius mode, with
+    # and without AWPKIT_STRICT_PAPER.
+    if strict:
+        monkeypatch.setenv("AWPKIT_STRICT_PAPER", "1")
+    else:
+        monkeypatch.delenv("AWPKIT_STRICT_PAPER", raising=False)
+    csv, trace = tmp_path / "r.csv", tmp_path / "t.txt"
+    assert main(["run", *argv, "--out", str(csv), "--trace-out", str(trace)]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha
+
+
 @pytest.mark.parametrize("n,code", [(64, 0), (1, 1)])
 def test_scale_script(n, code):
     # With one leaf the weights spec fails, so synth exits 1 and the
@@ -1054,23 +1129,34 @@ def test_scale_script(n, code):
         assert line["sha256"] == {"tree": None, "weights": None, "csv": None}
 
 
-def test_pairs_summary():
-    # Two pairs and a failed run: medians, inclusive quartiles and PR wins
-    # come from complete pairs only, with "better" taken from the metric.
+def load_pairs_script():
     script = Path(__file__).resolve().parents[1] / "scripts" / "pairs.py"
     spec = importlib.util.spec_from_file_location("pairs", script)
     pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pairs)
+    return pairs
 
-    def run(side, seed, wall, ops):
-        metrics = {"wall_s": wall, "ops": ops, "awp_queries": 7, "awp_tv": 0.5}
-        result = {"correct": True, "failed": 0, "metrics": {m: {"value": v} for m, v in metrics.items()}}
-        return {"side": side, "workload": "w", "seed": seed, "failed": 0, "result": result}
 
+def pairs_run(side, seed, wall, ops):
+    metrics = {"wall_s": wall, "ops": ops, "awp_queries": 7, "awp_tv": 0.5}
+    result = {"correct": True, "failed": 0, "metrics": {m: {"value": v} for m, v in metrics.items()}}
+    return {"side": side, "workload": "w", "seed": seed, "failed": 0, "result": result}
+
+
+PAIRS_METRICS = [
+    {"name": "wall_s", "better": "lower", "bound": 0.2},
+    {"name": "ops", "better": "higher", "bound": 0.01},
+]
+
+
+def test_pairs_summary():
+    # Two pairs and a failed run: medians, inclusive quartiles and PR wins
+    # come from complete pairs only, with "better" taken from the metric.
+    pairs = load_pairs_script()
+    run = pairs_run
     runs = [run("parent", 1, 2.0, 5), run("pr", 1, 1.0, 5), run("pr", 2, 3.0, 5), run("parent", 2, 4.0, 5)]
     runs.append({"side": "pr", "workload": "w", "seed": 3, "failed": None, "result": None})
-    metrics = [{"name": "wall_s", "better": "lower"}, {"name": "ops", "better": "higher"}]
-    summary = pairs.summarise(runs, metrics)
+    summary = pairs.summarise(runs, PAIRS_METRICS)
     assert summary["wall_s"] == {
         "parent_median": 3.0,
         "pr_median": 2.0,
@@ -1081,10 +1167,50 @@ def test_pairs_summary():
         "parent_iqr": 1.0,
         "pr_q1_q3": [1.5, 2.5],
         "pr_iqr": 1.0,
+        # Two wins are short of the nine a gain needs.
+        "gain_shown": False,
+        "within_bound": True,
     }
     assert summary["ops"]["pr_better_pairs"] == 0
     assert summary["ops_awp_queries_awp_tv_identical_per_seed"] is True
     assert summary["failed_total"] == 0 and summary["all_correct"] is False
+
+
+@pytest.mark.parametrize(
+    "pr_wall, pr_ops, wall_rules, ops_rules",
+    [
+        # Better in all ten pairs, by far more than the parent's spread;
+        # equal ops in every pair count for neither side.
+        pytest.param(lambda a: a - 0.5, lambda a: a, (10, True, True), (0, False, True), id="winning"),
+        # Nine wins and one tie: a tie is not a win, so 9 and 1 pass but
+        # 8 and 2 do not.
+        pytest.param(
+            lambda a: a if a == 1.0 else a - 0.5, lambda a: a + 10, (9, True, True), (10, True, True), id="nine-and-a-tie"
+        ),
+        pytest.param(
+            lambda a: a if a <= 1.01 else a - 0.5, lambda a: a, (8, False, True), (0, False, True), id="eight-and-two-ties"
+        ),
+        # Better in every pair but by less than the parent's IQR.
+        pytest.param(lambda a: a - 0.001, lambda a: a, (10, False, True), (0, False, True), id="inside-the-spread"),
+        # 30% slower against a 20% bound, and 2% fewer ops against 1%.
+        pytest.param(lambda a: a * 1.3, lambda a: a * 0.98, (0, False, False), (0, False, False), id="over-bound"),
+        # 10% slower and 0.5% fewer ops stay within both bounds.
+        pytest.param(lambda a: a * 1.1, lambda a: a * 0.995, (0, False, True), (0, False, True), id="within-bound"),
+    ],
+)
+def test_pairs_acceptance_rules(pr_wall, pr_ops, wall_rules, ops_rules):
+    # gain_shown needs 9 of 10 pairs won (ties count for neither side) and
+    # a median gap above the parent's IQR; within_bound compares the PR
+    # median with the parent's, by the metric's bound.
+    pairs = load_pairs_script()
+    runs = []
+    for j in range(10):
+        wall, ops = 1.0 + j / 100, 1000.0 + j
+        runs += [pairs_run("parent", j, wall, ops), pairs_run("pr", j, pr_wall(wall), pr_ops(ops))]
+    summary = pairs.summarise(runs, PAIRS_METRICS)
+    for name, (wins, gain, bound) in (("wall_s", wall_rules), ("ops", ops_rules)):
+        got = summary[name]
+        assert (got["pr_better_pairs"], got["gain_shown"], got["within_bound"]) == (wins, gain, bound), name
 
 
 def test_every_spec_kind_is_documented():

@@ -213,6 +213,49 @@ class TestRadiusAgainstReference:
         assert confidence_radius(st_, 40, 0.05, mode, strict_paper=strict) == want
 
 
+def crossover(k, delta, strict):
+    """The first m >= 2 at which Bernstein's constant-term coefficient
+    28 L / (3 (m - 1)) falls below the Hoeffding factor, from the
+    formulas; below it mode "min" always returns Hoeffding."""
+    m = 2
+    while True:
+        log_term = math.log(2.0 * k * math.pi**2 * m * m / (3.0 * delta))
+        bernstein_log = math.log(2.0 / delta) if strict else log_term
+        if 28.0 * bernstein_log / (3.0 * (m - 1)) < math.sqrt(2.0 * log_term / m):
+            return m
+        m += 1
+
+
+class TestBernsteinShortcut:
+    # Mode "min" skips the Bernstein radius where its constant term alone
+    # beats Hoeffding; every radius must still equal the formulas, bit for
+    # bit, on both sides of the crossover and at masses where the
+    # shortcut's roundings would turn subnormal.
+    W_STARS = (0.0, 5e-324, math.nextafter(2.0**-900, 0.0), 2.0**-900, 1e-250, 1e-5, 1.0)
+
+    @pytest.mark.parametrize("k", [1, 40, 10**6])
+    @pytest.mark.parametrize("delta", [1e-12, 0.05, 0.999])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_every_m_to_three_times_the_crossover(self, k, delta, strict):
+        last = 3 * crossover(k, delta, strict)
+        radii = [ConfidenceRadii(k, delta, mode, strict_paper=strict) for mode in RADIUS_MODES]
+        nodes = [NodeStats(0, w_star, 7) for w_star in self.W_STARS]
+        for m in range(1, last + 1):
+            for st_ in nodes:
+                # Running sums that a spread of draws could give; odd m
+                # has zero variance, so only the constant term is left.
+                w_star = st_.w_star
+                st_.m = m
+                st_._sum_zp = -0.25 * w_star * m
+                st_._sum_zp2 = (0.0625 if m % 2 else 0.5) * w_star * w_star * m
+                for r in radii:
+                    want = reference_confidence_radius(st_, k, delta, r.mode, strict_paper=strict)
+                    assert r.radius(st_).hex() == want.hex(), (st_.w_star, m, r.mode)
+        minimum = radii[RADIUS_MODES.index("min")]
+        # The shortcut is taken below the crossover and not from it on.
+        assert [minimum._terms[m][2] for m in range(1, last + 1)] == [m < last // 3 for m in range(1, last + 1)]
+
+
 class TestPerRunRadii:
     # One ConfidenceRadii per run keeps its log terms and Hoeffding factors
     # by m.  Shared by several nodes, its every radius must equal the

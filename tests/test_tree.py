@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import awpkit.tree as tree_mod
+from awpkit.baselines import run_uniform
+from awpkit.engine import normalized_distance
 from awpkit.fileio import dumps_tree, loads_tree
 from awpkit.oracle import Oracle, TargetSpec, make_geometric_target
 from awpkit.tree import (
@@ -1133,6 +1135,37 @@ class TestStatisticsEntry:
                 assert float_bits(node_discrepancies(t, clone)) == want
                 assert float_bits(reference_node_discrepancies(t, clone)) == want
             assert float_bits(node_discrepancies(tree, w)) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plain_mappings_skip_the_prefix_sums(self, seed, monkeypatch):
+        # Scoring, node_discrepancy and pruning_discrepancy read only the
+        # leaf values, so against a plain dict they give the table's values
+        # bit for bit without calling span_sums; an Oracle still reads the
+        # sums, once, and answers as it does from the table.
+        tree, w, _ = entry_instances(seed)
+        rng = random.Random(seed)
+        pruning = random_pruning(rng, tree)
+        k = min(5, tree.leaf_count_total)
+        result = run_uniform(tree, Oracle(tree, w), k, 3 * tree.leaf_count_total, seed)
+
+        def scores(target):
+            return float_bits(
+                [normalized_distance(result, target), pruning_discrepancy(tree, pruning, target)]
+                + [node_discrepancy(tree, v, target) for v in range(tree.node_count)]
+            )
+
+        want = scores(w)
+        table_oracle = Oracle(tree, w)
+        calls = []
+        monkeypatch.setattr(tree_mod, "span_sums", lambda vals: calls.append(len(vals)) or span_sums(vals))
+        assert scores(dict(w)) == want
+        assert calls == []
+        oracle = Oracle(tree, dict(w))
+        assert calls == [tree.leaf_count_total]
+        positions = range(tree.leaf_count_total)
+        assert oracle.query_leaves(positions) == table_oracle.query_leaves(positions)
+        nodes = range(tree.node_count)
+        assert float_bits(map(oracle.query_node, nodes)) == float_bits(map(table_oracle.query_node, nodes))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oracle_shares_the_entry(self, seed):
