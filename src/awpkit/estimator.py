@@ -198,7 +198,13 @@ class ConfidenceRadii:
         else:
             # Pairwise-difference form reduced to O(m):
             # sum_{i<j} (a_i - a_j)^2 = m * sum a_i^2 - (sum a_i)^2, over m(m-1).
-            var = (m * stats._sum_zp2 - stats._sum_zp**2) / (m * (m - 1))
+            # A float square past the float range raises rather than giving
+            # inf, as a product would; ``**`` is kept for its bits.
+            try:
+                square = stats._sum_zp**2
+            except OverflowError:
+                square = inf
+            var = (m * stats._sum_zp2 - square) / (m * (m - 1))
             if var < 0.0:
                 var = 0.0
             bernstein = stats.n_leaves * sqrt(8.0 * var * log_term / m) + (

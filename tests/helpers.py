@@ -601,7 +601,11 @@ def reference_confidence_radius(stats: NodeStats, k: int, delta: float, mode: st
     def bernstein():
         if m <= 1:
             return inf
-        var = (m * stats._sum_zp2 - stats._sum_zp**2) / (m * (m - 1))
+        try:
+            square = stats._sum_zp**2
+        except OverflowError:
+            square = inf
+        var = (m * stats._sum_zp2 - square) / (m * (m - 1))
         if var < 0.0:
             var = 0.0
         if strict_paper:

@@ -1024,11 +1024,29 @@ def test_labels_refuse_n_below_one(n):
             "cf6fd6757e42420378a586139a22ab90719b13938c3fbcfaaaf78afa1e757ade",
             "92582a07452b35132baf306179792f3abeeb316217fc93062a5795acee167df2",
         ),
+        # The bulk benchmark instance, and two other coordinate cycles.
+        (
+            ["median-split:n=65536,dim=8", "--weights", "geometric:bins=10,ratio=4"],
+            "9e160300f0a1b5d803256a1abe0d51481d86226be2e4b24cdf4f6a809999dc9a",
+            "7800161d7d01dabf9046dcf47e641e3db76939d84f77aec2d14be2b5e110d7d0",
+        ),
+        (
+            ["median-split:n=4096,dim=1", "--weights", "geometric:bins=10,ratio=4"],
+            "65ba66e72d142aa3171e6615a89f108a4dfb1a933dce7ddf2b8169cb29db2034",
+            "cf5bd57949e88a3562d7001d3a07f3bc40c99e9f42e94d3fb3e8f699cde4cfcb",
+        ),
+        (
+            ["median-split:n=4096,dim=3", "--weights", "geometric:bins=10,ratio=4"],
+            "b03a122c67ab4f183fbf0a4a1d5478ca025de69afc91aa5598869ffbfbb53e8e",
+            "e434438ae4f33bdd0a15556144367d2d4211e959fd34fe32ee8ce2f707885e20",
+        ),
     ],
 )
 def test_synth_files_keep_their_digests(tmp_path, argv, tree_sha, weights_sha):
     # The sha256 of both files, as synth wrote them before it built its
-    # labels, shares and weight lines from shared pieces.
+    # labels, shares and weight lines from shared pieces; the bulk and
+    # dim 1 and 3 cases, as it wrote them before the median-split build
+    # settled ties only at the cut.
     tree, weights = tmp_path / "t.hwt", tmp_path / "w.txt"
     assert main(["synth", *argv, "--seed", "0", "--out-tree", str(tree), "--out-weights", str(weights)]) == 0
     assert hashlib.sha256(tree.read_bytes()).hexdigest() == tree_sha

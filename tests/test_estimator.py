@@ -256,6 +256,37 @@ class TestBernsteinShortcut:
         assert [minimum._terms[m][2] for m in range(1, last + 1)] == [m < last // 3 for m in range(1, last + 1)]
 
 
+class TestHugeMasses:
+    # A hand-built node of mass 1e300 or inf has running sums whose square
+    # is past the float range.  The radius must come back as the float the
+    # reference gives (nan where both give nan), in every mode, on both
+    # sides of the crossover, and never raise.
+    SUMS = ((None, None), (1e200, 1e300), (-1e300, math.inf), (1e300, 5.0), (math.inf, math.inf))
+
+    @staticmethod
+    def same(got, want):
+        return isinstance(got, float) and (got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)))
+
+    @pytest.mark.parametrize("w_star", [1e300, math.inf])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_every_mode_equals_the_reference(self, w_star, strict):
+        k, delta = 40, 0.05
+        last = 3 * crossover(k, delta, strict)
+        radii = [ConfidenceRadii(k, delta, mode, strict_paper=strict) for mode in RADIUS_MODES]
+        drawn = stats_with([0.0, w_star, 0.5 * w_star], w_star=w_star, n_leaves=4)
+        for m in (1, 2, 3, 7, last // 3 - 1, last // 3, last // 3 + 1, last):
+            for sum_zp, sum_zp2 in self.SUMS:
+                st_ = NodeStats(0, w_star, 4)
+                st_.m = m
+                st_._sum_zp = drawn._sum_zp if sum_zp is None else sum_zp
+                st_._sum_zp2 = drawn._sum_zp2 if sum_zp2 is None else sum_zp2
+                for r in radii:
+                    want = reference_confidence_radius(st_, k, delta, r.mode, strict_paper=strict)
+                    assert self.same(r.radius(st_), want), (m, sum_zp, r.mode)
+                    got = confidence_radius(st_, k, delta, r.mode, strict_paper=strict)
+                    assert self.same(got, want), (m, sum_zp, r.mode)
+
+
 class TestPerRunRadii:
     # One ConfidenceRadii per run keeps its log terms and Hoeffding factors
     # by m.  Shared by several nodes, its every radius must equal the

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+from array import array
 from math import fsum
 
 import pytest
@@ -368,7 +369,7 @@ def _features(kind: str, n: int, dim: int, rng) -> dict:
 
 
 class TestMedianSplitAgainstReference:
-    """The ranked one-pass build writes the same tree file as the recursive
+    """The one-pass build writes the same tree file as the recursive
     (value, label)-keyed build, byte for byte."""
 
     @pytest.mark.parametrize("kind", ["uniform", "tied", "constant"])
@@ -423,10 +424,11 @@ def _column(kind: str, n: int, rng) -> list:
 
 
 class TestMedianSplitColumnChoice:
-    """Columns whose values are all distinct are sorted on their values,
-    the others on ranks; one build that mixes both kinds of column gives
+    """Columns of distinct values, of values tied in threes, of signed
+    zeros among ones, and of distinct or tied ints, through the
+    ``Mapping`` input: one build that mixes these kinds of column gives
     the reference's tree file, for every starting coordinate, and for
-    small n with one-label children on either side."""
+    small n with one- and two-label children on either side."""
 
     @pytest.mark.parametrize(
         "kinds",
@@ -462,6 +464,72 @@ class TestMedianSplitColumnChoice:
         cols.flat[4] = -math.inf  # coordinate 0 of "c"
         with pytest.raises(ValueError, match=r"^feature vector of 'c' has a non-finite coordinate -inf$"):
             build_median_split_tree(cols, seed=0)
+
+
+def _tied_flat(cols: FeatureColumns, kind: str, rng) -> None:
+    """Overwrite every column of ``cols.flat`` in place, through a shuffle
+    of the labels per column, so that ties fall where ``kind`` says:
+    values quantised to 1/q ("q=Q"; q=1 makes every value 0.0), signed
+    zeros among halves ("zeros"), or one tied run in a column's sorted
+    order that ends at mid - 1 ("end"), starts at mid ("start"), holds
+    both ("straddle") or spans the whole column ("span"), with distinct
+    values around it.  A run kind places its tie at the root's cut; the
+    other kinds tie values at every level."""
+    n, dim, flat = len(cols.labels), cols.dim, cols.flat
+    if kind.startswith("q="):
+        q = int(kind[2:])
+        for i in range(len(flat)):
+            flat[i] = math.floor(flat[i] * q) / q
+        return
+    mid = n >> 1
+    for c in range(dim):
+        if kind == "zeros":
+            values = [rng.choice((0.0, -0.0, 0.5)) for _ in range(n)]
+        else:
+            # The run [lo, hi) of the column's sorted order, of two or
+            # more labels where the kind allows it.
+            if kind == "end":
+                lo, hi = rng.randrange(max(1, mid - 1)), mid
+            elif kind == "start":
+                lo, hi = mid, rng.randrange(min(mid + 2, n), n + 1)
+            elif kind == "straddle":
+                lo, hi = rng.randrange(mid), rng.randrange(mid + 1, n + 1)
+            else:
+                lo, hi = 0, n
+            values = [(lo if lo <= r < hi else r) / n for r in range(n)]
+        rng.shuffle(values)
+        flat[c::dim] = array("d", values)
+
+
+class TestMedianSplitTiesThroughColumns:
+    """``FeatureColumns`` whose columns are tied where the cut falls, or
+    quantised so that ties fall at every level, give the reference's tree
+    file: the group sort on plain values and the tie fix at the cut agree
+    with the (value, label) sort."""
+
+    @pytest.mark.parametrize("kind", ["q=1", "q=2", "q=4", "q=64", "zeros", "end", "start", "straddle", "span"])
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 37, 300, 4096])
+    def test_tied_columns(self, n, dim, kind):
+        rng = random.Random(f"{n}-{dim}-{kind}")
+        cols = FeatureColumns([f"t{i:04d}" for i in range(n)], dim, seed=n)
+        _tied_flat(cols, kind, rng)
+        feats = {lab: tuple(cols.flat[i * dim : (i + 1) * dim]) for i, lab in enumerate(cols.labels)}
+        for seed in range(min(dim, 3)):
+            got = dumps_tree(build_median_split_tree(cols, seed))
+            assert got == dumps_tree(reference_median_split_tree(feats, seed)), seed
+
+    @pytest.mark.parametrize("n, order", [(4, "cdab"), (5, "deacb")])
+    def test_two_label_halves_ordered_by_label(self, n, order):
+        # Seed 1 starts at coordinate 0, whose values fall as the label
+        # rises, so the root's left half arrives in falling label order;
+        # coordinate 1 is equal for all, so the label alone orders it.
+        cols = FeatureColumns("abcde"[:n], 2, seed=0)
+        cols.flat = array("d", [v for i in range(n) for v in ((n - i) / 10, 0.25)])
+        feats = {lab: tuple(cols.flat[2 * i : 2 * i + 2]) for i, lab in enumerate(cols.labels)}
+        tree = build_median_split_tree(cols, 1)
+        assert dumps_tree(tree) == dumps_tree(reference_median_split_tree(feats, 1))
+        assert "".join(tree.leaf_order) == order
 
 
 class TestFlatFeatureSpec:
