@@ -3,8 +3,9 @@
     python scripts/pairs.py --parent 4752681 --pr 22
 
 The parent side is commit REV, exported with ``git archive`` into a
-temporary directory; the PR side is this checkout as it stands.  Nothing
-in the repository changes.  For each workload of ``BENCHMARK.json``, in
+temporary directory; the PR side is this checkout as it stands, recorded
+as its HEAD commit and whether it had uncommitted changes.  Nothing in
+the repository changes.  For each workload of ``BENCHMARK.json``, in
 its order, the script runs 10 pairs of
 
     python3 bench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
@@ -58,6 +59,16 @@ def export(rev: str, dest: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
     return sha
+
+
+def checkout_state(root: str) -> tuple[str, bool]:
+    """The HEAD commit of the checkout at ``root``, and whether its files
+    differ from it: a tracked file changed, or a file git does not
+    ignore is untracked."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout
+
+    return git("rev-parse", "HEAD").strip(), bool(git("status", "--porcelain").strip())
 
 
 def run_bench(command: list[str], cwd: str, workload: str, seed: int, seconds: int) -> dict | None:
@@ -125,6 +136,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     seeds = {w: [100 * args.pr + 1 + i * PAIRS + j for j in range(PAIRS)] for i, w in enumerate(workloads)}
     runs: list[dict] = []
+    head, dirty = checkout_state(ROOT)
     with tempfile.TemporaryDirectory() as parent_dir:
         sha = export(args.parent, parent_dir)
         for workload in workloads:
@@ -138,9 +150,12 @@ def main(argv=None) -> int:
     report = {
         "about": (
             f"Alternating parent/PR pairs of the benchmark. 'parent' is commit {sha[:7]}, exported with git archive; "
-            "'pr' is the checkout that ran scripts/pairs.py. Each line of 'runs' is one invocation's JSON result "
+            f"'pr' is the checkout that ran scripts/pairs.py, at commit {head[:7]}"
+            f"{' with uncommitted changes' if dirty else ''}. Each line of 'runs' is one invocation's JSON result "
             "line, untouched."
         ),
+        "parent": sha,
+        "pr": {"head": head, "uncommitted_changes": dirty},
         "host": f"{os.cpu_count()}-core host, Python {platform.python_version()}",
         "command": " ".join([*command, "--workload <workload> --seed <seed>", f"--seconds {seconds} --trace 0"]),
         "order": (

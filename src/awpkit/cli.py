@@ -39,7 +39,7 @@ from awpkit.adversarial import (
     build_lookahead_trap,
     build_tightness,
 )
-from awpkit.baselines import run_empirical, run_uniform, run_weight
+from awpkit.baselines import BaselineCell, run_empirical, run_uniform, run_weight
 from awpkit.engine import EngineConfig, normalized_distance, run_awp
 from awpkit.estimator import RADIUS_MODES
 from awpkit.fileio import dump_tree, dump_weights, load_tree, load_weights
@@ -304,11 +304,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
             # spent, so spends stay equal.
             k_reached = len(awp_res.pruning)
             basic = awp_res.ledger.basic_queries
+            # The baselines of the cell share one draw (see awpkit.baselines).
+            cell = BaselineCell(tree, oracle, basic, run_seed) if algs != ("awp",) else None
             for alg in algs:
                 if alg == "awp":
                     res = awp_res
                 else:
-                    res = _BASELINE_RUNNERS[alg](tree, oracle, k_reached, basic, run_seed)
+                    res = _BASELINE_RUNNERS[alg](tree, oracle, k_reached, basic, run_seed, cell=cell)
                 nd = normalized_distance(res, truth)
                 out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
                 if config.traces:

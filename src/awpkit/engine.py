@@ -41,7 +41,6 @@ from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import repeat
 from math import inf
 
 from awpkit.estimator import RADIUS_MODES, ConfidenceRadii, NodeStats
@@ -190,16 +189,6 @@ class PruningSearch:
         self.queried: dict[int, float] = {}
         self.trace: list[tuple] = []
         self._start = (oracle.ledger.basic_queries, oracle.ledger.node_queries)
-
-    def draw_many(self, positions: list[int], v: int) -> list[float]:
-        """Query the weights of the leaves at the given positions, in order,
-        on behalf of node v, with one ``Oracle.query_leaves`` call, and
-        return them."""
-        values = self.oracle.query_leaves(positions)
-        self.queried.update(zip(positions, values))
-        labels = map(self.tree.leaf_order.__getitem__, positions)
-        self.trace.extend(zip(repeat("SAMPLE"), repeat(v), labels, values))
-        return values
 
     def split(self, v: int) -> tuple[int, int]:
         """Replace pruning node v by its children and return them.

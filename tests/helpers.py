@@ -472,7 +472,9 @@ def reference_trace_lines(result: PruningResult) -> list[str]:
 
 def reference_draw_all(search: PruningSearch, rng: random.Random, count: int) -> list[tuple[int, float]]:
     """One ``randrange`` and one recorded oracle query per draw: the slow
-    reference for ``baselines._draw_budget``."""
+    reference for a ``baselines.BaselineCell``'s draw as
+    ``baselines._draw_budget`` answers and records it.  Its queried map is
+    filled in draw order, a cell's in position order."""
     root = search.tree.root_id
     n = search.tree.leaf_count_total
     draws = []

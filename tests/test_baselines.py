@@ -2,27 +2,27 @@
 trace replay audits.
 
 The scored baselines are replayed step by step from their traces with an
-independent numpy position sort and span lookup, scoring each node with the
+independent position sort and span lookup, scoring each node with the
 package's score functions, so every split choice, weight, and retained
-subsample is checked exactly.  The stdlib scores and leaf spreading are
-checked against kept numpy and induced-weighting references.
+subsample is checked exactly.  The scores are checked bit for bit against
+exact rational sums of the same rounded terms, and leaf spreading against
+the induced weighting.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import insort
+from bisect import bisect_left, insort
+from fractions import Fraction
 from itertools import permutations
 from math import fsum, isclose
 
-import numpy as np
 import pytest
 
 from awpkit.baselines import (
+    BaselineCell,
     _draw_budget,
     _draw_positions,
-    _seeded_positions,
-    _sort_positions,
     empirical_score,
     run_empirical,
     run_uniform,
@@ -67,6 +67,20 @@ class TestScores:
         with pytest.raises(ValueError):
             empirical_score(0.5, 4, [])
 
+    @pytest.mark.parametrize("w_star, n_leaves", [(0.5, 0), (0.5, -2), (-1.0, 3), (-5e-324, 3), (float("nan"), 3)])
+    def test_bad_node_rejected(self, w_star, n_leaves):
+        # A node has at least one leaf and a mass of at least zero; a
+        # leafless node once divided by zero, and a negative mass was
+        # scored.
+        for score in (uniform_score, empirical_score):
+            with pytest.raises(ValueError, match="node"):
+                score(w_star, n_leaves, [0.1])
+
+    def test_zero_mass_accepted(self):
+        for w_star in (0.0, -0.0):
+            assert uniform_score(w_star, 3, [0.0]) == 0.0
+            assert empirical_score(w_star, 3, [0.0]) == 0.0
+
     def test_hand_values(self):
         # avg = 0.125; deviations 0.175 and 0.075; draw sum 0.35.
         assert isclose(uniform_score(0.5, 4, [0.3, 0.05]), 0.3, abs_tol=1e-12)
@@ -101,7 +115,7 @@ class TestScores:
         # every draw is 0, the node average is 0.01.  The plug-in score sees
         # only the small deviations and lands at exactly 1.0, while the
         # unbiased score pays for the missing draw mass and lands at 2.0.
-        zeros = np.zeros(50)
+        zeros = [0.0] * 50
         assert isclose(empirical_score(1.0, 100, zeros), 1.0, abs_tol=1e-12)
         assert isclose(uniform_score(1.0, 100, zeros), 2.0, abs_tol=1e-12)
 
@@ -116,18 +130,23 @@ class TestScores:
             assert -1e-12 <= s <= 2.0 * w_star + 1e-12
 
 
-def np_uniform_score(w_star, n_leaves, values):
-    """Reference unbiased score, summed with numpy reductions."""
-    arr = np.asarray(values, dtype=float)
-    avg = w_star / n_leaves
-    return w_star + (n_leaves / arr.size) * (float(np.abs(arr - avg).sum()) - float(arr.sum()))
+def exact_sum(terms) -> float:
+    """The exact sum of the floats ``terms``, rounded once to the nearest
+    float, as ``fsum`` rounds it."""
+    return float(sum(map(Fraction, terms), Fraction(0)))
 
 
-def np_empirical_score(w_star, n_leaves, values):
-    """Reference plug-in score, summed with numpy reductions."""
-    arr = np.asarray(values, dtype=float)
+def exact_uniform_score(w_star, n_leaves, values):
+    """Reference unbiased score: the two sums taken exactly."""
     avg = w_star / n_leaves
-    return (n_leaves / arr.size) * float(np.abs(avg - arr).sum())
+    return w_star + (n_leaves / len(values)) * (exact_sum(abs(z - avg) for z in values) - exact_sum(values))
+
+
+def exact_empirical_score(w_star, n_leaves, values):
+    """Reference plug-in score: the deviation sum taken exactly, over
+    avg - z where the package takes z - avg."""
+    avg = w_star / n_leaves
+    return (n_leaves / len(values)) * exact_sum(abs(avg - z) for z in values)
 
 
 def random_subsample(rng, w_star):
@@ -141,20 +160,16 @@ def random_subsample(rng, w_star):
 
 
 class TestStdlibPaths:
-    def test_scores_match_numpy_reference(self):
+    def test_scores_match_exact_reference(self):
+        # fsum rounds the exact sum once, so the scores equal the exact
+        # references bit for bit.
         rng = random.Random(53)
         for _ in range(400):
             w_star = rng.choice((1.0, rng.random() + 1e-6))
             n = rng.randint(1, 1000)
             vals = random_subsample(rng, w_star)
-            m = len(vals)
-            assert isclose(empirical_score(w_star, n, vals), np_empirical_score(w_star, n, vals), rel_tol=1e-12)
-            # The unbiased score subtracts two sums of similar size, so the
-            # tolerance is relative to the size of its terms.
-            avg = w_star / n
-            scale = w_star + (n / m) * fsum(abs(x - avg) + x for x in vals)
-            got = uniform_score(w_star, n, vals)
-            assert isclose(got, np_uniform_score(w_star, n, vals), rel_tol=1e-12, abs_tol=1e-12 * scale)
+            assert empirical_score(w_star, n, vals).hex() == exact_empirical_score(w_star, n, vals).hex()
+            assert uniform_score(w_star, n, vals).hex() == exact_uniform_score(w_star, n, vals).hex()
 
     def test_induced_weighting_is_refinement_without_queries(self):
         rng = random.Random(59)
@@ -292,10 +307,10 @@ class TestRunWeight:
 def replay_scored(tree, table, result, k, basic, score_fn):
     """Re-derive every selection a scored baseline made from its trace.
 
-    Draws are position-sorted with a stable numpy argsort and node
-    subsamples are span slices, which select the same values in the same
-    order as the implementation; scores come from the package's own score
-    functions, so all comparisons are exact.
+    Draws are position-sorted with a stable sort and node subsamples are
+    span slices, which select the same values in the same order as the
+    implementation; scores come from the package's own score functions,
+    so all comparisons are exact.
     """
     samples = [t for t in result.trace if t[0] == "SAMPLE"]
     splits = [t for t in result.trace if t[0] == "SPLIT"]
@@ -303,22 +318,18 @@ def replay_scored(tree, table, result, k, basic, score_fn):
     assert len(samples) == basic
     assert len(splits) == k - 1
 
-    positions = np.empty(len(samples), dtype=np.int64)
-    values = np.empty(len(samples), dtype=float)
-    for i, (_, attributed, label, value) in enumerate(samples):
+    draws = []
+    for _, attributed, label, value in samples:
         assert attributed == tree.root_id
         assert value == table[label]
-        positions[i] = tree.leaf_order.index(label)
-        values[i] = value
-    sort_idx = np.argsort(positions, kind="stable")
-    pos_sorted = positions[sort_idx]
-    val_sorted = values[sort_idx]
+        draws.append((tree.leaf_order.index(label), value))
+    draws.sort(key=lambda d: d[0])
+    pos_sorted = [pos for pos, _ in draws]
+    val_sorted = [value for _, value in draws]
 
     def subsample(v):
         lo, hi = tree.span(v)
-        i0 = int(np.searchsorted(pos_sorted, lo, side="left"))
-        i1 = int(np.searchsorted(pos_sorted, hi, side="left"))
-        return val_sorted[i0:i1]
+        return val_sorted[bisect_left(pos_sorted, lo) : bisect_left(pos_sorted, hi)]
 
     pruning = [tree.root_id]
     weights = {tree.root_id: 1.0}
@@ -336,7 +347,7 @@ def replay_scored(tree, table, result, k, basic, score_fn):
                 heaviest = u
             if u not in scores:
                 sub = subsample(u)
-                scores[u] = score_fn(weights[u], tree.leaf_count(u), sub) if sub.size else None
+                scores[u] = score_fn(weights[u], tree.leaf_count(u), sub) if sub else None
             s = scores[u]
             if s is None:
                 continue
@@ -416,85 +427,117 @@ class TestDrawAll:
     def test_matches_reference(self, shape, basic):
         # The batch records the same draws, in the same order, as one query
         # at a time, on an oracle that has served queries before, whether
-        # the budget is drawn afresh or comes from the memo; the position
-        # draw leaves the generator where randrange per draw leaves it.
+        # the cell is new or was answered before; the position draw leaves
+        # the generator where randrange per draw leaves it.  The queried
+        # map is built in position order, so it is compared as a dict.
         # With 32 leaves half of the raw draws are rejected.
         rng = random.Random(41)
         tree = {"random": lambda: random_tree(rng, 37), "caterpillar": lambda: caterpillar(23),
                 "power-of-two": lambda: random_tree(rng, 32)}[shape]()
         table = random_weight_table(rng, tree.leaf_order)
-        _seeded_positions.cache_clear()
+        oracle = Oracle(tree, table)
+        oracle.query_leaf(0)
+        cell = BaselineCell(tree, oracle, basic, basic)
         sides = []
-        for side in ("fresh", "memo", "reference"):
-            oracle = Oracle(tree, table)
-            oracle.query_leaf(0)
+        for side in ("fresh", "answered", "reference"):
+            start = (oracle.ledger.basic_queries, oracle.ledger.node_queries)
             search = PruningSearch(tree, oracle)
             draw_rng = random.Random(basic)
             if side == "reference":
                 draws = reference_draw_all(search, draw_rng, basic)
             else:
-                draws = list(zip(*_draw_budget(search, basic, basic)))
+                draws = list(zip(cell.positions, _draw_budget(search, cell)))
                 _draw_positions(draw_rng, tree.leaf_count_total, basic)
             result = search.finish()
-            sides.append((draws, result.trace, list(search.queried.items()), result.ledger, draw_rng.getstate()))
+            sides.append((draws, result.trace, search.queried, result.ledger, draw_rng.getstate()))
+            assert (oracle.ledger.basic_queries, oracle.ledger.node_queries) == (start[0] + basic, start[1])
         assert sides[0] == sides[1] == sides[2]
         assert sides[0][3].basic_queries == basic
+        assert list(sides[0][2]) == sorted(sides[0][2])
 
 
 class TestBudgetMemo:
+    """The per-cell memo of a budget is a ``BaselineCell``: the baselines
+    of one (k, run) cell share its draw, sort order, SAMPLE events,
+    queried map and deviation sums."""
+
     RUNNERS = {"weight": run_weight, "uniform": run_uniform, "empirical": run_empirical}
 
     @staticmethod
-    def outcome(fn, tree, table, k, basic, seed):
-        oracle = Oracle(tree, table)
-        result = fn(tree, oracle, k, basic, seed)
-        return result.pruning, result.node_weights, result.ledger, result.trace, result.queried, oracle.ledger
+    def outcome(fn, tree, oracle, k, basic, seed, cell=None):
+        result = fn(tree, oracle, k, basic, seed, cell=cell)
+        return result.pruning, result.node_weights, result.ledger, result.trace, result.queried
 
     @pytest.mark.parametrize("order", list(permutations(RUNNERS)))
     def test_baselines_agree_with_and_without_the_memo(self, order):
-        # Each baseline of a cell gives the same result whether the memo
-        # is empty or already holds the cell's draw and sort order, in
-        # every call order; its ledger, trace and queried map stay its own.
+        # Each baseline gives the same result with a cell shared with the
+        # others, in every call order, as alone on its own oracle; its
+        # ledger, trace and queried map stay its own, and the shared
+        # oracle is charged what the three lone oracles are.
         rng = random.Random(67)
-        tree = random_tree(rng, 150)
-        table = random_weight_table(rng, tree.leaf_order)
-        k, basic, seed = 9, 400, 12
-        cold = {}
-        for name, fn in self.RUNNERS.items():
-            _seeded_positions.cache_clear()
-            _sort_positions.cache_clear()
-            cold[name] = self.outcome(fn, tree, table, k, basic, seed)
-        _seeded_positions.cache_clear()
-        _sort_positions.cache_clear()
-        for name in order:
-            assert self.outcome(self.RUNNERS[name], tree, table, k, basic, seed) == cold[name]
-        assert _seeded_positions.cache_info().hits == 2
-        # Another cell's draw replaces the one entry.
-        assert self.outcome(run_weight, tree, table, k, basic, seed + 1) != cold["weight"]
-        assert _seeded_positions.cache_info().currsize == 1
+        for tree in (random_tree(rng, 150), caterpillar(90)):
+            table = random_weight_table(rng, tree.leaf_order)
+            for basic in (0, 1, 400):
+                k, seed = 9, 12 + basic
+                alone, spent = {}, [0, 0]
+                for name, fn in self.RUNNERS.items():
+                    oracle = Oracle(tree, table)
+                    alone[name] = self.outcome(fn, tree, oracle, k, basic, seed)
+                    spent = [spent[0] + oracle.ledger.basic_queries, spent[1] + oracle.ledger.node_queries]
+                oracle = Oracle(tree, table)
+                cell = BaselineCell(tree, oracle, basic, seed)
+                for name in order:
+                    got = self.outcome(self.RUNNERS[name], tree, oracle, k, basic, seed, cell)
+                    assert got == alone[name], (name, basic)
+                assert [oracle.ledger.basic_queries, oracle.ledger.node_queries] == spent
+                assert spent == [3 * basic, 3 * (k - 1)]
 
     def test_memo_holds_only_ints(self):
-        positions = _seeded_positions(64, 3, 50)
-        assert type(positions) is tuple and all(type(p) is int for p in positions)
-        pos_sorted, order = _sort_positions(positions)
-        assert all(type(x) is int for x in (*pos_sorted, *order))
-        assert list(pos_sorted) == sorted(positions)
+        # The draw and its stable sort order are plain ints.
+        tree = random_tree(random.Random(3), 64)
+        cell = BaselineCell(tree, Oracle(tree, random_weight_table(random.Random(4), tree.leaf_order)), 50, 3)
+        positions = cell.positions
+        assert positions == _draw_positions(random.Random(3), 64, 50)
+        assert all(type(x) is int for x in (*positions, *cell.pos_sorted, *cell.order))
+        assert cell.pos_sorted == sorted(positions)
         # Stable: equal positions keep their draw order.
-        assert order == tuple(sorted(range(50), key=lambda i: (positions[i], i)))
+        assert cell.order == sorted(range(50), key=lambda i: (positions[i], i))
 
     def test_non_int_seeds_are_not_memoised(self):
-        # Random(None) must draw afresh on every call; other seed types are
-        # drawn afresh too, never looked up in the memo.
+        # Without a cell each call draws afresh, so Random(None) gives a
+        # new draw every time, and another seed type reproduces.
         rng = random.Random(5)
         tree = random_tree(rng, 300)
         table = random_weight_table(rng, tree.leaf_order)
-        _seeded_positions.cache_clear()
-        traces = {self.outcome(run_uniform, tree, table, 4, 60, None)[3] for _ in range(3)}
+        traces = {self.outcome(run_uniform, tree, Oracle(tree, table), 4, 60, None)[3] for _ in range(3)}
         assert len(traces) == 3
-        assert self.outcome(run_weight, tree, table, 4, 60, "cell")[3] == self.outcome(
-            run_weight, tree, table, 4, 60, "cell"
+        assert self.outcome(run_weight, tree, Oracle(tree, table), 4, 60, "cell")[3] == self.outcome(
+            run_weight, tree, Oracle(tree, table), 4, 60, "cell"
         )[3]
-        assert _seeded_positions.cache_info().currsize == 0
+
+    def test_mismatched_cell_refused(self):
+        # A cell built for another tree, oracle, count or seed, or for a
+        # count or seed of another type, is refused before any query.
+        rng = random.Random(71)
+        tree = random_tree(rng, 40)
+        table = random_weight_table(rng, tree.leaf_order)
+        oracle = Oracle(tree, table)
+        other_tree = random_tree(rng, 40)
+        cells = [
+            BaselineCell(other_tree, Oracle(other_tree, random_weight_table(rng, other_tree.leaf_order)), 30, 2),
+            BaselineCell(tree, Oracle(tree, table), 30, 2),
+            BaselineCell(tree, oracle, 31, 2),
+            BaselineCell(tree, oracle, 30, 3),
+            BaselineCell(tree, oracle, 30, 2.0),
+            BaselineCell(tree, oracle, 30, None),
+        ]
+        for fn in self.RUNNERS.values():
+            for cell in cells:
+                with pytest.raises(ValueError, match="another tree, oracle"):
+                    fn(tree, oracle, 4, 30, 2, cell=cell)
+            with pytest.raises(ValueError, match="another tree, oracle"):
+                fn(tree, oracle, 4, 30.0, 2, cell=BaselineCell(tree, oracle, 30, 2))
+        assert (oracle.ledger.basic_queries, oracle.ledger.node_queries) == (0, 0)
 
 
 class TestBudgetParity:

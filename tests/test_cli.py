@@ -9,6 +9,7 @@ import json
 import random
 import subprocess
 import sys
+from itertools import combinations
 from math import fsum, isclose
 from pathlib import Path
 from time import monotonic
@@ -275,9 +276,17 @@ class TestRunExperiment:
             )
 
     def test_algorithm_subset(self):
-        out = run_experiment(self.small_config(algorithms=("awp", "uniform")))
-        assert {row[0] for row in out.details} == {"awp", "uniform"}
-        assert len(out.details) == 2 * 2
+        # Every subset, in any order, gives exactly its algorithms' detail
+        # rows, aggregates and trace sections of the full sweep: a baseline
+        # gets the same result whichever others share its cell's draw.
+        full = run_experiment(self.small_config(k_values=(2, 3)))
+        for size in range(1, len(ALGORITHMS) + 1):
+            for algs in combinations(ALGORITHMS, size):
+                out = run_experiment(self.small_config(k_values=(2, 3), algorithms=algs[::-1]))
+                assert out.details == [row for row in full.details if row[0] in algs]
+                assert out.aggregates == [row for row in full.aggregates if row[0] in algs]
+                assert out.traces == [row for row in full.traces if row[0] in algs]
+                assert len(out.details) == len(algs) * 2 * 2
 
 
 class TestFormats:
@@ -1229,6 +1238,33 @@ def test_pairs_acceptance_rules(pr_wall, pr_ops, wall_rules, ops_rules):
     for name, (wins, gain, bound) in (("wall_s", wall_rules), ("ops", ops_rules)):
         got = summary[name]
         assert (got["pr_better_pairs"], got["gain_shown"], got["within_bound"]) == (wins, gain, bound), name
+
+
+def test_pairs_checkout_state(tmp_path):
+    # The PR side is recorded as its HEAD commit and whether its files
+    # differ from it: an ignored file does not count, an untracked or a
+    # changed tracked file does.
+    pairs = load_pairs_script()
+
+    def git(*args):
+        cmd = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args]
+        return subprocess.run(cmd, cwd=tmp_path, check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("out/\n")
+    (tmp_path / "a.txt").write_text("a\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    head = git("rev-parse", "HEAD")
+    assert pairs.checkout_state(str(tmp_path)) == (head, False)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "run.json").write_text("{}\n")
+    assert pairs.checkout_state(str(tmp_path)) == (head, False)
+    (tmp_path / "b.txt").write_text("b\n")
+    assert pairs.checkout_state(str(tmp_path)) == (head, True)
+    (tmp_path / "b.txt").unlink()
+    (tmp_path / "a.txt").write_text("changed\n")
+    assert pairs.checkout_state(str(tmp_path)) == (head, True)
 
 
 def test_every_spec_kind_is_documented():

@@ -786,8 +786,9 @@ class TestExactSumCheck:
                 internal = [v for v in search.pruning if not tree.is_leaf(v)]
                 if internal:
                     search.split(rng.choice(internal))
-            positions = [rng.randrange(tree.leaf_count_total) for _ in range(rng.randint(0, 40))]
-            search.draw_many(positions, tree.root_id)
+            for _ in range(rng.randint(0, 40)):
+                pos = rng.randrange(tree.leaf_count_total)
+                search.queried[pos] = oracle.query_leaf(pos)
             v = rng.choice(search.pruning)
             search.mass[v] += shift
             if rng.random() < 0.3 and search.queried:
