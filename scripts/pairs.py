@@ -22,7 +22,11 @@ the PR side is better, and the two acceptance rules:
     by more than the parent's interquartile range;
   - ``within_bound``: the PR median is not worse than the parent's by
     more than the metric's ``bound`` in ``BENCHMARK.json``, as a fraction
-    of the parent median.
+    of the parent median;
+  - ``unresolved``: either side's interquartile range is wider than that
+    bound times the parent median, so the runs spread too widely to tell
+    a change within the bound from none, unless every PR run is better
+    than every parent run.
 
 The exit code is 1 when a run fails or reports failed ops, 0 otherwise.
 Stdlib only.
@@ -104,6 +108,10 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         pq1, pmed, pq3 = statistics.quantiles(parent, n=4, method="inclusive")
         rq1, rmed, rq3 = statistics.quantiles(pr, n=4, method="inclusive")
         wins = sum(sign * (b - a) < 0 for a, b in values)
+        spread = metric["bound"] * abs(pmed)
+        # Signed so that lower is better: the PR side's worst run beats the
+        # parent side's best.
+        separated = max(sign * x for x in pr) < min(sign * x for x in parent)
         out[name] = {
             "parent_median": round(pmed, 4),
             "pr_median": round(rmed, 4),
@@ -115,7 +123,8 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "pr_q1_q3": [round(rq1, 4), round(rq3, 4)],
             "pr_iqr": round(rq3 - rq1, 4),
             "gain_shown": wins >= GAIN_WINS and sign * (pmed - rmed) > pq3 - pq1,
-            "within_bound": sign * (rmed - pmed) <= metric["bound"] * abs(pmed),
+            "within_bound": sign * (rmed - pmed) <= spread,
+            "unresolved": max(pq3 - pq1, rq3 - rq1) > spread and not separated,
         }
     out["ops_awp_queries_awp_tv_identical_per_seed"] = all(
         a["metrics"][m]["value"] == b["metrics"][m]["value"] for a, b in pairs for m in DETERMINISTIC

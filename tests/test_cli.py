@@ -1197,6 +1197,9 @@ def test_pairs_summary():
         # Two wins are short of the nine a gain needs.
         "gain_shown": False,
         "within_bound": True,
+        # Both IQRs (1.0) pass 20% of the parent median (0.6), and the PR
+        # side's 3.0 is worse than the parent side's 2.0.
+        "unresolved": True,
     }
     assert summary["ops"]["pr_better_pairs"] == 0
     assert summary["ops_awp_queries_awp_tv_identical_per_seed"] is True
@@ -1238,6 +1241,42 @@ def test_pairs_acceptance_rules(pr_wall, pr_ops, wall_rules, ops_rules):
     for name, (wins, gain, bound) in (("wall_s", wall_rules), ("ops", ops_rules)):
         got = summary[name]
         assert (got["pr_better_pairs"], got["gain_shown"], got["within_bound"]) == (wins, gain, bound), name
+
+
+SPREAD_SMALL = [1.0 + j / 100 for j in range(10)]
+SPREAD_WIDE = [0.5 + j / 5 for j in range(10)]
+
+
+@pytest.mark.parametrize(
+    "parent_walls, pr_walls, lower_is_better, higher_is_better",
+    [
+        # Both IQRs within 20% of the parent median: resolved either way.
+        pytest.param(SPREAD_SMALL, [x + 0.1 for x in SPREAD_SMALL], False, False, id="tight"),
+        # The parent's IQR (0.9) passes 20% of its median (1.4).
+        pytest.param(SPREAD_WIDE, [1.0] * 10, True, True, id="wide-parent"),
+        # The PR's IQR passes the bound while the parent's stays tight.
+        pytest.param([1.0] * 10, SPREAD_WIDE, True, True, id="wide-pr"),
+        # Wide, and every PR run is below every parent run: resolved only
+        # where lower is better.
+        pytest.param([x + 2.0 for x in SPREAD_WIDE], SPREAD_WIDE, False, True, id="pr-below"),
+        pytest.param(SPREAD_WIDE, [x + 2.0 for x in SPREAD_WIDE], True, False, id="pr-above"),
+        # The PR side's highest run equals the parent side's lowest.
+        pytest.param([x + 1.8 for x in SPREAD_WIDE], SPREAD_WIDE, True, True, id="touching"),
+    ],
+)
+def test_pairs_unresolved_flag(parent_walls, pr_walls, lower_is_better, higher_is_better):
+    # A metric is unresolved when either side's IQR passes its bound times
+    # the parent median, unless every PR run is better than every parent
+    # run, in the metric's direction.
+    pairs = load_pairs_script()
+    runs = []
+    for j, (a, b) in enumerate(zip(parent_walls, pr_walls)):
+        runs += [pairs_run("parent", j, a, 5), pairs_run("pr", j, b, 5)]
+    for better, want in (("lower", lower_is_better), ("higher", higher_is_better)):
+        summary = pairs.summarise(runs, [{"name": "wall_s", "better": better, "bound": 0.2}, PAIRS_METRICS[1]])
+        assert summary["wall_s"]["unresolved"] is want, better
+        # A metric that repeats exactly has no spread.
+        assert summary["ops"]["unresolved"] is False
 
 
 def test_pairs_checkout_state(tmp_path):

@@ -684,7 +684,7 @@ class TestNormalizedDistance:
         results = [run_awp(tree, oracle, EngineConfig(k=20, seed=s, max_basic_queries=1500)) for s in range(3)]
         calls = []
         original = tree_mod._few_values
-        monkeypatch.setattr(tree_mod, "_few_values", lambda vals: calls.append(1) or original(vals))
+        monkeypatch.setattr(tree_mod, "_few_values", lambda *args: calls.append(1) or original(*args))
         first = [normalized_distance(res, table) for res in results]
         counted = len(calls)
         assert [normalized_distance(res, table) for res in results] == first
@@ -692,8 +692,39 @@ class TestNormalizedDistance:
         assert table._stats.tree is tree
         memo = table._stats.counts
         assert counted == len(memo) and any(memo.values())
+        # The long spans were counted from the instance's value index.
+        assert table._stats.index is not None and len(table._stats.index) == 10
         for res, got in zip(results, first):
             assert got.hex() == reference_normalized_distance(res, table).hex()
+
+    @pytest.mark.parametrize("kind", ("zeros-and-subnormals", "single-valued"))
+    def test_spans_counted_from_the_index_score_like_the_reference(self, kind):
+        # A 1,024-leaf instance with at most four distinct values: every
+        # pruning node of 40 leaves or more is counted from its index.
+        # The first table holds 0.0, -0.0 and two subnormals beside 256
+        # leaves of 2**-8; the second is uniform.
+        rng = random.Random(kind)
+        tree = build_median_split_tree(random_features([f"x{i}" for i in range(1024)], 4, 0), 0)
+        if kind == "single-valued":
+            table = WeightTable({lab: 2.0**-10 for lab in tree.leaf_order})
+        else:
+            heavy = set(rng.sample(range(1024), 256))
+            table = WeightTable(
+                {
+                    lab: 2.0**-8 if i in heavy else rng.choice((0.0, -0.0, 5e-324, 2.0**-1070))
+                    for i, lab in enumerate(tree.leaf_order)
+                }
+            )
+        vals = [table[lab] for lab in tree.leaf_order]
+        for _ in range(8):
+            res = scored_result(rng, tree, table)
+            got = normalized_distance(res, table)
+            assert got.hex() == reference_normalized_distance(res, table).hex()
+            assert got.hex() == tv_distance(res.w_p_refined, vals).hex()
+        index = table._stats.index
+        # 0.0 and -0.0 compare equal, so they share one entry.
+        assert index is not None and len(index) == (1 if kind == "single-valued" else 4)
+        assert any(hi - lo >= 10 * len(index) for lo, hi in map(tree.span, table._stats.counts))
 
     def test_a_table_used_with_two_trees_rebinds_its_entry(self):
         labels = [f"x{i}" for i in range(600)]

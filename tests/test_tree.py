@@ -19,7 +19,7 @@ import awpkit.tree as tree_mod
 from awpkit.baselines import run_uniform
 from awpkit.engine import normalized_distance
 from awpkit.fileio import dumps_tree, loads_tree
-from awpkit.oracle import Oracle, TargetSpec, make_geometric_target
+from awpkit.oracle import Oracle, TargetSpec, build_median_split_tree, make_geometric_target, random_features
 from awpkit.tree import (
     FileFormatError,
     HierTree,
@@ -1211,6 +1211,94 @@ def reference_average_split_quality(tree, w):
     return fsum(shares) / len(shares)
 
 
+# Leaf values that a few-valued instance may hold: both zeros, which
+# compare equal, two subnormals and two normal values.
+INDEX_ALPHABET = (0.0, -0.0, 5e-324, 2.0**-1070, 0.125, 0.3)
+
+
+def few_valued_leaf_values(rng, n):
+    """n leaf values over one to five members of ``INDEX_ALPHABET``, or a
+    single value, so that lists of at least ten leaves per value are
+    few-valued."""
+    alphabet = rng.sample(INDEX_ALPHABET, rng.randint(1, 5))
+    return tuple(rng.choice(alphabet) for _ in range(n))
+
+
+class TestValueIndex:
+    """A few-valued instance keeps, per distinct leaf value, the ascending
+    positions that hold it (``_Stats.index``), and the scorer counts a
+    long span from them, exactly as ``Counter`` counts the slice."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_positions_cover_every_leaf_once_in_order(self, seed):
+        rng = random.Random(seed)
+        vals = few_valued_leaf_values(rng, rng.randint(60, 700))
+        index = tree_mod._value_index(vals)
+        assert index is not None
+        assert len(index) == len(set(vals))  # 0.0 and -0.0 share one entry
+        assert sum(map(len, index.values())) == len(vals)
+        for x, positions in index.items():
+            assert positions.typecode == "q"
+            assert list(positions) == [i for i, y in enumerate(vals) if y == x]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_indexed_counts_match_counter_on_every_node(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(60, 500)
+        tree = random_tree(rng, n) if seed % 4 else caterpillar(n)
+        vals = few_valued_leaf_values(rng, n)
+        index = tree_mod._value_index(vals)
+        g = len(index)
+        for v in range(tree.node_count):
+            lo, hi = tree.span(v)
+            want = Counter(vals[lo:hi])
+            got = tree_mod._indexed_counts(index, lo, hi)
+            assert got == want and 0 not in got.values(), v
+            few = _few_values(vals, lo, hi, index)
+            if hi - lo >= 10 * g:
+                assert few == want  # counted from the index
+            else:
+                assert few == _few_values(vals[lo:hi])
+
+    def test_zeros_of_both_signs_share_one_count(self):
+        vals = (0.0, -0.0) * 30 + (0.5,) * 20
+        index = tree_mod._value_index(vals)
+        assert len(index) == 2
+        assert tree_mod._indexed_counts(index, 0, 80) == {0.0: 60, 0.5: 20}
+        assert tree_mod._indexed_counts(index, 1, 2) == {-0.0: 1}
+
+    def test_a_single_valued_list_has_one_entry(self):
+        vals = (2.0**-1070,) * 50
+        index = tree_mod._value_index(vals)
+        assert list(index) == [2.0**-1070] and list(index[2.0**-1070]) == list(range(50))
+        assert _few_values(vals, 7, 19, index) == {2.0**-1070: 12}
+
+    @pytest.mark.parametrize("kind", ("dense", "exponential"))
+    def test_a_many_valued_table_builds_no_index(self, kind):
+        rng = random.Random(kind)
+        tree = random_tree(rng, 500)
+        table = random_weight_table(rng, tree.leaf_order, kind)
+        res = run_uniform(tree, Oracle(tree, table), 20, 200, 0)
+        normalized_distance(res, table)
+        assert table._stats.index is None
+        assert table._stats.counts and not any(table._stats.counts.values())
+
+    def test_the_index_is_built_on_the_first_score_only(self):
+        tree = build_median_split_tree(random_features([f"x{i}" for i in range(1024)], 4, 0), 0)
+        table = make_geometric_target(tree, TargetSpec("geometric-bins", n_bins=10, ratio=4.0), 0)
+        node_discrepancies(tree, table)
+        optimal_pruning(tree, 8, table)
+        with pytest.raises(AttributeError):
+            tree_mod._Stats.index.__get__(table._stats)  # not built yet
+        res = run_uniform(tree, Oracle(tree, table), 8, 300, 0)
+        normalized_distance(res, table)
+        index = table._stats.index
+        assert index is not None and len(index) == 10
+        assert sum(map(len, index.values())) == 1024
+        normalized_distance(res, table)
+        assert table._stats.index is index
+
+
 class TestSplitQuality:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_reference_loops(self, seed):
@@ -1263,6 +1351,26 @@ def broom(rng, n, spine, side):
         on_left = side == "left" or (side == "random" and rng.random() < 0.5)
         spec = (lab, spec) if on_left else (spec, lab)
     return HierTree.from_nested(spec)
+
+
+def assert_matches_reference(t, k, w):
+    """``optimal_pruning`` equals the slow reference at budget k: the same
+    nodes and the same cost bits, so that 0.0 and -0.0 differ."""
+    nodes, cost = optimal_pruning(t, k, w)
+    want_nodes, want_cost = reference_optimal_pruning(t, k, w)
+    assert nodes == want_nodes, k
+    assert cost.hex() == want_cost.hex(), k
+
+
+def zero_subtree_table(rng, t):
+    """Dense random weights, except that every leaf under the root's left
+    child gets the same weight, so that subtree and all its nodes have
+    discrepancy 0.0 and tie every split inside it with keeping it whole."""
+    lo, hi = t.span(t.left(t.root_id))
+    raw = [rng.random() + 0.01 for _ in t.leaf_order]
+    raw[lo:hi] = [raw[lo]] * (hi - lo)
+    total = fsum(raw)
+    return WeightTable({lab: x / total for lab, x in zip(t.leaf_order, raw)})
 
 
 class TestOptimalPruning:
@@ -1331,7 +1439,7 @@ class TestOptimalPruning:
         else:
             w = random_weight_table(rng, labels, kind)
         for k in range(1, n + 1):
-            assert optimal_pruning(t, k, w) == reference_optimal_pruning(t, k, w)
+            assert_matches_reference(t, k, w)
 
     @pytest.mark.parametrize("target", ("uniform", "dyadic", "distinct"))
     @pytest.mark.parametrize("shape", ("leaf-left", "leaf-right", "broom"))
@@ -1357,7 +1465,7 @@ class TestOptimalPruning:
             w = random_weight_table(rng, t.leaf_order, "dense")
         ks = {*range(1, 13), 40, n} if n < 300 else {*range(1, 13), 40}
         for k in sorted(k for k in ks if k <= n):
-            assert optimal_pruning(t, k, w) == reference_optimal_pruning(t, k, w), k
+            assert_matches_reference(t, k, w)
 
     @pytest.mark.parametrize("target", ("dense", "dyadic", "uniform", "few"))
     @pytest.mark.parametrize("shape", ("left", "right", "cherries", "balanced", "random"))
@@ -1390,9 +1498,7 @@ class TestOptimalPruning:
         else:
             w = random_weight_table(rng, labels, "dense")
         for k in range(1, n + 1):
-            nodes, cost = optimal_pruning(t, k, w)
-            want_nodes, want_cost = reference_optimal_pruning(t, k, w)
-            assert nodes == want_nodes and float_bits([cost]) == float_bits([want_cost]), k
+            assert_matches_reference(t, k, w)
 
     def test_matches_reference_on_dyadic_ties(self):
         # About one random tree in 150 has a tie that only the first-budget
@@ -1402,7 +1508,79 @@ class TestOptimalPruning:
             t = random_tree(rng, rng.randint(2, 14))
             w = dyadic_weight_table(rng, t.leaf_order)
             for k in range(1, t.leaf_count_total + 1):
-                assert optimal_pruning(t, k, w) == reference_optimal_pruning(t, k, w), (seed, k)
+                assert_matches_reference(t, k, w)
+
+    @pytest.mark.parametrize(
+        "n, target",
+        [(256, "few"), (256, "dense"), (256, "uniform"), (256, "dyadic"), (256, "zero-subtree"), (384, "few"), (512, "dense")],
+    )
+    def test_long_rows_on_both_sides_match_reference(self, n, target):
+        # A median-split tree gives both children of each node a long cost
+        # row, so the bounded scan walks both ways from its start; uniform
+        # and dyadic weights and a zero-discrepancy subtree make ties
+        # common.  The O(n·k²) reference takes about a second at k = n =
+        # 512, so the budgets are every k up to 12, a few in between and
+        # the last two.
+        rng = random.Random(f"{n}-{target}")
+        t = build_median_split_tree(random_features([f"m{i}" for i in range(n)], 4, n), 1)
+        labels = t.leaf_order
+        if target == "few":
+            w = make_geometric_target(t, TargetSpec("geometric-bins", n_bins=10, ratio=4.0), 2)
+        elif target == "uniform":
+            w = WeightTable({lab: 1.0 / n for lab in labels})
+        elif target == "dyadic":
+            w = dyadic_weight_table(rng, labels)
+        elif target == "zero-subtree":
+            w = zero_subtree_table(rng, t)
+        else:
+            w = random_weight_table(rng, labels, "dense")
+        for k in (*range(1, 13), 40, 100, n // 2 + 1, n - 1, n):
+            assert_matches_reference(t, k, w)
+
+    @pytest.mark.parametrize("target", ("dense", "dyadic", "zero-subtree"))
+    def test_a_start_below_the_next_range_is_raised_to_it(self, target):
+        # The root splits a uniform 40-leaf subtree from a two-leaf one.  At
+        # budget 3 the best left budget is 1 (the cherry takes two), and
+        # from budget 4 on every left budget is at least b - 2, so each
+        # budget's scan starts above the previous budget's best; without
+        # that step up, budget 5 would read past the cherry's row.
+        rng = random.Random(target)
+        spec = "u0"
+        for i in range(1, 40):
+            spec = (spec, f"u{i}") if i % 3 else (f"u{i}", spec)
+        t = HierTree.from_nested((spec, ("c0", "c1")))
+        labels = t.leaf_order
+        if target == "dyadic":
+            w = dyadic_weight_table(rng, labels)
+        else:
+            raw = {lab: 1.0 for lab in labels}
+            raw["c0"], raw["c1"] = 9.0, 3.0
+            if target == "dense":
+                raw.update((lab, 1.0 + rng.random()) for lab in labels if lab.startswith("u"))
+            total = fsum(raw.values())
+            w = WeightTable({lab: x / total for lab, x in raw.items()})
+        for k in range(1, t.leaf_count_total + 1):
+            assert_matches_reference(t, k, w)
+
+    @pytest.mark.parametrize("target", ("uniform", "dyadic", "few", "zero-subtree"))
+    @pytest.mark.parametrize("n", (2, 3, 17, 60))
+    def test_caterpillars_match_reference_at_every_budget(self, n, target):
+        # Every node of a caterpillar sits beside a leaf, so its row is a
+        # clamp of the spine's; ties come from the flat targets.
+        rng = random.Random(f"{n}-{target}")
+        t = caterpillar(n)
+        labels = t.leaf_order
+        if target == "uniform":
+            w = WeightTable({lab: 1.0 / n for lab in labels})
+        elif target == "dyadic":
+            w = dyadic_weight_table(rng, labels)
+        elif target == "few":
+            raw = [rng.choice((1.0, 2.0, 4.0)) for _ in labels]
+            w = WeightTable({lab: x / fsum(raw) for lab, x in zip(labels, raw)})
+        else:
+            w = zero_subtree_table(rng, t)
+        for k in range(1, n + 1):
+            assert_matches_reference(t, k, w)
 
     def test_tie_keeps_the_smallest_left_budget(self):
         # Node 2's right child is the leaf 18, so every split of node 2
@@ -1437,7 +1615,7 @@ class TestOptimalPruning:
         t = HierTree.from_records(records)
         w = random_weight_table(rng, t.leaf_order)
         for k in range(1, 31):
-            assert optimal_pruning(t, k, w) == reference_optimal_pruning(t, k, w)
+            assert_matches_reference(t, k, w)
 
     def test_deep_caterpillar_at_full_budget(self):
         # Depth 1499: the DP must neither recurse nor go quadratic in k.
