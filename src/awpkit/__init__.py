@@ -16,6 +16,7 @@ from awpkit.adversarial import (
     build_tightness,
 )
 from awpkit.baselines import (
+    BaselineCell,
     empirical_score,
     run_empirical,
     run_uniform,

@@ -16,13 +16,12 @@ concentrates around the wrong value when rare heavy leaves are missed.
 
 The three baselines of one (k, run) cell draw the same leaf positions
 from the same seed and get the same answers, so ``cli.run_experiment``
-builds one ``BaselineCell`` per cell and hands it to each of them.  The
-cell holds the draw, its sort order, the SAMPLE events and the queried
-map, and each node's deviation sum, which both scores need; each
-baseline still answers the draw with its own oracle call, which charges
-its own ledger, and keeps its own trace, queried map and result.  A
-runner called without a cell builds one for itself, so it draws afresh
-on every call.
+builds one ``BaselineCell`` per cell and runs each of them on it, as
+``run_weight(cell, k)`` and so on.  The cell holds the draw, its sort
+order, the SAMPLE events and the queried map, and each node's deviation
+sum, which both scores need; each baseline still answers the draw with
+its own oracle call, which charges its own ledger, and keeps its own
+trace, queried map and result.
 """
 
 from __future__ import annotations
@@ -72,13 +71,6 @@ def empirical_score(w_star: float, n_leaves: int, values) -> float:
     return _empirical(w_star, n_leaves, vals, _deviation_sum(w_star, n_leaves, vals))
 
 
-def _check_run_args(tree: HierTree, k: int, basic: int) -> None:
-    if not (1 <= k <= tree.leaf_count_total):
-        raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
-    if basic < 0:
-        raise ValueError(f"basic query count must be non-negative, got {basic}")
-
-
 def _draw_positions(rng: random.Random, n: int, count: int) -> list[int]:
     """``count`` uniform-with-replacement leaf positions below n, in draw
     order, as ``rng.randrange(n)`` per draw would give them."""
@@ -97,11 +89,13 @@ def _draw_positions(rng: random.Random, n: int, count: int) -> list[int]:
 class BaselineCell:
     """The work the baselines of one (k, run) cell share.
 
-    Built for a tree, an oracle, a basic-query count and a seed, it draws
-    ``count`` uniform leaf positions over the whole leaf set from
-    ``random.Random(seed)`` (``positions``, in draw order) and sorts them
-    (``pos_sorted``, and ``order``, the draw indices in that order, with
-    equal positions in draw order).  The first baseline to answer the draw
+    Built for a tree, an oracle bound to that tree, a non-negative
+    basic-query count and a seed (any other oracle or count raises
+    ValueError), it draws ``count`` uniform leaf positions over the whole
+    leaf set from ``random.Random(seed)`` (``positions``, in draw order)
+    and sorts them (``pos_sorted``, and ``order``, the draw indices in
+    that order, with equal positions in draw order).  The first baseline
+    to answer the draw
     (``_draw_budget``) fills in what depends on the answers: the values in
     sorted order (``val_sorted``), the SAMPLE events, which are immutable
     and so are shared by every trace, and the queried map, built in
@@ -117,10 +111,12 @@ class BaselineCell:
     """
 
     def __init__(self, tree: HierTree, oracle: Oracle, count: int, seed):
+        if oracle.tree is not tree:
+            raise ValueError("oracle is bound to a different tree")
+        if count < 0:
+            raise ValueError(f"basic query count must be non-negative, got {count}")
         self.tree = tree
         self.oracle = oracle
-        self.count = count
-        self.seed = seed
         self.positions = _draw_positions(random.Random(seed), tree.leaf_count_total, count)
         self.order = sorted(range(len(self.positions)), key=self.positions.__getitem__)
         self.pos_sorted = list(map(self.positions.__getitem__, self.order))
@@ -128,16 +124,6 @@ class BaselineCell:
         self._events: tuple[tuple, ...] | None = None
         self._queried: dict[int, float] = {}
         self._deviations: dict[tuple[int, float], float] = {}
-
-    def fits(self, tree: HierTree, oracle: Oracle, count: int, seed) -> bool:
-        """Whether this cell was built for these arguments; a count or seed
-        of another type may draw differently, so it does not fit."""
-        return (
-            tree is self.tree
-            and oracle is self.oracle
-            and (type(count), count) == (type(self.count), self.count)
-            and (type(seed), seed) == (type(self.seed), self.seed)
-        )
 
     def deviation(self, v: int, mass: float, vals: list[float]) -> float:
         """``_deviation_sum`` of node v with the given mass, over ``vals``,
@@ -170,16 +156,12 @@ def _draw_budget(search: PruningSearch, cell: BaselineCell) -> list[float]:
     return values
 
 
-def _start(tree, oracle, k, basic, seed, cell) -> tuple[PruningSearch, BaselineCell]:
-    """A baseline's search, after its arguments are checked, and its cell:
-    the one given, if it was built for these arguments, else a new one."""
-    search = PruningSearch(tree, oracle)
-    _check_run_args(tree, k, basic)
-    if cell is None:
-        return search, BaselineCell(tree, oracle, basic, seed)
-    if not cell.fits(tree, oracle, basic, seed):
-        raise ValueError("the cell was built for another tree, oracle, basic-query count or seed")
-    return search, cell
+def _search(cell: BaselineCell, k: int) -> PruningSearch:
+    """A baseline's search on the cell's tree and oracle, once k is checked."""
+    n = cell.tree.leaf_count_total
+    if not (1 <= k <= n):
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    return PruningSearch(cell.tree, cell.oracle)
 
 
 def _split_best(search: PruningSearch, k: int, key) -> None:
@@ -197,23 +179,21 @@ def _split_best(search: PruningSearch, k: int, key) -> None:
                 heappush(heap, (key(c), c))
 
 
-def run_weight(
-    tree: HierTree, oracle: Oracle, k: int, basic: int, seed: int, cell: BaselineCell | None = None
-) -> PruningResult:
-    """Split the heaviest pruning node k-1 times, then spend all ``basic``
-    queries on uniform leaf draws used only to refine the output.  The
-    draws are ``cell``'s, which must be built for the same tree, oracle,
-    ``basic`` and seed; without one, they are drawn afresh."""
-    search, cell = _start(tree, oracle, k, basic, seed, cell)
+def run_weight(cell: BaselineCell, k: int) -> PruningResult:
+    """Split the heaviest pruning node k-1 times, then spend the cell's
+    whole basic-query count on its uniform leaf draws, used only to refine
+    the output."""
+    search = _search(cell, k)
     mass = search.mass
     _split_best(search, k, lambda v: -mass[v])
     _draw_budget(search, cell)
     return search.finish()
 
 
-def _run_scored(tree, oracle, k, basic, seed, cell, score) -> PruningResult:
-    search, cell = _start(tree, oracle, k, basic, seed, cell)
+def _run_scored(cell: BaselineCell, k: int, score) -> PruningResult:
+    search = _search(cell, k)
     _draw_budget(search, cell)
+    tree = cell.tree
     pos_sorted, val_sorted = cell.pos_sorted, cell.val_sorted
     mass = search.mass
 
@@ -233,18 +213,13 @@ def _run_scored(tree, oracle, k, basic, seed, cell, score) -> PruningResult:
     return search.finish()
 
 
-def run_uniform(
-    tree: HierTree, oracle: Oracle, k: int, basic: int, seed: int, cell: BaselineCell | None = None
-) -> PruningResult:
-    """Score candidate splits with the unbiased discrepancy estimate over a
-    fixed, uniformly pre-drawn sample: ``cell``'s draw, as in
-    ``run_weight``."""
-    return _run_scored(tree, oracle, k, basic, seed, cell, _uniform)
+def run_uniform(cell: BaselineCell, k: int) -> PruningResult:
+    """Score candidate splits with the unbiased discrepancy estimate over
+    the cell's fixed, uniformly pre-drawn sample."""
+    return _run_scored(cell, k, _uniform)
 
 
-def run_empirical(
-    tree: HierTree, oracle: Oracle, k: int, basic: int, seed: int, cell: BaselineCell | None = None
-) -> PruningResult:
-    """Score candidate splits with the plug-in deviation sum over a fixed,
-    uniformly pre-drawn sample: ``cell``'s draw, as in ``run_weight``."""
-    return _run_scored(tree, oracle, k, basic, seed, cell, _empirical)
+def run_empirical(cell: BaselineCell, k: int) -> PruningResult:
+    """Score candidate splits with the plug-in deviation sum over the
+    cell's fixed, uniformly pre-drawn sample."""
+    return _run_scored(cell, k, _empirical)

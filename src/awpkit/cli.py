@@ -310,7 +310,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
                 if alg == "awp":
                     res = awp_res
                 else:
-                    res = _BASELINE_RUNNERS[alg](tree, oracle, k_reached, basic, run_seed, cell=cell)
+                    res = _BASELINE_RUNNERS[alg](cell, k_reached)
                 nd = normalized_distance(res, truth)
                 out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
                 if config.traces:

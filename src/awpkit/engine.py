@@ -448,14 +448,13 @@ def normalized_distance(result: PruningResult, truth: Mapping[str, float]) -> fl
     computed from the result's pruning, node shares and pins without that
     list (see ``tree._refined_tv``).  The target is read through its
     statistics entry for ``result.tree`` (see ``tree._instance_stats``):
-    a table keeps its entry, so a few-valued pruning node costs its
-    distinct values, counted once per instance (a long span of a
-    few-valued instance from its value index, see ``tree._few_values``),
-    plus its pins, while any other mapping gets a fresh entry, dropped
-    after the call.  A node that is not few-valued costs one pass over its
-    leaves.  A result whose terms do not sum as finite floats (a
-    non-finite node mass, say) is scored on ``w_p_refined`` itself, so it
-    gets ``tv_distance``'s value or error.
+    a table keeps its entry, so a long span of a few-valued instance
+    costs the instance's distinct values, counted once per instance from
+    its value index (see ``tree._refined_tv``), plus its pins, while any
+    other mapping gets a fresh entry, dropped after the call.  Any other
+    node costs one pass over its leaves.  A result whose terms do not sum
+    as finite floats (a non-finite node mass, say) is scored on
+    ``w_p_refined`` itself, so it gets ``tv_distance``'s value or error.
     """
     stats = _instance_stats(result.tree, truth)
     try:

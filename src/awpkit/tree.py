@@ -18,8 +18,9 @@ exact products m * hi and m * lo, where hi + lo is the term cut in two
 three users: the sums grouped by distinct leaf value in
 ``node_discrepancies``, and, for a search result, its weight-sum check
 (each node's share times its unqueried leaves) and its total variation
-from a target (``_refined_tv``, one term per distinct value of a
-few-valued node), neither of which builds the n-long refined weighting.
+from a target (``_refined_tv``, one term per distinct value of a node
+counted from the instance's value index), neither of which builds the
+n-long refined weighting.
 So results are reproducible to well below the documented tolerances
 regardless of summation order.
 """
@@ -519,8 +520,8 @@ def _leaf_values(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     raise ValueError(f"weighting does not match the tree's leaf set (missing {missing}, extra {extra})")
 
 
-# Cut-overs of _few_distinct, node_discrepancies and _few_values; their
-# docstrings say how they are used.
+# Cut-overs of _few_distinct, node_discrepancies, _value_index and
+# _refined_tv; their docstrings say how they are used.
 _SMALL = 64
 _GROUP_RATIO = 10
 # Veltkamp's splitting constant 2**27 + 1, and the bounds under which
@@ -539,8 +540,8 @@ def _few_distinct(vals: Collection) -> set | None:
     distinct ones.  Before it, the first ``bound + 1`` items alone are
     checked, since when those are all distinct the head fails too.  So a
     list of distinct items costs only ``bound + 1`` of them.
-    ``span_sums``, ``_few_values`` and the weight file reader and writer
-    (see ``fileio``) take their few-valued paths on this test."""
+    ``span_sums`` and the weight file reader and writer (see ``fileio``)
+    take their few-valued paths on this test."""
     cap = len(vals) // _GROUP_RATIO
     bound = min(cap, _SMALL)
     if len(set(islice(vals, bound + 1))) > bound:
@@ -593,13 +594,13 @@ class _Stats:
     their prefix sums ``(sums, den)`` from ``span_sums``, computed on their
     first read, the node discrepancies ``disc``, None until
     ``node_discrepancies`` first asks for them, and the scorer's two
-    entries (see ``_refined_tv``).  ``counts`` maps each node a result was
-    scored on to its span's value -> count map when that span is
-    few-valued (``_few_values``), else to None.  ``index``, built on its
-    first read, maps each distinct leaf value of a few-valued instance
-    (``_few_distinct``) to its ascending leaf positions, one
-    ``array('q')`` per value, 8 bytes per leaf in all, from which
-    ``_few_values`` counts a long span; it is None for any other instance.
+    entries (see ``_refined_tv``).  ``index``, built on its first read,
+    maps each distinct leaf value of a few-valued instance
+    (``_value_index``) to its ascending leaf positions, one ``array('q')``
+    per value, 8 bytes per leaf in all; it is None for any other instance.
+    ``counts`` maps each node a result was scored on to its span's
+    value -> count map when that span was counted from the index
+    (``_indexed_counts``), else to None.
 
     Only ``Oracle`` and the discrepancy pass read the prefix sums, so
     scoring a result and ``node_discrepancy`` or ``pruning_discrepancy``
@@ -628,13 +629,18 @@ class _Stats:
 
 def _value_index(vals: Sequence[float]) -> dict[float, array] | None:
     """Each distinct value of ``vals`` -> its ascending positions, when
-    ``_few_distinct`` finds ``vals`` few-valued, else None; one pass."""
-    distinct = _few_distinct(vals)
-    if distinct is None:
-        return None
-    index = {x: array("q") for x in distinct}
+    ``vals`` holds at most one distinct value per ``_GROUP_RATIO`` items,
+    else None.  One pass, which stops at the first value past that cap;
+    0.0 and -0.0 compare equal, so they share one entry."""
+    cap = len(vals) // _GROUP_RATIO
+    index: dict[float, array] = {}
     for pos, x in enumerate(vals):
-        index[x].append(pos)
+        try:
+            index[x].append(pos)
+        except KeyError:
+            if len(index) == cap:
+                return None
+            index[x] = array("q", (pos,))
     return index
 
 
@@ -723,35 +729,6 @@ def _indexed_counts(index: Mapping[float, array], lo: int, hi: int) -> dict:
         m = bisect_left(positions, hi, start) - start
         if m:
             counts[x] = m
-    return counts
-
-
-def _few_values(
-    vals: Sequence[float], lo: int = 0, hi: int | None = None, index: Mapping[float, array] | None = None
-) -> dict | None:
-    """The value -> count map of ``vals[lo:hi]`` when that span is
-    few-valued, else None.
-
-    With ``index``, the ``_Stats.index`` of ``vals``, a span of at least
-    ``_GROUP_RATIO`` leaves per distinct value of the whole list is
-    counted from the index (``_indexed_counts``): it holds no more
-    distinct values than the list, so it is few-valued.  Any other span is
-    sliced and, when ``_few_distinct`` finds it few-valued, counted with
-    the C loop behind ``Counter.update``, so a span with many distinct
-    values is told apart as ``span_sums`` tells it apart.  Either way
-    each value's count is ``Counter``'s;
-    only its key may be another float equal to it, 0.0 for -0.0 or the
-    reverse.  ``_refined_tv`` sums a span exactly on either of its paths,
-    so which one a span takes changes no score."""
-    if hi is None:
-        hi = len(vals)
-    if index is not None and hi - lo >= _GROUP_RATIO * len(index):
-        return _indexed_counts(index, lo, hi)
-    span = vals[lo:hi]
-    if _few_distinct(span) is None:
-        return None
-    counts = {}
-    _count_elements(counts, span)
     return counts
 
 
@@ -946,30 +923,30 @@ def _refined_tv(
 
     Every unqueried leaf of a node with share q adds the term |q - x| for
     its true weight x, and every pinned leaf p adds |queried[p] - x|,
-    which is 0.0 when the entry holds the values the oracle answered.  A
-    node whose span is few-valued (``_few_values``) adds each distinct x's
-    term once, times its count in the span, and each of its pins adds
-    minus the term |q - x| that its leaf got there.  A long span of a
-    few-valued instance is counted from the entry's ``index`` with two
-    bisections per distinct value of the instance, and any other span
-    with one pass over its leaves (see ``_few_values``).  Each node's
-    value counts, or None, are kept in the entry's ``counts``, so the
-    results of an instance count each node's span once, and the index is
-    built on the instance's first score.  Any other node walks the
-    refined weighting over its span (``_refined_span``) leaf by leaf, as
-    ``tv_distance`` walks the whole list.  All these terms go under one
-    exact sum (``_exact_sum``), so the result is ``fsum`` over the
-    per-leaf terms, halved, as ``tv_distance`` computes it, whenever that
-    sum is finite.
+    which is 0.0 when the entry holds the values the oracle answered.  On
+    a few-valued instance, whose entry has a value ``index``, a node whose
+    span holds at least ``_GROUP_RATIO`` leaves per distinct value of the
+    instance is counted from the index (``_indexed_counts``, two
+    bisections per distinct value) and adds each distinct x's term once,
+    times its count in the span, and each of its pins adds minus the term
+    |q - x| that its leaf got there.  Each node's value counts, or None,
+    are kept in the entry's ``counts``, so the results of an instance
+    count each node's span once, and the index is built on the instance's
+    first score.  Any other node walks the refined weighting over its
+    span (``_refined_span``) leaf by leaf, as ``tv_distance`` walks the
+    whole list.  All these terms go under one exact sum (``_exact_sum``),
+    so the result is ``fsum`` over the per-leaf terms, halved, as
+    ``tv_distance`` computes it, whenever that sum is finite.
     """
-    truth, memo = stats.vals, stats.counts
+    truth, memo, index = stats.vals, stats.counts, stats.index
+    long_span = inf if index is None else _GROUP_RATIO * len(index)
     groups: list[tuple[float, dict]] = []
     singles: list[Iterable[float]] = []
     for v, lo, hi, share, pins in shares:
         if v in memo:
             few = memo[v]
         else:
-            few = memo[v] = _few_values(truth, lo, hi, stats.index)
+            few = memo[v] = _indexed_counts(index, lo, hi) if hi - lo >= long_span else None
         if few is None:
             singles.append(map(abs, map(sub, _refined_span(lo, hi, share, pins, queried), truth[lo:hi])))
             continue

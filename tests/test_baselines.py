@@ -189,30 +189,33 @@ class TestStdlibPaths:
 
 class TestRunArgs:
     def test_foreign_oracle_rejected(self):
+        # The cell refuses an oracle bound to another tree.
         tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
         other = HierTree.from_nested((("a", "b"), ("c", "d")))
-        oracle = Oracle(other, table)
-        for fn in (run_weight, run_uniform, run_empirical):
-            with pytest.raises(ValueError, match="different tree"):
-                fn(tree, oracle, 2, 0, seed=0)
+        with pytest.raises(ValueError, match="different tree"):
+            BaselineCell(tree, Oracle(other, table), 0, 0)
 
     def test_k_out_of_range(self):
         tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
-        for bad_k in (0, 5):
-            with pytest.raises(ValueError, match="k must be"):
-                run_weight(tree, Oracle(tree, table), bad_k, 0, seed=0)
+        oracle = Oracle(tree, table)
+        cell = BaselineCell(tree, oracle, 3, 0)
+        for fn in (run_weight, run_uniform, run_empirical):
+            for bad_k in (0, 5):
+                with pytest.raises(ValueError, match="k must be"):
+                    fn(cell, bad_k)
+        assert (oracle.ledger.basic_queries, oracle.ledger.node_queries) == (0, 0)
 
     def test_negative_basic_count_rejected(self):
+        # The cell refuses a negative count.
         tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
-        for fn in (run_weight, run_uniform, run_empirical):
-            with pytest.raises(ValueError, match="non-negative"):
-                fn(tree, Oracle(tree, table), 3, -1, seed=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            BaselineCell(tree, Oracle(tree, table), -1, 0)
 
 
 class TestRunWeight:
     def test_quad_split_order_and_outputs(self):
         tree, table = quad_instance(0.4, 0.2, 0.3, 0.1)
-        result = run_weight(tree, Oracle(tree, table), 3, 5, seed=11)
+        result = run_weight(BaselineCell(tree, Oracle(tree, table), 5, 11), 3)
 
         # Root first, then the heavier child (mass 0.6 on the left).
         assert result.pruning == (2, 3, 4)
@@ -236,7 +239,7 @@ class TestRunWeight:
 
     def test_mass_tie_prefers_smaller_id(self):
         tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
-        result = run_weight(tree, Oracle(tree, table), 3, 0, seed=0)
+        result = run_weight(BaselineCell(tree, Oracle(tree, table), 0, 0), 3)
         # Children tie at 0.5 after the root split; node 1 wins the tie.
         assert result.pruning == (2, 3, 4)
 
@@ -244,7 +247,7 @@ class TestRunWeight:
         tree, table = quad_instance(0.1, 0.2, 0.3, 0.4)
         prunings = set()
         for seed in range(5):
-            result = run_weight(tree, Oracle(tree, table), 3, 20, seed=seed)
+            result = run_weight(BaselineCell(tree, Oracle(tree, table), 20, seed), 3)
             prunings.add(result.pruning)
         assert len(prunings) == 1
 
@@ -252,7 +255,7 @@ class TestRunWeight:
         rng = random.Random(3)
         tree = random_tree(rng, 12)
         table = random_weight_table(rng, tree.leaf_order, kind="dense")
-        result = run_weight(tree, Oracle(tree, table), 4, 15, seed=8)
+        result = run_weight(BaselineCell(tree, Oracle(tree, table), 15, 8), 4)
         queried = {t[2] for t in result.trace if t[0] == "SAMPLE"}
         assert queried
         for label in queried:
@@ -260,7 +263,7 @@ class TestRunWeight:
 
     def test_k1_spends_basic_budget_only(self):
         tree, table = quad_instance(0.4, 0.2, 0.3, 0.1)
-        result = run_weight(tree, Oracle(tree, table), 1, 6, seed=2)
+        result = run_weight(BaselineCell(tree, Oracle(tree, table), 6, 2), 1)
         assert result.pruning == (tree.root_id,)
         assert result.ledger.basic_queries == 6
         assert result.ledger.node_queries == 0
@@ -274,7 +277,7 @@ class TestRunWeight:
             tree = random_tree(rng, rng.randint(6, 28))
             table = random_weight_table(rng, tree.leaf_order)
             k = rng.randint(2, min(6, tree.leaf_count_total))
-            result = run_weight(tree, Oracle(tree, table), k, rng.randint(0, 25), seed=seed)
+            result = run_weight(BaselineCell(tree, Oracle(tree, table), rng.randint(0, 25), seed), k)
 
             splits = [t for t in result.trace if t[0] == "SPLIT"]
             assert len(splits) == k - 1
@@ -383,7 +386,7 @@ class TestScoredBaselines:
             table = random_weight_table(rng, tree.leaf_order)
             k = rng.randint(2, tree.leaf_count_total)
             basic = rng.choice((0, 1, 7, 40))
-            result = runner(tree, Oracle(tree, table), k, basic, seed=seed)
+            result = runner(BaselineCell(tree, Oracle(tree, table), basic, seed), k)
             replay_scored(tree, table, result, k, basic, score_fn)
 
     @pytest.mark.parametrize("runner", [run_uniform, run_empirical])
@@ -392,8 +395,8 @@ class TestScoredBaselines:
         tree = random_tree(rng, 16)
         table = random_weight_table(rng, tree.leaf_order, kind="exponential")
         k = 5
-        scored = runner(tree, Oracle(tree, table), k, 0, seed=3)
-        weighted = run_weight(tree, Oracle(tree, table), k, 0, seed=3)
+        scored = runner(BaselineCell(tree, Oracle(tree, table), 0, 3), k)
+        weighted = run_weight(BaselineCell(tree, Oracle(tree, table), 0, 3), k)
         assert scored.pruning == weighted.pruning
         assert scored.trace == weighted.trace
 
@@ -402,8 +405,8 @@ class TestScoredBaselines:
         rng = random.Random(23)
         tree = random_tree(rng, 20)
         table = random_weight_table(rng, tree.leaf_order)
-        first = runner(tree, Oracle(tree, table), 4, 30, seed=9)
-        second = runner(tree, Oracle(tree, table), 4, 30, seed=9)
+        first = runner(BaselineCell(tree, Oracle(tree, table), 30, 9), 4)
+        second = runner(BaselineCell(tree, Oracle(tree, table), 30, 9), 4)
         assert first.trace == second.trace
         assert first.pruning == second.pruning
         assert first.w_p_refined == second.w_p_refined
@@ -414,8 +417,8 @@ class TestScoredBaselines:
         rng = random.Random(29)
         tree = random_tree(rng, 18)
         table = random_weight_table(rng, tree.leaf_order)
-        uni = run_uniform(tree, Oracle(tree, table), 3, 12, seed=4)
-        emp = run_empirical(tree, Oracle(tree, table), 3, 12, seed=4)
+        uni = run_uniform(BaselineCell(tree, Oracle(tree, table), 12, 4), 3)
+        emp = run_empirical(BaselineCell(tree, Oracle(tree, table), 12, 4), 3)
         uni_samples = [t for t in uni.trace if t[0] == "SAMPLE"]
         emp_samples = [t for t in emp.trace if t[0] == "SAMPLE"]
         assert uni_samples == emp_samples
@@ -464,16 +467,16 @@ class TestBudgetMemo:
     RUNNERS = {"weight": run_weight, "uniform": run_uniform, "empirical": run_empirical}
 
     @staticmethod
-    def outcome(fn, tree, oracle, k, basic, seed, cell=None):
-        result = fn(tree, oracle, k, basic, seed, cell=cell)
+    def outcome(fn, cell, k):
+        result = fn(cell, k)
         return result.pruning, result.node_weights, result.ledger, result.trace, result.queried
 
     @pytest.mark.parametrize("order", list(permutations(RUNNERS)))
     def test_baselines_agree_with_and_without_the_memo(self, order):
-        # Each baseline gives the same result with a cell shared with the
-        # others, in every call order, as alone on its own oracle; its
-        # ledger, trace and queried map stay its own, and the shared
-        # oracle is charged what the three lone oracles are.
+        # Each baseline gives the same result on a cell shared with the
+        # others, in every call order, as on a fresh cell and oracle of its
+        # own; its ledger, trace and queried map stay its own, and the
+        # shared oracle is charged what the three lone oracles are.
         rng = random.Random(67)
         for tree in (random_tree(rng, 150), caterpillar(90)):
             table = random_weight_table(rng, tree.leaf_order)
@@ -482,12 +485,12 @@ class TestBudgetMemo:
                 alone, spent = {}, [0, 0]
                 for name, fn in self.RUNNERS.items():
                     oracle = Oracle(tree, table)
-                    alone[name] = self.outcome(fn, tree, oracle, k, basic, seed)
+                    alone[name] = self.outcome(fn, BaselineCell(tree, oracle, basic, seed), k)
                     spent = [spent[0] + oracle.ledger.basic_queries, spent[1] + oracle.ledger.node_queries]
                 oracle = Oracle(tree, table)
                 cell = BaselineCell(tree, oracle, basic, seed)
                 for name in order:
-                    got = self.outcome(self.RUNNERS[name], tree, oracle, k, basic, seed, cell)
+                    got = self.outcome(self.RUNNERS[name], cell, k)
                     assert got == alone[name], (name, basic)
                 assert [oracle.ledger.basic_queries, oracle.ledger.node_queries] == spent
                 assert spent == [3 * basic, 3 * (k - 1)]
@@ -504,40 +507,17 @@ class TestBudgetMemo:
         assert cell.order == sorted(range(50), key=lambda i: (positions[i], i))
 
     def test_non_int_seeds_are_not_memoised(self):
-        # Without a cell each call draws afresh, so Random(None) gives a
-        # new draw every time, and another seed type reproduces.
+        # Each cell draws once, when it is built, so cells seeded with
+        # None draw anew each time, and another seed type reproduces.
         rng = random.Random(5)
         tree = random_tree(rng, 300)
         table = random_weight_table(rng, tree.leaf_order)
-        traces = {self.outcome(run_uniform, tree, Oracle(tree, table), 4, 60, None)[3] for _ in range(3)}
-        assert len(traces) == 3
-        assert self.outcome(run_weight, tree, Oracle(tree, table), 4, 60, "cell")[3] == self.outcome(
-            run_weight, tree, Oracle(tree, table), 4, 60, "cell"
-        )[3]
 
-    def test_mismatched_cell_refused(self):
-        # A cell built for another tree, oracle, count or seed, or for a
-        # count or seed of another type, is refused before any query.
-        rng = random.Random(71)
-        tree = random_tree(rng, 40)
-        table = random_weight_table(rng, tree.leaf_order)
-        oracle = Oracle(tree, table)
-        other_tree = random_tree(rng, 40)
-        cells = [
-            BaselineCell(other_tree, Oracle(other_tree, random_weight_table(rng, other_tree.leaf_order)), 30, 2),
-            BaselineCell(tree, Oracle(tree, table), 30, 2),
-            BaselineCell(tree, oracle, 31, 2),
-            BaselineCell(tree, oracle, 30, 3),
-            BaselineCell(tree, oracle, 30, 2.0),
-            BaselineCell(tree, oracle, 30, None),
-        ]
-        for fn in self.RUNNERS.values():
-            for cell in cells:
-                with pytest.raises(ValueError, match="another tree, oracle"):
-                    fn(tree, oracle, 4, 30, 2, cell=cell)
-            with pytest.raises(ValueError, match="another tree, oracle"):
-                fn(tree, oracle, 4, 30.0, 2, cell=BaselineCell(tree, oracle, 30, 2))
-        assert (oracle.ledger.basic_queries, oracle.ledger.node_queries) == (0, 0)
+        def trace(fn, seed):
+            return self.outcome(fn, BaselineCell(tree, Oracle(tree, table), 60, seed), 4)[3]
+
+        assert len({trace(run_uniform, None) for _ in range(3)}) == 3
+        assert trace(run_weight, "cell") == trace(run_weight, "cell")
 
 
 class TestBudgetParity:
@@ -555,7 +535,7 @@ class TestBudgetParity:
         assert spent.node_queries == k_reached - 1
 
         for fn in (run_weight, run_uniform, run_empirical):
-            result = fn(tree, Oracle(tree, table), k_reached, spent.basic_queries, seed=1)
+            result = fn(BaselineCell(tree, Oracle(tree, table), spent.basic_queries, 1), k_reached)
             assert result.ledger.basic_queries == spent.basic_queries
             assert result.ledger.node_queries == spent.node_queries
             assert len(result.pruning) == k_reached
@@ -577,7 +557,7 @@ class TestFullSize:
         k = tree.leaf_count_total
         leaves = tuple(leaf_ids(tree))
         for fn in (run_weight, run_uniform, run_empirical):
-            result = fn(tree, Oracle(tree, table), k, rng.randint(0, 30), seed=seed)
+            result = fn(BaselineCell(tree, Oracle(tree, table), rng.randint(0, 30), seed), k)
             assert result.pruning == leaves
             assert result.early_stop is None
         config = EngineConfig(k=k, seed=seed, max_basic_queries=400)

@@ -23,8 +23,15 @@ from awpkit.engine import (
     normalized_distance,
     run_awp,
 )
-from awpkit.baselines import run_empirical, run_uniform, run_weight
-from awpkit.cli import ExperimentConfig, ExperimentOutput, format_traces, run_experiment
+from awpkit.baselines import BaselineCell, run_empirical, run_uniform, run_weight
+from awpkit.cli import (
+    ExperimentConfig,
+    ExperimentOutput,
+    format_traces,
+    make_target_source,
+    make_tree_source,
+    run_experiment,
+)
 from awpkit.estimator import NodeStats, confidence_radius, estimate_discrepancy
 from awpkit.oracle import (
     Oracle,
@@ -558,9 +565,9 @@ class TestOwnSpend:
         awp = [run_awp(tree, oracle, self.CONFIG) for _ in range(2)][-1]
         k = len(awp.pruning)
         for fn in (run_weight, run_uniform, run_empirical):
-            res = fn(tree, oracle, k, awp.ledger.basic_queries, seed=1)
+            res = fn(BaselineCell(tree, oracle, awp.ledger.basic_queries, 1), k)
             assert res.ledger == QueryLedger(300, k - 1)
-            assert res.trace == fn(tree, Oracle(tree, truth), k, 300, seed=1).trace
+            assert res.trace == fn(BaselineCell(tree, Oracle(tree, truth), 300, 1), k).trace
 
     def test_finished_ledger_is_detached(self):
         tree, truth = quad_instance()
@@ -683,19 +690,65 @@ class TestNormalizedDistance:
         oracle = Oracle(tree, table)
         results = [run_awp(tree, oracle, EngineConfig(k=20, seed=s, max_basic_queries=1500)) for s in range(3)]
         calls = []
-        original = tree_mod._few_values
-        monkeypatch.setattr(tree_mod, "_few_values", lambda *args: calls.append(1) or original(*args))
+        original = tree_mod._indexed_counts
+        monkeypatch.setattr(tree_mod, "_indexed_counts", lambda *args: calls.append(1) or original(*args))
         first = [normalized_distance(res, table) for res in results]
         counted = len(calls)
         assert [normalized_distance(res, table) for res in results] == first
         assert len(calls) == counted  # the second pass counts nothing
         assert table._stats.tree is tree
         memo = table._stats.counts
-        assert counted == len(memo) and any(memo.values())
         # The long spans were counted from the instance's value index.
+        assert counted == sum(counts is not None for counts in memo.values()) > 0
         assert table._stats.index is not None and len(table._stats.index) == 10
         for res, got in zip(results, first):
             assert got.hex() == reference_normalized_distance(res, table).hex()
+
+    def test_the_readme_sweep_counts_exactly_the_long_spans_from_the_index(self):
+        # After a scored sweep on the README instance (4,096 leaves, 10
+        # distinct values), each memo entry holds its span's counts exactly
+        # when the span has at least 10 leaves per distinct value, and None
+        # otherwise.
+        tree, _ = make_tree_source("median-split:n=4096,dim=8", 0)
+        table = make_target_source("geometric:bins=10,ratio=4", tree, 0)
+        oracle = Oracle(tree, table)
+        for k in (5, 10, 20, 40):
+            for seed in range(2):
+                awp = run_awp(tree, oracle, EngineConfig(k=k, seed=seed, max_basic_queries=2000))
+                cell = BaselineCell(tree, oracle, awp.ledger.basic_queries, seed)
+                for res in (awp, *(run(cell, len(awp.pruning)) for run in (run_weight, run_uniform, run_empirical))):
+                    normalized_distance(res, table)
+        stats = table._stats
+        g = len(stats.index)
+        assert g == 10
+        long_spans = 0
+        for v, counts in stats.counts.items():
+            lo, hi = tree.span(v)
+            if hi - lo >= 10 * g:
+                assert counts == Counter(stats.vals[lo:hi]), v
+                long_spans += 1
+            else:
+                assert counts is None, v
+        assert 0 < long_spans < len(stats.counts)
+
+    def test_the_index_counts_spans_from_exactly_ten_leaves_per_value(self):
+        # A caterpillar's prunings put spans of every size in the memo: with
+        # two distinct values, spans of 20 leaves or more are counted from
+        # the index and shorter ones are walked, both scoring exactly.
+        rng = random.Random(3)
+        tree = caterpillar(40)
+        table = WeightTable({lab: (1.0 if i % 3 else 0.0) / 26 for i, lab in enumerate(tree.leaf_order)})
+        for _ in range(150):
+            res = scored_result(rng, tree, table)
+            assert normalized_distance(res, table).hex() == reference_normalized_distance(res, table).hex()
+        stats = table._stats
+        assert len(stats.index) == 2
+        sizes = {}
+        for v, counts in stats.counts.items():
+            lo, hi = tree.span(v)
+            sizes[hi - lo] = counts is not None
+            assert counts == (Counter(stats.vals[lo:hi]) if hi - lo >= 20 else None), v
+        assert sizes[19] is False and sizes[20] is True
 
     @pytest.mark.parametrize("kind", ("zeros-and-subnormals", "single-valued"))
     def test_spans_counted_from_the_index_score_like_the_reference(self, kind):
@@ -753,7 +806,8 @@ class TestNormalizedDistance:
         for seed in range(2):
             awp = run_awp(tree, oracle, EngineConfig(k=12, seed=seed, max_basic_queries=600))
             k, basic = len(awp.pruning), awp.ledger.basic_queries
-            baselines = (run(tree, oracle, k, basic, seed) for run in (run_weight, run_uniform, run_empirical))
+            runners = (run_weight, run_uniform, run_empirical)
+            baselines = (run(BaselineCell(tree, oracle, basic, seed), k) for run in runners)
             for res in (awp, *baselines):
                 # A plain dict of the same values gets a fresh entry each call.
                 assert normalized_distance(res, table).hex() == normalized_distance(res, dict(table)).hex()
@@ -876,7 +930,8 @@ class TestEdgeTables:
             awp = run_awp(tree, oracle, EngineConfig(k=k, seed=i, max_basic_queries=300))
             k, basic = len(awp.pruning), awp.ledger.basic_queries
             vals = [table[lab] for lab in tree.leaf_order]
-            for res in (awp, *(run(tree, oracle, k, basic, i) for run in (run_weight, run_uniform, run_empirical))):
+            baselines = (run(BaselineCell(tree, oracle, basic, i), k) for run in (run_weight, run_uniform, run_empirical))
+            for res in (awp, *baselines):
                 assert normalized_distance(res, table).hex() == tv_distance(res.w_p_refined, vals).hex()
 
 
@@ -888,7 +943,8 @@ class TestLazyRefinedList:
         oracle = Oracle(tree, table)
         awp = run_awp(tree, oracle, EngineConfig(k=6, seed=1, max_basic_queries=300))
         k, basic = len(awp.pruning), awp.ledger.basic_queries
-        for res in (awp, *(run(tree, oracle, k, basic, 1) for run in (run_weight, run_uniform, run_empirical))):
+        baselines = (run(BaselineCell(tree, oracle, basic, 1), k) for run in (run_weight, run_uniform, run_empirical))
+        for res in (awp, *baselines):
             assert res._refined is None
             refined = res.w_p_refined
             assert res.w_p_refined is refined

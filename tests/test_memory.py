@@ -33,7 +33,7 @@ import tracemalloc
 
 import pytest
 
-from awpkit.baselines import run_empirical, run_uniform, run_weight
+from awpkit.baselines import BaselineCell, run_empirical, run_uniform, run_weight
 from awpkit.cli import main, make_target_source, make_tree_source
 from awpkit.engine import EngineConfig, normalized_distance, run_awp
 from awpkit.oracle import Oracle
@@ -122,7 +122,8 @@ def _score_a_sweep(tree, table):
     for seed in range(2):
         awp = run_awp(tree, oracle, EngineConfig(k=10, seed=seed, max_basic_queries=500))
         k, basic = len(awp.pruning), awp.ledger.basic_queries
-        for res in (awp, *(run(tree, oracle, k, basic, seed) for run in (run_weight, run_uniform, run_empirical))):
+        baselines = (run(BaselineCell(tree, oracle, basic, seed), k) for run in (run_weight, run_uniform, run_empirical))
+        for res in (awp, *baselines):
             normalized_distance(res, table)
     assert table._stats.tree is tree and table._stats.vals is oracle._vals
     return table._stats.counts

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import awpkit.tree as tree_mod
-from awpkit.baselines import run_uniform
+from awpkit.baselines import BaselineCell, run_uniform
 from awpkit.engine import normalized_distance
 from awpkit.fileio import dumps_tree, loads_tree
 from awpkit.oracle import Oracle, TargetSpec, build_median_split_tree, make_geometric_target, random_features
@@ -27,7 +27,7 @@ from awpkit.tree import (
     WeightTable,
     _LoadedWeights,
     _exact_sum,
-    _few_values,
+    _few_distinct,
     average_split_quality,
     induced_weighting,
     is_pruning,
@@ -761,14 +761,15 @@ class TestSpanSums:
         seed=st.integers(0, 10**6),
     )
     def test_few_values_counts_exactly_the_few_valued_lists(self, size, n, head, seed):
-        # At most one distinct value per 10 values, and at most
-        # min(n // 10, 64) among the first 640; the head draws from a
-        # smaller alphabet, so that each bound is met alone.
+        # _few_distinct's test, which span_sums and the weight file reader
+        # and writer take: at most one distinct value per 10 values, and
+        # at most min(n // 10, 64) among the first 640; the head draws from
+        # a smaller alphabet, so that each bound is met alone.
         rng = random.Random(seed)
         alphabet = [i / 7 for i in range(size)] + [-0.0]
         vals = tuple(rng.choice(alphabet[: 1 + i % 4] if i < head else alphabet) for i in range(n))
         few = len(set(vals)) <= n // 10 and len(set(vals[:640])) <= min(n // 10, 64)
-        assert _few_values(vals) == (Counter(vals) if few else None)
+        assert _few_distinct(vals) == (set(vals) if few else None)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1146,7 +1147,7 @@ class TestStatisticsEntry:
         rng = random.Random(seed)
         pruning = random_pruning(rng, tree)
         k = min(5, tree.leaf_count_total)
-        result = run_uniform(tree, Oracle(tree, w), k, 3 * tree.leaf_count_total, seed)
+        result = run_uniform(BaselineCell(tree, Oracle(tree, w), 3 * tree.leaf_count_total, seed), k)
 
         def scores(target):
             return float_bits(
@@ -1229,6 +1230,18 @@ class TestValueIndex:
     positions that hold it (``_Stats.index``), and the scorer counts a
     long span from them, exactly as ``Counter`` counts the slice."""
 
+    def test_the_index_holds_at_most_one_value_per_ten_items(self):
+        # 100 items allow 10 distinct values; 0.0 and -0.0 are one.
+        assert tree_mod._value_index([i / 128 for i in range(100)]) is None
+        at_cap = [i % 10 / 16 for i in range(100)]
+        index = tree_mod._value_index(at_cap)
+        assert len(index) == 10 and sum(map(len, index.values())) == 100
+        assert tree_mod._value_index(at_cap[:-1] + [0.75]) is None
+        with_zeros = at_cap[:-1] + [-0.0]
+        index = tree_mod._value_index(with_zeros)
+        assert len(index) == 10 and list(index[0.0]) == [*range(0, 91, 10), 99]
+        assert tree_mod._value_index([0.5] * 9) is None
+
     @pytest.mark.parametrize("seed", range(40))
     def test_positions_cover_every_leaf_once_in_order(self, seed):
         rng = random.Random(seed)
@@ -1248,17 +1261,11 @@ class TestValueIndex:
         tree = random_tree(rng, n) if seed % 4 else caterpillar(n)
         vals = few_valued_leaf_values(rng, n)
         index = tree_mod._value_index(vals)
-        g = len(index)
         for v in range(tree.node_count):
             lo, hi = tree.span(v)
             want = Counter(vals[lo:hi])
             got = tree_mod._indexed_counts(index, lo, hi)
             assert got == want and 0 not in got.values(), v
-            few = _few_values(vals, lo, hi, index)
-            if hi - lo >= 10 * g:
-                assert few == want  # counted from the index
-            else:
-                assert few == _few_values(vals[lo:hi])
 
     def test_zeros_of_both_signs_share_one_count(self):
         vals = (0.0, -0.0) * 30 + (0.5,) * 20
@@ -1271,14 +1278,14 @@ class TestValueIndex:
         vals = (2.0**-1070,) * 50
         index = tree_mod._value_index(vals)
         assert list(index) == [2.0**-1070] and list(index[2.0**-1070]) == list(range(50))
-        assert _few_values(vals, 7, 19, index) == {2.0**-1070: 12}
+        assert tree_mod._indexed_counts(index, 7, 19) == {2.0**-1070: 12}
 
     @pytest.mark.parametrize("kind", ("dense", "exponential"))
     def test_a_many_valued_table_builds_no_index(self, kind):
         rng = random.Random(kind)
         tree = random_tree(rng, 500)
         table = random_weight_table(rng, tree.leaf_order, kind)
-        res = run_uniform(tree, Oracle(tree, table), 20, 200, 0)
+        res = run_uniform(BaselineCell(tree, Oracle(tree, table), 200, 0), 20)
         normalized_distance(res, table)
         assert table._stats.index is None
         assert table._stats.counts and not any(table._stats.counts.values())
@@ -1290,7 +1297,7 @@ class TestValueIndex:
         optimal_pruning(tree, 8, table)
         with pytest.raises(AttributeError):
             tree_mod._Stats.index.__get__(table._stats)  # not built yet
-        res = run_uniform(tree, Oracle(tree, table), 8, 300, 0)
+        res = run_uniform(BaselineCell(tree, Oracle(tree, table), 300, 0), 8)
         normalized_distance(res, table)
         index = table._stats.index
         assert index is not None and len(index) == 10
