@@ -1,24 +1,24 @@
 """Alternating parent/PR pairs of the benchmark, summarised per metric.
 
-    python scripts/pairs.py --parent 4752681 --pr 22
+    python scripts/pairs.py --parent 4752681 --pr 22 [--pairs 10]
 
 The parent side is commit REV, exported with ``git archive`` into a
 temporary directory; the PR side is this checkout as it stands, recorded
 as its HEAD commit and whether it had uncommitted changes.  Nothing in
 the repository changes.  For each workload of ``BENCHMARK.json``, in
-its order, the script runs 10 pairs of
+its order, the script runs P pairs (``--pairs``, 10 by default) of
 
     python3 bench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
 
 one run on each side with the same seed, the parent first on the 1st,
-3rd, ... pair.  The seeds are 100*N+1 to 100*N+20, one per pair and
+3rd, ... pair.  The seeds are 100*N+1 to 100*N+2P, one per pair and
 workload.  It writes ``BENCH_<N>.json`` at the root of the checkout:
 every run's JSON result line, untouched, and per workload and end-to-end
 metric each side's median and quartiles, the number of pairs in which
 the PR side is better, and the two acceptance rules:
 
-  - ``gain_shown``: the PR side is better in at least 9 of the 10 pairs
-    (a tie counts for neither side), and its median beats the parent's
+  - ``gain_shown``: the PR side is better in at least 9 of every 10
+    pairs (9 of 10, 18 of 20; a tie counts for neither side), and its median beats the parent's
     by more than the parent's interquartile range;
   - ``within_bound``: the PR median is not worse than the parent's by
     more than the metric's ``bound`` in ``BENCHMARK.json``, as a fraction
@@ -47,7 +47,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
-# Pairs the PR side must win for a claimed gain to be shown.
+# The PR side must win GAIN_WINS of every PAIRS pairs for a claimed gain
+# to be shown.
 GAIN_WINS = 9
 # Metrics that depend only on the seed, so both sides must report the
 # same value for it.
@@ -122,7 +123,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "parent_iqr": round(pq3 - pq1, 4),
             "pr_q1_q3": [round(rq1, 4), round(rq3, 4)],
             "pr_iqr": round(rq3 - rq1, 4),
-            "gain_shown": wins >= GAIN_WINS and sign * (pmed - rmed) > pq3 - pq1,
+            "gain_shown": PAIRS * wins >= GAIN_WINS * len(values) and sign * (pmed - rmed) > pq3 - pq1,
             "within_bound": sign * (rmed - pmed) <= spread,
             "unresolved": max(pq3 - pq1, rq3 - rq1) > spread and not separated,
         }
@@ -138,12 +139,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--pr", type=int, required=True, help="PR number N: names BENCH_<N>.json and picks the seeds")
+    parser.add_argument("--pairs", type=int, default=PAIRS, help=f"pairs per workload, 1..49 (default {PAIRS})")
     args = parser.parse_args(argv)
+    if not 1 <= args.pairs <= 49:
+        parser.error("--pairs must be in 1..49, so that the seeds of two PRs do not meet")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     command, seconds = bench["command"], bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
-    seeds = {w: [100 * args.pr + 1 + i * PAIRS + j for j in range(PAIRS)] for i, w in enumerate(workloads)}
+    seeds = {w: [100 * args.pr + 1 + i * args.pairs + j for j in range(args.pairs)] for i, w in enumerate(workloads)}
     runs: list[dict] = []
     head, dirty = checkout_state(ROOT)
     with tempfile.TemporaryDirectory() as parent_dir:

@@ -17,11 +17,14 @@ concentrates around the wrong value when rare heavy leaves are missed.
 The three baselines of one (k, run) cell draw the same leaf positions
 from the same seed and get the same answers, so ``cli.run_experiment``
 builds one ``BaselineCell`` per cell and runs each of them on it, as
-``run_weight(cell, k)`` and so on.  The cell holds the draw, its sort
-order, the SAMPLE events and the queried map, and each node's deviation
-sum, which both scores need; each baseline still answers the draw with
-its own oracle call, which charges its own ledger, and keeps its own
-trace, queried map and result.
+``run_weight(cell, k)`` and so on.  The cell owns what the answered draw
+yields, and its baselines read it: the draw and its sort order, the
+answers in that order and their exact prefix sums, the SAMPLE events and
+the queried map, each node's deviation sum, which both scores need, and
+the SAMPLE block of the trace text, rendered once (``trace_text``).  Each
+baseline still answers the draw with its own oracle call, which charges
+its own ledger, makes its own node queries, and keeps its own trace,
+queried map and result.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import repeat
 from math import fsum
-from operator import sub
+from operator import index, sub
 
-from awpkit.engine import PruningResult, PruningSearch
+from awpkit.engine import PruningResult, PruningSearch, _trace_lines
 from awpkit.oracle import Oracle
-from awpkit.tree import HierTree
+from awpkit.tree import HierTree, span_sums
 
 
 def _deviation_sum(w_star: float, n_leaves: int, vals: list[float]) -> float:
@@ -51,24 +54,24 @@ def _deviation_sum(w_star: float, n_leaves: int, vals: list[float]) -> float:
     return fsum(map(abs, map(sub, vals, repeat(w_star / n_leaves))))
 
 
-def _uniform(w_star: float, n_leaves: int, vals: list[float], deviation: float) -> float:
-    return w_star + (n_leaves / len(vals)) * (deviation - fsum(vals))
+def _uniform(w_star: float, n_leaves: int, m: int, total: float, deviation: float) -> float:
+    return w_star + (n_leaves / m) * (deviation - total)
 
 
-def _empirical(w_star: float, n_leaves: int, vals: list[float], deviation: float) -> float:
-    return (n_leaves / len(vals)) * deviation
+def _empirical(w_star: float, n_leaves: int, m: int, total: float, deviation: float) -> float:
+    return (n_leaves / m) * deviation
 
 
 def uniform_score(w_star: float, n_leaves: int, values) -> float:
     """Unbiased discrepancy estimate of a node from a uniform subsample."""
     vals = list(map(float, values))
-    return _uniform(w_star, n_leaves, vals, _deviation_sum(w_star, n_leaves, vals))
+    return _uniform(w_star, n_leaves, len(vals), fsum(vals), _deviation_sum(w_star, n_leaves, vals))
 
 
 def empirical_score(w_star: float, n_leaves: int, values) -> float:
     """Plug-in deviation sum (n/m) * sum |node_average - z|."""
     vals = list(map(float, values))
-    return _empirical(w_star, n_leaves, vals, _deviation_sum(w_star, n_leaves, vals))
+    return _empirical(w_star, n_leaves, len(vals), fsum(vals), _deviation_sum(w_star, n_leaves, vals))
 
 
 def _draw_positions(rng: random.Random, n: int, count: int) -> list[int]:
@@ -89,18 +92,24 @@ def _draw_positions(rng: random.Random, n: int, count: int) -> list[int]:
 class BaselineCell:
     """The work the baselines of one (k, run) cell share.
 
-    Built for a tree, an oracle bound to that tree, a non-negative
-    basic-query count and a seed (any other oracle or count raises
-    ValueError), it draws ``count`` uniform leaf positions over the whole
-    leaf set from ``random.Random(seed)`` (``positions``, in draw order)
-    and sorts them (``pos_sorted``, and ``order``, the draw indices in
-    that order, with equal positions in draw order).  The first baseline
-    to answer the draw
-    (``_draw_budget``) fills in what depends on the answers: the values in
-    sorted order (``val_sorted``), the SAMPLE events, which are immutable
-    and so are shared by every trace, and the queried map, built in
-    ascending position order so that ``tree._refined_shares`` sorts its
-    keys in linear time.
+    Built for a tree, an oracle bound to that tree, a non-negative integer
+    basic-query count (a bool counts as 0 or 1) and a seed (any other
+    oracle or count raises ValueError), it draws ``count`` uniform leaf
+    positions over the whole leaf set from ``random.Random(seed)``
+    (``positions``, in draw order) and sorts them (``pos_sorted``, and
+    ``order``, the draw indices in that order, with equal positions in
+    draw order).
+
+    The first baseline to answer the draw (``_draw_budget``) fills in what
+    depends on the answers, which the cell then owns and its baselines
+    read: the values in sorted order (``val_sorted``) and their exact
+    prefix sums (``sums`` over ``den``, from ``tree.span_sums``), so that
+    ``(sums[j] - sums[i]) / den`` is ``fsum(val_sorted[i:j])`` bit for
+    bit; the SAMPLE events, which are immutable and so are shared by
+    every trace; and the queried map, built in ascending position order
+    so that ``tree._refined_shares`` sorts its keys in linear time.
+    ``trace_text`` renders a result's trace with the cell's SAMPLE block
+    rendered once.
 
     ``deviation`` keeps each node's deviation sum, keyed on the node and
     its mass, so the two scored baselines compute it once for a node both
@@ -113,6 +122,10 @@ class BaselineCell:
     def __init__(self, tree: HierTree, oracle: Oracle, count: int, seed):
         if oracle.tree is not tree:
             raise ValueError("oracle is bound to a different tree")
+        try:
+            count = index(count)
+        except TypeError:
+            raise ValueError(f"basic query count must be a non-negative integer, got {count!r}") from None
         if count < 0:
             raise ValueError(f"basic query count must be non-negative, got {count}")
         self.tree = tree
@@ -121,18 +134,51 @@ class BaselineCell:
         self.order = sorted(range(len(self.positions)), key=self.positions.__getitem__)
         self.pos_sorted = list(map(self.positions.__getitem__, self.order))
         self.val_sorted: list[float] = []
+        self.sums: list[int] = [0]
+        self.den = 1
         self._events: tuple[tuple, ...] | None = None
         self._queried: dict[int, float] = {}
+        self._block: str | None = None
         self._deviations: dict[tuple[int, float], float] = {}
 
-    def deviation(self, v: int, mass: float, vals: list[float]) -> float:
-        """``_deviation_sum`` of node v with the given mass, over ``vals``,
-        its subsample of this cell's draw; computed once per (v, mass)."""
+    def deviation(self, v: int, mass: float, i: int, j: int) -> float:
+        """``_deviation_sum`` of node v with the given mass over
+        ``val_sorted[i:j]``, its subsample of this cell's draw; computed
+        once per (v, mass)."""
         key = (v, mass)
         dev = self._deviations.get(key)
         if dev is None:
-            dev = self._deviations[key] = _deviation_sum(mass, self.tree.leaf_count(v), vals)
+            dev = self._deviations[key] = _deviation_sum(mass, self.tree.leaf_count(v), self.val_sorted[i:j])
         return dev
+
+    def trace_text(self, result: PruningResult, leaf_texts: dict[str, str]) -> str:
+        """``"\\n".join(result.trace_lines(leaf_texts))`` for the result of
+        a baseline run on this cell, whose trace is the cell's SAMPLE events
+        with SPLIT events before or after them.
+
+        The SAMPLE block is rendered through ``leaf_texts`` on the first
+        call and kept, so the ``leaf_texts`` of every call must map a label
+        to the same text, as a map shared by the results of one oracle
+        does; each call renders only the result's SPLIT lines."""
+        events = self._events
+        if events is None:
+            raise ValueError("no baseline has answered this cell's draw")
+        trace = result.trace
+        # The result's m SPLIT events come before or after the draw.
+        m = len(trace) - len(events)
+        splits_first = m >= 0 and (not events or trace[m] is events[0])
+        if not (splits_first or m >= 0 and trace[0] is events[0]):
+            raise ValueError("the result's trace does not hold this cell's draw")
+        splits = trace[:m] if splits_first else trace[len(events) :]
+        block = self._block
+        if block is None:
+            block = self._block = "\n".join(_trace_lines(events, leaf_texts))
+        if not splits:
+            return block
+        split_text = "\n".join(_trace_lines(splits, leaf_texts))
+        if not block:
+            return split_text
+        return split_text + "\n" + block if splits_first else block + "\n" + split_text
 
 
 def _draw_budget(search: PruningSearch, cell: BaselineCell) -> list[float]:
@@ -142,12 +188,12 @@ def _draw_budget(search: PruningSearch, cell: BaselineCell) -> list[float]:
     draws serve no single node), and in its queried map.  Returns the
     values, in draw order.
 
-    The events and the queried map are the cell's, built from the first
-    answer: the cell is bound to one oracle, which answers a position the
-    same way every time."""
+    What the cell keeps is built from the first answer: the cell is bound
+    to one oracle, which answers a position the same way every time."""
     values = search.oracle.query_leaves(cell.positions)
     if cell._events is None:
         cell.val_sorted = list(map(values.__getitem__, cell.order))
+        cell.sums, cell.den = span_sums(cell.val_sorted)
         labels = map(search.tree.leaf_order.__getitem__, cell.positions)
         cell._events = tuple(zip(repeat("SAMPLE"), repeat(search.tree.root_id), labels, values))
         cell._queried = dict(zip(cell.pos_sorted, cell.val_sorted))
@@ -156,26 +202,33 @@ def _draw_budget(search: PruningSearch, cell: BaselineCell) -> list[float]:
     return values
 
 
-def _search(cell: BaselineCell, k: int) -> PruningSearch:
-    """A baseline's search on the cell's tree and oracle, once k is checked."""
+def _search(cell: BaselineCell, k: int) -> tuple[PruningSearch, int]:
+    """A baseline's search on the cell's tree and oracle, and k as an int,
+    once k is checked: an integer (a bool counts as 0 or 1) in 1..n."""
     n = cell.tree.leaf_count_total
-    if not (1 <= k <= n):
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    return PruningSearch(cell.tree, cell.oracle)
+    try:
+        checked = index(k)
+    except TypeError:
+        checked = 0
+    if not 1 <= checked <= n:
+        raise ValueError(f"k must be in 1..{n}, got {k!r}")
+    return PruningSearch(cell.tree, cell.oracle), checked
 
 
 def _split_best(search: PruningSearch, k: int, key) -> None:
     """Split the internal pruning node with the smallest key (smallest id
     on ties) until the pruning has k nodes.  A node's key is computed once,
     when it joins the pruning, so it must not change after that."""
-    tree = search.tree
+    labels = search.tree._labels
+    pruning = search.pruning
     # Each internal pruning node is in the heap once.  k <= leaf_count_total,
     # and a pruning of leaves only has that many nodes, so each split finds
     # an internal node; in particular the root is internal when k > 1.
-    heap = [(key(tree.root_id), tree.root_id)]
-    while len(search.pruning) < k:
+    root = search.tree.root_id
+    heap = [(key(root), root)]
+    while len(pruning) < k:
         for c in search.split(heappop(heap)[1]):
-            if not tree.is_leaf(c):
+            if labels[c] is None:
                 heappush(heap, (key(c), c))
 
 
@@ -183,7 +236,7 @@ def run_weight(cell: BaselineCell, k: int) -> PruningResult:
     """Split the heaviest pruning node k-1 times, then spend the cell's
     whole basic-query count on its uniform leaf draws, used only to refine
     the output."""
-    search = _search(cell, k)
+    search, k = _search(cell, k)
     mass = search.mass
     _split_best(search, k, lambda v: -mass[v])
     _draw_budget(search, cell)
@@ -191,23 +244,25 @@ def run_weight(cell: BaselineCell, k: int) -> PruningResult:
 
 
 def _run_scored(cell: BaselineCell, k: int, score) -> PruningResult:
-    search = _search(cell, k)
+    search, k = _search(cell, k)
     _draw_budget(search, cell)
     tree = cell.tree
-    pos_sorted, val_sorted = cell.pos_sorted, cell.val_sorted
+    span_lo, span_hi = tree._lo, tree._hi
+    pos_sorted, sums, den = cell.pos_sorted, cell.sums, cell.den
     mass = search.mass
+    deviation = cell.deviation
 
     def key(v):
         # Nodes that received a draw rank by score ahead of those that did
         # not, which rank by mass.
-        lo, hi = tree.span(v)
+        lo = span_lo[v]
+        hi = span_hi[v]
         i = bisect_left(pos_sorted, lo)
         j = bisect_left(pos_sorted, hi, i)
         if i == j:
             return (True, -mass[v])
-        sub = val_sorted[i:j]
         w = mass[v]
-        return (False, -score(w, tree.leaf_count(v), sub, cell.deviation(v, w, sub)))
+        return (False, -score(w, hi - lo, j - i, (sums[j] - sums[i]) / den, deviation(v, w, i, j)))
 
     _split_best(search, k, key)
     return search.finish()

@@ -40,7 +40,7 @@ from awpkit.adversarial import (
     build_tightness,
 )
 from awpkit.baselines import BaselineCell, run_empirical, run_uniform, run_weight
-from awpkit.engine import EngineConfig, normalized_distance, run_awp
+from awpkit.engine import EngineConfig, PruningResult, normalized_distance, run_awp
 from awpkit.estimator import RADIUS_MODES
 from awpkit.fileio import dump_tree, dump_weights, load_tree, load_weights
 from awpkit.oracle import (
@@ -64,6 +64,12 @@ from awpkit.tree import (
 
 ALGORITHMS = ("awp", "weight", "uniform", "empirical")
 _BASELINE_RUNNERS = {"weight": run_weight, "uniform": run_uniform, "empirical": run_empirical}
+
+
+def _render_trace(res: PruningResult, leaf_texts: dict[str, str]) -> str:
+    """An adaptive result's trace text; a baseline's is its cell's
+    ``trace_text``, which renders the cell's SAMPLE block once."""
+    return "\n".join(res.trace_lines(leaf_texts))
 
 DETAIL_HEADER = "algorithm,k,run,normalized_distance,basic_queries,node_queries"
 AGGREGATE_HEADER = "algorithm,k,mean,min,max"
@@ -309,12 +315,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
             for alg in algs:
                 if alg == "awp":
                     res = awp_res
+                    render = _render_trace
                 else:
                     res = _BASELINE_RUNNERS[alg](cell, k_reached)
+                    render = cell.trace_text
                 nd = normalized_distance(res, truth)
                 out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
                 if config.traces:
-                    out.traces.append((alg, k, r, "\n".join(res.trace_lines(leaf_texts))))
+                    out.traces.append((alg, k, r, render(res, leaf_texts)))
                 per_alg_k.setdefault((alg, k), []).append(nd)
     order = {alg: i for i, alg in enumerate(ALGORITHMS)}
     out.details.sort(key=lambda row: (order[row[0]], row[1], row[2]))

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
@@ -149,23 +149,26 @@ class PruningResult:
         a fresh map is used.  Each node's ``"SAMPLE node "`` head is
         likewise rendered once per call.
         """
-        if leaf_texts is None:
-            leaf_texts = {}
-        heads: dict[int, str] = {}
-        out = []
-        for ev in self.trace:
-            if ev[0] == "SAMPLE":
-                label = ev[2]
-                text = leaf_texts.get(label)
-                if text is None:
-                    text = leaf_texts[label] = f"{label} {ev[3]!r}"
-                head = heads.get(ev[1])
-                if head is None:
-                    head = heads[ev[1]] = f"SAMPLE {ev[1]} "
-                out.append(head + text)
-            else:
-                out.append(f"SPLIT {ev[1]} {ev[2]!r}")
-        return out
+        return _trace_lines(self.trace, {} if leaf_texts is None else leaf_texts)
+
+
+def _trace_lines(events: Iterable[tuple], leaf_texts: dict[str, str]) -> list[str]:
+    """``PruningResult.trace_lines`` of a trace holding ``events``."""
+    heads: dict[int, str] = {}
+    out = []
+    for ev in events:
+        if ev[0] == "SAMPLE":
+            label = ev[2]
+            text = leaf_texts.get(label)
+            if text is None:
+                text = leaf_texts[label] = f"{label} {ev[3]!r}"
+            head = heads.get(ev[1])
+            if head is None:
+                head = heads[ev[1]] = f"SAMPLE {ev[1]} "
+            out.append(head + text)
+        else:
+            out.append(f"SPLIT {ev[1]} {ev[2]!r}")
+    return out
 
 
 class PruningSearch:

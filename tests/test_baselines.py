@@ -48,6 +48,7 @@ from helpers import (
     random_tree,
     random_weight_table,
     reference_draw_all,
+    reference_trace_lines,
     replay_trace,
 )
 
@@ -210,6 +211,29 @@ class TestRunArgs:
         tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
         with pytest.raises(ValueError, match="non-negative"):
             BaselineCell(tree, Oracle(tree, table), -1, 0)
+
+    @pytest.mark.parametrize("count", [float("nan"), 2.5, 3.0, "3", None])
+    def test_non_integer_basic_count_rejected(self, count):
+        tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            BaselineCell(tree, Oracle(tree, table), count, 0)
+
+    def test_bool_basic_count_accepted(self):
+        tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
+        assert len(BaselineCell(tree, Oracle(tree, table), True, 0).positions) == 1
+        assert BaselineCell(tree, Oracle(tree, table), False, 0).positions == []
+
+    @pytest.mark.parametrize("bad_k", [2.5, 2.0, "3", None, float("nan")])
+    def test_non_integer_k_rejected(self, bad_k):
+        tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
+        oracle = Oracle(tree, table)
+        cell = BaselineCell(tree, oracle, 3, 0)
+        for fn in (run_weight, run_uniform, run_empirical):
+            with pytest.raises(ValueError, match=r"k must be in 1\.\.4"):
+                fn(cell, bad_k)
+        assert (oracle.ledger.basic_queries, oracle.ledger.node_queries) == (0, 0)
+        # A bool is an integer, so True is k = 1.
+        assert run_weight(cell, True).pruning == (QUAD.root_id,)
 
 
 class TestRunWeight:
@@ -518,6 +542,68 @@ class TestBudgetMemo:
 
         assert len({trace(run_uniform, None) for _ in range(3)}) == 3
         assert trace(run_weight, "cell") == trace(run_weight, "cell")
+
+
+class TestTraceText:
+    """``BaselineCell.trace_text`` renders the cell's SAMPLE block once and
+    splices each baseline's SPLIT lines before or after it; the text
+    equals the result's ``trace_lines`` joined, byte for byte."""
+
+    RUNNERS = ((run_weight, None), (run_uniform, uniform_score), (run_empirical, empirical_score))
+
+    @pytest.mark.parametrize("shape", ["random", "caterpillar"])
+    def test_spliced_text_equals_trace_lines(self, shape):
+        # One leaf_texts map serves every cell of an instance, as in a
+        # sweep, where the adaptive run fills it first; the cells cover
+        # basic 0 (no block), k = 1 (no SPLIT line) and k = n.
+        rng = random.Random(shape)
+        for _ in range(6):
+            n = rng.randint(2, 40)
+            tree = random_tree(rng, n) if shape == "random" else caterpillar(n)
+            table = random_weight_table(rng, tree.leaf_order)
+            oracle = Oracle(tree, table)
+            leaf_texts: dict[str, str] = {}
+            if n > 2:
+                awp = run_awp(tree, oracle, EngineConfig(k=2, seed=rng.randrange(99), max_basic_queries=30))
+                awp.trace_lines(leaf_texts)
+            for basic in (0, 1, rng.randint(2, 60)):
+                for k in sorted({1, rng.randint(1, n), n}):
+                    cell = BaselineCell(tree, oracle, basic, rng.randrange(99))
+                    for runner, score_fn in self.RUNNERS:
+                        res = runner(cell, k)
+                        want = "\n".join(reference_trace_lines(res))
+                        assert "\n".join(res.trace_lines()) == want
+                        assert cell.trace_text(res, leaf_texts) == want, (runner.__name__, basic, k)
+                        assert cell.trace_text(res, leaf_texts) == want
+                        if score_fn is not None:
+                            replay_scored(tree, table, res, k, basic, score_fn)
+
+    def test_a_result_of_another_cell_is_refused(self):
+        rng = random.Random(8)
+        tree = random_tree(rng, 20)
+        oracle = Oracle(tree, random_weight_table(rng, tree.leaf_order))
+        cell, other = BaselineCell(tree, oracle, 10, 1), BaselineCell(tree, oracle, 10, 1)
+        res = run_uniform(other, 4)
+        with pytest.raises(ValueError, match="answered"):
+            cell.trace_text(res, {})
+        run_weight(cell, 4)
+        for foreign in (res, run_weight(other, 4), run_weight(BaselineCell(tree, oracle, 3, 1), 4)):
+            with pytest.raises(ValueError, match="does not hold"):
+                cell.trace_text(foreign, {})
+
+    def test_each_result_keeps_its_own_queried_map(self):
+        # The cell builds the queried map once, but each result gets its
+        # own copy: changing one changes no sibling's, nor a later run's.
+        rng = random.Random(9)
+        tree = random_tree(rng, 30)
+        table = random_weight_table(rng, tree.leaf_order)
+        cell = BaselineCell(tree, Oracle(tree, table), 25, 2)
+        results = [runner(cell, 5) for runner, _ in self.RUNNERS]
+        want = {p: table[tree.leaf_order[p]] for p in cell.positions}
+        results[0].queried.clear()
+        results[1].queried[-1] = 0.5
+        assert results[2].queried == want
+        assert run_uniform(cell, 5).queried == want
 
 
 class TestBudgetParity:

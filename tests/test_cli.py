@@ -35,6 +35,7 @@ from awpkit.cli import (
     parse_results,
     run_experiment,
 )
+from awpkit.baselines import BaselineCell
 from awpkit.engine import PruningResult
 from awpkit.fileio import dump_tree, dump_weights, dumps_tree, load_tree, load_weights
 from awpkit.tree import FileFormatError, HierTree, WeightTable
@@ -465,14 +466,19 @@ class TestMain:
         assert trace1.read_bytes() == trace2.read_bytes()
 
     def test_run_without_trace_out_renders_no_trace(self, tmp_path, monkeypatch):
+        # An adaptive result renders its trace with trace_lines, a
+        # baseline's through its cell's trace_text.
         calls = []
-        render = PruningResult.trace_lines
 
-        def counted(self, *args):
-            calls.append(self)
-            return render(self, *args)
+        def counted(render):
+            def wrapped(self, *args):
+                calls.append(self)
+                return render(self, *args)
 
-        monkeypatch.setattr(PruningResult, "trace_lines", counted)
+            return wrapped
+
+        monkeypatch.setattr(PruningResult, "trace_lines", counted(PruningResult.trace_lines))
+        monkeypatch.setattr(BaselineCell, "trace_text", counted(BaselineCell.trace_text))
         args, csv, trace = self.run_args(tmp_path, "t")
         assert main(args) == 0
         # One trace per (algorithm, run) at the one k.
@@ -1241,6 +1247,18 @@ def test_pairs_acceptance_rules(pr_wall, pr_ops, wall_rules, ops_rules):
     for name, (wins, gain, bound) in (("wall_s", wall_rules), ("ops", ops_rules)):
         got = summary[name]
         assert (got["pr_better_pairs"], got["gain_shown"], got["within_bound"]) == (wins, gain, bound), name
+
+
+@pytest.mark.parametrize("ties, gain", [(2, True), (3, False)])
+def test_pairs_gain_share_over_twenty_pairs(ties, gain):
+    # Over 20 pairs a gain needs 18 wins, 9 of every 10.
+    pairs = load_pairs_script()
+    runs = []
+    for j in range(20):
+        wall = 1.0 + j / 100
+        runs += [pairs_run("parent", j, wall, 5), pairs_run("pr", j, wall if j < ties else wall - 0.5, 5)]
+    got = pairs.summarise(runs, PAIRS_METRICS)["wall_s"]
+    assert (got["pairs"], got["pr_better_pairs"], got["gain_shown"]) == (20, 20 - ties, gain)
 
 
 SPREAD_SMALL = [1.0 + j / 100 for j in range(10)]
