@@ -38,7 +38,7 @@ from operator import index, sub
 
 from awpkit.engine import PruningResult, PruningSearch, _trace_lines
 from awpkit.oracle import Oracle
-from awpkit.tree import HierTree, span_sums
+from awpkit.tree import HierTree, _checked_int, span_sums
 
 
 def _deviation_sum(w_star: float, n_leaves: int, vals: list[float]) -> float:
@@ -205,14 +205,8 @@ def _draw_budget(search: PruningSearch, cell: BaselineCell) -> list[float]:
 def _search(cell: BaselineCell, k: int) -> tuple[PruningSearch, int]:
     """A baseline's search on the cell's tree and oracle, and k as an int,
     once k is checked: an integer (a bool counts as 0 or 1) in 1..n."""
-    n = cell.tree.leaf_count_total
-    try:
-        checked = index(k)
-    except TypeError:
-        checked = 0
-    if not 1 <= checked <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k!r}")
-    return PruningSearch(cell.tree, cell.oracle), checked
+    k = _checked_int("k", k, 1, cell.tree.leaf_count_total)
+    return PruningSearch(cell.tree, cell.oracle), k
 
 
 def _split_best(search: PruningSearch, k: int, key) -> None:

@@ -39,7 +39,8 @@ from __future__ import annotations
 import random
 from bisect import insort
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
 
@@ -49,12 +50,16 @@ from awpkit.tree import (
     MASS_TOL,
     HierTree,
     InvariantError,
+    _checked_int,
     _discrepancy,
     _exact_sum,
     _instance_stats,
     _refined_shares,
     _refined_tv,
+    _spread_shares,
     is_pruning,
+    # Nothing here calls it, but the bench traces it by this module's name
+    # (``bench/tracer.py``; ROADMAP item 7 drops that span).
     refine_with_queries,
     tv_distance,
 )
@@ -79,16 +84,15 @@ class EngineConfig:
     strict_paper: bool = False
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
+        _checked_int("k", self.k, 2)
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not 1.0 < self.beta < inf:
             raise ValueError(f"beta must exceed 1 and be finite, got {self.beta!r}")
         if self.radius_mode not in RADIUS_MODES:
             raise ValueError(f"radius_mode must be one of {RADIUS_MODES}, got {self.radius_mode!r}")
-        if self.max_basic_queries is not None and self.max_basic_queries < 0:
-            raise ValueError("max_basic_queries must be non-negative")
+        if self.max_basic_queries is not None:
+            _checked_int("max_basic_queries", self.max_basic_queries, 0)
 
 
 @dataclass
@@ -105,11 +109,12 @@ class PruningResult:
 
     The output weighting is each pruning node's mass spread over its
     leaves, with every queried leaf pinned to its true value and only the
-    residual mass spread uniformly over the rest.  A result holds it node
-    by node (see ``tree._refined_shares``), which is all that its weight
-    sum check and ``normalized_distance`` read; ``w_p_refined``, the
-    weighting as a list in ``tree.leaf_order`` order, is built from it by
-    ``refine_with_queries`` on first access and kept.
+    residual mass spread uniformly over the rest.  Two cached properties
+    hold it, each built on its first read and kept: ``_node_shares``,
+    node by node (see ``tree._refined_shares``), which ``finish`` builds
+    for its weight sum check and ``normalized_distance`` reads, and
+    ``w_p_refined``, the weighting as a list in ``tree.leaf_order`` order,
+    spread from those shares, which nothing in a sweep reads.
     """
 
     pruning: tuple[int, ...]
@@ -119,24 +124,14 @@ class PruningResult:
     tree: HierTree
     queried: dict[int, float]
     early_stop: str | None = None
-    _shares: list | None = field(default=None, init=False, repr=False, compare=False)
-    _refined: list[float] | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def _node_shares(self) -> list[tuple[int, int, int, float, list[int]]]:
-        """The output weighting node by node, ``(v, lo, hi, share, pins)``
-        per pruning node (see ``tree._refined_shares``), computed once."""
-        if self._shares is None:
-            self._shares = _refined_shares(self.tree, self.pruning, self.node_weights, self.queried)
-        return self._shares
+        return _refined_shares(self.tree, self.pruning, self.node_weights, self.queried)
 
-    @property
+    @cached_property
     def w_p_refined(self) -> list[float]:
-        """The output weighting as a list in ``tree.leaf_order`` order,
-        built on first access and kept."""
-        if self._refined is None:
-            self._refined = refine_with_queries(self.tree, self.pruning, self.node_weights, self.queried)
-        return self._refined
+        return _spread_shares(self.tree, self._node_shares, self.queried)
 
     def trace_lines(self, leaf_texts: dict[str, str] | None = None) -> list[str]:
         """The trace as text lines, ``SAMPLE node label weight`` and
@@ -293,8 +288,7 @@ class AwpRun(PruningSearch):
 
     def __init__(self, tree: HierTree, oracle: Oracle, config: EngineConfig):
         super().__init__(tree, oracle)
-        if not (2 <= config.k <= tree.leaf_count_total):
-            raise ValueError(f"k must be in 2..{tree.leaf_count_total}, got {config.k}")
+        _checked_int("k", config.k, 2, tree.leaf_count_total)
         self.config = config
         self.rng = random.Random(config.seed)
         self.radii = ConfidenceRadii(

@@ -52,7 +52,8 @@ class Oracle:
 
     def __init__(self, tree: HierTree, truth: Mapping[str, float]):
         stats = _instance_stats(tree, truth)
-        self._vals, self._sums, self._den = stats.vals, stats.sums, stats.den
+        self._vals = stats.vals
+        self._sums, self._den = stats.prefix
         self.tree = tree
         self.ledger = QueryLedger()
 

@@ -33,6 +33,7 @@ from bisect import bisect_left, bisect_right
 # iterable into a plain dict without Counter's Python-level overhead.
 from collections import _count_elements  # type: ignore[attr-defined]
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from math import fsum, inf, isfinite
 from operator import floordiv, index, itemgetter, mul, neg, sub
@@ -591,40 +592,41 @@ def span_sums(vals: Sequence[float]) -> tuple[list[int], int]:
 class _Stats:
     """Exact statistics of one instance, a tree under a weighting: the tree
     ``tree``, the leaf values ``vals`` as a tuple in ``leaf_order`` order,
-    their prefix sums ``(sums, den)`` from ``span_sums``, computed on their
-    first read, the node discrepancies ``disc``, None until
-    ``node_discrepancies`` first asks for them, and the scorer's two
-    entries (see ``_refined_tv``).  ``index``, built on its first read,
-    maps each distinct leaf value of a few-valued instance
-    (``_value_index``) to its ascending leaf positions, one ``array('q')``
-    per value, 8 bytes per leaf in all; it is None for any other instance.
+    and what is derived from them, each built on its first read and then
+    kept (``functools.cached_property``):
+
+    - ``prefix``, their exact prefix sums ``(P, D)`` from ``span_sums``.
+      Only ``Oracle`` and the discrepancy pass read them, so scoring a
+      result, and ``node_discrepancy`` or ``pruning_discrepancy`` against
+      a mapping that is not a ``WeightTable``, whose entry is built per
+      call, never pay for them;
+    - ``disc``, the node discrepancies from ``_discrepancy_pass``, which
+      ``node_discrepancies`` copies out;
+    - ``index``, which maps each distinct leaf value of a few-valued
+      instance (``_value_index``) to its ascending leaf positions, one
+      ``array('q')`` per value, 8 bytes per leaf in all, and is None for
+      any other instance.
+
     ``counts`` maps each node a result was scored on to its span's
     value -> count map when that span was counted from the index
-    (``_indexed_counts``), else to None.
-
-    Only ``Oracle`` and the discrepancy pass read the prefix sums, so
-    scoring a result and ``node_discrepancy`` or ``pruning_discrepancy``
-    against a mapping that is not a ``WeightTable``, whose entry is built
-    per call, never pay for them."""
-
-    __slots__ = ("tree", "vals", "sums", "den", "disc", "counts", "index")
+    (``_indexed_counts``), else to None; ``_refined_tv`` fills it."""
 
     def __init__(self, tree: HierTree, w: Mapping[str, float]):
         self.tree = tree
         self.vals = tuple(_leaf_values(tree, w))
-        self.disc: list[float] | None = None
         self.counts: dict[int, dict | None] = {}
 
-    def __getattr__(self, name: str):
-        # Python calls this only when the normal lookup fails, which for
-        # the prefix sums and the index means before their first read.
-        if name == "index":
-            self.index = _value_index(self.vals)
-        elif name in ("sums", "den"):
-            self.sums, self.den = span_sums(self.vals)
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
+    @cached_property
+    def prefix(self) -> tuple[list[int], int]:
+        return span_sums(self.vals)
+
+    @cached_property
+    def index(self) -> dict[float, array] | None:
+        return _value_index(self.vals)
+
+    @cached_property
+    def disc(self) -> list[float]:
+        return _discrepancy_pass(self)
 
 
 def _value_index(vals: Sequence[float]) -> dict[float, array] | None:
@@ -768,22 +770,21 @@ def node_discrepancies(tree: HierTree, w: Mapping[str, float]) -> list[float]:
     pass takes about 11 ms (Python 3.11, 2-core host), about 3 µs per
     grouped node.
 
-    The pass runs once per (tree, ``WeightTable``) pair: its result is
-    kept in the pair's statistics entry, which the table holds while it
-    is asked about that tree (see ``_instance_stats``), and every call
-    returns a fresh copy of it.  A weighting given as any other mapping is
-    not memoised, so each call with it runs the pass.
+    The pass runs once per (tree, ``WeightTable``) pair, on the first read
+    of the pair's statistics entry's ``disc`` (see ``_Stats``), which the
+    table holds while it is asked about that tree (see
+    ``_instance_stats``); every call returns a fresh copy of it.  Any
+    other mapping gets a fresh entry per call, so each call with it runs
+    the pass.
     """
-    stats = _instance_stats(tree, w)
-    if stats.disc is None:
-        stats.disc = _discrepancy_pass(tree, stats)
-    return list(stats.disc)
+    return list(_instance_stats(tree, w).disc)
 
 
-def _discrepancy_pass(tree: HierTree, stats: _Stats) -> list[float]:
-    """The pass of ``node_discrepancies`` over the leaf values and prefix
-    sums of ``stats``."""
-    vals, sums, den = stats.vals, stats.sums, stats.den
+def _discrepancy_pass(stats: _Stats) -> list[float]:
+    """The pass of ``node_discrepancies`` over the tree, leaf values and
+    prefix sums of ``stats``."""
+    tree, vals = stats.tree, stats.vals
+    sums, den = stats.prefix
     out = [0.0] * tree.node_count
     span_lo, span_hi, left, right = tree._lo, tree._hi, tree._left, tree._right
     counts: list[dict | None] = [None] * tree.node_count
@@ -897,8 +898,14 @@ def refine_with_queries(
     queried leaves (keyed by leaf position) to their known weights and
     spreads each pruning node's residual mass uniformly over its unqueried
     leaves."""
+    return _spread_shares(tree, _refined_shares(tree, pruning, node_weights, queried), queried)
+
+
+def _spread_shares(tree: HierTree, shares: Iterable[tuple], queried: Mapping[int, float]) -> list[float]:
+    """The refined weighting that ``shares`` (see ``_refined_shares``)
+    gives node by node, as a list in ``leaf_order`` order."""
     out = [0.0] * tree.leaf_count_total
-    for _, lo, hi, share, pins in _refined_shares(tree, pruning, node_weights, queried):
+    for _, lo, hi, share, pins in shares:
         out[lo:hi] = _refined_span(lo, hi, share, pins, queried)
     return out
 
@@ -967,20 +974,15 @@ def tv_distance(w1: Sequence[float], w2: Sequence[float]) -> float:
     return 0.5 * fsum(map(abs, map(sub, w1, w2)))
 
 
-def _split_shares(tree: HierTree, disc: Sequence[float]) -> list[float]:
-    """Larger child's share of the parent discrepancy, for every internal
-    node with positive discrepancy, in node id order."""
-    return [
+def _split_qualities(tree: HierTree, disc: Sequence[float]) -> tuple[float | None, float | None]:
+    """``split_quality`` and ``average_split_quality`` from one pass over
+    the internal nodes: the larger child's share of the parent
+    discrepancy, for every internal node with positive discrepancy."""
+    shares = [
         max(disc[l], disc[r]) / d
         for l, r, d in zip(tree._left, tree._right, disc)
         if l >= 0 and d > 0.0
     ]
-
-
-def _split_qualities(tree: HierTree, disc: Sequence[float]) -> tuple[float | None, float | None]:
-    """``split_quality`` and ``average_split_quality`` from one pass over
-    the internal nodes."""
-    shares = _split_shares(tree, disc)
     if not shares:
         return None, None
     return max(shares), fsum(shares) / len(shares)
@@ -998,6 +1000,22 @@ def average_split_quality(tree: HierTree, disc: Sequence[float]) -> float | None
     child's share of the parent discrepancy; None when undefined.  ``disc``
     is the list returned by ``node_discrepancies``."""
     return _split_qualities(tree, disc)[1]
+
+
+def _checked_int(name: str, value, lo: int, hi: float = inf) -> int:
+    """``value`` as an int, once it is checked to be an integer that
+    ``operator.index`` takes (so a bool counts as 0 or 1) in ``lo..hi``.
+    Anything else, 2.5, 3.0, "3" or None among them, raises the
+    ValueError "``name`` must be in lo..hi", or "at least lo" without
+    ``hi``."""
+    try:
+        checked = index(value)
+    except TypeError:
+        checked = None
+    if checked is None or not lo <= checked <= hi:
+        bound = f"at least {lo}" if hi == inf else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return checked
 
 
 def optimal_pruning(
@@ -1059,8 +1077,7 @@ def optimal_pruning(
     same pair, at any k, reuse it (see ``node_discrepancies``); the value
     pass runs on every call.
     """
-    if not (1 <= k <= tree.leaf_count_total):
-        raise ValueError(f"k must be in 1..{tree.leaf_count_total}, got {k}")
+    k = _checked_int("k", k, 1, tree.leaf_count_total)
     disc = node_discrepancies(tree, w)
 
     # cost[v][b-1]: best discrepancy for the subtree at v using at most b

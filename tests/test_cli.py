@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
 import random
 import subprocess
 import sys
@@ -586,13 +587,13 @@ class TestMain:
 
     def test_inspect_makes_one_split_share_pass(self, tmp_path, capsys, monkeypatch):
         calls = []
-        original = tree_mod._split_shares
+        original = tree_mod._split_qualities
 
         def counted(tree, disc):
             calls.append(tree)
             return original(tree, disc)
 
-        monkeypatch.setattr(tree_mod, "_split_shares", counted)
+        monkeypatch.setattr(cli_mod, "_split_qualities", counted)
         tree_path, w_path = write_quad(tmp_path)
         assert main(["inspect", "--tree", tree_path, "--weights", w_path]) == 0
         assert len(calls) == 1
@@ -1160,6 +1161,46 @@ def test_scale_script(n, code):
         assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef") for digest in line["sha256"].values())
     else:
         assert line["sha256"] == {"tree": None, "weights": None, "csv": None}
+
+
+LOC_SAMPLE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment
+
+
+# A comment line.
+X = """a string
+that is no docstring"""
+
+
+def f(a,
+      b):
+    """A docstring."""
+    "A bare string statement."
+    return (a +
+            b)
+
+
+class C:
+    r"""A raw docstring."""
+
+    y = 1
+'''
+
+
+def test_loc_script(tmp_path):
+    # Counted: import, X (2 lines), def (2), return (2), class, y.
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text(LOC_SAMPLE, encoding="utf-8")
+    (tmp_path / "sub" / "b.py").write_text('"""Only a docstring."""\n\nZ = 0\n', encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("not python\n", encoding="utf-8")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "loc.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["9 a.py", f"1 {os.path.join('sub', 'b.py')}", "10 total"]
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path / "none")], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and "no .py file" in proc.stderr
 
 
 def load_pairs_script():

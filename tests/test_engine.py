@@ -96,6 +96,34 @@ class TestConfig:
         with pytest.raises(ValueError):
             EngineConfig(k=2, max_basic_queries=-1)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None, inf])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match=r"^k must be at least 2, got "):
+            EngineConfig(k=k)
+
+    @pytest.mark.parametrize("cap", [2.5, 3.0, "3", -1])
+    def test_cap_must_be_a_non_negative_integer(self, cap):
+        with pytest.raises(ValueError, match=r"^max_basic_queries must be at least 0, got "):
+            EngineConfig(k=2, max_basic_queries=cap)
+
+    def test_bool_cap_counts_as_an_integer(self):
+        tree, truth = quad_instance()
+        res = run_awp(tree, Oracle(tree, truth), EngineConfig(k=4, max_basic_queries=True))
+        assert res.ledger.basic_queries == 1 and res.early_stop == "max-queries"
+
+    def test_run_refuses_a_k_past_the_leaf_count_or_not_an_integer(self):
+        tree, truth = quad_instance()
+        with pytest.raises(ValueError, match=r"^k must be in 2\.\.4, got 5$"):
+            AwpRun(tree, Oracle(tree, truth), EngineConfig(k=5))
+        # A config is checked when built; a k forced in afterwards is
+        # checked again by the run, before any query.
+        config = EngineConfig(k=3)
+        object.__setattr__(config, "k", 2.5)
+        oracle = Oracle(tree, truth)
+        with pytest.raises(ValueError, match=r"^k must be in 2\.\.4, got 2\.5$"):
+            AwpRun(tree, oracle, config)
+        assert oracle.ledger.basic_queries == oracle.ledger.node_queries == 0
+
     def test_run_rejects_mismatched_oracle_and_oversized_k(self):
         tree, truth = quad_instance()
         other, other_truth = quad_instance()
@@ -945,17 +973,45 @@ class TestLazyRefinedList:
         k, basic = len(awp.pruning), awp.ledger.basic_queries
         baselines = (run(BaselineCell(tree, oracle, basic, 1), k) for run in (run_weight, run_uniform, run_empirical))
         for res in (awp, *baselines):
-            assert res._refined is None
+            # finish built the node shares, and nothing built the list.
+            assert "_node_shares" in vars(res) and "w_p_refined" not in vars(res)
             refined = res.w_p_refined
             assert res.w_p_refined is refined
             labels = {tree.leaf_order[pos]: x for pos, x in res.queried.items()}
             ref = reference_refine_with_queries(tree, res.pruning, res.node_weights, labels)
             assert [x.hex() for x in refined] == [ref[lab].hex() for lab in tree.leaf_order]
 
+    def test_the_shares_are_derived_once_per_result(self, monkeypatch):
+        calls = []
+        original = tree_mod._refined_shares
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        # Both bindings: the engine's, and tree.py's, which refine_with_queries reads.
+        monkeypatch.setattr(engine_mod, "_refined_shares", counted)
+        monkeypatch.setattr(tree_mod, "_refined_shares", counted)
+        rng = random.Random(6)
+        tree = random_tree(rng, 200)
+        table = random_weight_table(rng, tree.leaf_order)
+        oracle = Oracle(tree, table)
+        awp = run_awp(tree, oracle, EngineConfig(k=6, seed=2, max_basic_queries=300))
+        cell = BaselineCell(tree, oracle, awp.ledger.basic_queries, 2)
+        results = [awp] + [run(cell, len(awp.pruning)) for run in (run_weight, run_uniform, run_empirical)]
+        # finish derived each result's shares for its weight sum check.
+        assert len(calls) == len(results)
+        for res in results:
+            for _ in range(2):
+                score = normalized_distance(res, table)
+                refined = res.w_p_refined
+            assert score == tv_distance(refined, [table[lab] for lab in tree.leaf_order])
+        assert len(calls) == len(results)
+
     def test_a_sweep_never_builds_it(self, monkeypatch):
         calls = []
-        original = engine_mod.refine_with_queries
-        monkeypatch.setattr(engine_mod, "refine_with_queries", lambda *args: calls.append(1) or original(*args))
+        original = engine_mod._spread_shares
+        monkeypatch.setattr(engine_mod, "_spread_shares", lambda *args: calls.append(1) or original(*args))
         config = ExperimentConfig(
             tree_source="median-split:n=512,dim=4", target_source="geometric:bins=10,ratio=4",
             k_values=(4, 8), runs=2, max_basic_queries=300,

@@ -1062,6 +1062,29 @@ class TestStatisticsEntry:
         optimal_pruning(tree, 10, other)
         assert calls == {"_discrepancy_pass": 4, "span_sums": 4}
 
+    def test_each_value_is_built_once_across_its_readers(self, monkeypatch):
+        tree = build_median_split_tree(random_features([f"x{i}" for i in range(1024)], 4, 0), 0)
+        table = make_geometric_target(tree, TargetSpec("geometric-bins", n_bins=10, ratio=4.0), 0)
+        calls = {"span_sums": 0, "_value_index": 0, "_discrepancy_pass": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(tree_mod, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(tree_mod, name, counted)
+        oracle = Oracle(tree, table)
+        disc = node_discrepancies(tree, table)
+        optimal_pruning(tree, 8, table)
+        optimal_pruning(tree, 40, table)
+        # A cell's own prefix sums are not the entry's, so they are not counted.
+        results = [run_uniform(BaselineCell(tree, oracle, 300, seed), 8) for seed in (0, 1)]
+        for res in results:
+            normalized_distance(res, table)
+        assert node_discrepancies(tree, table) == disc
+        assert calls == {"span_sums": 1, "_value_index": 1, "_discrepancy_pass": 1}
+        assert table._stats.index is not None and table._stats.counts
+
     def test_every_reader_converts_the_table_once(self, monkeypatch):
         tree, w, _ = entry_instances(1)
         calls = []
@@ -1112,7 +1135,7 @@ class TestStatisticsEntry:
         Oracle(tree, w)
         node_discrepancies(tree, w)
         entry = w._stats
-        assert entry.tree is tree and entry.disc is not None
+        assert entry.tree is tree and "disc" in vars(entry)
         assert not hasattr(tree, "_stats") and not hasattr(tree, "__dict__")
         count = sys.getrefcount(entry)
         del w
@@ -1123,12 +1146,14 @@ class TestStatisticsEntry:
     def test_table_with_an_entry_survives_pickle_and_copies(self):
         tree, w, _ = entry_instances(1)
         want = float_bits(node_discrepancies(tree, w))
-        want_sums = (w._stats.sums, w._stats.den)
+        want_sums = w._stats.prefix
         for clone in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(w)):
             assert dict(clone) == dict(w)
             kept = clone._stats
-            assert kept is not None and float_bits(kept.disc) == want
-            assert kept.vals == w._stats.vals and (kept.sums, kept.den) == want_sums
+            # The copy keeps the built values, not only the leaf values.
+            assert kept is not None and {"disc", "prefix"} <= vars(kept).keys()
+            assert float_bits(kept.disc) == want
+            assert kept.vals == w._stats.vals and kept.prefix == want_sums
             assert kept.tree.leaf_order == tree.leaf_order
             # On the copy's tree the kept entry serves; on the original tree
             # a deep copy builds its own.
@@ -1295,8 +1320,7 @@ class TestValueIndex:
         table = make_geometric_target(tree, TargetSpec("geometric-bins", n_bins=10, ratio=4.0), 0)
         node_discrepancies(tree, table)
         optimal_pruning(tree, 8, table)
-        with pytest.raises(AttributeError):
-            tree_mod._Stats.index.__get__(table._stats)  # not built yet
+        assert "index" not in vars(table._stats)  # not built yet
         res = run_uniform(BaselineCell(tree, Oracle(tree, table), 300, 0), 8)
         normalized_distance(res, table)
         index = table._stats.index
@@ -1388,6 +1412,16 @@ class TestOptimalPruning:
             optimal_pruning(t, 0, w)
         with pytest.raises(ValueError):
             optimal_pruning(t, 5, w)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None, math.nan, False])
+    def test_rejects_a_budget_that_is_not_an_integer_in_range(self, k):
+        with pytest.raises(ValueError, match=r"^k must be in 1\.\.4, got "):
+            optimal_pruning(quad_tree(), k, {lab: 0.25 for lab in "abcd"})
+
+    def test_a_bool_budget_counts_as_one(self):
+        t = quad_tree()
+        w = {"a": 0.5, "b": 0.1, "c": 0.2, "d": 0.2}
+        assert optimal_pruning(t, True, w) == optimal_pruning(t, 1, w)
 
     def test_budget_one_is_the_root(self):
         t = quad_tree()
