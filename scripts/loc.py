@@ -47,17 +47,22 @@ def code_lines(path: str) -> int:
     return len(lines)
 
 
+def py_files(directory: str) -> list[str]:
+    """The ``*.py`` files under ``directory``, sorted by path."""
+    return sorted(
+        os.path.join(root, name)
+        for root, _, names in os.walk(directory)
+        for name in names
+        if name.endswith(".py")
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     default = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "awpkit")
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir", nargs="?", default=default, help="package directory (default: src/awpkit)")
     args = parser.parse_args(argv)
-    paths = sorted(
-        os.path.join(root, name)
-        for root, _, names in os.walk(args.dir)
-        for name in names
-        if name.endswith(".py")
-    )
+    paths = py_files(args.dir)
     if not paths:
         print(f"loc: no .py file under {args.dir}", file=sys.stderr)
         return 1

@@ -28,6 +28,8 @@ the PR side is better, and the two acceptance rules:
     a change within the bound from none, unless every PR run is better
     than every parent run.
 
+It also records ``code_lines``: the code lines of each side's
+``src/awpkit``, both counted by this checkout's ``scripts/loc.py``.
 The exit code is 1 when a run fails or reports failed ops, 0 otherwise.
 Stdlib only.
 """
@@ -46,6 +48,9 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "scripts"))
+import loc  # noqa: E402  (scripts/loc.py)
+
 PAIRS = 10
 # The PR side must win GAIN_WINS of every PAIRS pairs for a claimed gain
 # to be shown.
@@ -74,6 +79,11 @@ def checkout_state(root: str) -> tuple[str, bool]:
         return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout
 
     return git("rev-parse", "HEAD").strip(), bool(git("status", "--porcelain").strip())
+
+
+def package_code_lines(root: str) -> int:
+    """``scripts/loc.py``'s total for ``src/awpkit`` of the tree at ``root``."""
+    return sum(map(loc.code_lines, loc.py_files(os.path.join(root, "src", "awpkit"))))
 
 
 def run_bench(command: list[str], cwd: str, workload: str, seed: int, seconds: int) -> dict | None:
@@ -152,6 +162,7 @@ def main(argv=None) -> int:
     head, dirty = checkout_state(ROOT)
     with tempfile.TemporaryDirectory() as parent_dir:
         sha = export(args.parent, parent_dir)
+        code_lines = {"parent": package_code_lines(parent_dir), "pr": package_code_lines(ROOT)}
         for workload in workloads:
             for j, seed in enumerate(seeds[workload]):
                 sides = ("parent", "pr") if j % 2 == 0 else ("pr", "parent")
@@ -177,6 +188,7 @@ def main(argv=None) -> int:
             "statistics.quantiles(method='inclusive'), and parent_iqr is q3 - q1 of the parent's runs"
         ),
         "seeds": seeds,
+        "code_lines": code_lines,
         "summary": {w: summarise([r for r in runs if r["workload"] == w], bench["end_to_end"]) for w in workloads},
         "runs": runs,
     }

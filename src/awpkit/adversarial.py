@@ -63,7 +63,7 @@ def assemble(spec: WSpec) -> tuple[HierTree, WeightTable]:
         return lab
 
     labels, left, right = _preorder(spec, label)
-    return HierTree(None, labels, left=left, right=right), WeightTable(weights)
+    return HierTree(labels, left, right), WeightTable(weights)
 
 
 def build_greedy_trap_a(k: int) -> tuple[HierTree, WeightTable]:

@@ -34,7 +34,7 @@ from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import repeat
 from math import fsum
-from operator import index, sub
+from operator import sub
 
 from awpkit.engine import PruningResult, PruningSearch, _trace_lines
 from awpkit.oracle import Oracle
@@ -122,12 +122,7 @@ class BaselineCell:
     def __init__(self, tree: HierTree, oracle: Oracle, count: int, seed):
         if oracle.tree is not tree:
             raise ValueError("oracle is bound to a different tree")
-        try:
-            count = index(count)
-        except TypeError:
-            raise ValueError(f"basic query count must be a non-negative integer, got {count!r}") from None
-        if count < 0:
-            raise ValueError(f"basic query count must be non-negative, got {count}")
+        count = _checked_int("basic query count", count, 0)
         self.tree = tree
         self.oracle = oracle
         self.positions = _draw_positions(random.Random(seed), tree.leaf_count_total, count)

@@ -58,6 +58,7 @@ from awpkit.tree import (
     InvariantError,
     TreeStructureError,
     WeightTable,
+    _checked_int,
     _split_qualities,
     node_discrepancies,
 )
@@ -242,8 +243,7 @@ class ExperimentConfig:
             raise ValueError(f"k values must be distinct, got {','.join(map(str, self.k_values))}")
         for k in self.k_values:
             self.engine_config(k, self.seed)
-        if self.runs < 1:
-            raise ValueError("runs must be positive")
+        _checked_int("runs", self.runs, 1)
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms {bad}, expected subset of {ALGORITHMS}")

@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf, log, nan, pi, sqrt
 
-from awpkit.tree import MASS_TOL, InvariantError
+from awpkit.tree import MASS_TOL, InvariantError, _checked_int
 
 RADIUS_MODES = ("hoeffding", "bernstein", "min")
 
@@ -154,8 +154,7 @@ class ConfidenceRadii:
     def __init__(self, k: int, delta: float, mode: str = "min", *, strict_paper: bool = False):
         if mode not in RADIUS_MODES:
             raise ValueError(f"unknown radius mode {mode!r}")
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
+        k = _checked_int("k", k, 1)
         if not (0.0 < delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
         self.k = k

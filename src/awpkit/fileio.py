@@ -159,7 +159,7 @@ def loads_tree(text: str) -> HierTree:
     del leaf_node_ids, leaf_labels
     if None in left:
         _raise_record_error(text, start)
-    return HierTree(None, labels, left=left, right=right)  # type: ignore[arg-type]
+    return HierTree(labels, left, right)  # type: ignore[arg-type]
 
 
 def _raise_record_error(text: str, start: int) -> NoReturn:

@@ -18,7 +18,7 @@ from itertools import chain, repeat
 from math import fsum, inf, isfinite
 
 from awpkit.adversarial import _balanced
-from awpkit.tree import HierTree, WeightTable, _instance_stats, _LoadedWeights
+from awpkit.tree import HierTree, WeightTable, _checked_int, _instance_stats, _LoadedWeights
 
 
 @dataclass
@@ -178,8 +178,7 @@ class FeatureColumns:
     with no tuple per label."""
 
     def __init__(self, labels: Sequence[str], dim: int, seed: int):
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        dim = _checked_int("dim", dim, 1)
         self.labels = sorted(map(str, labels))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")
@@ -288,7 +287,7 @@ def build_median_split_tree(features: Mapping[str, Sequence[float]] | FeatureCol
     # The columns and label ints are not needed by the index walk; free
     # them before it (``key`` holds one of the columns).
     columns = keys = key = idx = None
-    return HierTree(None, leaf_labels, left=left, right=right)
+    return HierTree(leaf_labels, left, right)
 
 
 def build_random_balanced_tree(labels: Sequence[str], seed: int) -> HierTree:

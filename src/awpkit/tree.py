@@ -183,10 +183,9 @@ class HierTree:
     ``_right`` (-1 for a leaf), the leaf spans ``_lo`` and ``_hi``, and the
     depths.  So a tree holds no object per node, only list slots and the
     ints and labels they point to; ``children(v)`` and ``span(v)`` pair
-    the columns.  The links come either as one child tuple per node
-    (``children``) or as the two columns (``left`` and ``right``, with
-    ``children`` None).  Given the columns, the tree keeps the three lists
-    it is handed, so the caller must not change them.
+    the columns.  The constructor takes the labels and the two child
+    columns, and keeps the three lists it is handed, so the caller must
+    not change them.
 
     Construction checks and indexes the links in one iterative preorder
     walk from the root, the one id that the child ids leave out of the sum
@@ -194,8 +193,8 @@ class HierTree:
     any input.  Whole-list checks after it (nothing left to visit, every
     leaf placed once, no negative id visited, a leaf's links -1) show that
     it reached every node once.  Only when the walk or these checks fail
-    are the links checked again one node at a time (``_check``, then
-    ``_name_fault``), to name the first fault with its kind and node id.
+    are the columns read again one node at a time (``_name_fault``), to
+    name the first fault with its kind and node id.
 
     A tree refers to no weighting: the exact statistics of a tree under a
     ``WeightTable`` live on the table (see ``_instance_stats``).
@@ -215,45 +214,19 @@ class HierTree:
         "leaf_count_total",
     )
 
-    def __init__(
-        self,
-        children: Sequence[tuple[int, ...]] | None,
-        labels: Sequence[str | None],
-        *,
-        left: list[int] | None = None,
-        right: list[int] | None = None,
-    ):
-        if children is not None:
-            if left is not None or right is not None:
-                raise ValueError("give the child tuples or the two child columns, not both")
-            children = tuple(map(tuple, children))
-            if len(children) != len(labels):
-                raise ValueError("children and labels must have equal length")
-            labels = list(labels)
-            # Links have a column form when every internal node has two
-            # children and every leaf none; others go to the fault path.
-            if all(len(kids) == (2 if lab is None else 0) for kids, lab in zip(children, labels)):
-                left = [kids[0] if kids else -1 for kids in children]
-                right = [kids[1] if kids else -1 for kids in children]
-            else:
-                left = right = []
-        elif left is None or right is None or not len(left) == len(right) == len(labels):
+    def __init__(self, labels: Sequence[str | None], left: list[int], right: list[int]):
+        if not len(left) == len(right) == len(labels):
             raise ValueError("left, right and labels must have equal length")
         self._labels = labels
         self._left = left
         self._right = right
         self.node_count = len(labels)
         try:
-            indexed = len(left) == self.node_count and self._build_index()
+            indexed = self._build_index()
         except (IndexError, TypeError, ValueError):
             indexed = False
         if not indexed:
-            if children is None:
-                children = [
-                    () if lab is not None and l == -1 and r == -1 else (l, r)
-                    for l, r, lab in zip(left, right, labels)
-                ]
-            self._name_fault(children)
+            self._name_fault()
 
     # -- construction ------------------------------------------------------
 
@@ -263,15 +236,20 @@ class HierTree:
 
         Ids must form a dense range 0..n-1; a record that is not exactly
         (tag, id, payload), or an "I" record whose payload is not a
-        sequence of integers, is a "bad-record" error.
+        sequence of integers, is a "bad-record" error.  Once every record
+        is read, an "I" record without exactly two child ids is a
+        "non-binary-internal" error, named at the lowest such id; only
+        then are the links checked (see ``_name_fault``).
         """
         recs = list(records)
         n = len(recs)
         if n == 0:
             raise TreeStructureError("empty-tree")
-        children: list[tuple[int, ...] | None] = [None] * n
         labels: list[str | None] = [None] * n
+        left = [-1] * n
+        right = [-1] * n
         seen = [False] * n
+        arity: dict[int, int] = {}
         for rec in recs:
             try:
                 tag, node_id, payload = rec
@@ -284,17 +262,23 @@ class HierTree:
             seen[node_id] = True
             if tag == "I":
                 try:
-                    children[node_id] = tuple(map(index, payload))
+                    kids = tuple(map(index, payload))
                 except TypeError:
                     raise TreeStructureError(
                         "bad-record", node_id, f"child ids must be a sequence of integers, got {payload!r}"
                     ) from None
+                if len(kids) == 2:
+                    left[node_id], right[node_id] = kids
+                else:
+                    arity[node_id] = len(kids)
             elif tag == "L":
-                children[node_id] = ()
                 labels[node_id] = str(payload)
             else:
                 raise TreeStructureError("bad-record", node_id, f"unknown tag {tag!r}")
-        return cls([c if c is not None else () for c in children], labels)
+        if arity:
+            v = min(arity)
+            raise TreeStructureError("non-binary-internal", v, f"{arity[v]} children")
+        return cls(labels, left, right)
 
     @classmethod
     def from_nested(cls, spec: NestedSpec) -> "HierTree":
@@ -304,8 +288,7 @@ class HierTree:
         assigned in preorder (node before its left subtree, left before
         right), so every subtree occupies a contiguous id range.
         """
-        labels, left, right = _preorder(spec, str)
-        return cls(None, labels, left=left, right=right)
+        return cls(*_preorder(spec, str))
 
     # -- structural checks -------------------------------------------------
 
@@ -375,20 +358,25 @@ class HierTree:
         self.leaf_count_total = leaves
         return True
 
-    def _check(self, children: Sequence[tuple[int, ...]]) -> int:
-        """Raise TreeStructureError on the first violation of the child
-        links, one tuple per node; return the root id.  Reachability and
-        label uniqueness are checked by ``_name_fault``."""
+    def _name_fault(self) -> NoReturn:
+        """Raise TreeStructureError for the first fault of links that
+        ``_build_index`` refused: an empty tree; then, reading the columns
+        node by node in id order, a leaf whose links are not (-1, -1), an
+        internal node's child link that is not a node id (dangling), or a
+        node linked as a child twice or by itself; then no root or more
+        than one; then a node unreachable from the root; then a repeated
+        leaf label."""
         n = self.node_count
         if n == 0:
             raise TreeStructureError("empty-tree")
+        labels = self._labels
         parent = [-1] * n
-        for v, kids, lab in zip(range(n), children, self._labels):
-            if lab is None and len(kids) != 2:
-                raise TreeStructureError("non-binary-internal", v, f"{len(kids)} children")
-            if lab is not None and kids:
-                raise TreeStructureError("leaf-with-children", v)
-            for c in kids:
+        for v, l, r, lab in zip(range(n), self._left, self._right, labels):
+            if lab is not None:
+                if l != -1 or r != -1:
+                    raise TreeStructureError("leaf-with-children", v)
+                continue
+            for c in (l, r):
                 if not (isinstance(c, int) and 0 <= c < n):
                     raise TreeStructureError("dangling-child", v, f"child id {c!r}")
                 if parent[c] != -1 or c == v:
@@ -399,24 +387,18 @@ class HierTree:
         root = parent.index(-1)
         if parent.count(-1) > 1:
             raise TreeStructureError("multiple-roots", parent.index(-1, root + 1))
-        return root
-
-    def _name_fault(self, children: Sequence[tuple[int, ...]]) -> NoReturn:
-        """Raise TreeStructureError for the first fault of links that
-        ``_build_index`` refused: ``_check``'s, then a node unreachable
-        from the root, then a repeated leaf label."""
-        labels = self._labels
-        root = self._check(children)
         reached = {root}
         stack = [root]
         while stack:
-            kids = children[stack.pop()]
-            reached.update(kids)
-            stack.extend(kids)
-        if len(reached) != self.node_count:
+            v = stack.pop()
+            if labels[v] is None:
+                kids = (self._left[v], self._right[v])
+                reached.update(kids)
+                stack.extend(kids)
+        if len(reached) != n:
             # Each node has at most one parent, so any node unreachable from
             # the root sits in a detached component that must hold a cycle.
-            bad = next(v for v in range(self.node_count) if v not in reached)
+            bad = next(v for v in range(n) if v not in reached)
             raise TreeStructureError("cycle", bad, "unreachable from root")
         seen_labels: set[str] = set()
         for v, lab in enumerate(labels):

@@ -238,7 +238,8 @@ def reference_loads_tree(text: str) -> HierTree:
     if first != HWT_MAGIC:
         raise FileFormatError(f"line {first_no}: expected {HWT_MAGIC!r} header, got {first!r}")
     n = len(lines) - 1
-    children: list[tuple[int, ...] | None] = [None] * n
+    left: list[int | None] = [None] * n
+    right = [-1] * n
     labels: list[str | None] = [None] * n
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -255,16 +256,16 @@ def reference_loads_tree(text: str) -> HierTree:
             raise FileFormatError(f"line {lineno}: unknown record tag {tag!r}")
         try:
             node_id = int(parts[1])
-            kids = () if label is not None else (int(parts[2]), int(parts[3]))
+            kids = (-1, -1) if label is not None else (int(parts[2]), int(parts[3]))
         except ValueError:
             raise FileFormatError(f"line {lineno}: non-integer id in {line!r}") from None
         if not 0 <= node_id < n:
             raise TreeStructureError("bad-node-ids", None, f"ids must be dense 0..{n - 1}, got {node_id!r}")
-        if children[node_id] is not None:
+        if left[node_id] is not None:
             raise TreeStructureError("duplicate-node-id", node_id)
-        children[node_id] = kids
+        left[node_id], right[node_id] = kids
         labels[node_id] = label
-    return HierTree(children, labels)
+    return HierTree(labels, left, right)
 
 
 def reference_loads_weights(text: str) -> WeightTable:
@@ -295,8 +296,9 @@ def reference_loads_weights(text: str) -> WeightTable:
 
 
 def reference_tree_index(children, labels) -> tuple:
-    """Check the child links node by node, then index the tree in a second
-    walk: the slow reference for ``HierTree``'s one-walk index.  Returns
+    """Check the child links, one tuple per node (empty for a leaf), node
+    by node, then index the tree in a second walk: the slow reference for
+    ``HierTree``'s one-walk index over its child columns.  Returns
     ``(root, spans, depths, leaf order, preorder)`` or raises the
     TreeStructureError that names the first fault."""
     children = tuple(map(tuple, children))
@@ -311,8 +313,8 @@ def reference_tree_index(children, labels) -> tuple:
         if lab is not None and kids:
             raise TreeStructureError("leaf-with-children", v)
         for c in kids:
-            if not (0 <= c < n):
-                raise TreeStructureError("dangling-child", v, f"child id {c}")
+            if not (isinstance(c, int) and 0 <= c < n):
+                raise TreeStructureError("dangling-child", v, f"child id {c!r}")
             if parent[c] != -1 or c == v:
                 raise TreeStructureError("multiple-parents" if c != v else "cycle", c)
             parent[c] = v

@@ -209,13 +209,13 @@ class TestRunArgs:
     def test_negative_basic_count_rejected(self):
         # The cell refuses a negative count.
         tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^basic query count must be at least 0, got -1$"):
             BaselineCell(tree, Oracle(tree, table), -1, 0)
 
     @pytest.mark.parametrize("count", [float("nan"), 2.5, 3.0, "3", None])
     def test_non_integer_basic_count_rejected(self, count):
         tree, table = quad_instance(0.25, 0.25, 0.25, 0.25)
-        with pytest.raises(ValueError, match="non-negative integer"):
+        with pytest.raises(ValueError, match="^basic query count must be at least 0, got "):
             BaselineCell(tree, Oracle(tree, table), count, 0)
 
     def test_bool_basic_count_accepted(self):

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from itertools import combinations
@@ -176,8 +177,9 @@ class TestExperimentConfig:
             ExperimentConfig(**base, k_values=(1,))
         with pytest.raises(ValueError, match="distinct"):
             ExperimentConfig(**base, k_values=(3, 4, 3))
-        with pytest.raises(ValueError, match="runs"):
-            ExperimentConfig(**base, k_values=(3,), runs=0)
+        for runs in (0, 2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match=f"^runs must be at least 1, got {runs!r}$"):
+                ExperimentConfig(**base, k_values=(3,), runs=runs)
         with pytest.raises(ValueError, match="unknown algorithms"):
             ExperimentConfig(**base, k_values=(3,), algorithms=("awp", "psychic"))
         with pytest.raises(ValueError, match="at least one algorithm"):
@@ -1363,6 +1365,35 @@ def test_pairs_checkout_state(tmp_path):
     (tmp_path / "b.txt").unlink()
     (tmp_path / "a.txt").write_text("changed\n")
     assert pairs.checkout_state(str(tmp_path)) == (head, True)
+
+
+def test_pairs_records_both_sides_code_lines(tmp_path, monkeypatch):
+    # BENCH_<N>.json carries scripts/loc.py's src/awpkit totals of the
+    # exported parent and of the checkout, beside the runs.
+    pairs = load_pairs_script()
+    for side, files in (("parent", {"a.py": LOC_SAMPLE}), ("pr", {"a.py": LOC_SAMPLE, "sub/b.py": "Z = 0\n"})):
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "awpkit" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+    bench = {"command": ["true"], "run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": PAIRS_METRICS}
+    (tmp_path / "pr" / "BENCHMARK.json").write_text(json.dumps(bench), encoding="utf-8")
+
+    def export(rev, dest):
+        shutil.copytree(tmp_path / "parent", dest, dirs_exist_ok=True)
+        return "f" * 40
+
+    def run_bench(command, cwd, workload, seed, seconds):
+        return pairs_run("", seed, 1.0, 5)["result"]
+
+    monkeypatch.setattr(pairs, "ROOT", str(tmp_path / "pr"))
+    monkeypatch.setattr(pairs, "export", export)
+    monkeypatch.setattr(pairs, "checkout_state", lambda root: ("e" * 40, False))
+    monkeypatch.setattr(pairs, "run_bench", run_bench)
+    assert pairs.main(["--parent", "x", "--pr", "7", "--pairs", "2"]) == 0
+    report = json.loads((tmp_path / "pr" / "BENCH_7.json").read_text(encoding="utf-8"))
+    assert report["code_lines"] == {"parent": 9, "pr": 10}
+    assert pairs.package_code_lines(str(tmp_path / "none")) == 0
 
 
 def test_every_spec_kind_is_documented():

@@ -340,8 +340,12 @@ class TestPerRunRadii:
         cases = [
             ((4, 0.05, "other"), "unknown radius mode 'other'"),
             ((0, 2.0, "other"), "unknown radius mode 'other'"),
-            ((0, 0.05, "min"), "k must be positive, got 0"),
-            ((-3, 0.0, "hoeffding"), "k must be positive, got -3"),
+            ((0, 0.05, "min"), "k must be at least 1, got 0"),
+            ((-3, 0.0, "hoeffding"), "k must be at least 1, got -3"),
+            ((2.5, 0.05, "min"), "k must be at least 1, got 2.5"),
+            ((4.0, 0.05, "bernstein"), "k must be at least 1, got 4.0"),
+            (("4", 0.0, "hoeffding"), "k must be at least 1, got '4'"),
+            ((None, 0.05, "min"), "k must be at least 1, got None"),
             ((4, 0.0, "bernstein"), "delta must lie in \\(0, 1\\), got 0.0"),
             ((4, 1.0, "min"), "delta must lie in \\(0, 1\\), got 1.0"),
         ]

@@ -89,12 +89,16 @@ def _tree_with_shuffled_ids(labels, rng):
     tree = HierTree.from_nested(spec)
     perm = list(range(tree.node_count))
     rng.shuffle(perm)
-    children = [()] * tree.node_count
+    left = [-1] * tree.node_count
+    right = [-1] * tree.node_count
     names = [None] * tree.node_count
     for v in range(tree.node_count):
-        children[perm[v]] = tuple(perm[c] for c in tree.children(v))
-        names[perm[v]] = tree.label(v) if tree.is_leaf(v) else None
-    return HierTree(children, names)
+        if tree.is_leaf(v):
+            names[perm[v]] = tree.label(v)
+        else:
+            left[perm[v]] = perm[tree.left(v)]
+            right[perm[v]] = perm[tree.right(v)]
+    return HierTree(names, left, right)
 
 
 # Line breaks that str.splitlines honours, and whitespace, ASCII and
@@ -429,7 +433,7 @@ class TestWriterLabelCheck:
 
     def test_first_bad_label_in_id_order_is_named(self):
         # Leaf order is "x y", "a#", "p q"; id order puts "p q" first.
-        tree = HierTree([(3, 1), (), (), (2, 4), ()], [None, "p q", "x y", None, "a#"])
+        tree = HierTree([None, "p q", "x y", None, "a#"], [3, -1, -1, 2, -1], [1, -1, -1, 4, -1])
         assert tree.leaf_order == ("x y", "a#", "p q")
         with pytest.raises(FileFormatError, match="'p q' contains whitespace"):
             dumps_tree(tree)

@@ -555,5 +555,6 @@ class TestFlatFeatureSpec:
         want = random_features(labels, 2, seed=3)
         assert want == reference_random_features(labels, 2, 3)
         assert [list(cols.flat[c::2]) for c in range(2)] == [[want[lab][c] for lab in cols.labels] for c in range(2)]
-        with pytest.raises(ValueError, match="dim must be positive"):
-            FeatureColumns(labels, 0, seed=0)
+        for dim in (0, 2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match=f"^dim must be at least 1, got {dim!r}$"):
+                FeatureColumns(labels, dim, seed=0)

@@ -180,7 +180,7 @@ class TestStructure:
     @pytest.mark.parametrize("kids", [(1.5, 2), (1, "2"), (None, 2), (1, 2.0)])
     def test_non_integer_child_id_is_a_dangling_child(self, kids):
         with pytest.raises(TreeStructureError) as err:
-            HierTree([kids, (), ()], [None, "a", "b"])
+            HierTree([None, "a", "b"], [kids[0], -1, -1], [kids[1], -1, -1])
         assert err.value.kind == "dangling-child"
         assert err.value.node_id == 0
 
@@ -203,8 +203,69 @@ class TestStructure:
 
     def test_leaf_with_children_detected(self):
         with pytest.raises(TreeStructureError) as err:
-            HierTree([(1, 2), (), ()], ["x", "a", "b"])
+            HierTree(["x", "a", "b"], [1, -1, -1], [2, -1, -1])
         assert err.value.kind == "leaf-with-children"
+
+    @pytest.mark.parametrize(
+        "kind,node,build",
+        [
+            pytest.param("empty-tree", None, lambda: HierTree([], [], []), id="empty-columns"),
+            pytest.param("empty-tree", None, lambda: HierTree.from_records([]), id="empty-records"),
+            pytest.param("bad-record", None, lambda: HierTree.from_records([("I", 0)]), id="bad-record"),
+            pytest.param("bad-node-ids", None, lambda: HierTree.from_records([("L", 1, "a")]), id="bad-node-ids"),
+            pytest.param(
+                "duplicate-node-id", 0, lambda: HierTree.from_records([("L", 0, "a"), ("L", 0, "b")]), id="duplicate-id"
+            ),
+            pytest.param(
+                "non-binary-internal",
+                0,
+                lambda: HierTree.from_records([("I", 0, (1, 2, 3)), ("L", 1, "a"), ("L", 2, "b"), ("L", 3, "c")]),
+                id="non-binary",
+            ),
+            pytest.param("leaf-with-children", 0, lambda: HierTree(["a", "b"], [1, -1], [-1, -1]), id="leaf-links"),
+            pytest.param("dangling-child", 0, lambda: loads_tree("HWT 1\nI 0 1 5\nL 1 a\nL 2 b\n"), id="dangling"),
+            pytest.param(
+                "multiple-parents", 1, lambda: HierTree([None, "a", "b"], [1, -1, -1], [1, -1, -1]), id="two-parents"
+            ),
+            pytest.param("cycle", 0, lambda: HierTree([None, "a"], [0, -1], [1, -1]), id="self-loop"),
+            pytest.param(
+                "no-root", None, lambda: HierTree([None, None, "a", "b"], [1, 0, -1, -1], [2, 3, -1, -1]), id="no-root"
+            ),
+            pytest.param(
+                "multiple-roots",
+                3,
+                lambda: HierTree.from_records([("I", 0, (1, 2)), ("L", 1, "a"), ("L", 2, "b"), ("L", 3, "c")]),
+                id="two-roots",
+            ),
+            pytest.param(
+                "cycle", 1, lambda: HierTree(["a", None, None, "b", "c"], [-1, 2, 1, -1, -1], [-1, 3, 4, -1, -1]),
+                id="unreachable",
+            ),
+            pytest.param("duplicate-leaf-label", 2, lambda: HierTree.from_nested(("a", "a")), id="duplicate-label"),
+        ],
+    )
+    def test_every_fault_kind_through_a_public_builder(self, kind, node, build):
+        with pytest.raises(TreeStructureError) as err:
+            build()
+        assert (err.value.kind, err.value.node_id) == (kind, node)
+
+    def test_record_faults_precede_link_faults(self):
+        # Node 0 has a dangling child; a record without two child ids is
+        # named first, at its lowest id in any record order.
+        records = [("I", 0, (1, 9)), ("L", 1, "a"), ("I", 4, (1, 2, 0)), ("L", 2, "b"), ("I", 3, ())]
+        for perm in (records, records[::-1]):
+            with pytest.raises(TreeStructureError, match=r"^non-binary-internal \(node 3\): 0 children$"):
+                HierTree.from_records(perm)
+        # A record that cannot be read, or an id out of place, is named
+        # even after a non-binary record.
+        cases = [(("Q", 2, "x"), "bad-record"), (("L", 0, "x"), "duplicate-node-id"), (("L", 5, "x"), "bad-node-ids")]
+        for last, kind in cases:
+            with pytest.raises(TreeStructureError) as err:
+                HierTree.from_records([("I", 0, (1,)), ("L", 1, "a"), last])
+            assert err.value.kind == kind
+        # With two child ids on every internal record, the link fault is named.
+        with pytest.raises(TreeStructureError, match=r"^dangling-child \(node 0\): child id 9$"):
+            HierTree.from_records([("I", 0, (1, 9)), ("L", 1, "a"), ("L", 2, "b")])
 
     def test_single_leaf_tree(self):
         t = HierTree.from_nested("only")
@@ -234,62 +295,95 @@ class TestStructure:
         assert sorted(leaves_under(t, t.root_id)) == sorted(t.leaf_order)
 
 
-def _shuffled_links(rng, n: int) -> tuple[list, list]:
-    """Children and labels of a random tree over n leaves, with its ids
-    permuted so that the root and the id order are arbitrary."""
+def _shuffled_columns(rng, n: int) -> tuple[list, list, list]:
+    """Labels and child columns of a random tree over n leaves, with its
+    ids permuted so that the root and the id order are arbitrary."""
     tree = random_tree(rng, n)
     perm = list(range(tree.node_count))
     rng.shuffle(perm)
-    children: list = [()] * tree.node_count
     labels: list = [None] * tree.node_count
+    left: list = [-1] * tree.node_count
+    right: list = [-1] * tree.node_count
     for v in range(tree.node_count):
-        children[perm[v]] = tuple(perm[c] for c in tree.children(v))
-        labels[perm[v]] = tree.label(v) if tree.is_leaf(v) else None
-    return children, labels
-
-
-_CORRUPTIONS = ("relink", "dangling", "arity", "label", "duplicate-label", "detached", "swap")
-
-
-def _corrupt(rng, children: list, labels: list, kind: str) -> None:
-    """Break the links or labels in place, one way per kind: a child link
-    moved to any node (multiple parents, a cycle or a lost root), a child
-    id out of range, an internal node without two children or a leaf with
-    some, a label added or removed, two leaves with one label, a detached
-    two-node cycle, or the children of two nodes swapped."""
-    n = len(children)
-    v = rng.randrange(n)
-    internal = [u for u in range(n) if children[u]]
-    if kind in ("relink", "dangling") and internal:
-        u = rng.choice(internal)
-        kids = list(children[u])
-        i = rng.randrange(len(kids))
-        # A negative id that indexes the node it replaces is out of range too.
-        kids[i] = rng.randrange(n) if kind == "relink" else rng.choice([kids[i] - n, -1, n, n + 7])
-        children[u] = tuple(kids)
-    elif kind == "arity":
-        if children[v] and rng.random() < 0.5:
-            children[v] = ()
+        if tree.is_leaf(v):
+            labels[perm[v]] = tree.label(v)
         else:
-            children[v] = tuple(rng.randrange(n) for _ in range(rng.choice([1, 2, 3])))
+            left[perm[v]] = perm[tree.left(v)]
+            right[perm[v]] = perm[tree.right(v)]
+    return labels, left, right
+
+
+_CORRUPTIONS = (
+    "relink",
+    "dangling",
+    "not-an-int",
+    "leaf-links",
+    "label",
+    "duplicate-label",
+    "detached",
+    "swap",
+    "repeat",
+    "cycle",
+)
+
+
+def _corrupt(rng, labels: list, left: list, right: list, kind: str) -> None:
+    """Break the labels or child columns in place, one way per kind: an
+    internal node's link moved to any node (multiple parents, a cycle or a
+    lost root), or to a negative id, one past the last or beyond int64; a
+    link that is no int; a leaf given links or an internal node given a
+    leaf's; a label added or removed; two leaves with one label; a
+    detached two-node cycle; the links of two nodes swapped; a child id
+    repeated (one node's two children, or a child of another node); or a
+    link from a node back to an ancestor."""
+    n = len(labels)
+    v = rng.randrange(n)
+    col = rng.choice([left, right])
+    internal = [u for u in range(n) if labels[u] is None]
+    if kind in ("relink", "dangling", "repeat", "cycle") and internal:
+        u = rng.choice(internal)
+        if kind == "relink":
+            col[u] = rng.randrange(n)
+        elif kind == "dangling":
+            # A negative id that indexes some node is out of range too.
+            col[u] = rng.choice([rng.randrange(n) - n, -1, -n - 1, n, n + 7, 2**63, 2**70, -(2**63) - 1])
+        elif kind == "repeat":
+            other = rng.choice(internal)
+            col[u] = (right if col is left else left)[u] if rng.random() < 0.5 else rng.choice([left, right])[other]
+        else:
+            parent = {c: p for p in internal for c in (left[p], right[p])}
+            a = u
+            while a in parent and rng.random() < 0.7:
+                a = parent[a]
+            col[u] = a
+    elif kind == "not-an-int":
+        # Not -1.0, which equals -1 and so reads as a leaf's link.
+        col[v] = rng.choice([None, 1.5, "1", 2.0])
+    elif kind == "leaf-links":
+        if labels[v] is None:
+            left[v] = right[v] = -1
+        else:
+            col[v] = rng.randrange(n)
     elif kind == "label":
         labels[v] = None if labels[v] is not None else "new"
     elif kind == "duplicate-label":
-        leaves = [u for u in range(n) if not children[u]] or [v]
+        leaves = [u for u in range(n) if labels[u] is not None] or [v]
         labels[rng.choice(leaves)] = labels[rng.choice(leaves)]
     elif kind == "detached":
-        children += [(n + 1, n + 2), (n, n + 3), (), ()]
         labels += [None, None, "da", "db"]
+        left += [n + 1, n, -1, -1]
+        right += [n + 2, n + 3, -1, -1]
     elif kind == "swap":
         u = rng.randrange(n)
-        children[u], children[v] = children[v], children[u]
+        left[u], left[v] = left[v], left[u]
+        right[u], right[v] = right[v], right[u]
 
 
-def _index_outcome(build, children, labels):
+def _index_outcome(build, labels, left, right):
     """A tree's root, spans, depths, leaf order and preorder, or the kind,
     node id and message of the TreeStructureError that refuses it."""
     try:
-        return build(children, labels)
+        return build(labels, left, right)
     except TreeStructureError as exc:
         return exc.kind, exc.node_id, str(exc)
 
@@ -299,155 +393,123 @@ def _tree_index(t):
     return t.root_id, [t.span(v) for v in range(n)], [t.depth(v) for v in range(n)], t.leaf_order, list(t._pre)
 
 
-def _one_walk_index(children, labels):
-    return _tree_index(HierTree(children, labels))
+def _one_walk_index(labels, left, right):
+    return _tree_index(HierTree(list(labels), list(left), list(right)))
+
+
+def _tuple_links(labels, left, right):
+    """The child tuples that the columns describe: none for a leaf whose
+    links are (-1, -1), else the pair."""
+    return [() if lab is not None and l == -1 and r == -1 else (l, r) for lab, l, r in zip(labels, left, right)]
+
+
+def _reference_index(labels, left, right):
+    """``reference_tree_index`` on the child tuples that the columns describe."""
+    return reference_tree_index(_tuple_links(labels, left, right), labels)
+
+
+def _column_index(labels, left, right):
+    """The one-walk index, once the tree reports each node's children as
+    the tuple that its columns describe."""
+    t = HierTree(list(labels), list(left), list(right))
+    assert [t.children(v) for v in range(t.node_count)] == _tuple_links(labels, left, right)
+    return _tree_index(t)
 
 
 class TestIndexMatchesReference:
-    """``HierTree`` checks and indexes the links in one walk and names a
-    fault only after that walk refuses them; it gives the same index, or
-    the same error kind, node id and message, as the two-pass reference."""
+    """``HierTree`` checks and indexes its child columns in one walk and
+    names a fault only after that walk refuses them; it gives the same
+    index, or the same error kind, node id and message, as the two-pass
+    reference given one child tuple per node."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(seed=st.integers(0, 2**32), kinds=st.lists(st.sampled_from(_CORRUPTIONS), max_size=2))
     def test_same_index_or_same_fault(self, seed, kinds):
         rng = random.Random(seed)
-        children, labels = _shuffled_links(rng, rng.randint(1, 30))
+        labels, left, right = _shuffled_columns(rng, rng.randint(1, 30))
         for kind in kinds:
-            _corrupt(rng, children, labels, kind)
-        want = _index_outcome(reference_tree_index, children, labels)
-        assert _index_outcome(_one_walk_index, children, labels) == want
+            _corrupt(rng, labels, left, right, kind)
+        want = _index_outcome(_reference_index, labels, left, right)
+        assert _index_outcome(_one_walk_index, labels, left, right) == want
         if not kinds:
             assert isinstance(want[1], list)
 
     @pytest.mark.parametrize(
         "children,labels",
         [
-            ([], []),
+            (([], []), []),
             # One node that is both of its own children: its walk pops the
             # one node and leaves two to visit.
-            ([(0, 0)], [None]),
-            ([(1, 2), (0, 3), (), ()], [None, None, "a", "b"]),
-            ([(1, 2), (), (-1, 1), ()], [None, "a", None, "b"]),
+            (([0], [0]), [None]),
+            (([1, 0, -1, -1], [2, 3, -1, -1]), [None, None, "a", "b"]),
+            (([1, -1, -1, -1], [2, -1, 1, -1]), [None, "a", None, "b"]),
+            # A detached cycle is named before a repeated label.
+            (([-1, 2, 1, -1, -1], [-1, 3, 4, -1, -1]), ["a", None, None, "a", "c"]),
+            # A leaf's links are named before a dangling child at a later id.
+            (([1, 0, 3, -1], [2, -1, 9, -1]), [None, "a", None, "b"]),
         ],
     )
     def test_hand_written_faults(self, children, labels):
-        want = _index_outcome(reference_tree_index, children, labels)
+        # children is the pair of child columns (left, right).
+        want = _index_outcome(_reference_index, labels, *children)
         assert isinstance(want[0], str)
-        assert _index_outcome(_one_walk_index, children, labels) == want
-
-    @pytest.mark.parametrize("fault", [None, "back-to-root", "detached"])
-    def test_deep_caterpillar_without_recursion(self, fault):
-        # Spine node i has children (leaf i, spine i + 1); leaf j is d + j.
-        d = 100_000
-        children: list = [(d + i, i + 1) for i in range(d - 1)] + [(2 * d - 1, 2 * d)] + [()] * (d + 1)
-        labels: list = [None] * d + [f"c{j}" for j in range(d + 1)]
-        if fault == "back-to-root":
-            children[d - 1] = (2 * d - 1, 0)
-        elif fault == "detached":
-            _corrupt(random.Random(0), children, labels, "detached")
-        want = _index_outcome(reference_tree_index, children, labels)
-        assert _index_outcome(_one_walk_index, children, labels) == want
-        if fault is None:
-            assert HierTree(children, labels).max_depth == d
-
-
-def _columns(children, labels):
-    """The column form of tuple links: (left, right) per node, -1 for a
-    leaf; None when some links have no column form, because an internal
-    node has not two children, or a leaf has some or has the links
-    (-1, -1), which the column form reads as no children."""
-    left, right = [], []
-    for kids, lab in zip(children, labels):
-        if len(kids) != (2 if lab is None else 0) or (lab is not None and kids == (-1, -1)):
-            return None
-        left.append(kids[0] if kids else -1)
-        right.append(kids[1] if kids else -1)
-    return left, right
-
-
-def _column_index(children, labels):
-    left, right = _columns(children, labels)
-    t = HierTree(None, list(labels), left=left, right=right)
-    assert [t.children(v) for v in range(t.node_count)] == [tuple(kids) for kids in children]
-    return _tree_index(t)
-
-
-_COLUMN_CORRUPTIONS = ("negative", "beyond-int64", "repeat", "cycle")
-
-
-def _corrupt_column(rng, children: list, kind: str) -> None:
-    """Break a child link in place, one way per kind: a negative child id,
-    one beyond int64, a child id repeated (one node's two children, or a
-    child of another node), or a link from a node back to an ancestor."""
-    internal = [u for u in range(len(children)) if children[u]]
-    if not internal:
-        return
-    u = rng.choice(internal)
-    kids = list(children[u])
-    i = rng.randrange(len(kids))
-    if kind == "negative":
-        kids[i] = rng.choice([-1, -2, -len(children), -len(children) - 1])
-    elif kind == "beyond-int64":
-        kids[i] = rng.choice([2**63, 2**70, -(2**63) - 1])
-    elif kind == "repeat":
-        kids[i] = kids[i - 1] if rng.random() < 0.5 else rng.choice(children[rng.choice(internal)])
-    else:
-        parent = {c: p for p, ks in enumerate(children) for c in ks}
-        a = u
-        while a in parent and rng.random() < 0.7:
-            a = parent[a]
-        kids[i] = a
-    children[u] = tuple(kids)
-
-
-class TestColumnFormMatchesTupleForm:
-    """``HierTree`` given the two child columns indexes the same tree, or
-    raises the same error kind, node id and message, as given one child
-    tuple per node, and as the two-pass reference."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32),
-        kinds=st.lists(st.sampled_from(_CORRUPTIONS + _COLUMN_CORRUPTIONS), max_size=2),
-    )
-    def test_same_index_or_same_fault(self, seed, kinds):
-        rng = random.Random(seed)
-        children, labels = _shuffled_links(rng, rng.randint(1, 30))
-        for kind in kinds:
-            if kind in _COLUMN_CORRUPTIONS:
-                _corrupt_column(rng, children, kind)
-            else:
-                _corrupt(rng, children, labels, kind)
-        want = _index_outcome(reference_tree_index, children, labels)
-        assert _index_outcome(_one_walk_index, children, labels) == want
-        if _columns(children, labels) is not None:
-            assert _index_outcome(_column_index, children, labels) == want
+        assert _index_outcome(_one_walk_index, labels, *children) == want
 
     @pytest.mark.parametrize(
         "left,right,labels,kind,node",
         [
             # An internal node's -1 is a dangling child, not a missing one.
-            ([1, -1, -1], [-1, -1, -1], [None, "a", "b"], "dangling-child", 0),
-            ([1, -1, -1], [2**64, -1, -1], [None, "a", "b"], "dangling-child", 0),
+            pytest.param([1, -1, -1], [-1, -1, -1], [None, "a", "b"], "dangling-child", 0, id="internal-minus-one"),
+            pytest.param([1, -1, -1], [2**64, -1, -1], [None, "a", "b"], "dangling-child", 0, id="past-int64"),
             # A leaf with links other than (-1, -1) has children.
-            ([1, -1, -1], [2, 0, -1], [None, "a", "b"], "leaf-with-children", 1),
-            ([1, -1, -2], [2, -1, 0], [None, "a", "b"], "leaf-with-children", 2),
-            # Every unlabelled node has two children in the column form.
-            ([1, 2, -1], [1, -1, -1], [None, None, "a"], "multiple-parents", 1),
-            ([0], [0], [None], "cycle", 0),
+            pytest.param([1, -1, -1], [2, 0, -1], [None, "a", "b"], "leaf-with-children", 1, id="leaf-to-root"),
+            pytest.param([1, -1, -2], [2, -1, 0], [None, "a", "b"], "leaf-with-children", 2, id="leaf-negative"),
+            # Every unlabelled node has two children.
+            pytest.param([1, 2, -1], [1, -1, -1], [None, None, "a"], "multiple-parents", 1, id="repeated-child"),
+            pytest.param([0], [0], [None], "cycle", 0, id="self-loop"),
         ],
     )
     def test_hand_written_column_faults(self, left, right, labels, kind, node):
         with pytest.raises(TreeStructureError) as err:
-            HierTree(None, labels, left=left, right=right)
+            HierTree(labels, left, right)
         assert (err.value.kind, err.value.node_id) == (kind, node)
 
-    def test_column_form_needs_equal_lengths_and_one_form(self):
+    def test_columns_need_equal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
-            HierTree(None, [None, "a", "b"], left=[1, -1], right=[2, -1, -1])
-        with pytest.raises(ValueError, match="not both"):
-            HierTree([(1, 2), (), ()], [None, "a", "b"], left=[1, -1, -1], right=[2, -1, -1])
+            HierTree([None, "a", "b"], [1, -1], [2, -1, -1])
+
+    @pytest.mark.parametrize("fault", [None, "back-to-root", "detached"])
+    def test_deep_caterpillar_without_recursion(self, fault):
+        # Spine node i has children (leaf i, spine i + 1); leaf j is d + j.
+        d = 100_000
+        labels: list = [None] * d + [f"c{j}" for j in range(d + 1)]
+        left: list = [d + i for i in range(d)] + [-1] * (d + 1)
+        right: list = [i + 1 for i in range(d - 1)] + [2 * d] + [-1] * (d + 1)
+        if fault == "back-to-root":
+            right[d - 1] = 0
+        elif fault == "detached":
+            _corrupt(random.Random(0), labels, left, right, "detached")
+        want = _index_outcome(_reference_index, labels, left, right)
+        assert _index_outcome(_one_walk_index, labels, left, right) == want
+        if fault is None:
+            assert HierTree(labels, left, right).max_depth == d
+
+
+class TestColumnFormMatchesTupleForm:
+    """The child columns and the child tuples they describe are one tree:
+    ``HierTree`` on the columns gives each node the children of its tuple,
+    and indexes the tree, or raises the same error kind, node id and
+    message, as the two-pass reference given the tuples."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), kinds=st.lists(st.sampled_from(_CORRUPTIONS), max_size=2))
+    def test_same_index_or_same_fault(self, seed, kinds):
+        rng = random.Random(seed)
+        labels, left, right = _shuffled_columns(rng, rng.randint(1, 30))
+        for kind in kinds:
+            _corrupt(rng, labels, left, right, kind)
+        want = _index_outcome(_reference_index, labels, left, right)
+        assert _index_outcome(_column_index, labels, left, right) == want
 
 
 class TestWeightTable:
