@@ -20,6 +20,13 @@ Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input file,
 3 internal invariant breach or any other internal error.  Repeated
 invocations with identical flags produce byte-identical CSV and trace
 output.
+
+``run --jobs N`` spreads a sweep's (k, run) cells over N processes; by
+default N is the number of CPUs this process may use.  The outputs do not
+depend on N.  A sweep forks only once its measured cells show that the
+rest of it would take at least ``_FORK_MIN_S`` seconds in one process, so
+a short sweep runs in process whatever N is.  ``--jobs 1`` never forks:
+use it under a profiler or a tracer, which see only their own process.
 """
 
 from __future__ import annotations
@@ -27,10 +34,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import pickle
+import signal
 import sys
+import threading
+import warnings
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from math import fsum
+from time import perf_counter
+from typing import NoReturn
 
 from awpkit.adversarial import (
     build_greedy_trap_a,
@@ -235,6 +248,9 @@ class ExperimentConfig:
     # False leaves ExperimentOutput.traces empty: no trace text is
     # rendered, as when `run` writes no trace file.
     traces: bool = True
+    # Processes that share the sweep's cells; None is every CPU this
+    # process may use.  The output does not depend on it.
+    jobs: int | None = None
 
     def __post_init__(self):
         if not self.k_values:
@@ -244,6 +260,8 @@ class ExperimentConfig:
         for k in self.k_values:
             self.engine_config(k, self.seed)
         _checked_int("runs", self.runs, 1)
+        if self.jobs is not None:
+            _checked_int("jobs", self.jobs, 1)
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms {bad}, expected subset of {ALGORITHMS}")
@@ -280,7 +298,15 @@ class ExperimentOutput:
 def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     """Run the sweep.  Every run r uses seed config.seed + r; baselines are
     given exactly the basic queries the adaptive run spent for the same
-    (k, run), and split to the size it reached."""
+    (k, run), and split to the size it reached.
+
+    The (k, run) cells are independent: a cell draws only from its own
+    seed, and of what the cells share it writes only caches of values
+    derived from the instance and the oracle's ledger, from which each
+    search reports its spend as a difference.  So the cells may run in any process
+    and any order (see ``_run_cells``); their rows are merged in (k, run)
+    order and then sorted, which makes the output independent of
+    ``config.jobs``."""
     tree, built_weights = make_tree_source(config.tree_source, config.seed)
     n = tree.leaf_count_total
     if n < 2:
@@ -296,34 +322,45 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
 
     oracle = Oracle(tree, truth)
     algs = tuple(a for a in ALGORITHMS if a in config.algorithms)
-    out = ExperimentOutput()
     # One oracle answers every query of the sweep, so each leaf's
-    # "label weight" text is rendered once and shared by all traces.
+    # "label weight" text is rendered once per process and shared by all
+    # traces.
     leaf_texts: dict[str, str] = {}
+
+    def run_cell(cell: tuple[int, int]) -> tuple[list[tuple], list[tuple]]:
+        """The detail rows and traces of one (k, run) cell."""
+        k, r = cell
+        run_seed = config.seed + r
+        awp_res = run_awp(tree, oracle, config.engine_config(k, run_seed))
+        # A capped adaptive run may stop short of k; baselines then
+        # target the size it actually reached, with the basic queries it
+        # spent, so spends stay equal.
+        k_reached = len(awp_res.pruning)
+        basic = awp_res.ledger.basic_queries
+        # The baselines of the cell share one draw (see awpkit.baselines).
+        draw = BaselineCell(tree, oracle, basic, run_seed) if algs != ("awp",) else None
+        rows, traces = [], []
+        for alg in algs:
+            if alg == "awp":
+                res = awp_res
+                render = _render_trace
+            else:
+                res = _BASELINE_RUNNERS[alg](draw, k_reached)
+                render = draw.trace_text
+            nd = normalized_distance(res, truth)
+            rows.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
+            if config.traces:
+                traces.append((alg, k, r, render(res, leaf_texts)))
+        return rows, traces
+
+    cells = [(k, r) for k in config.k_values for r in range(config.runs)]
+    out = ExperimentOutput()
     per_alg_k: dict[tuple[str, int], list[float]] = {}
-    for k in config.k_values:
-        for r in range(config.runs):
-            run_seed = config.seed + r
-            awp_res = run_awp(tree, oracle, config.engine_config(k, run_seed))
-            # A capped adaptive run may stop short of k; baselines then
-            # target the size it actually reached, with the basic queries it
-            # spent, so spends stay equal.
-            k_reached = len(awp_res.pruning)
-            basic = awp_res.ledger.basic_queries
-            # The baselines of the cell share one draw (see awpkit.baselines).
-            cell = BaselineCell(tree, oracle, basic, run_seed) if algs != ("awp",) else None
-            for alg in algs:
-                if alg == "awp":
-                    res = awp_res
-                    render = _render_trace
-                else:
-                    res = _BASELINE_RUNNERS[alg](cell, k_reached)
-                    render = cell.trace_text
-                nd = normalized_distance(res, truth)
-                out.details.append((alg, k, r, nd, res.ledger.basic_queries, res.ledger.node_queries))
-                if config.traces:
-                    out.traces.append((alg, k, r, render(res, leaf_texts)))
-                per_alg_k.setdefault((alg, k), []).append(nd)
+    for rows, traces in _run_cells(run_cell, cells, _jobs(config.jobs)):
+        out.details += rows
+        out.traces += traces
+        for alg, k, _, nd, _, _ in rows:
+            per_alg_k.setdefault((alg, k), []).append(nd)
     order = {alg: i for i, alg in enumerate(ALGORITHMS)}
     out.details.sort(key=lambda row: (order[row[0]], row[1], row[2]))
     out.traces.sort(key=lambda row: (order[row[0]], row[1], row[2]))
@@ -333,6 +370,131 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
             out.aggregates.append((alg, k, fsum(nds) / len(nds), min(nds), max(nds)))
     out.aggregates.sort(key=lambda row: (order[row[0]], row[1]))
     return out
+
+
+# A sweep forks once the rest of it is estimated to take at least this
+# many seconds in process.  Measured in process on a 2-core host (Python
+# 3.11): a cell of the README sweep on median-split:n=4096 takes 1.8-3.5
+# ms at k=5 and 15-18 ms at k=40, and an awp-only cell at k=96 22-28 ms,
+# so both fork after their first cell; a cell on a 65,536-leaf instance
+# at k=5..10 takes 5-9 ms, and forking it cost about 30 ms of
+# copy-on-write, so its two-cell sweep stays in process, as do 20 awp
+# cells of 0.5-1.0 ms on a 3,000-leaf caterpillar.
+_FORK_MIN_S = 0.05
+
+
+def _jobs(requested: int | None) -> int:
+    """The processes a sweep may use: ``requested``, or every CPU this
+    process may use when None; 1 where ``os.fork`` is missing or another
+    Python thread runs, which a fork would not copy."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if requested is not None:
+        return requested
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_cells(run_cell: Callable, cells: list, jobs: int) -> list:
+    """``[run_cell(c) for c in cells]``, run in process until the measured
+    seconds per cell times the cells left reach ``_FORK_MIN_S``; with
+    ``jobs`` above 1, the rest is then shared out once (``_forked``)."""
+    results = []
+    start = perf_counter()
+    for done, cell in enumerate(cells, 1):
+        results.append(run_cell(cell))
+        left = len(cells) - done
+        if jobs > 1 and left and (perf_counter() - start) / done * left >= _FORK_MIN_S:
+            return results + _forked(run_cell, cells[done:], min(jobs, left))
+    return results
+
+
+def _forked(run_cell: Callable, cells: list, jobs: int) -> list:
+    """``[run_cell(c) for c in cells]`` over ``jobs`` processes: child j
+    runs ``cells[j::jobs]`` and pickles its results to a pipe, and this
+    process runs the last share, then reads the others.
+
+    A failing cell raises as in one process: the cells of a child that
+    failed, or every child's cells before a failure of this process's
+    share, run again here in order, so the first failing cell raises
+    first.  On any exception, every child is killed and reaped before it
+    propagates; no child outlives this call."""
+    pids: list[int] = []
+    fds: list[int] = []
+    shares: list[list | None] = [None] * (jobs - 1)
+    mine: list = []
+    error = None
+    try:
+        for j in range(jobs - 1):
+            fd, w = os.pipe()
+            fds.append(fd)
+            # Signals wait until the child is recorded, so that no handler's
+            # exception can lose it; the child unblocks them itself.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                # Python 3.12+ warns of any other OS thread, such as an idle
+                # BLAS pool, after the fork; as an error, that warning would
+                # lose the child.  A child runs only the cells, then exits.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _child(run_cell, cells[j::jobs], w, fds, mask)
+                pids.append(pid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(w)
+        try:
+            for cell in cells[jobs - 1 :: jobs]:
+                mine.append(run_cell(cell))
+        except Exception as exc:
+            error = exc
+        if error is None:
+            for j, (pid, fd) in enumerate(zip(pids, fds)):
+                try:
+                    with open(fd, "rb", closefd=False) as fh:
+                        shares[j] = pickle.load(fh)
+                except Exception:
+                    # A child that sent no whole result may still be writing.
+                    os.kill(pid, signal.SIGKILL)
+            while pids:
+                if os.waitpid(pids[-1], 0)[1] != 0:
+                    shares[len(pids) - 1] = None
+                pids.pop()
+    finally:
+        for pid in pids:
+            # An OSError means the child is already reaped.
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+    shares.append(mine)
+    stop = len(cells) if error is None else jobs - 1 + jobs * len(mine)
+    results = [run_cell(cells[i]) if shares[i % jobs] is None else shares[i % jobs][i // jobs] for i in range(stop)]
+    if error is not None:
+        raise error
+    return results
+
+
+def _child(run_cell: Callable, cells: list, fd: int, read_fds: list[int], mask) -> NoReturn:
+    """In a forked child: close the parent's ``read_fds``, so that a write
+    fails once the parent is gone, restore the signal ``mask``, run
+    ``cells``, pickle their results to ``fd`` and end the process with
+    ``os._exit``, status 0 on success and 1 on any exception, so that no
+    caller's frame, ``atexit`` hook or flush of the parent's stdio
+    buffers runs here."""
+    status = 1
+    try:
+        for read_fd in read_fds:
+            os.close(read_fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        with open(fd, "wb", closefd=False) as fh:
+            pickle.dump([run_cell(c) for c in cells], fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def format_csv(output: ExperimentOutput) -> str:
@@ -450,6 +612,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             max_basic_queries=args.max_queries,
             strict_paper=_env_strict_paper(),
             traces=bool(args.trace_out),
+            jobs=args.jobs,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -531,6 +694,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-queries", type=int, default=None, help="cap on basic queries per run")
     p_run.add_argument("--out", required=True, help="CSV output path")
     p_run.add_argument("--trace-out", default=None, help="optional trace output path")
+    p_run.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="processes that share the sweep's cells (default: every CPU this process may use); the outputs do "
+        "not depend on it, a short sweep runs in one process, and 1 never forks, for profiling and tracing",
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_synth = sub.add_parser("synth", help="generate a tree (and weights) to files")

@@ -361,7 +361,8 @@ class HierTree:
     def _name_fault(self) -> NoReturn:
         """Raise TreeStructureError for the first fault of links that
         ``_build_index`` refused: an empty tree; then, reading the columns
-        node by node in id order, a leaf whose links are not (-1, -1), an
+        node by node in id order, a leaf whose links are not the ints
+        (-1, -1) (a float -1.0 equals -1 but is no node id), an
         internal node's child link that is not a node id (dangling), or a
         node linked as a child twice or by itself; then no root or more
         than one; then a node unreachable from the root; then a repeated
@@ -373,7 +374,7 @@ class HierTree:
         parent = [-1] * n
         for v, l, r, lab in zip(range(n), self._left, self._right, labels):
             if lab is not None:
-                if l != -1 or r != -1:
+                if l != -1 or r != -1 or not (isinstance(l, int) and isinstance(r, int)):
                     raise TreeStructureError("leaf-with-children", v)
                 continue
             for c in (l, r):

@@ -11,6 +11,9 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from itertools import combinations
 from math import fsum, isclose
 from pathlib import Path
@@ -180,6 +183,9 @@ class TestExperimentConfig:
         for runs in (0, 2.5, 3.0, "3", None):
             with pytest.raises(ValueError, match=f"^runs must be at least 1, got {runs!r}$"):
                 ExperimentConfig(**base, k_values=(3,), runs=runs)
+        for jobs in (0, -1, 2.5, "2"):
+            with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs!r}$"):
+                ExperimentConfig(**base, k_values=(3,), jobs=jobs)
         with pytest.raises(ValueError, match="unknown algorithms"):
             ExperimentConfig(**base, k_values=(3,), algorithms=("awp", "psychic"))
         with pytest.raises(ValueError, match="at least one algorithm"):
@@ -291,6 +297,193 @@ class TestRunExperiment:
                 assert out.aggregates == [row for row in full.aggregates if row[0] in algs]
                 assert out.traces == [row for row in full.traces if row[0] in algs]
                 assert len(out.details) == len(algs) * 2 * 2
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedSweep:
+    """With ``_FORK_MIN_S`` at 0 a sweep of two or more cells forks after
+    its first cell.  Its CSV and trace file are byte-identical to those
+    of one process, and no child outlives it, whatever a cell raises."""
+
+    @pytest.fixture(autouse=True)
+    def always_fork(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "_FORK_MIN_S", 0.0)
+        self.forks = []
+        forked = cli_mod._forked
+
+        def counted(run_cell, cells, jobs):
+            self.forks.append((len(cells), jobs))
+            return forked(run_cell, cells, jobs)
+
+        monkeypatch.setattr(cli_mod, "_forked", counted)
+        yield
+        assert_no_child_left()
+
+    def config(self, **overrides):
+        params = dict(
+            tree_source="random-balanced:n=64",
+            target_source="geometric:bins=4,ratio=3",
+            k_values=(3, 8),
+            runs=3,
+            seed=5,
+            max_basic_queries=400,
+        )
+        params.update(overrides)
+        return ExperimentConfig(**params)
+
+    @pytest.mark.parametrize(
+        "overrides,cells",
+        [
+            ({}, 6),
+            ({"traces": False}, 6),
+            ({"algorithms": ("awp",)}, 6),
+            # Too few queries to reach k: each cell's baselines split to the
+            # size its adaptive run reached.
+            ({"max_basic_queries": 25}, 6),
+            # 3 runs at one k leave 2 cells after the first: 2 jobs take one
+            # each, 3 and 8 jobs shrink to 2.
+            ({"k_values": (5,)}, 3),
+            # 7 cells after the first: no job count below 7 divides them.
+            ({"k_values": (4, 6), "runs": 4}, 8),
+        ],
+    )
+    @pytest.mark.parametrize("jobs", [2, 3, 8])
+    def test_outputs_match_one_process(self, overrides, cells, jobs):
+        one = run_experiment(self.config(**overrides, jobs=1))
+        assert self.forks == []
+        many = run_experiment(self.config(**overrides, jobs=jobs))
+        assert self.forks == [(cells - 1, min(jobs, cells - 1))]
+        assert format_csv(many) == format_csv(one)
+        assert format_traces(many) == format_traces(one)
+        assert many == one
+        if overrides.get("traces", True):
+            assert len(one.traces) == len(one.details)
+        if "max_basic_queries" in overrides:
+            assert any(nq < k - 1 for alg, k, r, nd, bq, nq in one.details)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # The 5 cells after the first, (3, 1) (3, 2) (4, 0) (4, 1) (4, 2),
+            # go to the child and to this process in turn.  The first bad
+            # cell is the child's, then this process's; this process's, then
+            # the child's; the child's alone; this process's alone.
+            {(3, 1), (4, 1)},
+            {(3, 2), (4, 2)},
+            {(4, 0)},
+            {(4, 1)},
+        ],
+    )
+    def test_a_failing_cell_fails_as_in_one_process(self, tmp_path, capsys, monkeypatch, bad):
+        run_awp = cli_mod.run_awp
+
+        def failing(tree, oracle, config):
+            if (config.k, config.seed) in bad:
+                raise RuntimeError(f"no run at k={config.k} seed={config.seed}")
+            return run_awp(tree, oracle, config)
+
+        monkeypatch.setattr(cli_mod, "run_awp", failing)
+        outcomes = []
+        for jobs in ("1", "2"):
+            out, trace = tmp_path / f"out{jobs}.csv", tmp_path / f"trace{jobs}.txt"
+            argv = [
+                "run", "--tree", "random-balanced:n=16", "--weights", "geometric:bins=4,ratio=3",
+                "--k", "3,4", "--runs", "3", "--max-queries", "60", "--jobs", jobs,
+                "--out", str(out), "--trace-out", str(trace),
+            ]
+            code = main(argv)
+            outcomes.append((code, capsys.readouterr(), out.exists(), trace.exists()))
+        assert outcomes[0] == outcomes[1]
+        k, seed = min(bad)
+        assert outcomes[0][:2] == (3, ("", f"internal error: RuntimeError: no run at k={k} seed={seed}\n"))
+        assert self.forks == [(5, 2)]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_lost_child_share_runs_here(self, monkeypatch):
+        # Of the 5 cells after the first, child 0 gets (3, 1) and (8, 1),
+        # child 1 (3, 2) and (8, 2), and this process (8, 0).  Child 0 dies
+        # at its first cell, seed 6, without a result; its cells run here.
+        one = run_experiment(self.config(jobs=1))
+        run_awp = cli_mod.run_awp
+        parent = os.getpid()
+
+        def dying(tree, oracle, config):
+            if os.getpid() != parent and config.seed == 6:
+                os._exit(7)
+            return run_awp(tree, oracle, config)
+
+        monkeypatch.setattr(cli_mod, "run_awp", dying)
+        assert run_experiment(self.config(jobs=3)) == one
+        assert self.forks == [(5, 3)]
+
+    def test_a_warning_after_the_fork_loses_no_child(self, monkeypatch):
+        # Python 3.12+ warns in the parent, after the fork, when another OS
+        # thread runs; this suite turns warnings into errors.
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn("this process is multi-threaded", DeprecationWarning)
+            return pid
+
+        one = run_experiment(self.config(jobs=1))
+        monkeypatch.setattr(os, "fork", warning_fork)
+        assert run_experiment(self.config(jobs=2)) == one
+        assert self.forks == [(5, 2)]
+
+    def test_an_interrupt_kills_the_children(self, monkeypatch):
+        # The interrupt in this process's share reaches the caller once
+        # the child, still busy with its own share, is killed and reaped.
+        run_awp = cli_mod.run_awp
+
+        def interrupted(tree, oracle, config):
+            if os.getpid() != parent:
+                time.sleep(30)
+            elif config.seed == 2:
+                raise KeyboardInterrupt
+            return run_awp(tree, oracle, config)
+
+        parent = os.getpid()
+        monkeypatch.setattr(cli_mod, "run_awp", interrupted)
+        t0 = monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(self.config(k_values=(3,), runs=4, seed=0, jobs=2))
+        assert monotonic() - t0 < 20
+        assert self.forks == [(3, 2)]
+
+    def test_forks_once_the_measured_rest_reaches_the_threshold(self, monkeypatch):
+        # A clock that advances 1/64 s per reading, one reading per cell:
+        # with n cells left, the rest is estimated at n/64 s, exactly.
+        monkeypatch.setattr(cli_mod, "_FORK_MIN_S", 5 / 64)
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(cli_mod, "perf_counter", lambda: next(ticks) / 64)
+        run_experiment(self.config(k_values=(3,), runs=5, jobs=2))
+        assert self.forks == []
+        run_experiment(self.config(k_values=(3,), runs=6, jobs=2))
+        assert self.forks == [(5, 2)]
+        run_experiment(self.config(k_values=(3,), runs=6, jobs=1))
+        assert self.forks == [(5, 2)]
+
+    def test_one_job_where_fork_is_unsafe(self, monkeypatch):
+        assert cli_mod._jobs(3) == 3
+        if hasattr(os, "sched_getaffinity"):
+            assert cli_mod._jobs(None) == len(os.sched_getaffinity(0))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert cli_mod._jobs(3) == 1
+        finally:
+            stop.set()
+            thread.join()
+        monkeypatch.delattr(os, "fork")
+        assert cli_mod._jobs(3) == 1
+        assert cli_mod._jobs(None) == 1
 
 
 class TestFormats:
@@ -600,6 +793,13 @@ class TestMain:
         assert main(["inspect", "--tree", tree_path, "--weights", w_path]) == 0
         assert len(calls) == 1
         assert "average_split_quality: 0.4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "x", "2.5"])
+    def test_exit_code_1_bad_jobs(self, tmp_path, capsys, jobs):
+        args, csv, _ = self.run_args(tmp_path, "j", extra=("--jobs", jobs))
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not csv.exists()
 
     def test_exit_code_1_usage(self, tmp_path, capsys):
         args, _, _ = self.run_args(tmp_path, "u")

@@ -357,8 +357,7 @@ def _corrupt(rng, labels: list, left: list, right: list, kind: str) -> None:
                 a = parent[a]
             col[u] = a
     elif kind == "not-an-int":
-        # Not -1.0, which equals -1 and so reads as a leaf's link.
-        col[v] = rng.choice([None, 1.5, "1", 2.0])
+        col[v] = rng.choice([None, 1.5, "1", 2.0, -1.0])
     elif kind == "leaf-links":
         if labels[v] is None:
             left[v] = right[v] = -1
@@ -399,8 +398,11 @@ def _one_walk_index(labels, left, right):
 
 def _tuple_links(labels, left, right):
     """The child tuples that the columns describe: none for a leaf whose
-    links are (-1, -1), else the pair."""
-    return [() if lab is not None and l == -1 and r == -1 else (l, r) for lab, l, r in zip(labels, left, right)]
+    links are the ints (-1, -1), else the pair."""
+    return [
+        () if lab is not None and type(l) is type(r) is int and l == r == -1 else (l, r)
+        for lab, l, r in zip(labels, left, right)
+    ]
 
 
 def _reference_index(labels, left, right):
@@ -464,6 +466,9 @@ class TestIndexMatchesReference:
             # A leaf with links other than (-1, -1) has children.
             pytest.param([1, -1, -1], [2, 0, -1], [None, "a", "b"], "leaf-with-children", 1, id="leaf-to-root"),
             pytest.param([1, -1, -2], [2, -1, 0], [None, "a", "b"], "leaf-with-children", 2, id="leaf-negative"),
+            # A float -1.0 equals -1 but is no leaf's link.
+            pytest.param([1, -1.0, -1], [2, -1, -1], [None, "a", "b"], "leaf-with-children", 1, id="leaf-float"),
+            pytest.param([1, -1, -1], [2, -1, -1.0], [None, "a", "b"], "leaf-with-children", 2, id="leaf-float-right"),
             # Every unlabelled node has two children.
             pytest.param([1, 2, -1], [1, -1, -1], [None, None, "a"], "multiple-parents", 1, id="repeated-child"),
             pytest.param([0], [0], [None], "cycle", 0, id="self-loop"),
