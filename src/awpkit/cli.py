@@ -375,11 +375,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
 # A sweep forks once the rest of it is estimated to take at least this
 # many seconds in process.  Measured in process on a 2-core host (Python
 # 3.11): a cell of the README sweep on median-split:n=4096 takes 1.8-3.5
-# ms at k=5 and 15-18 ms at k=40, and an awp-only cell at k=96 22-28 ms,
-# so both fork after their first cell; a cell on a 65,536-leaf instance
-# at k=5..10 takes 5-9 ms, and forking it cost about 30 ms of
-# copy-on-write, so its two-cell sweep stays in process, as do 20 awp
-# cells of 0.5-1.0 ms on a 3,000-leaf caterpillar.
+# ms at k=5 and 15-25 ms at k=40, and an awp-only cell at k=96 22-28 ms,
+# so both fork after their first cell.  A cell on a 65,536-leaf instance
+# at k=5..10 takes 5-9 ms; its two-cell sweep gains nothing from a fork,
+# which must copy the pages of the instance that either process writes,
+# so it stays in process, as do 20 awp cells of 0.5-1.0 ms on a
+# 3,000-leaf caterpillar.
 _FORK_MIN_S = 0.05
 
 
