@@ -21,12 +21,13 @@ Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input file,
 invocations with identical flags produce byte-identical CSV and trace
 output.
 
-``run --jobs N`` spreads a sweep's (k, run) cells over N processes; by
-default N is the number of CPUs this process may use.  The outputs do not
-depend on N.  A sweep forks only once its measured cells show that the
-rest of it would take at least ``_FORK_MIN_S`` seconds in one process, so
-a short sweep runs in process whatever N is.  ``--jobs 1`` never forks:
-use it under a profiler or a tracer, which see only their own process.
+``run`` spreads a sweep's (k, run) cells over the CPUs this process may
+use (limit them with ``taskset``), and its outputs do not depend on how
+many there are.  A sweep forks only once its measured cells show that the
+rest of it would take at least ``_FORK_MIN_S`` seconds in one process, and
+forks one child per ``_FORK_MIN_S`` of that estimate at most, so a short
+sweep runs in process.  Under a profiler, a tracer or a wrapper of
+``run_awp``, which would not see a child's calls, it never forks.
 """
 
 from __future__ import annotations
@@ -248,9 +249,6 @@ class ExperimentConfig:
     # False leaves ExperimentOutput.traces empty: no trace text is
     # rendered, as when `run` writes no trace file.
     traces: bool = True
-    # Processes that share the sweep's cells; None is every CPU this
-    # process may use.  The output does not depend on it.
-    jobs: int | None = None
 
     def __post_init__(self):
         if not self.k_values:
@@ -260,8 +258,6 @@ class ExperimentConfig:
         for k in self.k_values:
             self.engine_config(k, self.seed)
         _checked_int("runs", self.runs, 1)
-        if self.jobs is not None:
-            _checked_int("jobs", self.jobs, 1)
         bad = [a for a in self.algorithms if a not in ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms {bad}, expected subset of {ALGORITHMS}")
@@ -303,10 +299,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     The (k, run) cells are independent: a cell draws only from its own
     seed, and of what the cells share it writes only caches of values
     derived from the instance and the oracle's ledger, from which each
-    search reports its spend as a difference.  So the cells may run in any process
-    and any order (see ``_run_cells``); their rows are merged in (k, run)
-    order and then sorted, which makes the output independent of
-    ``config.jobs``."""
+    search reports its spend as a difference.  So the cells may run in
+    any process and any order (see ``_run_cells``); their rows are merged
+    in (k, run) order and then sorted, which makes the output independent
+    of how many processes ran them."""
     tree, built_weights = make_tree_source(config.tree_source, config.seed)
     n = tree.leaf_count_total
     if n < 2:
@@ -356,7 +352,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
     cells = [(k, r) for k in config.k_values for r in range(config.runs)]
     out = ExperimentOutput()
     per_alg_k: dict[tuple[str, int], list[float]] = {}
-    for rows, traces in _run_cells(run_cell, cells, _jobs(config.jobs)):
+    for rows, traces in _run_cells(run_cell, cells):
         out.details += rows
         out.traces += traces
         for alg, k, _, nd, _, _ in rows:
@@ -373,41 +369,52 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutput:
 
 
 # A sweep forks once the rest of it is estimated to take at least this
-# many seconds in process.  Measured in process on a 2-core host (Python
-# 3.11): a cell of the README sweep on median-split:n=4096 takes 1.8-3.5
-# ms at k=5 and 15-25 ms at k=40, and an awp-only cell at k=96 22-28 ms,
-# so both fork after their first cell.  A cell on a 65,536-leaf instance
-# at k=5..10 takes 5-9 ms; its two-cell sweep gains nothing from a fork,
-# which must copy the pages of the instance that either process writes,
-# so it stays in process, as do 20 awp cells of 0.5-1.0 ms on a
-# 3,000-leaf caterpillar.
+# many seconds in process, into one child per this many seconds of the
+# estimate at most: a fork copies the pages of the instance that either
+# process writes, which cost about 30 ms on a 65,536-leaf instance.
+# Measured in process on a 2-core host (Python 3.11): a cell of the README
+# sweep on median-split:n=4096 takes 1.8-3.5 ms at k=5 and 15-25 ms at
+# k=40, and an awp-only cell at k=96 22-28 ms, so both fork after their
+# first cell.  A cell on a 65,536-leaf instance at k=5..10 takes 5-9 ms;
+# its two-cell sweep gains nothing from a fork, so it stays in process,
+# as do 20 awp cells of 0.5-1.0 ms on a 3,000-leaf caterpillar.  Hosts of
+# more than 2 cores were not measured.
 _FORK_MIN_S = 0.05
 
 
-def _jobs(requested: int | None) -> int:
-    """The processes a sweep may use: ``requested``, or every CPU this
-    process may use when None; 1 where ``os.fork`` is missing or another
-    Python thread runs, which a fork would not copy."""
+def _jobs() -> int:
+    """The processes a sweep may use: every CPU this process may use, or 1
+    where a fork is unsafe or unseen.  It is unsafe where ``os.fork`` is
+    missing or another Python thread runs, which a fork would not copy.
+    It is unseen by a profiler or tracer set with ``sys.setprofile`` or
+    ``sys.settrace``, and by a wrapper of ``run_awp`` that keeps the
+    original as ``__wrapped__`` (``functools.wraps``), such as a layer
+    tracer: each records only its own process's calls, so it would miss
+    every cell run in a child."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    if requested is not None:
-        return requested
+    if sys.getprofile() or sys.gettrace() or hasattr(run_awp, "__wrapped__"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _run_cells(run_cell: Callable, cells: list, jobs: int) -> list:
+def _run_cells(run_cell: Callable, cells: list) -> list:
     """``[run_cell(c) for c in cells]``, run in process until the measured
-    seconds per cell times the cells left reach ``_FORK_MIN_S``; with
-    ``jobs`` above 1, the rest is then shared out once (``_forked``)."""
+    seconds per cell times the cells left reach ``_FORK_MIN_S``.  The rest
+    is then shared out once (``_forked``) over ``_jobs()`` processes at
+    most, with one child per ``_FORK_MIN_S`` of the estimate at most."""
+    jobs = _jobs()
     results = []
     start = perf_counter()
     for done, cell in enumerate(cells, 1):
         results.append(run_cell(cell))
         left = len(cells) - done
-        if jobs > 1 and left and (perf_counter() - start) / done * left >= _FORK_MIN_S:
-            return results + _forked(run_cell, cells[done:], min(jobs, left))
+        rest = (perf_counter() - start) / done * left
+        if jobs > 1 and left > 1 and rest >= _FORK_MIN_S:
+            children = min(jobs - 1, left - 1, int(rest / _FORK_MIN_S))
+            return results + _forked(run_cell, cells[done:], children + 1)
     return results
 
 
@@ -416,14 +423,16 @@ def _forked(run_cell: Callable, cells: list, jobs: int) -> list:
     runs ``cells[j::jobs]`` and pickles its results to a pipe, and this
     process runs the last share, then reads the others.
 
-    A failing cell raises as in one process: the cells of a child that
-    failed, or every child's cells before a failure of this process's
-    share, run again here in order, so the first failing cell raises
-    first.  On any exception, every child is killed and reaped before it
-    propagates; no child outlives this call."""
+    Every child is killed and reaped before any exception leaves this
+    call.  A failing cell fails as in one process: once the children are
+    gone, cells run again here in order, so that the first failing cell
+    raises first.  A child's failure runs all of them again; a failure of
+    this process's share runs those before its failing cell, then raises
+    its own error, which a rerun may not repeat (a timeout raised by a
+    signal handler would not)."""
     pids: list[int] = []
     fds: list[int] = []
-    shares: list[list | None] = [None] * (jobs - 1)
+    shares: list[list | None] = []
     mine: list = []
     error = None
     try:
@@ -444,25 +453,23 @@ def _forked(run_cell: Callable, cells: list, jobs: int) -> list:
                     _child(run_cell, cells[j::jobs], w, fds, mask)
                 pids.append(pid)
             finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                # Restoring the mask runs the handlers of signals that came
+                # meanwhile, and one may raise.
                 os.close(w)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         try:
-            for cell in cells[jobs - 1 :: jobs]:
-                mine.append(run_cell(cell))
+            for i in range(jobs - 1, len(cells), jobs):
+                mine.append(run_cell(cells[i]))
         except Exception as exc:
-            error = exc
-        if error is None:
-            for j, (pid, fd) in enumerate(zip(pids, fds)):
-                try:
-                    with open(fd, "rb", closefd=False) as fh:
-                        shares[j] = pickle.load(fh)
-                except Exception:
-                    # A child that sent no whole result may still be writing.
-                    os.kill(pid, signal.SIGKILL)
-            while pids:
-                if os.waitpid(pids[-1], 0)[1] != 0:
-                    shares[len(pids) - 1] = None
-                pids.pop()
+            error, stop = exc, i
+        else:
+            for fd in fds:
+                with open(fd, "rb", closefd=False) as fh:
+                    data = fh.read()
+                # A child that failed exits non-zero, whatever it wrote.
+                ok = os.waitpid(pids[0], 0)[1] == 0
+                pids.pop(0)
+                shares.append(pickle.loads(data) if ok else None)
     finally:
         for pid in pids:
             # An OSError means the child is already reaped.
@@ -471,12 +478,14 @@ def _forked(run_cell: Callable, cells: list, jobs: int) -> list:
                 os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
-    shares.append(mine)
-    stop = len(cells) if error is None else jobs - 1 + jobs * len(mine)
-    results = [run_cell(cells[i]) if shares[i % jobs] is None else shares[i % jobs][i // jobs] for i in range(stop)]
     if error is not None:
+        for cell in cells[:stop]:
+            run_cell(cell)
         raise error
-    return results
+    if None in shares:
+        return [run_cell(cell) for cell in cells]
+    shares.append(mine)
+    return [shares[i % jobs][i // jobs] for i in range(len(cells))]
 
 
 def _child(run_cell: Callable, cells: list, fd: int, read_fds: list[int], mask) -> NoReturn:
@@ -613,7 +622,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             max_basic_queries=args.max_queries,
             strict_paper=_env_strict_paper(),
             traces=bool(args.trace_out),
-            jobs=args.jobs,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -695,13 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-queries", type=int, default=None, help="cap on basic queries per run")
     p_run.add_argument("--out", required=True, help="CSV output path")
     p_run.add_argument("--trace-out", default=None, help="optional trace output path")
-    p_run.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="processes that share the sweep's cells (default: every CPU this process may use); the outputs do "
-        "not depend on it, a short sweep runs in one process, and 1 never forks, for profiling and tracing",
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_synth = sub.add_parser("synth", help="generate a tree (and weights) to files")
